@@ -13,6 +13,7 @@ from .core_model import (AmplitudeInstance, DomainError, ExplicitOracle,
 from .driver import (ConfigurationError, MeasurementRecord, ResourceReport,
                      Schedule, ScheduleStep, build_schedule, hl_reference,
                      query_count, recompute_queries, resource_report, run,
+                     sample_and_recover, step_probabilities,
                      theorem_resources, PARALLEL_L_TABLE_PLUS,
                      PARALLEL_L_TABLE_PLUS_I)
 from .qsp import (AngleSequence, PhaseShifterSpec, SynthesisError,

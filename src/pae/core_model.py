@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import unitary_group
 
 
 class DomainError(ValueError):
@@ -96,6 +95,8 @@ def build_explicit_oracle(inst: AmplitudeInstance, style: str = "canonical",
     if style == "canonical":
         psi = rest0
     elif style == "random":
+        # imported here: scipy.stats is slow to import and only this oracle needs it
+        from scipy.stats import unitary_group
         haar = unitary_group.rvs(dim_rest, random_state=seed)
         u_a = np.kron(haar, np.eye(2)) @ u_a
         psi = haar @ rest0

@@ -3,9 +3,21 @@
 A schedule fixes, for every resolution step ``k``, the split of the signal
 multiplier ``2^(k-1) = P_k T_k S_k`` into parallel branches, shifter
 strength, and sequential repetitions, together with shot counts ``nu_k``
-and query lengths ``L_k``.  ``run`` executes the two measurement settings
-of every step on the selected backend, feeds the frequencies through the
-phase recovery, and reports the exact query count
+and query lengths ``L_k``.
+
+A run has two phases:
+
+* the probability phase, :func:`step_probabilities`, computes the exact
+  even-parity probability of both measurement settings of every step on the
+  selected backend.  It is deterministic: it depends on the amplitude and
+  the schedule, never on a seed, so it is done once and shared by every
+  trial of a sweep;
+* the sampling and recovery phase, :func:`sample_and_recover`, draws the
+  parity counts of every step from those probabilities with one seeded
+  stream per (seed, step, setting) and feeds the frequencies through the
+  phase recovery.
+
+``run`` composes the two and reports the exact query count
 ``N = 2 sum_k nu_k P_k S_k L_k`` alongside depth and width.
 """
 
@@ -26,6 +38,8 @@ PARALLEL_L_TABLE_PLUS = (10, 12, 12, 14, 16, 16, 18, 20, 20)
 PARALLEL_L_TABLE_PLUS_I = (12, 14, 14, 14, 16, 16, 18, 20, 20)
 
 _BACKENDS = ("analytic", "statevector", "ideal")
+# column order of the probability array and setting index of the seed stream
+_SETTINGS = (circ.MeasurementSetting.PLUS, circ.MeasurementSetting.PLUS_I)
 
 
 class ConfigurationError(ValueError):
@@ -109,6 +123,8 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
         raise ConfigurationError(f"step count must be >= 1, got {K}")
     if not 0.0 < beta < rpe.ROBUSTNESS_LIMIT:
         raise ConfigurationError(f"bias budget must lie in (0, sqrt(6)/8), got {beta}")
+    if t_cap < 1 or t_cap & (t_cap - 1):
+        raise ConfigurationError(f"strength cap must be a power of two, got {t_cap}")
 
     if strategy == "general":
         p_total = parallelism
@@ -143,6 +159,9 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
             l = qsp.select_L(t, beta / (math.sqrt(2.0) * p * s))
         else:
             l = qsp.select_L_empirical(t)
+        if p * t * s != m:
+            raise ConfigurationError(
+                f"step {k}: P*T*S = {p}*{t:g}*{s} differs from 2^(k-1) = {m}")
         steps.append(ScheduleStep(k=k, m=m, p=p, t=t, s=s, nu=nu, l=l))
     return Schedule(steps=tuple(steps), strategy=strategy, K=K)
 
@@ -190,28 +209,43 @@ def _step_probability(instance: AmplitudeInstance, st: ScheduleStep,
     return circ.statevector_even_parity_probability(pc, setting)
 
 
+def step_probabilities(instance: AmplitudeInstance, schedule: Schedule,
+                       backend: str = "analytic",
+                       solver: str = "layer_peel") -> np.ndarray:
+    """Probability phase: the ``(K, 2)`` array of exact even-parity
+    probabilities, one row per step, columns PLUS and PLUS_I."""
+    if backend not in _BACKENDS:
+        raise ConfigurationError(f"unknown backend {backend!r}")
+    return np.array([[_step_probability(instance, st, setting, backend, solver)
+                      for setting in _SETTINGS] for st in schedule], dtype=float)
+
+
+def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed: int):
+    """Sampling and recovery phase: draw every step's counts from
+    ``probabilities`` (as returned by :func:`step_probabilities`) and
+    recover the phase.
+
+    Returns ``(PhaseEstimate, list[MeasurementRecord])``.
+    """
+    observations = []
+    records = []
+    for st, row in zip(schedule, probabilities):
+        h_plus, h_i = (circ.sample_even_parity(float(p), st.nu, _step_seed(seed, st.k, idx))
+                       for idx, p in enumerate(row))
+        records.append(MeasurementRecord(k=st.k, h_plus=h_plus, h_i=h_i, nu=st.nu))
+        observations.append(rpe.StepObservation(
+            k=st.k, m=st.m, f_plus=h_plus / st.nu, f_i=h_i / st.nu, nu=st.nu))
+    return rpe.estimate_phase(observations), records
+
+
 def run(instance: AmplitudeInstance, schedule: Schedule, seed: int,
         backend: str = "analytic", solver: str = "layer_peel"):
-    """Execute a full estimation run.
+    """Execute a full estimation run: both phases, composed.
 
     Returns ``(PhaseEstimate, ResourceReport, list[MeasurementRecord])``.
     """
-    if backend not in _BACKENDS:
-        raise ConfigurationError(f"unknown backend {backend!r}")
-    observations = []
-    records = []
-    for st in schedule:
-        counts = []
-        for idx, setting in enumerate((circ.MeasurementSetting.PLUS,
-                                       circ.MeasurementSetting.PLUS_I)):
-            p = _step_probability(instance, st, setting, backend, solver)
-            counts.append(circ.sample_even_parity(p, st.nu, _step_seed(seed, st.k, idx)))
-        records.append(MeasurementRecord(k=st.k, h_plus=counts[0], h_i=counts[1],
-                                         nu=st.nu))
-        observations.append(rpe.StepObservation(
-            k=st.k, m=st.m, f_plus=counts[0] / st.nu, f_i=counts[1] / st.nu,
-            nu=st.nu))
-    estimate = rpe.estimate_phase(observations)
+    probabilities = step_probabilities(instance, schedule, backend, solver)
+    estimate, records = sample_and_recover(schedule, probabilities, seed)
     return estimate, resource_report(schedule, instance.n), records
 
 

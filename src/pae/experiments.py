@@ -4,9 +4,13 @@ strength-to-length curve, with deterministic per-trial seeding.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -61,30 +65,50 @@ def _schedule_for(cfg: ExperimentConfig, K: int) -> driver.Schedule:
         l_table=table[:K] if table is not None else None)
 
 
-def _sq_error(args) -> float:
-    a, n, cfg_kwargs, K, seed, backend = args
-    schedule = _schedule_for(ExperimentConfig(**cfg_kwargs), K)
-    inst = make_instance(a, n)
-    estimate, _, _ = driver.run(inst, schedule, seed=seed, backend=backend)
-    return (estimate.a_hat - a) ** 2
+def _sq_errors(a: float, schedule: driver.Schedule, probabilities: np.ndarray,
+               seeds) -> list[float]:
+    """Sampling phase of one (a, K) cell: squared estimation error per seed."""
+    return [(driver.sample_and_recover(schedule, probabilities, seed)[0].a_hat - a) ** 2
+            for seed in seeds]
+
+
+def _chunks(items: list, n: int) -> list[list]:
+    """Split ``items`` into at most ``n`` consecutive runs of near-equal size."""
+    size = max(1, -(-len(items) // n))
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """RMSE over ``trials`` independent runs for every (amplitude, K)."""
-    import dataclasses
-    cfg_kwargs = dataclasses.asdict(cfg)
-    rows = []
-    for a in _amplitudes(cfg):
-        for K in range(cfg.k_min, cfg.k_max + 1):
-            schedule = _schedule_for(cfg, K)
-            report = driver.resource_report(schedule, cfg.n)
-            args = [(a, cfg.n, cfg_kwargs, K, trial_seed(cfg.seed, a, K, t), cfg.backend)
-                    for t in range(cfg.trials)]
-            if cfg.jobs > 1:
-                with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                    sq = list(pool.map(_sq_error, args))
-            else:
-                sq = [_sq_error(arg) for arg in args]
+    """RMSE over ``trials`` independent runs for every (amplitude, K).
+
+    Each schedule is built once per K and each cell's step probabilities
+    once per (amplitude, K); only the sampling phase runs per trial.  With
+    ``jobs > 1`` one process pool serves the whole sweep, and its workers
+    receive finished probabilities with a chunk of trial seeds, so they
+    never synthesize or simulate.
+    """
+    schedules = {K: _schedule_for(cfg, K) for K in range(cfg.k_min, cfg.k_max + 1)}
+    pool = (ProcessPoolExecutor(max_workers=cfg.jobs,
+                                mp_context=multiprocessing.get_context("spawn"))
+            if cfg.jobs > 1 else None)
+    with pool or contextlib.nullcontext():
+        cells = []
+        for a in _amplitudes(cfg):
+            inst = make_instance(a, cfg.n)
+            for K, schedule in schedules.items():
+                probabilities = driver.step_probabilities(inst, schedule, cfg.backend)
+                seeds = [trial_seed(cfg.seed, a, K, t) for t in range(cfg.trials)]
+                if pool is None:
+                    sq = _sq_errors(a, schedule, probabilities, seeds)
+                else:
+                    sq = [pool.submit(_sq_errors, a, schedule, probabilities, chunk)
+                          for chunk in _chunks(seeds, cfg.jobs)]
+                cells.append((a, K, sq))
+        rows = []
+        for a, K, sq in cells:
+            if pool is not None:
+                sq = [err for future in sq for err in future.result()]
+            report = driver.resource_report(schedules[K], cfg.n)
             rows.append(ResultRow(
                 a=a, K=K, strategy=cfg.strategy, n_queries=report.n_queries,
                 oracle_depth=report.oracle_depth, width=report.width,
@@ -144,12 +168,19 @@ class TlRow:
 
 
 def run_tl_curve(cfg: ExperimentConfig) -> list[TlRow]:
-    """Minimal even query length over a grid of shifter strengths."""
+    """Minimal even query length over a grid of shifter strengths.
+
+    The grid ``t_min + i t_step`` is computed in decimal from the configured
+    values, so a step of 0.1 gives 0.3, not 0.30000000000000004.
+    """
+    if cfg.t_step <= 0:
+        raise driver.ConfigurationError(f"t_step must be positive, got {cfg.t_step}")
+    t_min, t_step = Decimal(repr(cfg.t_min)), Decimal(repr(cfg.t_step))
+    count = max(0, math.floor((Decimal(repr(cfg.t_max)) - t_min) / t_step) + 1)
     rows = []
-    t = cfg.t_min
-    while t <= cfg.t_max + 1e-12:
-        rows.append(TlRow(t=float(t), l_min=qsp.minimal_query_length(t)))
-        t += cfg.t_step
+    for i in range(count):
+        t = float(t_min + i * t_step)
+        rows.append(TlRow(t=t, l_min=qsp.minimal_query_length(t)))
     return rows
 
 

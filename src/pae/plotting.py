@@ -70,13 +70,21 @@ class _Axes:
         return _H - _MARGIN - (v - self.y0) / (self.y1 - self.y0) * (_H - 2 * _MARGIN)
 
 
+def _plottable(xs, ys, logx: bool, logy: bool) -> tuple[list, list]:
+    pts = [(x, y) for x, y in zip(xs, ys) if (x > 0 or not logx) and (y > 0 or not logy)]
+    return [x for x, _ in pts], [y for _, y in pts]
+
+
 def render_svg(path: str, series, xlabel: str, ylabel: str,
                logx: bool = True, logy: bool = True,
                hl_line: bool = False) -> None:
     """Write one polyline per ``(label, xs, ys)`` series.
 
     With ``hl_line`` the reference curve ``pi/(2(N-1))`` spans the x-range.
+    Points that a log axis cannot show (zero or negative) are left off the
+    plot; the CSV keeps them.
     """
+    series = [(label, *_plottable(xs, ys, logx, logy)) for label, xs, ys in series]
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if hl_line and xs_all:

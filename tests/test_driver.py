@@ -5,7 +5,8 @@ import pytest
 
 from pae import (PARALLEL_L_TABLE_PLUS, ConfigurationError, build_schedule,
                  hl_reference, make_instance, query_count, recompute_queries,
-                 resource_report, run, select_L_empirical, theorem_resources)
+                 resource_report, run, sample_and_recover, select_L_empirical,
+                 step_probabilities, theorem_resources)
 from pae.core_model import DomainError
 
 
@@ -51,6 +52,12 @@ class TestBuildSchedule:
     def test_general_rejects_oversized_parallelism(self):
         with pytest.raises(ConfigurationError):
             build_schedule(strategy="general", k_max=3, parallelism=16)
+
+    @pytest.mark.parametrize("t_cap", [0, 3, 6, 12])
+    def test_rejects_non_power_of_two_t_cap(self, t_cap):
+        # floor division used to turn t_cap=3 into multipliers 3, 6, 15
+        with pytest.raises(ConfigurationError, match="strength cap"):
+            build_schedule(strategy="general", k_max=6, parallelism=1, t_cap=t_cap)
 
     def test_mode_exclusivity(self):
         with pytest.raises(ConfigurationError):
@@ -147,6 +154,37 @@ class TestRun:
         report = resource_report(sched, 2)
         assert report.width == 64 * 3
         assert report.ghz_layers == 6
+
+
+class TestTwoPhases:
+    @pytest.mark.parametrize("backend,strategy", [("ideal", "full_sequential"),
+                                                  ("analytic", "full_parallel"),
+                                                  ("statevector", "full_parallel")])
+    def test_run_is_sampling_of_step_probabilities(self, backend, strategy):
+        sched = build_schedule(strategy=strategy, k_max=3,
+                               l_table=PARALLEL_L_TABLE_PLUS[:3])
+        inst = make_instance(0.3)
+        probs = step_probabilities(inst, sched, backend)
+        assert probs.shape == (3, 2)
+        for seed in (1, 2, 3):
+            est, _, records = run(inst, sched, seed=seed, backend=backend)
+            assert sample_and_recover(sched, probs, seed) == (est, records)
+
+    def test_seeded_stream_is_unchanged(self):
+        # counts recorded before the run was split into two phases: one
+        # generator per (seed, step, setting) must keep drawing the same shots
+        sched = build_schedule(strategy="full_sequential", k_max=4)
+        est, _, records = run(make_instance(0.3), sched, seed=11, backend="ideal")
+        assert [(r.k, r.h_plus, r.h_i, r.nu) for r in records] == [
+            (1, 11, 14, 19), (2, 9, 15, 15), (3, 0, 3, 11), (4, 7, 4, 7)]
+        assert est.a_hat == 0.2992161761942578
+        sched = build_schedule(strategy="full_parallel", k_max=4,
+                               l_table=PARALLEL_L_TABLE_PLUS[:4])
+        est, _, records = run(make_instance(math.sin(math.pi / 8) ** 2), sched,
+                              seed=5, backend="analytic")
+        assert [(r.k, r.h_plus, r.h_i, r.nu) for r in records] == [
+            (1, 13, 19, 19), (2, 0, 12, 15), (3, 10, 2, 11), (4, 4, 0, 7)]
+        assert est.a_hat == 0.15195402055723628
 
 
 class TestHlReference:

@@ -1,16 +1,18 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from pae import (ConfigError, ExperimentConfig, hl_reference,
-                 ideal_setting_probability, make_instance, parse_config,
+from pae import (PARALLEL_L_TABLE_PLUS, ConfigError, ConfigurationError,
+                 ExperimentConfig, build_schedule, circuit, hl_reference,
+                 ideal_setting_probability, make_instance, parse_config, run,
                  serialize_config, setting_probability, synthesize_shifter)
 from pae.circuit import MeasurementSetting, ParallelCircuit
 from pae.cli import main as cli_main
-from pae.experiments import (run_bias_sweep, run_rmse_sweep, run_tl_curve,
-                             trial_seed)
+from pae.experiments import (ResultRow, run_bias_sweep, run_rmse_sweep,
+                             run_tl_curve, trial_seed)
 from pae.plotting import render, rows_to_csv, write_csv
 
 
@@ -87,6 +89,48 @@ class TestRmseSweep:
         r2 = [dataclasses.replace(r) for r in run_rmse_sweep(cfg2)]
         assert [(.0 + r.rmse) for r in r1] == [(.0 + r.rmse) for r in r2]
 
+    @pytest.mark.parametrize("trials", [2, 5])
+    def test_probabilities_computed_once_per_cell(self, trials, monkeypatch):
+        calls = {"prob": 0, "sample": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(circuit, "setting_probability",
+                            counted("prob", circuit.setting_probability))
+        monkeypatch.setattr(circuit, "sample_even_parity",
+                            counted("sample", circuit.sample_even_parity))
+        cfg = self.make_cfg(amplitudes=(0.0, 0.3), k_min=1, k_max=3,
+                            strategy="full_parallel", backend="analytic",
+                            l_table="plus", trials=trials)
+        run_rmse_sweep(cfg)
+        steps = sum(range(1, 4))
+        assert calls["prob"] == 2 * 2 * steps                 # independent of trials
+        assert calls["sample"] == 2 * 2 * steps * trials
+
+    @pytest.mark.parametrize("backend,strategy", [("ideal", "full_sequential"),
+                                                  ("analytic", "full_parallel")])
+    def test_matches_one_run_per_trial(self, backend, strategy):
+        # reference: the sweep as a loop of independent end-to-end runs
+        cfg = self.make_cfg(amplitudes=(0.0, 0.3), k_min=1, k_max=3,
+                            strategy=strategy, backend=backend, l_table="plus",
+                            trials=4)
+        expected = []
+        for a in cfg.amplitudes:
+            for K in range(cfg.k_min, cfg.k_max + 1):
+                sched = build_schedule(strategy=strategy, k_max=K,
+                                       l_table=PARALLEL_L_TABLE_PLUS[:K])
+                sq = []
+                for t in range(cfg.trials):
+                    est, _, _ = run(make_instance(a), sched,
+                                    seed=trial_seed(cfg.seed, a, K, t), backend=backend)
+                    sq.append((est.a_hat - a) ** 2)
+                expected.append((a, K, float(np.sqrt(np.mean(sq)))))
+        assert [(r.a, r.K, r.rmse) for r in run_rmse_sweep(cfg)] == expected
+
 
 class TestBiasSweep:
     def test_requires_synthesizing_backend(self):
@@ -129,6 +173,15 @@ class TestTlCurve:
         cfg = ExperimentConfig(experiment="tl_curve", t_min=0.1, t_max=0.1, t_step=1.0)
         assert run_tl_curve(cfg)[0].l_min <= 6
 
+    def test_decimal_grid(self):
+        cfg = ExperimentConfig(experiment="tl_curve", t_min=0.1, t_max=1.0, t_step=0.1)
+        assert [r.t for r in run_tl_curve(cfg)] == [
+            0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+
+    def test_rejects_non_positive_step(self):
+        with pytest.raises(ConfigurationError, match="t_step"):
+            run_tl_curve(ExperimentConfig(experiment="tl_curve", t_step=0.0))
+
     def test_linear_fit_regime(self):
         cfg = ExperimentConfig(experiment="tl_curve", t_min=10.0, t_max=100.0, t_step=1.0)
         rows = run_tl_curve(cfg)
@@ -163,6 +216,21 @@ class TestRendering:
         assert svg.count("<polyline") == 2        # one series + reference line
         assert "reference" in svg
         assert open(csv_path).readline().startswith("a,K,strategy")
+
+    @pytest.mark.parametrize("kind", ["rmse_vs_queries", "rmse_vs_depth"])
+    def test_render_zero_rmse_cell(self, tmp_path, kind):
+        # every trial exact: a log axis cannot show rmse 0, the CSV keeps it
+        rows = [ResultRow(a=0.0, K=K, strategy="general", n_queries=100 * K,
+                          oracle_depth=10 * K, width=4, rmse=0.0, trials=3, seed=1)
+                for K in (1, 2)]
+        rows.append(ResultRow(a=0.5, K=2, strategy="general", n_queries=200,
+                              oracle_depth=20, width=4, rmse=0.01, trials=3, seed=1))
+        csv_path, svg_path = render(rows, kind, str(tmp_path))
+        assert open(csv_path).read().count(",0.0,3,1\n") == 2
+        svg = open(svg_path).read()
+        assert svg.count("<circle") == 1
+        coords = re.findall(r'\b(?:cx|cy|x1|x2|y1|y2|x|y)="([^"]+)"', svg)
+        assert coords and all(math.isfinite(float(v)) for v in coords)
 
     def test_reference_line_value(self):
         assert hl_reference(1001) == pytest.approx(math.pi / 2000)

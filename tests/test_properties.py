@@ -1,0 +1,31 @@
+"""Property tests of the schedule invariants over random schedules."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from pae import (build_schedule, make_instance, query_count,  # noqa: E402
+                 recompute_queries, run)
+
+
+@st.composite
+def schedules(draw):
+    strategy = draw(st.sampled_from(["full_parallel", "full_sequential", "general"]))
+    K = draw(st.integers(1, 8))
+    kwargs = dict(strategy=strategy, k_max=K,
+                  nu_variant=draw(st.sampled_from(["optimized", "theoretical"])),
+                  nu_final=draw(st.integers(1, 20)),
+                  t_cap=2 ** draw(st.integers(0, 6)))
+    if strategy == "general":
+        kwargs["parallelism"] = 2 ** draw(st.integers(0, K - 1))
+    return build_schedule(**kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sched=schedules(), seed=st.integers(0, 2 ** 32),
+       a=st.floats(0.0, 1.0, allow_nan=False))
+def test_multiplier_split_and_query_accounting(sched, seed, a):
+    assert all(s.p * s.t * s.s == s.m == 2 ** (s.k - 1) for s in sched)
+    _, report, records = run(make_instance(a), sched, seed=seed, backend="ideal")
+    assert report.n_queries == query_count(sched) == recompute_queries(sched, records)
