@@ -24,7 +24,7 @@ import numpy as np
 
 from .core_model import (AmplitudeInstance, DomainError, build_explicit_oracle,
                          build_grover_unitary)
-from .qsp import PhaseShifterSpec
+from .qsp import PhaseShifterSpec, controlled_grover, interleaved_shifter
 
 STATEVECTOR_MAX_QUBITS = 22
 
@@ -166,28 +166,10 @@ def _apply_cnot(state: np.ndarray, control: int, target: int, nq: int) -> np.nda
 def _branch_unitary_full(circuit: ParallelCircuit, oracle_style: str,
                          oracle_seed) -> np.ndarray:
     """Shifter on (1 ancilla + n system) qubits from the explicit oracle."""
-    inst = circuit.instance
-    oracle = build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)
-    q = build_grover_unitary(oracle)
-    dim = 2 ** inst.n
-    cq = np.eye(2 * dim, dtype=complex)
-    cq[dim:, dim:] = q
-    rz = np.kron(np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)]),
-                 np.eye(dim))
-    wq = cq @ rz
-    wq_dag = wq.conj().T
-
-    def rx(angle):
-        ch, sh = np.cos(angle / 2), np.sin(angle / 2)
-        return np.kron(np.array([[ch, -1j * sh], [-1j * sh, ch]]), np.eye(dim))
-
-    xi = circuit.spec.angles.xi
-    v = np.eye(2 * dim, dtype=complex)
-    for l in range(0, circuit.spec.L, 2):
-        odd = rx(xi[l] + np.pi) @ wq_dag @ rx(-(xi[l] + np.pi))
-        even = rx(xi[l + 1]) @ wq @ rx(-xi[l + 1])
-        v = v @ odd @ even
-    return np.linalg.matrix_power(v, circuit.S)
+    oracle = build_explicit_oracle(circuit.instance, style=oracle_style, seed=oracle_seed)
+    wq = controlled_grover(build_grover_unitary(oracle))
+    return np.linalg.matrix_power(interleaved_shifter(circuit.spec.angles.xi, wq),
+                                  circuit.S)
 
 
 def statevector_even_parity_probability(circuit: ParallelCircuit,

@@ -106,7 +106,8 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
     * ``full_sequential``: ``P_k = 1``, ``T_k = 2^(k-1)``;
     * ``general``: ``P_k = 1`` while ``2^k <= 2^K / parallelism``, beyond
       that ``T_k S_k = 2^(K-1) / parallelism`` with the strength capped at
-      ``t_cap`` and the rest folded into repetitions.
+      ``t_cap`` and the rest folded into repetitions.  ``parallelism``
+      belongs to this strategy alone; the other two reject it.
 
     ``l_table`` overrides the per-step query lengths; otherwise they come
     from the calibrated selector (or the certified one when ``certified``).
@@ -126,6 +127,10 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
     if t_cap < 1 or t_cap & (t_cap - 1):
         raise ConfigurationError(f"strength cap must be a power of two, got {t_cap}")
 
+    if parallelism is not None and strategy != "general":
+        raise ConfigurationError(
+            f"parallelism applies to the general strategy only, got {parallelism} "
+            f"for {strategy!r}")
     if strategy == "general":
         p_total = parallelism
         if p_total is None or p_total < 1 or (p_total & (p_total - 1)):
@@ -198,11 +203,10 @@ def _step_seed(seed: int, k: int, setting_index: int) -> np.random.Generator:
 
 
 def _step_probability(instance: AmplitudeInstance, st: ScheduleStep,
-                      setting: circ.MeasurementSetting, backend: str,
-                      solver: str) -> float:
+                      setting: circ.MeasurementSetting, backend: str) -> float:
     if backend == "ideal":
         return circ.ideal_setting_probability(st.m, instance.phi, setting)
-    spec = qsp.synthesize_shifter(st.t, st.l, method=solver)
+    spec = qsp.synthesize_shifter(st.t, st.l)
     pc = circ.ParallelCircuit(P=st.p, spec=spec, S=st.s, instance=instance)
     if backend == "analytic":
         return circ.setting_probability(pc, setting)
@@ -210,13 +214,12 @@ def _step_probability(instance: AmplitudeInstance, st: ScheduleStep,
 
 
 def step_probabilities(instance: AmplitudeInstance, schedule: Schedule,
-                       backend: str = "analytic",
-                       solver: str = "layer_peel") -> np.ndarray:
+                       backend: str = "analytic") -> np.ndarray:
     """Probability phase: the ``(K, 2)`` array of exact even-parity
     probabilities, one row per step, columns PLUS and PLUS_I."""
     if backend not in _BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
-    return np.array([[_step_probability(instance, st, setting, backend, solver)
+    return np.array([[_step_probability(instance, st, setting, backend)
                       for setting in _SETTINGS] for st in schedule], dtype=float)
 
 
@@ -239,12 +242,12 @@ def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed: int)
 
 
 def run(instance: AmplitudeInstance, schedule: Schedule, seed: int,
-        backend: str = "analytic", solver: str = "layer_peel"):
+        backend: str = "analytic"):
     """Execute a full estimation run: both phases, composed.
 
     Returns ``(PhaseEstimate, ResourceReport, list[MeasurementRecord])``.
     """
-    probabilities = step_probabilities(instance, schedule, backend, solver)
+    probabilities = step_probabilities(instance, schedule, backend)
     estimate, records = sample_and_recover(schedule, probabilities, seed)
     return estimate, resource_report(schedule, instance.n), records
 

@@ -11,11 +11,14 @@ pipeline is:
    exactly achievable (``A(0) = 1`` and ``A^2 + C^2 <= 1`` everywhere),
    staying within ``8*delta`` of the target.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
-   product realizes ``(A, C)``; ``layer_peel`` strips one degree at a time
-   from the completed unitary, ``optimize`` fits the product by damped
-   least squares and serves as an independent cross-check.
+   product realizes ``(A, C)``; ``layer_peel`` completes ``P = A + iC`` to a
+   unitary with the complementary polynomial ``G`` (``|P|^2 + |G|^2 = 1``,
+   one FFT spectral factorisation, no root finding) and strips one degree
+   at a time, ``optimize`` fits the product by damped least squares and
+   serves as an independent cross-check.
 4. ``build_branch_unitary``: assemble the 4x4 ancilla (x) Grover-plane
-   unitary for a concrete instance angle.
+   unitary for a concrete instance angle; ``interleaved_shifter`` is the
+   same product at any system size, shared with the statevector backend.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 from scipy import optimize as sciopt
 from scipy import special
@@ -99,9 +101,12 @@ def chebyshev_grid(n: int) -> np.ndarray:
 
 
 def truncation_error_bound(T: float, L: int) -> float:
-    """Certified sup-norm bound ``4 T^(L/2+1) / (2^(L/2+1) (L/2+1)!)``."""
+    """Certified sup-norm bound ``4 T^(L/2+1) / (2^(L/2+1) (L/2+1)!)``,
+    evaluated in log space so that large ``T`` and ``L`` cannot overflow."""
+    if T == 0:
+        return 0.0
     h = L // 2 + 1
-    return 4.0 * T ** h / (2.0 ** h * math.factorial(h))
+    return math.exp(math.log(4.0) + h * math.log(abs(T) / 2.0) - math.lgamma(h + 1))
 
 
 def truncate_target(T: float, L: int) -> TruncatedTarget:
@@ -294,151 +299,44 @@ def _deflate(coeffs_asc: np.ndarray, root: float) -> np.ndarray:
     return out[::-1]
 
 
-def _complement_once(p: np.ndarray, dps: int | None) -> tuple[np.ndarray, float]:
+def _fejer_complement(p: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+    """Real ``g`` with ``P(z)P(1/z) + G(z)G(1/z) = 1`` on the unit circle.
+
+    Spectral factorisation by FFT (the Weiss / log-Hilbert construction):
+    ``R = 1 - P(z)P(1/z)`` equals ``4 sin^2(theta) R~`` once the pinned
+    double zeros at ``z = +-1`` are divided out, with ``R~ > 0`` on the
+    circle for an achievable target.  The analytic half of the cepstrum of
+    ``log R~`` gives the outer factor ``F`` with ``|F|^2 = R~``; ``G`` is
+    ``(1 - z^2) F`` reversed, so its zeros lie inside the disk.  Raises
+    :class:`SynthesisError` rather than return a factor that misses
+    ``|P|^2 + |G|^2 = 1`` by more than ``tol``.
+    """
     d = (len(p) - 1) // 2
     r = -np.convolve(p, p[::-1])
     r[2 * d] += 1.0
-    poly = r
-    scale = float(np.max(np.abs(poly)))
-    if scale < 1e-28:
-        return np.zeros(2 * d + 1), 0.0
-
-    # circle zeros of R >= 0 come with even multiplicity; the pinned points
-    # theta in {0, pi} give exact double roots at z = +-1, deflated in pairs
-    # (one copy of each pair belongs to the factor)
-    g_fixed = []
-    for root in (1.0, -1.0):
-        if abs(np.polyval(poly[::-1], root)) < 1e-9 * scale * len(poly):
-            poly = _deflate(_deflate(poly, root), root)
-            g_fixed.append(root)
-
-    nz = np.nonzero(np.abs(poly) > 1e-14 * scale)[0]
-    poly = poly[: nz[-1] + 1]
-    lead = poly[-1]
-
-    if dps is None:
-        roots = np.roots(poly[::-1])
-    else:
-        with mpmath.workdps(dps):
-            found = mpmath.polyroots([mpmath.mpf(float(v)) for v in poly[::-1]],
-                                     maxsteps=400, extraprec=120)
-            roots = np.array([complex(z) for z in found])
-
-    candidates = []
-    inside = roots[np.abs(roots) <= 1.0]
-    outside = roots[np.abs(roots) > 1.0]
-    if 2 * len(inside) == len(roots):
-        k = math.sqrt(abs(lead) * float(np.abs(np.prod(outside)))) if len(outside) else math.sqrt(abs(lead))
-        candidates.append(k * np.real(np.poly(list(inside) + g_fixed)[::-1]))
-    chosen, rest = _conjugate_closed_half(roots)
-    k = math.sqrt(abs(lead) * float(np.abs(np.prod(rest)))) if rest else math.sqrt(abs(lead))
-    candidates.append(k * np.real(np.poly(chosen + g_fixed)[::-1]))
-
-    thetas = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
-    z = np.exp(1j * thetas)
-    pol = np.polyval(p[::-1], z) * z ** (-d)
-    r_target = np.convolve(p, p[::-1])
-    r_target *= -1.0
-    r_target[2 * d] += 1.0
-    best, best_err = None, np.inf
-    for gpoly in candidates:
-        g = np.zeros(2 * d + 1)
-        g[: len(gpoly)] = gpoly
-        g = _newton_polish_complement(g, r_target)
-        gv = np.polyval(g[::-1], z) * z ** (-d)
-        err = float(np.max(np.abs(np.abs(pol) ** 2 + np.abs(gv) ** 2 - 1.0)))
-        if err < best_err:
-            best, best_err = g, err
-    return best, best_err
-
-
-def _conjugate_closed_half(roots: np.ndarray) -> tuple[list, list]:
-    """Split roots into reciprocal pairs, keeping the smaller-modulus member
-    of each, with conjugate pairs selected jointly so the kept set stays
-    closed under conjugation."""
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(roots))))
-    reals = sorted(z.real for z in roots if abs(z.imag) <= tol)
-    upper = [z for z in roots if z.imag > tol]
-    lower = [z for z in roots if z.imag < -tol]
-    twins = {}
-    lower_used = np.zeros(len(lower), dtype=bool)
-    for i, u in enumerate(upper):
-        free = np.nonzero(~lower_used)[0]
-        if len(free) == 0:
-            reals.append(u.real)
-            continue
-        j = free[int(np.argmin([abs(lower[f] - np.conj(u)) for f in free]))]
-        lower_used[j] = True
-        twins[i] = lower[j]
-    chosen, rest = [], []
-    used = np.zeros(len(upper), dtype=bool)
-    for i in np.argsort([abs(u) for u in upper], kind="stable"):
-        if used[i] or i not in twins:
-            continue
-        used[i] = True
-        free = [j for j in np.nonzero(~used)[0] if j in twins]
-        if not free:
-            chosen.extend([upper[i], twins[i]])
-            continue
-        target = 1.0 / np.conj(upper[i])
-        j = free[int(np.argmin([abs(upper[f] - target) for f in free]))]
-        used[j] = True
-        lo, hi = sorted((i, j), key=lambda m: abs(upper[m]))
-        chosen.extend([upper[lo], twins[lo]])
-        rest.extend([upper[hi], twins[hi]])
-    taken = np.zeros(len(reals), dtype=bool)
-    for i in np.argsort(np.abs(reals), kind="stable"):
-        if taken[i]:
-            continue
-        taken[i] = True
-        free = np.nonzero(~taken)[0]
-        if len(free) == 0:
-            chosen.append(reals[i])
-            continue
-        j = free[int(np.argmin([abs(reals[f] - 1.0 / reals[i]) for f in free]))]
-        taken[j] = True
-        lo, hi = sorted((reals[i], reals[j]), key=abs)
-        chosen.append(lo)
-        rest.append(hi)
-    # defensive rebalance: degenerate pairings can leave the halves uneven
-    half = (len(chosen) + len(rest)) // 2
-    chosen.sort(key=abs)
-    rest.sort(key=abs)
-    while len(chosen) > half:
-        rest.append(chosen.pop())
-    while len(chosen) < half:
-        chosen.append(rest.pop(0))
-    return chosen, rest
-
-
-def _newton_polish_complement(g: np.ndarray, r_target: np.ndarray,
-                              iterations: int = 4) -> np.ndarray:
-    """Gauss-Newton refinement of ``conv(g, reversed(g)) = r_target``."""
-    n = len(g)
-    best, best_res = g, float(np.max(np.abs(np.convolve(g, g[::-1]) - r_target)))
-    for _ in range(iterations):
-        resid = np.convolve(g, g[::-1]) - r_target
-        # d conv / d g_l: contribution of g_l to power (l - d) twice, mirrored
-        jac = np.zeros((len(r_target), n))
-        for l in range(n):
-            basis = np.zeros(n)
-            basis[l] = 1.0
-            jac[:, l] = np.convolve(basis, g[::-1]) + np.convolve(g, basis[::-1])
-        step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-        g = g - step
-        res = float(np.max(np.abs(np.convolve(g, g[::-1]) - r_target)))
-        if res < best_res:
-            best, best_res = g.copy(), res
-    return best
-
-
-def _fejer_complement(p: np.ndarray, tol: float = 1e-11) -> np.ndarray:
-    """Real ``g`` with ``P(z)P(1/z) + G(z)G(1/z) = 1`` on the unit circle."""
-    g, err = _complement_once(p, dps=None)
-    if err > tol:
-        g2, err2 = _complement_once(p, dps=60)
-        if err2 < err:
-            g, err = g2, err2
+    for root in (1.0, 1.0, -1.0, -1.0):
+        r = _deflate(r, root)
+    m = (len(r) - 1) // 2                # R~ on powers -m..m
+    # eight grid points per coefficient keep the aliased cepstrum tail at
+    # rounding level
+    n = max(4096, 1 << (8 * len(r) - 1).bit_length())
+    spread = np.zeros(n)
+    spread[np.arange(-m, m + 1) % n] = -r
+    # R~ dips below zero only by rounding where 1 - |P|^2 is itself at
+    # rounding level; clamping the dips changes |G|^2 by that much, and the
+    # certificate below still rejects a truly infeasible target (|P| > 1)
+    values = np.maximum(np.fft.fft(spread).real, 1e-20)
+    cepstrum = np.fft.ifft(np.log(values))
+    cepstrum[0] /= 2.0
+    cepstrum[n // 2:] = 0.0
+    f = np.fft.ifft(np.exp(np.fft.fft(cepstrum))).real[: m + 1]
+    g = np.convolve(f, [1.0, 0.0, -1.0])[::-1]
+    z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 1024, endpoint=False))
+    err = float(np.max(np.abs(np.abs(np.polyval(p[::-1], z)) ** 2
+                              + np.abs(np.polyval(g[::-1], z)) ** 2 - 1.0)))
+    if not err <= tol:                    # a NaN must fail too
+        raise SynthesisError(
+            f"complement of degree {d} misses |P|^2 + |G|^2 = 1 by {err:.3g}")
     return g
 
 
@@ -655,26 +553,40 @@ def state_error_bound(delta: float) -> float:
     return math.sqrt(2.0) * (8.0 * delta + math.sqrt(max(16.0 * delta - 64.0 * delta ** 2, 0.0)))
 
 
-def _rx_on_ancilla(angle: float) -> np.ndarray:
-    ch, sh = np.cos(angle / 2), np.sin(angle / 2)
-    return np.kron(np.array([[ch, -1j * sh], [-1j * sh, ch]]), np.eye(2))
+def controlled_grover(q: np.ndarray) -> np.ndarray:
+    """The controlled-Grover block: ``q`` on ancilla 1 after the ancilla
+    phase ``e^{-i pi Z/4}``, ancilla first."""
+    dim = len(q)
+    cq = np.eye(2 * dim, dtype=complex)
+    cq[dim:, dim:] = q
+    rz = np.kron(np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)]), np.eye(dim))
+    return cq @ rz
+
+
+def interleaved_shifter(xi: np.ndarray, wq: np.ndarray) -> np.ndarray:
+    """Shifter product of the angles ``xi`` around the controlled-Grover
+    block ``wq``: odd slots hold ``wq^dagger``, even slots ``wq``, each
+    conjugated by an x-rotation of the ancilla."""
+    dim = len(wq) // 2
+    wq_dag = wq.conj().T
+
+    def rx(angle):
+        ch, sh = np.cos(angle / 2), np.sin(angle / 2)
+        return np.kron(np.array([[ch, -1j * sh], [-1j * sh, ch]]), np.eye(dim))
+
+    v = np.eye(2 * dim, dtype=complex)
+    for l in range(0, len(xi), 2):
+        odd = rx(xi[l] + np.pi) @ wq_dag @ rx(-(xi[l] + np.pi))
+        even = rx(xi[l + 1]) @ wq @ rx(-xi[l + 1])
+        v = v @ odd @ even
+    return v
 
 
 def build_branch_unitary(spec: PhaseShifterSpec, theta: float) -> np.ndarray:
     """4x4 shifter on ancilla (x) Grover plane at instance angle ``theta``."""
     c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
-    cq = np.eye(4, dtype=complex)
-    cq[2:, 2:] = np.array([[c2, -s2], [s2, c2]])
-    rz = np.kron(np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)]), np.eye(2))
-    wq = cq @ rz
-    wq_dag = wq.conj().T
-    xi = spec.angles.xi
-    v = np.eye(4, dtype=complex)
-    for l in range(0, spec.L, 2):
-        odd = _rx_on_ancilla(xi[l] + np.pi) @ wq_dag @ _rx_on_ancilla(-(xi[l] + np.pi))
-        even = _rx_on_ancilla(xi[l + 1]) @ wq @ _rx_on_ancilla(-xi[l + 1])
-        v = v @ odd @ even
-    return v
+    return interleaved_shifter(spec.angles.xi,
+                               controlled_grover(np.array([[c2, -s2], [s2, c2]])))
 
 
 def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:

@@ -53,6 +53,13 @@ class TestBuildSchedule:
         with pytest.raises(ConfigurationError):
             build_schedule(strategy="general", k_max=3, parallelism=16)
 
+    @pytest.mark.parametrize("strategy", ["full_parallel", "full_sequential"])
+    def test_parallelism_rejected_outside_general(self, strategy):
+        # it used to be ignored without a word
+        with pytest.raises(ConfigurationError, match="parallelism"):
+            build_schedule(strategy=strategy, k_max=4, parallelism=2)
+        assert build_schedule(strategy=strategy, k_max=4, parallelism=None).K == 4
+
     @pytest.mark.parametrize("t_cap", [0, 3, 6, 12])
     def test_rejects_non_power_of_two_t_cap(self, t_cap):
         # floor division used to turn t_cap=3 into multipliers 3, 6, 15
@@ -147,6 +154,16 @@ class TestRun:
         errs = [abs(run(inst, sched, seed=s, backend="analytic")[0].a_hat - inst.a)
                 for s in range(4)]
         assert np.mean(errs) <= 0.05
+
+    def test_full_sequential_k9_analytic(self):
+        # K=9 needs T=256 at L=710: synthesis used to hang from T=64 (K=7)
+        # and overflow from T=128 (K=8)
+        sched = build_schedule(strategy="full_sequential", k_max=9)
+        assert (sched.steps[-1].t, sched.steps[-1].l) == (256.0, 710)
+        inst = make_instance(math.sin(math.pi / 8) ** 2)
+        est, _, records = run(inst, sched, seed=3, backend="analytic")
+        assert len(records) == 9
+        assert abs(est.a_hat - inst.a) <= 0.01
 
     def test_width_and_layers(self):
         sched = build_schedule(strategy="full_parallel", k_max=7,

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from pae import (DomainError, SynthesisError, build_branch_unitary,
                  select_L_empirical, sequential_error_budget, solve_angles,
                  state_error_bound, synthesize_shifter, truncate_target,
                  truncation_error_bound)
-from pae.qsp import chebyshev_grid
+from pae.qsp import _fejer_complement, _target_laurent, chebyshev_grid
 
 
 def bessel_j_series(order, x, terms=40):
@@ -53,6 +57,22 @@ class TestTruncateTarget:
             truncate_target(1.0, 9)
 
 
+class TestTruncationBound:
+    def test_finite_at_largest_strength(self):
+        # the factorial closed form overflowed from T=128/L=362 on
+        for T, L in [(128.0, 362), (256.0, 710)]:
+            delta = truncation_error_bound(T, L)
+            assert math.isfinite(delta) and 0.0 < delta < 1e-4
+        assert truncate_target(256.0, 710).delta == truncation_error_bound(256.0, 710)
+
+    @pytest.mark.parametrize("T", [0.25, 1.0, 2.0, 8.0, 16.0, 32.0, 48.0])
+    def test_matches_closed_form(self, T):
+        for L in (2, 10, select_L_empirical(T), 200):
+            h = L // 2 + 1
+            closed = 4.0 * T ** h / (2.0 ** h * math.factorial(h))
+            assert truncation_error_bound(T, L) == pytest.approx(closed, rel=1e-12)
+
+
 def eval_pair(a, c, thetas):
     ls = np.arange(len(a))
     return np.cos(np.outer(thetas, ls)) @ a, np.sin(np.outer(thetas, ls)) @ c
@@ -86,6 +106,42 @@ class TestCompleteTarget:
         a, c = complete_target(truncate_target(2.0, 14))
         assert np.max(np.abs(a[1::2])) == 0.0   # cosine part even harmonics only
         assert np.max(np.abs(c[0::2])) == 0.0   # sine part odd harmonics only
+
+
+class TestComplement:
+    @pytest.mark.parametrize("T", [1.0, 64.0, 256.0])
+    def test_unit_modulus_pair(self, T):
+        # T=64 is where the root-finding complement broke down
+        L = select_L_empirical(T)
+        a, c = complete_target(truncate_target(T, L))
+        p = _target_laurent(a, c)
+        g = _fejer_complement(p)
+        d = L // 2
+        z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 3001))
+        pv = np.polyval(p[::-1], z) * z ** (-d)
+        gv = np.polyval(g[::-1], z) * z ** (-d)
+        assert len(g) == L + 1
+        assert np.max(np.abs(np.abs(pv) ** 2 + np.abs(gv) ** 2 - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("T,L", [(1e-7, 4), (0.3, 20)])
+    def test_rounding_level_remainder(self, T, L):
+        # 1 - |P|^2 is at rounding level here, so R~ dips below zero by
+        # rounding: the factor must still certify and the peel converge
+        a, c = complete_target(truncate_target(T, L))
+        assert solve_angles(a, c, L).residual <= 1e-8
+
+    def test_rejects_modulus_above_one(self):
+        # A(0) = 1 pins the double zeros at z = +-1, but |P|^2 = 1.28 at pi/2
+        p = _target_laurent(np.array([0.9, 0.0, 0.1]), np.array([0.0, 0.8, 0.0]))
+        with pytest.raises(SynthesisError):
+            _fejer_complement(p)
+
+    def test_rejects_unpinned_target(self):
+        # |P| <= 0.8 < 1, but without the zeros at z = +-1 that the
+        # factorisation divides out
+        p = _target_laurent(np.array([0.5, 0.0, 0.3]), np.zeros(3))
+        with pytest.raises(SynthesisError):
+            _fejer_complement(p)
 
 
 class TestSolveAngles:
@@ -197,6 +253,34 @@ class TestBranchUnitary:
         for T, L in [(1.0, 10), (2.0, 14)]:
             spec = synthesize_shifter(T, L)
             assert len(spec.angles) == spec.L == L
+
+
+class TestSynthesisAtEveryStrength:
+    @pytest.mark.parametrize("T", [2.0 ** j for j in range(9)])
+    def test_certified_or_loud(self, T):
+        # every strength a K <= 9 sequential schedule asks for either meets
+        # the certificate or raises SynthesisError: no hang, no overflow
+        L = select_L_empirical(T)
+        try:
+            spec = synthesize_shifter(T, L)
+        except SynthesisError:
+            return
+        assert spec.L == len(spec.angles) == L
+        assert spec.angles.residual <= 1e-8
+        thetas = chebyshev_grid(4096)
+        A, C = realized_functions(spec.angles.xi, thetas)
+        dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
+        assert dev <= 8.0 * truncation_error_bound(T, L)
+
+
+def test_import_does_not_load_mpmath():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, pae; print('mpmath' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestResourceSelectors:
