@@ -52,8 +52,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_angles(args) -> int:
-    spec = qsp.synthesize_shifter(args.T, L=args.L, eps_oc=args.eps_oc,
-                                  method=args.method)
+    spec = qsp.synthesize_shifter(args.T, L=args.L, eps_oc=args.eps_oc)
     qsp.save_angles(args.out, spec)
     print(f"T={spec.T:g} L={spec.L} residual={spec.angles.residual:.3e} "
           f"state-error budget={spec.eps_oc:.3e}")
@@ -86,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_ang.add_mutually_exclusive_group()
     group.add_argument("--L", type=int, default=None)
     group.add_argument("--eps-oc", dest="eps_oc", type=float, default=None)
-    p_ang.add_argument("--method", choices=("layer_peel", "optimize"),
-                       default="layer_peel")
     p_ang.add_argument("--out", required=True)
     p_ang.set_defaults(func=_cmd_angles)
 

@@ -14,11 +14,14 @@ pipeline is:
    product realizes ``(A, C)``; ``layer_peel`` completes ``P = A + iC`` to a
    unitary with the complementary polynomial ``G`` (``|P|^2 + |G|^2 = 1``,
    one FFT spectral factorisation, no root finding) and strips one degree
-   at a time, ``optimize`` fits the product by damped least squares and
-   serves as an independent cross-check.
+   at a time; a short damped least-squares polish evens out the peel's
+   conditioning loss where it is needed.
 4. ``build_branch_unitary``: assemble the 4x4 ancilla (x) Grover-plane
    unitary for a concrete instance angle; ``interleaved_shifter`` is the
    same product at any system size, shared with the statevector backend.
+   It builds all ``2L`` ancilla x-rotations in one vectorised pass (a
+   ``(2L, 2, 2)`` stack lifted to the system size by one ``einsum``) and
+   multiplies them around the controlled-Grover block in slot order.
 """
 
 from __future__ import annotations
@@ -465,82 +468,23 @@ def _full_matrix_polish(xi: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndar
     return xi
 
 
-# ---------------------------------------------------------------------------
-# Least-squares solver (independent cross-check)
-
-_OPTIMIZE_SEED = 734517
-
-
-def _solve_optimize(a: np.ndarray, c: np.ndarray, L: int,
-                    max_starts: int = 48) -> np.ndarray:
-    thetas = chebyshev_grid(max(2 * L + 5, 33))
-    At, Ct = _eval_series(a, c, thetas)
-    tgt = np.concatenate([At, Ct])
-
-    def resid(x):
-        u = rotation_product(x, thetas)
-        return np.concatenate([u[:, 0, 0].real, u[:, 0, 0].imag]) - tgt
-
-    def jac(x):
-        _, du = _product_and_jacobian(x, thetas)
-        return np.concatenate([du[:, :, 0, 0].real, du[:, :, 0, 0].imag], axis=1).T
-
-    # target-informed first guess: each of the L/2 interleaved pairs carries
-    # an equal share of the phase slope C'(0) ~= -T
-    t_est = float(-np.sum(np.arange(len(c)) * c))
-    tau = 2.0 * max(t_est, 0.0) / L
-    rng = np.random.default_rng(_OPTIMIZE_SEED)
-    best_x, best_r = None, np.inf
-    for start in range(max_starts):
-        if start == 0:
-            x0 = np.tile([-np.pi / 2 + tau, np.pi / 2 - tau], L // 2)
-        else:
-            x0 = rng.uniform(-np.pi, np.pi, L)
-        sol = sciopt.least_squares(resid, x0, jac=jac, method="lm", max_nfev=60 * L)
-        r = float(np.max(np.abs(resid(sol.x))))
-        if r < best_r:
-            best_x, best_r = sol.x, r
-        if r <= 1e-9:
-            break
-    # fine-grid polish
-    thetas_f = chebyshev_grid(_SOLVE_GRID)
-    Atf, Ctf = _eval_series(a, c, thetas_f)
-    tgt_f = np.concatenate([Atf, Ctf])
-
-    def resid_f(x):
-        u = rotation_product(x, thetas_f)
-        return np.concatenate([u[:, 0, 0].real, u[:, 0, 0].imag]) - tgt_f
-
-    def jac_f(x):
-        _, du = _product_and_jacobian(x, thetas_f)
-        return np.concatenate([du[:, :, 0, 0].real, du[:, :, 0, 0].imag], axis=1).T
-
-    sol = sciopt.least_squares(resid_f, best_x, jac=jac_f, method="lm", max_nfev=200)
-    return sol.x
-
-
-def solve_angles(a_coeffs: np.ndarray, c_coeffs: np.ndarray, L: int,
-                 method: str = "layer_peel") -> AngleSequence:
-    """Solve for the angle sequence realizing a completed ``(A, C)`` pair.
+def solve_angles(a_coeffs: np.ndarray, c_coeffs: np.ndarray, L: int) -> AngleSequence:
+    """Solve for the angle sequence realizing a completed ``(A, C)`` pair by
+    layer peeling.
 
     Raises :class:`SynthesisError` when the realized functions miss the
     target by more than ``1e-8`` on the solving grid.
     """
     if L < 2 or L % 2:
         raise DomainError(f"query length must be a positive even integer, got {L}")
-    if method == "layer_peel":
-        xi = _solve_layer_peel(np.asarray(a_coeffs, float), np.asarray(c_coeffs, float), L)
-    elif method == "optimize":
-        xi = _solve_optimize(np.asarray(a_coeffs, float), np.asarray(c_coeffs, float), L)
-    else:
-        raise DomainError(f"unknown solver method {method!r}")
+    xi = _solve_layer_peel(np.asarray(a_coeffs, float), np.asarray(c_coeffs, float), L)
     thetas = chebyshev_grid(_SOLVE_GRID)
     A, C = realized_functions(xi, thetas)
     At, Ct = _eval_series(a_coeffs, c_coeffs, thetas)
     residual = float(np.max(np.hypot(A - At, C - Ct)))
     if residual > _RESIDUAL_TOL:
         raise SynthesisError(
-            f"{method} solver did not converge for L={L}: residual {residual:.3g}")
+            f"layer-peel solver did not converge for L={L}: residual {residual:.3g}")
     return AngleSequence(xi=xi, convention="Wz", residual=residual)
 
 
@@ -566,19 +510,25 @@ def controlled_grover(q: np.ndarray) -> np.ndarray:
 def interleaved_shifter(xi: np.ndarray, wq: np.ndarray) -> np.ndarray:
     """Shifter product of the angles ``xi`` around the controlled-Grover
     block ``wq``: odd slots hold ``wq^dagger``, even slots ``wq``, each
-    conjugated by an x-rotation of the ancilla."""
+    conjugated by an x-rotation of the ancilla.
+
+    All ``2L`` ancilla x-rotations are built in one vectorised pass: the
+    ``(2L, 2, 2)`` stack from the angle vector, lifted to the system size
+    by one ``einsum`` with the identity."""
     dim = len(wq) // 2
     wq_dag = wq.conj().T
-
-    def rx(angle):
-        ch, sh = np.cos(angle / 2), np.sin(angle / 2)
-        return np.kron(np.array([[ch, -1j * sh], [-1j * sh, ch]]), np.eye(dim))
-
+    xi = np.asarray(xi, dtype=float)
+    odd = xi[0::2] + np.pi
+    # per pair: rx(odd), rx(-odd), rx(even), rx(-even)
+    half = np.stack([odd, -odd, xi[1::2], -xi[1::2]], axis=1).reshape(-1) / 2
+    ch, sh = np.cos(half), np.sin(half)
+    r2 = np.empty((len(half), 2, 2), dtype=complex)
+    r2[:, 0, 0] = r2[:, 1, 1] = ch
+    r2[:, 0, 1] = r2[:, 1, 0] = -1j * sh
+    rots = np.einsum("nab,ij->naibj", r2, np.eye(dim)).reshape(-1, 4, 2 * dim, 2 * dim)
     v = np.eye(2 * dim, dtype=complex)
-    for l in range(0, len(xi), 2):
-        odd = rx(xi[l] + np.pi) @ wq_dag @ rx(-(xi[l] + np.pi))
-        even = rx(xi[l + 1]) @ wq @ rx(-xi[l + 1])
-        v = v @ odd @ even
+    for r_odd, r_odd_inv, r_even, r_even_inv in rots:
+        v = v @ (r_odd @ wq_dag @ r_odd_inv) @ (r_even @ wq @ r_even_inv)
     return v
 
 
@@ -596,18 +546,18 @@ def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:
                    np.eye(2)).astype(complex)
 
 
-_shifter_cache: dict[tuple[float, int, str], PhaseShifterSpec] = {}
+_shifter_cache: dict[tuple[float, int], PhaseShifterSpec] = {}
 
 
-def synthesize_shifter(T: float, L: int | None = None, eps_oc: float | None = None,
-                       method: str = "layer_peel") -> PhaseShifterSpec:
+def synthesize_shifter(T: float, L: int | None = None,
+                       eps_oc: float | None = None) -> PhaseShifterSpec:
     """End-to-end synthesis: pick ``L`` if absent, truncate, complete, solve.
 
-    Results are cached per ``(T, L, method)``; the returned value is shared.
+    Results are cached per ``(T, L)``; the returned value is shared.
     """
     if L is None:
         L = select_L(T, eps_oc) if eps_oc is not None else select_L_empirical(T)
-    key = (float(T), int(L), method)
+    key = (float(T), int(L))
     if key not in _shifter_cache:
         # beyond the length where the truncation bound reaches rounding
         # level, extra layers cannot improve a double-precision synthesis;
@@ -620,7 +570,7 @@ def synthesize_shifter(T: float, L: int | None = None, eps_oc: float | None = No
             target = truncate_target(T, l_solve)
             a, c = complete_target(target)
             try:
-                angles = solve_angles(a, c, l_solve, method=method)
+                angles = solve_angles(a, c, l_solve)
                 break
             except SynthesisError:
                 if l_solve <= 4 or target.delta > 3e-4:
@@ -651,7 +601,9 @@ def minimal_query_length(T: float, threshold: float = BIAS_DELTA_THRESHOLD) -> i
     """Even query length from the truncation-bound equality at ``threshold``.
 
     Solves ``4 T^(x+1) / (2^(x+1) Gamma(x+2)) = threshold`` for real ``x``
-    and rounds ``L = 2x`` to the nearest even integer (minimum 2).
+    and rounds ``L = 2x`` to the nearest even integer, at least 4: once
+    ``A(0) = 1`` is pinned, a length-2 sequence realizes only ``C = 0``, so
+    no weaker strength can be synthesized at ``L = 2``.
     """
     if T <= 0:
         raise DomainError(f"evolution strength must be positive, got {T}")
@@ -661,12 +613,12 @@ def minimal_query_length(T: float, threshold: float = BIAS_DELTA_THRESHOLD) -> i
         return math.log(4.0) + (x + 1) * math.log(T / 2.0) - special.gammaln(x + 2) - log_thr
 
     if h(0.0) <= 0.0:
-        return 2
+        return 4
     hi = 4.0
     while h(hi) > 0.0:
         hi *= 2.0
     x = sciopt.brentq(h, 0.0, hi)
-    return max(2, 2 * round(x))
+    return max(4, 2 * round(x))
 
 
 def select_L_empirical(T: float) -> int:

@@ -11,8 +11,8 @@ from pae import (PARALLEL_L_TABLE_PLUS, ConfigError, ConfigurationError,
                  serialize_config, setting_probability, synthesize_shifter)
 from pae.circuit import MeasurementSetting, ParallelCircuit
 from pae.cli import main as cli_main
-from pae.experiments import (ResultRow, run_bias_sweep, run_rmse_sweep,
-                             run_tl_curve, trial_seed)
+from pae.experiments import (BiasRow, ResultRow, run_bias_sweep,
+                             run_rmse_sweep, run_tl_curve, trial_seed)
 from pae.plotting import render, rows_to_csv, write_csv
 
 
@@ -147,6 +147,21 @@ class TestBiasSweep:
         assert [r.l for r in rows] == [10, 12, 12]
         sigma3 = 3.0 / (2.0 * math.sqrt(4000))
         assert all(r.beta_plus <= 0.05 + sigma3 for r in rows)
+
+    def test_rows_pinned(self):
+        # recorded with the kron-per-rotation shifter kernel: pins the
+        # branch-unitary kernel and the seeded sampling stream together
+        cfg = ExperimentConfig(experiment="bias_sweep", backend="analytic",
+                               k_min=1, k_max=3, amplitude_grid=5,
+                               shots=10000, seed=2024)
+        assert run_bias_sweep(cfg) == [
+            BiasRow(k=1, l=10, beta_plus=0.002973418273571171,
+                    beta_i=0.008900000000000019),
+            BiasRow(k=2, l=12, beta_plus=0.002973418273571171,
+                    beta_i=0.001801247653964097),
+            BiasRow(k=3, l=12, beta_plus=0.004850016904306753,
+                    beta_i=0.008699999999999986),
+        ]
 
     def test_longer_sequences_reduce_exact_bias(self):
         # systematic bias (no sampling): growing L by 4 shrinks it

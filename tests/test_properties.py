@@ -1,12 +1,15 @@
-"""Property tests of the schedule invariants over random schedules."""
+"""Property tests of the schedule invariants and of noiseless phase recovery."""
+
+import math
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pae import (build_schedule, make_instance, query_count,  # noqa: E402
-                 recompute_queries, run)
+from pae import (MeasurementSetting, StepObservation, build_schedule,  # noqa: E402
+                 estimate_phase, ideal_setting_probability, make_instance,
+                 query_count, recompute_queries, run)
 
 
 @st.composite
@@ -29,3 +32,18 @@ def test_multiplier_split_and_query_accounting(sched, seed, a):
     assert all(s.p * s.t * s.s == s.m == 2 ** (s.k - 1) for s in sched)
     _, report, records = run(make_instance(a), sched, seed=seed, backend="ideal")
     assert report.n_queries == query_count(sched) == recompute_queries(sched, records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.0, 1.0, allow_nan=False), K=st.integers(1, 9))
+def test_noiseless_recovery_within_resolution(a, K):
+    # exact probabilities fed in as frequencies: recovery must land within
+    # the final step's resolution pi * 2^-K of the true phase
+    phi = make_instance(a).phi
+    obs = [StepObservation(
+        k=k, m=2 ** (k - 1),
+        f_plus=ideal_setting_probability(2 ** (k - 1), phi, MeasurementSetting.PLUS),
+        f_i=ideal_setting_probability(2 ** (k - 1), phi, MeasurementSetting.PLUS_I),
+        nu=1) for k in range(1, K + 1)]
+    err = abs((estimate_phase(obs).phi_hat - phi + math.pi) % (2 * math.pi) - math.pi)
+    assert err <= math.pi * 2.0 ** -K

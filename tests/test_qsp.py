@@ -13,7 +13,9 @@ from pae import (DomainError, SynthesisError, build_branch_unitary,
                  select_L_empirical, sequential_error_budget, solve_angles,
                  state_error_bound, synthesize_shifter, truncate_target,
                  truncation_error_bound)
-from pae.qsp import _fejer_complement, _target_laurent, chebyshev_grid
+from pae.core_model import build_explicit_oracle, build_grover_unitary
+from pae.qsp import (_fejer_complement, _target_laurent, chebyshev_grid,
+                     controlled_grover, interleaved_shifter)
 
 
 def bessel_j_series(order, x, terms=40):
@@ -145,35 +147,20 @@ class TestComplement:
 
 
 class TestSolveAngles:
-    def test_identity_target_both_methods(self):
+    def test_identity_target(self):
         a = np.array([1.0, 0.0])
         c = np.array([0.0, 0.0])
         thetas = chebyshev_grid(512)
-        for method in ("layer_peel", "optimize"):
-            seq = solve_angles(a, c, 2, method=method)
-            A, C = realized_functions(seq.xi, thetas)
-            assert np.max(np.hypot(A - 1.0, C)) <= 1e-10
-            assert seq.residual <= 1e-10
-            assert len(seq) == 2
-
-    def test_cross_method_agreement(self):
-        # both solvers must realize the same (A, C) even though the angle
-        # sequences themselves may differ
-        target = truncate_target(1.0, 10)
-        a, c = complete_target(target)
-        thetas = chebyshev_grid(1024)
-        peel = solve_angles(a, c, 10, method="layer_peel")
-        opt = solve_angles(a, c, 10, method="optimize")
-        assert peel.residual <= 1e-8
-        assert opt.residual <= 1e-8
-        Ap, Cp = realized_functions(peel.xi, thetas)
-        Ao, Co = realized_functions(opt.xi, thetas)
-        assert np.max(np.hypot(Ap - Ao, Cp - Co)) <= 1e-7
+        seq = solve_angles(a, c, 2)
+        A, C = realized_functions(seq.xi, thetas)
+        assert np.max(np.hypot(A - 1.0, C)) <= 1e-10
+        assert seq.residual <= 1e-10
+        assert len(seq) == 2
 
     @pytest.mark.parametrize("T,L", [(2, 14), (4, 22), (8, 34)])
     def test_layer_peel_residual(self, T, L):
         a, c = complete_target(truncate_target(T, L))
-        seq = solve_angles(a, c, L, method="layer_peel")
+        seq = solve_angles(a, c, L)
         assert seq.residual <= 1e-8
 
     def test_realized_functions_normalized(self):
@@ -192,10 +179,6 @@ class TestSolveAngles:
         A0, C0 = realized_functions(seq.xi, np.array([0.0]))
         assert A0[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(C0[0]) <= 1e-12
-
-    def test_unknown_method(self):
-        with pytest.raises(DomainError):
-            solve_angles(np.array([1.0]), np.array([0.0]), 2, method="magic")
 
 
 class TestBranchUnitary:
@@ -255,6 +238,42 @@ class TestBranchUnitary:
             assert len(spec.angles) == spec.L == L
 
 
+def kron_shifter(xi, wq):
+    """Reference shifter product: one ``np.kron`` per ancilla x-rotation."""
+    dim = len(wq) // 2
+    wq_dag = wq.conj().T
+
+    def rx(angle):
+        ch, sh = np.cos(angle / 2), np.sin(angle / 2)
+        return np.kron(np.array([[ch, -1j * sh], [-1j * sh, ch]]), np.eye(dim))
+
+    v = np.eye(2 * dim, dtype=complex)
+    for l in range(0, len(xi), 2):
+        odd = rx(xi[l] + np.pi) @ wq_dag @ rx(-(xi[l] + np.pi))
+        even = rx(xi[l + 1]) @ wq @ rx(-xi[l + 1])
+        v = v @ odd @ even
+    return v
+
+
+class TestInterleavedShifter:
+    @pytest.mark.parametrize("L", [2, 10, 20, 58])
+    def test_bit_identical_to_kron_loop_plane(self, L):
+        xi = np.random.default_rng(L).uniform(-np.pi, np.pi, L)
+        for theta in (0.0, 0.1, 0.7, 1.3):
+            c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
+            wq = controlled_grover(np.array([[c2, -s2], [s2, c2]]))
+            assert np.array_equal(interleaved_shifter(xi, wq), kron_shifter(xi, wq))
+
+    @pytest.mark.parametrize("L", [2, 10, 20, 58])
+    def test_bit_identical_to_kron_loop_three_qubits(self, L):
+        xi = np.random.default_rng(100 + L).uniform(-np.pi, np.pi, L)
+        for a in (0.1, 0.45, 0.9):
+            oracle = build_explicit_oracle(make_instance(a, 3))
+            wq = controlled_grover(build_grover_unitary(oracle))
+            assert wq.shape == (16, 16)
+            assert np.array_equal(interleaved_shifter(xi, wq), kron_shifter(xi, wq))
+
+
 class TestSynthesisAtEveryStrength:
     @pytest.mark.parametrize("T", [2.0 ** j for j in range(9)])
     def test_certified_or_loud(self, T):
@@ -271,6 +290,20 @@ class TestSynthesisAtEveryStrength:
         A, C = realized_functions(spec.angles.xi, thetas)
         dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
         assert dev <= 8.0 * truncation_error_bound(T, L)
+
+    @pytest.mark.parametrize("T", [1e-6, 1e-3, 0.01, 0.03])
+    def test_small_strength_certified(self, T):
+        # these strengths used to get L = 2, where completion cannot pin
+        # A(0) = 1 with a nonzero C; at T = 1e-6 the 8*delta budget
+        # (6.7e-19) lies below double-precision rounding of the product
+        L = select_L_empirical(T)
+        spec = synthesize_shifter(T)
+        assert spec.L == len(spec.angles) == L == 4
+        assert spec.angles.residual <= 1e-8
+        thetas = chebyshev_grid(4096)
+        A, C = realized_functions(spec.angles.xi, thetas)
+        dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
+        assert dev <= 8.0 * truncation_error_bound(T, L) + 1e-14
 
 
 def test_import_does_not_load_mpmath():
@@ -304,7 +337,8 @@ class TestResourceSelectors:
         assert select_L_empirical(16.0) == 58    # 2*ceil((2.72*16+13.64)/2)
 
     def test_empirical_tiny_strength(self):
-        assert select_L_empirical(1e-6) == 2
+        # a length-2 sequence with A(0) = 1 pinned realizes only C = 0
+        assert select_L_empirical(1e-6) == 4
 
     def test_sequential_budget_linear(self):
         assert sequential_error_budget(0.03, 1) == 0.03
