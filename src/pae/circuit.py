@@ -140,13 +140,9 @@ def ghz_depth(P: int) -> int:
 # ---------------------------------------------------------------------------
 # Full statevector backend
 
-def _apply_single(state: np.ndarray, gate: np.ndarray, qubit: int, nq: int) -> np.ndarray:
-    t = state.reshape(2 ** qubit, 2, -1)
-    return np.einsum("ab,ibj->iaj", gate, t).reshape(-1)
-
-def _apply_block(state: np.ndarray, gate: np.ndarray, first: int, width: int,
-                 nq: int) -> np.ndarray:
-    t = state.reshape(2 ** first, 2 ** width, -1)
+def _apply_block(state: np.ndarray, gate: np.ndarray, first: int) -> np.ndarray:
+    """Apply ``gate`` to the contiguous qubits starting at ``first``."""
+    t = state.reshape(2 ** first, len(gate), -1)
     return np.einsum("ab,ibj->iaj", gate, t).reshape(-1)
 
 def _apply_cnot(state: np.ndarray, control: int, target: int, nq: int) -> np.ndarray:
@@ -190,7 +186,7 @@ def statevector_even_parity_probability(circuit: ParallelCircuit,
     anc = [p * (n + 1) for p in range(P)]
     state = np.zeros(2 ** nq, dtype=complex)
     state[0] = 1.0
-    state = _apply_single(state, hadamard.astype(complex), anc[0], nq)
+    state = _apply_block(state, hadamard.astype(complex), anc[0])
     for layer in range(ghz_depth(P)):
         stride = 2 ** layer
         for i in range(stride):
@@ -198,12 +194,12 @@ def statevector_even_parity_probability(circuit: ParallelCircuit,
                 state = _apply_cnot(state, anc[i], anc[i + stride], nq)
     v = _branch_unitary_full(circuit, oracle_style, oracle_seed)
     for p in range(P):
-        state = _apply_block(state, v, p * (n + 1), n + 1, nq)
+        state = _apply_block(state, v, p * (n + 1))
     if setting is MeasurementSetting.PLUS_I:
         phase = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
-        state = _apply_single(state, phase, anc[0], nq)
+        state = _apply_block(state, phase, anc[0])
     for a in anc:
-        state = _apply_single(state, hadamard.astype(complex), a, nq)
+        state = _apply_block(state, hadamard.astype(complex), a)
     probs = np.abs(state) ** 2
     idx = np.arange(2 ** nq)
     parity = np.zeros(2 ** nq, dtype=np.int64)

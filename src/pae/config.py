@@ -33,7 +33,6 @@ class ExperimentConfig:
     trials: int = 100
     backend: str = "ideal"
     n: int = 2
-    setting: str = "plus"            # bias sweep
     shots: int = 100000              # bias sweep
     l_table: str = "auto"            # auto | plus | plus_i
     t_min: float = 1.0               # tl curve
@@ -90,8 +89,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"field 'backend': unknown backend {cfg.backend!r}")
     if cfg.l_table not in ("auto", "plus", "plus_i"):
         raise ConfigError(f"field 'l_table': unknown table {cfg.l_table!r}")
-    if cfg.setting not in ("plus", "plus_i"):
-        raise ConfigError(f"field 'setting': unknown setting {cfg.setting!r}")
     if cfg.amplitude_grid < 0:
         raise ConfigError(f"field 'amplitude_grid': must be >= 0")
     if cfg.jobs < 1:

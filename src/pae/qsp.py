@@ -11,11 +11,13 @@ pipeline is:
    exactly achievable (``A(0) = 1`` and ``A^2 + C^2 <= 1`` everywhere),
    staying within ``8*delta`` of the target.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
-   product realizes ``(A, C)``; ``layer_peel`` completes ``P = A + iC`` to a
-   unitary with the complementary polynomial ``G`` (``|P|^2 + |G|^2 = 1``,
-   one FFT spectral factorisation, no root finding) and strips one degree
-   at a time; a short damped least-squares polish evens out the peel's
-   conditioning loss where it is needed.
+   product realizes ``(A, C)`` by layer peeling alone: complete
+   ``P = A + iC`` to a unitary with the complementary polynomial ``G``
+   (``|P|^2 + |G|^2 = 1``, one FFT spectral factorisation, no root finding)
+   and strip one degree at a time.  The peel runs at the target's effective
+   degree (at least 2 for a live target, whose core then has length 4) and
+   pads with cancelling pairs; a target that is the identity up to rounding
+   is all cancelling pairs.
 4. ``build_branch_unitary``: assemble the 4x4 ancilla (x) Grover-plane
    unitary for a concrete instance angle; ``interleaved_shifter`` is the
    same product at any system size, shared with the statevector backend.
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as sciopt
 from scipy import special
 
 from .core_model import DomainError
@@ -69,7 +70,6 @@ class AngleSequence:
     """Rotation angles realizing a completed ``(A, C)`` pair."""
 
     xi: np.ndarray
-    convention: str = "Wz"
     residual: float = 0.0
 
     def __len__(self) -> int:
@@ -257,26 +257,6 @@ def realized_functions(xi: np.ndarray, thetas: np.ndarray, full: bool = False):
     return A, u[:, 0, 1].imag, C, -u[:, 0, 1].real
 
 
-def _product_and_jacobian(xi: np.ndarray, thetas: np.ndarray):
-    params = _interleave_params(xi)
-    L, G = len(xi), len(thetas)
-    factors = [_factor_batch(al, thetas, sg) for al, sg in params]
-    pre = np.empty((L + 1, G, 2, 2), dtype=complex)
-    pre[0] = np.eye(2)
-    for l in range(L):
-        pre[l + 1] = pre[l] @ factors[l]
-    suf = np.empty((L + 1, G, 2, 2), dtype=complex)
-    suf[L] = np.eye(2)
-    for l in range(L - 1, -1, -1):
-        suf[l] = factors[l] @ suf[l + 1]
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    du = np.empty((L, G, 2, 2), dtype=complex)
-    for l in range(L):
-        comm = -0.5j * (x @ factors[l] - factors[l] @ x)
-        du[l] = pre[l] @ comm @ suf[l + 1]
-    return pre[L], du
-
-
 # ---------------------------------------------------------------------------
 # Layer peeling: complement the target to a full SU(2)-valued trig polynomial
 # and strip one rotation layer at a time.
@@ -369,12 +349,15 @@ def _annihilation_rows(cmat: np.ndarray, kind: str) -> list[list[float]]:
 
 def _solve_layer_peel(a: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
     # peel at the effective degree and pad with cancelling pairs: harmonics
-    # at rounding level would make the complement factor noise
+    # at rounding level would make the complement factor noise.  A target
+    # with no live harmonic beyond 0 is the identity, all cancelling pairs;
+    # a live one keeps a core of length at least 4, because a length-2 core
+    # with A(0) = 1 realizes only C = 0
     content = np.maximum(np.abs(a), np.abs(c))
-    alive = np.nonzero(content > 1e-13 * max(float(np.max(content)), 1.0))[0]
-    d_eff = max(int(alive[-1]), 1) if len(alive) else 1
+    alive = np.nonzero(content[1:] > 1e-13 * max(float(np.max(content)), 1.0))[0]
+    d_eff = max(int(alive[-1]) + 1, 2) if len(alive) else 0
     if 2 * d_eff < L:
-        core = _solve_layer_peel(a[: d_eff + 1], c[: d_eff + 1], 2 * d_eff)
+        core = _solve_layer_peel(a[: d_eff + 1], c[: d_eff + 1], 2 * d_eff) if d_eff else []
         pad = np.tile([-np.pi / 2, np.pi / 2], (L - 2 * d_eff) // 2)
         return np.concatenate([core, pad])
     p = _target_laurent(a, c)
@@ -417,54 +400,6 @@ def _solve_layer_peel(a: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
             if k <= deg - 1:
                 unew[k] += u[k] @ shift_plus
         u = unew
-    return _full_matrix_polish(xi, p, g)
-
-
-def _full_matrix_polish(xi: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Short damped-least-squares refinement of an already-close sequence
-    against the completed unitary (all entries, so the Jacobian stays well
-    conditioned); evens out the conditioning loss of the coefficient peel."""
-    L = len(xi)
-    d = (len(p) - 1) // 2
-    thetas = chebyshev_grid(max(2 * L + 5, 129))
-    z = np.exp(1j * thetas)
-    pt = np.polyval(p[::-1], z) * z ** (-d)
-    gt = np.polyval(g[::-1], z) * z ** (-d)
-
-    def resid(x):
-        u = rotation_product(x, thetas)
-        d00 = u[:, 0, 0] - pt
-        d01 = u[:, 0, 1] - 1j * gt
-        return np.concatenate([d00.real, d00.imag, d01.real, d01.imag])
-
-    if float(np.max(np.abs(resid(xi)))) <= 1e-10:
-        return xi
-
-    def jac(x):
-        _, du = _product_and_jacobian(x, thetas)
-        return np.concatenate([du[:, :, 0, 0].real, du[:, :, 0, 0].imag,
-                               du[:, :, 0, 1].real, du[:, :, 0, 1].imag], axis=1).T
-
-    sol = sciopt.least_squares(resid, xi, jac=jac, method="lm", max_nfev=200)
-    if np.max(np.abs(resid(sol.x))) < np.max(np.abs(resid(xi))):
-        xi = sol.x
-    # backstop on the diagonal pair alone, in case the realized complement
-    # legitimately differs from the computed one
-    d00 = pt
-    tgt = np.concatenate([d00.real, d00.imag])
-
-    def resid_ac(x):
-        u = rotation_product(x, thetas)
-        return np.concatenate([u[:, 0, 0].real, u[:, 0, 0].imag]) - tgt
-
-    if float(np.max(np.abs(resid_ac(xi)))) > 5e-9:
-        def jac_ac(x):
-            _, du = _product_and_jacobian(x, thetas)
-            return np.concatenate([du[:, :, 0, 0].real, du[:, :, 0, 0].imag], axis=1).T
-
-        sol = sciopt.least_squares(resid_ac, xi, jac=jac_ac, method="lm", max_nfev=200)
-        if np.max(np.abs(resid_ac(sol.x))) < np.max(np.abs(resid_ac(xi))):
-            xi = sol.x
     return xi
 
 
@@ -485,7 +420,7 @@ def solve_angles(a_coeffs: np.ndarray, c_coeffs: np.ndarray, L: int) -> AngleSeq
     if residual > _RESIDUAL_TOL:
         raise SynthesisError(
             f"layer-peel solver did not converge for L={L}: residual {residual:.3g}")
-    return AngleSequence(xi=xi, convention="Wz", residual=residual)
+    return AngleSequence(xi=xi, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -561,26 +496,16 @@ def synthesize_shifter(T: float, L: int | None = None,
     if key not in _shifter_cache:
         # beyond the length where the truncation bound reaches rounding
         # level, extra layers cannot improve a double-precision synthesis;
-        # solve there and pad with cancelling pairs.  If a length proves
-        # ill-conditioned, step down towards the critical regime.
+        # solve there and pad with cancelling pairs.  A failed solve raises.
         l_solve = L
         while l_solve > 4 and truncation_error_bound(T, l_solve - 2) < 1e-10:
             l_solve -= 2
-        while True:
-            target = truncate_target(T, l_solve)
-            a, c = complete_target(target)
-            try:
-                angles = solve_angles(a, c, l_solve)
-                break
-            except SynthesisError:
-                if l_solve <= 4 or target.delta > 3e-4:
-                    raise
-                l_solve -= 2
+        target = truncate_target(T, l_solve)
+        angles = solve_angles(*complete_target(target), l_solve)
         if l_solve < L:
             xi = np.concatenate([angles.xi,
                                  np.tile([-np.pi / 2, np.pi / 2], (L - l_solve) // 2)])
-            angles = AngleSequence(xi=xi, convention=angles.convention,
-                                   residual=angles.residual)
+            angles = AngleSequence(xi=xi, residual=angles.residual)
         _shifter_cache[key] = PhaseShifterSpec(
             T=float(T), L=int(L), angles=angles,
             eps_oc=state_error_bound(target.delta))
@@ -607,18 +532,14 @@ def minimal_query_length(T: float, threshold: float = BIAS_DELTA_THRESHOLD) -> i
     """
     if T <= 0:
         raise DomainError(f"evolution strength must be positive, got {T}")
+    # h(x) = log(bound at L = 2x) - log(threshold) is concave in x, so the
+    # first integer n with h(n + 1/2) <= 0 is its root rounded to nearest
     log_thr = math.log(threshold)
-
-    def h(x):
-        return math.log(4.0) + (x + 1) * math.log(T / 2.0) - special.gammaln(x + 2) - log_thr
-
-    if h(0.0) <= 0.0:
-        return 4
-    hi = 4.0
-    while h(hi) > 0.0:
-        hi *= 2.0
-    x = sciopt.brentq(h, 0.0, hi)
-    return max(4, 2 * round(x))
+    n = 0
+    while (math.log(4.0) + (n + 1.5) * math.log(T / 2.0) - math.lgamma(n + 2.5)
+           > log_thr):
+        n += 1
+    return max(4, 2 * n)
 
 
 def select_L_empirical(T: float) -> int:
@@ -639,8 +560,7 @@ def sequential_error_budget(eps_oc: float, S: int) -> float:
 
 def save_angles(path, spec: PhaseShifterSpec) -> None:
     """Write ``T L convention residual`` then one angle per line (%.17g)."""
-    lines = ["%.17g %d %s %.17g" % (spec.T, spec.L, spec.angles.convention,
-                                    spec.angles.residual)]
+    lines = ["%.17g %d Wz %.17g" % (spec.T, spec.L, spec.angles.residual)]
     lines += ["%.17g" % v for v in spec.angles.xi]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -651,10 +571,12 @@ def load_angles(path) -> PhaseShifterSpec:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     t_str, l_str, convention, res_str = lines[0].split()
+    if convention != "Wz":
+        raise ValueError(f"angle file uses convention {convention!r}, expected 'Wz'")
     T, L = float(t_str), int(l_str)
     xi = np.array([float(v) for v in lines[1:1 + L]])
     if len(xi) != L:
         raise ValueError(f"angle file holds {len(xi)} angles, header says {L}")
-    angles = AngleSequence(xi=xi, convention=convention, residual=float(res_str))
+    angles = AngleSequence(xi=xi, residual=float(res_str))
     return PhaseShifterSpec(T=T, L=L, angles=angles,
                             eps_oc=state_error_bound(truncation_error_bound(T, L)))

@@ -24,9 +24,8 @@ class TestConfig:
     def test_roundtrip_custom(self):
         cfg = ExperimentConfig(experiment="bias_sweep", amplitudes=(0.0, 0.25, 1.0),
                                k_min=2, k_max=5, strategy="full_parallel",
-                               trials=3, backend="analytic", setting="plus_i",
-                               shots=500, l_table="plus_i", seed=99,
-                               output_dir="x", jobs=2)
+                               trials=3, backend="analytic", shots=500,
+                               l_table="plus_i", seed=99, output_dir="x", jobs=2)
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_comments_and_blanks(self):
@@ -179,10 +178,24 @@ class TestBiasSweep:
 
 
 class TestTlCurve:
+    # l_min for T = 1, 2, ..., 100, recorded from the root-bracketing
+    # solution of the bound equality
+    L_MIN_1_TO_100 = [
+        10, 14, 18, 22, 26, 28, 32, 34, 38, 40, 42, 46, 48, 52, 54, 56, 60, 62, 66, 68,
+        70, 74, 76, 80, 82, 84, 88, 90, 92, 96, 98, 100, 104, 106, 110, 112, 114, 118,
+        120, 122, 126, 128, 130, 134, 136, 140, 142, 144, 148, 150, 152, 156, 158, 160,
+        164, 166, 168, 172, 174, 178, 180, 182, 186, 188, 190, 194, 196, 198, 202, 204,
+        206, 210, 212, 216, 218, 220, 224, 226, 228, 232, 234, 236, 240, 242, 244, 248,
+        250, 254, 256, 258, 262, 264, 266, 270, 272, 274, 278, 280, 282, 286]
+
     def test_reference_points(self):
         cfg = ExperimentConfig(experiment="tl_curve", t_min=1.0, t_max=8.0, t_step=1.0)
         rows = {r.t: r.l_min for r in run_tl_curve(cfg)}
         assert rows[1.0] == 10 and rows[2.0] == 14 and rows[4.0] == 22 and rows[8.0] == 34
+        cfg = ExperimentConfig(experiment="tl_curve", t_min=1.0, t_max=100.0, t_step=1.0)
+        rows = run_tl_curve(cfg)
+        assert [r.t for r in rows] == [float(t) for t in range(1, 101)]
+        assert [r.l_min for r in rows] == self.L_MIN_1_TO_100
 
     def test_small_strength(self):
         cfg = ExperimentConfig(experiment="tl_curve", t_min=0.1, t_max=0.1, t_step=1.0)

@@ -291,11 +291,13 @@ class TestSynthesisAtEveryStrength:
         dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
         assert dev <= 8.0 * truncation_error_bound(T, L)
 
-    @pytest.mark.parametrize("T", [1e-6, 1e-3, 0.01, 0.03])
+    @pytest.mark.parametrize("T", [1e-9, 1e-8, 1e-7, 1e-6, 1e-3, 0.01, 0.03])
     def test_small_strength_certified(self, T):
         # these strengths used to get L = 2, where completion cannot pin
-        # A(0) = 1 with a nonzero C; at T = 1e-6 the 8*delta budget
-        # (6.7e-19) lies below double-precision rounding of the product
+        # A(0) = 1 with a nonzero C; from T = 1e-6 down the 8*delta budget
+        # (6.7e-19 there) lies below double-precision rounding of the
+        # product.  Up to 1e-7 only harmonic 1 is live, and the peel must
+        # still use a core of length 4: a length-2 core realizes only C = 0
         L = select_L_empirical(T)
         spec = synthesize_shifter(T)
         assert spec.L == len(spec.angles) == L == 4
@@ -311,9 +313,10 @@ def test_import_does_not_load_mpmath():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c",
-                          "import sys, pae; print('mpmath' in sys.modules)"],
+                          "import sys, pae; print('mpmath' in sys.modules, "
+                          "'scipy.optimize' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestResourceSelectors:
@@ -364,7 +367,6 @@ class TestSerialization:
         save_angles(path, spec)
         loaded = load_angles(path)
         assert loaded.T == spec.T and loaded.L == spec.L
-        assert loaded.angles.convention == "Wz"
         assert loaded.angles.residual == spec.angles.residual
         assert np.array_equal(loaded.angles.xi, spec.angles.xi)
 
@@ -376,6 +378,14 @@ class TestSerialization:
         head = lines[0].split()
         assert len(head) == 4 and head[1] == "10" and head[2] == "Wz"
         assert len(lines) == 1 + 10
+
+    def test_rejects_other_convention(self, tmp_path):
+        spec = synthesize_shifter(1.0, 10)
+        path = tmp_path / "angles.txt"
+        save_angles(path, spec)
+        path.write_text(path.read_text().replace(" Wz ", " Wx ", 1))
+        with pytest.raises(ValueError, match="convention"):
+            load_angles(path)
 
 
 def test_state_error_bound_below_17_sqrt():
