@@ -111,23 +111,18 @@ def ideal_setting_probability(multiplier: float, phi: float,
     return (1.0 + math.sin(multiplier * phi)) / 2.0
 
 
-def sample_even_parity(probability: float, shots: int, seed) -> int:
-    """Count of even-parity outcomes: one Bernoulli draw per shot.
+def sample_even_parity(probability, shots: int, seed):
+    """Count of even-parity outcomes in ``shots`` shots: one binomial draw
+    per probability.
 
-    ``seed`` may be anything ``numpy.random.default_rng`` accepts, including
-    an existing generator.  Shared by every backend so equal seeds give equal
-    counts whenever the probabilities agree.
+    ``probability`` may be a float, which gives an int, or an array, which
+    gives an integer array of the same shape drawn in C order.  A
+    probability outside ``[0, 1]``, or NaN, raises ``ValueError``.  ``seed``
+    may be anything ``numpy.random.default_rng`` accepts, including an
+    existing generator.
     """
-    rng = np.random.default_rng(seed)
-    return int(np.count_nonzero(rng.random(shots) < probability))
-
-
-def sample_counts(circuit: ParallelCircuit, setting: MeasurementSetting,
-                  shots: int, seed) -> int:
-    """Sample the analytic backend's parity distribution."""
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
-    return sample_even_parity(setting_probability(circuit, setting), shots, seed)
+    counts = np.random.default_rng(seed).binomial(shots, probability)
+    return int(counts) if np.ndim(counts) == 0 else counts
 
 
 def ghz_depth(P: int) -> int:
@@ -205,15 +200,4 @@ def statevector_even_parity_probability(circuit: ParallelCircuit,
     parity = np.zeros(2 ** nq, dtype=np.int64)
     for a in anc:
         parity ^= (idx >> (nq - 1 - a)) & 1
-    return float(np.sum(probs[parity == 0]))
-
-
-def statevector_run(circuit: ParallelCircuit, setting: MeasurementSetting,
-                    shots: int, seed, oracle_style: str = "canonical",
-                    oracle_seed=None) -> int:
-    """Sample the statevector backend's parity distribution."""
-    if shots < 1:
-        raise DomainError(f"shots must be >= 1, got {shots}")
-    p = statevector_even_parity_probability(circuit, setting, oracle_style,
-                                            oracle_seed)
-    return sample_even_parity(p, shots, seed)
+    return min(max(float(np.sum(probs[parity == 0])), 0.0), 1.0)

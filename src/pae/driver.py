@@ -12,10 +12,11 @@ A run has two phases:
   selected backend.  It is deterministic: it depends on the amplitude and
   the schedule, never on a seed, so it is done once and shared by every
   trial of a sweep;
-* the sampling and recovery phase, :func:`sample_and_recover`, draws the
-  parity counts of every step from those probabilities with one seeded
-  stream per (seed, step, setting) and feeds the frequencies through the
-  phase recovery.
+* the sampling and recovery phase, :func:`sample_and_recover`, gives each
+  trial one generator seeded by its trial seed, draws all of the trial's
+  parity counts from those probabilities in one binomial call, and feeds
+  the frequencies of a whole batch of trials through the phase recovery
+  at once.
 
 ``run`` composes the two and reports the exact query count
 ``N = 2 sum_k nu_k P_k S_k L_k`` alongside depth and width.
@@ -38,7 +39,7 @@ PARALLEL_L_TABLE_PLUS = (10, 12, 12, 14, 16, 16, 18, 20, 20)
 PARALLEL_L_TABLE_PLUS_I = (12, 14, 14, 14, 16, 16, 18, 20, 20)
 
 _BACKENDS = ("analytic", "statevector", "ideal")
-# column order of the probability array and setting index of the seed stream
+# column order of the probability and count arrays
 _SETTINGS = (circ.MeasurementSetting.PLUS, circ.MeasurementSetting.PLUS_I)
 
 
@@ -196,12 +197,6 @@ def recompute_queries(schedule: Schedule, records) -> int:
     return total
 
 
-def _step_seed(seed: int, k: int, setting_index: int) -> np.random.Generator:
-    # one independent stream per (step, setting), independent of strategy
-    # and execution order
-    return np.random.default_rng(np.random.SeedSequence([int(seed), k, setting_index]))
-
-
 def _step_probability(instance: AmplitudeInstance, st: ScheduleStep,
                       setting: circ.MeasurementSetting, backend: str) -> float:
     if backend == "ideal":
@@ -223,22 +218,40 @@ def step_probabilities(instance: AmplitudeInstance, schedule: Schedule,
                       for setting in _SETTINGS] for st in schedule], dtype=float)
 
 
-def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed: int):
+def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed):
     """Sampling and recovery phase: draw every step's counts from
     ``probabilities`` (as returned by :func:`step_probabilities`) and
     recover the phase.
 
-    Returns ``(PhaseEstimate, list[MeasurementRecord])``.
+    ``seed`` is one trial seed or a ``(trials,)`` sequence of them.  Each
+    trial draws its ``(K, 2)`` counts, ``nu_k`` shots per setting, in one
+    ``binomial`` call on its own ``default_rng(seed)``, so its counts do not
+    depend on the other trials of the batch; the recovery then runs once
+    over the whole batch.
+
+    One seed returns ``(PhaseEstimate, list[MeasurementRecord])``.  A seed
+    vector returns ``(PhaseEstimate, counts)``: the estimate's fields are
+    ``(trials,)`` arrays and ``counts`` is the ``(trials, K, 2)`` integer
+    array of even-parity counts.
     """
-    observations = []
-    records = []
-    for st, row in zip(schedule, probabilities):
-        h_plus, h_i = (circ.sample_even_parity(float(p), st.nu, _step_seed(seed, st.k, idx))
-                       for idx, p in enumerate(row))
-        records.append(MeasurementRecord(k=st.k, h_plus=h_plus, h_i=h_i, nu=st.nu))
-        observations.append(rpe.StepObservation(
-            k=st.k, m=st.m, f_plus=h_plus / st.nu, f_i=h_i / st.nu, nu=st.nu))
-    return rpe.estimate_phase(observations), records
+    single = np.ndim(seed) == 0
+    nu = np.array([[st.nu] for st in schedule])
+    counts = np.array([np.random.default_rng(s).binomial(nu, probabilities)
+                       for s in ([seed] if single else seed)],
+                      dtype=np.int64).reshape(-1, len(nu), 2)
+    freqs = counts / nu
+    estimate = rpe.estimate_phase([
+        rpe.StepObservation(k=st.k, m=st.m, f_plus=freqs[:, i, 0],
+                            f_i=freqs[:, i, 1], nu=st.nu)
+        for i, st in enumerate(schedule)])
+    if not single:
+        return estimate, counts
+    estimate = rpe.PhaseEstimate(phi_hat=float(estimate.phi_hat[0]),
+                                 trajectory=tuple(float(t[0]) for t in estimate.trajectory),
+                                 a_hat=float(estimate.a_hat[0]))
+    records = [MeasurementRecord(k=st.k, h_plus=int(h_plus), h_i=int(h_i), nu=st.nu)
+               for st, (h_plus, h_i) in zip(schedule, counts[0])]
+    return estimate, records
 
 
 def run(instance: AmplitudeInstance, schedule: Schedule, seed: int,

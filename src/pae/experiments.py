@@ -66,10 +66,10 @@ def _schedule_for(cfg: ExperimentConfig, K: int) -> driver.Schedule:
 
 
 def _sq_errors(a: float, schedule: driver.Schedule, probabilities: np.ndarray,
-               seeds) -> list[float]:
+               seeds) -> np.ndarray:
     """Sampling phase of one (a, K) cell: squared estimation error per seed."""
-    return [(driver.sample_and_recover(schedule, probabilities, seed)[0].a_hat - a) ** 2
-            for seed in seeds]
+    estimate, _ = driver.sample_and_recover(schedule, probabilities, seeds)
+    return (estimate.a_hat - a) ** 2
 
 
 def _chunks(items: list, n: int) -> list[list]:
@@ -82,10 +82,10 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """RMSE over ``trials`` independent runs for every (amplitude, K).
 
     Each schedule is built once per K and each cell's step probabilities
-    once per (amplitude, K); only the sampling phase runs per trial.  With
-    ``jobs > 1`` one process pool serves the whole sweep, and its workers
-    receive finished probabilities with a chunk of trial seeds, so they
-    never synthesize or simulate.
+    once per (amplitude, K); the sampling phase then runs once per cell on
+    the vector of its trial seeds.  With ``jobs > 1`` one process pool
+    serves the whole sweep, and its workers receive finished probabilities
+    with a chunk of trial seeds, so they never synthesize or simulate.
     """
     schedules = {K: _schedule_for(cfg, K) for K in range(cfg.k_min, cfg.k_max + 1)}
     pool = (ProcessPoolExecutor(max_workers=cfg.jobs,
@@ -107,7 +107,7 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
         rows = []
         for a, K, sq in cells:
             if pool is not None:
-                sq = [err for future in sq for err in future.result()]
+                sq = np.concatenate([future.result() for future in sq])
             report = driver.resource_report(schedules[K], cfg.n)
             rows.append(ResultRow(
                 a=a, K=K, strategy=cfg.strategy, n_queries=report.n_queries,
@@ -142,22 +142,21 @@ def run_bias_sweep(cfg: ExperimentConfig) -> list[BiasRow]:
         l = int(table[k - 1])
         spec = qsp.synthesize_shifter(1.0, l)
         p_branches = 2 ** (k - 1)
-        worst = {s: 0.0 for s in circ.MeasurementSetting}
-        for ia, a in enumerate(amps):
+        probs, ideal = [], []
+        for a in amps:
             inst = make_instance(a, cfg.n)
             pc = circ.ParallelCircuit(P=p_branches, spec=spec, S=1, instance=inst)
-            for idx, setting in enumerate(circ.MeasurementSetting):
+            for setting in circ.MeasurementSetting:
                 if cfg.backend == "analytic":
-                    p = circ.setting_probability(pc, setting)
+                    probs.append(circ.setting_probability(pc, setting))
                 else:
-                    p = circ.statevector_even_parity_probability(pc, setting)
-                seed = np.random.SeedSequence([cfg.seed, k, idx, ia])
-                f = circ.sample_even_parity(p, cfg.shots, seed) / cfg.shots
-                ideal = circ.ideal_setting_probability(pc.multiplier, inst.phi, setting)
-                worst[setting] = max(worst[setting], abs(f - ideal))
-        rows.append(BiasRow(k=k, l=l,
-                            beta_plus=worst[circ.MeasurementSetting.PLUS],
-                            beta_i=worst[circ.MeasurementSetting.PLUS_I]))
+                    probs.append(circ.statevector_even_parity_probability(pc, setting))
+                ideal.append(circ.ideal_setting_probability(pc.multiplier, inst.phi, setting))
+        # one draw per step: rows are amplitudes, columns PLUS and PLUS_I
+        counts = circ.sample_even_parity(np.reshape(probs, (-1, 2)), cfg.shots,
+                                         np.random.SeedSequence([cfg.seed, k]))
+        worst = np.max(np.abs(counts / cfg.shots - np.reshape(ideal, (-1, 2))), axis=0)
+        rows.append(BiasRow(k=k, l=l, beta_plus=float(worst[0]), beta_i=float(worst[1])))
     return rows
 
 

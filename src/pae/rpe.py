@@ -6,6 +6,11 @@ modulo ``2 pi``, and the unwrapping selects, among the three candidates
 adjacent to the previous estimate, the one consistent with it.  The
 procedure tolerates a bounded bias ``beta`` in every measurement
 probability, with a closed-form mean-squared-error bound.
+
+The recovery is elementwise numpy arithmetic: the frequencies of a step may
+be floats (one run) or equal-length arrays (a batch of runs of the same
+schedule), and a run's estimate has the same bits whether it is recovered
+alone or inside a batch.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core_model import DomainError
 
 ROBUSTNESS_LIMIT = math.sqrt(6.0) / 8.0
@@ -21,38 +28,39 @@ ROBUSTNESS_LIMIT = math.sqrt(6.0) / 8.0
 
 @dataclass(frozen=True)
 class StepObservation:
-    """Frequencies observed at one resolution step."""
+    """Frequencies observed at one resolution step: floats for one run, or
+    ``(trials,)`` arrays for a batch of runs."""
 
     k: int
-    m: int                 # signal multiplier 2^(k-1)
-    f_plus: float          # even-parity frequency, PLUS setting
-    f_i: float             # even-parity frequency, PLUS_I setting
-    nu: int                # shots per setting
+    m: int                         # signal multiplier 2^(k-1)
+    f_plus: float | np.ndarray     # even-parity frequency, PLUS setting
+    f_i: float | np.ndarray        # even-parity frequency, PLUS_I setting
+    nu: int                        # shots per setting
 
 
 @dataclass(frozen=True)
 class PhaseEstimate:
-    """Final phase estimate and the amplitude it implies."""
+    """Final phase estimate and the amplitude it implies (``(trials,)``
+    arrays in every field for a batch of runs)."""
 
-    phi_hat: float                  # in [-pi, pi)
-    trajectory: tuple[float, ...]   # per-step estimates in [0, 2*pi)
-    a_hat: float                    # clamp((2 - phi_hat)/4, 0, 1)
+    phi_hat: float | np.ndarray     # in [-pi, pi)
+    trajectory: tuple               # per-step estimates in [0, 2*pi)
+    a_hat: float | np.ndarray       # clamp((2 - phi_hat)/4, 0, 1)
 
 
-def step_phase(obs: StepObservation) -> float:
+def step_phase(obs: StepObservation):
     """``atan2(2 f_i - 1, 2 f_plus - 1)`` mapped into ``[0, 2 pi)``.
 
-    The measure-zero tie with both centered frequencies zero returns 0.
+    The measure-zero tie with both centered frequencies zero returns 0:
+    ``2 f - 1`` is never ``-0``, and ``arctan2(+0, +0) = +0``.
     """
-    y = 2.0 * obs.f_i - 1.0
-    x = 2.0 * obs.f_plus - 1.0
-    if x == 0.0 and y == 0.0:
-        return 0.0
-    val = math.atan2(y, x)
-    return val + 2.0 * math.pi if val < 0.0 else val
+    y = 2.0 * np.asarray(obs.f_i) - 1.0
+    x = 2.0 * np.asarray(obs.f_plus) - 1.0
+    val = np.arctan2(y, x)
+    return val + 2.0 * math.pi * (val < 0.0)
 
 
-def unwrap_step(k: int, phi_step: float, prev: float | None = None) -> float:
+def unwrap_step(k: int, phi_step, prev=None):
     """Select the step-``k`` estimate consistent with the previous one.
 
     ``phi_step`` is the raw ``[0, 2 pi)`` output of :func:`step_phase` (an
@@ -71,30 +79,28 @@ def unwrap_step(k: int, phi_step: float, prev: float | None = None) -> float:
     base = phi_step / m_k
     step = math.pi / 2 ** (k - 2)
     half = math.pi / 2 ** (k - 1)
-    eta = math.floor(prev / step)
-    if prev - (base + (eta - 1) * step) <= half:
-        cand = base + (eta - 1) * step
-    elif (base + (eta + 1) * step) - prev < half:
-        cand = base + (eta + 1) * step
-    else:
-        cand = base + eta * step
+    eta = np.floor(prev / step)
+    lower = base + (eta - 1.0) * step
+    upper = base + (eta + 1.0) * step
+    cand = np.where(prev - lower <= half, lower,
+                    np.where(upper - prev < half, upper, base + eta * step))
     # wrapping shifts eta and the candidates of later steps by exact
     # multiples of their grid, leaving the final estimate unchanged mod 2*pi
     return cand % (2.0 * math.pi)
 
 
-def finalize(trajectory: Sequence[float]) -> PhaseEstimate:
+def finalize(trajectory: Sequence) -> PhaseEstimate:
     """Map the last per-step estimate to ``[-pi, pi)`` and invert the
     amplitude encoding ``phi = 2 (1 - 2 a)`` with clamping."""
     last = trajectory[-1]
-    phi_hat = last - 2.0 * math.pi * math.floor((last + math.pi) / (2.0 * math.pi))
-    a_hat = min(max((2.0 - phi_hat) / 4.0, 0.0), 1.0)
+    phi_hat = last - 2.0 * math.pi * np.floor((last + math.pi) / (2.0 * math.pi))
+    a_hat = np.minimum(np.maximum((2.0 - phi_hat) / 4.0, 0.0), 1.0)
     return PhaseEstimate(phi_hat=phi_hat, trajectory=tuple(trajectory), a_hat=a_hat)
 
 
 def estimate_phase(observations: Sequence[StepObservation]) -> PhaseEstimate:
     """Run the per-step recovery and unwrapping over all observations."""
-    trajectory: list[float] = []
+    trajectory = []
     prev = None
     for obs in observations:
         prev = unwrap_step(obs.k, step_phase(obs), prev)

@@ -6,9 +6,8 @@ import pytest
 
 from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  branch_states, ghz_depth, ideal_branch_unitary,
-                 ideal_setting_probability, make_instance, sample_counts,
-                 setting_probability, statevector_even_parity_probability,
-                 statevector_run, synthesize_shifter)
+                 ideal_setting_probability, make_instance, setting_probability,
+                 statevector_even_parity_probability, synthesize_shifter)
 from pae.circuit import sample_even_parity
 from pae.qsp import AngleSequence, PhaseShifterSpec
 
@@ -155,8 +154,10 @@ class TestSampling:
     def test_certain_outcomes(self):
         circuit = ParallelCircuit(P=1, spec=ideal_spec(1.0), S=1,
                                   instance=make_instance(0.5))
-        assert sample_counts(circuit, MeasurementSetting.PLUS, 1000, seed=1) == 1000
+        p = setting_probability(circuit, MeasurementSetting.PLUS)
+        assert sample_even_parity(p, 1000, seed=1) == 1000
         assert sample_even_parity(0.0, 1000, seed=1) == 0
+        assert sample_even_parity(1.0, 1000, seed=1) == 1000
 
     def test_binomial_concentration(self):
         count = sample_even_parity(0.5, 100000, seed=321)
@@ -165,12 +166,36 @@ class TestSampling:
     def test_determinism(self):
         assert sample_even_parity(0.37, 5000, seed=7) == sample_even_parity(0.37, 5000, seed=7)
 
+    @pytest.mark.parametrize("p", [math.nan, -1e-12, 1.0 + 1e-15, 1.3])
+    def test_rejects_invalid_probability(self, p):
+        # a NaN used to give 0 counts and 1.3 all shots, without a word
+        with pytest.raises(ValueError):
+            sample_even_parity(p, 100, seed=1)
+        with pytest.raises(ValueError):
+            sample_even_parity(np.array([[0.5, p]]), 100, seed=1)
+
+    def test_array_of_probabilities(self):
+        counts = sample_even_parity(np.array([[0.0, 1.0], [0.0, 1.0]]), 50, seed=4)
+        assert counts.shape == (2, 2)
+        assert counts.tolist() == [[0, 50], [0, 50]]
+
+    def test_count_statistics(self):
+        # mean and variance of the counts over 4000 seeds within 5 sigma of
+        # the binomial nu p and nu p (1 - p)
+        p, nu, seeds = 0.37, 19, 4000
+        counts = np.array([sample_even_parity(p, nu, seed=s) for s in range(seeds)])
+        mean, var = nu * p, nu * p * (1 - p)
+        mu4 = var * (1 + 3 * (nu - 2) * p * (1 - p))     # fourth central moment
+        assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / seeds)
+        assert abs(counts.var(ddof=1) - var) <= 5 * math.sqrt((mu4 - var ** 2) / seeds)
+
 
 class TestStatevectorBackend:
     def test_identity_target_full_counts(self):
         spec = synthesize_shifter(1e-15, 2)
         circuit = ParallelCircuit(P=1, spec=spec, S=1, instance=make_instance(0.3, 2))
-        assert statevector_run(circuit, MeasurementSetting.PLUS, 500, seed=3) == 500
+        p = statevector_even_parity_probability(circuit, MeasurementSetting.PLUS)
+        assert sample_even_parity(p, 500, seed=3) == 500
 
     def test_matches_analytic(self):
         spec = synthesize_shifter(1.0, 10)
@@ -221,8 +246,9 @@ class TestStatevectorBackend:
         inst = make_instance(0.25, 2)
         circuit = ParallelCircuit(P=2, spec=spec, S=1, instance=inst)
         for setting in MeasurementSetting:
-            ca = sample_counts(circuit, setting, 4000, seed=99)
-            cv = statevector_run(circuit, setting, 4000, seed=99)
+            ca = sample_even_parity(setting_probability(circuit, setting), 4000, seed=99)
+            cv = sample_even_parity(statevector_even_parity_probability(circuit, setting),
+                                    4000, seed=99)
             assert ca == cv
 
 

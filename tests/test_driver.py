@@ -165,6 +165,16 @@ class TestRun:
         assert len(records) == 9
         assert abs(est.a_hat - inst.a) <= 0.01
 
+    def test_statevector_probability_of_one(self):
+        # at a = 0.5 the full state used to give the PLUS setting a parity
+        # probability of 1 + 1.1e-15, which the binomial draw rejects
+        sched = build_schedule(strategy="full_parallel", k_max=3)
+        inst = make_instance(0.5)
+        probs = step_probabilities(inst, sched, "statevector")
+        assert ((probs >= 0.0) & (probs <= 1.0)).all()
+        est, _, records = run(inst, sched, seed=9, backend="statevector")
+        assert len(records) == 3 and 0.0 <= est.a_hat <= 1.0
+
     def test_width_and_layers(self):
         sched = build_schedule(strategy="full_parallel", k_max=7,
                                l_table=PARALLEL_L_TABLE_PLUS[:7])
@@ -188,20 +198,25 @@ class TestTwoPhases:
             assert sample_and_recover(sched, probs, seed) == (est, records)
 
     def test_seeded_stream_is_unchanged(self):
-        # counts recorded before the run was split into two phases: one
-        # generator per (seed, step, setting) must keep drawing the same shots
+        # counts recorded when the stream became one generator per trial
+        # seed with one binomial draw over the (K, 2) probabilities
         sched = build_schedule(strategy="full_sequential", k_max=4)
-        est, _, records = run(make_instance(0.3), sched, seed=11, backend="ideal")
+        inst = make_instance(0.3)
+        est, _, records = run(inst, sched, seed=11, backend="ideal")
         assert [(r.k, r.h_plus, r.h_i, r.nu) for r in records] == [
-            (1, 11, 14, 19), (2, 9, 15, 15), (3, 0, 3, 11), (4, 7, 4, 7)]
-        assert est.a_hat == 0.2992161761942578
+            (1, 18, 16, 19), (2, 8, 15, 15), (3, 0, 8, 11), (4, 7, 5, 7)]
+        assert est.a_hat == 0.29099759082922905
+        nu = np.array([[st.nu] for st in sched])
+        counts = np.random.default_rng(11).binomial(
+            nu, step_probabilities(inst, sched, "ideal"))
+        assert counts.tolist() == [[r.h_plus, r.h_i] for r in records]
         sched = build_schedule(strategy="full_parallel", k_max=4,
                                l_table=PARALLEL_L_TABLE_PLUS[:4])
         est, _, records = run(make_instance(math.sin(math.pi / 8) ** 2), sched,
                               seed=5, backend="analytic")
         assert [(r.k, r.h_plus, r.h_i, r.nu) for r in records] == [
-            (1, 13, 19, 19), (2, 0, 12, 15), (3, 10, 2, 11), (4, 4, 0, 7)]
-        assert est.a_hat == 0.15195402055723628
+            (1, 9, 19, 19), (2, 0, 11, 15), (3, 11, 2, 11), (4, 5, 0, 7)]
+        assert est.a_hat == 0.14373543519220755
 
 
 class TestHlReference:

@@ -100,15 +100,15 @@ class TestRmseSweep:
 
         monkeypatch.setattr(circuit, "setting_probability",
                             counted("prob", circuit.setting_probability))
-        monkeypatch.setattr(circuit, "sample_even_parity",
-                            counted("sample", circuit.sample_even_parity))
+        monkeypatch.setattr(np.random, "default_rng",
+                            counted("sample", np.random.default_rng))
         cfg = self.make_cfg(amplitudes=(0.0, 0.3), k_min=1, k_max=3,
                             strategy="full_parallel", backend="analytic",
                             l_table="plus", trials=trials)
         run_rmse_sweep(cfg)
         steps = sum(range(1, 4))
         assert calls["prob"] == 2 * 2 * steps                 # independent of trials
-        assert calls["sample"] == 2 * 2 * steps * trials
+        assert calls["sample"] == 2 * 3 * trials              # one generator per trial
 
     @pytest.mark.parametrize("backend,strategy", [("ideal", "full_sequential"),
                                                   ("analytic", "full_parallel")])
@@ -148,18 +148,19 @@ class TestBiasSweep:
         assert all(r.beta_plus <= 0.05 + sigma3 for r in rows)
 
     def test_rows_pinned(self):
-        # recorded with the kron-per-rotation shifter kernel: pins the
-        # branch-unitary kernel and the seeded sampling stream together
+        # pins the branch-unitary kernel and the seeded sampling stream
+        # together; recorded when the stream became one binomial draw per
+        # step over the (amplitudes, 2) probabilities
         cfg = ExperimentConfig(experiment="bias_sweep", backend="analytic",
                                k_min=1, k_max=3, amplitude_grid=5,
                                shots=10000, seed=2024)
         assert run_bias_sweep(cfg) == [
-            BiasRow(k=1, l=10, beta_plus=0.002973418273571171,
-                    beta_i=0.008900000000000019),
-            BiasRow(k=2, l=12, beta_plus=0.002973418273571171,
-                    beta_i=0.001801247653964097),
-            BiasRow(k=3, l=12, beta_plus=0.004850016904306753,
-                    beta_i=0.008699999999999986),
+            BiasRow(k=1, l=10, beta_plus=0.005251152934069858,
+                    beta_i=0.0029000000000000137),
+            BiasRow(k=2, l=12, beta_plus=0.0023734182735711817,
+                    beta_i=0.0018000000000000238),
+            BiasRow(k=3, l=12, beta_plus=0.003150016904306774,
+                    beta_i=0.0038000000000000256),
         ]
 
     def test_longer_sequences_reduce_exact_bias(self):

@@ -1,7 +1,9 @@
-"""Property tests of the schedule invariants and of noiseless phase recovery."""
+"""Property tests of the schedule invariants, of batched sampling and of
+noiseless phase recovery."""
 
 import math
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from pae import (MeasurementSetting, StepObservation, build_schedule,  # noqa: E402
                  estimate_phase, ideal_setting_probability, make_instance,
-                 query_count, recompute_queries, run)
+                 query_count, recompute_queries, run, sample_and_recover)
 
 
 @st.composite
@@ -32,6 +34,28 @@ def test_multiplier_split_and_query_accounting(sched, seed, a):
     assert all(s.p * s.t * s.s == s.m == 2 ** (s.k - 1) for s in sched)
     _, report, records = run(make_instance(a), sched, seed=seed, backend="ideal")
     assert report.n_queries == query_count(sched) == recompute_queries(sched, records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sched=schedules(), data=st.data())
+def test_batched_sampling_is_exact(sched, data):
+    # a seed vector gives each trial the bits it gets from a run on its own
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    probs = np.array(data.draw(st.lists(st.tuples(unit, unit), min_size=sched.K,
+                                        max_size=sched.K)))
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=0, max_size=20))
+    batch, counts = sample_and_recover(sched, probs, seeds)
+    assert counts.shape == (len(seeds), sched.K, 2)
+
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    for i, seed in enumerate(seeds):
+        est, records = sample_and_recover(sched, probs, seed)
+        assert bits(batch.a_hat[i]) == bits(est.a_hat)
+        assert bits(batch.phi_hat[i]) == bits(est.phi_hat)
+        assert [bits(t[i]) for t in batch.trajectory] == [bits(t) for t in est.trajectory]
+        assert counts[i].tolist() == [[r.h_plus, r.h_i] for r in records]
 
 
 @settings(max_examples=200, deadline=None)
