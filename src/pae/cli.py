@@ -15,6 +15,7 @@ import sys
 
 from . import experiments, plotting, qsp, verify
 from .config import ConfigError, parse_config
+from .core_model import DomainError
 
 
 def _cmd_run(args) -> int:
@@ -97,7 +98,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, qsp.SynthesisError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,15 +9,20 @@ pipeline is:
    factorial error bound ``delta``.
 2. ``complete_target``: nudge the truncated pair ``(A, C)`` until it is
    exactly achievable (``A(0) = 1`` and ``A^2 + C^2 <= 1`` everywhere),
-   staying within ``8*delta`` of the target.
+   staying within ``8*delta`` of the target.  Every iteration evaluates the
+   pair on the certification grid against one cos and one sin table,
+   built once per call.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``(A, C)`` by layer peeling alone: complete
    ``P = A + iC`` to a unitary with the complementary polynomial ``G``
    (``|P|^2 + |G|^2 = 1``, one FFT spectral factorisation, no root finding)
-   and strip one degree at a time.  The peel runs at the target's effective
+   and strip one degree at a time, each strip one batched ``2x2`` product
+   over the whole Laurent tensor.  The peel runs at the target's effective
    degree (at least 2 for a live target, whose core then has length 4) and
    pads with cancelling pairs; a target that is the identity up to rounding
-   is all cancelling pairs.
+   is all cancelling pairs.  The residual check evaluates the realized
+   product (``rotation_product``) in closed form: every factor lies in
+   SU(2), so only the first row is tracked, elementwise over the grid.
 4. ``build_branch_unitary``: assemble the 4x4 ancilla (x) Grover-plane
    unitary for a concrete instance angle; ``interleaved_shifter`` is the
    same product at any system size, shared with the statevector backend.
@@ -42,6 +47,7 @@ BIAS_DELTA_THRESHOLD = 3.813e-5
 
 _SOLVE_GRID = 1024
 _CERT_GRID = 4096
+_COMPLETE_ITER = 60
 _RESIDUAL_TOL = 1e-8
 
 
@@ -148,8 +154,7 @@ def _fejer_kernel_even(dmax: int) -> np.ndarray:
     return g
 
 
-def complete_target(target: TruncatedTarget, grid_n: int = _CERT_GRID,
-                    max_iter: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def complete_target(target: TruncatedTarget) -> tuple[np.ndarray, np.ndarray]:
     """Adjust the truncated pair into an exactly achievable ``(A, C)``.
 
     Returns cosine coefficients ``A`` and sine coefficients ``C`` (already
@@ -164,18 +169,23 @@ def complete_target(target: TruncatedTarget, grid_n: int = _CERT_GRID,
         raise SynthesisError(f"truncation bound {target.delta:.3g} >= 1; increase L")
     # the Chebyshev grid is sparsest near theta = pi, where the pair is
     # pinned at 1; the uniform points catch between-node overshoots there
-    thetas = np.concatenate([chebyshev_grid(grid_n),
-                             np.linspace(0.0, 2.0 * np.pi, 2 * grid_n, endpoint=False)])
+    thetas = np.concatenate([chebyshev_grid(_CERT_GRID),
+                             np.linspace(0.0, 2.0 * np.pi, 2 * _CERT_GRID, endpoint=False)])
     d = target.L // 2
+    ls = np.arange(d + 1)
+    # one cos and one sin table serve every evaluation below; sin is taken
+    # in place of the phases so that at most two tables are alive at once
+    trig = np.outer(thetas, ls)
+    cos_table = np.cos(trig)
+    sin_table = np.sin(trig, out=trig)
     a = target.cos_coeffs.copy()
     c = -target.sin_coeffs.copy()
-    A, C = _eval_series(a, c, thetas)
+    A, C = cos_table @ a, sin_table @ c
     m = max(0.0, float(np.max(A * A + C * C)) - 1.0)
     kernel = np.zeros(d + 1)
     kf = _fejer_kernel_even(d)
     kernel[: len(kf)] = kf
     l2 = 2 * (d // 2)
-    ls = np.arange(d + 1)
     # a small interior margin keeps A^2+C^2 strictly below 1 away from the
     # pinned points, so the later spectral factorization never meets
     # degenerate zeros on the unit circle; capped at 4*delta to stay inside
@@ -184,7 +194,7 @@ def complete_target(target: TruncatedTarget, grid_n: int = _CERT_GRID,
     mu = 0.0
     over = np.inf
     worst = 0.0
-    for _ in range(max_iter):
+    for _ in range(_COMPLETE_ITER):
         s = 1.0 + m + extra
         a2 = a / s
         c2 = c / s
@@ -197,7 +207,7 @@ def complete_target(target: TruncatedTarget, grid_n: int = _CERT_GRID,
             if curv > 0.0:
                 mu += 1.5 * curv / l2 ** 2
                 continue
-        A2, C2 = _eval_series(a2, c2, thetas)
+        A2, C2 = cos_table @ a2, sin_table @ c2
         gg = A2 * A2 + C2 * C2
         ip = int(np.argmax(gg))
         over = float(gg[ip]) - 1.0
@@ -216,35 +226,35 @@ def complete_target(target: TruncatedTarget, grid_n: int = _CERT_GRID,
 # ---------------------------------------------------------------------------
 # Interleaved-product evaluation (per-eigenphase 2x2 picture)
 
-def _interleave_params(xi: np.ndarray) -> list[tuple[float, float]]:
-    """(axis angle, time sign) per factor: odd slots carry the adjoint step."""
-    params = []
-    for j, x in enumerate(xi):
-        if j % 2 == 0:
-            params.append((x + np.pi, -1.0))
-        else:
-            params.append((x, 1.0))
-    return params
-
-
-def _factor_batch(alpha: float, thetas: np.ndarray, sign: float) -> np.ndarray:
-    """Rotation ``exp(-i sign*theta/2 (cos(alpha) Z - sin(alpha) Y))`` per theta."""
-    h = sign * thetas / 2.0
-    cz, sz = np.cos(h), np.sin(h)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    out = np.empty((len(thetas), 2, 2), dtype=complex)
-    out[:, 0, 0] = cz - 1j * sz * ca
-    out[:, 1, 1] = cz + 1j * sz * ca
-    out[:, 0, 1] = sz * sa
-    out[:, 1, 0] = -sz * sa
-    return out
-
-
 def rotation_product(xi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """The per-eigenphase 2x2 product of the interleaved angle sequence."""
-    u = np.broadcast_to(np.eye(2, dtype=complex), (len(thetas), 2, 2)).copy()
-    for alpha, sign in _interleave_params(np.asarray(xi, dtype=float)):
-        u = u @ _factor_batch(alpha, thetas, sign)
+    """The per-eigenphase 2x2 product of the interleaved angle sequence.
+
+    Factor ``j`` is ``exp(-i s theta/2 (cos(alpha) Z - sin(alpha) Y))``,
+    where odd slots (even ``j``) carry the adjoint step, ``alpha = xi_j + pi``
+    and ``s = -1``, and even slots ``alpha = xi_j``, ``s = +1``.  Each factor
+    is ``[[p, q], [-q, conj(p)]]`` with ``p = cos(h) - i sin(h) cos(alpha)``
+    and real ``q = sin(h) sin(alpha)``, ``h = s theta/2``, so the product
+    stays in SU(2) and only its first row ``(x, y)`` is tracked, by
+    elementwise updates over the grid.
+    """
+    xi = np.asarray(xi, dtype=float)
+    half = np.asarray(thetas, dtype=float) / 2.0
+    ch, sh = np.cos(half), np.sin(half)
+    adjoint = np.arange(len(xi)) % 2 == 0
+    sign = np.where(adjoint, -1.0, 1.0)
+    alpha = np.where(adjoint, xi + np.pi, xi)
+    x = np.ones(len(half), dtype=complex)
+    y = np.zeros(len(half), dtype=complex)
+    for s, ca, sa in zip(sign, np.cos(alpha), np.sin(alpha)):
+        sz = s * sh
+        p = ch - 1j * (sz * ca)
+        q = sz * sa
+        x, y = x * p - y * q, x * q + y * p.conj()
+    u = np.empty((len(half), 2, 2), dtype=complex)
+    u[:, 0, 0] = x
+    u[:, 0, 1] = y
+    u[:, 1, 0] = -y.conj()
+    u[:, 1, 1] = x.conj()
     return u
 
 
@@ -392,14 +402,7 @@ def _solve_layer_peel(a: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
         else:
             xi[j - 1] = angle - np.pi
             shift_minus, shift_plus = qm, pm
-        deg = len(u) - 1
-        unew = np.zeros((deg, 2, 2), dtype=complex)
-        for k in range(deg + 1):
-            if k >= 1:
-                unew[k - 1] += u[k] @ shift_minus
-            if k <= deg - 1:
-                unew[k] += u[k] @ shift_plus
-        u = unew
+        u = u[:-1] @ shift_plus + u[1:] @ shift_minus
     return xi
 
 

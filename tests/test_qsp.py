@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -15,7 +16,7 @@ from pae import (DomainError, SynthesisError, build_branch_unitary,
                  truncation_error_bound)
 from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae.qsp import (_fejer_complement, _target_laurent, chebyshev_grid,
-                     controlled_grover, interleaved_shifter)
+                     controlled_grover, interleaved_shifter, rotation_product)
 
 
 def bessel_j_series(order, x, terms=40):
@@ -274,10 +275,46 @@ class TestInterleavedShifter:
             assert np.array_equal(interleaved_shifter(xi, wq), kron_shifter(xi, wq))
 
 
+def matmul_rotation_product(xi, thetas):
+    """Reference product: one batched 2x2 ``@`` per interleaved factor."""
+    u = np.broadcast_to(np.eye(2, dtype=complex), (len(thetas), 2, 2)).copy()
+    for j, x in enumerate(xi):
+        alpha, sign = (x + np.pi, -1.0) if j % 2 == 0 else (x, 1.0)
+        h = sign * thetas / 2.0
+        cz, sz = np.cos(h), np.sin(h)
+        f = np.empty((len(thetas), 2, 2), dtype=complex)
+        f[:, 0, 0] = cz - 1j * sz * np.cos(alpha)
+        f[:, 1, 1] = cz + 1j * sz * np.cos(alpha)
+        f[:, 0, 1] = sz * np.sin(alpha)
+        f[:, 1, 0] = -sz * np.sin(alpha)
+        u = u @ f
+    return u
+
+
+class TestRotationProduct:
+    @pytest.mark.parametrize("L", [2, 10, 58, 146])
+    def test_matches_matmul_reference(self, L):
+        xi = np.random.default_rng(200 + L).uniform(-np.pi, np.pi, L)
+        thetas = chebyshev_grid(1024)
+        u = rotation_product(xi, thetas)
+        assert u.shape == (1024, 2, 2)
+        assert np.max(np.abs(u - matmul_rotation_product(xi, thetas))) <= 1e-14
+        assert np.array_equal(u[:, 1, 1], np.conj(u[:, 0, 0]))
+        assert np.array_equal(u[:, 1, 0], -np.conj(u[:, 0, 1]))
+
+
 class TestSynthesisAtEveryStrength:
-    @pytest.mark.parametrize("T", [2.0 ** j for j in range(9)])
+    def test_ladder_angles_pinned(self):
+        # the same digest the synth_ladder benchmark workload reports:
+        # synthesis speed-ups must leave every angle bit-identical
+        digest = hashlib.sha256()
+        for T in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48):
+            digest.update(synthesize_shifter(float(T), select_L_empirical(T)).angles.xi.tobytes())
+        assert digest.hexdigest()[:16] == "5c523b7bea72a620"
+
+    @pytest.mark.parametrize("T", [2.0 ** j for j in range(10)])
     def test_certified_or_loud(self, T):
-        # every strength a K <= 9 sequential schedule asks for either meets
+        # every strength a K <= 10 sequential schedule asks for either meets
         # the certificate or raises SynthesisError: no hang, no overflow
         L = select_L_empirical(T)
         try:
