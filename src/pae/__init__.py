@@ -19,8 +19,8 @@ from .qsp import (AngleSequence, PhaseShifterSpec, SynthesisError,
                   TruncatedTarget, build_branch_unitary, complete_target,
                   ideal_branch_unitary, load_angles, minimal_query_length,
                   realized_functions, save_angles, select_L, select_L_empirical,
-                  sequential_error_budget, solve_angles, state_error_bound,
-                  synthesize_shifter, truncate_target, truncation_error_bound)
+                  solve_angles, state_error_bound, synthesize_shifter,
+                  truncate_target, truncation_error_bound)
 from .rpe import (PhaseEstimate, StepObservation, estimate_phase, finalize,
                   mse_bound, schedule_nu, step_phase, unwrap_step)
 

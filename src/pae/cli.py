@@ -13,8 +13,8 @@ import dataclasses
 import os
 import sys
 
-from . import experiments, plotting, qsp, verify
-from .config import ConfigError, parse_config
+from . import driver, experiments, plotting, qsp, verify
+from .config import ConfigError, parse_config, validate_config
 from .core_model import DomainError
 
 
@@ -33,6 +33,7 @@ def _cmd_run(args) -> int:
     elif os.environ.get("PAE_OUTPUT_DIR") and cfg.output_dir == "pae-out":
         overrides["output_dir"] = os.environ["PAE_OUTPUT_DIR"]
     cfg = dataclasses.replace(cfg, **overrides)
+    validate_config(cfg)
 
     kind = cfg.experiment
     if kind in ("rmse_vs_queries", "rmse_vs_depth"):
@@ -98,7 +99,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, qsp.SynthesisError, FileNotFoundError) as exc:
+    except (ConfigError, driver.ConfigurationError, DomainError, qsp.SynthesisError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

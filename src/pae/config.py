@@ -85,6 +85,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"field 'trials': must be >= 1, got {cfg.trials}")
     if cfg.k_min < 1 or cfg.k_max < cfg.k_min:
         raise ConfigError(f"field 'k_min'/'k_max': bad range {cfg.k_min}..{cfg.k_max}")
+    if cfg.shots < 1:
+        raise ConfigError(f"field 'shots': must be >= 1, got {cfg.shots}")
     if cfg.backend not in ("analytic", "statevector", "ideal"):
         raise ConfigError(f"field 'backend': unknown backend {cfg.backend!r}")
     if cfg.l_table not in ("auto", "plus", "plus_i"):

@@ -95,9 +95,12 @@ def build_explicit_oracle(inst: AmplitudeInstance, style: str = "canonical",
     if style == "canonical":
         psi = rest0
     elif style == "random":
-        # imported here: scipy.stats is slow to import and only this oracle needs it
-        from scipy.stats import unitary_group
-        haar = unitary_group.rvs(dim_rest, random_state=seed)
+        # QR of a complex Gaussian, with the phases of diag(R) divided out
+        # so that the law is Haar (Mezzadri, Notices AMS 54, 2007)
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((dim_rest, dim_rest))
+                            + 1j * rng.standard_normal((dim_rest, dim_rest)))
+        haar = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
         u_a = np.kron(haar, np.eye(2)) @ u_a
         psi = haar @ rest0
     else:

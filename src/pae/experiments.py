@@ -136,6 +136,9 @@ def run_bias_sweep(cfg: ExperimentConfig) -> list[BiasRow]:
     if cfg.backend == "ideal":
         raise driver.ConfigurationError("bias sweep needs a synthesizing backend")
     table = _resolve_l_table(cfg) or driver.PARALLEL_L_TABLE_PLUS
+    if len(table) < cfg.k_max:
+        raise driver.ConfigurationError(
+            f"l_table has {len(table)} entries, bias sweep needs {cfg.k_max}")
     amps = _amplitudes(cfg) or [float(v) for v in np.linspace(0.0, 1.0, 101)]
     rows = []
     for k in range(cfg.k_min, cfg.k_max + 1):

@@ -6,7 +6,9 @@ pipeline is:
 
 1. ``truncate_target``: expand ``exp(-i T sin(theta))`` in Bessel
    coefficients and truncate at harmonic ``L/2``, with a certified
-   factorial error bound ``delta``.
+   factorial error bound ``delta``.  All coefficients come from one pass of
+   Miller's backward recurrence on the ratios ``J_k/J_(k-1)``, normalised
+   by ``J_0 + 2 sum_k J_2k = 1``.
 2. ``complete_target``: nudge the truncated pair ``(A, C)`` until it is
    exactly achievable (``A(0) = 1`` and ``A^2 + C^2 <= 1`` everywhere),
    staying within ``8*delta`` of the target.  Every iteration evaluates the
@@ -37,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .core_model import DomainError
 
@@ -118,6 +119,28 @@ def truncation_error_bound(T: float, L: int) -> float:
     return math.exp(math.log(4.0) + h * math.log(abs(T) / 2.0) - math.lgamma(h + 1))
 
 
+def _bessel_j(T: float, d: int) -> np.ndarray:
+    """``J_0(T) .. J_d(T)`` for ``T > 0`` by Miller's backward recurrence.
+
+    The ratios ``r_k = J_k/J_(k-1) = T / (2k - T r_(k+1))`` (Abramowitz &
+    Stegun 9.1.27) run down from an order far enough beyond ``max(d, T)``
+    that the start value ``r = 0`` has decayed below rounding; their
+    products give ``J_k/J_0``, and ``J_0 + 2 sum_k J_2k = 1`` (A&S 9.1.46)
+    fixes the scale.  Working on ratios rather than values keeps every
+    intermediate finite from ``T = 1e-300`` up.
+    """
+    m = max(d, math.ceil(T))
+    n = m + 16 + math.isqrt(40 * (m + 1))
+    r = np.empty(n)
+    ratio = 0.0
+    for k in range(n, 0, -1):
+        ratio = T / (2.0 * k - T * ratio)
+        r[k - 1] = ratio
+    scaled = np.cumprod(r)                      # J_k / J_0 for k = 1..n
+    j = np.concatenate([[1.0], scaled[:d]])
+    return j / (1.0 + 2.0 * np.sum(scaled[1::2]))
+
+
 def truncate_target(T: float, L: int) -> TruncatedTarget:
     """Truncate the Bessel expansion of the phase target at harmonic L/2."""
     if T <= 0:
@@ -125,13 +148,12 @@ def truncate_target(T: float, L: int) -> TruncatedTarget:
     if L < 2 or L % 2:
         raise DomainError(f"query length must be a positive even integer, got {L}")
     d = L // 2
+    j = _bessel_j(float(T), d)
     a = np.zeros(d + 1)
     c = np.zeros(d + 1)
-    a[0] = special.jv(0, T)
-    for l in range(2, d + 1, 2):
-        a[l] = 2.0 * special.jv(l, T)
-    for l in range(1, d + 1, 2):
-        c[l] = 2.0 * special.jv(l, T)
+    a[0] = j[0]
+    a[2::2] = 2.0 * j[2::2]
+    c[1::2] = 2.0 * j[1::2]
     return TruncatedTarget(T=float(T), L=int(L), cos_coeffs=a, sin_coeffs=c,
                            delta=truncation_error_bound(T, L))
 
@@ -258,13 +280,10 @@ def rotation_product(xi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return u
 
 
-def realized_functions(xi: np.ndarray, thetas: np.ndarray, full: bool = False):
-    """Realized ``(A, C)`` of an angle sequence; with ``full`` also ``(B, D)``."""
-    u = rotation_product(xi, thetas)
-    A, C = u[:, 0, 0].real, u[:, 0, 0].imag
-    if not full:
-        return A, C
-    return A, u[:, 0, 1].imag, C, -u[:, 0, 1].real
+def realized_functions(xi: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Realized ``(A, C)`` of an angle sequence."""
+    u00 = rotation_product(xi, thetas)[:, 0, 0]
+    return u00.real, u00.imag
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +570,6 @@ def select_L_empirical(T: float) -> int:
     if T >= 10.0:
         return 2 * math.ceil((2.72 * T + 13.64) / 2.0)
     return minimal_query_length(T)
-
-
-def sequential_error_budget(eps_oc: float, S: int) -> float:
-    """Certified state error of ``S`` sequential shifter applications."""
-    return S * eps_oc
 
 
 # ---------------------------------------------------------------------------

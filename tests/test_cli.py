@@ -18,3 +18,24 @@ def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config,message", [
+    ("amplitudes = 0.5\nk_max = 2\ntrials = 1\nstrategy = bogus\n",
+     "unknown strategy"),
+    ("experiment = tl_curve\nt_step = 0\n", "t_step must be positive"),
+    ("amplitudes = 0.5\nk_max = 10\ntrials = 1\nstrategy = full_parallel\n"
+     "l_table = plus\n", "l_table has 9 entries"),
+    ("experiment = bias_sweep\nbackend = analytic\namplitudes = 0.5\nk_min = 10\n"
+     "k_max = 10\nshots = 10\n", "l_table has 9 entries"),
+    ("amplitudes = 0.5\nk_max = 3\ntrials = 1\nstrategy = general\n"
+     "parallelism = 3\n", "power-of-two parallelism"),
+])
+def test_run_rejects_bad_schedule(tmp_path, capsys, config, message):
+    path = tmp_path / "exp.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()

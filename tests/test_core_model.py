@@ -84,6 +84,12 @@ class TestExplicitOracle:
         flagged = out[1::2]    # odd indices carry flag 1
         assert np.sum(np.abs(flagged) ** 2) == pytest.approx(0.3, abs=1e-12)
 
+    def test_random_oracle_reproducible(self):
+        inst = make_instance(0.3, 3)
+        u_a = build_explicit_oracle(inst, style="random", seed=7).u_a
+        assert np.array_equal(build_explicit_oracle(inst, style="random", seed=7).u_a, u_a)
+        assert not np.allclose(build_explicit_oracle(inst, style="random", seed=8).u_a, u_a)
+
     @pytest.mark.parametrize("style,seed", [("canonical", None), ("random", 3)])
     @pytest.mark.parametrize("a", [0.0, 0.2, 0.85, 1.0])
     def test_oracle_invariants(self, style, seed, a):

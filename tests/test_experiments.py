@@ -44,6 +44,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="experiment"):
             parse_config("experiment = daydream\n")
 
+    def test_zero_shots_rejected(self):
+        with pytest.raises(ConfigError, match="shots"):
+            parse_config("experiment = bias_sweep\nbackend = analytic\nshots = 0\n")
+
+    def test_command_line_overrides_validated(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("experiment = tl_curve\nt_max = 2.0\n")
+        assert cli_main(["run", str(path), "--jobs", "-1",
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'jobs'" in err
+
 
 class TestTrialSeeds:
     def test_deterministic(self):
