@@ -2,7 +2,7 @@
 robust phase recovery, and resource benchmarking."""
 
 from .circuit import (CapacityError, MeasurementSetting, ParallelCircuit,
-                      branch_states, ghz_depth, ideal_setting_probability,
+                      even_parity_probabilities, ghz_depth, ideal_setting_probability,
                       setting_probability, statevector_even_parity_probability)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .core_model import (AmplitudeInstance, DomainError, ExplicitOracle,

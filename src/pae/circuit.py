@@ -6,10 +6,11 @@ per-ancilla X-basis readout classified by the parity of the number of 1s.
 
 Two backends compute the even-parity probability:
 
-* analytic -- works on the 4-dimensional ancilla (x) Grover-plane factor of a
-  single branch and contracts the product structure of
-  ``(tensor of branch-0 states + tensor of branch-1 states)/sqrt(2)``, so the
-  cost is independent of ``P`` (complex powers); exact.
+* analytic -- on each Grover eigenphase ``e^{+-2i theta}`` the shifter is
+  the 2x2 ancilla product ``qsp.rotation_product`` at ``pi/2 +- 2 theta``;
+  the per-branch contractions average over the two, and the product over
+  identical branches collapses to complex powers, so the cost is
+  independent of ``P``; exact, and batched over instance angles.
 * statevector -- the full ``(n+1)P``-qubit state built from the explicit
   oracle, used to cross-validate the analytic backend at small sizes.
 """
@@ -24,12 +25,13 @@ import numpy as np
 
 from .core_model import (AmplitudeInstance, DomainError, build_explicit_oracle,
                          build_grover_unitary)
-from .qsp import PhaseShifterSpec, controlled_grover, interleaved_shifter
+from .qsp import (PhaseShifterSpec, controlled_grover, interleaved_shifter,
+                  rotation_product)
 
 STATEVECTOR_MAX_QUBITS = 22
 
-_X_ANC = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)).astype(complex)
-_Y_ANC = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.eye(2)).astype(complex)
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 
 class CapacityError(RuntimeError):
@@ -52,54 +54,46 @@ class ParallelCircuit:
     S: int
     instance: AmplitudeInstance
 
-    @property
-    def multiplier(self) -> float:
-        return self.P * self.spec.T * self.S
 
+def _parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
+    """``(n, 2)`` probabilities from the ``(2, n, 2, 2)`` eigenphase blocks
+    (already to the power S), whose column ``j`` is ancilla state ``phi_j``.
 
-@dataclass(frozen=True)
-class BranchState:
-    """Per-branch states for ancilla control values 0 and 1 (4-vectors)."""
-
-    phi0: np.ndarray
-    phi1: np.ndarray
-
-
-def branch_states(circuit: ParallelCircuit) -> BranchState:
-    """Apply the branch unitary ``S`` times to ``|j>_b (x) |0..0>_plane``."""
-    v = circuit.spec.branch_unitary(circuit.instance.theta)
-    vs = np.linalg.matrix_power(v, circuit.S)
-    return BranchState(phi0=vs[:, 0].copy(), phi1=vs[:, 2].copy())
-
-
-def _even_parity_probability(state: BranchState, P: int,
-                             setting: MeasurementSetting) -> float:
-    """Even-parity probability from per-branch 2-term contractions.
-
-    With ``x_j = <phi_j|X(x)I|phi_j>`` and ``z = <phi_1|X(x)I|phi_0>`` the
-    product over identical branches collapses to powers:
-    ``p = 1/2 + (x_0^P + x_1^P)/4 + Re(z^P)/2``.  The extra rotation of the
-    PLUS_I setting turns branch 0's ``X`` into ``Y``.
+    With ``x_j = <phi_j|X|phi_j>`` and ``z = <phi_1|X|phi_0>`` averaged over
+    the two eigenphases, which ``|0..0>`` weights equally, the product over
+    identical branches collapses to ``p = 1/2 + (x_0^P + x_1^P)/4 + Re(z^P)/2``.
+    The extra rotation of the PLUS_I setting turns branch 0's ``X`` into ``Y``.
     """
-    ph0, ph1 = state.phi0, state.phi1
-    x0 = float(np.real(np.vdot(ph0, _X_ANC @ ph0)))
-    x1 = float(np.real(np.vdot(ph1, _X_ANC @ ph1)))
-    zx = complex(np.vdot(ph1, _X_ANC @ ph0))
-    if setting is MeasurementSetting.PLUS:
-        p = 0.5 + 0.25 * (x0 ** P + x1 ** P) + 0.5 * (zx ** P).real
-    else:
-        y0 = float(np.real(np.vdot(ph0, _Y_ANC @ ph0)))
-        y1 = float(np.real(np.vdot(ph1, _Y_ANC @ ph1)))
-        zy = complex(np.vdot(ph1, _Y_ANC @ ph0))
-        p = (0.5 + 0.25 * (y0 * x0 ** (P - 1) + y1 * x1 ** (P - 1))
-             + 0.5 * (zy * zx ** (P - 1)).real)
-    return min(max(p, 0.0), 1.0)
+    adjoint = blocks.conj().swapaxes(-1, -2)
+    mx = np.mean(adjoint @ _PAULI_X @ blocks, axis=0)    # <phi_j|X|phi_i> at [j, i]
+    my = np.mean(adjoint @ _PAULI_Y @ blocks, axis=0)
+    x0, x1, zx = mx[:, 0, 0].real, mx[:, 1, 1].real, mx[:, 1, 0]
+    y0, y1, zy = my[:, 0, 0].real, my[:, 1, 1].real, my[:, 1, 0]
+    plus = 0.5 + 0.25 * (x0 ** P + x1 ** P) + 0.5 * (zx ** P).real
+    plus_i = (0.5 + 0.25 * (y0 * x0 ** (P - 1) + y1 * x1 ** (P - 1))
+              + 0.5 * (zy * zx ** (P - 1)).real)
+    return np.clip(np.stack([plus, plus_i], axis=1), 0.0, 1.0)
+
+
+def even_parity_probabilities(spec: PhaseShifterSpec, P: int, S: int,
+                              thetas) -> np.ndarray:
+    """Exact even-parity probabilities of the synthesized circuit, one row
+    per instance angle, columns PLUS and PLUS_I: one ``rotation_product``
+    call for both eigenphases of every angle, one ``matrix_power`` to ``S``.
+    """
+    two_theta = 2.0 * np.asarray(thetas, dtype=float).reshape(-1)
+    blocks = rotation_product(spec.angles.xi, np.concatenate(
+        [np.pi / 2 + two_theta, np.pi / 2 - two_theta]))
+    blocks = np.linalg.matrix_power(blocks, S).reshape(2, -1, 2, 2)
+    return _parity_probabilities(blocks, P)
 
 
 def setting_probability(circuit: ParallelCircuit,
                         setting: MeasurementSetting) -> float:
     """Exact even-parity probability of the synthesized circuit."""
-    return _even_parity_probability(branch_states(circuit), circuit.P, setting)
+    return float(even_parity_probabilities(circuit.spec, circuit.P, circuit.S,
+                                           [circuit.instance.theta])
+                 [0, list(MeasurementSetting).index(setting)])
 
 
 def ideal_setting_probability(multiplier: float, phi: float,

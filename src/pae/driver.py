@@ -39,8 +39,6 @@ PARALLEL_L_TABLE_PLUS = (10, 12, 12, 14, 16, 16, 18, 20, 20)
 PARALLEL_L_TABLE_PLUS_I = (12, 14, 14, 14, 16, 16, 18, 20, 20)
 
 _BACKENDS = ("analytic", "statevector", "ideal")
-# column order of the probability and count arrays
-_SETTINGS = (circ.MeasurementSetting.PLUS, circ.MeasurementSetting.PLUS_I)
 
 
 class ConfigurationError(ValueError):
@@ -197,25 +195,33 @@ def recompute_queries(schedule: Schedule, records) -> int:
     return total
 
 
-def _step_probability(instance: AmplitudeInstance, st: ScheduleStep,
-                      setting: circ.MeasurementSetting, backend: str) -> float:
+def _step_probabilities(instances: list[AmplitudeInstance], st: ScheduleStep,
+                        backend: str) -> np.ndarray:
+    """``(n, 2)`` probabilities of one step, one row per instance."""
     if backend == "ideal":
-        return circ.ideal_setting_probability(st.m, instance.phi, setting)
+        return np.array([[circ.ideal_setting_probability(st.m, inst.phi, setting)
+                          for setting in circ.MeasurementSetting]
+                         for inst in instances]).reshape(-1, 2)
     spec = qsp.synthesize_shifter(st.t, st.l)
-    pc = circ.ParallelCircuit(P=st.p, spec=spec, S=st.s, instance=instance)
     if backend == "analytic":
-        return circ.setting_probability(pc, setting)
-    return circ.statevector_even_parity_probability(pc, setting)
+        return circ.even_parity_probabilities(spec, st.p, st.s, [inst.theta for inst in instances])
+    return np.array([[circ.statevector_even_parity_probability(
+        circ.ParallelCircuit(P=st.p, spec=spec, S=st.s, instance=inst), setting)
+        for setting in circ.MeasurementSetting] for inst in instances]).reshape(-1, 2)
 
 
-def step_probabilities(instance: AmplitudeInstance, schedule: Schedule,
+def step_probabilities(instances, schedule: Schedule,
                        backend: str = "analytic") -> np.ndarray:
-    """Probability phase: the ``(K, 2)`` array of exact even-parity
-    probabilities, one row per step, columns PLUS and PLUS_I."""
+    """Probability phase: the exact even-parity probabilities, one row per
+    step, columns PLUS and PLUS_I, of one instance, ``(K, 2)``, or of a
+    sequence of instances, ``(n, K, 2)``, evaluated together step by step."""
     if backend not in _BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
-    return np.array([[_step_probability(instance, st, setting, backend)
-                      for setting in _SETTINGS] for st in schedule], dtype=float)
+    single = isinstance(instances, AmplitudeInstance)
+    batch = [instances] if single else list(instances)
+    probabilities = np.stack([_step_probabilities(batch, st, backend)
+                              for st in schedule], axis=1)
+    return probabilities[0] if single else probabilities
 
 
 def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed):

@@ -9,7 +9,7 @@ import hashlib
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 
 import numpy as np
@@ -81,27 +81,29 @@ def _chunks(items: list, n: int) -> list[list]:
 def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """RMSE over ``trials`` independent runs for every (amplitude, K).
 
-    Each schedule is built once per K and each cell's step probabilities
-    once per (amplitude, K); the sampling phase then runs once per cell on
-    the vector of its trial seeds.  With ``jobs > 1`` one process pool
+    Each schedule is built once per K, and its step probabilities once for
+    all amplitudes; the sampling phase then runs once per (amplitude, K)
+    cell on the vector of its trial seeds.  With ``jobs > 1`` one process pool
     serves the whole sweep, and its workers receive finished probabilities
     with a chunk of trial seeds, so they never synthesize or simulate.
     """
     schedules = {K: _schedule_for(cfg, K) for K in range(cfg.k_min, cfg.k_max + 1)}
+    amplitudes = _amplitudes(cfg)
+    instances = [make_instance(a, cfg.n) for a in amplitudes]
+    probabilities = {K: driver.step_probabilities(instances, schedule, cfg.backend)
+                     for K, schedule in schedules.items()}
     pool = (ProcessPoolExecutor(max_workers=cfg.jobs,
                                 mp_context=multiprocessing.get_context("spawn"))
             if cfg.jobs > 1 else None)
     with pool or contextlib.nullcontext():
         cells = []
-        for a in _amplitudes(cfg):
-            inst = make_instance(a, cfg.n)
+        for i, a in enumerate(amplitudes):
             for K, schedule in schedules.items():
-                probabilities = driver.step_probabilities(inst, schedule, cfg.backend)
                 seeds = [trial_seed(cfg.seed, a, K, t) for t in range(cfg.trials)]
                 if pool is None:
-                    sq = _sq_errors(a, schedule, probabilities, seeds)
+                    sq = _sq_errors(a, schedule, probabilities[K][i], seeds)
                 else:
-                    sq = [pool.submit(_sq_errors, a, schedule, probabilities, chunk)
+                    sq = [pool.submit(_sq_errors, a, schedule, probabilities[K][i], chunk)
                           for chunk in _chunks(seeds, cfg.jobs)]
                 cells.append((a, K, sq))
         rows = []
@@ -140,26 +142,19 @@ def run_bias_sweep(cfg: ExperimentConfig) -> list[BiasRow]:
         raise driver.ConfigurationError(
             f"l_table has {len(table)} entries, bias sweep needs {cfg.k_max}")
     amps = _amplitudes(cfg) or [float(v) for v in np.linspace(0.0, 1.0, 101)]
+    instances = [make_instance(a, cfg.n) for a in amps]
+    schedule = driver.build_schedule(strategy="full_parallel", k_max=cfg.k_max,
+                                     l_table=table)
+    schedule = replace(schedule, steps=schedule.steps[cfg.k_min - 1:])
+    probs = driver.step_probabilities(instances, schedule, cfg.backend)
+    ideal = driver.step_probabilities(instances, schedule, "ideal")
     rows = []
-    for k in range(cfg.k_min, cfg.k_max + 1):
-        l = int(table[k - 1])
-        spec = qsp.synthesize_shifter(1.0, l)
-        p_branches = 2 ** (k - 1)
-        probs, ideal = [], []
-        for a in amps:
-            inst = make_instance(a, cfg.n)
-            pc = circ.ParallelCircuit(P=p_branches, spec=spec, S=1, instance=inst)
-            for setting in circ.MeasurementSetting:
-                if cfg.backend == "analytic":
-                    probs.append(circ.setting_probability(pc, setting))
-                else:
-                    probs.append(circ.statevector_even_parity_probability(pc, setting))
-                ideal.append(circ.ideal_setting_probability(pc.multiplier, inst.phi, setting))
+    for i, st in enumerate(schedule):
         # one draw per step: rows are amplitudes, columns PLUS and PLUS_I
-        counts = circ.sample_even_parity(np.reshape(probs, (-1, 2)), cfg.shots,
-                                         np.random.SeedSequence([cfg.seed, k]))
-        worst = np.max(np.abs(counts / cfg.shots - np.reshape(ideal, (-1, 2))), axis=0)
-        rows.append(BiasRow(k=k, l=l, beta_plus=float(worst[0]), beta_i=float(worst[1])))
+        counts = circ.sample_even_parity(probs[:, i], cfg.shots,
+                                         np.random.SeedSequence([cfg.seed, st.k]))
+        worst = np.max(np.abs(counts / cfg.shots - ideal[:, i]), axis=0)
+        rows.append(BiasRow(k=st.k, l=st.l, beta_plus=float(worst[0]), beta_i=float(worst[1])))
     return rows
 
 

@@ -25,18 +25,19 @@ pipeline is:
    is all cancelling pairs.  The residual check evaluates the realized
    product (``rotation_product``) in closed form: every factor lies in
    SU(2), so only the first row is tracked, elementwise over the grid.
-4. ``build_branch_unitary``: assemble the 4x4 ancilla (x) Grover-plane
-   unitary for a concrete instance angle; ``interleaved_shifter`` is the
-   same product at any system size, shared with the statevector backend.
-   It builds all ``2L`` ancilla x-rotations in one vectorised pass (a
-   ``(2L, 2, 2)`` stack lifted to the system size by one ``einsum``) and
-   multiplies them around the controlled-Grover block in slot order.
+4. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
+   ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
+   backend evaluates.  ``interleaved_shifter``, independent of it so that
+   the backends check each other, builds the product around a
+   controlled-Grover block of any size for the statevector backend and
+   ``build_branch_unitary``, with all ``2L`` x-rotations in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class AngleSequence:
         return len(self.xi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseShifterSpec:
     """One synthesized shifter: strength ``T``, query length ``L``, angles.
 
@@ -95,13 +96,9 @@ class PhaseShifterSpec:
     L: int
     angles: AngleSequence
     eps_oc: float
-    _branch_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def branch_unitary(self, theta: float) -> np.ndarray:
-        key = float(theta)
-        if key not in self._branch_cache:
-            self._branch_cache[key] = build_branch_unitary(self, theta)
-        return self._branch_cache[key]
+        return build_branch_unitary(self, theta)
 
 
 def chebyshev_grid(n: int) -> np.ndarray:
@@ -112,11 +109,12 @@ def chebyshev_grid(n: int) -> np.ndarray:
 
 def truncation_error_bound(T: float, L: int) -> float:
     """Certified sup-norm bound ``4 T^(L/2+1) / (2^(L/2+1) (L/2+1)!)``,
-    evaluated in log space so that large ``T`` and ``L`` cannot overflow."""
+    evaluated in log space; beyond the largest float it is ``inf``."""
     if T == 0:
         return 0.0
     h = L // 2 + 1
-    return math.exp(math.log(4.0) + h * math.log(abs(T) / 2.0) - math.lgamma(h + 1))
+    log_bound = math.log(4.0) + h * math.log(abs(T) / 2.0) - math.lgamma(h + 1)
+    return math.inf if log_bound > math.log(sys.float_info.max) else math.exp(log_bound)
 
 
 def _bessel_j(T: float, d: int) -> np.ndarray:
@@ -141,10 +139,14 @@ def _bessel_j(T: float, d: int) -> np.ndarray:
     return j / (1.0 + 2.0 * np.sum(scaled[1::2]))
 
 
+def _check_strength(T: float) -> None:
+    if not 0.0 < T < math.inf:          # a NaN must fail too
+        raise DomainError(f"evolution strength must be positive and finite, got {T}")
+
+
 def truncate_target(T: float, L: int) -> TruncatedTarget:
     """Truncate the Bessel expansion of the phase target at harmonic L/2."""
-    if T <= 0:
-        raise DomainError(f"evolution strength must be positive, got {T}")
+    _check_strength(T)
     if L < 2 or L % 2:
         raise DomainError(f"query length must be a positive even integer, got {L}")
     d = L // 2
@@ -451,6 +453,8 @@ def solve_angles(a_coeffs: np.ndarray, c_coeffs: np.ndarray, L: int) -> AngleSeq
 def state_error_bound(delta: float) -> float:
     """Certified state error of one shifter application from the truncation
     bound: ``sqrt(2) * (8 delta + sqrt(16 delta - 64 delta^2))``."""
+    if delta == math.inf:
+        return math.inf
     return math.sqrt(2.0) * (8.0 * delta + math.sqrt(max(16.0 * delta - 64.0 * delta ** 2, 0.0)))
 
 
@@ -512,6 +516,7 @@ def synthesize_shifter(T: float, L: int | None = None,
 
     Results are cached per ``(T, L)``; the returned value is shared.
     """
+    _check_strength(T)
     if L is None:
         L = select_L(T, eps_oc) if eps_oc is not None else select_L_empirical(T)
     key = (float(T), int(L))
@@ -552,8 +557,7 @@ def minimal_query_length(T: float, threshold: float = BIAS_DELTA_THRESHOLD) -> i
     ``A(0) = 1`` is pinned, a length-2 sequence realizes only ``C = 0``, so
     no weaker strength can be synthesized at ``L = 2``.
     """
-    if T <= 0:
-        raise DomainError(f"evolution strength must be positive, got {T}")
+    _check_strength(T)
     # h(x) = log(bound at L = 2x) - log(threshold) is concave in x, so the
     # first integer n with h(n + 1/2) <= 0 is its root rounded to nearest
     log_thr = math.log(threshold)

@@ -61,8 +61,8 @@ def check_backend_equivalence() -> tuple[str, bool, str]:
     worst = 0.0
     for a in (0.0, 0.25, 1.0):
         inst = make_instance(a, 2)
-        for p in (1, 2):
-            pc = circ.ParallelCircuit(P=p, spec=spec, S=1, instance=inst)
+        for p, s in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            pc = circ.ParallelCircuit(P=p, spec=spec, S=s, instance=inst)
             for setting in circ.MeasurementSetting:
                 pa = circ.setting_probability(pc, setting)
                 pv = circ.statevector_even_parity_probability(pc, setting)

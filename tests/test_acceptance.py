@@ -13,14 +13,14 @@ import pytest
 
 from pae import (PARALLEL_L_TABLE_PLUS, PARALLEL_L_TABLE_PLUS_I,
                  ExperimentConfig, build_schedule, complete_target,
-                 ideal_branch_unitary, make_instance, mse_bound, query_count,
+                 make_instance, mse_bound, query_count,
                  realized_functions, recompute_queries, resource_report, run,
                  setting_probability, solve_angles,
                  statevector_even_parity_probability, synthesize_shifter,
                  truncate_target)
-from pae.circuit import MeasurementSetting, ParallelCircuit
+from pae.circuit import MeasurementSetting, ParallelCircuit, _parity_probabilities
 from pae.experiments import run_bias_sweep, run_tl_curve, trial_seed
-from pae.qsp import AngleSequence, PhaseShifterSpec, chebyshev_grid
+from pae.qsp import chebyshev_grid
 from pae.rpe import StepObservation, estimate_phase
 
 A_PAPER = math.sin(math.pi / 8) ** 2
@@ -66,15 +66,14 @@ def test_02_backend_equivalence():
 
 
 def test_03_parity_identity():
-    spec = PhaseShifterSpec(T=1.0, L=0, angles=AngleSequence(xi=np.zeros(0)), eps_oc=0.0)
-    spec.branch_unitary = lambda theta: ideal_branch_unitary(1.0, 2 * math.cos(2 * theta))
     worst = 0.0
     for a in np.linspace(0.0, 1.0, 11):
         inst = make_instance(float(a))
+        # the exact shifter: diag(e^{-i phi/2}, e^{+i phi/2}) on both eigenphases
+        block = np.diag([np.exp(-0.5j * inst.phi), np.exp(0.5j * inst.phi)])
+        blocks = np.broadcast_to(block, (2, 1, 2, 2))
         for m in range(1, 65):
-            circuit = ParallelCircuit(P=m, spec=spec, S=1, instance=inst)
-            pp = setting_probability(circuit, MeasurementSetting.PLUS)
-            pi_ = setting_probability(circuit, MeasurementSetting.PLUS_I)
+            pp, pi_ = _parity_probabilities(blocks, m)[0]
             worst = max(worst,
                         abs(pp - (1 + math.cos(m * inst.phi)) / 2),
                         abs(pi_ - (1 + math.sin(m * inst.phi)) / 2))

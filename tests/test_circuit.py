@@ -5,19 +5,41 @@ import numpy as np
 import pytest
 
 from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
-                 branch_states, ghz_depth, ideal_branch_unitary,
-                 ideal_setting_probability, make_instance, setting_probability,
-                 statevector_even_parity_probability, synthesize_shifter)
-from pae.circuit import sample_even_parity
-from pae.qsp import AngleSequence, PhaseShifterSpec
+                 build_branch_unitary, even_parity_probabilities, ghz_depth,
+                 ideal_branch_unitary, ideal_setting_probability, make_instance,
+                 setting_probability, statevector_even_parity_probability,
+                 synthesize_shifter)
+from pae.circuit import _parity_probabilities, sample_even_parity
+
+_X_ANC = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)).astype(complex)
+_Y_ANC = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.eye(2)).astype(complex)
 
 
-def ideal_spec(T: float) -> PhaseShifterSpec:
-    """A shifter whose branch unitary is the exact relative phase shifter."""
-    spec = PhaseShifterSpec(T=T, L=0, angles=AngleSequence(xi=np.zeros(0)), eps_oc=0.0)
-    spec.branch_unitary = lambda theta: ideal_branch_unitary(
-        T, 2.0 * math.cos(2.0 * theta))
-    return spec
+def ideal_probabilities(P: int, phi: float) -> np.ndarray:
+    """(PLUS, PLUS_I) probabilities with the exact T = S = 1 shifter: the
+    block ``diag(e^{-i phi/2}, e^{+i phi/2})`` on both eigenphases."""
+    block = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+    return _parity_probabilities(np.broadcast_to(block, (2, 1, 2, 2)), P)[0]
+
+
+def branch_unitary_probability(v: np.ndarray, P: int, S: int,
+                               setting: MeasurementSetting) -> float:
+    """Reference route through the 4x4 ancilla (x) Grover-plane unitary
+    ``v``: branch states ``v^S |j>|0>`` and their 4-vector contractions."""
+    vs = np.linalg.matrix_power(v, S)
+    ph0, ph1 = vs[:, 0], vs[:, 2]
+    x0 = float(np.real(np.vdot(ph0, _X_ANC @ ph0)))
+    x1 = float(np.real(np.vdot(ph1, _X_ANC @ ph1)))
+    zx = complex(np.vdot(ph1, _X_ANC @ ph0))
+    if setting is MeasurementSetting.PLUS:
+        p = 0.5 + 0.25 * (x0 ** P + x1 ** P) + 0.5 * (zx ** P).real
+    else:
+        y0 = float(np.real(np.vdot(ph0, _Y_ANC @ ph0)))
+        y1 = float(np.real(np.vdot(ph1, _Y_ANC @ ph1)))
+        zy = complex(np.vdot(ph1, _Y_ANC @ ph0))
+        p = (0.5 + 0.25 * (y0 * x0 ** (P - 1) + y1 * x1 ** (P - 1))
+             + 0.5 * (zy * zx ** (P - 1)).real)
+    return min(max(p, 0.0), 1.0)
 
 
 def enumerated_even_parity(state: np.ndarray, P: int) -> float:
@@ -41,9 +63,10 @@ def enumerated_even_parity(state: np.ndarray, P: int) -> float:
     return total
 
 
-def full_state(circuit: ParallelCircuit, setting: MeasurementSetting) -> np.ndarray:
-    st = branch_states(circuit)
-    ph0, ph1 = st.phi0, st.phi1
+def full_state(v: np.ndarray, P: int, S: int, setting: MeasurementSetting) -> np.ndarray:
+    """GHZ-superposed product of ``P`` branch states ``v^S |j>|0>``."""
+    vs = np.linalg.matrix_power(v, S)
+    ph0, ph1 = vs[:, 0], vs[:, 2]
     if setting is MeasurementSetting.PLUS_I:
         rot = np.kron(np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)]),
                       np.eye(2))
@@ -51,74 +74,45 @@ def full_state(circuit: ParallelCircuit, setting: MeasurementSetting) -> np.ndar
     else:
         branch0 = (ph0, ph1)
     v0, v1 = branch0
-    for _ in range(circuit.P - 1):
+    for _ in range(P - 1):
         v0 = np.kron(v0, ph0)
         v1 = np.kron(v1, ph1)
     return (v0 + v1) / np.sqrt(2.0)
 
 
-class TestBranchStates:
-    def test_ideal_phases(self):
-        circuit = ParallelCircuit(P=1, spec=ideal_spec(1.0), S=1,
-                                  instance=make_instance(0.2))
-        st = branch_states(circuit)
-        phi = circuit.instance.phi
-        expect0 = np.exp(-0.5j * phi) * np.array([1, 0, 0, 0])
-        expect1 = np.exp(+0.5j * phi) * np.array([0, 0, 1, 0])
-        assert np.allclose(st.phi0, expect0, atol=1e-14)
-        assert np.allclose(st.phi1, expect1, atol=1e-14)
-
-    def test_synthesized_close_to_ideal(self):
-        spec = synthesize_shifter(1.0, 10)
-        circuit = ParallelCircuit(P=1, spec=spec, S=1, instance=make_instance(0.5))
-        st = branch_states(circuit)
-        phi = circuit.instance.phi
-        assert np.linalg.norm(st.phi0 - np.exp(-0.5j * phi) * np.eye(4)[:, 0]) <= spec.eps_oc
-        assert np.linalg.norm(st.phi1 - np.exp(+0.5j * phi) * np.eye(4)[:, 2]) <= spec.eps_oc
-
-    def test_sequential_squares_single_step(self):
-        spec = synthesize_shifter(1.0, 10)
-        inst = make_instance(0.3)
-        single = spec.branch_unitary(inst.theta)
-        st = branch_states(ParallelCircuit(P=1, spec=spec, S=2, instance=inst))
-        assert np.allclose(st.phi0, single @ single[:, 0], atol=1e-13)
-        assert abs(np.linalg.norm(st.phi0) - 1.0) <= 1e-12
-        assert abs(np.linalg.norm(st.phi1) - 1.0) <= 1e-12
-
-
 class TestSettingProbability:
     def test_ideal_plus_at_phi_zero(self):
-        circuit = ParallelCircuit(P=1, spec=ideal_spec(1.0), S=1,
-                                  instance=make_instance(0.5))
-        assert setting_probability(circuit, MeasurementSetting.PLUS) == pytest.approx(1.0, abs=1e-14)
+        assert ideal_probabilities(1, make_instance(0.5).phi)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_ideal_p2_closed_form_and_enumeration(self):
-        circuit = ParallelCircuit(P=2, spec=ideal_spec(1.0), S=1,
-                                  instance=make_instance(0.0))
-        p = setting_probability(circuit, MeasurementSetting.PLUS)
+        phi = make_instance(0.0).phi
+        p = ideal_probabilities(2, phi)[0]
         assert p == pytest.approx((1 + math.cos(4.0)) / 2, abs=1e-13)
         assert p == pytest.approx(0.1731781895681957, abs=1e-12)
-        enum = enumerated_even_parity(full_state(circuit, MeasurementSetting.PLUS), 2)
-        assert p == pytest.approx(enum, abs=1e-12)
+        state = full_state(ideal_branch_unitary(1.0, phi), 2, 1, MeasurementSetting.PLUS)
+        assert p == pytest.approx(enumerated_even_parity(state, 2), abs=1e-12)
 
     @pytest.mark.parametrize("P", [1, 2, 3])
     def test_plus_i_closed_form_vs_enumeration(self, P):
-        circuit = ParallelCircuit(P=P, spec=ideal_spec(1.0), S=1,
-                                  instance=make_instance(0.0))
-        p = setting_probability(circuit, MeasurementSetting.PLUS_I)
+        phi = make_instance(0.0).phi
+        p = ideal_probabilities(P, phi)[1]
         assert p == pytest.approx((1 + math.sin(2.0 * P)) / 2, abs=1e-12)
-        enum = enumerated_even_parity(full_state(circuit, MeasurementSetting.PLUS_I), P)
-        assert p == pytest.approx(enum, abs=1e-12)
+        state = full_state(ideal_branch_unitary(1.0, phi), P, 1, MeasurementSetting.PLUS_I)
+        assert p == pytest.approx(enumerated_even_parity(state, P), abs=1e-12)
 
     @pytest.mark.parametrize("P", [1, 2, 3])
     @pytest.mark.parametrize("a", [0.1, 0.5, 0.77])
     def test_synthesized_vs_enumeration(self, P, a):
+        # S = 2 checks that one sequential repetition squares the branch
         spec = synthesize_shifter(1.0, 10)
-        circuit = ParallelCircuit(P=P, spec=spec, S=1, instance=make_instance(a))
-        for setting in MeasurementSetting:
-            p = setting_probability(circuit, setting)
-            enum = enumerated_even_parity(full_state(circuit, setting), P)
-            assert p == pytest.approx(enum, abs=1e-12)
+        inst = make_instance(a)
+        v = build_branch_unitary(spec, inst.theta)
+        for S in (1, 2):
+            circuit = ParallelCircuit(P=P, spec=spec, S=S, instance=inst)
+            for setting in MeasurementSetting:
+                p = setting_probability(circuit, setting)
+                enum = enumerated_even_parity(full_state(v, P, S, setting), P)
+                assert p == pytest.approx(enum, abs=1e-12)
 
     def test_parity_identity_ideal(self):
         # with the exact shifter, both settings match the closed forms
@@ -126,9 +120,7 @@ class TestSettingProbability:
         for a in np.linspace(0.0, 1.0, 11):
             inst = make_instance(float(a))
             for m in (1, 2, 8, 64):
-                circuit = ParallelCircuit(P=m, spec=ideal_spec(1.0), S=1, instance=inst)
-                pp = setting_probability(circuit, MeasurementSetting.PLUS)
-                pi_ = setting_probability(circuit, MeasurementSetting.PLUS_I)
+                pp, pi_ = ideal_probabilities(m, inst.phi)
                 worst = max(worst,
                             abs(pp - (1 + math.cos(m * inst.phi)) / 2),
                             abs(pi_ - (1 + math.sin(m * inst.phi)) / 2))
@@ -150,11 +142,33 @@ class TestSettingProbability:
                     assert beta <= math.sqrt(2.0) * P * state_err + 1e-12
 
 
+class TestEvenParityProbabilities:
+    @pytest.mark.parametrize("S", [1, 3])
+    @pytest.mark.parametrize("P", [1, 2, 7, 256])
+    def test_matches_branch_unitary_route(self, P, S):
+        thetas = np.linspace(0.0, np.pi / 2, 17)
+        for T, L in ((1.0, 10), (4.0, 22)):
+            spec = synthesize_shifter(T, L)
+            probs = even_parity_probabilities(spec, P, S, thetas)
+            assert probs.shape == (len(thetas), 2)
+            for theta, row in zip(thetas, probs):
+                v = build_branch_unitary(spec, theta)
+                for setting, p in zip(MeasurementSetting, row):
+                    assert abs(p - branch_unitary_probability(v, P, S, setting)) <= 1e-11
+
+    @pytest.mark.parametrize("S", [1, 2])
+    @pytest.mark.parametrize("P", [1, 3, 64])
+    def test_batch_equals_single_calls(self, P, S):
+        spec = synthesize_shifter(1.0, 12)
+        thetas = np.linspace(0.0, np.pi / 2, 33)
+        batch = even_parity_probabilities(spec, P, S, thetas)
+        single = np.concatenate([even_parity_probabilities(spec, P, S, [t]) for t in thetas])
+        assert np.array_equal(batch, single)
+
+
 class TestSampling:
     def test_certain_outcomes(self):
-        circuit = ParallelCircuit(P=1, spec=ideal_spec(1.0), S=1,
-                                  instance=make_instance(0.5))
-        p = setting_probability(circuit, MeasurementSetting.PLUS)
+        p = ideal_probabilities(1, make_instance(0.5).phi)[0]
         assert sample_even_parity(p, 1000, seed=1) == 1000
         assert sample_even_parity(0.0, 1000, seed=1) == 0
         assert sample_even_parity(1.0, 1000, seed=1) == 1000
@@ -210,8 +224,8 @@ class TestStatevectorBackend:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_analytic_grid(self, P, n):
         spec = synthesize_shifter(1.0, 10)
-        for a in (0.0, 0.3, 1.0):
-            circuit = ParallelCircuit(P=P, spec=spec, S=1, instance=make_instance(a, n))
+        for a, S in itertools.product((0.0, 0.3, 1.0), (1, 2, 3)):
+            circuit = ParallelCircuit(P=P, spec=spec, S=S, instance=make_instance(a, n))
             for setting in MeasurementSetting:
                 pa = setting_probability(circuit, setting)
                 pv = statevector_even_parity_probability(circuit, setting)

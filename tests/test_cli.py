@@ -11,12 +11,16 @@ from pae.cli import main
     (["--T", "1", "--eps-oc", "2"], "state-error budget must lie in (0, 1)"),
     (["--T", "1", "--L", "7"], "query length must be a positive even integer"),
     (["--T", "0.5", "--L", "2"], "completion failed"),
+    (["--T", "2048", "--L", "2000"], "truncation bound inf >= 1"),
+    (["--T", "nan"], "evolution strength must be positive and finite"),
+    (["--T", "inf", "--L", "10"], "evolution strength must be positive and finite"),
+    (["--T", "inf"], "evolution strength must be positive and finite"),
 ])
 def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
     out = tmp_path / "angles.txt"
     assert main(["angles", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not out.exists()
 
 

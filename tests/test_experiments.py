@@ -110,16 +110,16 @@ class TestRmseSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(circuit, "setting_probability",
-                            counted("prob", circuit.setting_probability))
+        monkeypatch.setattr(circuit, "even_parity_probabilities",
+                            counted("prob", circuit.even_parity_probabilities))
         monkeypatch.setattr(np.random, "default_rng",
                             counted("sample", np.random.default_rng))
         cfg = self.make_cfg(amplitudes=(0.0, 0.3), k_min=1, k_max=3,
                             strategy="full_parallel", backend="analytic",
                             l_table="plus", trials=trials)
         run_rmse_sweep(cfg)
-        steps = sum(range(1, 4))
-        assert calls["prob"] == 2 * 2 * steps                 # independent of trials
+        # one call per step of each K, covering both amplitudes and settings
+        assert calls["prob"] == sum(range(1, 4))              # independent of trials
         assert calls["sample"] == 2 * 3 * trials              # one generator per trial
 
     @pytest.mark.parametrize("backend,strategy", [("ideal", "full_sequential"),

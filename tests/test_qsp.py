@@ -10,7 +10,8 @@ import pytest
 
 from pae import (DomainError, SynthesisError, build_branch_unitary,
                  complete_target, ideal_branch_unitary, load_angles,
-                 make_instance, realized_functions, save_angles, select_L,
+                 make_instance, minimal_query_length, realized_functions,
+                 save_angles, select_L,
                  select_L_empirical, solve_angles, state_error_bound,
                  synthesize_shifter, truncate_target, truncation_error_bound)
 from pae.core_model import build_explicit_oracle, build_grover_unitary
@@ -83,6 +84,14 @@ class TestTruncationBound:
             delta = truncation_error_bound(T, L)
             assert math.isfinite(delta) and 0.0 < delta < 1e-4
         assert truncate_target(256.0, 710).delta == truncation_error_bound(256.0, 710)
+
+    def test_beyond_largest_float_is_inf(self, tmp_path):
+        # log bound about 1021 at T=2048/L=2000: exp used to raise OverflowError
+        assert truncation_error_bound(2048.0, 2000) == math.inf
+        assert state_error_bound(math.inf) == math.inf      # was inf - inf = NaN
+        path = tmp_path / "angles.txt"
+        path.write_text("2048 2000 Wz 0\n" + "0\n" * 2000)
+        assert load_angles(path).eps_oc == math.inf
 
     @pytest.mark.parametrize("T", [0.25, 1.0, 2.0, 8.0, 16.0, 32.0, 48.0])
     def test_matches_closed_form(self, T):
@@ -319,6 +328,24 @@ class TestRotationProduct:
         assert np.array_equal(u[:, 1, 0], -np.conj(u[:, 0, 1]))
 
 
+class TestEigenphaseBlocks:
+    @pytest.mark.parametrize("T,L", [(1.0, 10), (2.0, 20), (4.0, 30), (16.0, 58)])
+    def test_blocks_are_rotation_products(self, T, L):
+        # in the basis ancilla (x) Grover eigenvectors (1, -+i)/sqrt(2), with
+        # eigenvalues e^{+-2i theta}, the branch unitary is block diagonal and
+        # its blocks are the per-eigenphase products at pi/2 +- 2 theta
+        spec = synthesize_shifter(T, L)
+        w = np.kron(np.eye(2), np.array([[1.0, 1.0], [-1.0j, 1.0j]]) / np.sqrt(2.0))
+        for theta in np.linspace(0.0, np.pi / 2, 17):
+            m = w.conj().T @ build_branch_unitary(spec, theta) @ w
+            plus, minus = rotation_product(spec.angles.xi,
+                                           [np.pi / 2 + 2 * theta, np.pi / 2 - 2 * theta])
+            assert np.max(np.abs(m[0::2, 0::2] - plus)) <= 1e-14
+            assert np.max(np.abs(m[1::2, 1::2] - minus)) <= 1e-14
+            assert np.max(np.abs(m[0::2, 1::2])) <= 1e-14
+            assert np.max(np.abs(m[1::2, 0::2])) <= 1e-14
+
+
 class TestSynthesisAtEveryStrength:
     def test_ladder_angles_pinned(self):
         # the same digest the synth_ladder benchmark workload reports:
@@ -385,6 +412,14 @@ class TestResourceSelectors:
             select_L(1.0, 0.0)
         with pytest.raises(DomainError):
             select_L(1.0, 1.5)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, 0.0])
+    def test_strength_domain(self, T):
+        # NaN used to pass the T <= 0 guards and inf to overflow
+        for fn in (synthesize_shifter, minimal_query_length,
+                   lambda t: truncate_target(t, 10)):
+            with pytest.raises(DomainError, match="positive and finite"):
+                fn(T)
 
     def test_empirical_table(self):
         assert [select_L_empirical(t) for t in (1, 2, 4, 8)] == [10, 14, 22, 34]
