@@ -182,13 +182,20 @@ def run_tl_curve(cfg: ExperimentConfig) -> list[TlRow]:
 
 
 def run_single(cfg: ExperimentConfig):
-    """One full run per configured amplitude at ``k_max`` steps."""
+    """One full run per configured amplitude at ``k_max`` steps.
+
+    The schedule and the step probabilities of all amplitudes are computed
+    once; each amplitude then samples with its own trial seed, so every run
+    equals a :func:`driver.run` of that amplitude alone.
+    """
+    amplitudes = _amplitudes(cfg)
+    schedule = _schedule_for(cfg, cfg.k_max)
+    report = driver.resource_report(schedule, cfg.n)
+    probabilities = driver.step_probabilities(
+        [make_instance(a, cfg.n) for a in amplitudes], schedule, cfg.backend)
     out = []
-    for a in _amplitudes(cfg):
-        schedule = _schedule_for(cfg, cfg.k_max)
-        inst = make_instance(a, cfg.n)
-        seed = trial_seed(cfg.seed, a, cfg.k_max, 0)
-        estimate, report, records = driver.run(inst, schedule, seed=seed,
-                                               backend=cfg.backend)
+    for a, probs in zip(amplitudes, probabilities):
+        estimate, records = driver.sample_and_recover(
+            schedule, probs, trial_seed(cfg.seed, a, cfg.k_max, 0))
         out.append((a, estimate, report, records))
     return out

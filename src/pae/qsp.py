@@ -11,9 +11,10 @@ pipeline is:
    by ``J_0 + 2 sum_k J_2k = 1``.
 2. ``complete_target``: nudge the truncated pair ``(A, C)`` until it is
    exactly achievable (``A(0) = 1`` and ``A^2 + C^2 <= 1`` everywhere),
-   staying within ``8*delta`` of the target.  Every iteration evaluates the
-   pair on the certification grid against one cos and one sin table,
-   built once per call.
+   staying within ``8*delta`` of the target.  Every iteration evaluates
+   ``|A + iC|^2`` on the certification grid as the Laurent polynomial of
+   the pair on the unit circle, by Horner's rule in place, so memory stays
+   linear in the grid and independent of ``L``.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``(A, C)`` by layer peeling alone: complete
    ``P = A + iC`` to a unitary with the complementary polynomial ``G``
@@ -160,11 +161,6 @@ def truncate_target(T: float, L: int) -> TruncatedTarget:
                            delta=truncation_error_bound(T, L))
 
 
-def _eval_series(a: np.ndarray, c: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ls = np.arange(len(a))
-    return np.cos(np.outer(thetas, ls)) @ a, np.sin(np.outer(thetas, ls)) @ c
-
-
 def _fejer_kernel_even(dmax: int) -> np.ndarray:
     """Nonnegative cosine series on harmonics {0, 2, .., 2*(dmax//2)} that is
     exactly 1 at theta in {0, pi} and decays in between."""
@@ -195,17 +191,13 @@ def complete_target(target: TruncatedTarget) -> tuple[np.ndarray, np.ndarray]:
     # pinned at 1; the uniform points catch between-node overshoots there
     thetas = np.concatenate([chebyshev_grid(_CERT_GRID),
                              np.linspace(0.0, 2.0 * np.pi, 2 * _CERT_GRID, endpoint=False)])
+    z = np.exp(1j * thetas)
     d = target.L // 2
     ls = np.arange(d + 1)
-    # one cos and one sin table serve every evaluation below; sin is taken
-    # in place of the phases so that at most two tables are alive at once
-    trig = np.outer(thetas, ls)
-    cos_table = np.cos(trig)
-    sin_table = np.sin(trig, out=trig)
     a = target.cos_coeffs.copy()
     c = -target.sin_coeffs.copy()
-    A, C = cos_table @ a, sin_table @ c
-    m = max(0.0, float(np.max(A * A + C * C)) - 1.0)
+    # |A + iC| = |P(z)| on the unit circle, where the z^(-d) shift has modulus 1
+    m = max(0.0, float(np.max(np.abs(_laurent_values(_target_laurent(a, c), z)) ** 2)) - 1.0)
     kernel = np.zeros(d + 1)
     kf = _fejer_kernel_even(d)
     kernel[: len(kf)] = kf
@@ -231,8 +223,7 @@ def complete_target(target: TruncatedTarget) -> tuple[np.ndarray, np.ndarray]:
             if curv > 0.0:
                 mu += 1.5 * curv / l2 ** 2
                 continue
-        A2, C2 = cos_table @ a2, sin_table @ c2
-        gg = A2 * A2 + C2 * C2
+        gg = np.abs(_laurent_values(_target_laurent(a2, c2), z)) ** 2
         ip = int(np.argmax(gg))
         over = float(gg[ip]) - 1.0
         worst = float(thetas[ip])
@@ -295,12 +286,22 @@ def realized_functions(xi: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, 
 def _target_laurent(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Real coefficients ``p_l`` of ``P = A + iC`` on powers ``-d..d``."""
     d = len(a) - 1
-    p = np.zeros(2 * d + 1)
+    p = np.empty(2 * d + 1)
     p[d] = a[0]
-    for l in range(1, d + 1):
-        p[d + l] = (a[l] + c[l]) / 2.0
-        p[d - l] = (a[l] - c[l]) / 2.0
+    p[d + 1:] = (a[1:] + c[1:]) / 2.0
+    p[:d] = ((a[1:] - c[1:]) / 2.0)[::-1]
     return p
+
+
+def _laurent_values(p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``sum_k p_k z^k`` by Horner's rule, updated in place: one array of the
+    grid's size is alive, where a power or trig table would be ``len(p)``
+    times larger."""
+    y = np.full(z.shape, p[-1], dtype=complex)
+    for coeff in p[-2::-1]:
+        y *= z
+        y += coeff
+    return y
 
 
 def _deflate(coeffs_asc: np.ndarray, root: float) -> np.ndarray:
@@ -346,8 +347,8 @@ def _fejer_complement(p: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     f = np.fft.ifft(np.exp(np.fft.fft(cepstrum))).real[: m + 1]
     g = np.convolve(f, [1.0, 0.0, -1.0])[::-1]
     z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 1024, endpoint=False))
-    err = float(np.max(np.abs(np.abs(np.polyval(p[::-1], z)) ** 2
-                              + np.abs(np.polyval(g[::-1], z)) ** 2 - 1.0)))
+    err = float(np.max(np.abs(np.abs(_laurent_values(p, z)) ** 2
+                              + np.abs(_laurent_values(g, z)) ** 2 - 1.0)))
     if not err <= tol:                    # a NaN must fail too
         raise SynthesisError(
             f"complement of degree {d} misses |P|^2 + |G|^2 = 1 by {err:.3g}")
@@ -436,11 +437,13 @@ def solve_angles(a_coeffs: np.ndarray, c_coeffs: np.ndarray, L: int) -> AngleSeq
     """
     if L < 2 or L % 2:
         raise DomainError(f"query length must be a positive even integer, got {L}")
-    xi = _solve_layer_peel(np.asarray(a_coeffs, float), np.asarray(c_coeffs, float), L)
+    a = np.asarray(a_coeffs, float)
+    c = np.asarray(c_coeffs, float)
+    xi = _solve_layer_peel(a, c, L)
     thetas = chebyshev_grid(_SOLVE_GRID)
-    A, C = realized_functions(xi, thetas)
-    At, Ct = _eval_series(a_coeffs, c_coeffs, thetas)
-    residual = float(np.max(np.hypot(A - At, C - Ct)))
+    z = np.exp(1j * thetas)
+    target = _laurent_values(_target_laurent(a, c), z) * z ** (-(len(a) - 1))
+    residual = float(np.max(np.abs(rotation_product(xi, thetas)[:, 0, 0] - target)))
     if residual > _RESIDUAL_TOL:
         raise SynthesisError(
             f"layer-peel solver did not converge for L={L}: residual {residual:.3g}")
@@ -541,6 +544,7 @@ def synthesize_shifter(T: float, L: int | None = None,
 
 def select_L(T: float, eps_oc: float) -> int:
     """Smallest even integer at or above ``e^2 T + 4 ln(1/eps_oc) + 10``."""
+    _check_strength(T)
     if not 0.0 < eps_oc < 1.0:
         raise DomainError(f"state-error budget must lie in (0, 1), got {eps_oc}")
     raw = math.e ** 2 * T + 4.0 * math.log(1.0 / eps_oc) + 10.0
@@ -571,6 +575,7 @@ def minimal_query_length(T: float, threshold: float = BIAS_DELTA_THRESHOLD) -> i
 def select_L_empirical(T: float) -> int:
     """Calibrated query length: bound equality below ``T = 10``, the linear
     fit ``L = 2.72 T + 13.64`` (rounded up to even) at or above it."""
+    _check_strength(T)
     if T >= 10.0:
         return 2 * math.ceil((2.72 * T + 13.64) / 2.0)
     return minimal_query_length(T)

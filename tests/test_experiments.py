@@ -12,7 +12,8 @@ from pae import (PARALLEL_L_TABLE_PLUS, ConfigError, ConfigurationError,
 from pae.circuit import MeasurementSetting, ParallelCircuit
 from pae.cli import main as cli_main
 from pae.experiments import (BiasRow, ResultRow, run_bias_sweep,
-                             run_rmse_sweep, run_tl_curve, trial_seed)
+                             run_rmse_sweep, run_single, run_tl_curve,
+                             trial_seed)
 from pae.plotting import render, rows_to_csv, write_csv
 
 
@@ -188,6 +189,26 @@ class TestBiasSweep:
                                                                      MeasurementSetting.PLUS)))
             return worst
         assert exact_bias(14) < exact_bias(10)
+
+
+class TestRunSingle:
+    @pytest.mark.parametrize("backend,strategy", [("ideal", "full_sequential"),
+                                                  ("analytic", "full_parallel"),
+                                                  ("analytic", "general")])
+    def test_equals_per_amplitude_runs(self, backend, strategy):
+        # one batched probability phase, then one sampling phase per amplitude
+        parallelism = 2 if strategy == "general" else 0
+        cfg = ExperimentConfig(experiment="single_run", amplitudes=(0.05, 0.3, 0.5, 0.77),
+                               k_max=4, strategy=strategy, parallelism=parallelism,
+                               backend=backend, seed=11)
+        schedule = build_schedule(strategy=strategy, k_max=4,
+                                  parallelism=parallelism or None)
+        out = run_single(cfg)
+        assert [a for a, *_ in out] == list(cfg.amplitudes)
+        for a, estimate, report, records in out:
+            expected = run(make_instance(a, cfg.n), schedule,
+                           seed=trial_seed(cfg.seed, a, 4, 0), backend=backend)
+            assert (estimate, report, records) == expected
 
 
 class TestTlCurve:
