@@ -3,7 +3,8 @@ robust phase recovery, and resource benchmarking."""
 
 from .circuit import (CapacityError, MeasurementSetting, ParallelCircuit,
                       even_parity_probabilities, ghz_depth, ideal_setting_probability,
-                      setting_probability, statevector_even_parity_probability)
+                      setting_probability, statevector_even_parity_probabilities,
+                      statevector_even_parity_probability)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .core_model import (AmplitudeInstance, DomainError, ExplicitOracle,
                          GroverPlaneOperator, build_explicit_oracle,

@@ -12,7 +12,12 @@ Two backends compute the even-parity probability:
   identical branches collapses to complex powers, so the cost is
   independent of ``P``; exact, and batched over instance angles.
 * statevector -- the full ``(n+1)P``-qubit state built from the explicit
-  oracle, used to cross-validate the analytic backend at small sizes.
+  oracle and contracted gate by gate with BLAS ``matmul``, used to
+  cross-validate the analytic backend at small sizes.  Both settings come
+  from one state per instance through the parity expectation: the even
+  X-parity probability is ``(1 + <X..X>)/2`` over the ancillas, and the
+  PLUS_I rotation turns ancilla 0's ``X`` into ``Y``.  It shares no code
+  with ``rotation_product``, so the two backends check each other.
 """
 
 from __future__ import annotations
@@ -132,66 +137,81 @@ def ghz_depth(P: int) -> int:
 def _apply_block(state: np.ndarray, gate: np.ndarray, first: int) -> np.ndarray:
     """Apply ``gate`` to the contiguous qubits starting at ``first``."""
     t = state.reshape(2 ** first, len(gate), -1)
-    return np.einsum("ab,ibj->iaj", gate, t).reshape(-1)
-
-def _apply_cnot(state: np.ndarray, control: int, target: int, nq: int) -> np.ndarray:
-    t = state.reshape([2] * nq).copy()
-    idx0 = [slice(None)] * nq
-    idx1 = [slice(None)] * nq
-    idx0[control] = 1
-    idx1[control] = 1
-    idx0[target] = 0
-    idx1[target] = 1
-    a = t[tuple(idx0)].copy()
-    t[tuple(idx0)] = t[tuple(idx1)]
-    t[tuple(idx1)] = a
-    return t.reshape(-1)
+    return np.matmul(gate, t).reshape(-1)
 
 
-def _branch_unitary_full(circuit: ParallelCircuit, oracle_style: str,
-                         oracle_seed) -> np.ndarray:
-    """Shifter on (1 ancilla + n system) qubits from the explicit oracle."""
-    oracle = build_explicit_oracle(circuit.instance, style=oracle_style, seed=oracle_seed)
-    wq = controlled_grover(build_grover_unitary(oracle))
-    return np.linalg.matrix_power(interleaved_shifter(circuit.spec.angles.xi, wq),
-                                  circuit.S)
+def _apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
+    """CNOT from qubit ``control`` to a later qubit ``target``: the
+    ``control = 1`` amplitudes swap their two ``target`` values."""
+    t = state.copy()
+    v = t.reshape(2 ** control, 2, 2 ** (target - control - 1), 2, -1)
+    v[:, 1] = v[:, 1, :, ::-1]
+    return t
+
+
+def _ghz_state(P: int, n: int) -> np.ndarray:
+    """The doubling ladder's GHZ state on the ancillas of ``P`` branches of
+    ``n + 1`` qubits each (qubit order branch by branch, ancilla first)."""
+    anc = [p * (n + 1) for p in range(P)]
+    state = np.zeros(2 ** (P * (n + 1)), dtype=complex)
+    state[0] = 1.0
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    state = _apply_block(state, hadamard, anc[0])
+    for layer in range(ghz_depth(P)):
+        stride = 2 ** layer
+        for i in range(min(stride, P - stride)):
+            state = _apply_cnot(state, anc[i], anc[i + stride])
+    return state
+
+
+def _parity_expectations(state: np.ndarray, P: int, n: int) -> tuple[float, float]:
+    """``<X..X>`` and ``<Y X..X>`` over the ancillas (``Y`` on ancilla 0).
+
+    Flipping every ancilla axis applies ``X`` to each.  Ancilla 0 is the
+    leading qubit, so with ``h_b`` the part of ``<psi|X..X|psi>`` over the
+    half of the state where ancilla 0 reads ``b``, ``<X..X> = Re(h_0 + h_1)``
+    and, as ``Y = -i|0><1| + i|1><0|``, ``<Y X..X> = Im(h_0) - Im(h_1)``."""
+    flipped = np.flip(state.reshape((2, 2 ** n) * P), axis=tuple(range(0, 2 * P, 2)))
+    flipped = flipped.reshape(2, -1)
+    halves = state.reshape(2, -1)
+    h0, h1 = np.vdot(halves[0], flipped[0]), np.vdot(halves[1], flipped[1])
+    return (h0 + h1).real, h0.imag - h1.imag
+
+
+def statevector_even_parity_probabilities(spec: PhaseShifterSpec, P: int, S: int,
+                                          instances, oracle_style: str = "canonical",
+                                          oracle_seed=None) -> np.ndarray:
+    """Even-parity probabilities from the full ``(n+1)P``-qubit state, one
+    row per instance, columns PLUS and PLUS_I.
+
+    Per instance: the explicit oracle's controlled-Grover block, the
+    interleaved shifter to the power ``S`` on each of the ``P`` branches
+    of the GHZ state, then both settings from that one state.  The even
+    X-parity probability is ``(1 + <X..X>)/2``; the PLUS_I setting's
+    ``e^{i pi Z/4}`` on ancilla 0 turns that ancilla's ``X`` into ``Y``.
+    """
+    rows = []
+    for inst in instances:
+        n = inst.n
+        nq = P * (n + 1)
+        if nq > STATEVECTOR_MAX_QUBITS:
+            raise CapacityError(
+                f"{nq} qubits exceed the statevector guard of {STATEVECTOR_MAX_QUBITS}")
+        oracle = build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)
+        wq = controlled_grover(build_grover_unitary(oracle))
+        v = np.linalg.matrix_power(interleaved_shifter(spec.angles.xi, wq), S)
+        state = _ghz_state(P, n)
+        for p in range(P):
+            state = _apply_block(state, v, p * (n + 1))
+        rows.append(_parity_expectations(state, P, n))
+    return np.clip((1.0 + np.array(rows).reshape(-1, 2)) / 2.0, 0.0, 1.0)
 
 
 def statevector_even_parity_probability(circuit: ParallelCircuit,
                                         setting: MeasurementSetting,
                                         oracle_style: str = "canonical",
                                         oracle_seed=None) -> float:
-    """Even-parity probability from the full ``(n+1)P``-qubit state.
-
-    Qubit order: branch by branch, each branch being (ancilla, n system
-    qubits); the GHZ ladder entangles the ancillas in ``ceil(log2 P)`` layers.
-    """
-    P, n = circuit.P, circuit.instance.n
-    nq = P * (n + 1)
-    if nq > STATEVECTOR_MAX_QUBITS:
-        raise CapacityError(
-            f"{nq} qubits exceed the statevector guard of {STATEVECTOR_MAX_QUBITS}")
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    anc = [p * (n + 1) for p in range(P)]
-    state = np.zeros(2 ** nq, dtype=complex)
-    state[0] = 1.0
-    state = _apply_block(state, hadamard.astype(complex), anc[0])
-    for layer in range(ghz_depth(P)):
-        stride = 2 ** layer
-        for i in range(stride):
-            if i + stride < P:
-                state = _apply_cnot(state, anc[i], anc[i + stride], nq)
-    v = _branch_unitary_full(circuit, oracle_style, oracle_seed)
-    for p in range(P):
-        state = _apply_block(state, v, p * (n + 1))
-    if setting is MeasurementSetting.PLUS_I:
-        phase = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
-        state = _apply_block(state, phase, anc[0])
-    for a in anc:
-        state = _apply_block(state, hadamard.astype(complex), a)
-    probs = np.abs(state) ** 2
-    idx = np.arange(2 ** nq)
-    parity = np.zeros(2 ** nq, dtype=np.int64)
-    for a in anc:
-        parity ^= (idx >> (nq - 1 - a)) & 1
-    return min(max(float(np.sum(probs[parity == 0])), 0.0), 1.0)
+    """One setting's column of :func:`statevector_even_parity_probabilities`."""
+    return float(statevector_even_parity_probabilities(
+        circuit.spec, circuit.P, circuit.S, [circuit.instance], oracle_style,
+        oracle_seed)[0, list(MeasurementSetting).index(setting)])

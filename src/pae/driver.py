@@ -205,9 +205,7 @@ def _step_probabilities(instances: list[AmplitudeInstance], st: ScheduleStep,
     spec = qsp.synthesize_shifter(st.t, st.l)
     if backend == "analytic":
         return circ.even_parity_probabilities(spec, st.p, st.s, [inst.theta for inst in instances])
-    return np.array([[circ.statevector_even_parity_probability(
-        circ.ParallelCircuit(P=st.p, spec=spec, S=st.s, instance=inst), setting)
-        for setting in circ.MeasurementSetting] for inst in instances]).reshape(-1, 2)
+    return circ.statevector_even_parity_probabilities(spec, st.p, st.s, instances)
 
 
 def step_probabilities(instances, schedule: Schedule,

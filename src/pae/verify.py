@@ -62,11 +62,9 @@ def check_backend_equivalence() -> tuple[str, bool, str]:
     for a in (0.0, 0.25, 1.0):
         inst = make_instance(a, 2)
         for p, s in ((1, 1), (2, 1), (1, 2), (2, 2)):
-            pc = circ.ParallelCircuit(P=p, spec=spec, S=s, instance=inst)
-            for setting in circ.MeasurementSetting:
-                pa = circ.setting_probability(pc, setting)
-                pv = circ.statevector_even_parity_probability(pc, setting)
-                worst = max(worst, abs(pa - pv))
+            pa = circ.even_parity_probabilities(spec, p, s, [inst.theta])
+            pv = circ.statevector_even_parity_probabilities(spec, p, s, [inst])
+            worst = max(worst, float(np.max(np.abs(pa - pv))))
     return "backend-equivalence", worst <= 1e-10, f"max deviation {worst:.2e}"
 
 

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
-                 build_branch_unitary, even_parity_probabilities, ghz_depth,
-                 ideal_branch_unitary, ideal_setting_probability, make_instance,
-                 setting_probability, statevector_even_parity_probability,
-                 synthesize_shifter)
-from pae.circuit import _parity_probabilities, sample_even_parity
+                 build_branch_unitary, build_explicit_oracle, build_grover_unitary,
+                 even_parity_probabilities, ghz_depth, ideal_branch_unitary,
+                 ideal_setting_probability, make_instance, setting_probability,
+                 statevector_even_parity_probabilities,
+                 statevector_even_parity_probability, synthesize_shifter)
+from pae.circuit import (_apply_block, _apply_cnot, _parity_probabilities,
+                         sample_even_parity)
+from pae.qsp import controlled_grover, interleaved_shifter
 
 _X_ANC = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)).astype(complex)
 _Y_ANC = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.eye(2)).astype(complex)
@@ -78,6 +81,60 @@ def full_state(v: np.ndarray, P: int, S: int, setting: MeasurementSetting) -> np
         v0 = np.kron(v0, ph0)
         v1 = np.kron(v1, ph1)
     return (v0 + v1) / np.sqrt(2.0)
+
+
+def einsum_block(state: np.ndarray, gate: np.ndarray, first: int) -> np.ndarray:
+    """Reference kernel: ``gate`` on the qubits from ``first`` by ``einsum``."""
+    t = state.reshape(2 ** first, len(gate), -1)
+    return np.einsum("ab,ibj->iaj", gate, t).reshape(-1)
+
+
+def literal_cnot(state: np.ndarray, control: int, target: int, nq: int) -> np.ndarray:
+    """Reference CNOT: swap the two ``target`` slices of ``control = 1``."""
+    t = state.reshape([2] * nq).copy()
+    idx0 = [slice(None)] * nq
+    idx1 = [slice(None)] * nq
+    idx0[control] = idx1[control] = 1
+    idx0[target], idx1[target] = 0, 1
+    a = t[tuple(idx0)].copy()
+    t[tuple(idx0)] = t[tuple(idx1)]
+    t[tuple(idx1)] = a
+    return t.reshape(-1)
+
+
+def literal_statevector_probability(spec, P, S, inst, setting, oracle_style="canonical",
+                                    oracle_seed=None) -> float:
+    """Reference statevector route, one setting at a time: the GHZ ladder,
+    ``P`` branch blocks, the setting's phase gate on ancilla 0, a Hadamard
+    on every ancilla, and the probability summed over the even-parity mask."""
+    n = inst.n
+    nq = P * (n + 1)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    anc = [p * (n + 1) for p in range(P)]
+    state = np.zeros(2 ** nq, dtype=complex)
+    state[0] = 1.0
+    state = einsum_block(state, hadamard, anc[0])
+    for layer in range(ghz_depth(P)):
+        stride = 2 ** layer
+        for i in range(stride):
+            if i + stride < P:
+                state = literal_cnot(state, anc[i], anc[i + stride], nq)
+    oracle = build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)
+    wq = controlled_grover(build_grover_unitary(oracle))
+    v = np.linalg.matrix_power(interleaved_shifter(spec.angles.xi, wq), S)
+    for p in range(P):
+        state = einsum_block(state, v, p * (n + 1))
+    if setting is MeasurementSetting.PLUS_I:
+        phase = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
+        state = einsum_block(state, phase, anc[0])
+    for a in anc:
+        state = einsum_block(state, hadamard, a)
+    probs = np.abs(state) ** 2
+    idx = np.arange(2 ** nq)
+    parity = np.zeros(2 ** nq, dtype=np.int64)
+    for a in anc:
+        parity ^= (idx >> (nq - 1 - a)) & 1
+    return min(max(float(np.sum(probs[parity == 0])), 0.0), 1.0)
 
 
 class TestSettingProbability:
@@ -264,6 +321,46 @@ class TestStatevectorBackend:
             cv = sample_even_parity(statevector_even_parity_probability(circuit, setting),
                                     4000, seed=99)
             assert ca == cv
+
+
+class TestStatevectorReadout:
+    @pytest.mark.parametrize("style,seed", [("canonical", None), ("random", 11)])
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_literal_route(self, P, n, style, seed):
+        # both columns from one state against one literal circuit per setting
+        spec = synthesize_shifter(1.0, 10)
+        insts = [make_instance(a, n) for a in (0.0, 0.3, 0.5, 1.0)]
+        for S in (1, 2, 3):
+            probs = statevector_even_parity_probabilities(spec, P, S, insts, style, seed)
+            assert probs.shape == (4, 2)
+            ref = [[literal_statevector_probability(spec, P, S, inst, setting, style, seed)
+                    for setting in MeasurementSetting] for inst in insts]
+            assert np.max(np.abs(probs - np.array(ref))) <= 1e-12
+
+    def test_capacity_guard(self):
+        spec = synthesize_shifter(1.0, 10)
+        with pytest.raises(CapacityError):
+            statevector_even_parity_probabilities(spec, 8, 1, [make_instance(0.5, 2)])
+
+
+class TestStatevectorKernels:
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_matmul_block_matches_einsum(self, width):
+        rng = np.random.default_rng(5)
+        state = rng.standard_normal(2 ** 10) + 1j * rng.standard_normal(2 ** 10)
+        dim = 2 ** width
+        gate = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for first in range(10 - width + 1):     # the last block has a trailing 1
+            got = _apply_block(state, gate, first)
+            assert np.max(np.abs(got - einsum_block(state, gate, first))) <= 1e-13
+
+    def test_cnot_is_the_literal_permutation(self):
+        rng = np.random.default_rng(6)
+        state = rng.standard_normal(2 ** 7) + 1j * rng.standard_normal(2 ** 7)
+        for control, target in itertools.combinations(range(7), 2):
+            got = _apply_cnot(state, control, target)
+            assert np.array_equal(got, literal_cnot(state, control, target, 7))
 
 
 class TestGhzDepth:

@@ -197,6 +197,28 @@ class TestTwoPhases:
             est, _, records = run(inst, sched, seed=seed, backend=backend)
             assert sample_and_recover(sched, probs, seed) == (est, records)
 
+    def test_statevector_builds_one_oracle_per_instance_and_step(self, monkeypatch):
+        import pae.circuit
+        from pae import MeasurementSetting, ParallelCircuit, synthesize_shifter
+        built = []
+        real = pae.circuit.build_explicit_oracle
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pae.circuit, "build_explicit_oracle", counting)
+        sched = build_schedule(strategy="general", k_max=4, parallelism=2)
+        insts = [make_instance(0.3, 3), make_instance(0.8, 3)]
+        probs = step_probabilities(insts, sched, "statevector")
+        assert len(built) == 2 * sched.K
+        for inst, rows in zip(insts, probs):
+            for st, row in zip(sched, rows):
+                pc = ParallelCircuit(P=st.p, spec=synthesize_shifter(st.t, st.l),
+                                     S=st.s, instance=inst)
+                assert row.tolist() == [pae.circuit.statevector_even_parity_probability(
+                    pc, setting) for setting in MeasurementSetting]
+
     def test_seeded_stream_is_unchanged(self):
         # counts recorded when the stream became one generator per trial
         # seed with one binomial draw over the (K, 2) probabilities
