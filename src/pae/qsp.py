@@ -19,13 +19,17 @@ pipeline is:
    product realizes ``(A, C)`` by layer peeling alone: complete
    ``P = A + iC`` to a unitary with the complementary polynomial ``G``
    (``|P|^2 + |G|^2 = 1``, one FFT spectral factorisation, no root finding)
-   and strip one degree at a time, each strip one batched ``2x2`` product
-   over the whole Laurent tensor.  The peel runs at the target's effective
-   degree (at least 2 for a live target, whose core then has length 4) and
-   pads with cancelling pairs; a target that is the identity up to rounding
-   is all cancelling pairs.  The residual check evaluates the realized
-   product (``rotation_product``) in closed form: every factor lies in
-   SU(2), so only the first row is tracked, elementwise over the grid.
+   and strip one degree at a time.  Only the first row ``(P, iG)`` of the
+   Laurent tensor is kept, since the second is its reversed conjugate; each
+   layer's angle comes in closed form from the two end blocks, and each
+   strip is one ``(L, 2) @ (2, 2)`` product with the layer's rank-1
+   projector, so the peel is ``O(L^2)`` with a small constant.  It runs
+   at the target's effective degree (at least 2 for a live target, whose
+   core then has length 4) and pads with cancelling pairs; a target that is
+   the identity up to rounding is all cancelling pairs.  The residual check
+   evaluates the realized product (``rotation_product``) in closed form:
+   every factor lies in SU(2), so only the first row is tracked,
+   elementwise over the grid.
 4. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
    ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
    backend evaluates.  ``interleaved_shifter``, independent of it so that
@@ -355,30 +359,6 @@ def _fejer_complement(p: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     return g
 
 
-def _projector_pair(angle: float) -> tuple[np.ndarray, np.ndarray]:
-    ca, sa = np.cos(angle), np.sin(angle)
-    p = 0.5 * np.array([[1 - ca, -1j * sa], [1j * sa, 1 + ca]])
-    q = 0.5 * np.array([[1 + ca, 1j * sa], [-1j * sa, 1 - ca]])
-    return p, q
-
-
-def _annihilation_rows(cmat: np.ndarray, kind: str) -> list[list[float]]:
-    """Real linear rows in (cos(t/2), sin(t/2)) for C @ v(t) = 0.
-
-    kind 'v': v = (cos(t/2), -i sin(t/2)) spans the q-projector range;
-    kind 'w': v = (sin(t/2),  i cos(t/2)) spans the p-projector range.
-    """
-    rows = []
-    for i in range(2):
-        if kind == "v":
-            cx, cy = cmat[i, 0], -1j * cmat[i, 1]
-        else:
-            cx, cy = 1j * cmat[i, 1], cmat[i, 0]
-        rows.append([cx.real, cy.real])
-        rows.append([cx.imag, cy.imag])
-    return rows
-
-
 def _solve_layer_peel(a: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
     # peel at the effective degree and pad with cancelling pairs: harmonics
     # at rounding level would make the complement factor noise.  A target
@@ -393,38 +373,40 @@ def _solve_layer_peel(a: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
         pad = np.tile([-np.pi / 2, np.pi / 2], (L - 2 * d_eff) // 2)
         return np.concatenate([core, pad])
     p = _target_laurent(a, c)
-    g = _fejer_complement(p)
-    d = L // 2
-    # half-step Laurent tensor of [[P, iG], [iG(1/z), P(1/z)]]
-    u = np.zeros((L + 1, 2, 2), dtype=complex)
-    for l in range(-d, d + 1):
-        u[l + d, 0, 0] += p[l + d]
-        u[l + d, 1, 1] += p[d - l]
-        u[l + d, 0, 1] += 1j * g[l + d]
-        u[l + d, 1, 0] += 1j * g[d - l]
+    # first row (P, iG) of the half-step Laurent tensor of the completed
+    # unitary.  Every layer factor lies in SU(2), so the second row is the
+    # reversed conjugate of the first, u[n-k, 1] = (-conj(y_k), conj(x_k)),
+    # and the end blocks u[0] and u[n] follow from r[0] and r[n] alone
+    r = np.empty((L + 1, 2), dtype=complex)
+    r[:, 0] = p
+    r[:, 1] = 1j * _fejer_complement(p)
     xi = np.zeros(L)
     for j in range(L, 0, -1):
-        ctop, cbot = u[-1], u[0]
+        (x0, y0), (x1, y1) = r[0].tolist(), r[-1].tolist()
         even_slot = j % 2 == 0
-        if even_slot:
-            rows = _annihilation_rows(ctop, "v") + _annihilation_rows(cbot, "w")
+        # the layer angle t annihilates the top block along (cos, -i sin)(t/2)
+        # and the bottom one along (sin, i cos)(t/2), the other way round in
+        # an odd slot: eight real rows in (cos, sin)(t/2), whose Gram matrix
+        # m is 2 [[e, s], [s, f]] here, 2 [[f, -s], [-s, e]] in an odd slot.
+        # Its null direction makes half the angle atan2(2 m01, m00 - m11) + pi
+        e = abs(x1) ** 2 + abs(y0) ** 2
+        f = abs(x0) ** 2 + abs(y1) ** 2
+        if e + f < 1e-26:
+            # degree-deficient: every row entry is below 1e-13, any angle cancels
+            angle = np.pi
         else:
-            rows = _annihilation_rows(ctop, "w") + _annihilation_rows(cbot, "v")
-        mat = np.array(rows)
-        if np.max(np.abs(mat)) < 1e-13:
-            x, y = 0.0, 1.0          # degree-deficient: any angle cancels
-        else:
-            _, _, vt = np.linalg.svd(mat)
-            x, y = vt[-1]
-        angle = 2.0 * np.arctan2(y, x)
-        pm, qm = _projector_pair(angle)
+            s = (x1.conjugate() * y1).imag - (x0.conjugate() * y0).imag
+            angle = (math.atan2(2.0 * s, e - f) if even_slot
+                     else math.atan2(-2.0 * s, f - e)) + np.pi
+        ca, sa = math.cos(angle), math.sin(angle)
+        # the rank-1 projector of the layer; its complement is 1 - pm
+        pm = 0.5 * np.array([[1.0 - ca, -1j * sa], [1j * sa, 1.0 + ca]])
         if even_slot:
             xi[j - 1] = angle
-            shift_minus, shift_plus = pm, qm
+            r = r[:-1] + (r[1:] - r[:-1]) @ pm
         else:
             xi[j - 1] = angle - np.pi
-            shift_minus, shift_plus = qm, pm
-        u = u[:-1] @ shift_plus + u[1:] @ shift_minus
+            r = r[1:] + (r[:-1] - r[1:]) @ pm
     return xi
 
 

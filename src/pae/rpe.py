@@ -131,7 +131,8 @@ def schedule_nu(K: int, k: int, variant: str = "theoretical", beta: float = 0.05
     """Shots per setting at step ``k``.
 
     ``theoretical``: ``1 + ceil(ln(6) (K - k) / (2 (sqrt(6)/8 - beta)^2))``.
-    ``optimized``: ``round(4.0835 (K - k) + nu_final)`` (half to even).
+    ``optimized``: ``round(4.0835 (K - k) + nu_final)`` (half to even),
+    which needs ``nu_final >= 1``: the final step takes the fewest shots.
     """
     if not 1 <= k <= K:
         raise DomainError(f"step index {k} outside 1..{K}")
@@ -140,5 +141,7 @@ def schedule_nu(K: int, k: int, variant: str = "theoretical", beta: float = 0.05
             raise DomainError(f"bias must lie in [0, sqrt(6)/8), got {beta}")
         return 1 + math.ceil(math.log(6.0) * (K - k) / (2.0 * (ROBUSTNESS_LIMIT - beta) ** 2))
     if variant == "optimized":
+        if not nu_final >= 1:
+            raise DomainError(f"final shot count must be >= 1, got {nu_final}")
         return round(4.0835 * (K - k) + nu_final)
     raise DomainError(f"unknown shot-schedule variant {variant!r}")

@@ -34,6 +34,10 @@ def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
      "k_max = 10\nshots = 10\n", "l_table has 9 entries"),
     ("amplitudes = 0.5\nk_max = 3\ntrials = 1\nstrategy = general\n"
      "parallelism = 3\n", "power-of-two parallelism"),
+    ("experiment = rmse_vs_queries\namplitudes = 0.5\nk_max = 1\ntrials = 2\n"
+     "nu_final = 0\n", "final shot count must be >= 1, got 0"),
+    ("experiment = rmse_vs_queries\namplitudes = 0.5\nk_max = 2\ntrials = 2\n"
+     "nu_final = -3\n", "final shot count must be >= 1, got -3"),
 ])
 def test_run_rejects_bad_schedule(tmp_path, capsys, config, message):
     path = tmp_path / "exp.cfg"
@@ -41,5 +45,5 @@ def test_run_rejects_bad_schedule(tmp_path, capsys, config, message):
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not out.exists()

@@ -16,9 +16,10 @@ from pae import (DomainError, SynthesisError, build_branch_unitary,
                  select_L_empirical, solve_angles, state_error_bound,
                  synthesize_shifter, truncate_target, truncation_error_bound)
 from pae.core_model import build_explicit_oracle, build_grover_unitary
-from pae.qsp import (_fejer_complement, _laurent_values, _target_laurent,
-                     chebyshev_grid, controlled_grover, interleaved_shifter,
-                     rotation_product)
+from pae import qsp
+from pae.qsp import (_fejer_complement, _laurent_values, _solve_layer_peel,
+                     _target_laurent, chebyshev_grid, controlled_grover,
+                     interleaved_shifter, rotation_product)
 
 
 def bessel_j_series(order, x, terms=40):
@@ -248,6 +249,65 @@ class TestSolveAngles:
         assert abs(C0[0]) <= 1e-12
 
 
+def svd_layer_peel(a, c, L):
+    """Reference peel: the full ``(L+1, 2, 2)`` Laurent tensor, each angle
+    the smallest right singular vector of the eight annihilation rows."""
+    content = np.maximum(np.abs(a), np.abs(c))
+    alive = np.nonzero(content[1:] > 1e-13 * max(float(np.max(content)), 1.0))[0]
+    d_eff = max(int(alive[-1]) + 1, 2) if len(alive) else 0
+    if 2 * d_eff < L:
+        core = svd_layer_peel(a[: d_eff + 1], c[: d_eff + 1], 2 * d_eff) if d_eff else []
+        return np.concatenate([core, np.tile([-np.pi / 2, np.pi / 2], (L - 2 * d_eff) // 2)])
+    p = _target_laurent(a, c)
+    g = _fejer_complement(p)
+    u = np.empty((L + 1, 2, 2), dtype=complex)
+    u[:, 0, 0], u[:, 1, 1] = p, p[::-1]
+    u[:, 0, 1], u[:, 1, 0] = 1j * g, 1j * g[::-1]
+
+    def rows(cmat, kind):
+        # C @ (cos, -i sin)(t/2) = 0 for kind 'v', C @ (sin, i cos)(t/2) = 0 for 'w'
+        out = []
+        for i in range(2):
+            cx, cy = ((cmat[i, 0], -1j * cmat[i, 1]) if kind == "v"
+                      else (1j * cmat[i, 1], cmat[i, 0]))
+            out += [[cx.real, cy.real], [cx.imag, cy.imag]]
+        return out
+
+    xi = np.zeros(L)
+    for j in range(L, 0, -1):
+        even_slot = j % 2 == 0
+        mat = np.array(rows(u[-1], "v") + rows(u[0], "w") if even_slot
+                       else rows(u[-1], "w") + rows(u[0], "v"))
+        x, y = (0.0, 1.0) if np.max(np.abs(mat)) < 1e-13 else np.linalg.svd(mat)[2][-1]
+        angle = 2.0 * np.arctan2(y, x)
+        ca, sa = np.cos(angle), np.sin(angle)
+        pm = 0.5 * np.array([[1 - ca, -1j * sa], [1j * sa, 1 + ca]])
+        qm = np.eye(2) - pm
+        xi[j - 1] = angle if even_slot else angle - np.pi
+        u = u[:-1] @ qm + u[1:] @ pm if even_slot else u[:-1] @ pm + u[1:] @ qm
+    return xi
+
+
+class TestLayerPeel:
+    @pytest.mark.parametrize("T", [16.0, 48.0, 256.0])
+    def test_matches_svd_reference(self, T):
+        # the SVD's sign is arbitrary, so angles agree modulo 2*pi
+        L = select_L_empirical(T)
+        assert L == {16.0: 58, 48.0: 146, 256.0: 710}[T]
+        a, c = complete_target(truncate_target(T, L))
+        xi = _solve_layer_peel(a, c, L)
+        gap = np.angle(np.exp(1j * (xi - svd_layer_peel(a, c, L))))
+        assert len(xi) == L
+        assert np.max(np.abs(gap)) <= 1e-10
+
+    def test_degree_deficient_end_gives_pi(self, monkeypatch):
+        # harmonic 2 of P is zero and the complement is stubbed to zero, so
+        # both end blocks vanish at the first layer: any angle cancels them
+        monkeypatch.setattr(qsp, "_fejer_complement", lambda p: np.zeros_like(p))
+        xi = _solve_layer_peel(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.1, 0.0]), 4)
+        assert xi[-1] == np.pi
+
+
 class TestBranchUnitary:
     def test_identity_angles(self):
         spec = synthesize_shifter(1e-15, 2)
@@ -394,7 +454,7 @@ class TestSynthesisAtEveryStrength:
         digest = hashlib.sha256()
         for T in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48):
             digest.update(synthesize_shifter(float(T), select_L_empirical(T)).angles.xi.tobytes())
-        assert digest.hexdigest()[:16] == "89ef157c63af309c"
+        assert digest.hexdigest()[:16] == "55e894421833cbfd"
 
     @pytest.mark.parametrize("T", [2.0 ** j for j in range(10)])
     def test_certified_or_loud(self, T):
@@ -405,6 +465,19 @@ class TestSynthesisAtEveryStrength:
             spec = synthesize_shifter(T, L)
         except SynthesisError:
             return
+        assert spec.L == len(spec.angles) == L
+        assert spec.angles.residual <= 1e-8
+        thetas = chebyshev_grid(4096)
+        A, C = realized_functions(spec.angles.xi, thetas)
+        dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
+        assert dev <= 8.0 * truncation_error_bound(T, L)
+
+    @pytest.mark.parametrize("T", [1024.0, 2048.0])
+    def test_large_strength_certified(self, T):
+        # the strengths of K = 11 and 12 sequential schedules must synthesize
+        # at the calibrated length, not merely fail loudly
+        L = select_L_empirical(T)
+        spec = synthesize_shifter(T, L)
         assert spec.L == len(spec.angles) == L
         assert spec.angles.residual <= 1e-8
         thetas = chebyshev_grid(4096)

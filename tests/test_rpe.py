@@ -173,6 +173,14 @@ class TestScheduleNu:
         with pytest.raises(DomainError):
             schedule_nu(3, 1, variant="exotic")
 
+    @pytest.mark.parametrize("nu_final", [0, -3])
+    def test_optimized_rejects_nonpositive_final(self, nu_final):
+        # 0 final shots gave rmse = nan and -3 a negative binomial count; the
+        # final step takes the fewest shots, so every step is refused
+        for k in (1, 3):
+            with pytest.raises(DomainError, match="final shot count"):
+                schedule_nu(3, k, variant="optimized", nu_final=nu_final)
+
 
 class TestEmpiricalMse:
     @pytest.mark.parametrize("K", [3, 5, 7])
