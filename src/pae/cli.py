@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--jobs", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--backend", choices=("analytic", "statevector", "ideal"),
-                       default=None)
+    p_run.add_argument("--backend", choices=driver.BACKENDS, default=None)
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(func=_cmd_run)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from .driver import BACKENDS
+
 EXPERIMENT_KINDS = ("rmse_vs_queries", "rmse_vs_depth", "bias_sweep",
                     "tl_curve", "single_run")
 
@@ -87,7 +89,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"field 'k_min'/'k_max': bad range {cfg.k_min}..{cfg.k_max}")
     if cfg.shots < 1:
         raise ConfigError(f"field 'shots': must be >= 1, got {cfg.shots}")
-    if cfg.backend not in ("analytic", "statevector", "ideal"):
+    if cfg.backend not in BACKENDS:
         raise ConfigError(f"field 'backend': unknown backend {cfg.backend!r}")
     if cfg.l_table not in ("auto", "plus", "plus_i"):
         raise ConfigError(f"field 'l_table': unknown table {cfg.l_table!r}")

@@ -38,7 +38,7 @@ from .core_model import AmplitudeInstance, DomainError
 PARALLEL_L_TABLE_PLUS = (10, 12, 12, 14, 16, 16, 18, 20, 20)
 PARALLEL_L_TABLE_PLUS_I = (12, 14, 14, 14, 16, 16, 18, 20, 20)
 
-_BACKENDS = ("analytic", "statevector", "ideal")
+BACKENDS = ("analytic", "statevector", "ideal")
 
 
 class ConfigurationError(ValueError):
@@ -213,7 +213,7 @@ def step_probabilities(instances, schedule: Schedule,
     """Probability phase: the exact even-parity probabilities, one row per
     step, columns PLUS and PLUS_I, of one instance, ``(K, 2)``, or of a
     sequence of instances, ``(n, K, 2)``, evaluated together step by step."""
-    if backend not in _BACKENDS:
+    if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     single = isinstance(instances, AmplitudeInstance)
     batch = [instances] if single else list(instances)

@@ -4,20 +4,21 @@ The shifter imprints a relative ancilla phase ``T*phi`` (``phi = 2(1-2a)``)
 by interleaving controlled Grover steps with single-qubit x-rotations.  The
 pipeline is:
 
-1. ``truncate_target``: expand ``exp(-i T sin(theta))`` in Bessel
-   coefficients and truncate at harmonic ``L/2``, with a certified
-   factorial error bound ``delta``.  All coefficients come from one pass of
-   Miller's backward recurrence on the ratios ``J_k/J_(k-1)``, normalised
-   by ``J_0 + 2 sum_k J_2k = 1``.
-2. ``complete_target``: nudge the truncated pair ``(A, C)`` until it is
-   exactly achievable (``A(0) = 1`` and ``A^2 + C^2 <= 1`` everywhere),
+1. ``truncate_target``: expand ``exp(-i T sin(theta))`` by Jacobi-Anger as
+   the real Laurent vector ``p`` in ``z = e^{i theta}`` on powers
+   ``-L/2..L/2``, ``J_n(T)`` at ``z^-n`` and ``(-1)^n J_n(T)`` at ``z^n``,
+   with a certified factorial error bound ``delta``.  All coefficients come
+   from one pass of Miller's backward recurrence on the ratios
+   ``J_k/J_(k-1)``, normalised by ``J_0 + 2 sum_k J_2k = 1``.  This one
+   vector is the target's only form from here to the peel.
+2. ``complete_target``: nudge ``p`` until ``P(z) = sum_k p_k z^k`` is
+   exactly achievable (``P(1) = 1`` and ``|P| <= 1`` on the circle),
    staying within ``8*delta`` of the target.  Every iteration evaluates
-   ``|A + iC|^2`` on the certification grid as the Laurent polynomial of
-   the pair on the unit circle, by Horner's rule in place, so memory stays
-   linear in the grid and independent of ``L``.
+   ``|P|^2`` on the certification grid by Horner's rule in place, so memory
+   stays linear in the grid and independent of ``L``.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
-   product realizes ``(A, C)`` by layer peeling alone: complete
-   ``P = A + iC`` to a unitary with the complementary polynomial ``G``
+   product realizes ``P`` by layer peeling alone: complete ``P`` to a
+   unitary with the complementary polynomial ``G``
    (``|P|^2 + |G|^2 = 1``, one FFT spectral factorisation, no root finding)
    and strip one degree at a time.  Only the first row ``(P, iG)`` of the
    Laurent tensor is kept, since the second is its reversed conjugate; each
@@ -25,11 +26,12 @@ pipeline is:
    strip is one ``(L, 2) @ (2, 2)`` product with the layer's rank-1
    projector, so the peel is ``O(L^2)`` with a small constant.  It runs
    at the target's effective degree (at least 2 for a live target, whose
-   core then has length 4) and pads with cancelling pairs; a target that is
-   the identity up to rounding is all cancelling pairs.  The residual check
-   evaluates the realized product (``rotation_product``) in closed form:
-   every factor lies in SU(2), so only the first row is tracked,
-   elementwise over the grid.
+   core then has length 4) and pads with cancelling pairs up to ``L``, the
+   only place that pads; a target that is the identity up to rounding is
+   all cancelling pairs.  The residual check covers the returned sequence,
+   pads included, and evaluates the realized product (``rotation_product``)
+   in closed form: every factor lies in SU(2), so only the first row is
+   tracked, elementwise over the grid.
 4. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
    ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
    backend evaluates.  ``interleaved_shifter``, independent of it so that
@@ -56,6 +58,7 @@ _SOLVE_GRID = 1024
 _CERT_GRID = 4096
 _COMPLETE_ITER = 60
 _RESIDUAL_TOL = 1e-8
+_COMPLEMENT_TOL = 1e-11
 
 
 class SynthesisError(RuntimeError):
@@ -66,21 +69,21 @@ class SynthesisError(RuntimeError):
 class TruncatedTarget:
     """Bessel-coefficient truncation of ``exp(-i T sin(theta))``.
 
-    ``cos_coeffs[l]`` multiplies ``cos(l*theta)`` (nonzero for even ``l``),
-    ``sin_coeffs[l]`` is ``2*J_l(T)`` for odd ``l``; the truncated complex
-    target is ``A(theta) - i * sum_l sin_coeffs[l] sin(l*theta)``.
+    ``coeffs`` is the real Laurent vector on powers ``-L/2..L/2`` of
+    ``z = e^{i theta}``: ``J_n(T)`` at ``z^-n`` and ``(-1)^n J_n(T)`` at
+    ``z^n``, so ``p_n + p_-n`` is the cosine and ``p_n - p_-n`` the
+    ``i sin`` coefficient of harmonic ``n``.
     """
 
     T: float
     L: int
-    cos_coeffs: np.ndarray
-    sin_coeffs: np.ndarray
+    coeffs: np.ndarray
     delta: float
 
 
 @dataclass(frozen=True)
 class AngleSequence:
-    """Rotation angles realizing a completed ``(A, C)`` pair."""
+    """Rotation angles realizing a completed Laurent target."""
 
     xi: np.ndarray
     residual: float = 0.0
@@ -156,38 +159,43 @@ def truncate_target(T: float, L: int) -> TruncatedTarget:
         raise DomainError(f"query length must be a positive even integer, got {L}")
     d = L // 2
     j = _bessel_j(float(T), d)
-    a = np.zeros(d + 1)
-    c = np.zeros(d + 1)
-    a[0] = j[0]
-    a[2::2] = 2.0 * j[2::2]
-    c[1::2] = 2.0 * j[1::2]
-    return TruncatedTarget(T=float(T), L=int(L), cos_coeffs=a, sin_coeffs=c,
+    p = np.concatenate([j[::-1], j[1:]])
+    p[d + 1::2] *= -1.0
+    return TruncatedTarget(T=float(T), L=int(L), coeffs=p,
                            delta=truncation_error_bound(T, L))
 
 
-def _fejer_kernel_even(dmax: int) -> np.ndarray:
-    """Nonnegative cosine series on harmonics {0, 2, .., 2*(dmax//2)} that is
-    exactly 1 at theta in {0, pi} and decays in between."""
-    if dmax < 2:
-        return np.array([1.0])
-    dp = dmax // 2
-    g = np.zeros(2 * dp + 1)
-    g[0] = 1.0 / (dp + 1)
-    for r in range(1, dp + 1):
-        g[2 * r] = 2.0 * (dp + 1 - r) / (dp + 1) ** 2
+def _fejer_kernel_even(d: int) -> np.ndarray:
+    """Laurent vector on powers ``-d..d`` of a nonnegative series on the
+    harmonics {0, 2, .., 2*(d//2)} that is exactly 1 at theta in {0, pi}
+    and decays in between."""
+    dp = d // 2
+    r = np.arange(-dp, dp + 1)
+    g = np.zeros(2 * d + 1)
+    g[d + 2 * r] = (dp + 1 - np.abs(r)) / (dp + 1) ** 2
     return g
 
 
-def complete_target(target: TruncatedTarget) -> tuple[np.ndarray, np.ndarray]:
-    """Adjust the truncated pair into an exactly achievable ``(A, C)``.
+def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and ``i``-sine coefficients of harmonics ``0..d`` of ``p``:
+    ``p_l + p_-l`` (``p_0`` counted once) and ``p_l - p_-l``."""
+    d = (len(p) - 1) // 2
+    cos_part = p[d:].copy()
+    cos_part[1:] += p[d - 1::-1]
+    return cos_part, p[d:] - p[d::-1]
 
-    Returns cosine coefficients ``A`` and sine coefficients ``C`` (already
-    carrying the sign that makes ``A + iC`` approximate
-    ``exp(-i T sin(theta))``) with ``A(0) = 1`` and ``A^2 + C^2 <= 1`` on the
-    certification grid.  Three knobs are used: a global rescale, an
-    even-harmonic kernel shift restoring ``A(0) = 1`` without lifting the
-    off-zero maxima, and a curvature corrector that keeps ``theta = 0`` a
-    local maximum of ``A^2 + C^2`` against the truncation-tail curvature.
+
+def complete_target(target: TruncatedTarget) -> np.ndarray:
+    """Adjust the truncated Laurent vector into an exactly achievable one.
+
+    Returns ``p`` on powers ``-L/2..L/2`` whose ``P(e^{i theta})``
+    approximates ``exp(-i T sin(theta))``, with ``P(1) = 1`` and
+    ``|P| <= 1`` on the certification grid.  Three knobs are used: a global
+    rescale, an even-harmonic kernel shift restoring ``P(1) = 1`` without
+    lifting the off-zero maxima, and a curvature corrector that keeps
+    ``theta = 0`` a local maximum of ``|P|^2`` against the truncation-tail
+    curvature.  ``P(1)`` and the curvature are summed over the folded
+    harmonics, where the odd ones cancel exactly.
     """
     if target.delta >= 1.0:
         raise SynthesisError(f"truncation bound {target.delta:.3g} >= 1; increase L")
@@ -198,15 +206,11 @@ def complete_target(target: TruncatedTarget) -> tuple[np.ndarray, np.ndarray]:
     z = np.exp(1j * thetas)
     d = target.L // 2
     ls = np.arange(d + 1)
-    a = target.cos_coeffs.copy()
-    c = -target.sin_coeffs.copy()
-    # |A + iC| = |P(z)| on the unit circle, where the z^(-d) shift has modulus 1
-    m = max(0.0, float(np.max(np.abs(_laurent_values(_target_laurent(a, c), z)) ** 2)) - 1.0)
-    kernel = np.zeros(d + 1)
-    kf = _fejer_kernel_even(d)
-    kernel[: len(kf)] = kf
+    p = target.coeffs
+    m = max(0.0, float(np.max(np.abs(_laurent_values(p, z)) ** 2)) - 1.0)
+    kernel = _fejer_kernel_even(d)
     l2 = 2 * (d // 2)
-    # a small interior margin keeps A^2+C^2 strictly below 1 away from the
+    # a small interior margin keeps |P|^2 strictly below 1 away from the
     # pinned points, so the later spectral factorization never meets
     # degenerate zeros on the unit circle; capped at 4*delta to stay inside
     # the completion's 8*delta budget
@@ -216,30 +220,30 @@ def complete_target(target: TruncatedTarget) -> tuple[np.ndarray, np.ndarray]:
     worst = 0.0
     for _ in range(_COMPLETE_ITER):
         s = 1.0 + m + extra
-        a2 = a / s
-        c2 = c / s
+        p2 = p / s
         if l2 >= 2:
-            a2[l2] += mu
-            a2[0] -= mu
-        a2 = a2 + (1.0 - np.sum(a2)) * kernel
+            p2[[d - l2, d + l2]] += mu / 2.0
+            p2[d] -= mu
+        p2 += (1.0 - np.sum(_fold(p2)[0])) * kernel
         if l2 >= 2:
-            curv = -np.sum(a2 * ls ** 2) + np.sum(c2 * ls) ** 2
+            cos_part, sin_part = _fold(p2)
+            curv = -np.sum(cos_part * ls ** 2) + np.sum(sin_part * ls) ** 2
             if curv > 0.0:
                 mu += 1.5 * curv / l2 ** 2
                 continue
-        gg = np.abs(_laurent_values(_target_laurent(a2, c2), z)) ** 2
+        gg = np.abs(_laurent_values(p2, z)) ** 2
         ip = int(np.argmax(gg))
         over = float(gg[ip]) - 1.0
         worst = float(thetas[ip])
         if over <= 1e-12:
-            return a2, c2
+            return p2
         if l2 >= 2 and 1.0 - np.cos(l2 * thetas[ip]) <= 0.5:
             mu += max(1.5 * over / max(1.0 - np.cos(l2 * thetas[ip]), 1e-3), 1e-14)
         else:
             extra += max(over, 1e-12)
     raise SynthesisError(
         f"completion failed for T={target.T}, L={target.L}: "
-        f"A^2+C^2 exceeds 1 by {over:.3g} at theta={worst:.6f}")
+        f"|P|^2 exceeds 1 by {over:.3g} at theta={worst:.6f}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +291,6 @@ def realized_functions(xi: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, 
 # Layer peeling: complement the target to a full SU(2)-valued trig polynomial
 # and strip one rotation layer at a time.
 
-def _target_laurent(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Real coefficients ``p_l`` of ``P = A + iC`` on powers ``-d..d``."""
-    d = len(a) - 1
-    p = np.empty(2 * d + 1)
-    p[d] = a[0]
-    p[d + 1:] = (a[1:] + c[1:]) / 2.0
-    p[:d] = ((a[1:] - c[1:]) / 2.0)[::-1]
-    return p
-
-
 def _laurent_values(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``sum_k p_k z^k`` by Horner's rule, updated in place: one array of the
     grid's size is alive, where a power or trig table would be ``len(p)``
@@ -318,7 +312,7 @@ def _deflate(coeffs_asc: np.ndarray, root: float) -> np.ndarray:
     return out[::-1]
 
 
-def _fejer_complement(p: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+def _fejer_complement(p: np.ndarray) -> np.ndarray:
     """Real ``g`` with ``P(z)P(1/z) + G(z)G(1/z) = 1`` on the unit circle.
 
     Spectral factorisation by FFT (the Weiss / log-Hilbert construction):
@@ -328,7 +322,7 @@ def _fejer_complement(p: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     ``log R~`` gives the outer factor ``F`` with ``|F|^2 = R~``; ``G`` is
     ``(1 - z^2) F`` reversed, so its zeros lie inside the disk.  Raises
     :class:`SynthesisError` rather than return a factor that misses
-    ``|P|^2 + |G|^2 = 1`` by more than ``tol``.
+    ``|P|^2 + |G|^2 = 1`` by more than ``_COMPLEMENT_TOL``.
     """
     d = (len(p) - 1) // 2
     r = -np.convolve(p, p[::-1])
@@ -353,35 +347,34 @@ def _fejer_complement(p: np.ndarray, tol: float = 1e-11) -> np.ndarray:
     z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 1024, endpoint=False))
     err = float(np.max(np.abs(np.abs(_laurent_values(p, z)) ** 2
                               + np.abs(_laurent_values(g, z)) ** 2 - 1.0)))
-    if not err <= tol:                    # a NaN must fail too
+    if not err <= _COMPLEMENT_TOL:        # a NaN must fail too
         raise SynthesisError(
             f"complement of degree {d} misses |P|^2 + |G|^2 = 1 by {err:.3g}")
     return g
 
 
-def _solve_layer_peel(a: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
-    # peel at the effective degree and pad with cancelling pairs: harmonics
-    # at rounding level would make the complement factor noise.  A target
-    # with no live harmonic beyond 0 is the identity, all cancelling pairs;
-    # a live one keeps a core of length at least 4, because a length-2 core
-    # with A(0) = 1 realizes only C = 0
-    content = np.maximum(np.abs(a), np.abs(c))
+def _solve_layer_peel(p: np.ndarray, L: int) -> np.ndarray:
+    # peel at the effective degree and pad with cancelling pairs up to L:
+    # harmonics at rounding level would make the complement factor noise.
+    # A target with no live harmonic beyond 0 is the identity, all
+    # cancelling pairs; a live one keeps a core of length at least 4,
+    # because a length-2 core with A(0) = 1 realizes only C = 0
+    d = (len(p) - 1) // 2
+    content = _fold(np.abs(p))[0]       # |p_l| + |p_-l|, |p_0| once
     alive = np.nonzero(content[1:] > 1e-13 * max(float(np.max(content)), 1.0))[0]
-    d_eff = max(int(alive[-1]) + 1, 2) if len(alive) else 0
-    if 2 * d_eff < L:
-        core = _solve_layer_peel(a[: d_eff + 1], c[: d_eff + 1], 2 * d_eff) if d_eff else []
-        pad = np.tile([-np.pi / 2, np.pi / 2], (L - 2 * d_eff) // 2)
-        return np.concatenate([core, pad])
-    p = _target_laurent(a, c)
+    d_eff = min(max(int(alive[-1]) + 1, 2), d) if len(alive) else 0
+    xi = np.tile([-np.pi / 2, np.pi / 2], L // 2)
+    if not d_eff:
+        return xi
+    p = p[d - d_eff:d + d_eff + 1]
     # first row (P, iG) of the half-step Laurent tensor of the completed
     # unitary.  Every layer factor lies in SU(2), so the second row is the
     # reversed conjugate of the first, u[n-k, 1] = (-conj(y_k), conj(x_k)),
     # and the end blocks u[0] and u[n] follow from r[0] and r[n] alone
-    r = np.empty((L + 1, 2), dtype=complex)
+    r = np.empty((len(p), 2), dtype=complex)
     r[:, 0] = p
     r[:, 1] = 1j * _fejer_complement(p)
-    xi = np.zeros(L)
-    for j in range(L, 0, -1):
+    for j in range(2 * d_eff, 0, -1):
         (x0, y0), (x1, y1) = r[0].tolist(), r[-1].tolist()
         even_slot = j % 2 == 0
         # the layer angle t annihilates the top block along (cos, -i sin)(t/2)
@@ -410,21 +403,24 @@ def _solve_layer_peel(a: np.ndarray, c: np.ndarray, L: int) -> np.ndarray:
     return xi
 
 
-def solve_angles(a_coeffs: np.ndarray, c_coeffs: np.ndarray, L: int) -> AngleSequence:
-    """Solve for the angle sequence realizing a completed ``(A, C)`` pair by
-    layer peeling.
+def solve_angles(p: np.ndarray, L: int) -> AngleSequence:
+    """Solve for the ``L`` angles realizing a completed Laurent target ``p``
+    (odd length, degree ``(len(p) - 1) / 2 <= L / 2``) by layer peeling.
 
-    Raises :class:`SynthesisError` when the realized functions miss the
-    target by more than ``1e-8`` on the solving grid.
+    Raises :class:`DomainError` for any other ``p`` or ``L``, and
+    :class:`SynthesisError` when the realized sequence, padding included,
+    misses the target by more than ``1e-8`` on the solving grid.
     """
     if L < 2 or L % 2:
         raise DomainError(f"query length must be a positive even integer, got {L}")
-    a = np.asarray(a_coeffs, float)
-    c = np.asarray(c_coeffs, float)
-    xi = _solve_layer_peel(a, c, L)
+    p = np.asarray(p, float)
+    if p.ndim != 1 or len(p) % 2 == 0 or len(p) - 1 > L:
+        raise DomainError(f"a length-{L} sequence cannot realize a target of "
+                          f"{p.size} Laurent coefficients")
+    xi = _solve_layer_peel(p, L)
     thetas = chebyshev_grid(_SOLVE_GRID)
     z = np.exp(1j * thetas)
-    target = _laurent_values(_target_laurent(a, c), z) * z ** (-(len(a) - 1))
+    target = _laurent_values(p, z) * z ** (-((len(p) - 1) // 2))
     residual = float(np.max(np.abs(rotation_product(xi, thetas)[:, 0, 0] - target)))
     if residual > _RESIDUAL_TOL:
         raise SynthesisError(
@@ -508,16 +504,12 @@ def synthesize_shifter(T: float, L: int | None = None,
     if key not in _shifter_cache:
         # beyond the length where the truncation bound reaches rounding
         # level, extra layers cannot improve a double-precision synthesis;
-        # solve there and pad with cancelling pairs.  A failed solve raises.
+        # truncate there and let the peel pad up to L.  A failed solve raises.
         l_solve = L
         while l_solve > 4 and truncation_error_bound(T, l_solve - 2) < 1e-10:
             l_solve -= 2
         target = truncate_target(T, l_solve)
-        angles = solve_angles(*complete_target(target), l_solve)
-        if l_solve < L:
-            xi = np.concatenate([angles.xi,
-                                 np.tile([-np.pi / 2, np.pi / 2], (L - l_solve) // 2)])
-            angles = AngleSequence(xi=xi, residual=angles.residual)
+        angles = solve_angles(complete_target(target), L)
         _shifter_cache[key] = PhaseShifterSpec(
             T=float(T), L=int(L), angles=angles,
             eps_oc=state_error_bound(target.delta))
@@ -582,9 +574,14 @@ def load_angles(path) -> PhaseShifterSpec:
     if convention != "Wz":
         raise ValueError(f"angle file uses convention {convention!r}, expected 'Wz'")
     T, L = float(t_str), int(l_str)
-    xi = np.array([float(v) for v in lines[1:1 + L]])
+    _check_strength(T)
+    if L < 2 or L % 2:
+        raise ValueError(f"angle file needs an even query length >= 2, header says {L}")
+    xi = np.array([float(v) for v in lines[1:]])
     if len(xi) != L:
         raise ValueError(f"angle file holds {len(xi)} angles, header says {L}")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("angle file holds a non-finite angle")
     angles = AngleSequence(xi=xi, residual=float(res_str))
     return PhaseShifterSpec(T=T, L=L, angles=angles,
                             eps_oc=state_error_bound(truncation_error_bound(T, L)))

@@ -37,8 +37,7 @@ def test_01_qsp_certification():
     thetas = chebyshev_grid(4096)
     for T, L in [(1, 10), (2, 14), (4, 22), (8, 34)]:
         target = truncate_target(T, L)
-        a, c = complete_target(target)
-        seq = solve_angles(a, c, L)
+        seq = solve_angles(complete_target(target), L)
         A, C = realized_functions(seq.xi, thetas)
         dev = float(np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas)))))
         worst_ratio = max(worst_ratio, dev / (8.0 * target.delta))

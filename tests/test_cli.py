@@ -47,3 +47,11 @@ def test_run_rejects_bad_schedule(tmp_path, capsys, config, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_verify_passes(capsys):
+    # one PASS line per built-in invariant suite, and exit status 0
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("PASS") for line in lines) == 7
+    assert not any("FAIL" in line for line in lines)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pae import (DomainError, SynthesisError, build_branch_unitary,
-                 complete_target, ideal_branch_unitary, load_angles,
+                 build_schedule, complete_target, ideal_branch_unitary, load_angles,
                  make_instance, minimal_query_length, realized_functions,
                  save_angles, select_L,
                  select_L_empirical, solve_angles, state_error_bound,
@@ -18,8 +18,8 @@ from pae import (DomainError, SynthesisError, build_branch_unitary,
 from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae import qsp
 from pae.qsp import (_fejer_complement, _laurent_values, _solve_layer_peel,
-                     _target_laurent, chebyshev_grid, controlled_grover,
-                     interleaved_shifter, rotation_product)
+                     chebyshev_grid, controlled_grover, interleaved_shifter,
+                     rotation_product)
 
 
 def bessel_j_series(order, x, terms=40):
@@ -31,12 +31,21 @@ def bessel_j_series(order, x, terms=40):
     return total
 
 
+def cos_sin(p):
+    """Cosine and i-sine coefficients ``p_l + p_-l`` (``p_0`` once) and
+    ``p_l - p_-l`` of harmonics ``0..d`` of a Laurent vector."""
+    d = (len(p) - 1) // 2
+    a = p[d:] + p[d::-1]
+    a[0] = p[d]
+    return a, p[d:] - p[d::-1]
+
+
 class TestTruncateTarget:
     def test_tiny_strength(self):
-        t = truncate_target(1e-14, 6)
-        assert t.cos_coeffs[0] == pytest.approx(1.0, abs=1e-14)
-        assert np.max(np.abs(t.cos_coeffs[1:])) <= 1e-13
-        assert np.max(np.abs(t.sin_coeffs)) <= 1e-13
+        a, c = cos_sin(truncate_target(1e-14, 6).coeffs)
+        assert a[0] == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(a[1:])) <= 1e-13
+        assert np.max(np.abs(c)) <= 1e-13
 
     def test_delta_bound_value(self):
         # 4 * 1 / (2^6 * 6!) for T=1, L=10
@@ -45,20 +54,19 @@ class TestTruncateTarget:
         assert t.delta == pytest.approx(8.680555555555556e-05, rel=1e-12)
 
     def test_leading_coefficient_is_j0(self):
-        t = truncate_target(1.0, 10)
-        assert t.cos_coeffs[0] == pytest.approx(bessel_j_series(0, 1.0), abs=1e-14)
-        assert t.cos_coeffs[0] == pytest.approx(0.7651976865579666, abs=1e-13)
+        p = truncate_target(1.0, 10).coeffs
+        assert p[5] == pytest.approx(bessel_j_series(0, 1.0), abs=1e-14)
+        assert p[5] == pytest.approx(0.7651976865579666, abs=1e-13)
 
     @pytest.mark.parametrize("T", [1e-6, 0.3, 1.0, 2.0, 2.404825557695773, 5.0])
     def test_coefficients_against_series(self, T):
-        t = truncate_target(T, 14)
-        assert t.cos_coeffs[0] == pytest.approx(bessel_j_series(0, T), abs=1e-13)
+        # Jacobi-Anger: J_l at z^-l and (-1)^l J_l at z^l
+        p = truncate_target(T, 14).coeffs
+        assert p[7] == pytest.approx(bessel_j_series(0, T), abs=1e-13)
         for l in range(1, 8):
             ref = 2.0 * bessel_j_series(l, T)
-            if l % 2 == 0:
-                assert t.cos_coeffs[l] == pytest.approx(ref, abs=1e-13)
-            else:
-                assert t.sin_coeffs[l] == pytest.approx(ref, abs=1e-13)
+            assert 2.0 * p[7 - l] == pytest.approx(ref, abs=1e-13)
+            assert 2.0 * p[7 + l] == pytest.approx((-1) ** l * ref, abs=1e-13)
 
     @pytest.mark.parametrize("T", [1e-300, 1e-15, 1e-6, 2.404825557695773,
                                    3.8317059702075125, 48.0, 256.0, 2048.0])
@@ -68,11 +76,11 @@ class TestTruncateTarget:
         # so 2*jv would miss its own tolerance
         special = pytest.importorskip("scipy.special")
         L = 2 * math.ceil(1.4 * T + 8)             # d = L/2 >= 1.4 T
-        t = truncate_target(T, L)
-        assert np.all(np.isfinite(t.cos_coeffs)) and np.all(np.isfinite(t.sin_coeffs))
-        assert np.all(t.cos_coeffs[1::2] == 0.0) and np.all(t.sin_coeffs[0::2] == 0.0)
-        j = (t.cos_coeffs + t.sin_coeffs) / 2.0
-        j[0] = t.cos_coeffs[0]
+        p = truncate_target(T, L).coeffs
+        a, c = cos_sin(p)
+        assert len(p) == L + 1 and np.all(np.isfinite(p))
+        assert np.all(a[1::2] == 0.0) and np.all(c[0::2] == 0.0)
+        j = p[L // 2::-1]
         assert np.max(np.abs(j - special.jv(np.arange(L // 2 + 1), T))) <= 5e-14
 
     def test_odd_length_rejected(self):
@@ -104,14 +112,16 @@ class TestTruncationBound:
             assert truncation_error_bound(T, L) == pytest.approx(closed, rel=1e-12)
 
 
-def eval_pair(a, c, thetas):
+def eval_pair(p, thetas):
+    """``(A, C)`` with ``A + iC = P(e^{i theta})``, summed as trig series."""
+    a, c = cos_sin(p)
     ls = np.arange(len(a))
     return np.cos(np.outer(thetas, ls)) @ a, np.sin(np.outer(thetas, ls)) @ c
 
 
 class TestCompleteTarget:
     def test_near_zero_strength_unchanged(self):
-        a, c = complete_target(truncate_target(1e-15, 4))
+        a, c = cos_sin(complete_target(truncate_target(1e-15, 4)))
         assert a[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(a[1:])) <= 1e-12
         assert np.max(np.abs(c)) <= 1e-12
@@ -119,22 +129,22 @@ class TestCompleteTarget:
     @pytest.mark.parametrize("T,L", [(1, 10), (2, 14), (4, 22), (8, 34)])
     def test_within_8delta_of_exponential(self, T, L):
         target = truncate_target(T, L)
-        a, c = complete_target(target)
+        p = complete_target(target)
         thetas = chebyshev_grid(4096)
-        A, C = eval_pair(a, c, thetas)
+        A, C = eval_pair(p, thetas)
         dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
         assert dev <= 8 * target.delta
 
     @pytest.mark.parametrize("T,L", [(1, 10), (4, 22), (1, 20)])
     def test_feasibility(self, T, L):
-        a, c = complete_target(truncate_target(T, L))
+        p = complete_target(truncate_target(T, L))
         thetas = chebyshev_grid(4096)
-        A, C = eval_pair(a, c, thetas)
-        assert np.sum(a) == pytest.approx(1.0, abs=1e-14)     # A(0) = 1
+        A, C = eval_pair(p, thetas)
+        assert np.sum(cos_sin(p)[0]) == pytest.approx(1.0, abs=1e-14)     # A(0) = 1
         assert float(np.max(A * A + C * C)) - 1.0 <= 1e-12    # margin >= 0
 
     def test_parity_structure(self):
-        a, c = complete_target(truncate_target(2.0, 14))
+        a, c = cos_sin(complete_target(truncate_target(2.0, 14)))
         assert np.max(np.abs(a[1::2])) == 0.0   # cosine part even harmonics only
         assert np.max(np.abs(c[0::2])) == 0.0   # sine part odd harmonics only
 
@@ -144,18 +154,19 @@ class TestLaurentValues:
     def test_matches_trig_series(self, T, L):
         # on the dyadic grid theta_j = j/128 every l*theta_j is exact, so the
         # direct series is accurate to rounding of its terms
-        a, c = complete_target(truncate_target(T, L))
+        p = complete_target(truncate_target(T, L))
         thetas = np.arange(1024) / 128.0
         z = np.exp(1j * thetas)
-        got = _laurent_values(_target_laurent(a, c), z) * z ** (-(L // 2))
-        A, C = eval_pair(a, c, thetas)
+        got = _laurent_values(p, z) * z ** (-(L // 2))
+        A, C = eval_pair(p, thetas)
         assert np.max(np.abs(got - (A + 1j * C))) <= 1e-13
 
     def test_modulus_against_extended_precision(self):
         mpmath = pytest.importorskip("mpmath")
-        a, c = complete_target(truncate_target(256.0, 710))
+        p = complete_target(truncate_target(256.0, 710))
+        a, c = cos_sin(p)
         thetas = chebyshev_grid(60)
-        got = np.abs(_laurent_values(_target_laurent(a, c), np.exp(1j * thetas))) ** 2
+        got = np.abs(_laurent_values(p, np.exp(1j * thetas))) ** 2
         with mpmath.workdps(40):
             ref = []
             for theta in thetas:
@@ -170,8 +181,7 @@ class TestLaurentValues:
         # trig table at this length would take 133 MiB
         tracemalloc.start()
         try:
-            a, c = complete_target(truncate_target(512.0, 1408))
-            solve_angles(a, c, 1408)
+            solve_angles(complete_target(truncate_target(512.0, 1408)), 1408)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -183,8 +193,7 @@ class TestComplement:
     def test_unit_modulus_pair(self, T):
         # T=64 is where the root-finding complement broke down
         L = select_L_empirical(T)
-        a, c = complete_target(truncate_target(T, L))
-        p = _target_laurent(a, c)
+        p = complete_target(truncate_target(T, L))
         g = _fejer_complement(p)
         d = L // 2
         z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 3001))
@@ -197,38 +206,51 @@ class TestComplement:
     def test_rounding_level_remainder(self, T, L):
         # 1 - |P|^2 is at rounding level here, so R~ dips below zero by
         # rounding: the factor must still certify and the peel converge
-        a, c = complete_target(truncate_target(T, L))
-        assert solve_angles(a, c, L).residual <= 1e-8
+        p = complete_target(truncate_target(T, L))
+        assert solve_angles(p, L).residual <= 1e-8
 
     def test_rejects_modulus_above_one(self):
         # A(0) = 1 pins the double zeros at z = +-1, but |P|^2 = 1.28 at pi/2
-        p = _target_laurent(np.array([0.9, 0.0, 0.1]), np.array([0.0, 0.8, 0.0]))
+        p = np.array([0.05, -0.4, 0.9, 0.4, 0.05])      # A = (0.9, 0, 0.1), C = (0, 0.8, 0)
         with pytest.raises(SynthesisError):
             _fejer_complement(p)
 
     def test_rejects_unpinned_target(self):
         # |P| <= 0.8 < 1, but without the zeros at z = +-1 that the
         # factorisation divides out
-        p = _target_laurent(np.array([0.5, 0.0, 0.3]), np.zeros(3))
+        p = np.array([0.15, 0.0, 0.5, 0.0, 0.15])       # A = (0.5, 0, 0.3), C = 0
         with pytest.raises(SynthesisError):
             _fejer_complement(p)
 
 
 class TestSolveAngles:
     def test_identity_target(self):
-        a = np.array([1.0, 0.0])
-        c = np.array([0.0, 0.0])
         thetas = chebyshev_grid(512)
-        seq = solve_angles(a, c, 2)
+        seq = solve_angles(np.array([0.0, 1.0, 0.0]), 2)
         A, C = realized_functions(seq.xi, thetas)
         assert np.max(np.hypot(A - 1.0, C)) <= 1e-10
         assert seq.residual <= 1e-10
         assert len(seq) == 2
 
+    def test_pads_beyond_target_degree(self):
+        # a degree-5 target in a length-20 sequence: the peel pads with
+        # cancelling pairs, and the residual covers the padded sequence
+        p = complete_target(truncate_target(1.0, 10))
+        seq = solve_angles(p, 20)
+        assert len(seq) == 20 and seq.residual <= 1e-8
+        assert np.array_equal(seq.xi[10:], np.tile([-np.pi / 2, np.pi / 2], 5))
+        assert np.array_equal(seq.xi[:10], solve_angles(p, 10).xi)
+
+    @pytest.mark.parametrize("p,L", [(np.zeros(4), 4), (np.zeros(7), 4),
+                                     (np.zeros((3, 3)), 4), (np.zeros(0), 4),
+                                     (np.array([0.0, 1.0, 0.0]), 3)])
+    def test_rejects_misfit_target(self, p, L):
+        with pytest.raises(DomainError):
+            solve_angles(p, L)
+
     @pytest.mark.parametrize("T,L", [(2, 14), (4, 22), (8, 34)])
     def test_layer_peel_residual(self, T, L):
-        a, c = complete_target(truncate_target(T, L))
-        seq = solve_angles(a, c, L)
+        seq = solve_angles(complete_target(truncate_target(T, L)), L)
         assert seq.residual <= 1e-8
 
     def test_realized_functions_normalized(self):
@@ -249,16 +271,17 @@ class TestSolveAngles:
         assert abs(C0[0]) <= 1e-12
 
 
-def svd_layer_peel(a, c, L):
+def svd_layer_peel(p, L):
     """Reference peel: the full ``(L+1, 2, 2)`` Laurent tensor, each angle
     the smallest right singular vector of the eight annihilation rows."""
+    a, c = cos_sin(p)
     content = np.maximum(np.abs(a), np.abs(c))
     alive = np.nonzero(content[1:] > 1e-13 * max(float(np.max(content)), 1.0))[0]
     d_eff = max(int(alive[-1]) + 1, 2) if len(alive) else 0
     if 2 * d_eff < L:
-        core = svd_layer_peel(a[: d_eff + 1], c[: d_eff + 1], 2 * d_eff) if d_eff else []
+        d = (len(p) - 1) // 2
+        core = svd_layer_peel(p[d - d_eff:d + d_eff + 1], 2 * d_eff) if d_eff else []
         return np.concatenate([core, np.tile([-np.pi / 2, np.pi / 2], (L - 2 * d_eff) // 2)])
-    p = _target_laurent(a, c)
     g = _fejer_complement(p)
     u = np.empty((L + 1, 2, 2), dtype=complex)
     u[:, 0, 0], u[:, 1, 1] = p, p[::-1]
@@ -294,9 +317,9 @@ class TestLayerPeel:
         # the SVD's sign is arbitrary, so angles agree modulo 2*pi
         L = select_L_empirical(T)
         assert L == {16.0: 58, 48.0: 146, 256.0: 710}[T]
-        a, c = complete_target(truncate_target(T, L))
-        xi = _solve_layer_peel(a, c, L)
-        gap = np.angle(np.exp(1j * (xi - svd_layer_peel(a, c, L))))
+        p = complete_target(truncate_target(T, L))
+        xi = _solve_layer_peel(p, L)
+        gap = np.angle(np.exp(1j * (xi - svd_layer_peel(p, L))))
         assert len(xi) == L
         assert np.max(np.abs(gap)) <= 1e-10
 
@@ -304,7 +327,7 @@ class TestLayerPeel:
         # harmonic 2 of P is zero and the complement is stubbed to zero, so
         # both end blocks vanish at the first layer: any angle cancels them
         monkeypatch.setattr(qsp, "_fejer_complement", lambda p: np.zeros_like(p))
-        xi = _solve_layer_peel(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.1, 0.0]), 4)
+        xi = _solve_layer_peel(np.array([0.0, -0.05, 1.0, 0.05, 0.0]), 4)
         assert xi[-1] == np.pi
 
 
@@ -456,26 +479,11 @@ class TestSynthesisAtEveryStrength:
             digest.update(synthesize_shifter(float(T), select_L_empirical(T)).angles.xi.tobytes())
         assert digest.hexdigest()[:16] == "55e894421833cbfd"
 
-    @pytest.mark.parametrize("T", [2.0 ** j for j in range(10)])
+    @pytest.mark.parametrize("T", [2.0 ** j for j in range(12)])
     def test_certified_or_loud(self, T):
-        # every strength a K <= 10 sequential schedule asks for either meets
-        # the certificate or raises SynthesisError: no hang, no overflow
-        L = select_L_empirical(T)
-        try:
-            spec = synthesize_shifter(T, L)
-        except SynthesisError:
-            return
-        assert spec.L == len(spec.angles) == L
-        assert spec.angles.residual <= 1e-8
-        thetas = chebyshev_grid(4096)
-        A, C = realized_functions(spec.angles.xi, thetas)
-        dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
-        assert dev <= 8.0 * truncation_error_bound(T, L)
-
-    @pytest.mark.parametrize("T", [1024.0, 2048.0])
-    def test_large_strength_certified(self, T):
-        # the strengths of K = 11 and 12 sequential schedules must synthesize
-        # at the calibrated length, not merely fail loudly
+        # every strength of a K <= 12 sequential schedule must synthesize at
+        # the calibrated length and meet the certificate; a SynthesisError
+        # fails the test like any other error
         L = select_L_empirical(T)
         spec = synthesize_shifter(T, L)
         assert spec.L == len(spec.angles) == L
@@ -484,6 +492,26 @@ class TestSynthesisAtEveryStrength:
         A, C = realized_functions(spec.angles.xi, thetas)
         dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
         assert dev <= 8.0 * truncation_error_bound(T, L)
+
+    @pytest.mark.parametrize("schedule", [
+        build_schedule(strategy="full_sequential", k_max=7, certified=True),
+        build_schedule(strategy="general", k_max=7, parallelism=4, certified=True)],
+        ids=["full_sequential", "general"])
+    def test_certified_schedule_synthesizes(self, schedule):
+        # certified lengths run far beyond where the truncation bound meets
+        # rounding; synthesis truncates at the shortest length whose bound is
+        # below 1e-10, pads with cancelling pairs, and is certified there
+        thetas = chebyshev_grid(4096)
+        for st in schedule:
+            spec = synthesize_shifter(st.t, st.l)
+            assert spec.L == len(spec.angles) == st.l
+            assert spec.angles.residual <= 1e-8
+            l_solve = st.l
+            while l_solve > 4 and truncation_error_bound(st.t, l_solve - 2) < 1e-10:
+                l_solve -= 2
+            A, C = realized_functions(spec.angles.xi, thetas)
+            dev = np.max(np.abs(A + 1j * C - np.exp(-1j * st.t * np.sin(thetas))))
+            assert dev <= 8.0 * truncation_error_bound(st.t, l_solve)
 
     @pytest.mark.parametrize("T", [1e-300, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3, 0.01, 0.03])
     def test_small_strength_certified(self, T):
@@ -584,6 +612,42 @@ class TestSerialization:
         save_angles(path, spec)
         path.write_text(path.read_text().replace(" Wz ", " Wx ", 1))
         with pytest.raises(ValueError, match="convention"):
+            load_angles(path)
+
+    def test_rejects_nan_strength(self, tmp_path):
+        # loading it would give eps_oc = nan
+        path = tmp_path / "angles.txt"
+        path.write_text("nan 4 Wz 0\n" + "0\n" * 4)
+        with pytest.raises(DomainError, match="positive and finite"):
+            load_angles(path)
+
+    def test_rejects_negative_strength(self, tmp_path):
+        path = tmp_path / "angles.txt"
+        path.write_text("-1 4 Wz 0\n" + "0\n" * 4)
+        with pytest.raises(DomainError, match="positive and finite"):
+            load_angles(path)
+
+    def test_rejects_odd_length(self, tmp_path):
+        path = tmp_path / "angles.txt"
+        path.write_text("1 3 Wz 0\n" + "0\n" * 3)
+        with pytest.raises(ValueError, match="even"):
+            load_angles(path)
+
+    def test_rejects_extra_angles(self, tmp_path):
+        spec = synthesize_shifter(1.0, 10)
+        path = tmp_path / "angles.txt"
+        save_angles(path, spec)
+        path.write_text(path.read_text() + "0.5\n")
+        with pytest.raises(ValueError, match="11 angles, header says 10"):
+            load_angles(path)
+
+    def test_rejects_missing_and_nonfinite_angles(self, tmp_path):
+        path = tmp_path / "angles.txt"
+        path.write_text("1 4 Wz 0\n" + "0\n" * 3)
+        with pytest.raises(ValueError, match="3 angles, header says 4"):
+            load_angles(path)
+        path.write_text("1 4 Wz 0\n0\nnan\n0\n0\n")
+        with pytest.raises(ValueError, match="finite"):
             load_angles(path)
 
 
