@@ -13,7 +13,7 @@ import dataclasses
 import os
 import sys
 
-from . import driver, experiments, plotting, qsp, verify
+from . import circuit, driver, experiments, plotting, qsp, verify
 from .config import ConfigError, parse_config, validate_config
 from .core_model import DomainError
 
@@ -99,7 +99,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, driver.ConfigurationError, DomainError, qsp.SynthesisError,
-            FileNotFoundError) as exc:
+            circuit.CapacityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

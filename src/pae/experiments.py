@@ -87,8 +87,11 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     serves the whole sweep, and its workers receive finished probabilities
     with a chunk of trial seeds, so they never synthesize or simulate.
     """
-    schedules = {K: _schedule_for(cfg, K) for K in range(cfg.k_min, cfg.k_max + 1)}
     amplitudes = _amplitudes(cfg)
+    if not amplitudes:
+        raise driver.ConfigurationError(
+            f"{cfg.experiment} needs 'amplitudes' or 'amplitude_grid'")
+    schedules = {K: _schedule_for(cfg, K) for K in range(cfg.k_min, cfg.k_max + 1)}
     instances = [make_instance(a, cfg.n) for a in amplitudes]
     probabilities = {K: driver.step_probabilities(instances, schedule, cfg.backend)
                      for K, schedule in schedules.items()}

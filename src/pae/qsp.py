@@ -14,13 +14,17 @@ pipeline is:
 2. ``complete_target``: nudge ``p`` until ``P(z) = sum_k p_k z^k`` is
    exactly achievable (``P(1) = 1`` and ``|P| <= 1`` on the circle),
    staying within ``8*delta`` of the target.  Every iteration evaluates
-   ``|P|^2`` on the certification grid by Horner's rule in place, so memory
-   stays linear in the grid and independent of ``L``.
+   ``|P|^2`` on the certification grid: by Horner's rule in place on its
+   4096 Chebyshev points, and by one FFT of the coefficients, folded mod
+   the grid size, on its 8192 uniform points.  Memory stays linear in the
+   grid and independent of ``L``; the constant grids are built on first use.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``P`` by layer peeling alone: complete ``P`` to a
    unitary with the complementary polynomial ``G``
-   (``|P|^2 + |G|^2 = 1``, one FFT spectral factorisation, no root finding)
-   and strip one degree at a time.  Only the first row ``(P, iG)`` of the
+   (``|P|^2 + |G|^2 = 1``, one FFT spectral factorisation, no root finding;
+   its arrays are real or Hermitian, so every transform is a real FFT, and
+   the pair is certified on 1024 uniform points by FFT) and strip one
+   degree at a time.  Only the first row ``(P, iG)`` of the
    Laurent tensor is kept, since the second is its reversed conjugate; each
    layer's angle comes in closed form from the two end blocks, and each
    strip is one ``(L, 2) @ (2, 2)`` product with the layer's rank-1
@@ -42,6 +46,7 @@ pipeline is:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -59,6 +64,7 @@ _CERT_GRID = 4096
 _COMPLETE_ITER = 60
 _RESIDUAL_TOL = 1e-8
 _COMPLEMENT_TOL = 1e-11
+_COMPLEMENT_GRID = 1024
 
 
 class SynthesisError(RuntimeError):
@@ -113,6 +119,29 @@ def chebyshev_grid(n: int) -> np.ndarray:
     """``n`` Chebyshev-distributed angles in ``(0, 2*pi)``."""
     j = np.arange(n)
     return np.pi * (1.0 - np.cos(np.pi * (2 * j + 1) / (2 * n)))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.cache
+def _cert_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The completion's certification angles, built on first use: the
+    Chebyshev points, then ``2 * _CERT_GRID`` uniform ones; with ``e^{i theta}``
+    on the Chebyshev part, the only part evaluated by Horner's rule."""
+    cheb = chebyshev_grid(_CERT_GRID)
+    thetas = np.concatenate([cheb, np.linspace(0.0, 2.0 * np.pi, 2 * _CERT_GRID,
+                                               endpoint=False)])
+    return _frozen(thetas), _frozen(np.exp(1j * cheb))
+
+
+@functools.cache
+def _solve_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The Chebyshev angles of the residual check and their ``e^{i theta}``."""
+    thetas = chebyshev_grid(_SOLVE_GRID)
+    return _frozen(thetas), _frozen(np.exp(1j * thetas))
 
 
 def truncation_error_bound(T: float, L: int) -> float:
@@ -176,6 +205,14 @@ def _fejer_kernel_even(d: int) -> np.ndarray:
     return g
 
 
+def _cert_modulus2(p: np.ndarray) -> np.ndarray:
+    """``|P|^2`` on the certification grid, in the order of its angles:
+    Horner's rule on the Chebyshev points, one FFT on the uniform ones."""
+    z = _cert_grid()[1]
+    return np.concatenate([np.abs(_laurent_values(p, z)) ** 2,
+                           np.abs(_uniform_values(p, 2 * _CERT_GRID)) ** 2])
+
+
 def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and ``i``-sine coefficients of harmonics ``0..d`` of ``p``:
     ``p_l + p_-l`` (``p_0`` counted once) and ``p_l - p_-l``."""
@@ -201,13 +238,11 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
         raise SynthesisError(f"truncation bound {target.delta:.3g} >= 1; increase L")
     # the Chebyshev grid is sparsest near theta = pi, where the pair is
     # pinned at 1; the uniform points catch between-node overshoots there
-    thetas = np.concatenate([chebyshev_grid(_CERT_GRID),
-                             np.linspace(0.0, 2.0 * np.pi, 2 * _CERT_GRID, endpoint=False)])
-    z = np.exp(1j * thetas)
+    thetas = _cert_grid()[0]
     d = target.L // 2
     ls = np.arange(d + 1)
     p = target.coeffs
-    m = max(0.0, float(np.max(np.abs(_laurent_values(p, z)) ** 2)) - 1.0)
+    m = max(0.0, float(np.max(_cert_modulus2(p))) - 1.0)
     kernel = _fejer_kernel_even(d)
     l2 = 2 * (d // 2)
     # a small interior margin keeps |P|^2 strictly below 1 away from the
@@ -231,7 +266,7 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
             if curv > 0.0:
                 mu += 1.5 * curv / l2 ** 2
                 continue
-        gg = np.abs(_laurent_values(p2, z)) ** 2
+        gg = _cert_modulus2(p2)
         ip = int(np.argmax(gg))
         over = float(gg[ip]) - 1.0
         worst = float(thetas[ip])
@@ -302,6 +337,15 @@ def _laurent_values(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
+def _uniform_values(p: np.ndarray, n: int) -> np.ndarray:
+    """``P(e^{2 pi i j / n})``, ``j = 0..n-1``, of the Laurent vector ``p`` on
+    powers ``-d..d`` by one inverse FFT.  Powers congruent mod ``n`` meet on
+    the grid, so the coefficients are summed into their residues first."""
+    d = (len(p) - 1) // 2
+    folded = np.bincount(np.arange(-d, d + 1) % n, weights=p, minlength=n)
+    return n * np.fft.ifft(folded)
+
+
 def _deflate(coeffs_asc: np.ndarray, root: float) -> np.ndarray:
     c = coeffs_asc[::-1]
     out = np.empty(len(c) - 1, dtype=c.dtype)
@@ -335,18 +379,20 @@ def _fejer_complement(p: np.ndarray) -> np.ndarray:
     n = max(4096, 1 << (8 * len(r) - 1).bit_length())
     spread = np.zeros(n)
     spread[np.arange(-m, m + 1) % n] = -r
+    # spread is real and symmetric, so its spectrum and the cepstrum are
+    # real, and exp of the one-sided cepstrum's spectrum is Hermitian: every
+    # transform is a real FFT over the half spectrum.
     # R~ dips below zero only by rounding where 1 - |P|^2 is itself at
     # rounding level; clamping the dips changes |G|^2 by that much, and the
     # certificate below still rejects a truly infeasible target (|P| > 1)
-    values = np.maximum(np.fft.fft(spread).real, 1e-20)
-    cepstrum = np.fft.ifft(np.log(values))
+    values = np.maximum(np.fft.rfft(spread).real, 1e-20)
+    cepstrum = np.fft.irfft(np.log(values), n)
     cepstrum[0] /= 2.0
     cepstrum[n // 2:] = 0.0
-    f = np.fft.ifft(np.exp(np.fft.fft(cepstrum))).real[: m + 1]
+    f = np.fft.irfft(np.exp(np.fft.rfft(cepstrum)), n)[: m + 1]
     g = np.convolve(f, [1.0, 0.0, -1.0])[::-1]
-    z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 1024, endpoint=False))
-    err = float(np.max(np.abs(np.abs(_laurent_values(p, z)) ** 2
-                              + np.abs(_laurent_values(g, z)) ** 2 - 1.0)))
+    err = float(np.max(np.abs(np.abs(_uniform_values(p, _COMPLEMENT_GRID)) ** 2
+                              + np.abs(_uniform_values(g, _COMPLEMENT_GRID)) ** 2 - 1.0)))
     if not err <= _COMPLEMENT_TOL:        # a NaN must fail too
         raise SynthesisError(
             f"complement of degree {d} misses |P|^2 + |G|^2 = 1 by {err:.3g}")
@@ -418,8 +464,7 @@ def solve_angles(p: np.ndarray, L: int) -> AngleSequence:
         raise DomainError(f"a length-{L} sequence cannot realize a target of "
                           f"{p.size} Laurent coefficients")
     xi = _solve_layer_peel(p, L)
-    thetas = chebyshev_grid(_SOLVE_GRID)
-    z = np.exp(1j * thetas)
+    thetas, z = _solve_grid()
     target = _laurent_values(p, z) * z ** (-((len(p) - 1) // 2))
     residual = float(np.max(np.abs(rotation_product(xi, thetas)[:, 0, 0] - target)))
     if residual > _RESIDUAL_TOL:
@@ -570,7 +615,13 @@ def load_angles(path) -> PhaseShifterSpec:
     """Inverse of :func:`save_angles`; round-trips bit-exactly."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    t_str, l_str, convention, res_str = lines[0].split()
+    if not lines:
+        raise ValueError(f"angle file {path} is empty")
+    header = lines[0].split()
+    if len(header) != 4:
+        raise ValueError(f"angle file {path} needs the header 'T L convention residual', "
+                         f"got {len(header)} fields")
+    t_str, l_str, convention, res_str = header
     if convention != "Wz":
         raise ValueError(f"angle file uses convention {convention!r}, expected 'Wz'")
     T, L = float(t_str), int(l_str)

@@ -38,6 +38,12 @@ def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
      "nu_final = 0\n", "final shot count must be >= 1, got 0"),
     ("experiment = rmse_vs_queries\namplitudes = 0.5\nk_max = 2\ntrials = 2\n"
      "nu_final = -3\n", "final shot count must be >= 1, got -3"),
+    ("experiment = single_run\nbackend = statevector\namplitudes = 0.5\nn = 30\n"
+     "k_max = 2\n", "31 qubits exceed the statevector guard of 22"),
+    ("experiment = rmse_vs_queries\nk_max = 2\ntrials = 2\n",
+     "rmse_vs_queries needs 'amplitudes' or 'amplitude_grid'"),
+    ("experiment = rmse_vs_depth\nk_max = 2\ntrials = 2\n",
+     "rmse_vs_depth needs 'amplitudes' or 'amplitude_grid'"),
 ])
 def test_run_rejects_bad_schedule(tmp_path, capsys, config, message):
     path = tmp_path / "exp.cfg"

@@ -17,8 +17,8 @@ from pae import (DomainError, SynthesisError, build_branch_unitary,
                  synthesize_shifter, truncate_target, truncation_error_bound)
 from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae import qsp
-from pae.qsp import (_fejer_complement, _laurent_values, _solve_layer_peel,
-                     chebyshev_grid, controlled_grover, interleaved_shifter,
+from pae.qsp import (_deflate, _fejer_complement, _laurent_values, _solve_layer_peel,
+                     _uniform_values, chebyshev_grid, controlled_grover, interleaved_shifter,
                      rotation_product)
 
 
@@ -137,11 +137,14 @@ class TestCompleteTarget:
 
     @pytest.mark.parametrize("T,L", [(1, 10), (4, 22), (1, 20)])
     def test_feasibility(self, T, L):
+        # on both parts of the certification grid: the Chebyshev points and
+        # the uniform ones that the completion evaluates by FFT
         p = complete_target(truncate_target(T, L))
-        thetas = chebyshev_grid(4096)
-        A, C = eval_pair(p, thetas)
         assert np.sum(cos_sin(p)[0]) == pytest.approx(1.0, abs=1e-14)     # A(0) = 1
-        assert float(np.max(A * A + C * C)) - 1.0 <= 1e-12    # margin >= 0
+        for thetas in (chebyshev_grid(4096),
+                       np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)):
+            A, C = eval_pair(p, thetas)
+            assert float(np.max(A * A + C * C)) - 1.0 <= 1e-12    # margin >= 0
 
     def test_parity_structure(self):
         a, c = cos_sin(complete_target(truncate_target(2.0, 14)))
@@ -188,7 +191,66 @@ class TestLaurentValues:
         assert peak <= 8 * 2 ** 20
 
 
+def direct_uniform_sum(p, n):
+    """``sum_k p_k w^(jk)`` with ``w = e^{2 pi i / n}``, every power taken
+    from one table by its exact integer exponent mod ``n``."""
+    d = (len(p) - 1) // 2
+    k = np.arange(-d, d + 1)
+    table = np.exp(2j * np.pi * np.arange(n) / n)
+    return np.concatenate([table[np.outer(np.arange(j, j + 128), k) % n] @ p
+                           for j in range(0, n, 128)])
+
+
+class TestUniformValues:
+    @pytest.mark.parametrize("n", [1024, 8192])
+    @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (256.0, 710)])
+    def test_matches_horner(self, T, L, n):
+        # Horner's phase drifts by the degree times rounding against the
+        # exact grid roots, so the moduli, which both callers use, are compared
+        p = complete_target(truncate_target(T, L))
+        z = np.exp(2j * np.pi * np.arange(n) / n)
+        got = np.abs(_uniform_values(p, n))
+        assert np.max(np.abs(got - np.abs(_laurent_values(p, z)))) <= 1e-13
+
+    @pytest.mark.parametrize("T,L,n", [
+        (1.0, 10, 1024), (1.0, 10, 8192), (48.0, 146, 1024), (48.0, 146, 8192),
+        (256.0, 710, 1024), (256.0, 710, 8192), (1024.0, 2800, 1024),
+        (2048.0, 5586, 1024)])
+    def test_matches_direct_sum(self, T, L, n):
+        # L + 1 > n folds several powers onto each grid point: they must be
+        # summed, where a plain scatter would keep one of them
+        p = truncate_target(T, L).coeffs
+        got = _uniform_values(p, n)
+        assert np.max(np.abs(got - direct_uniform_sum(p, n))) <= 1e-13
+
+
+def complex_fft_complement(p):
+    """The spectral factor with complex FFTs throughout: the reference for
+    the real-FFT construction in ``_fejer_complement``."""
+    d = (len(p) - 1) // 2
+    r = -np.convolve(p, p[::-1])
+    r[2 * d] += 1.0
+    for root in (1.0, 1.0, -1.0, -1.0):
+        r = _deflate(r, root)
+    m = (len(r) - 1) // 2
+    n = max(4096, 1 << (8 * len(r) - 1).bit_length())
+    spread = np.zeros(n)
+    spread[np.arange(-m, m + 1) % n] = -r
+    values = np.maximum(np.fft.fft(spread).real, 1e-20)
+    cepstrum = np.fft.ifft(np.log(values))
+    cepstrum[0] /= 2.0
+    cepstrum[n // 2:] = 0.0
+    f = np.fft.ifft(np.exp(np.fft.fft(cepstrum))).real[: m + 1]
+    return np.convolve(f, [1.0, 0.0, -1.0])[::-1]
+
+
 class TestComplement:
+    @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (256.0, 710)])
+    def test_matches_complex_fft_reference(self, T, L):
+        p = complete_target(truncate_target(T, L))
+        g = _fejer_complement(p)
+        assert np.max(np.abs(g - complex_fft_complement(p))) <= 1e-14
+
     @pytest.mark.parametrize("T", [1.0, 64.0, 256.0])
     def test_unit_modulus_pair(self, T):
         # T=64 is where the root-finding complement broke down
@@ -477,7 +539,7 @@ class TestSynthesisAtEveryStrength:
         digest = hashlib.sha256()
         for T in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48):
             digest.update(synthesize_shifter(float(T), select_L_empirical(T)).angles.xi.tobytes())
-        assert digest.hexdigest()[:16] == "55e894421833cbfd"
+        assert digest.hexdigest()[:16] == "d2f07e2009768c35"
 
     @pytest.mark.parametrize("T", [2.0 ** j for j in range(12)])
     def test_certified_or_loud(self, T):
@@ -605,6 +667,18 @@ class TestSerialization:
         head = lines[0].split()
         assert len(head) == 4 and head[1] == "10" and head[2] == "Wz"
         assert len(lines) == 1 + 10
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "angles.txt"
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="is empty"):
+            load_angles(path)
+
+    def test_rejects_short_header(self, tmp_path):
+        path = tmp_path / "angles.txt"
+        path.write_text("1 4 Wz\n" + "0\n" * 4)
+        with pytest.raises(ValueError, match="header 'T L convention residual', got 3"):
+            load_angles(path)
 
     def test_rejects_other_convention(self, tmp_path):
         spec = synthesize_shifter(1.0, 10)
