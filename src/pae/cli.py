@@ -99,7 +99,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, driver.ConfigurationError, DomainError, qsp.SynthesisError,
-            circuit.CapacityError, FileNotFoundError) as exc:
+            circuit.CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

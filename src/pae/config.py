@@ -97,6 +97,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"field 'amplitude_grid': must be >= 0")
     if cfg.jobs < 1:
         raise ConfigError(f"field 'jobs': must be >= 1, got {cfg.jobs}")
+    if cfg.seed < 0:
+        raise ConfigError(f"field 'seed': must be >= 0, got {cfg.seed}")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

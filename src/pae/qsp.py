@@ -11,10 +11,11 @@ pipeline is:
    from one pass of Miller's backward recurrence on the ratios
    ``J_k/J_(k-1)``, normalised by ``J_0 + 2 sum_k J_2k = 1``.  This one
    vector is the target's only form from here to the peel.
-2. ``complete_target``: nudge ``p`` until ``P(z) = sum_k p_k z^k`` is
-   exactly achievable (``P(1) = 1`` and ``|P| <= 1`` on the circle),
-   staying within ``8*delta`` of the target.  Every iteration evaluates
-   ``|P|^2`` on the certification grid: by Horner's rule in place on its
+2. ``complete_target``: adjust ``p`` in one closed-form pass so that
+   ``P(z) = sum_k p_k z^k`` is exactly achievable (``P(1) = 1`` and
+   ``|P| <= 1`` on the circle), staying within ``8*delta`` of the target.
+   ``|P|^2`` is evaluated on the certification grid twice, to measure the
+   overshoot and to certify the result: by Horner's rule in place on its
    4096 Chebyshev points, and by one FFT of the coefficients, folded mod
    the grid size, on its 8192 uniform points.  Memory stays linear in the
    grid and independent of ``L``; the constant grids are built on first use.
@@ -61,7 +62,6 @@ BIAS_DELTA_THRESHOLD = 3.813e-5
 
 _SOLVE_GRID = 1024
 _CERT_GRID = 4096
-_COMPLETE_ITER = 60
 _RESIDUAL_TOL = 1e-8
 _COMPLEMENT_TOL = 1e-11
 _COMPLEMENT_GRID = 1024
@@ -227,58 +227,54 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
 
     Returns ``p`` on powers ``-L/2..L/2`` whose ``P(e^{i theta})``
     approximates ``exp(-i T sin(theta))``, with ``P(1) = 1`` and
-    ``|P| <= 1`` on the certification grid.  Three knobs are used: a global
-    rescale, an even-harmonic kernel shift restoring ``P(1) = 1`` without
-    lifting the off-zero maxima, and a curvature corrector that keeps
-    ``theta = 0`` a local maximum of ``|P|^2`` against the truncation-tail
-    curvature.  ``P(1)`` and the curvature are summed over the folded
-    harmonics, where the odd ones cancel exactly.
+    ``|P| <= 1`` on the certification grid, in one pass: a global rescale
+    by the measured overshoot plus a margin, then an even-harmonic kernel
+    shift restoring ``P(1) = 1`` without lifting the off-zero maxima.  If
+    the truncation tail leaves ``|P|^2`` with positive curvature ``curv`` at
+    ``theta = 0``, ``mu`` moved from ``z^0`` to ``z^{+-l2}`` lowers it by
+    exactly ``mu l2^2`` without moving ``P(1)``, so ``mu = 1.5 curv / l2^2``
+    makes it ``-curv / 2``.  ``P(1)`` and the curvature are summed over the
+    folded harmonics, where the odd ones cancel exactly.
     """
     if target.delta >= 1.0:
         raise SynthesisError(f"truncation bound {target.delta:.3g} >= 1; increase L")
-    # the Chebyshev grid is sparsest near theta = pi, where the pair is
-    # pinned at 1; the uniform points catch between-node overshoots there
-    thetas = _cert_grid()[0]
     d = target.L // 2
-    ls = np.arange(d + 1)
+    l2 = 2 * (d // 2)
     p = target.coeffs
     m = max(0.0, float(np.max(_cert_modulus2(p))) - 1.0)
     kernel = _fejer_kernel_even(d)
-    l2 = 2 * (d // 2)
     # a small interior margin keeps |P|^2 strictly below 1 away from the
     # pinned points, so the later spectral factorization never meets
     # degenerate zeros on the unit circle; capped at 4*delta to stay inside
     # the completion's 8*delta budget
     extra = min(4.0 * target.delta, max(0.5 * target.delta, 1e-7))
-    mu = 0.0
-    over = np.inf
-    worst = 0.0
-    for _ in range(_COMPLETE_ITER):
-        s = 1.0 + m + extra
+    s = 1.0 + m + extra
+
+    def shifted(mu: float) -> np.ndarray:
+        # mu goes in before the kernel shift, whose coefficient it leaves
+        # unchanged up to rounding; at mu = 0 both updates are exact no-ops
         p2 = p / s
-        if l2 >= 2:
-            p2[[d - l2, d + l2]] += mu / 2.0
-            p2[d] -= mu
-        p2 += (1.0 - np.sum(_fold(p2)[0])) * kernel
-        if l2 >= 2:
-            cos_part, sin_part = _fold(p2)
-            curv = -np.sum(cos_part * ls ** 2) + np.sum(sin_part * ls) ** 2
-            if curv > 0.0:
-                mu += 1.5 * curv / l2 ** 2
-                continue
-        gg = _cert_modulus2(p2)
-        ip = int(np.argmax(gg))
-        over = float(gg[ip]) - 1.0
-        worst = float(thetas[ip])
-        if over <= 1e-12:
-            return p2
-        if l2 >= 2 and 1.0 - np.cos(l2 * thetas[ip]) <= 0.5:
-            mu += max(1.5 * over / max(1.0 - np.cos(l2 * thetas[ip]), 1e-3), 1e-14)
-        else:
-            extra += max(over, 1e-12)
-    raise SynthesisError(
-        f"completion failed for T={target.T}, L={target.L}: "
-        f"|P|^2 exceeds 1 by {over:.3g} at theta={worst:.6f}")
+        p2[[d - l2, d + l2]] += mu / 2.0
+        p2[d] -= mu
+        return p2 + (1.0 - np.sum(_fold(p2)[0])) * kernel
+
+    p2 = shifted(0.0)
+    if l2 >= 2:
+        ls = np.arange(d + 1)
+        cos_part, sin_part = _fold(p2)
+        curv = -np.sum(cos_part * ls ** 2) + np.sum(sin_part * ls) ** 2
+        if curv > 0.0:
+            p2 = shifted(1.5 * curv / l2 ** 2)
+    # the Chebyshev grid is sparsest near theta = pi, where the pair is
+    # pinned at 1; the uniform points catch between-node overshoots there
+    gg = _cert_modulus2(p2)
+    ip = int(np.argmax(gg))
+    over = float(gg[ip]) - 1.0
+    if not over <= 1e-12:                 # a NaN must fail too
+        raise SynthesisError(
+            f"completion failed for T={target.T}, L={target.L}: |P|^2 exceeds 1 "
+            f"by {over:.3g} at theta={float(_cert_grid()[0][ip]):.6f}")
+    return p2
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +342,17 @@ def _uniform_values(p: np.ndarray, n: int) -> np.ndarray:
     return n * np.fft.ifft(folded)
 
 
-def _deflate(coeffs_asc: np.ndarray, root: float) -> np.ndarray:
-    c = coeffs_asc[::-1]
-    out = np.empty(len(c) - 1, dtype=c.dtype)
-    acc = 0.0
-    for i in range(len(c) - 1):
-        acc = c[i] + acc * root
-        out[i] = acc
-    return out[::-1]
+def _deflate_pinned(r: np.ndarray) -> np.ndarray:
+    """``r`` (ascending powers) divided by ``(z - 1)^2 (z + 1)^2``, by
+    synthetic division from the top: at the root ``+1`` the quotient is a
+    running sum, at ``-1`` that of the sign-alternated coefficients with the
+    signs put back.  Sign flips are exact and ``cumsum`` adds in order, so
+    every quotient coefficient is rounded as in the scalar recurrence."""
+    c = r[::-1]
+    for root in (1.0, 1.0, -1.0, -1.0):
+        sign = root ** np.arange(len(c) - 1)
+        c = sign * np.cumsum(sign * c[:-1])
+    return c[::-1]
 
 
 def _fejer_complement(p: np.ndarray) -> np.ndarray:
@@ -371,8 +370,7 @@ def _fejer_complement(p: np.ndarray) -> np.ndarray:
     d = (len(p) - 1) // 2
     r = -np.convolve(p, p[::-1])
     r[2 * d] += 1.0
-    for root in (1.0, 1.0, -1.0, -1.0):
-        r = _deflate(r, root)
+    r = _deflate_pinned(r)
     m = (len(r) - 1) // 2                # R~ on powers -m..m
     # eight grid points per coefficient keep the aliased cepstrum tail at
     # rounding level

@@ -44,6 +44,8 @@ def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
      "rmse_vs_queries needs 'amplitudes' or 'amplitude_grid'"),
     ("experiment = rmse_vs_depth\nk_max = 2\ntrials = 2\n",
      "rmse_vs_depth needs 'amplitudes' or 'amplitude_grid'"),
+    ("experiment = bias_sweep\nbackend = analytic\namplitudes = 0.5\nk_max = 2\n"
+     "shots = 10\nseed = -1\n", "field 'seed': must be >= 0, got -1"),
 ])
 def test_run_rejects_bad_schedule(tmp_path, capsys, config, message):
     path = tmp_path / "exp.cfg"
@@ -53,6 +55,40 @@ def test_run_rejects_bad_schedule(tmp_path, capsys, config, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_run_rejects_negative_seed_option(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment = bias_sweep\nbackend = analytic\namplitudes = 0.5\n"
+                    "k_max = 2\nshots = 10\n")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: field 'seed': must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_run_reports_directory_as_config(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+
+def test_run_reports_file_as_output_directory(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment = tl_curve\nt_max = 2\n")
+    out = tmp_path / "out"
+    out.write_text("keep")
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+    assert out.read_text() == "keep"
+
+
+def test_angles_reports_directory_as_output(tmp_path, capsys):
+    assert main(["angles", "--T", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
 
 def test_verify_passes(capsys):

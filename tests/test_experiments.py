@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,10 +275,10 @@ class TestRendering:
                                k_min=2, k_max=4, trials=5, backend="ideal", seed=1)
         rows = run_rmse_sweep(cfg)
         csv_path, svg_path = render(rows, "rmse_vs_queries", str(tmp_path))
-        svg = open(svg_path).read()
+        svg = Path(svg_path).read_text()
         assert svg.count("<polyline") == 2        # one series + reference line
         assert "reference" in svg
-        assert open(csv_path).readline().startswith("a,K,strategy")
+        assert Path(csv_path).read_text().startswith("a,K,strategy")
 
     @pytest.mark.parametrize("kind", ["rmse_vs_queries", "rmse_vs_depth"])
     def test_render_zero_rmse_cell(self, tmp_path, kind):
@@ -288,8 +289,8 @@ class TestRendering:
         rows.append(ResultRow(a=0.5, K=2, strategy="general", n_queries=200,
                               oracle_depth=20, width=4, rmse=0.01, trials=3, seed=1))
         csv_path, svg_path = render(rows, kind, str(tmp_path))
-        assert open(csv_path).read().count(",0.0,3,1\n") == 2
-        svg = open(svg_path).read()
+        assert Path(csv_path).read_text().count(",0.0,3,1\n") == 2
+        svg = Path(svg_path).read_text()
         assert svg.count("<circle") == 1
         coords = re.findall(r'\b(?:cx|cy|x1|x2|y1|y2|x|y)="([^"]+)"', svg)
         assert coords and all(math.isfinite(float(v)) for v in coords)

@@ -17,7 +17,8 @@ from pae import (DomainError, SynthesisError, build_branch_unitary,
                  synthesize_shifter, truncate_target, truncation_error_bound)
 from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae import qsp
-from pae.qsp import (_deflate, _fejer_complement, _laurent_values, _solve_layer_peel,
+from pae.qsp import (_cert_grid, _cert_modulus2, _deflate_pinned, _fejer_complement,
+                     _fejer_kernel_even, _fold, _laurent_values, _solve_layer_peel,
                      _uniform_values, chebyshev_grid, controlled_grover, interleaved_shifter,
                      rotation_product)
 
@@ -119,7 +120,66 @@ def eval_pair(p, thetas):
     return np.cos(np.outer(thetas, ls)) @ a, np.sin(np.outer(thetas, ls)) @ c
 
 
+def iterative_completion(target):
+    """The completion as a loop of up to 60 passes that repairs a certified
+    overshoot by raising ``mu`` or the margin: the reference for the
+    closed-form ``complete_target``.  Returns the vector and the number of
+    passes it took."""
+    if target.delta >= 1.0:
+        raise SynthesisError(f"truncation bound {target.delta:.3g} >= 1; increase L")
+    thetas = _cert_grid()[0]
+    d = target.L // 2
+    ls = np.arange(d + 1)
+    p = target.coeffs
+    m = max(0.0, float(np.max(_cert_modulus2(p))) - 1.0)
+    kernel = _fejer_kernel_even(d)
+    l2 = 2 * (d // 2)
+    extra = min(4.0 * target.delta, max(0.5 * target.delta, 1e-7))
+    mu = 0.0
+    for passes in range(1, 61):
+        s = 1.0 + m + extra
+        p2 = p / s
+        if l2 >= 2:
+            p2[[d - l2, d + l2]] += mu / 2.0
+            p2[d] -= mu
+        p2 += (1.0 - np.sum(_fold(p2)[0])) * kernel
+        if l2 >= 2:
+            cos_part, sin_part = _fold(p2)
+            curv = -np.sum(cos_part * ls ** 2) + np.sum(sin_part * ls) ** 2
+            if curv > 0.0:
+                mu += 1.5 * curv / l2 ** 2
+                continue
+        gg = _cert_modulus2(p2)
+        ip = int(np.argmax(gg))
+        over = float(gg[ip]) - 1.0
+        if over <= 1e-12:
+            return p2, passes
+        if l2 >= 2 and 1.0 - np.cos(l2 * thetas[ip]) <= 0.5:
+            mu += max(1.5 * over / max(1.0 - np.cos(l2 * thetas[ip]), 1e-3), 1e-14)
+        else:
+            extra += max(over, 1e-12)
+    raise SynthesisError(f"completion failed for T={target.T}, L={target.L}")
+
+
 class TestCompleteTarget:
+    @pytest.mark.parametrize("T,L,passes", [
+        (1.0, 10, 2), (1.0, 14, 2), (2.0, 14, 2), (3.0, 18, 2),
+        (48.0, 146, 1), (256.0, 710, 1)])
+    def test_matches_iterative_reference(self, T, L, passes):
+        # two passes: the curvature step fired, and its closed form lands
+        # on the loop's vector bit for bit
+        target = truncate_target(T, L)
+        ref, ref_passes = iterative_completion(target)
+        assert ref_passes == passes
+        assert np.array_equal(complete_target(target), ref)
+
+    def test_fails_where_iterative_reference_fails(self):
+        target = truncate_target(0.5, 2)
+        with pytest.raises(SynthesisError):
+            iterative_completion(target)
+        with pytest.raises(SynthesisError, match=r"completion failed .* at theta=\d"):
+            complete_target(target)
+
     def test_near_zero_strength_unchanged(self):
         a, c = cos_sin(complete_target(truncate_target(1e-15, 4)))
         assert a[0] == pytest.approx(1.0, abs=1e-12)
@@ -230,8 +290,7 @@ def complex_fft_complement(p):
     d = (len(p) - 1) // 2
     r = -np.convolve(p, p[::-1])
     r[2 * d] += 1.0
-    for root in (1.0, 1.0, -1.0, -1.0):
-        r = _deflate(r, root)
+    r = _deflate_pinned(r)
     m = (len(r) - 1) // 2
     n = max(4096, 1 << (8 * len(r) - 1).bit_length())
     spread = np.zeros(n)
@@ -244,7 +303,28 @@ def complex_fft_complement(p):
     return np.convolve(f, [1.0, 0.0, -1.0])[::-1]
 
 
+def deflate_loop(coeffs_asc, root):
+    """Synthetic division by ``z - root``, one coefficient at a time."""
+    c = coeffs_asc[::-1]
+    out = np.empty(len(c) - 1, dtype=c.dtype)
+    acc = 0.0
+    for i in range(len(c) - 1):
+        acc = c[i] + acc * root
+        out[i] = acc
+    return out[::-1]
+
+
 class TestComplement:
+    @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (256.0, 710)])
+    def test_deflation_matches_division_loop(self, T, L):
+        p = complete_target(truncate_target(T, L))
+        r = -np.convolve(p, p[::-1])
+        r[L] += 1.0
+        ref = r
+        for root in (1.0, 1.0, -1.0, -1.0):
+            ref = deflate_loop(ref, root)
+        assert np.array_equal(_deflate_pinned(r), ref)
+
     @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (256.0, 710)])
     def test_matches_complex_fft_reference(self, T, L):
         p = complete_target(truncate_target(T, L))
