@@ -10,12 +10,23 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 
 from . import circuit, driver, experiments, plotting, qsp, verify
 from .config import ConfigError, parse_config, validate_config
 from .core_model import DomainError
+
+
+def _check_output_dir(path: str) -> None:
+    """Fail before an experiment, not after it, when ``path`` cannot become
+    its output directory: the nearest existing ancestor must be a directory."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), existing)
 
 
 def _cmd_run(args) -> int:
@@ -36,6 +47,8 @@ def _cmd_run(args) -> int:
     validate_config(cfg)
 
     kind = cfg.experiment
+    if kind != "single_run":
+        _check_output_dir(cfg.output_dir)
     if kind in ("rmse_vs_queries", "rmse_vs_depth"):
         rows = experiments.run_rmse_sweep(cfg)
     elif kind == "bias_sweep":

@@ -12,11 +12,13 @@ A run has two phases:
   selected backend.  It is deterministic: it depends on the amplitude and
   the schedule, never on a seed, so it is done once and shared by every
   trial of a sweep;
-* the sampling and recovery phase, :func:`sample_and_recover`, gives each
-  trial one generator seeded by its trial seed, draws all of the trial's
-  parity counts from those probabilities in one binomial call, and feeds
-  the frequencies of a whole batch of trials through the phase recovery
-  at once.
+* the sampling and recovery phase, :func:`sample_and_recover`, seeds one
+  generator, draws the parity counts of one trial, or of a batch of
+  trials, from those probabilities in one binomial call, and feeds the
+  frequencies of the whole batch through the phase recovery at once.  The
+  trials of a batch are consecutive ``(K, 2)`` draws of that one stream:
+  trial 0 is the single run at the same seed, and the first ``m`` trials
+  of any batch are the ``m``-trial batch.
 
 ``run`` composes the two and reports the exact query count
 ``N = 2 sum_k nu_k P_k S_k L_k`` alongside depth and width.
@@ -212,7 +214,9 @@ def step_probabilities(instances, schedule: Schedule,
                        backend: str = "analytic") -> np.ndarray:
     """Probability phase: the exact even-parity probabilities, one row per
     step, columns PLUS and PLUS_I, of one instance, ``(K, 2)``, or of a
-    sequence of instances, ``(n, K, 2)``, evaluated together step by step."""
+    sequence of instances, ``(n, K, 2)``, evaluated together step by step.
+    ``schedule`` may also be any sequence of steps.  A step's probabilities
+    depend on the instance and on its ``(p, t, s, l)`` alone."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     single = isinstance(instances, AmplitudeInstance)
@@ -222,33 +226,36 @@ def step_probabilities(instances, schedule: Schedule,
     return probabilities[0] if single else probabilities
 
 
-def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed):
+def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed,
+                       trials: int | None = None):
     """Sampling and recovery phase: draw every step's counts from
     ``probabilities`` (as returned by :func:`step_probabilities`) and
     recover the phase.
 
-    ``seed`` is one trial seed or a ``(trials,)`` sequence of them.  Each
-    trial draws its ``(K, 2)`` counts, ``nu_k`` shots per setting, in one
-    ``binomial`` call on its own ``default_rng(seed)``, so its counts do not
-    depend on the other trials of the batch; the recovery then runs once
-    over the whole batch.
-
-    One seed returns ``(PhaseEstimate, list[MeasurementRecord])``.  A seed
-    vector returns ``(PhaseEstimate, counts)``: the estimate's fields are
-    ``(trials,)`` arrays and ``counts`` is the ``(trials, K, 2)`` integer
-    array of even-parity counts.
+    ``seed`` is one seed (an integer or a ``SeedSequence``) of one
+    ``default_rng``.  Without ``trials`` that generator draws one run's
+    ``(K, 2)`` counts, ``nu_k`` shots per setting, in one ``binomial`` call
+    and returns ``(PhaseEstimate, list[MeasurementRecord])``.  With
+    ``trials=n`` it draws ``(n, K, 2)`` counts in one call: ``n``
+    consecutive ``(K, 2)`` draws of the same stream, so trial 0 equals the
+    single run at ``seed`` and the first ``m`` trials equal an ``m``-trial
+    batch.  The recovery then runs once over the batch, and the result is
+    ``(PhaseEstimate, counts)`` with ``(n,)`` arrays in the estimate's
+    fields and the integer ``counts``.
     """
-    single = np.ndim(seed) == 0
+    if np.ndim(seed) != 0:
+        raise DomainError(f"seed must be a single seed, got shape {np.shape(seed)}")
+    if trials is not None and trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     nu = np.array([[st.nu] for st in schedule])
-    counts = np.array([np.random.default_rng(s).binomial(nu, probabilities)
-                       for s in ([seed] if single else seed)],
-                      dtype=np.int64).reshape(-1, len(nu), 2)
+    shape = (1 if trials is None else trials, len(nu), 2)
+    counts = np.random.default_rng(seed).binomial(nu, np.broadcast_to(probabilities, shape))
     freqs = counts / nu
     estimate = rpe.estimate_phase([
         rpe.StepObservation(k=st.k, m=st.m, f_plus=freqs[:, i, 0],
                             f_i=freqs[:, i, 1], nu=st.nu)
         for i, st in enumerate(schedule)])
-    if not single:
+    if trials is not None:
         return estimate, counts
     estimate = rpe.PhaseEstimate(phi_hat=float(estimate.phi_hat[0]),
                                  trajectory=tuple(float(t[0]) for t in estimate.trajectory),

@@ -1,5 +1,5 @@
 """Experiment drivers: error-vs-resources sweeps, bias calibration, and the
-strength-to-length curve, with deterministic per-trial seeding.
+strength-to-length curve, with deterministic content-hashed seeds.
 """
 
 from __future__ import annotations
@@ -66,34 +66,36 @@ def _schedule_for(cfg: ExperimentConfig, K: int) -> driver.Schedule:
 
 
 def _sq_errors(a: float, schedule: driver.Schedule, probabilities: np.ndarray,
-               seeds) -> np.ndarray:
-    """Sampling phase of one (a, K) cell: squared estimation error per seed."""
-    estimate, _ = driver.sample_and_recover(schedule, probabilities, seeds)
+               seed: int, trials: int) -> np.ndarray:
+    """Sampling phase of one (a, K) cell: squared estimation error per trial."""
+    estimate, _ = driver.sample_and_recover(schedule, probabilities, seed, trials)
     return (estimate.a_hat - a) ** 2
-
-
-def _chunks(items: list, n: int) -> list[list]:
-    """Split ``items`` into at most ``n`` consecutive runs of near-equal size."""
-    size = max(1, -(-len(items) // n))
-    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """RMSE over ``trials`` independent runs for every (amplitude, K).
 
-    Each schedule is built once per K, and its step probabilities once for
-    all amplitudes; the sampling phase then runs once per (amplitude, K)
-    cell on the vector of its trial seeds.  With ``jobs > 1`` one process pool
-    serves the whole sweep, and its workers receive finished probabilities
-    with a chunk of trial seeds, so they never synthesize or simulate.
+    Each schedule is built once per K.  The probability phase evaluates each
+    distinct step, keyed on ``(p, t, s, l)``, once for all amplitudes, and
+    every K takes its rows from that table.  The sampling phase then draws
+    each (amplitude, K) cell's trials in one batch on one generator seeded
+    by ``trial_seed(seed, a, K, 0)``, so trial 0 of a cell equals
+    :func:`driver.run` at that seed.  With ``jobs > 1`` one process pool
+    serves the whole sweep, and its workers receive whole cells with
+    finished probabilities, so they never synthesize or simulate and the
+    result does not depend on ``jobs``.
     """
     amplitudes = _amplitudes(cfg)
     if not amplitudes:
         raise driver.ConfigurationError(
             f"{cfg.experiment} needs 'amplitudes' or 'amplitude_grid'")
     schedules = {K: _schedule_for(cfg, K) for K in range(cfg.k_min, cfg.k_max + 1)}
-    instances = [make_instance(a, cfg.n) for a in amplitudes]
-    probabilities = {K: driver.step_probabilities(instances, schedule, cfg.backend)
+    steps = {(st.p, st.t, st.s, st.l): st
+             for schedule in schedules.values() for st in schedule}
+    table = driver.step_probabilities([make_instance(a, cfg.n) for a in amplitudes],
+                                      list(steps.values()), cfg.backend)
+    column = {key: j for j, key in enumerate(steps)}
+    probabilities = {K: table[:, [column[(st.p, st.t, st.s, st.l)] for st in schedule]]
                      for K, schedule in schedules.items()}
     pool = (ProcessPoolExecutor(max_workers=cfg.jobs,
                                 mp_context=multiprocessing.get_context("spawn"))
@@ -102,17 +104,14 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
         cells = []
         for i, a in enumerate(amplitudes):
             for K, schedule in schedules.items():
-                seeds = [trial_seed(cfg.seed, a, K, t) for t in range(cfg.trials)]
-                if pool is None:
-                    sq = _sq_errors(a, schedule, probabilities[K][i], seeds)
-                else:
-                    sq = [pool.submit(_sq_errors, a, schedule, probabilities[K][i], chunk)
-                          for chunk in _chunks(seeds, cfg.jobs)]
-                cells.append((a, K, sq))
+                args = (a, schedule, probabilities[K][i],
+                        trial_seed(cfg.seed, a, K, 0), cfg.trials)
+                cells.append((a, K, _sq_errors(*args) if pool is None
+                              else pool.submit(_sq_errors, *args)))
         rows = []
         for a, K, sq in cells:
             if pool is not None:
-                sq = np.concatenate([future.result() for future in sq])
+                sq = sq.result()
             report = driver.resource_report(schedules[K], cfg.n)
             rows.append(ResultRow(
                 a=a, K=K, strategy=cfg.strategy, n_queries=report.n_queries,

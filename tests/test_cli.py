@@ -3,6 +3,7 @@ stderr and exit code 2, never a traceback."""
 
 import pytest
 
+from pae import experiments
 from pae.cli import main
 
 
@@ -74,14 +75,19 @@ def test_run_reports_directory_as_config(tmp_path, capsys):
     assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
 
-def test_run_reports_file_as_output_directory(tmp_path, capsys):
+def test_run_reports_file_as_output_directory(tmp_path, capsys, monkeypatch):
+    # the output directory is checked before the experiment runs
+    calls = []
+    monkeypatch.setattr(experiments, "run_tl_curve", lambda cfg: calls.append(cfg) or [])
     path = tmp_path / "exp.cfg"
     path.write_text("experiment = tl_curve\nt_max = 2\n")
     out = tmp_path / "out"
     out.write_text("keep")
-    assert main(["run", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+    for target in (out, out / "sub"):
+        assert main(["run", str(path), "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+    assert calls == []
     assert out.read_text() == "keep"
 
 

@@ -197,6 +197,27 @@ class TestTwoPhases:
             est, _, records = run(inst, sched, seed=seed, backend=backend)
             assert sample_and_recover(sched, probs, seed) == (est, records)
 
+    @pytest.mark.parametrize("seed,trials,message", [
+        ([1, 2], None, "single seed"),
+        (np.array([3]), 4, "single seed"),
+        (1, 0, "trials must be >= 1"),
+        (1, -2, "trials must be >= 1"),
+    ])
+    def test_sampler_rejects_seed_vectors_and_empty_batches(self, seed, trials, message):
+        # default_rng would take a seed list as entropy for one stream
+        sched = build_schedule(strategy="full_sequential", k_max=2)
+        probs = step_probabilities(make_instance(0.3), sched, "ideal")
+        with pytest.raises(DomainError, match=message):
+            sample_and_recover(sched, probs, seed, trials)
+
+    def test_sampler_accepts_seed_sequence(self):
+        sched = build_schedule(strategy="full_sequential", k_max=3)
+        probs = step_probabilities(make_instance(0.3), sched, "ideal")
+        single = sample_and_recover(sched, probs, np.random.SeedSequence(9))
+        assert single == sample_and_recover(sched, probs, np.random.SeedSequence(9))
+        _, counts = sample_and_recover(sched, probs, np.random.SeedSequence(9), trials=3)
+        assert counts[0].tolist() == [[r.h_plus, r.h_i] for r in single[1]]
+
     def test_statevector_builds_one_oracle_per_instance_and_step(self, monkeypatch):
         import pae.circuit
         from pae import MeasurementSetting, ParallelCircuit, synthesize_shifter

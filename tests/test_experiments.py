@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from pae import (PARALLEL_L_TABLE_PLUS, ConfigError, ConfigurationError,
-                 ExperimentConfig, build_schedule, circuit, hl_reference,
-                 ideal_setting_probability, make_instance, parse_config, run,
-                 serialize_config, setting_probability, synthesize_shifter)
+                 ExperimentConfig, StepObservation, build_schedule, circuit,
+                 estimate_phase, hl_reference, ideal_setting_probability,
+                 make_instance, parse_config, run, serialize_config,
+                 setting_probability, step_probabilities, synthesize_shifter)
 from pae.circuit import MeasurementSetting, ParallelCircuit
 from pae.cli import main as cli_main
 from pae.experiments import (BiasRow, ResultRow, run_bias_sweep,
@@ -103,7 +104,7 @@ class TestRmseSweep:
         assert [(.0 + r.rmse) for r in r1] == [(.0 + r.rmse) for r in r2]
 
     @pytest.mark.parametrize("trials", [2, 5])
-    def test_probabilities_computed_once_per_cell(self, trials, monkeypatch):
+    def test_probabilities_computed_once_per_distinct_step(self, trials, monkeypatch):
         calls = {"prob": 0, "sample": 0}
 
         def counted(name, fn):
@@ -120,26 +121,41 @@ class TestRmseSweep:
                             strategy="full_parallel", backend="analytic",
                             l_table="plus", trials=trials)
         run_rmse_sweep(cfg)
-        # one call per step of each K, covering both amplitudes and settings
-        assert calls["prob"] == sum(range(1, 4))              # independent of trials
-        assert calls["sample"] == 2 * 3 * trials              # one generator per trial
+        # K = 1..3 share their steps: one call per distinct step, covering
+        # both amplitudes and settings, independent of trials
+        assert calls["prob"] == 3
+        assert calls["sample"] == 2 * 3                       # one generator per cell
 
     @pytest.mark.parametrize("backend,strategy", [("ideal", "full_sequential"),
                                                   ("analytic", "full_parallel")])
     def test_matches_one_run_per_trial(self, backend, strategy):
-        # reference: the sweep as a loop of independent end-to-end runs
+        # reference: one generator per cell, seeded with the cell's trial-0
+        # seed, drawing each trial's (K, 2) counts in its own binomial call,
+        # and each trial recovered on its own
         cfg = self.make_cfg(amplitudes=(0.0, 0.3), k_min=1, k_max=3,
                             strategy=strategy, backend=backend, l_table="plus",
                             trials=4)
         expected = []
         for a in cfg.amplitudes:
+            inst = make_instance(a)
             for K in range(cfg.k_min, cfg.k_max + 1):
                 sched = build_schedule(strategy=strategy, k_max=K,
                                        l_table=PARALLEL_L_TABLE_PLUS[:K])
+                seed = trial_seed(cfg.seed, a, K, 0)
+                probs = step_probabilities(inst, sched, backend)
+                nu = np.array([[st.nu] for st in sched])
+                rng = np.random.default_rng(seed)
                 sq = []
                 for t in range(cfg.trials):
-                    est, _, _ = run(make_instance(a), sched,
-                                    seed=trial_seed(cfg.seed, a, K, t), backend=backend)
+                    counts = rng.binomial(nu, probs)
+                    est = estimate_phase([
+                        StepObservation(k=st.k, m=st.m, f_plus=h_plus / st.nu,
+                                        f_i=h_i / st.nu, nu=st.nu)
+                        for st, (h_plus, h_i) in zip(sched, counts)])
+                    if t == 0:
+                        single, _, records = run(inst, sched, seed=seed, backend=backend)
+                        assert counts.tolist() == [[r.h_plus, r.h_i] for r in records]
+                        assert est.a_hat == single.a_hat
                     sq.append((est.a_hat - a) ** 2)
                 expected.append((a, K, float(np.sqrt(np.mean(sq)))))
         assert [(r.a, r.K, r.rmse) for r in run_rmse_sweep(cfg)] == expected

@@ -39,23 +39,39 @@ def test_multiplier_split_and_query_accounting(sched, seed, a):
 @settings(max_examples=60, deadline=None)
 @given(sched=schedules(), data=st.data())
 def test_batched_sampling_is_exact(sched, data):
-    # a seed vector gives each trial the bits it gets from a run on its own
+    # a batch is consecutive (K, 2) draws of one stream: trial 0 is the
+    # single run, a prefix is the shorter batch, and each trial is
+    # recovered as if on its own
     unit = st.floats(0.0, 1.0, allow_nan=False)
     probs = np.array(data.draw(st.lists(st.tuples(unit, unit), min_size=sched.K,
                                         max_size=sched.K)))
-    seeds = data.draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=0, max_size=20))
-    batch, counts = sample_and_recover(sched, probs, seeds)
-    assert counts.shape == (len(seeds), sched.K, 2)
+    seed = data.draw(st.integers(0, 2 ** 63 - 1))
+    n = data.draw(st.integers(1, 20))
+    m = data.draw(st.integers(1, n))
+    batch, counts = sample_and_recover(sched, probs, seed, trials=n)
+    assert counts.shape == (n, sched.K, 2)
 
     def bits(x):
         return np.float64(x).tobytes()
 
-    for i, seed in enumerate(seeds):
-        est, records = sample_and_recover(sched, probs, seed)
-        assert bits(batch.a_hat[i]) == bits(est.a_hat)
-        assert bits(batch.phi_hat[i]) == bits(est.phi_hat)
-        assert [bits(t[i]) for t in batch.trajectory] == [bits(t) for t in est.trajectory]
-        assert counts[i].tolist() == [[r.h_plus, r.h_i] for r in records]
+    est, records = sample_and_recover(sched, probs, seed)
+    assert counts[0].tolist() == [[r.h_plus, r.h_i] for r in records]
+    assert bits(batch.a_hat[0]) == bits(est.a_hat)
+    assert bits(batch.phi_hat[0]) == bits(est.phi_hat)
+    assert [bits(t[0]) for t in batch.trajectory] == [bits(t) for t in est.trajectory]
+
+    prefix, prefix_counts = sample_and_recover(sched, probs, seed, trials=m)
+    assert np.array_equal(prefix_counts, counts[:m])
+    assert prefix.a_hat.tobytes() == batch.a_hat[:m].tobytes()
+
+    for i in range(n):
+        own = estimate_phase([
+            StepObservation(k=st.k, m=st.m, f_plus=counts[i, j, 0] / st.nu,
+                            f_i=counts[i, j, 1] / st.nu, nu=st.nu)
+            for j, st in enumerate(sched)])
+        assert bits(batch.a_hat[i]) == bits(own.a_hat)
+        assert bits(batch.phi_hat[i]) == bits(own.phi_hat)
+        assert [bits(t[i]) for t in batch.trajectory] == [bits(t) for t in own.trajectory]
 
 
 @settings(max_examples=200, deadline=None)
