@@ -33,8 +33,6 @@ def _cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     overrides = {}
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.backend is not None:
@@ -88,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute an experiment config file")
     p_run.add_argument("config")
-    p_run.add_argument("--jobs", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--backend", choices=driver.BACKENDS, default=None)
     p_run.add_argument("--out", default=None, help="output directory")

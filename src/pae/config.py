@@ -42,7 +42,7 @@ class ExperimentConfig:
     t_step: float = 1.0
     seed: int = 1
     output_dir: str = "pae-out"
-    jobs: int = 1
+    jobs: int = 1                    # only 1: kept so configs that set it still parse
 
 
 def _convert(field: dataclasses.Field, raw: str, lineno: int):
@@ -63,7 +63,7 @@ def _convert(field: dataclasses.Field, raw: str, lineno: int):
 
 def parse_config(text: str) -> ExperimentConfig:
     fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -74,6 +74,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in fields:
             raise ConfigError(f"line {lineno}: unknown field {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: field {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = _convert(fields[key], raw, lineno)
     cfg = ExperimentConfig(**values)
     validate_config(cfg)
@@ -94,9 +97,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.l_table not in ("auto", "plus", "plus_i"):
         raise ConfigError(f"field 'l_table': unknown table {cfg.l_table!r}")
     if cfg.amplitude_grid < 0:
-        raise ConfigError(f"field 'amplitude_grid': must be >= 0")
-    if cfg.jobs < 1:
-        raise ConfigError(f"field 'jobs': must be >= 1, got {cfg.jobs}")
+        raise ConfigError(f"field 'amplitude_grid': must be >= 0, got {cfg.amplitude_grid}")
+    if cfg.jobs != 1:
+        raise ConfigError(f"field 'jobs': must be 1, got {cfg.jobs}")
     if cfg.seed < 0:
         raise ConfigError(f"field 'seed': must be >= 0, got {cfg.seed}")
 

@@ -4,11 +4,8 @@ strength-to-length curve, with deterministic content-hashed seeds.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from decimal import Decimal
 
@@ -65,31 +62,21 @@ def _schedule_for(cfg: ExperimentConfig, K: int) -> driver.Schedule:
         l_table=table[:K] if table is not None else None)
 
 
-def _sq_errors(a: float, schedule: driver.Schedule, probabilities: np.ndarray,
-               seed: int, trials: int) -> np.ndarray:
-    """Sampling phase of one (a, K) cell: squared estimation error per trial."""
-    estimate, _ = driver.sample_and_recover(schedule, probabilities, seed, trials)
-    return (estimate.a_hat - a) ** 2
+def _cells(cfg: ExperimentConfig, ks):
+    """Probability phase of an experiment over the configured amplitudes and
+    the step counts ``ks``: yields ``(a, K, schedule, probabilities, seed)``
+    per (amplitude, K) cell, amplitudes outermost.
 
-
-def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """RMSE over ``trials`` independent runs for every (amplitude, K).
-
-    Each schedule is built once per K.  The probability phase evaluates each
-    distinct step, keyed on ``(p, t, s, l)``, once for all amplitudes, and
-    every K takes its rows from that table.  The sampling phase then draws
-    each (amplitude, K) cell's trials in one batch on one generator seeded
-    by ``trial_seed(seed, a, K, 0)``, so trial 0 of a cell equals
-    :func:`driver.run` at that seed.  With ``jobs > 1`` one process pool
-    serves the whole sweep, and its workers receive whole cells with
-    finished probabilities, so they never synthesize or simulate and the
-    result does not depend on ``jobs``.
+    Each schedule is built once per K.  Each distinct step, keyed on
+    ``(p, t, s, l)``, is evaluated once for all amplitudes by one
+    :func:`driver.step_probabilities` call, and every K takes its ``(K, 2)``
+    rows from that table.  ``seed`` is the cell's ``trial_seed(seed, a, K, 0)``.
     """
     amplitudes = _amplitudes(cfg)
     if not amplitudes:
         raise driver.ConfigurationError(
             f"{cfg.experiment} needs 'amplitudes' or 'amplitude_grid'")
-    schedules = {K: _schedule_for(cfg, K) for K in range(cfg.k_min, cfg.k_max + 1)}
+    schedules = {K: _schedule_for(cfg, K) for K in ks}
     steps = {(st.p, st.t, st.s, st.l): st
              for schedule in schedules.values() for st in schedule}
     table = driver.step_probabilities([make_instance(a, cfg.n) for a in amplitudes],
@@ -97,26 +84,29 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     column = {key: j for j, key in enumerate(steps)}
     probabilities = {K: table[:, [column[(st.p, st.t, st.s, st.l)] for st in schedule]]
                      for K, schedule in schedules.items()}
-    pool = (ProcessPoolExecutor(max_workers=cfg.jobs,
-                                mp_context=multiprocessing.get_context("spawn"))
-            if cfg.jobs > 1 else None)
-    with pool or contextlib.nullcontext():
-        cells = []
-        for i, a in enumerate(amplitudes):
-            for K, schedule in schedules.items():
-                args = (a, schedule, probabilities[K][i],
-                        trial_seed(cfg.seed, a, K, 0), cfg.trials)
-                cells.append((a, K, _sq_errors(*args) if pool is None
-                              else pool.submit(_sq_errors, *args)))
-        rows = []
-        for a, K, sq in cells:
-            if pool is not None:
-                sq = sq.result()
-            report = driver.resource_report(schedules[K], cfg.n)
-            rows.append(ResultRow(
-                a=a, K=K, strategy=cfg.strategy, n_queries=report.n_queries,
-                oracle_depth=report.oracle_depth, width=report.width,
-                rmse=float(np.sqrt(np.mean(sq))), trials=cfg.trials, seed=cfg.seed))
+    for i, a in enumerate(amplitudes):
+        for K, schedule in schedules.items():
+            yield a, K, schedule, probabilities[K][i], trial_seed(cfg.seed, a, K, 0)
+
+
+def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
+    """RMSE over ``trials`` independent runs for every (amplitude, K).
+
+    The probability phase is :func:`_cells`.  The sampling phase then draws
+    each cell's trials in one batch on one generator seeded by the cell's
+    trial-0 seed, so trial 0 of a cell equals :func:`driver.run` at that
+    seed, and recovers the phase of all trials at once.
+    """
+    rows = []
+    for a, K, schedule, probabilities, seed in _cells(
+            cfg, range(cfg.k_min, cfg.k_max + 1)):
+        estimate, _ = driver.sample_and_recover(schedule, probabilities, seed, cfg.trials)
+        report = driver.resource_report(schedule, cfg.n)
+        rows.append(ResultRow(
+            a=a, K=K, strategy=cfg.strategy, n_queries=report.n_queries,
+            oracle_depth=report.oracle_depth, width=report.width,
+            rmse=float(np.sqrt(np.mean((estimate.a_hat - a) ** 2))),
+            trials=cfg.trials, seed=cfg.seed))
     return rows
 
 
@@ -172,10 +162,14 @@ def run_tl_curve(cfg: ExperimentConfig) -> list[TlRow]:
     The grid ``t_min + i t_step`` is computed in decimal from the configured
     values, so a step of 0.1 gives 0.3, not 0.30000000000000004.
     """
-    if cfg.t_step <= 0:
-        raise driver.ConfigurationError(f"t_step must be positive, got {cfg.t_step}")
+    if not 0 < cfg.t_step < math.inf:
+        raise driver.ConfigurationError(
+            f"t_step must be positive and finite, got {cfg.t_step}")
+    if not -math.inf < cfg.t_min <= cfg.t_max < math.inf:
+        raise driver.ConfigurationError(
+            f"empty or unbounded strength grid: t_min {cfg.t_min}, t_max {cfg.t_max}")
     t_min, t_step = Decimal(repr(cfg.t_min)), Decimal(repr(cfg.t_step))
-    count = max(0, math.floor((Decimal(repr(cfg.t_max)) - t_min) / t_step) + 1)
+    count = math.floor((Decimal(repr(cfg.t_max)) - t_min) / t_step) + 1
     rows = []
     for i in range(count):
         t = float(t_min + i * t_step)
@@ -186,18 +180,12 @@ def run_tl_curve(cfg: ExperimentConfig) -> list[TlRow]:
 def run_single(cfg: ExperimentConfig):
     """One full run per configured amplitude at ``k_max`` steps.
 
-    The schedule and the step probabilities of all amplitudes are computed
-    once; each amplitude then samples with its own trial seed, so every run
-    equals a :func:`driver.run` of that amplitude alone.
+    The probability phase is :func:`_cells` with the one step count
+    ``k_max``; each amplitude then samples one run with its trial-0 seed, so
+    every run equals a :func:`driver.run` of that amplitude alone.
     """
-    amplitudes = _amplitudes(cfg)
-    schedule = _schedule_for(cfg, cfg.k_max)
-    report = driver.resource_report(schedule, cfg.n)
-    probabilities = driver.step_probabilities(
-        [make_instance(a, cfg.n) for a in amplitudes], schedule, cfg.backend)
     out = []
-    for a, probs in zip(amplitudes, probabilities):
-        estimate, records = driver.sample_and_recover(
-            schedule, probs, trial_seed(cfg.seed, a, cfg.k_max, 0))
-        out.append((a, estimate, report, records))
+    for a, _, schedule, probabilities, seed in _cells(cfg, [cfg.k_max]):
+        estimate, records = driver.sample_and_recover(schedule, probabilities, seed)
+        out.append((a, estimate, driver.resource_report(schedule, cfg.n), records))
     return out

@@ -44,15 +44,18 @@ def check_shifter_error() -> tuple[str, bool, str]:
 
 
 def check_parity_identity() -> tuple[str, bool, str]:
+    # the parity contraction on exact-shifter blocks, diag(e^{-i phi/2},
+    # e^{+i phi/2}) on both eigenphases, against the closed form
+    phis = [make_instance(float(a)).phi for a in np.linspace(0.0, 1.0, 11)]
+    half = np.exp(0.5j * np.array(phis))
+    blocks = np.zeros((2, len(phis), 2, 2), dtype=complex)
+    blocks[:, :, 0, 0], blocks[:, :, 1, 1] = half.conj(), half
     worst = 0.0
-    for a in np.linspace(0.0, 1.0, 11):
-        inst = make_instance(float(a))
-        for m in (1, 4, 32):
-            for setting in circ.MeasurementSetting:
-                closed = circ.ideal_setting_probability(m, inst.phi, setting)
-                direct = 0.5 + 0.5 * (math.cos(m * inst.phi) if setting is
-                                      circ.MeasurementSetting.PLUS else math.sin(m * inst.phi))
-                worst = max(worst, abs(closed - direct))
+    for m in (1, 4, 32):
+        probs = circ._parity_probabilities(blocks, m)
+        closed = [[circ.ideal_setting_probability(m, phi, setting)
+                   for setting in circ.MeasurementSetting] for phi in phis]
+        worst = max(worst, float(np.max(np.abs(probs - closed))))
     return "parity-closed-form", worst <= 1e-12, f"max deviation {worst:.2e}"
 
 

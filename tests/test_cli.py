@@ -1,9 +1,14 @@
 """Command-line error reporting: bad input ends in one ``error:`` line on
 stderr and exit code 2, never a traceback."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from pae import experiments
+import pae
+from pae import circuit, experiments
 from pae.cli import main
 
 
@@ -47,6 +52,17 @@ def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
      "rmse_vs_depth needs 'amplitudes' or 'amplitude_grid'"),
     ("experiment = bias_sweep\nbackend = analytic\namplitudes = 0.5\nk_max = 2\n"
      "shots = 10\nseed = -1\n", "field 'seed': must be >= 0, got -1"),
+    ("experiment = tl_curve\nt_min = 5\nt_max = 2\n",
+     "empty or unbounded strength grid: t_min 5.0, t_max 2.0"),
+    ("experiment = tl_curve\nt_max = inf\n",
+     "empty or unbounded strength grid: t_min 1.0, t_max inf"),
+    ("experiment = tl_curve\nt_min = nan\n",
+     "empty or unbounded strength grid: t_min nan, t_max 100.0"),
+    ("experiment = tl_curve\nt_step = nan\n", "t_step must be positive and finite, got nan"),
+    ("experiment = single_run\nk_max = 2\n",
+     "single_run needs 'amplitudes' or 'amplitude_grid'"),
+    ("amplitudes = 0.5\nk_max = 2\ntrials = 2\njobs = 2\n",
+     "field 'jobs': must be 1, got 2"),
 ])
 def test_run_rejects_bad_schedule(tmp_path, capsys, config, message):
     path = tmp_path / "exp.cfg"
@@ -103,3 +119,25 @@ def test_verify_passes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert sum(line.startswith("PASS") for line in lines) == 7
     assert not any("FAIL" in line for line in lines)
+
+
+def test_verify_fails_on_wrong_parity_contraction(capsys, monkeypatch):
+    exact = circuit._parity_probabilities
+    monkeypatch.setattr(circuit, "_parity_probabilities",
+                        lambda blocks, P: exact(blocks, P) + 1e-9)
+    assert main(["verify"]) == 1
+    # backend-equivalence fails too, since the analytic backend contracts
+    # through the same function
+    assert "FAIL  parity-closed-form: max deviation 1.00e-09" in capsys.readouterr().out
+
+
+def test_cli_import_starts_no_process_machinery():
+    # every run is serial: importing the CLI loads no process-pool modules
+    code = ("import pae.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('multiprocessing', 'concurrent')))")
+    src = os.path.dirname(os.path.dirname(pae.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
