@@ -7,10 +7,13 @@ per-ancilla X-basis readout classified by the parity of the number of 1s.
 Two backends compute the even-parity probability:
 
 * analytic -- on each Grover eigenphase ``e^{+-2i theta}`` the shifter is
-  the 2x2 ancilla product ``qsp.rotation_product`` at ``pi/2 +- 2 theta``;
-  the per-branch contractions average over the two, and the product over
-  identical branches collapses to complex powers, so the cost is
-  independent of ``P``; exact, and batched over instance angles.
+  the 2x2 ancilla product ``qsp.rotation_product`` at ``pi/2 +- 2 theta``
+  (:func:`eigenphase_blocks`, whose result depends on ``(T, L, S)`` and
+  not on ``P``); the per-branch contractions (:func:`_parity_probabilities`) are
+  read elementwise from the four block entries and averaged over the two
+  eigenphases, and the product over identical branches collapses to
+  complex powers, so the cost is independent of ``P``; exact, and batched
+  over instance angles.
 * statevector -- the full ``(n+1)P``-qubit state built from the explicit
   oracle and contracted gate by gate with BLAS ``matmul``, used to
   cross-validate the analytic backend at small sizes.  Both settings come
@@ -35,9 +38,6 @@ from .qsp import (PhaseShifterSpec, controlled_grover, interleaved_shifter,
 
 STATEVECTOR_MAX_QUBITS = 22
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-
 
 class CapacityError(RuntimeError):
     """Raised when a statevector request exceeds the qubit guard."""
@@ -60,20 +60,48 @@ class ParallelCircuit:
     instance: AmplitudeInstance
 
 
+def _check_count(what: str, value: int) -> None:
+    if value < 1:
+        raise DomainError(f"{what} must be >= 1, got {value}")
+
+
+def eigenphase_blocks(spec: PhaseShifterSpec, S: int, thetas) -> np.ndarray:
+    """``(2, n, 2, 2)`` ancilla blocks of the ``S``-fold shifter on the two
+    Grover eigenphases of every instance angle: one ``rotation_product``
+    call at ``pi/2 + 2 theta`` then ``pi/2 - 2 theta``, and one
+    ``matrix_power`` to ``S`` when ``S > 1``."""
+    _check_count("repetition count", S)
+    two_theta = 2.0 * np.asarray(thetas, dtype=float).reshape(-1)
+    blocks = rotation_product(spec.angles.xi, np.concatenate(
+        [np.pi / 2 + two_theta, np.pi / 2 - two_theta]))
+    if S > 1:
+        blocks = np.linalg.matrix_power(blocks, S)
+    return blocks.reshape(2, -1, 2, 2)
+
+
 def _parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
-    """``(n, 2)`` probabilities from the ``(2, n, 2, 2)`` eigenphase blocks
-    (already to the power S), whose column ``j`` is ancilla state ``phi_j``.
+    """``(n, 2)`` probabilities of ``P`` branches from the ``(2, n, 2, 2)``
+    eigenphase blocks (already to the power S), whose column ``j`` is
+    ancilla state ``phi_j``.
 
     With ``x_j = <phi_j|X|phi_j>`` and ``z = <phi_1|X|phi_0>`` averaged over
     the two eigenphases, which ``|0..0>`` weights equally, the product over
     identical branches collapses to ``p = 1/2 + (x_0^P + x_1^P)/4 + Re(z^P)/2``.
     The extra rotation of the PLUS_I setting turns branch 0's ``X`` into ``Y``.
+    Every expectation is read elementwise from the block entries ``b_ij``,
+    for any 2x2 block: ``x_0 + i y_0 = 2 conj(b00) b10`` (``b01``, ``b11``
+    for ``j = 1``), ``z_x = conj(b01) b10 + conj(b11) b00`` and
+    ``z_y = i (conj(b11) b00 - conj(b01) b10)``.
     """
-    adjoint = blocks.conj().swapaxes(-1, -2)
-    mx = np.mean(adjoint @ _PAULI_X @ blocks, axis=0)    # <phi_j|X|phi_i> at [j, i]
-    my = np.mean(adjoint @ _PAULI_Y @ blocks, axis=0)
-    x0, x1, zx = mx[:, 0, 0].real, mx[:, 1, 1].real, mx[:, 1, 0]
-    y0, y1, zy = my[:, 0, 0].real, my[:, 1, 1].real, my[:, 1, 0]
+    _check_count("branch count", P)
+    b00, b01, b10, b11 = (blocks[..., i, j] for i in (0, 1) for j in (0, 1))
+    # each sum runs over the two eigenphases: twice their average
+    w0 = np.sum(b00.conj() * b10, axis=0)
+    w1 = np.sum(b01.conj() * b11, axis=0)
+    u = 0.5 * np.sum(b01.conj() * b10, axis=0)
+    v = 0.5 * np.sum(b11.conj() * b00, axis=0)
+    x0, y0, x1, y1 = w0.real, w0.imag, w1.real, w1.imag
+    zx, zy = u + v, 1j * (v - u)
     plus = 0.5 + 0.25 * (x0 ** P + x1 ** P) + 0.5 * (zx ** P).real
     plus_i = (0.5 + 0.25 * (y0 * x0 ** (P - 1) + y1 * x1 ** (P - 1))
               + 0.5 * (zy * zx ** (P - 1)).real)
@@ -83,14 +111,11 @@ def _parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
 def even_parity_probabilities(spec: PhaseShifterSpec, P: int, S: int,
                               thetas) -> np.ndarray:
     """Exact even-parity probabilities of the synthesized circuit, one row
-    per instance angle, columns PLUS and PLUS_I: one ``rotation_product``
-    call for both eigenphases of every angle, one ``matrix_power`` to ``S``.
+    per instance angle, columns PLUS and PLUS_I: the
+    :func:`eigenphase_blocks` of every angle, contracted for ``P`` branches.
+    Raises :class:`DomainError` for ``P < 1`` or ``S < 1``.
     """
-    two_theta = 2.0 * np.asarray(thetas, dtype=float).reshape(-1)
-    blocks = rotation_product(spec.angles.xi, np.concatenate(
-        [np.pi / 2 + two_theta, np.pi / 2 - two_theta]))
-    blocks = np.linalg.matrix_power(blocks, S).reshape(2, -1, 2, 2)
-    return _parity_probabilities(blocks, P)
+    return _parity_probabilities(eigenphase_blocks(spec, S, thetas), P)
 
 
 def setting_probability(circuit: ParallelCircuit,
@@ -101,13 +126,18 @@ def setting_probability(circuit: ParallelCircuit,
                  [0, list(MeasurementSetting).index(setting)])
 
 
+def ideal_probabilities(multiplier: float, phi: float) -> tuple[float, float]:
+    """Closed form with the exact shifter substituted, PLUS then PLUS_I:
+    ``(1 + cos(M phi))/2`` and ``(1 + sin(M phi))/2``."""
+    angle = multiplier * phi
+    return (1.0 + math.cos(angle)) / 2.0, (1.0 + math.sin(angle)) / 2.0
+
+
 def ideal_setting_probability(multiplier: float, phi: float,
                               setting: MeasurementSetting) -> float:
-    """Closed form with the exact shifter substituted:
-    ``(1 + cos(M phi))/2`` for PLUS, ``(1 + sin(M phi))/2`` for PLUS_I."""
-    if setting is MeasurementSetting.PLUS:
-        return (1.0 + math.cos(multiplier * phi)) / 2.0
-    return (1.0 + math.sin(multiplier * phi)) / 2.0
+    """One setting's entry of :func:`ideal_probabilities`."""
+    plus, plus_i = ideal_probabilities(multiplier, phi)
+    return plus if setting is MeasurementSetting.PLUS else plus_i
 
 
 def sample_even_parity(probability, shots: int, seed):
@@ -126,8 +156,7 @@ def sample_even_parity(probability, shots: int, seed):
 
 def ghz_depth(P: int) -> int:
     """Entangling layers of the doubling ladder preparing the GHZ state."""
-    if P < 1:
-        raise DomainError(f"branch count must be >= 1, got {P}")
+    _check_count("branch count", P)
     return math.ceil(math.log2(P))
 
 
@@ -189,7 +218,10 @@ def statevector_even_parity_probabilities(spec: PhaseShifterSpec, P: int, S: int
     of the GHZ state, then both settings from that one state.  The even
     X-parity probability is ``(1 + <X..X>)/2``; the PLUS_I setting's
     ``e^{i pi Z/4}`` on ancilla 0 turns that ancilla's ``X`` into ``Y``.
+    Raises :class:`DomainError` for ``P < 1`` or ``S < 1``.
     """
+    _check_count("branch count", P)
+    _check_count("repetition count", S)
     rows = []
     for inst in instances:
         n = inst.n

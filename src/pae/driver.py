@@ -11,7 +11,9 @@ A run has two phases:
   even-parity probability of both measurement settings of every step on the
   selected backend.  It is deterministic: it depends on the amplitude and
   the schedule, never on a seed, so it is done once and shared by every
-  trial of a sweep;
+  trial of a sweep.  On the analytic backend the eigenphase blocks depend
+  on a step's ``(t, l, s)`` alone, so they are built once for all steps
+  that share it and contracted for each step's branch count ``p``;
 * the sampling and recovery phase, :func:`sample_and_recover`, seeds one
   generator, draws the parity counts of one trial, or of a batch of
   trials, from those probabilities in one binomial call, and feeds the
@@ -197,16 +199,29 @@ def recompute_queries(schedule: Schedule, records) -> int:
     return total
 
 
+def _analytic_columns(thetas: list[float], steps) -> list[np.ndarray]:
+    """Analytic ``(n, 2)`` probabilities of each step, one row per instance
+    angle: the eigenphase blocks are built once per distinct ``(t, l, s)``
+    and contracted for each step's ``p``."""
+    blocks = {}
+    columns = []
+    for st in steps:
+        key = (st.t, st.l, st.s)
+        if key not in blocks:
+            blocks[key] = circ.eigenphase_blocks(qsp.synthesize_shifter(st.t, st.l),
+                                                 st.s, thetas)
+        columns.append(circ._parity_probabilities(blocks[key], st.p))
+    return columns
+
+
 def _step_probabilities(instances: list[AmplitudeInstance], st: ScheduleStep,
                         backend: str) -> np.ndarray:
-    """``(n, 2)`` probabilities of one step, one row per instance."""
+    """``(n, 2)`` probabilities of one step on the ideal or statevector
+    backend, one row per instance."""
     if backend == "ideal":
-        return np.array([[circ.ideal_setting_probability(st.m, inst.phi, setting)
-                          for setting in circ.MeasurementSetting]
+        return np.array([circ.ideal_probabilities(st.m, inst.phi)
                          for inst in instances]).reshape(-1, 2)
     spec = qsp.synthesize_shifter(st.t, st.l)
-    if backend == "analytic":
-        return circ.even_parity_probabilities(spec, st.p, st.s, [inst.theta for inst in instances])
     return circ.statevector_even_parity_probabilities(spec, st.p, st.s, instances)
 
 
@@ -221,8 +236,11 @@ def step_probabilities(instances, schedule: Schedule,
         raise ConfigurationError(f"unknown backend {backend!r}")
     single = isinstance(instances, AmplitudeInstance)
     batch = [instances] if single else list(instances)
-    probabilities = np.stack([_step_probabilities(batch, st, backend)
-                              for st in schedule], axis=1)
+    if backend == "analytic":
+        columns = _analytic_columns([inst.theta for inst in batch], schedule)
+    else:
+        columns = [_step_probabilities(batch, st, backend) for st in schedule]
+    probabilities = np.stack(columns, axis=1)
     return probabilities[0] if single else probabilities
 
 

@@ -16,27 +16,29 @@ pipeline is:
    ``|P| <= 1`` on the circle), staying within ``8*delta`` of the target.
    ``|P|^2`` is evaluated on the certification grid twice, to measure the
    overshoot and to certify the result: by Horner's rule in place on its
-   4096 Chebyshev points, and by one FFT of the coefficients, folded mod
-   the grid size, on its 8192 uniform points.  Memory stays linear in the
-   grid and independent of ``L``; the constant grids are built on first use.
+   4096 Chebyshev points, and on its 8192 uniform points as the squared
+   moduli of one real FFT of the coefficients, folded mod the grid size
+   (for real ``p``, ``|P(e^{-i theta})| = |P(e^{i theta})|``, so the half
+   spectrum mirrored gives every point).  Memory stays linear in the grid
+   and independent of ``L``; the constant grids are built on first use.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``P`` by layer peeling alone: complete ``P`` to a
    unitary with the complementary polynomial ``G``
    (``|P|^2 + |G|^2 = 1``, one FFT spectral factorisation, no root finding;
    its arrays are real or Hermitian, so every transform is a real FFT, and
-   the pair is certified on 1024 uniform points by FFT) and strip one
-   degree at a time.  Only the first row ``(P, iG)`` of the
-   Laurent tensor is kept, since the second is its reversed conjugate; each
-   layer's angle comes in closed form from the two end blocks, and each
-   strip is one ``(L, 2) @ (2, 2)`` product with the layer's rank-1
-   projector, so the peel is ``O(L^2)`` with a small constant.  It runs
-   at the target's effective degree (at least 2 for a live target, whose
-   core then has length 4) and pads with cancelling pairs up to ``L``, the
-   only place that pads; a target that is the identity up to rounding is
-   all cancelling pairs.  The residual check covers the returned sequence,
-   pads included, and evaluates the realized product (``rotation_product``)
-   in closed form: every factor lies in SU(2), so only the first row is
-   tracked, elementwise over the grid.
+   the pair is certified on 1024 uniform points by the same real-FFT
+   moduli) and strip one degree at a time.  Only the first row
+   ``(P, iG)`` of the Laurent tensor is kept, since the second is its
+   reversed conjugate; each layer's angle comes in closed form from the
+   two end blocks, and each strip is one ``(L, 2) @ (2, 2)`` product with
+   the layer's rank-1 projector, so the peel is ``O(L^2)`` with a small
+   constant.  It runs at the target's effective degree (at least 2 for a
+   live target, whose core then has length 4) and pads with cancelling
+   pairs up to ``L``, the only place that pads; a target that is the
+   identity up to rounding is all cancelling pairs.  The residual check
+   covers the returned sequence, pads included, and evaluates the realized
+   product (``rotation_product``) in closed form: every factor lies in
+   SU(2), so only the first row is tracked, elementwise over the grid.
 4. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
    ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
    backend evaluates.  ``interleaved_shifter``, independent of it so that
@@ -207,10 +209,10 @@ def _fejer_kernel_even(d: int) -> np.ndarray:
 
 def _cert_modulus2(p: np.ndarray) -> np.ndarray:
     """``|P|^2`` on the certification grid, in the order of its angles:
-    Horner's rule on the Chebyshev points, one FFT on the uniform ones."""
+    Horner's rule on the Chebyshev points, one real FFT on the uniform ones."""
     z = _cert_grid()[1]
     return np.concatenate([np.abs(_laurent_values(p, z)) ** 2,
-                           np.abs(_uniform_values(p, 2 * _CERT_GRID)) ** 2])
+                           _uniform_modulus2(p, 2 * _CERT_GRID)])
 
 
 def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,13 +335,19 @@ def _laurent_values(p: np.ndarray, z: np.ndarray) -> np.ndarray:
     return y
 
 
-def _uniform_values(p: np.ndarray, n: int) -> np.ndarray:
-    """``P(e^{2 pi i j / n})``, ``j = 0..n-1``, of the Laurent vector ``p`` on
-    powers ``-d..d`` by one inverse FFT.  Powers congruent mod ``n`` meet on
-    the grid, so the coefficients are summed into their residues first."""
+def _uniform_modulus2(p: np.ndarray, n: int) -> np.ndarray:
+    """``|P(e^{2 pi i j / n})|^2``, ``j = 0..n-1`` (``n`` even), of the real
+    Laurent vector ``p`` on powers ``-d..d`` by one real FFT.  Powers
+    congruent mod ``n`` meet on the grid, so the coefficients are summed
+    into their residues first.  Bin ``j`` of the forward transform is
+    ``P(e^{-2 pi i j / n})``, the conjugate of ``P(e^{2 pi i j / n})`` and
+    equal to ``P(e^{2 pi i (n - j) / n})``, so the squared moduli of bins
+    ``0..n/2`` with bins ``n/2-1..1`` mirrored after them cover the grid."""
     d = (len(p) - 1) // 2
     folded = np.bincount(np.arange(-d, d + 1) % n, weights=p, minlength=n)
-    return n * np.fft.ifft(folded)
+    half = np.fft.rfft(folded)
+    modulus2 = half.real ** 2 + half.imag ** 2
+    return np.concatenate([modulus2, modulus2[n // 2 - 1:0:-1]])
 
 
 def _deflate_pinned(r: np.ndarray) -> np.ndarray:
@@ -389,8 +397,8 @@ def _fejer_complement(p: np.ndarray) -> np.ndarray:
     cepstrum[n // 2:] = 0.0
     f = np.fft.irfft(np.exp(np.fft.rfft(cepstrum)), n)[: m + 1]
     g = np.convolve(f, [1.0, 0.0, -1.0])[::-1]
-    err = float(np.max(np.abs(np.abs(_uniform_values(p, _COMPLEMENT_GRID)) ** 2
-                              + np.abs(_uniform_values(g, _COMPLEMENT_GRID)) ** 2 - 1.0)))
+    err = float(np.max(np.abs(_uniform_modulus2(p, _COMPLEMENT_GRID)
+                              + _uniform_modulus2(g, _COMPLEMENT_GRID) - 1.0)))
     if not err <= _COMPLEMENT_TOL:        # a NaN must fail too
         raise SynthesisError(
             f"complement of degree {d} misses |P|^2 + |G|^2 = 1 by {err:.3g}")

@@ -60,14 +60,14 @@ def check_parity_identity() -> tuple[str, bool, str]:
 
 
 def check_backend_equivalence() -> tuple[str, bool, str]:
-    spec = qsp.synthesize_shifter(1.0, 10)
-    worst = 0.0
-    for a in (0.0, 0.25, 1.0):
-        inst = make_instance(a, 2)
-        for p, s in ((1, 1), (2, 1), (1, 2), (2, 2)):
-            pa = circ.even_parity_probabilities(spec, p, s, [inst.theta])
-            pv = circ.statevector_even_parity_probabilities(spec, p, s, [inst])
-            worst = max(worst, float(np.max(np.abs(pa - pv))))
+    # through the probability phase that runs take: the analytic steps
+    # with the same (t, l, s) and different p share their blocks
+    steps = [driver.ScheduleStep(k=i + 1, m=p * s, p=p, t=1.0, s=s, nu=1, l=10)
+             for i, (p, s) in enumerate(((1, 1), (2, 1), (1, 2), (2, 2)))]
+    insts = [make_instance(a, 2) for a in (0.0, 0.25, 1.0)]
+    pa = driver.step_probabilities(insts, steps, "analytic")
+    pv = driver.step_probabilities(insts, steps, "statevector")
+    worst = float(np.max(np.abs(pa - pv)))
     return "backend-equivalence", worst <= 1e-10, f"max deviation {worst:.2e}"
 
 

@@ -11,7 +11,8 @@ from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  statevector_even_parity_probabilities,
                  statevector_even_parity_probability, synthesize_shifter)
 from pae.circuit import (_apply_block, _apply_cnot, _parity_probabilities,
-                         sample_even_parity)
+                         eigenphase_blocks, sample_even_parity)
+from pae.core_model import DomainError
 from pae.qsp import controlled_grover, interleaved_shifter
 
 _X_ANC = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)).astype(complex)
@@ -23,6 +24,31 @@ def ideal_probabilities(P: int, phi: float) -> np.ndarray:
     block ``diag(e^{-i phi/2}, e^{+i phi/2})`` on both eigenphases."""
     block = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
     return _parity_probabilities(np.broadcast_to(block, (2, 1, 2, 2)), P)[0]
+
+
+def matmul_parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
+    """Reference contraction through batched Pauli products: the ``[j, i]``
+    entries of ``B^dagger X B`` and ``B^dagger Y B`` averaged over the two
+    eigenphases are ``<phi_j|X|phi_i>`` and ``<phi_j|Y|phi_i>``."""
+    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    pauli_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    adjoint = blocks.conj().swapaxes(-1, -2)
+    mx = np.mean(adjoint @ pauli_x @ blocks, axis=0)
+    my = np.mean(adjoint @ pauli_y @ blocks, axis=0)
+    x0, x1, zx = mx[:, 0, 0].real, mx[:, 1, 1].real, mx[:, 1, 0]
+    y0, y1, zy = my[:, 0, 0].real, my[:, 1, 1].real, my[:, 1, 0]
+    plus = 0.5 + 0.25 * (x0 ** P + x1 ** P) + 0.5 * (zx ** P).real
+    plus_i = (0.5 + 0.25 * (y0 * x0 ** (P - 1) + y1 * x1 ** (P - 1))
+              + 0.5 * (zy * zx ** (P - 1)).real)
+    return np.clip(np.stack([plus, plus_i], axis=1), 0.0, 1.0)
+
+
+def haar_u2(rng, shape) -> np.ndarray:
+    """Haar-random U(2) matrices: QR of complex Gaussians, phases fixed."""
+    g = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def branch_unitary_probability(v: np.ndarray, P: int, S: int,
@@ -221,6 +247,27 @@ class TestEvenParityProbabilities:
         batch = even_parity_probabilities(spec, P, S, thetas)
         single = np.concatenate([even_parity_probabilities(spec, P, S, [t]) for t in thetas])
         assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("P", [1, 2, 7, 64, 256])
+    def test_elementwise_contraction_matches_pauli_matmul(self, P):
+        # on Haar U(2) blocks, not only SU(2), and on synthesized ones
+        rng = np.random.default_rng(500 + P)
+        haar = haar_u2(rng, (2, 101))
+        assert np.max(np.abs(np.linalg.det(haar) - 1.0)) > 0.1
+        thetas = np.linspace(0.0, np.pi / 2, 101)
+        for blocks in (haar, eigenphase_blocks(synthesize_shifter(1.0, 10), 1, thetas),
+                       eigenphase_blocks(synthesize_shifter(4.0, 22), 3, thetas)):
+            got = _parity_probabilities(blocks, P)
+            assert np.max(np.abs(got - matmul_parity_probabilities(blocks, P))) <= 1e-13
+
+    @pytest.mark.parametrize("P,S", [(0, 1), (-1, 1), (1, 0), (1, -1), (0, 0)])
+    def test_both_backends_reject_fewer_than_one(self, P, S):
+        spec = synthesize_shifter(1.0, 10)
+        inst = make_instance(0.3)
+        with pytest.raises(DomainError, match="count must be >= 1"):
+            even_parity_probabilities(spec, P, S, [inst.theta])
+        with pytest.raises(DomainError, match="count must be >= 1"):
+            statevector_even_parity_probabilities(spec, P, S, [inst])
 
 
 class TestSampling:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import pae
-from pae import circuit, experiments
+from pae import circuit, driver, experiments
 from pae.cli import main
 
 
@@ -129,6 +129,18 @@ def test_verify_fails_on_wrong_parity_contraction(capsys, monkeypatch):
     # backend-equivalence fails too, since the analytic backend contracts
     # through the same function
     assert "FAIL  parity-closed-form: max deviation 1.00e-09" in capsys.readouterr().out
+
+
+def test_verify_fails_on_wrong_shared_block_contraction(capsys, monkeypatch):
+    # the backend check goes through the driver's probability phase, where
+    # analytic steps share their eigenphase blocks
+    exact = driver._analytic_columns
+    monkeypatch.setattr(driver, "_analytic_columns",
+                        lambda thetas, steps: [c + 1e-9 for c in exact(thetas, steps)])
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  backend-equivalence: max deviation 1.00e-09" in out
+    assert "PASS  parity-closed-form" in out
 
 
 def test_cli_import_starts_no_process_machinery():

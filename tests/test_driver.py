@@ -6,7 +6,8 @@ import pytest
 from pae import (PARALLEL_L_TABLE_PLUS, ConfigurationError, build_schedule,
                  hl_reference, make_instance, query_count, recompute_queries,
                  resource_report, run, sample_and_recover, select_L_empirical,
-                 step_probabilities, theorem_resources)
+                 step_probabilities, synthesize_shifter, theorem_resources)
+from pae import circuit
 from pae.core_model import DomainError
 
 
@@ -239,6 +240,29 @@ class TestTwoPhases:
                                      S=st.s, instance=inst)
                 assert row.tolist() == [pae.circuit.statevector_even_parity_probability(
                     pc, setting) for setting in MeasurementSetting]
+
+    def test_shared_blocks_equal_per_step_rows(self):
+        # steps with the same (t, l, s) share their eigenphase blocks: every
+        # row equals the step's own even_parity_probabilities, bit for bit
+        sched = build_schedule(strategy="full_parallel", k_max=9,
+                               l_table=PARALLEL_L_TABLE_PLUS)
+        insts = [make_instance(float(a)) for a in np.linspace(0.0, 1.0, 101)]
+        thetas = [inst.theta for inst in insts]
+        probs = step_probabilities(insts, sched, "analytic")
+        for i, st in enumerate(sched):
+            rows = circuit.even_parity_probabilities(
+                synthesize_shifter(st.t, st.l), st.p, st.s, thetas)
+            assert np.array_equal(probs[:, i], rows)
+
+    def test_ideal_column_equals_setting_probability(self):
+        sched = build_schedule(strategy="full_parallel", k_max=9)
+        insts = [make_instance(float(a)) for a in np.linspace(0.0, 1.0, 101)]
+        probs = step_probabilities(insts, sched, "ideal")
+        for inst, rows in zip(insts, probs):
+            for st, row in zip(sched, rows):
+                assert row.tolist() == [
+                    circuit.ideal_setting_probability(st.m, inst.phi, setting)
+                    for setting in circuit.MeasurementSetting]
 
     def test_seeded_stream_is_unchanged(self):
         # counts recorded when the stream became one generator per trial

@@ -97,7 +97,7 @@ class TestRmseSweep:
 
     @pytest.mark.parametrize("trials", [2, 5])
     def test_probabilities_computed_once_per_distinct_step(self, trials, monkeypatch):
-        calls = {"prob": 0, "sample": 0}
+        calls = {"blocks": 0, "sample": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -105,17 +105,18 @@ class TestRmseSweep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(circuit, "even_parity_probabilities",
-                            counted("prob", circuit.even_parity_probabilities))
+        monkeypatch.setattr(circuit, "eigenphase_blocks",
+                            counted("blocks", circuit.eigenphase_blocks))
         monkeypatch.setattr(np.random, "default_rng",
                             counted("sample", np.random.default_rng))
         cfg = self.make_cfg(amplitudes=(0.0, 0.3), k_min=1, k_max=3,
                             strategy="full_parallel", backend="analytic",
                             l_table="plus", trials=trials)
         run_rmse_sweep(cfg)
-        # K = 1..3 share their steps: one call per distinct step, covering
-        # both amplitudes and settings, independent of trials
-        assert calls["prob"] == 3
+        # K = 1..3 share their steps, and the three distinct steps have
+        # L = 10, 12, 12: one block build per distinct (t, l, s), covering
+        # both amplitudes, settings and branch counts, independent of trials
+        assert calls["blocks"] == 2
         assert calls["sample"] == 2 * 3                       # one generator per cell
 
     @pytest.mark.parametrize("backend,strategy", [("ideal", "full_sequential"),

@@ -19,7 +19,7 @@ from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae import qsp
 from pae.qsp import (_cert_grid, _cert_modulus2, _deflate_pinned, _fejer_complement,
                      _fejer_kernel_even, _fold, _laurent_values, _solve_layer_peel,
-                     _uniform_values, chebyshev_grid, controlled_grover, interleaved_shifter,
+                     _uniform_modulus2, chebyshev_grid, controlled_grover, interleaved_shifter,
                      rotation_product)
 
 
@@ -265,23 +265,21 @@ class TestUniformValues:
     @pytest.mark.parametrize("n", [1024, 8192])
     @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (256.0, 710)])
     def test_matches_horner(self, T, L, n):
-        # Horner's phase drifts by the degree times rounding against the
-        # exact grid roots, so the moduli, which both callers use, are compared
         p = complete_target(truncate_target(T, L))
         z = np.exp(2j * np.pi * np.arange(n) / n)
-        got = np.abs(_uniform_values(p, n))
-        assert np.max(np.abs(got - np.abs(_laurent_values(p, z)))) <= 1e-13
+        got = _uniform_modulus2(p, n)
+        assert np.max(np.abs(got - np.abs(_laurent_values(p, z)) ** 2)) <= 1e-13
 
     @pytest.mark.parametrize("T,L,n", [
         (1.0, 10, 1024), (1.0, 10, 8192), (48.0, 146, 1024), (48.0, 146, 8192),
         (256.0, 710, 1024), (256.0, 710, 8192), (1024.0, 2800, 1024),
-        (2048.0, 5586, 1024)])
+        (2048.0, 5586, 1024), (2048.0, 9000, 8192)])
     def test_matches_direct_sum(self, T, L, n):
         # L + 1 > n folds several powers onto each grid point: they must be
         # summed, where a plain scatter would keep one of them
         p = truncate_target(T, L).coeffs
-        got = _uniform_values(p, n)
-        assert np.max(np.abs(got - direct_uniform_sum(p, n))) <= 1e-13
+        got = _uniform_modulus2(p, n)
+        assert np.max(np.abs(got - np.abs(direct_uniform_sum(p, n)) ** 2)) <= 1e-13
 
 
 def complex_fft_complement(p):
@@ -619,7 +617,7 @@ class TestSynthesisAtEveryStrength:
         digest = hashlib.sha256()
         for T in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48):
             digest.update(synthesize_shifter(float(T), select_L_empirical(T)).angles.xi.tobytes())
-        assert digest.hexdigest()[:16] == "d2f07e2009768c35"
+        assert digest.hexdigest()[:16] == "c9d57f206faf8a1b"
 
     @pytest.mark.parametrize("T", [2.0 ** j for j in range(12)])
     def test_certified_or_loud(self, T):
