@@ -2,7 +2,7 @@
 robust phase recovery, and resource benchmarking."""
 
 from .circuit import (CapacityError, MeasurementSetting, ParallelCircuit,
-                      even_parity_probabilities, ghz_depth, ideal_setting_probability,
+                      even_parity_probabilities, ghz_depth, ideal_probabilities,
                       setting_probability, statevector_even_parity_probabilities,
                       statevector_even_parity_probability)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
@@ -22,7 +22,7 @@ from .qsp import (AngleSequence, PhaseShifterSpec, SynthesisError,
                   realized_functions, save_angles, select_L, select_L_empirical,
                   solve_angles, state_error_bound, synthesize_shifter,
                   truncate_target, truncation_error_bound)
-from .rpe import (PhaseEstimate, StepObservation, estimate_phase, finalize,
-                  mse_bound, schedule_nu, step_phase, unwrap_step)
+from .rpe import (PhaseEstimate, estimate_phase, finalize, mse_bound,
+                  schedule_nu, step_phase, unwrap_step)
 
 __version__ = "0.1.0"

@@ -126,18 +126,15 @@ def setting_probability(circuit: ParallelCircuit,
                  [0, list(MeasurementSetting).index(setting)])
 
 
-def ideal_probabilities(multiplier: float, phi: float) -> tuple[float, float]:
-    """Closed form with the exact shifter substituted, PLUS then PLUS_I:
-    ``(1 + cos(M phi))/2`` and ``(1 + sin(M phi))/2``."""
-    angle = multiplier * phi
-    return (1.0 + math.cos(angle)) / 2.0, (1.0 + math.sin(angle)) / 2.0
-
-
-def ideal_setting_probability(multiplier: float, phi: float,
-                              setting: MeasurementSetting) -> float:
-    """One setting's entry of :func:`ideal_probabilities`."""
-    plus, plus_i = ideal_probabilities(multiplier, phi)
-    return plus if setting is MeasurementSetting.PLUS else plus_i
+def ideal_probabilities(multiplier, phi) -> np.ndarray:
+    """Closed form with the exact shifter substituted: ``(..., 2)``
+    probabilities, PLUS then PLUS_I, ``(1 + cos(M phi))/2`` and
+    ``(1 + sin(M phi))/2``, elementwise over ``M`` and ``phi`` broadcast
+    against each other (``2 ** np.arange(K)`` and ``phis[:, None]`` give a
+    run's ``(n, K, 2)`` table)."""
+    angle = np.multiply(multiplier, phi)
+    return np.stack([(1.0 + np.cos(angle)) / 2.0, (1.0 + np.sin(angle)) / 2.0],
+                    axis=-1)
 
 
 def sample_even_parity(probability, shots: int, seed):

@@ -102,13 +102,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"field 'jobs': must be 1, got {cfg.jobs}")
     if cfg.seed < 0:
         raise ConfigError(f"field 'seed': must be >= 0, got {cfg.seed}")
+    if not cfg.output_dir:
+        raise ConfigError("field 'output_dir': must not be empty")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
+    """The config as ``key = value`` lines that :func:`parse_config` reads
+    back to an equal config; a string that the format cannot carry (a
+    ``#``, a line break, or surrounding whitespace) raises ConfigError."""
     lines = []
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "tuple[float, ...]":
             value = ", ".join(repr(v) for v in value)
+        elif isinstance(value, str) and (
+                "#" in value or value != value.strip() or len(value.splitlines()) > 1):
+            raise ConfigError(f"field {f.name!r}: cannot write {value!r} as a config value")
         lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

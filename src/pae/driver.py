@@ -13,14 +13,17 @@ A run has two phases:
   the schedule, never on a seed, so it is done once and shared by every
   trial of a sweep.  On the analytic backend the eigenphase blocks depend
   on a step's ``(t, l, s)`` alone, so they are built once for all steps
-  that share it and contracted for each step's branch count ``p``;
+  that share it and contracted for each step's branch count ``p``, and the
+  ``ideal`` backend evaluates the closed form
+  :func:`circuit.ideal_probabilities` once per step for all instances;
 * the sampling and recovery phase, :func:`sample_and_recover`, seeds one
   generator, draws the parity counts of one trial, or of a batch of
-  trials, from those probabilities in one binomial call, and feeds the
-  frequencies of the whole batch through the phase recovery at once.  The
-  trials of a batch are consecutive ``(K, 2)`` draws of that one stream:
-  trial 0 is the single run at the same seed, and the first ``m`` trials
-  of any batch are the ``m``-trial batch.
+  trials, from those probabilities in one binomial call, and passes the
+  ``(trials, K, 2)`` frequencies ``counts / nu`` straight to
+  :func:`rpe.estimate_phase`.  The trials of a batch are consecutive
+  ``(K, 2)`` draws of that one stream: trial 0 is the single run at the
+  same seed, and the first ``m`` trials of any batch are the ``m``-trial
+  batch.
 
 ``run`` composes the two and reports the exact query count
 ``N = 2 sum_k nu_k P_k S_k L_k`` alongside depth and width.
@@ -214,17 +217,6 @@ def _analytic_columns(thetas: list[float], steps) -> list[np.ndarray]:
     return columns
 
 
-def _step_probabilities(instances: list[AmplitudeInstance], st: ScheduleStep,
-                        backend: str) -> np.ndarray:
-    """``(n, 2)`` probabilities of one step on the ideal or statevector
-    backend, one row per instance."""
-    if backend == "ideal":
-        return np.array([circ.ideal_probabilities(st.m, inst.phi)
-                         for inst in instances]).reshape(-1, 2)
-    spec = qsp.synthesize_shifter(st.t, st.l)
-    return circ.statevector_even_parity_probabilities(spec, st.p, st.s, instances)
-
-
 def step_probabilities(instances, schedule: Schedule,
                        backend: str = "analytic") -> np.ndarray:
     """Probability phase: the exact even-parity probabilities, one row per
@@ -238,8 +230,12 @@ def step_probabilities(instances, schedule: Schedule,
     batch = [instances] if single else list(instances)
     if backend == "analytic":
         columns = _analytic_columns([inst.theta for inst in batch], schedule)
+    elif backend == "ideal":
+        phis = np.array([inst.phi for inst in batch])
+        columns = [circ.ideal_probabilities(st.m, phis) for st in schedule]
     else:
-        columns = [_step_probabilities(batch, st, backend) for st in schedule]
+        columns = [circ.statevector_even_parity_probabilities(
+            qsp.synthesize_shifter(st.t, st.l), st.p, st.s, batch) for st in schedule]
     probabilities = np.stack(columns, axis=1)
     return probabilities[0] if single else probabilities
 
@@ -268,11 +264,7 @@ def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed,
     nu = np.array([[st.nu] for st in schedule])
     shape = (1 if trials is None else trials, len(nu), 2)
     counts = np.random.default_rng(seed).binomial(nu, np.broadcast_to(probabilities, shape))
-    freqs = counts / nu
-    estimate = rpe.estimate_phase([
-        rpe.StepObservation(k=st.k, m=st.m, f_plus=freqs[:, i, 0],
-                            f_i=freqs[:, i, 1], nu=st.nu)
-        for i, st in enumerate(schedule)])
+    estimate = rpe.estimate_phase(counts / nu)
     if trials is not None:
         return estimate, counts
     estimate = rpe.PhaseEstimate(phi_hat=float(estimate.phi_hat[0]),

@@ -146,13 +146,18 @@ def _solve_grid() -> tuple[np.ndarray, np.ndarray]:
     return _frozen(thetas), _frozen(np.exp(1j * thetas))
 
 
+def _log_truncation_bound(T: float, h: float) -> float:
+    """``log(4 |T|^h / (2^h Gamma(h + 1)))``: the truncation bound at
+    ``h = L/2 + 1``, for real ``h``."""
+    return math.log(4.0) + h * math.log(abs(T) / 2.0) - math.lgamma(h + 1)
+
+
 def truncation_error_bound(T: float, L: int) -> float:
     """Certified sup-norm bound ``4 T^(L/2+1) / (2^(L/2+1) (L/2+1)!)``,
     evaluated in log space; beyond the largest float it is ``inf``."""
     if T == 0:
         return 0.0
-    h = L // 2 + 1
-    log_bound = math.log(4.0) + h * math.log(abs(T) / 2.0) - math.lgamma(h + 1)
+    log_bound = _log_truncation_bound(T, L // 2 + 1)
     return math.inf if log_bound > math.log(sys.float_info.max) else math.exp(log_bound)
 
 
@@ -591,8 +596,7 @@ def minimal_query_length(T: float, threshold: float = BIAS_DELTA_THRESHOLD) -> i
     # first integer n with h(n + 1/2) <= 0 is its root rounded to nearest
     log_thr = math.log(threshold)
     n = 0
-    while (math.log(4.0) + (n + 1.5) * math.log(T / 2.0) - math.lgamma(n + 2.5)
-           > log_thr):
+    while _log_truncation_bound(T, n + 1.5) > log_thr:
         n += 1
     return max(4, 2 * n)
 

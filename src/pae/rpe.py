@@ -7,10 +7,12 @@ adjacent to the previous estimate, the one consistent with it.  The
 procedure tolerates a bounded bias ``beta`` in every measurement
 probability, with a closed-form mean-squared-error bound.
 
-The recovery is elementwise numpy arithmetic: the frequencies of a step may
-be floats (one run) or equal-length arrays (a batch of runs of the same
-schedule), and a run's estimate has the same bits whether it is recovered
-alone or inside a batch.
+The recovery reads one ``(..., K, 2)`` table of frequencies: step ``k`` at
+index ``k - 1``, columns PLUS and PLUS_I, and any leading axes a batch of
+runs of the same schedule.  Every raw step phase comes from one elementwise
+:func:`step_phase` call, then :func:`unwrap_step` runs once per step over
+the whole batch, so a run's estimate has the same bits whether it is
+recovered alone or inside a batch.
 """
 
 from __future__ import annotations
@@ -27,18 +29,6 @@ ROBUSTNESS_LIMIT = math.sqrt(6.0) / 8.0
 
 
 @dataclass(frozen=True)
-class StepObservation:
-    """Frequencies observed at one resolution step: floats for one run, or
-    ``(trials,)`` arrays for a batch of runs."""
-
-    k: int
-    m: int                         # signal multiplier 2^(k-1)
-    f_plus: float | np.ndarray     # even-parity frequency, PLUS setting
-    f_i: float | np.ndarray        # even-parity frequency, PLUS_I setting
-    nu: int                        # shots per setting
-
-
-@dataclass(frozen=True)
 class PhaseEstimate:
     """Final phase estimate and the amplitude it implies (``(trials,)``
     arrays in every field for a batch of runs)."""
@@ -48,14 +38,16 @@ class PhaseEstimate:
     a_hat: float | np.ndarray       # clamp((2 - phi_hat)/4, 0, 1)
 
 
-def step_phase(obs: StepObservation):
-    """``atan2(2 f_i - 1, 2 f_plus - 1)`` mapped into ``[0, 2 pi)``.
+def step_phase(f_plus, f_i):
+    """``atan2(2 f_i - 1, 2 f_plus - 1)`` mapped into ``[0, 2 pi)``,
+    elementwise over the even-parity frequencies of the PLUS and PLUS_I
+    settings (floats or arrays of one shape).
 
     The measure-zero tie with both centered frequencies zero returns 0:
     ``2 f - 1`` is never ``-0``, and ``arctan2(+0, +0) = +0``.
     """
-    y = 2.0 * np.asarray(obs.f_i) - 1.0
-    x = 2.0 * np.asarray(obs.f_plus) - 1.0
+    y = 2.0 * np.asarray(f_i) - 1.0
+    x = 2.0 * np.asarray(f_plus) - 1.0
     val = np.arctan2(y, x)
     return val + 2.0 * math.pi * (val < 0.0)
 
@@ -98,12 +90,17 @@ def finalize(trajectory: Sequence) -> PhaseEstimate:
     return PhaseEstimate(phi_hat=phi_hat, trajectory=tuple(trajectory), a_hat=a_hat)
 
 
-def estimate_phase(observations: Sequence[StepObservation]) -> PhaseEstimate:
-    """Run the per-step recovery and unwrapping over all observations."""
+def estimate_phase(freqs) -> PhaseEstimate:
+    """Recover the phase from ``(..., K, 2)`` frequencies: step ``k`` at
+    index ``k - 1``, columns PLUS and PLUS_I.  Every raw step phase comes
+    from one :func:`step_phase` call; the steps are then unwrapped in order
+    and the last one is finalized, with the leading axes carried through."""
+    freqs = np.asarray(freqs, dtype=float)
+    phases = step_phase(freqs[..., 0], freqs[..., 1])
     trajectory = []
     prev = None
-    for obs in observations:
-        prev = unwrap_step(obs.k, step_phase(obs), prev)
+    for k, phase in enumerate(np.moveaxis(phases, -1, 0), start=1):
+        prev = unwrap_step(k, phase, prev)
         trajectory.append(prev)
     return finalize(trajectory)
 

@@ -46,16 +46,14 @@ def check_shifter_error() -> tuple[str, bool, str]:
 def check_parity_identity() -> tuple[str, bool, str]:
     # the parity contraction on exact-shifter blocks, diag(e^{-i phi/2},
     # e^{+i phi/2}) on both eigenphases, against the closed form
-    phis = [make_instance(float(a)).phi for a in np.linspace(0.0, 1.0, 11)]
-    half = np.exp(0.5j * np.array(phis))
+    phis = np.array([make_instance(float(a)).phi for a in np.linspace(0.0, 1.0, 11)])
+    half = np.exp(0.5j * phis)
     blocks = np.zeros((2, len(phis), 2, 2), dtype=complex)
     blocks[:, :, 0, 0], blocks[:, :, 1, 1] = half.conj(), half
     worst = 0.0
     for m in (1, 4, 32):
         probs = circ._parity_probabilities(blocks, m)
-        closed = [[circ.ideal_setting_probability(m, phi, setting)
-                   for setting in circ.MeasurementSetting] for phi in phis]
-        worst = max(worst, float(np.max(np.abs(probs - closed))))
+        worst = max(worst, float(np.max(np.abs(probs - circ.ideal_probabilities(m, phis)))))
     return "parity-closed-form", worst <= 1e-12, f"max deviation {worst:.2e}"
 
 
@@ -72,20 +70,10 @@ def check_backend_equivalence() -> tuple[str, bool, str]:
 
 
 def check_rpe_exactness() -> tuple[str, bool, str]:
-    worst = 0.0
     K = 7
-    for a in np.linspace(0.0, 1.0, 21):
-        inst = make_instance(float(a))
-        obs = []
-        for k in range(1, K + 1):
-            m = 2 ** (k - 1)
-            obs.append(rpe.StepObservation(
-                k=k, m=m,
-                f_plus=circ.ideal_setting_probability(m, inst.phi, circ.MeasurementSetting.PLUS),
-                f_i=circ.ideal_setting_probability(m, inst.phi, circ.MeasurementSetting.PLUS_I),
-                nu=1))
-        est = rpe.estimate_phase(obs)
-        worst = max(worst, abs(est.phi_hat - inst.phi))
+    phis = np.array([make_instance(float(a)).phi for a in np.linspace(0.0, 1.0, 21)])
+    est = rpe.estimate_phase(circ.ideal_probabilities(2 ** np.arange(K), phis[:, None]))
+    worst = float(np.max(np.abs(est.phi_hat - phis)))
     return "rpe-noiseless-exactness", worst <= math.pi * 2.0 ** (-K), \
         f"max phase error {worst:.2e}"
 

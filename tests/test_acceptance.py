@@ -21,7 +21,7 @@ from pae import (PARALLEL_L_TABLE_PLUS, PARALLEL_L_TABLE_PLUS_I,
 from pae.circuit import MeasurementSetting, ParallelCircuit, _parity_probabilities
 from pae.experiments import run_bias_sweep, run_tl_curve, trial_seed
 from pae.qsp import chebyshev_grid
-from pae.rpe import StepObservation, estimate_phase
+from pae.rpe import estimate_phase
 
 A_PAPER = math.sin(math.pi / 8) ** 2
 
@@ -173,14 +173,9 @@ def test_08_rpe_noiseless_exactness():
     worst = 0.0
     for a in np.linspace(0.0, 1.0, 101):
         inst = make_instance(float(a))
-        obs = []
-        for k in range(1, K + 1):
-            m = 2 ** (k - 1)
-            obs.append(StepObservation(
-                k=k, m=m,
-                f_plus=(1 + math.cos(m * inst.phi)) / 2,
-                f_i=(1 + math.sin(m * inst.phi)) / 2, nu=1))
-        est = estimate_phase(obs)
+        freqs = [[(1 + math.cos(m * inst.phi)) / 2, (1 + math.sin(m * inst.phi)) / 2]
+                 for m in (2 ** (k - 1) for k in range(1, K + 1))]
+        est = estimate_phase(freqs)
         worst = max(worst, abs(est.phi_hat - inst.phi))
     report("8 rpe-noiseless-exactness", worst <= math.pi * 2.0 ** (-K),
            f"max phase error {worst:.2e} vs {math.pi * 2.0 ** (-K):.2e}")

@@ -7,11 +7,12 @@ import pytest
 from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  build_branch_unitary, build_explicit_oracle, build_grover_unitary,
                  even_parity_probabilities, ghz_depth, ideal_branch_unitary,
-                 ideal_setting_probability, make_instance, setting_probability,
+                 make_instance, setting_probability,
                  statevector_even_parity_probabilities,
                  statevector_even_parity_probability, synthesize_shifter)
 from pae.circuit import (_apply_block, _apply_cnot, _parity_probabilities,
                          eigenphase_blocks, sample_even_parity)
+from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
 from pae.qsp import controlled_grover, interleaved_shifter
 
@@ -209,6 +210,18 @@ class TestSettingProbability:
                             abs(pi_ - (1 + math.sin(m * inst.phi)) / 2))
         assert worst <= 1e-12
 
+    def test_closed_form_broadcasts_to_run_table(self):
+        # multipliers 2^(k-1) against phis[:, None] give a run's (n, K, 2)
+        # table, every entry the scalar closed form bit for bit
+        phis = np.array([make_instance(float(a)).phi for a in np.linspace(0.0, 1.0, 7)])
+        table = closed_form(2 ** np.arange(5), phis[:, None])
+        assert table.shape == (7, 5, 2)
+        for phi, rows in zip(phis, table):
+            for k, row in enumerate(rows):
+                angle = 2 ** k * float(phi)
+                assert row.tolist() == [(1 + math.cos(angle)) / 2, (1 + math.sin(angle)) / 2]
+        assert closed_form(3, 0.2).shape == (2,)
+
     def test_bias_bound(self):
         # measured |bias| <= sqrt(2) P max_j ||(V - Videal)|j>|0..0>||
         spec = synthesize_shifter(1.0, 10)
@@ -219,9 +232,8 @@ class TestSettingProbability:
                 ideal = ideal_branch_unitary(1.0, inst.phi)
                 state_err = max(np.linalg.norm((v - ideal)[:, col]) for col in (0, 2))
                 circuit = ParallelCircuit(P=P, spec=spec, S=1, instance=inst)
-                for setting in MeasurementSetting:
-                    beta = abs(setting_probability(circuit, setting)
-                               - ideal_setting_probability(P, inst.phi, setting))
+                for setting, ideal_p in zip(MeasurementSetting, closed_form(P, inst.phi)):
+                    beta = abs(setting_probability(circuit, setting) - ideal_p)
                     assert beta <= math.sqrt(2.0) * P * state_err + 1e-12
 
 

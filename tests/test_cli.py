@@ -107,6 +107,22 @@ def test_run_reports_file_as_output_directory(tmp_path, capsys, monkeypatch):
     assert out.read_text() == "keep"
 
 
+def test_run_rejects_empty_output_directory(tmp_path, capsys, monkeypatch):
+    # an empty output directory is refused before the experiment runs, from
+    # the config file and from --out alike
+    calls = []
+    monkeypatch.setattr(experiments, "run_tl_curve", lambda cfg: calls.append(cfg) or [])
+    empty = tmp_path / "empty.cfg"
+    empty.write_text("experiment = tl_curve\nt_max = 2\noutput_dir =\n")
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("experiment = tl_curve\nt_max = 2\n")
+    for argv in (["run", str(empty)], ["run", str(plain), "--out", ""]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'output_dir'" in err and err.count("\n") == 1
+    assert calls == []
+
+
 def test_angles_reports_directory_as_output(tmp_path, capsys):
     assert main(["angles", "--T", "1", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from pae import (PARALLEL_L_TABLE_PLUS, ConfigError, ConfigurationError,
-                 ExperimentConfig, StepObservation, build_schedule, circuit,
-                 estimate_phase, hl_reference, ideal_setting_probability,
-                 make_instance, parse_config, run, serialize_config,
+                 ExperimentConfig, build_schedule, circuit, estimate_phase,
+                 hl_reference, make_instance, parse_config, run, serialize_config,
                  setting_probability, step_probabilities, synthesize_shifter)
 from pae.circuit import MeasurementSetting, ParallelCircuit
 from pae.cli import main as cli_main
@@ -27,7 +26,7 @@ class TestConfig:
         cfg = ExperimentConfig(experiment="bias_sweep", amplitudes=(0.0, 0.25, 1.0),
                                k_min=2, k_max=5, strategy="full_parallel",
                                trials=3, backend="analytic", shots=500,
-                               l_table="plus_i", seed=99, output_dir="x")
+                               l_table="plus_i", seed=99, output_dir="runs 1/a=b")
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_comments_and_blanks(self):
@@ -57,6 +56,17 @@ class TestConfig:
     def test_negative_amplitude_grid_diagnostic(self):
         with pytest.raises(ConfigError, match=r"'amplitude_grid': must be >= 0, got -3"):
             parse_config("amplitude_grid = -3\n")
+
+    def test_empty_output_dir_rejected(self):
+        with pytest.raises(ConfigError, match=r"'output_dir': must not be empty"):
+            parse_config("output_dir =\n")
+
+    @pytest.mark.parametrize("value", ["runs#1", " x ", "x ", "\tx", "a\nb", "a\rb"])
+    def test_serialize_refuses_what_parse_cannot_read_back(self, value):
+        # '#' starts a comment and parse_config strips each value, so
+        # 'runs#1' would read back as 'runs' and ' x ' as 'x'
+        with pytest.raises(ConfigError, match="'output_dir'"):
+            serialize_config(ExperimentConfig(output_dir=value))
 
 
 class TestTrialSeeds:
@@ -141,10 +151,7 @@ class TestRmseSweep:
                 sq = []
                 for t in range(cfg.trials):
                     counts = rng.binomial(nu, probs)
-                    est = estimate_phase([
-                        StepObservation(k=st.k, m=st.m, f_plus=h_plus / st.nu,
-                                        f_i=h_i / st.nu, nu=st.nu)
-                        for st, (h_plus, h_i) in zip(sched, counts)])
+                    est = estimate_phase(counts / nu)
                     if t == 0:
                         single, _, records = run(inst, sched, seed=seed, backend=backend)
                         assert counts.tolist() == [[r.h_plus, r.h_i] for r in records]
@@ -195,8 +202,7 @@ class TestBiasSweep:
                 inst = make_instance(float(a))
                 pc = ParallelCircuit(P=1, spec=spec, S=1, instance=inst)
                 p = setting_probability(pc, MeasurementSetting.PLUS)
-                worst = max(worst, abs(p - ideal_setting_probability(1, inst.phi,
-                                                                     MeasurementSetting.PLUS)))
+                worst = max(worst, abs(p - circuit.ideal_probabilities(1, inst.phi)[0]))
             return worst
         assert exact_bias(14) < exact_bias(10)
 

@@ -9,9 +9,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pae import (MeasurementSetting, StepObservation, build_schedule,  # noqa: E402
-                 estimate_phase, ideal_setting_probability, make_instance,
-                 query_count, recompute_queries, run, sample_and_recover)
+from pae import (build_schedule, estimate_phase, ideal_probabilities,  # noqa: E402
+                 make_instance, query_count, recompute_queries, run,
+                 sample_and_recover)
 
 
 @st.composite
@@ -64,11 +64,9 @@ def test_batched_sampling_is_exact(sched, data):
     assert np.array_equal(prefix_counts, counts[:m])
     assert prefix.a_hat.tobytes() == batch.a_hat[:m].tobytes()
 
+    nu = np.array([[step.nu] for step in sched])
     for i in range(n):
-        own = estimate_phase([
-            StepObservation(k=st.k, m=st.m, f_plus=counts[i, j, 0] / st.nu,
-                            f_i=counts[i, j, 1] / st.nu, nu=st.nu)
-            for j, st in enumerate(sched)])
+        own = estimate_phase(counts[i] / nu)
         assert bits(batch.a_hat[i]) == bits(own.a_hat)
         assert bits(batch.phi_hat[i]) == bits(own.phi_hat)
         assert [bits(t[i]) for t in batch.trajectory] == [bits(t) for t in own.trajectory]
@@ -80,10 +78,6 @@ def test_noiseless_recovery_within_resolution(a, K):
     # exact probabilities fed in as frequencies: recovery must land within
     # the final step's resolution pi * 2^-K of the true phase
     phi = make_instance(a).phi
-    obs = [StepObservation(
-        k=k, m=2 ** (k - 1),
-        f_plus=ideal_setting_probability(2 ** (k - 1), phi, MeasurementSetting.PLUS),
-        f_i=ideal_setting_probability(2 ** (k - 1), phi, MeasurementSetting.PLUS_I),
-        nu=1) for k in range(1, K + 1)]
-    err = abs((estimate_phase(obs).phi_hat - phi + math.pi) % (2 * math.pi) - math.pi)
+    freqs = ideal_probabilities(2 ** np.arange(K), phi)
+    err = abs((estimate_phase(freqs).phi_hat - phi + math.pi) % (2 * math.pi) - math.pi)
     assert err <= math.pi * 2.0 ** -K

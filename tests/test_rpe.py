@@ -3,43 +3,54 @@ import math
 import numpy as np
 import pytest
 
-from pae import (DomainError, MeasurementSetting, StepObservation,
-                 estimate_phase, finalize, ideal_setting_probability,
+from pae import (DomainError, estimate_phase, finalize, ideal_probabilities,
                  make_instance, mse_bound, schedule_nu, step_phase, unwrap_step)
 from pae.rpe import ROBUSTNESS_LIMIT
 
 TWO_PI = 2.0 * math.pi
 
 
-def exact_observations(phi: float, K: int):
-    obs = []
-    for k in range(1, K + 1):
-        m = 2 ** (k - 1)
-        obs.append(StepObservation(
-            k=k, m=m,
-            f_plus=(1 + math.cos(m * phi)) / 2,
-            f_i=(1 + math.sin(m * phi)) / 2,
-            nu=1))
-    return obs
+def exact_frequencies(phi: float, K: int) -> np.ndarray:
+    """``(K, 2)`` noiseless frequencies, columns PLUS and PLUS_I."""
+    return np.array([[(1 + math.cos(m * phi)) / 2, (1 + math.sin(m * phi)) / 2]
+                     for m in (2 ** (k - 1) for k in range(1, K + 1))])
+
+
+def per_step_estimate(freqs: np.ndarray):
+    """Reference recovery one step at a time: each step's two ``(n,)``
+    columns through their own step-phase evaluation and unwrap."""
+    trajectory = []
+    prev = None
+    for k in range(1, freqs.shape[1] + 1):
+        y = 2.0 * np.asarray(freqs[:, k - 1, 1]) - 1.0
+        x = 2.0 * np.asarray(freqs[:, k - 1, 0]) - 1.0
+        val = np.arctan2(y, x)
+        prev = unwrap_step(k, val + 2.0 * math.pi * (val < 0.0), prev)
+        trajectory.append(prev)
+    return finalize(trajectory)
 
 
 class TestStepPhase:
     def test_axis_cases(self):
-        assert step_phase(StepObservation(1, 1, f_plus=1.0, f_i=0.5, nu=1)) == 0.0
-        assert step_phase(StepObservation(1, 1, f_plus=0.5, f_i=1.0, nu=1)) == pytest.approx(math.pi / 2)
+        assert step_phase(1.0, 0.5) == 0.0
+        assert step_phase(0.5, 1.0) == pytest.approx(math.pi / 2)
 
     def test_ideal_frequencies_at_phi_two(self):
         # f_plus = (1+cos 2)/2 = 0.2919.., f_i = (1+sin 2)/2 = 0.9546..
-        obs = StepObservation(1, 1, f_plus=(1 + math.cos(2.0)) / 2,
-                              f_i=(1 + math.sin(2.0)) / 2, nu=1)
-        assert step_phase(obs) == pytest.approx(2.0, abs=1e-14)
+        assert step_phase((1 + math.cos(2.0)) / 2,
+                          (1 + math.sin(2.0)) / 2) == pytest.approx(2.0, abs=1e-14)
 
     def test_tie_returns_zero(self):
-        assert step_phase(StepObservation(1, 1, f_plus=0.5, f_i=0.5, nu=1)) == 0.0
+        assert step_phase(0.5, 0.5) == 0.0
 
     def test_range(self):
-        obs = StepObservation(1, 1, f_plus=0.1, f_i=0.2, nu=1)
-        assert 0.0 <= step_phase(obs) < TWO_PI
+        assert 0.0 <= step_phase(0.1, 0.2) < TWO_PI
+
+    def test_elementwise_over_a_table(self):
+        f = np.random.default_rng(3).uniform(0.0, 1.0, (5, 4, 2))
+        table = step_phase(f[..., 0], f[..., 1])
+        assert table.shape == (5, 4)
+        assert table.tolist() == [[float(step_phase(*pair)) for pair in row] for row in f]
 
 
 class TestUnwrapStep:
@@ -74,7 +85,7 @@ class TestUnwrapStep:
             m = 2 ** (k - 1)
             f_plus = (1 + math.cos(m * phi)) / 2
             f_i = (1 + math.sin(m * phi)) / 2
-            step = step_phase(StepObservation(k, m, f_plus, f_i, nu=1))
+            step = step_phase(f_plus, f_i)
             prev = unwrap_step(k, step, prev)
         assert prev == pytest.approx(phi, abs=1e-12)
 
@@ -88,7 +99,7 @@ class TestUnwrapStep:
                 m = 2 ** (k - 1)
                 f_plus = min(max((1 + math.cos(m * phi)) / 2 + rng.uniform(-0.04, 0.04), 0), 1)
                 f_i = min(max((1 + math.sin(m * phi)) / 2 + rng.uniform(-0.04, 0.04), 0), 1)
-                step = step_phase(StepObservation(k, m, f_plus, f_i, nu=1))
+                step = step_phase(f_plus, f_i)
                 out = unwrap_step(k, step, prev)
                 if k > 1:
                     dist = min(abs(out - prev), TWO_PI - abs(out - prev))
@@ -121,10 +132,35 @@ class TestNoiselessExactness:
         worst = 0.0
         for a in np.linspace(0.0, 1.0, 101):
             inst = make_instance(float(a))
-            est = estimate_phase(exact_observations(inst.phi, K))
+            est = estimate_phase(exact_frequencies(inst.phi, K))
             worst = max(worst, abs(est.phi_hat - inst.phi))
             assert est.a_hat == pytest.approx(a, abs=1e-9)
         assert worst <= math.pi * 2.0 ** (-K)
+
+
+class TestEstimatePhase:
+    @pytest.mark.parametrize("K", range(1, 12))
+    def test_table_equals_per_step_recovery(self, K):
+        # the whole table at once gives the bits of the step-by-step loop,
+        # on sampled frequencies (ties and 0/1 included) and on uniform ones
+        rng = np.random.default_rng(1900 + K)
+        for n in (1, 2, 17, 200):
+            nu = rng.integers(1, 30, size=(K, 1))
+            for freqs in (rng.binomial(nu, rng.uniform(0.0, 1.0, (n, K, 2))) / nu,
+                          rng.uniform(0.0, 1.0, (n, K, 2))):
+                got, want = estimate_phase(freqs), per_step_estimate(freqs)
+                assert np.array_equal(got.phi_hat, want.phi_hat)
+                assert np.array_equal(got.a_hat, want.a_hat)
+                assert len(got.trajectory) == len(want.trajectory) == K
+                for g, w in zip(got.trajectory, want.trajectory):
+                    assert np.array_equal(g, w)
+
+    def test_leading_axes_carried_through(self):
+        freqs = np.random.default_rng(4).uniform(0.0, 1.0, (3, 5, 6, 2))
+        est = estimate_phase(freqs)
+        assert est.phi_hat.shape == est.a_hat.shape == (3, 5)
+        flat = estimate_phase(freqs.reshape(15, 6, 2))
+        assert np.array_equal(est.a_hat.reshape(-1), flat.a_hat)
 
 
 class TestMseBound:
@@ -198,19 +234,15 @@ class TestEmpiricalMse:
             a = float(rng.uniform(0.0, 1.0))
             inst = make_instance(a)
             bias = float(rng.uniform(-beta_max, beta_max))
-            obs = []
+            freqs = []
             for k in range(1, K + 1):
                 m = 2 ** (k - 1)
-                p_plus = min(max(ideal_setting_probability(
-                    m, inst.phi, MeasurementSetting.PLUS) + bias, 0.0), 1.0)
-                p_i = min(max(ideal_setting_probability(
-                    m, inst.phi, MeasurementSetting.PLUS_I) + bias, 0.0), 1.0)
-                obs.append(StepObservation(
-                    k=k, m=m,
-                    f_plus=rng.binomial(nu[k - 1], p_plus) / nu[k - 1],
-                    f_i=rng.binomial(nu[k - 1], p_i) / nu[k - 1],
-                    nu=nu[k - 1]))
-            est = estimate_phase(obs)
+                ideal_plus, ideal_i = ideal_probabilities(m, inst.phi)
+                p_plus = min(max(ideal_plus + bias, 0.0), 1.0)
+                p_i = min(max(ideal_i + bias, 0.0), 1.0)
+                freqs.append([rng.binomial(nu[k - 1], p_plus) / nu[k - 1],
+                              rng.binomial(nu[k - 1], p_i) / nu[k - 1]])
+            est = estimate_phase(freqs)
             sq_errors[t] = (est.phi_hat - inst.phi) ** 2
             # amplitude error never exceeds phase error
             assert abs(est.a_hat - a) <= abs(est.phi_hat - inst.phi) + 1e-12
