@@ -10,10 +10,9 @@ from .core_model import (AmplitudeInstance, DomainError, ExplicitOracle,
                          GroverPlaneOperator, build_explicit_oracle,
                          build_grover_unitary, grover_plane, grover_plane_basis,
                          make_instance)
-from .driver import (ConfigurationError, MeasurementRecord, ResourceReport,
-                     Schedule, ScheduleStep, build_schedule, hl_reference,
-                     query_count, recompute_queries, resource_report, run,
-                     sample_and_recover, step_probabilities,
+from .driver import (ConfigurationError, ResourceReport, Schedule, ScheduleStep,
+                     build_schedule, hl_reference, query_count, resource_report,
+                     run, sample_and_recover, step_probabilities,
                      theorem_resources, PARALLEL_L_TABLE_PLUS,
                      PARALLEL_L_TABLE_PLUS_I)
 from .qsp import (AngleSequence, PhaseShifterSpec, SynthesisError,

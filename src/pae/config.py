@@ -98,6 +98,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"field 'l_table': unknown table {cfg.l_table!r}")
     if cfg.amplitude_grid < 0:
         raise ConfigError(f"field 'amplitude_grid': must be >= 0, got {cfg.amplitude_grid}")
+    if cfg.amplitudes and cfg.amplitude_grid:
+        raise ConfigError("fields 'amplitudes' and 'amplitude_grid': set one, not both")
     if cfg.jobs != 1:
         raise ConfigError(f"field 'jobs': must be 1, got {cfg.jobs}")
     if cfg.seed < 0:

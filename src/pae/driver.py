@@ -17,16 +17,17 @@ A run has two phases:
   ``ideal`` backend evaluates the closed form
   :func:`circuit.ideal_probabilities` once per step for all instances;
 * the sampling and recovery phase, :func:`sample_and_recover`, seeds one
-  generator, draws the parity counts of one trial, or of a batch of
-  trials, from those probabilities in one binomial call, and passes the
-  ``(trials, K, 2)`` frequencies ``counts / nu`` straight to
-  :func:`rpe.estimate_phase`.  The trials of a batch are consecutive
-  ``(K, 2)`` draws of that one stream: trial 0 is the single run at the
-  same seed, and the first ``m`` trials of any batch are the ``m``-trial
-  batch.
+  generator, draws the parity counts of one run, ``(K, 2)``, or of a batch
+  of trials, ``(trials, K, 2)``, from those probabilities in one binomial
+  call, and passes the frequencies ``counts / nu`` straight to
+  :func:`rpe.estimate_phase`.  Both return the estimate and the counts.
+  The trials of a batch are consecutive ``(K, 2)`` draws of that one
+  stream: trial 0 is the single run at the same seed, and the first ``m``
+  trials of any batch are the ``m``-trial batch.
 
-``run`` composes the two and reports the exact query count
-``N = 2 sum_k nu_k P_k S_k L_k`` alongside depth and width.
+``run`` composes the two, returns the run's ``(K, 2)`` counts, and reports
+the exact query count ``N = 2 sum_k nu_k P_k S_k L_k`` alongside depth and
+width.
 """
 
 from __future__ import annotations
@@ -74,16 +75,6 @@ class Schedule:
 
 
 @dataclass(frozen=True)
-class MeasurementRecord:
-    """Raw per-step counts feeding the phase recovery."""
-
-    k: int
-    h_plus: int
-    h_i: int
-    nu: int
-
-
-@dataclass(frozen=True)
 class ResourceReport:
     n_queries: int       # total oracle calls, both settings included
     oracle_depth: int    # max_k S_k * L_k sequential oracle calls
@@ -115,8 +106,9 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
       ``t_cap`` and the rest folded into repetitions.  ``parallelism``
       belongs to this strategy alone; the other two reject it.
 
-    ``l_table`` overrides the per-step query lengths; otherwise they come
-    from the calibrated selector (or the certified one when ``certified``).
+    ``l_table`` overrides the per-step query lengths, step ``k`` at index
+    ``k - 1``, and needs at least ``K`` entries; otherwise they come from
+    the calibrated selector (or the certified one when ``certified``).
     """
     if (eps is None) == (k_max is None):
         raise ConfigurationError("give exactly one of eps (proof mode) and k_max")
@@ -132,6 +124,8 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
         raise ConfigurationError(f"bias budget must lie in (0, sqrt(6)/8), got {beta}")
     if t_cap < 1 or t_cap & (t_cap - 1):
         raise ConfigurationError(f"strength cap must be a power of two, got {t_cap}")
+    if l_table is not None and len(l_table) < K:
+        raise ConfigurationError(f"l_table has {len(l_table)} entries, schedule needs {K}")
 
     if parallelism is not None and strategy != "general":
         raise ConfigurationError(
@@ -191,17 +185,6 @@ def resource_report(schedule: Schedule, n: int) -> ResourceReport:
     )
 
 
-def recompute_queries(schedule: Schedule, records) -> int:
-    """Re-derive the query total from the measurement records (two settings
-    of ``nu_k`` shots each; shifter applications are counted per branch)."""
-    by_k = {st.k: st for st in schedule}
-    total = 0
-    for rec in records:
-        st = by_k[rec.k]
-        total += 2 * rec.nu * st.p * st.s * st.l
-    return total
-
-
 def _analytic_columns(thetas: list[float], steps) -> list[np.ndarray]:
     """Analytic ``(n, 2)`` probabilities of each step, one row per instance
     angle: the eigenphase blocks are built once per distinct ``(t, l, s)``
@@ -242,48 +225,43 @@ def step_probabilities(instances, schedule: Schedule,
 
 def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed,
                        trials: int | None = None):
-    """Sampling and recovery phase: draw every step's counts from
-    ``probabilities`` (as returned by :func:`step_probabilities`) and
-    recover the phase.
+    """Sampling and recovery phase: draw every step's counts from the
+    ``(K, 2)`` ``probabilities`` of one instance (as returned by
+    :func:`step_probabilities`) and recover the phase.
 
     ``seed`` is one seed (an integer or a ``SeedSequence``) of one
-    ``default_rng``.  Without ``trials`` that generator draws one run's
-    ``(K, 2)`` counts, ``nu_k`` shots per setting, in one ``binomial`` call
-    and returns ``(PhaseEstimate, list[MeasurementRecord])``.  With
-    ``trials=n`` it draws ``(n, K, 2)`` counts in one call: ``n``
-    consecutive ``(K, 2)`` draws of the same stream, so trial 0 equals the
-    single run at ``seed`` and the first ``m`` trials equal an ``m``-trial
-    batch.  The recovery then runs once over the batch, and the result is
-    ``(PhaseEstimate, counts)`` with ``(n,)`` arrays in the estimate's
-    fields and the integer ``counts``.
+    ``default_rng``, which draws the counts, ``nu_k`` shots per setting, in
+    one ``binomial`` call: ``(K, 2)`` counts without ``trials``, and
+    ``(n, K, 2)`` with ``trials=n``.  A batch is ``n`` consecutive
+    ``(K, 2)`` draws of the same stream, so trial 0 equals the single run at
+    ``seed`` and the first ``m`` trials equal an ``m``-trial batch.  Returns
+    ``(PhaseEstimate, counts)``: the recovery runs once over ``counts / nu``,
+    so the estimate's fields are scalars for a single run and ``(n,)``
+    arrays for a batch.
     """
     if np.ndim(seed) != 0:
         raise DomainError(f"seed must be a single seed, got shape {np.shape(seed)}")
     if trials is not None and trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     nu = np.array([[st.nu] for st in schedule])
-    shape = (1 if trials is None else trials, len(nu), 2)
+    if np.shape(probabilities) != (len(nu), 2):
+        raise DomainError(f"probabilities must have shape ({len(nu)}, 2), "
+                          f"got {np.shape(probabilities)}")
+    shape = (len(nu), 2) if trials is None else (trials, len(nu), 2)
     counts = np.random.default_rng(seed).binomial(nu, np.broadcast_to(probabilities, shape))
-    estimate = rpe.estimate_phase(counts / nu)
-    if trials is not None:
-        return estimate, counts
-    estimate = rpe.PhaseEstimate(phi_hat=float(estimate.phi_hat[0]),
-                                 trajectory=tuple(float(t[0]) for t in estimate.trajectory),
-                                 a_hat=float(estimate.a_hat[0]))
-    records = [MeasurementRecord(k=st.k, h_plus=int(h_plus), h_i=int(h_i), nu=st.nu)
-               for st, (h_plus, h_i) in zip(schedule, counts[0])]
-    return estimate, records
+    return rpe.estimate_phase(counts / nu), counts
 
 
 def run(instance: AmplitudeInstance, schedule: Schedule, seed: int,
         backend: str = "analytic"):
     """Execute a full estimation run: both phases, composed.
 
-    Returns ``(PhaseEstimate, ResourceReport, list[MeasurementRecord])``.
+    Returns ``(PhaseEstimate, ResourceReport, counts)`` with the run's
+    ``(K, 2)`` parity counts, columns PLUS and PLUS_I.
     """
     probabilities = step_probabilities(instance, schedule, backend)
-    estimate, records = sample_and_recover(schedule, probabilities, seed)
-    return estimate, resource_report(schedule, instance.n), records
+    estimate, counts = sample_and_recover(schedule, probabilities, seed)
+    return estimate, resource_report(schedule, instance.n), counts
 
 
 def hl_reference(n_queries: int) -> float:

@@ -51,15 +51,11 @@ def _amplitudes(cfg: ExperimentConfig):
 
 
 def _schedule_for(cfg: ExperimentConfig, K: int) -> driver.Schedule:
-    table = _resolve_l_table(cfg)
-    if table is not None and len(table) < K:
-        raise driver.ConfigurationError(
-            f"l_table has {len(table)} entries, schedule needs {K}")
     return driver.build_schedule(
         strategy=cfg.strategy, k_max=K,
         parallelism=cfg.parallelism or None, beta=cfg.beta,
         nu_variant=cfg.nu_variant, nu_final=cfg.nu_final,
-        l_table=table[:K] if table is not None else None)
+        l_table=_resolve_l_table(cfg))
 
 
 def _cells(cfg: ExperimentConfig, ks):
@@ -130,9 +126,6 @@ def run_bias_sweep(cfg: ExperimentConfig) -> list[BiasRow]:
     if cfg.backend == "ideal":
         raise driver.ConfigurationError("bias sweep needs a synthesizing backend")
     table = _resolve_l_table(cfg) or driver.PARALLEL_L_TABLE_PLUS
-    if len(table) < cfg.k_max:
-        raise driver.ConfigurationError(
-            f"l_table has {len(table)} entries, bias sweep needs {cfg.k_max}")
     amps = _amplitudes(cfg) or [float(v) for v in np.linspace(0.0, 1.0, 101)]
     instances = [make_instance(a, cfg.n) for a in amps]
     schedule = driver.build_schedule(strategy="full_parallel", k_max=cfg.k_max,
@@ -178,7 +171,8 @@ def run_tl_curve(cfg: ExperimentConfig) -> list[TlRow]:
 
 
 def run_single(cfg: ExperimentConfig):
-    """One full run per configured amplitude at ``k_max`` steps.
+    """One full run per configured amplitude at ``k_max`` steps: a list of
+    ``(a, estimate, report, counts)`` with each run's ``(K, 2)`` counts.
 
     The probability phase is :func:`_cells` with the one step count
     ``k_max``; each amplitude then samples one run with its trial-0 seed, so
@@ -186,6 +180,6 @@ def run_single(cfg: ExperimentConfig):
     """
     out = []
     for a, _, schedule, probabilities, seed in _cells(cfg, [cfg.k_max]):
-        estimate, records = driver.sample_and_recover(schedule, probabilities, seed)
-        out.append((a, estimate, driver.resource_report(schedule, cfg.n), records))
+        estimate, counts = driver.sample_and_recover(schedule, probabilities, seed)
+        out.append((a, estimate, driver.resource_report(schedule, cfg.n), counts))
     return out

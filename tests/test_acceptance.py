@@ -14,7 +14,7 @@ import pytest
 from pae import (PARALLEL_L_TABLE_PLUS, PARALLEL_L_TABLE_PLUS_I,
                  ExperimentConfig, build_schedule, complete_target,
                  make_instance, mse_bound, query_count,
-                 realized_functions, recompute_queries, resource_report, run,
+                 realized_functions, resource_report, run,
                  setting_probability, solve_angles,
                  statevector_even_parity_probability, synthesize_shifter,
                  truncate_target)
@@ -194,10 +194,11 @@ def test_09_accounting():
         if strategy == "general":
             kwargs["parallelism"] = int(2 ** rng.integers(0, K))
         sched = build_schedule(**kwargs)
-        _, rep, records = run(inst, sched, seed=int(rng.integers(1 << 30)),
-                              backend="ideal")
+        _, rep, counts = run(inst, sched, seed=int(rng.integers(1 << 30)),
+                             backend="ideal")
         expected = 2 * sum(st.nu * st.p * st.s * st.l for st in sched)
-        ok = ok and rep.n_queries == expected == recompute_queries(sched, records)
+        ok = ok and rep.n_queries == expected == query_count(sched)
+        ok = ok and counts.shape == (K, 2)
     sched1 = build_schedule(strategy="full_sequential", k_max=1,
                             nu_variant="optimized", nu_final=7)
     ok = ok and query_count(sched1) == 140

@@ -74,6 +74,20 @@ def test_run_rejects_bad_schedule(tmp_path, capsys, config, message):
     assert not out.exists()
 
 
+def test_run_rejects_amplitudes_with_amplitude_grid(tmp_path, capsys, monkeypatch):
+    # the grid used to replace the listed amplitudes without a word
+    calls = []
+    monkeypatch.setattr(experiments, "run_single", lambda cfg: calls.append(cfg) or [])
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment = single_run\namplitudes = 0.3\namplitude_grid = 3\n"
+                    "k_max = 2\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: fields 'amplitudes' and 'amplitude_grid': "
+                   "set one, not both\n")
+    assert calls == []
+
+
 def test_run_rejects_negative_seed_option(tmp_path, capsys):
     path = tmp_path / "exp.cfg"
     path.write_text("experiment = bias_sweep\nbackend = analytic\namplitudes = 0.5\n"

@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pae import (PARALLEL_L_TABLE_PLUS, ConfigurationError, build_schedule,
-                 hl_reference, make_instance, query_count, recompute_queries,
-                 resource_report, run, sample_and_recover, select_L_empirical,
-                 step_probabilities, synthesize_shifter, theorem_resources)
+                 hl_reference, make_instance, query_count, resource_report, run,
+                 sample_and_recover, select_L_empirical, step_probabilities,
+                 synthesize_shifter, theorem_resources)
 from pae import circuit
 from pae.core_model import DomainError
 
@@ -78,6 +79,15 @@ class TestBuildSchedule:
                                l_table=PARALLEL_L_TABLE_PLUS[:7])
         assert [st.l for st in sched] == [10, 12, 12, 14, 16, 16, 18]
 
+    def test_short_l_table_rejected(self):
+        # it used to end in a bare IndexError at the first missing step
+        with pytest.raises(ConfigurationError,
+                           match="l_table has 2 entries, schedule needs 5"):
+            build_schedule(strategy="full_parallel", k_max=5, l_table=(10, 12))
+        longer = build_schedule(strategy="full_parallel", k_max=2,
+                                l_table=PARALLEL_L_TABLE_PLUS)
+        assert [st.l for st in longer] == [10, 12]
+
     def test_certified_mode_lengths_grow_with_parallelism(self):
         sched = build_schedule(strategy="full_parallel", k_max=6, certified=True)
         ls = [st.l for st in sched]
@@ -88,9 +98,10 @@ class TestRun:
     def test_k1_canonical_query_count(self):
         sched = build_schedule(strategy="full_sequential", k_max=1,
                                nu_variant="optimized", nu_final=7)
-        est, report, records = run(make_instance(0.3), sched, seed=11, backend="ideal")
+        est, report, counts = run(make_instance(0.3), sched, seed=11, backend="ideal")
         assert report.n_queries == 140            # 2 * 7 * 1 * 10
-        assert recompute_queries(sched, records) == 140
+        assert query_count(sched) == 140
+        assert counts.shape == (1, 2)
 
     def test_phi_zero_fixed_point_converges(self):
         sched = build_schedule(strategy="full_sequential", k_max=8)
@@ -119,21 +130,23 @@ class TestRun:
                 kwargs["parallelism"] = int(2 ** rng.integers(0, K))
             sched = build_schedule(**kwargs)
             assert all(st.p * st.t * st.s == st.m for st in sched)
-            est, report, records = run(inst, sched, seed=int(rng.integers(1 << 30)),
-                                       backend="ideal")
+            est, report, counts = run(inst, sched, seed=int(rng.integers(1 << 30)),
+                                      backend="ideal")
             expected = 2 * sum(st.nu * st.p * st.s * st.l for st in sched)
             assert report.n_queries == expected
-            assert recompute_queries(sched, records) == expected
+            assert query_count(sched) == expected
+            nu = np.array([[st.nu] for st in sched])
+            assert counts.shape == (K, 2) and ((0 <= counts) & (counts <= nu)).all()
 
     def test_strategy_equivalence_under_shared_seeds(self):
         # in the ideal backend both strategies sample identical probability
-        # sequences, so shared seeds give identical records and estimates
+        # sequences, so shared seeds give identical counts and estimates
         inst = make_instance(math.sin(math.pi / 8) ** 2)
         seq = build_schedule(strategy="full_sequential", k_max=6)
         par = build_schedule(strategy="full_parallel", k_max=6)
-        est_s, _, rec_s = run(inst, seq, seed=42, backend="ideal")
-        est_p, _, rec_p = run(inst, par, seed=42, backend="ideal")
-        assert rec_s == rec_p
+        est_s, _, counts_s = run(inst, seq, seed=42, backend="ideal")
+        est_p, _, counts_p = run(inst, par, seed=42, backend="ideal")
+        assert np.array_equal(counts_s, counts_p)
         assert est_s.phi_hat == est_p.phi_hat
 
     def test_backend_guard(self):
@@ -162,8 +175,8 @@ class TestRun:
         sched = build_schedule(strategy="full_sequential", k_max=9)
         assert (sched.steps[-1].t, sched.steps[-1].l) == (256.0, 710)
         inst = make_instance(math.sin(math.pi / 8) ** 2)
-        est, _, records = run(inst, sched, seed=3, backend="analytic")
-        assert len(records) == 9
+        est, _, counts = run(inst, sched, seed=3, backend="analytic")
+        assert counts.shape == (9, 2)
         assert abs(est.a_hat - inst.a) <= 0.01
 
     def test_statevector_probability_of_one(self):
@@ -173,8 +186,8 @@ class TestRun:
         inst = make_instance(0.5)
         probs = step_probabilities(inst, sched, "statevector")
         assert ((probs >= 0.0) & (probs <= 1.0)).all()
-        est, _, records = run(inst, sched, seed=9, backend="statevector")
-        assert len(records) == 3 and 0.0 <= est.a_hat <= 1.0
+        est, _, counts = run(inst, sched, seed=9, backend="statevector")
+        assert counts.shape == (3, 2) and 0.0 <= est.a_hat <= 1.0
 
     def test_width_and_layers(self):
         sched = build_schedule(strategy="full_parallel", k_max=7,
@@ -195,8 +208,9 @@ class TestTwoPhases:
         probs = step_probabilities(inst, sched, backend)
         assert probs.shape == (3, 2)
         for seed in (1, 2, 3):
-            est, _, records = run(inst, sched, seed=seed, backend=backend)
-            assert sample_and_recover(sched, probs, seed) == (est, records)
+            est, _, counts = run(inst, sched, seed=seed, backend=backend)
+            sampled, sampled_counts = sample_and_recover(sched, probs, seed)
+            assert sampled == est and np.array_equal(sampled_counts, counts)
 
     @pytest.mark.parametrize("seed,trials,message", [
         ([1, 2], None, "single seed"),
@@ -211,13 +225,43 @@ class TestTwoPhases:
         with pytest.raises(DomainError, match=message):
             sample_and_recover(sched, probs, seed, trials)
 
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (4, 1), (5, 2)])
+    def test_sampler_rejects_probabilities_of_another_shape(self, shape):
+        # the first three used to be broadcast to every step without a word
+        sched = build_schedule(strategy="full_sequential", k_max=4)
+        with pytest.raises(DomainError, match=r"must have shape \(4, 2\), got "
+                           + re.escape(str(shape))):
+            sample_and_recover(sched, np.full(shape, 0.5), 1)
+
     def test_sampler_accepts_seed_sequence(self):
         sched = build_schedule(strategy="full_sequential", k_max=3)
         probs = step_probabilities(make_instance(0.3), sched, "ideal")
-        single = sample_and_recover(sched, probs, np.random.SeedSequence(9))
-        assert single == sample_and_recover(sched, probs, np.random.SeedSequence(9))
+        est, single = sample_and_recover(sched, probs, np.random.SeedSequence(9))
+        again, single_again = sample_and_recover(sched, probs, np.random.SeedSequence(9))
+        assert est == again and np.array_equal(single, single_again)
         _, counts = sample_and_recover(sched, probs, np.random.SeedSequence(9), trials=3)
-        assert counts[0].tolist() == [[r.h_plus, r.h_i] for r in single[1]]
+        assert np.array_equal(counts[0], single)
+
+    @pytest.mark.parametrize("backend,strategy", [("ideal", "full_sequential"),
+                                                  ("analytic", "full_parallel")])
+    def test_single_run_is_trial_zero_of_a_batch(self, backend, strategy):
+        # one sampler path: a single run's counts and estimate are trial 0
+        # of the batch at its seed, bit for bit, with float fields
+        def bits(x):
+            return np.float64(x).tobytes()
+
+        sched = build_schedule(strategy=strategy, k_max=5,
+                               l_table=PARALLEL_L_TABLE_PLUS[:5])
+        probs = step_probabilities(make_instance(0.3), sched, backend)
+        for seed in (0, 7, 2024):
+            est, counts = sample_and_recover(sched, probs, seed)
+            batch, batch_counts = sample_and_recover(sched, probs, seed, trials=13)
+            assert counts.shape == (5, 2) and np.array_equal(counts, batch_counts[0])
+            assert isinstance(est.a_hat, float) and isinstance(est.phi_hat, float)
+            assert all(isinstance(t, float) for t in est.trajectory)
+            assert bits(est.a_hat) == bits(batch.a_hat[0])
+            assert bits(est.phi_hat) == bits(batch.phi_hat[0])
+            assert [bits(t) for t in est.trajectory] == [bits(t[0]) for t in batch.trajectory]
 
     def test_statevector_builds_one_oracle_per_instance_and_step(self, monkeypatch):
         import pae.circuit
@@ -272,20 +316,20 @@ class TestTwoPhases:
         # seed with one binomial draw over the (K, 2) probabilities
         sched = build_schedule(strategy="full_sequential", k_max=4)
         inst = make_instance(0.3)
-        est, _, records = run(inst, sched, seed=11, backend="ideal")
-        assert [(r.k, r.h_plus, r.h_i, r.nu) for r in records] == [
-            (1, 18, 16, 19), (2, 8, 15, 15), (3, 0, 8, 11), (4, 7, 5, 7)]
+        est, _, counts = run(inst, sched, seed=11, backend="ideal")
+        assert [(st.k, st.nu) for st in sched] == [(1, 19), (2, 15), (3, 11), (4, 7)]
+        assert counts.tolist() == [[18, 16], [8, 15], [0, 8], [7, 5]]
         assert est.a_hat == 0.29099759082922905
         nu = np.array([[st.nu] for st in sched])
-        counts = np.random.default_rng(11).binomial(
+        direct = np.random.default_rng(11).binomial(
             nu, step_probabilities(inst, sched, "ideal"))
-        assert counts.tolist() == [[r.h_plus, r.h_i] for r in records]
+        assert np.array_equal(direct, counts)
         sched = build_schedule(strategy="full_parallel", k_max=4,
                                l_table=PARALLEL_L_TABLE_PLUS[:4])
-        est, _, records = run(make_instance(math.sin(math.pi / 8) ** 2), sched,
-                              seed=5, backend="analytic")
-        assert [(r.k, r.h_plus, r.h_i, r.nu) for r in records] == [
-            (1, 9, 19, 19), (2, 0, 11, 15), (3, 11, 2, 11), (4, 5, 0, 7)]
+        est, _, counts = run(make_instance(math.sin(math.pi / 8) ** 2), sched,
+                             seed=5, backend="analytic")
+        assert [(st.k, st.nu) for st in sched] == [(1, 19), (2, 15), (3, 11), (4, 7)]
+        assert counts.tolist() == [[9, 19], [0, 11], [11, 2], [5, 0]]
         assert est.a_hat == 0.14373543519220755
 
 

@@ -153,8 +153,9 @@ class TestRmseSweep:
                     counts = rng.binomial(nu, probs)
                     est = estimate_phase(counts / nu)
                     if t == 0:
-                        single, _, records = run(inst, sched, seed=seed, backend=backend)
-                        assert counts.tolist() == [[r.h_plus, r.h_i] for r in records]
+                        single, _, single_counts = run(inst, sched, seed=seed,
+                                                       backend=backend)
+                        assert np.array_equal(counts, single_counts)
                         assert est.a_hat == single.a_hat
                     sq.append((est.a_hat - a) ** 2)
                 expected.append((a, K, float(np.sqrt(np.mean(sq)))))
@@ -221,10 +222,12 @@ class TestRunSingle:
                                   parallelism=parallelism or None)
         out = run_single(cfg)
         assert [a for a, *_ in out] == list(cfg.amplitudes)
-        for a, estimate, report, records in out:
-            expected = run(make_instance(a, cfg.n), schedule,
-                           seed=trial_seed(cfg.seed, a, 4, 0), backend=backend)
-            assert (estimate, report, records) == expected
+        for a, estimate, report, counts in out:
+            expected, expected_report, expected_counts = run(
+                make_instance(a, cfg.n), schedule,
+                seed=trial_seed(cfg.seed, a, 4, 0), backend=backend)
+            assert (estimate, report) == (expected, expected_report)
+            assert np.array_equal(counts, expected_counts)
 
 
 class TestTlCurve:
