@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, fields
+from dataclasses import fields
 
 from .driver import hl_reference
 
@@ -35,7 +35,7 @@ def write_csv(path: str, header, rows) -> None:
 def rows_to_csv(path: str, rows) -> None:
     """CSV from a homogeneous list of dataclass rows."""
     header = [f.name for f in fields(rows[0])] if rows else []
-    write_csv(path, header, [astuple(r) for r in rows])
+    write_csv(path, header, [[getattr(r, name) for name in header] for r in rows])
 
 
 def _ticks(lo: float, hi: float, log: bool):

@@ -16,18 +16,23 @@ pipeline is:
    ``|P| <= 1`` on the circle), staying within ``8*delta`` of the target.
    ``|P|^2`` is evaluated on the certification grid twice, to measure the
    overshoot and to certify the result: by Horner's rule in place on its
-   4096 Chebyshev points, and on its 8192 uniform points as the squared
-   moduli of one real FFT of the coefficients, folded mod the grid size
-   (for real ``p``, ``|P(e^{-i theta})| = |P(e^{i theta})|``, so the half
-   spectrum mirrored gives every point).  Memory stays linear in the grid
-   and independent of ``L``; the constant grids are built on first use.
+   Chebyshev points, and on its uniform points as the squared moduli of
+   one real FFT of the coefficients, folded mod the grid size.  Every grid
+   of synthesis is symmetric about ``pi`` and, for real ``p``,
+   ``P(e^{-i theta}) = conj P(e^{i theta})``, so ``|P|^2`` takes the same
+   value at ``theta`` and ``2 pi - theta``: each grid keeps only its angles
+   in ``[0, pi]``, the first 2048 of 4096 Chebyshev points and the 4097
+   uniform points ``0, pi/4096, .., pi``, and each value is computed once
+   per mirror pair.  Memory stays linear in the grid and independent of
+   ``L``; the constant grids are built on first use.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``P`` by layer peeling alone: complete ``P`` to a
    unitary with the complementary polynomial ``G``
    (``|P|^2 + |G|^2 = 1``, one FFT spectral factorisation, no root finding;
    its arrays are real or Hermitian, so every transform is a real FFT, and
-   the pair is certified on 1024 uniform points by the same real-FFT
-   moduli) and strip one degree at a time.  Only the first row
+   the pair is certified on the 513 points of 1024 uniform ones in
+   ``[0, pi]`` by the same real-FFT moduli) and strip one degree at a time.
+   Only the first row
    ``(P, iG)`` of the Laurent tensor is kept, since the second is its
    reversed conjugate; each layer's angle comes in closed form from the
    two end blocks, and each strip is one ``(L, 2) @ (2, 2)`` product with
@@ -38,7 +43,10 @@ pipeline is:
    identity up to rounding is all cancelling pairs.  The residual check
    covers the returned sequence, pads included, and evaluates the realized
    product (``rotation_product``) in closed form: every factor lies in
-   SU(2), so only the first row is tracked, elementwise over the grid.
+   SU(2), so only the first row is tracked, elementwise over the grid.  It
+   runs on the half of the 1024 Chebyshev points in ``(0, pi)``: for even
+   ``L`` the realized and the target entry are both conjugate-symmetric
+   about ``pi``, and so is their difference's modulus.
 4. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
    ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
    backend evaluates.  ``interleaved_shifter``, independent of it so that
@@ -130,19 +138,32 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _cert_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The completion's certification angles, built on first use: the
-    Chebyshev points, then ``2 * _CERT_GRID`` uniform ones; with ``e^{i theta}``
-    on the Chebyshev part, the only part evaluated by Horner's rule."""
-    cheb = chebyshev_grid(_CERT_GRID)
-    thetas = np.concatenate([cheb, np.linspace(0.0, 2.0 * np.pi, 2 * _CERT_GRID,
-                                               endpoint=False)])
+    """The completion's certification angles in ``[0, pi]``, built on first
+    use: the first half of the ``_CERT_GRID`` Chebyshev points, then the
+    ``_CERT_GRID + 1`` uniform ones from 0 to pi; with ``e^{i theta}`` on
+    the Chebyshev part, the only part evaluated by Horner's rule.
+
+    For even ``n`` the Chebyshev points pair up as ``theta_(n-1-j) =
+    2 pi - theta_j``, and so do the uniform points of the full ``2 *
+    _CERT_GRID`` grid; a real ``p`` gives ``|P|^2`` the same value at both
+    points of a pair, so the half grid carries every value of the full
+    one."""
+    cheb = chebyshev_grid(_CERT_GRID)[:_CERT_GRID // 2]
+    thetas = np.concatenate([cheb, np.linspace(0.0, np.pi, _CERT_GRID + 1)])
     return _frozen(thetas), _frozen(np.exp(1j * cheb))
 
 
 @functools.cache
 def _solve_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The Chebyshev angles of the residual check and their ``e^{i theta}``."""
-    thetas = chebyshev_grid(_SOLVE_GRID)
+    """The Chebyshev angles of the residual check in ``(0, pi)``, the first
+    half of ``_SOLVE_GRID``, and their ``e^{i theta}``.
+
+    Every factor of the product satisfies ``F(-theta) = Z conj(F(theta)) Z``
+    and ``F(theta + 2 pi) = -F(theta)``, so for even ``L`` its corner entry
+    obeys ``u00(2 pi - theta) = conj(u00(theta))``, as does the target
+    ``P(z) z^-d`` of a real ``p``: the residual at ``2 pi - theta_j`` equals
+    the one at ``theta_j``."""
+    thetas = chebyshev_grid(_SOLVE_GRID)[:_SOLVE_GRID // 2]
     return _frozen(thetas), _frozen(np.exp(1j * thetas))
 
 
@@ -214,7 +235,8 @@ def _fejer_kernel_even(d: int) -> np.ndarray:
 
 def _cert_modulus2(p: np.ndarray) -> np.ndarray:
     """``|P|^2`` on the certification grid, in the order of its angles:
-    Horner's rule on the Chebyshev points, one real FFT on the uniform ones."""
+    Horner's rule on the Chebyshev points, one real FFT on the uniform ones
+    (its ``_CERT_GRID + 1`` bins are the angles ``0..pi``)."""
     z = _cert_grid()[1]
     return np.concatenate([np.abs(_laurent_values(p, z)) ** 2,
                            _uniform_modulus2(p, 2 * _CERT_GRID)])
@@ -273,7 +295,8 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
         if curv > 0.0:
             p2 = shifted(1.5 * curv / l2 ** 2)
     # the Chebyshev grid is sparsest near theta = pi, where the pair is
-    # pinned at 1; the uniform points catch between-node overshoots there
+    # pinned at 1; the uniform points, pi itself included, catch
+    # between-node overshoots there
     gg = _cert_modulus2(p2)
     ip = int(np.argmax(gg))
     over = float(gg[ip]) - 1.0
@@ -287,30 +310,40 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Interleaved-product evaluation (per-eigenphase 2x2 picture)
 
+# The factor's generator as a map on the real row (Re x, Im x, Re y, Im y):
+# (x, y) -> (i x, -i y) on the cos(xi) part and (x, y) -> (y, -x) on the
+# sin(xi) part
+_ROW_Z = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                   [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+_ROW_Y = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                   [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+
+
 def rotation_product(xi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """The per-eigenphase 2x2 product of the interleaved angle sequence.
 
-    Factor ``j`` is ``exp(-i s theta/2 (cos(alpha) Z - sin(alpha) Y))``,
-    where odd slots (even ``j``) carry the adjoint step, ``alpha = xi_j + pi``
-    and ``s = -1``, and even slots ``alpha = xi_j``, ``s = +1``.  Each factor
-    is ``[[p, q], [-q, conj(p)]]`` with ``p = cos(h) - i sin(h) cos(alpha)``
-    and real ``q = sin(h) sin(alpha)``, ``h = s theta/2``, so the product
-    stays in SU(2) and only its first row ``(x, y)`` is tracked, by
-    elementwise updates over the grid.
+    Factor ``j`` is ``exp(-i theta/2 (cos(xi_j) Z - sin(xi_j) Y))`` in every
+    slot: an odd slot (even ``j``) carries the adjoint step, negating the
+    exponent, and the shifted angle ``xi_j + pi``, negating it back.  Every
+    factor lies in SU(2), so the product does too and only its first row
+    ``(x, y)`` is tracked.  The factor maps it to ``cos(theta/2) (x, y) -
+    sin(theta/2) (i c x + s y, -s x - i c y)``, ``(c, s) = (cos, sin)(xi_j)``:
+    on the real rows ``(Re x, Im x, Re y, Im y)`` one constant 4x4 product
+    per factor and three in-place elementwise updates over the grid.
     """
     xi = np.asarray(xi, dtype=float)
     half = np.asarray(thetas, dtype=float) / 2.0
     ch, sh = np.cos(half), np.sin(half)
-    adjoint = np.arange(len(xi)) % 2 == 0
-    sign = np.where(adjoint, -1.0, 1.0)
-    alpha = np.where(adjoint, xi + np.pi, xi)
-    x = np.ones(len(half), dtype=complex)
-    y = np.zeros(len(half), dtype=complex)
-    for s, ca, sa in zip(sign, np.cos(alpha), np.sin(alpha)):
-        sz = s * sh
-        p = ch - 1j * (sz * ca)
-        q = sz * sa
-        x, y = x * p - y * q, x * q + y * p.conj()
+    gens = np.cos(xi)[:, None, None] * _ROW_Z + np.sin(xi)[:, None, None] * _ROW_Y
+    row = np.zeros((4, len(half)))
+    row[0] = 1.0
+    turned = np.empty_like(row)
+    for gen in gens:
+        np.matmul(gen, row, out=turned)
+        turned *= sh
+        row *= ch
+        row -= turned
+    x, y = row[0] + 1j * row[1], row[2] + 1j * row[3]
     u = np.empty((len(half), 2, 2), dtype=complex)
     u[:, 0, 0] = x
     u[:, 0, 1] = y
@@ -341,18 +374,17 @@ def _laurent_values(p: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _uniform_modulus2(p: np.ndarray, n: int) -> np.ndarray:
-    """``|P(e^{2 pi i j / n})|^2``, ``j = 0..n-1`` (``n`` even), of the real
-    Laurent vector ``p`` on powers ``-d..d`` by one real FFT.  Powers
-    congruent mod ``n`` meet on the grid, so the coefficients are summed
-    into their residues first.  Bin ``j`` of the forward transform is
-    ``P(e^{-2 pi i j / n})``, the conjugate of ``P(e^{2 pi i j / n})`` and
-    equal to ``P(e^{2 pi i (n - j) / n})``, so the squared moduli of bins
-    ``0..n/2`` with bins ``n/2-1..1`` mirrored after them cover the grid."""
+    """``|P(e^{2 pi i j / n})|^2``, ``j = 0..n/2`` (``n`` even), the angles
+    ``0..pi`` of the ``n``-point uniform grid, of the real Laurent vector
+    ``p`` on powers ``-d..d`` by one real FFT.  Powers congruent mod ``n``
+    meet on the grid, so the coefficients are summed into their residues
+    first.  Bin ``j`` of the forward transform is ``P(e^{-2 pi i j / n})``,
+    the conjugate of ``P(e^{2 pi i j / n})``, which has the same modulus;
+    the remaining points ``j = n/2+1..n-1`` repeat bins ``n/2-1..1``."""
     d = (len(p) - 1) // 2
     folded = np.bincount(np.arange(-d, d + 1) % n, weights=p, minlength=n)
     half = np.fft.rfft(folded)
-    modulus2 = half.real ** 2 + half.imag ** 2
-    return np.concatenate([modulus2, modulus2[n // 2 - 1:0:-1]])
+    return half.real ** 2 + half.imag ** 2
 
 
 def _deflate_pinned(r: np.ndarray) -> np.ndarray:
@@ -489,10 +521,11 @@ def solve_angles(p: np.ndarray, L: int) -> AngleSequence:
 
 def state_error_bound(delta: float) -> float:
     """Certified state error of one shifter application from the truncation
-    bound: ``sqrt(2) * (8 delta + sqrt(16 delta - 64 delta^2))``."""
-    if delta == math.inf:
-        return math.inf
-    return math.sqrt(2.0) * (8.0 * delta + math.sqrt(max(16.0 * delta - 64.0 * delta ** 2, 0.0)))
+    bound: ``sqrt(2) * (8 delta + sqrt(16 delta (1 - 4 delta)))``.  The
+    factored radicand overflows to ``-inf`` rather than raising, so every
+    ``delta`` up to ``inf`` gives a bound, ``inf`` beyond the largest float."""
+    return math.sqrt(2.0) * (8.0 * delta
+                             + math.sqrt(max(16.0 * delta * (1.0 - 4.0 * delta), 0.0)))
 
 
 def controlled_grover(q: np.ndarray) -> np.ndarray:
@@ -643,6 +676,9 @@ def load_angles(path) -> PhaseShifterSpec:
         raise ValueError(f"angle file holds {len(xi)} angles, header says {L}")
     if not np.all(np.isfinite(xi)):
         raise ValueError("angle file holds a non-finite angle")
-    angles = AngleSequence(xi=xi, residual=float(res_str))
+    residual = float(res_str)
+    if not 0.0 <= residual < math.inf:     # a NaN must fail too
+        raise ValueError(f"angle file needs a finite residual >= 0, header says {res_str}")
+    angles = AngleSequence(xi=xi, residual=residual)
     return PhaseShifterSpec(T=T, L=L, angles=angles,
                             eps_oc=state_error_bound(truncation_error_bound(T, L)))

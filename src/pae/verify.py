@@ -43,6 +43,26 @@ def check_shifter_error() -> tuple[str, bool, str]:
         f"measured {worst:.3e} vs budget {spec.eps_oc:.3e}"
 
 
+def check_certificate_mirror() -> tuple[str, bool, str]:
+    # synthesis certifies on the grid angles in [0, pi] only; the values it
+    # skips mirror those it keeps, so the full grids must give the same
+    # overshoot maximum and residual
+    T, L = 8.0, 34
+    p = qsp.complete_target(qsp.truncate_target(T, L))
+    angles = qsp.solve_angles(p, L)
+    n = qsp._CERT_GRID
+    cert = np.concatenate([qsp.chebyshev_grid(n), np.arange(2 * n) * (np.pi / n)])
+    over = abs(float(np.max(qsp._cert_modulus2(p)))
+               - float(np.max(np.abs(qsp._laurent_values(p, np.exp(1j * cert))) ** 2)))
+    thetas = qsp.chebyshev_grid(qsp._SOLVE_GRID)
+    z = np.exp(1j * thetas)
+    target = qsp._laurent_values(p, z) * z ** (-(L // 2))
+    full = float(np.max(np.abs(qsp.rotation_product(angles.xi, thetas)[:, 0, 0] - target)))
+    res = abs(angles.residual - full)
+    return "certificate-mirror", over <= 1e-13 and res <= 1e-13, \
+        f"overshoot max differs by {over:.2e}, residual by {res:.2e}"
+
+
 def check_parity_identity() -> tuple[str, bool, str]:
     # the parity contraction on exact-shifter blocks, diag(e^{-i phi/2},
     # e^{+i phi/2}) on both eigenphases, against the closed form
@@ -107,6 +127,7 @@ def check_angle_roundtrip(tmpdir=None) -> tuple[str, bool, str]:
 ALL_CHECKS = (
     check_grover_plane,
     check_shifter_error,
+    check_certificate_mirror,
     check_parity_identity,
     check_backend_equivalence,
     check_rpe_exactness,

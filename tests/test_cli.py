@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pae
-from pae import circuit, driver, experiments
+from pae import circuit, driver, experiments, qsp
 from pae.cli import main
 
 
@@ -147,7 +148,7 @@ def test_verify_passes(capsys):
     # one PASS line per built-in invariant suite, and exit status 0
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert sum(line.startswith("PASS") for line in lines) == 7
+    assert sum(line.startswith("PASS") for line in lines) == 8
     assert not any("FAIL" in line for line in lines)
 
 
@@ -171,6 +172,18 @@ def test_verify_fails_on_wrong_shared_block_contraction(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL  backend-equivalence: max deviation 1.00e-09" in out
     assert "PASS  parity-closed-form" in out
+
+
+def test_verify_fails_on_product_without_mirror_symmetry(capsys, monkeypatch):
+    # a stray phase e^{1e-9 i theta} is not conjugate-symmetric about pi: the
+    # residual on the half grid no longer equals the one on the full grid
+    exact = qsp.rotation_product
+    monkeypatch.setattr(qsp, "rotation_product", lambda xi, thetas: exact(xi, thetas)
+                        * np.exp(1e-9j * np.asarray(thetas))[:, None, None])
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  certificate-mirror: overshoot max differs by 0.00e+00, residual by 3.15e-09" in out
+    assert "PASS  shifter-certified-error" in out
 
 
 def test_cli_import_starts_no_process_machinery():

@@ -105,6 +105,17 @@ class TestTruncationBound:
         path.write_text("2048 2000 Wz 0\n" + "0\n" * 2000)
         assert load_angles(path).eps_oc == math.inf
 
+    def test_huge_finite_bound_does_not_overflow(self, tmp_path):
+        # delta ** 2 used to raise OverflowError from about 1e154 on
+        for delta in (1e154, 1e200, sys.float_info.max):
+            bound = state_error_bound(delta)
+            assert bound >= 8.0 * math.sqrt(2.0) * delta and not math.isnan(bound)
+        assert state_error_bound(1e200) == pytest.approx(8.0 * math.sqrt(2.0) * 1e200)
+        path = tmp_path / "angles.txt"
+        path.write_text("1e60 4 Wz 0\n" + "0\n" * 4)
+        eps_oc = load_angles(path).eps_oc
+        assert math.isfinite(eps_oc) and eps_oc > 1e170
+
     @pytest.mark.parametrize("T", [0.25, 1.0, 2.0, 8.0, 16.0, 32.0, 48.0])
     def test_matches_closed_form(self, T):
         for L in (2, 10, select_L_empirical(T), 200):
@@ -265,9 +276,11 @@ class TestUniformValues:
     @pytest.mark.parametrize("n", [1024, 8192])
     @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (256.0, 710)])
     def test_matches_horner(self, T, L, n):
+        # bins 0..n/2 are the grid's angles in [0, pi]
         p = complete_target(truncate_target(T, L))
-        z = np.exp(2j * np.pi * np.arange(n) / n)
+        z = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
         got = _uniform_modulus2(p, n)
+        assert got.shape == (n // 2 + 1,)
         assert np.max(np.abs(got - np.abs(_laurent_values(p, z)) ** 2)) <= 1e-13
 
     @pytest.mark.parametrize("T,L,n", [
@@ -279,7 +292,42 @@ class TestUniformValues:
         # summed, where a plain scatter would keep one of them
         p = truncate_target(T, L).coeffs
         got = _uniform_modulus2(p, n)
-        assert np.max(np.abs(got - np.abs(direct_uniform_sum(p, n)) ** 2)) <= 1e-13
+        ref = np.abs(direct_uniform_sum(p, n)[:n // 2 + 1]) ** 2
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+class TestMirrorGrids:
+    @pytest.mark.parametrize("n", [2, 1024, 4096])
+    def test_chebyshev_grid_mirror_pairs(self, n):
+        # theta_(n-1-j) = 2 pi - theta_j, and the first half lies below pi
+        grid = chebyshev_grid(n)
+        assert np.max(np.abs(grid[::-1] + grid - 2.0 * np.pi)) <= 4e-15
+        assert np.all(grid[:n // 2] < np.pi)
+
+    @pytest.mark.parametrize("T,L,res_tol", [
+        (48.0, 146, 1e-13), (512.0, 1408, 1e-12), (2048.0, 5586, 1e-12)])
+    def test_half_grids_match_full_grids(self, T, L, res_tol):
+        # the overshoot maximum and the residual on the angles in [0, pi]
+        # against both full grids: 4096 Chebyshev and 8192 uniform points
+        # for the completion, 1024 Chebyshev points for the residual.  The
+        # residual is the product's rounding, about L eps, and mirror twins
+        # round apart: their floats mirror within 2e-15, which the slope
+        # of about T magnifies, and the L factors round separately at
+        # each.  So from T = 512 the maxima agree to 1e-12 (measured 1.2e-13
+        # and 4.8e-13), four orders below the 1e-8 gate
+        cert = np.concatenate([chebyshev_grid(4096), 2.0 * np.pi * np.arange(8192) / 8192])
+        target = truncate_target(T, L)
+        p = complete_target(target)
+        for q in (target.coeffs, p):
+            full = np.abs(_laurent_values(q, np.exp(1j * cert))) ** 2
+            assert abs(np.max(_cert_modulus2(q)) - np.max(full)) <= 1e-13
+        seq = solve_angles(p, L)
+        thetas = chebyshev_grid(1024)
+        z = np.exp(1j * thetas)
+        u00 = rotation_product(seq.xi, thetas)[:, 0, 0]
+        full = np.max(np.abs(u00 - _laurent_values(p, z) * z ** (-(L // 2))))
+        assert abs(seq.residual - full) <= res_tol
 
 
 def complex_fft_complement(p):
@@ -617,7 +665,7 @@ class TestSynthesisAtEveryStrength:
         digest = hashlib.sha256()
         for T in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48):
             digest.update(synthesize_shifter(float(T), select_L_empirical(T)).angles.xi.tobytes())
-        assert digest.hexdigest()[:16] == "c9d57f206faf8a1b"
+        assert digest.hexdigest()[:16] == "f2a6092b752a099c"
 
     @pytest.mark.parametrize("T", [2.0 ** j for j in range(12)])
     def test_certified_or_loud(self, T):
@@ -777,6 +825,13 @@ class TestSerialization:
         path = tmp_path / "angles.txt"
         path.write_text("-1 4 Wz 0\n" + "0\n" * 4)
         with pytest.raises(DomainError, match="positive and finite"):
+            load_angles(path)
+
+    @pytest.mark.parametrize("residual", ["nan", "inf", "-inf", "-1e-15"])
+    def test_rejects_bad_residual(self, tmp_path, residual):
+        path = tmp_path / "angles.txt"
+        path.write_text(f"1 4 Wz {residual}\n" + "0\n" * 4)
+        with pytest.raises(ValueError, match="finite residual"):
             load_angles(path)
 
     def test_rejects_odd_length(self, tmp_path):
