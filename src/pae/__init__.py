@@ -2,8 +2,9 @@
 robust phase recovery, and resource benchmarking."""
 
 from .circuit import (CapacityError, MeasurementSetting, ParallelCircuit,
-                      even_parity_probabilities, ghz_depth, ideal_probabilities,
-                      setting_probability, statevector_even_parity_probabilities,
+                      eigenphase_blocks, ghz_depth, ideal_probabilities,
+                      parity_probabilities, setting_probability,
+                      statevector_even_parity_probabilities,
                       statevector_even_parity_probability)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .core_model import (AmplitudeInstance, DomainError, ExplicitOracle,

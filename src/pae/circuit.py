@@ -8,9 +8,10 @@ Two backends compute the even-parity probability:
 
 * analytic -- on each Grover eigenphase ``e^{+-2i theta}`` the shifter is
   the 2x2 ancilla product ``qsp.rotation_product`` at ``pi/2 +- 2 theta``
-  (:func:`eigenphase_blocks`, whose result depends on ``(T, L, S)`` and
-  not on ``P``); the per-branch contractions (:func:`_parity_probabilities`) are
-  read elementwise from the four block entries and averaged over the two
+  (:func:`eigenphase_blocks`, which depend on ``(T, L, S)`` and not on
+  ``P``, so ``driver.step_probabilities`` shares them across branch counts);
+  :func:`parity_probabilities` contracts them for ``P`` branches, read
+  elementwise from the four block entries and averaged over the two
   eigenphases, and the product over identical branches collapses to
   complex powers, so the cost is independent of ``P``; exact, and batched
   over instance angles.
@@ -79,7 +80,7 @@ def eigenphase_blocks(spec: PhaseShifterSpec, S: int, thetas) -> np.ndarray:
     return blocks.reshape(2, -1, 2, 2)
 
 
-def _parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
+def parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
     """``(n, 2)`` probabilities of ``P`` branches from the ``(2, n, 2, 2)``
     eigenphase blocks (already to the power S), whose column ``j`` is
     ancilla state ``phi_j``.
@@ -108,21 +109,11 @@ def _parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
     return np.clip(np.stack([plus, plus_i], axis=1), 0.0, 1.0)
 
 
-def even_parity_probabilities(spec: PhaseShifterSpec, P: int, S: int,
-                              thetas) -> np.ndarray:
-    """Exact even-parity probabilities of the synthesized circuit, one row
-    per instance angle, columns PLUS and PLUS_I: the
-    :func:`eigenphase_blocks` of every angle, contracted for ``P`` branches.
-    Raises :class:`DomainError` for ``P < 1`` or ``S < 1``.
-    """
-    return _parity_probabilities(eigenphase_blocks(spec, S, thetas), P)
-
-
 def setting_probability(circuit: ParallelCircuit,
                         setting: MeasurementSetting) -> float:
     """Exact even-parity probability of the synthesized circuit."""
-    return float(even_parity_probabilities(circuit.spec, circuit.P, circuit.S,
-                                           [circuit.instance.theta])
+    blocks = eigenphase_blocks(circuit.spec, circuit.S, [circuit.instance.theta])
+    return float(parity_probabilities(blocks, circuit.P)
                  [0, list(MeasurementSetting).index(setting)])
 
 

@@ -2,8 +2,7 @@
 
 Subcommands: ``pae run <config>`` executes a declarative experiment file and
 writes CSV/SVG tables, ``pae angles`` synthesizes and saves one angle
-sequence, ``pae verify`` runs the built-in invariant suites.  The default
-output directory can also be set through ``PAE_OUTPUT_DIR``.
+sequence, ``pae verify`` runs the built-in invariant suites.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ def _cmd_run(args) -> int:
         overrides["backend"] = args.backend
     if args.out is not None:
         overrides["output_dir"] = args.out
-    elif os.environ.get("PAE_OUTPUT_DIR") and cfg.output_dir == "pae-out":
-        overrides["output_dir"] = os.environ["PAE_OUTPUT_DIR"]
     cfg = dataclasses.replace(cfg, **overrides)
     validate_config(cfg)
 

@@ -11,11 +11,9 @@ A run has two phases:
   even-parity probability of both measurement settings of every step on the
   selected backend.  It is deterministic: it depends on the amplitude and
   the schedule, never on a seed, so it is done once and shared by every
-  trial of a sweep.  On the analytic backend the eigenphase blocks depend
-  on a step's ``(t, l, s)`` alone, so they are built once for all steps
-  that share it and contracted for each step's branch count ``p``, and the
-  ``ideal`` backend evaluates the closed form
-  :func:`circuit.ideal_probabilities` once per step for all instances;
+  trial of a sweep.  It alone decides which steps are the same: each
+  distinct ``(p, t, s, l)`` is evaluated once on every backend, and on the
+  analytic backend the eigenphase blocks of each ``(t, l, s)`` once;
 * the sampling and recovery phase, :func:`sample_and_recover`, seeds one
   generator, draws the parity counts of one run, ``(K, 2)``, or of a batch
   of trials, ``(trials, K, 2)``, from those probabilities in one binomial
@@ -185,41 +183,37 @@ def resource_report(schedule: Schedule, n: int) -> ResourceReport:
     )
 
 
-def _analytic_columns(thetas: list[float], steps) -> list[np.ndarray]:
-    """Analytic ``(n, 2)`` probabilities of each step, one row per instance
-    angle: the eigenphase blocks are built once per distinct ``(t, l, s)``
-    and contracted for each step's ``p``."""
-    blocks = {}
-    columns = []
-    for st in steps:
-        key = (st.t, st.l, st.s)
-        if key not in blocks:
-            blocks[key] = circ.eigenphase_blocks(qsp.synthesize_shifter(st.t, st.l),
-                                                 st.s, thetas)
-        columns.append(circ._parity_probabilities(blocks[key], st.p))
-    return columns
-
-
 def step_probabilities(instances, schedule: Schedule,
                        backend: str = "analytic") -> np.ndarray:
     """Probability phase: the exact even-parity probabilities, one row per
     step, columns PLUS and PLUS_I, of one instance, ``(K, 2)``, or of a
-    sequence of instances, ``(n, K, 2)``, evaluated together step by step.
-    ``schedule`` may also be any sequence of steps.  A step's probabilities
-    depend on the instance and on its ``(p, t, s, l)`` alone."""
+    sequence of instances, ``(n, K, 2)``.  ``schedule`` may be any sequence
+    of steps, repeats included: each distinct ``(p, t, s, l)`` is evaluated
+    once for all instances, and on the analytic backend the eigenphase
+    blocks of each ``(t, l, s)`` are built once and contracted per ``p``."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     single = isinstance(instances, AmplitudeInstance)
     batch = [instances] if single else list(instances)
-    if backend == "analytic":
-        columns = _analytic_columns([inst.theta for inst in batch], schedule)
-    elif backend == "ideal":
-        phis = np.array([inst.phi for inst in batch])
-        columns = [circ.ideal_probabilities(st.m, phis) for st in schedule]
-    else:
-        columns = [circ.statevector_even_parity_probabilities(
-            qsp.synthesize_shifter(st.t, st.l), st.p, st.s, batch) for st in schedule]
-    probabilities = np.stack(columns, axis=1)
+    thetas = [inst.theta for inst in batch]
+    phis = np.array([inst.phi for inst in batch])
+    columns, blocks = {}, {}
+    for st in schedule:
+        key = (st.p, st.t, st.s, st.l)
+        if key in columns:
+            continue
+        if backend == "ideal":
+            columns[key] = circ.ideal_probabilities(st.m, phis)
+        elif backend == "statevector":
+            columns[key] = circ.statevector_even_parity_probabilities(
+                qsp.synthesize_shifter(st.t, st.l), st.p, st.s, batch)
+        else:
+            shared = (st.t, st.l, st.s)
+            if shared not in blocks:
+                blocks[shared] = circ.eigenphase_blocks(
+                    qsp.synthesize_shifter(st.t, st.l), st.s, thetas)
+            columns[key] = circ.parity_probabilities(blocks[shared], st.p)
+    probabilities = np.stack([columns[st.p, st.t, st.s, st.l] for st in schedule], axis=1)
     return probabilities[0] if single else probabilities
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
@@ -63,26 +63,24 @@ def _cells(cfg: ExperimentConfig, ks):
     the step counts ``ks``: yields ``(a, K, schedule, probabilities, seed)``
     per (amplitude, K) cell, amplitudes outermost.
 
-    Each schedule is built once per K.  Each distinct step, keyed on
-    ``(p, t, s, l)``, is evaluated once for all amplitudes by one
-    :func:`driver.step_probabilities` call, and every K takes its ``(K, 2)``
-    rows from that table.  ``seed`` is the cell's ``trial_seed(seed, a, K, 0)``.
+    Each schedule is built once per K, and the steps of all of them go to
+    one :func:`driver.step_probabilities` call for all amplitudes, which
+    evaluates each distinct step once.  Each K takes its ``(K, 2)`` rows by
+    splitting that ``(n, sum K, 2)`` table at the schedule boundaries.
+    ``seed`` is the cell's ``trial_seed(seed, a, K, 0)``.
     """
     amplitudes = _amplitudes(cfg)
     if not amplitudes:
         raise driver.ConfigurationError(
             f"{cfg.experiment} needs 'amplitudes' or 'amplitude_grid'")
-    schedules = {K: _schedule_for(cfg, K) for K in ks}
-    steps = {(st.p, st.t, st.s, st.l): st
-             for schedule in schedules.values() for st in schedule}
+    schedules = [_schedule_for(cfg, K) for K in ks]
     table = driver.step_probabilities([make_instance(a, cfg.n) for a in amplitudes],
-                                      list(steps.values()), cfg.backend)
-    column = {key: j for j, key in enumerate(steps)}
-    probabilities = {K: table[:, [column[(st.p, st.t, st.s, st.l)] for st in schedule]]
-                     for K, schedule in schedules.items()}
+                                      [st for schedule in schedules for st in schedule],
+                                      cfg.backend)
+    probabilities = np.split(table, np.cumsum([sched.K for sched in schedules])[:-1], axis=1)
     for i, a in enumerate(amplitudes):
-        for K, schedule in schedules.items():
-            yield a, K, schedule, probabilities[K][i], trial_seed(cfg.seed, a, K, 0)
+        for schedule, probs in zip(schedules, probabilities):
+            yield a, schedule.K, schedule, probs[i], trial_seed(cfg.seed, a, schedule.K, 0)
 
 
 def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -128,13 +126,12 @@ def run_bias_sweep(cfg: ExperimentConfig) -> list[BiasRow]:
     table = _resolve_l_table(cfg) or driver.PARALLEL_L_TABLE_PLUS
     amps = _amplitudes(cfg) or [float(v) for v in np.linspace(0.0, 1.0, 101)]
     instances = [make_instance(a, cfg.n) for a in amps]
-    schedule = driver.build_schedule(strategy="full_parallel", k_max=cfg.k_max,
-                                     l_table=table)
-    schedule = replace(schedule, steps=schedule.steps[cfg.k_min - 1:])
-    probs = driver.step_probabilities(instances, schedule, cfg.backend)
-    ideal = driver.step_probabilities(instances, schedule, "ideal")
+    steps = driver.build_schedule(strategy="full_parallel", k_max=cfg.k_max,
+                                  l_table=table).steps[cfg.k_min - 1:]
+    probs = driver.step_probabilities(instances, steps, cfg.backend)
+    ideal = driver.step_probabilities(instances, steps, "ideal")
     rows = []
-    for i, st in enumerate(schedule):
+    for i, st in enumerate(steps):
         # one draw per step: rows are amplitudes, columns PLUS and PLUS_I
         counts = circ.sample_even_parity(probs[:, i], cfg.shots,
                                          np.random.SeedSequence([cfg.seed, st.k]))

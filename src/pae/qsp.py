@@ -580,6 +580,18 @@ def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:
 _shifter_cache: dict[tuple[float, int], PhaseShifterSpec] = {}
 
 
+def _solve_length(T: float, L: int) -> int:
+    """The length a length-``L`` shifter is truncated and certified at:
+    ``L`` cut (not below 4) to where the truncation bound reaches rounding
+    level, past which extra layers cannot improve a double-precision
+    synthesis.  ``L`` is checked before the cut, so an error names it."""
+    if L < 2 or L % 2:
+        raise DomainError(f"query length must be a positive even integer, got {L}")
+    while L > 4 and truncation_error_bound(T, L - 2) < 1e-10:
+        L -= 2
+    return L
+
+
 def synthesize_shifter(T: float, L: int | None = None,
                        eps_oc: float | None = None) -> PhaseShifterSpec:
     """End-to-end synthesis: pick ``L`` if absent, truncate, complete, solve.
@@ -591,13 +603,8 @@ def synthesize_shifter(T: float, L: int | None = None,
         L = select_L(T, eps_oc) if eps_oc is not None else select_L_empirical(T)
     key = (float(T), int(L))
     if key not in _shifter_cache:
-        # beyond the length where the truncation bound reaches rounding
-        # level, extra layers cannot improve a double-precision synthesis;
-        # truncate there and let the peel pad up to L.  A failed solve raises.
-        l_solve = L
-        while l_solve > 4 and truncation_error_bound(T, l_solve - 2) < 1e-10:
-            l_solve -= 2
-        target = truncate_target(T, l_solve)
+        # the peel pads the cut target up to L.  A failed solve raises.
+        target = truncate_target(T, _solve_length(T, L))
         angles = solve_angles(complete_target(target), L)
         _shifter_cache[key] = PhaseShifterSpec(
             T=float(T), L=int(L), angles=angles,
@@ -655,7 +662,7 @@ def save_angles(path, spec: PhaseShifterSpec) -> None:
 
 
 def load_angles(path) -> PhaseShifterSpec:
-    """Inverse of :func:`save_angles`; round-trips bit-exactly."""
+    """Inverse of :func:`save_angles`; round-trips bit-exactly, ``eps_oc`` too."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
@@ -680,5 +687,5 @@ def load_angles(path) -> PhaseShifterSpec:
     if not 0.0 <= residual < math.inf:     # a NaN must fail too
         raise ValueError(f"angle file needs a finite residual >= 0, header says {res_str}")
     angles = AngleSequence(xi=xi, residual=residual)
-    return PhaseShifterSpec(T=T, L=L, angles=angles,
-                            eps_oc=state_error_bound(truncation_error_bound(T, L)))
+    delta = truncation_error_bound(T, _solve_length(T, L))
+    return PhaseShifterSpec(T=T, L=L, angles=angles, eps_oc=state_error_bound(delta))

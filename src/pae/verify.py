@@ -72,7 +72,7 @@ def check_parity_identity() -> tuple[str, bool, str]:
     blocks[:, :, 0, 0], blocks[:, :, 1, 1] = half.conj(), half
     worst = 0.0
     for m in (1, 4, 32):
-        probs = circ._parity_probabilities(blocks, m)
+        probs = circ.parity_probabilities(blocks, m)
         worst = max(worst, float(np.max(np.abs(probs - circ.ideal_probabilities(m, phis)))))
     return "parity-closed-form", worst <= 1e-12, f"max deviation {worst:.2e}"
 
@@ -113,15 +113,18 @@ def check_accounting() -> tuple[str, bool, str]:
 def check_angle_roundtrip(tmpdir=None) -> tuple[str, bool, str]:
     import os
     import tempfile
-    spec = qsp.synthesize_shifter(1.0, 10)
+    # L = 40 is cut to 20, where synthesis certifies and reloading must too
+    spec = qsp.synthesize_shifter(1.0, 40)
     with tempfile.TemporaryDirectory(dir=tmpdir) as td:
         path = os.path.join(td, "angles.txt")
         qsp.save_angles(path, spec)
         loaded = qsp.load_angles(path)
     ok = (loaded.T == spec.T and loaded.L == spec.L
           and np.array_equal(loaded.angles.xi, spec.angles.xi)
-          and loaded.angles.residual == spec.angles.residual)
-    return "angle-file-roundtrip", ok, "bit-exact" if ok else "mismatch"
+          and loaded.angles.residual == spec.angles.residual
+          and loaded.eps_oc == spec.eps_oc)
+    return "angle-file-roundtrip", ok, \
+        "bit-exact" if ok else f"mismatch (eps_oc {loaded.eps_oc:.3e} vs {spec.eps_oc:.3e})"
 
 
 ALL_CHECKS = (

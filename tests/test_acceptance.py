@@ -18,7 +18,7 @@ from pae import (PARALLEL_L_TABLE_PLUS, PARALLEL_L_TABLE_PLUS_I,
                  setting_probability, solve_angles,
                  statevector_even_parity_probability, synthesize_shifter,
                  truncate_target)
-from pae.circuit import MeasurementSetting, ParallelCircuit, _parity_probabilities
+from pae.circuit import MeasurementSetting, ParallelCircuit, parity_probabilities
 from pae.experiments import run_bias_sweep, run_tl_curve, trial_seed
 from pae.qsp import chebyshev_grid
 from pae.rpe import estimate_phase
@@ -72,7 +72,7 @@ def test_03_parity_identity():
         block = np.diag([np.exp(-0.5j * inst.phi), np.exp(0.5j * inst.phi)])
         blocks = np.broadcast_to(block, (2, 1, 2, 2))
         for m in range(1, 65):
-            pp, pi_ = _parity_probabilities(blocks, m)[0]
+            pp, pi_ = parity_probabilities(blocks, m)[0]
             worst = max(worst,
                         abs(pp - (1 + math.cos(m * inst.phi)) / 2),
                         abs(pi_ - (1 + math.sin(m * inst.phi)) / 2))

@@ -6,12 +6,11 @@ import pytest
 
 from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  build_branch_unitary, build_explicit_oracle, build_grover_unitary,
-                 even_parity_probabilities, ghz_depth, ideal_branch_unitary,
-                 make_instance, setting_probability,
+                 eigenphase_blocks, ghz_depth, ideal_branch_unitary,
+                 make_instance, parity_probabilities, setting_probability,
                  statevector_even_parity_probabilities,
                  statevector_even_parity_probability, synthesize_shifter)
-from pae.circuit import (_apply_block, _apply_cnot, _parity_probabilities,
-                         eigenphase_blocks, sample_even_parity)
+from pae.circuit import _apply_block, _apply_cnot, sample_even_parity
 from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
 from pae.qsp import controlled_grover, interleaved_shifter
@@ -24,7 +23,7 @@ def ideal_probabilities(P: int, phi: float) -> np.ndarray:
     """(PLUS, PLUS_I) probabilities with the exact T = S = 1 shifter: the
     block ``diag(e^{-i phi/2}, e^{+i phi/2})`` on both eigenphases."""
     block = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
-    return _parity_probabilities(np.broadcast_to(block, (2, 1, 2, 2)), P)[0]
+    return parity_probabilities(np.broadcast_to(block, (2, 1, 2, 2)), P)[0]
 
 
 def matmul_parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
@@ -244,7 +243,7 @@ class TestEvenParityProbabilities:
         thetas = np.linspace(0.0, np.pi / 2, 17)
         for T, L in ((1.0, 10), (4.0, 22)):
             spec = synthesize_shifter(T, L)
-            probs = even_parity_probabilities(spec, P, S, thetas)
+            probs = parity_probabilities(eigenphase_blocks(spec, S, thetas), P)
             assert probs.shape == (len(thetas), 2)
             for theta, row in zip(thetas, probs):
                 v = build_branch_unitary(spec, theta)
@@ -256,8 +255,9 @@ class TestEvenParityProbabilities:
     def test_batch_equals_single_calls(self, P, S):
         spec = synthesize_shifter(1.0, 12)
         thetas = np.linspace(0.0, np.pi / 2, 33)
-        batch = even_parity_probabilities(spec, P, S, thetas)
-        single = np.concatenate([even_parity_probabilities(spec, P, S, [t]) for t in thetas])
+        batch = parity_probabilities(eigenphase_blocks(spec, S, thetas), P)
+        single = np.concatenate([parity_probabilities(eigenphase_blocks(spec, S, [t]), P)
+                                 for t in thetas])
         assert np.array_equal(batch, single)
 
     @pytest.mark.parametrize("P", [1, 2, 7, 64, 256])
@@ -269,7 +269,7 @@ class TestEvenParityProbabilities:
         thetas = np.linspace(0.0, np.pi / 2, 101)
         for blocks in (haar, eigenphase_blocks(synthesize_shifter(1.0, 10), 1, thetas),
                        eigenphase_blocks(synthesize_shifter(4.0, 22), 3, thetas)):
-            got = _parity_probabilities(blocks, P)
+            got = parity_probabilities(blocks, P)
             assert np.max(np.abs(got - matmul_parity_probabilities(blocks, P))) <= 1e-13
 
     @pytest.mark.parametrize("P,S", [(0, 1), (-1, 1), (1, 0), (1, -1), (0, 0)])
@@ -277,7 +277,7 @@ class TestEvenParityProbabilities:
         spec = synthesize_shifter(1.0, 10)
         inst = make_instance(0.3)
         with pytest.raises(DomainError, match="count must be >= 1"):
-            even_parity_probabilities(spec, P, S, [inst.theta])
+            parity_probabilities(eigenphase_blocks(spec, S, [inst.theta]), P)
         with pytest.raises(DomainError, match="count must be >= 1"):
             statevector_even_parity_probabilities(spec, P, S, [inst])
 

@@ -1,6 +1,7 @@
 """Command-line error reporting: bad input ends in one ``error:`` line on
 stderr and exit code 2, never a traceback."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import pae
-from pae import circuit, driver, experiments, qsp
+from pae import circuit, experiments, qsp
 from pae.cli import main
 
 
@@ -22,6 +23,8 @@ from pae.cli import main
     (["--T", "nan"], "evolution strength must be positive and finite"),
     (["--T", "inf", "--L", "10"], "evolution strength must be positive and finite"),
     (["--T", "inf"], "evolution strength must be positive and finite"),
+    # checked before synthesis cuts the length down, so 41 is named, not 21
+    (["--T", "1", "--L", "41"], "query length must be a positive even integer, got 41"),
 ])
 def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
     out = tmp_path / "angles.txt"
@@ -153,8 +156,8 @@ def test_verify_passes(capsys):
 
 
 def test_verify_fails_on_wrong_parity_contraction(capsys, monkeypatch):
-    exact = circuit._parity_probabilities
-    monkeypatch.setattr(circuit, "_parity_probabilities",
+    exact = circuit.parity_probabilities
+    monkeypatch.setattr(circuit, "parity_probabilities",
                         lambda blocks, P: exact(blocks, P) + 1e-9)
     assert main(["verify"]) == 1
     # backend-equivalence fails too, since the analytic backend contracts
@@ -164,14 +167,32 @@ def test_verify_fails_on_wrong_parity_contraction(capsys, monkeypatch):
 
 def test_verify_fails_on_wrong_shared_block_contraction(capsys, monkeypatch):
     # the backend check goes through the driver's probability phase, where
-    # analytic steps share their eigenphase blocks
-    exact = driver._analytic_columns
-    monkeypatch.setattr(driver, "_analytic_columns",
-                        lambda thetas, steps: [c + 1e-9 for c in exact(thetas, steps)])
+    # analytic steps share their eigenphase blocks; the closed-form check
+    # builds its own blocks
+    exact = circuit.eigenphase_blocks
+    monkeypatch.setattr(circuit, "eigenphase_blocks",
+                        lambda spec, S, thetas: exact(spec, S, thetas) + 1e-9)
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL  backend-equivalence: max deviation 1.00e-09" in out
+    assert "FAIL  backend-equivalence: max deviation" in out
     assert "PASS  parity-closed-form" in out
+
+
+def test_verify_fails_on_certificate_at_full_length(capsys, monkeypatch):
+    # a reloaded shifter certified at its full L rather than at the length
+    # synthesis truncates at (20 for T = 1, L = 40) claims a far smaller error
+    exact = qsp.load_angles
+
+    def at_full_length(path):
+        spec = exact(path)
+        delta = qsp.truncation_error_bound(spec.T, spec.L)
+        return dataclasses.replace(spec, eps_oc=qsp.state_error_bound(delta))
+
+    monkeypatch.setattr(qsp, "load_angles", at_full_length)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  angle-file-roundtrip: mismatch (eps_oc 1.093e-12 vs 3.957e-05)" in out
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
 
 
 def test_verify_fails_on_product_without_mirror_symmetry(capsys, monkeypatch):

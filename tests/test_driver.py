@@ -287,16 +287,44 @@ class TestTwoPhases:
 
     def test_shared_blocks_equal_per_step_rows(self):
         # steps with the same (t, l, s) share their eigenphase blocks: every
-        # row equals the step's own even_parity_probabilities, bit for bit
+        # row equals the step's own blocks contracted for its p, bit for bit
         sched = build_schedule(strategy="full_parallel", k_max=9,
                                l_table=PARALLEL_L_TABLE_PLUS)
         insts = [make_instance(float(a)) for a in np.linspace(0.0, 1.0, 101)]
         thetas = [inst.theta for inst in insts]
         probs = step_probabilities(insts, sched, "analytic")
         for i, st in enumerate(sched):
-            rows = circuit.even_parity_probabilities(
-                synthesize_shifter(st.t, st.l), st.p, st.s, thetas)
+            rows = circuit.parity_probabilities(circuit.eigenphase_blocks(
+                synthesize_shifter(st.t, st.l), st.s, thetas), st.p)
             assert np.array_equal(probs[:, i], rows)
+
+    @pytest.mark.parametrize("backend", ["analytic", "statevector", "ideal"])
+    def test_repeated_steps_are_evaluated_once(self, backend, monkeypatch):
+        # a repeated step reads its first occurrence's column: the table of
+        # a schedule passed twice is two copies of its own table, and the
+        # work is that of one copy
+        calls = {"oracle": 0, "blocks": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(circuit, "build_explicit_oracle",
+                            counted("oracle", circuit.build_explicit_oracle))
+        monkeypatch.setattr(circuit, "eigenphase_blocks",
+                            counted("blocks", circuit.eigenphase_blocks))
+        sched = build_schedule(strategy="general", k_max=4, parallelism=2)
+        insts = [make_instance(0.3, 3), make_instance(0.8, 3)]
+        once = step_probabilities(insts, sched, backend)
+        calls.update(oracle=0, blocks=0)
+        twice = step_probabilities(insts, list(sched) * 2, backend)
+        assert np.array_equal(twice, np.concatenate([once, once], axis=1))
+        distinct_tls = len({(st.t, st.l, st.s) for st in sched})
+        assert distinct_tls < sched.K
+        assert calls == {"oracle": 2 * sched.K if backend == "statevector" else 0,
+                         "blocks": distinct_tls if backend == "analytic" else 0}
 
     def test_ideal_column_equals_setting_probability(self):
         # bit for bit against the scalar closed form of each setting

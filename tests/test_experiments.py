@@ -327,13 +327,6 @@ class TestCli:
         assert "tl_curve.csv" in out
         assert (tmp_path / "out" / "tl_curve.svg").exists()
 
-    def test_output_dir_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PAE_OUTPUT_DIR", str(tmp_path / "env-out"))
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("experiment = tl_curve\nt_min = 1\nt_max = 2\nt_step = 1\n")
-        assert cli_main(["run", str(cfg)]) == 0
-        assert (tmp_path / "env-out" / "tl_curve.csv").exists()
-
     def test_angles_subcommand(self, tmp_path, capsys):
         out = tmp_path / "a.txt"
         assert cli_main(["angles", "--T", "1", "--L", "10", "--out", str(out)]) == 0

@@ -785,6 +785,17 @@ class TestSerialization:
         assert loaded.angles.residual == spec.angles.residual
         assert np.array_equal(loaded.angles.xi, spec.angles.xi)
 
+    @pytest.mark.parametrize("T,L", [(1.0, 40), (2.0, 60), (8.0, 100),
+                                     (8.0, select_L_empirical(8.0))])
+    def test_roundtrip_keeps_certificate(self, tmp_path, T, L):
+        # synthesis truncates and certifies below L once the bound reaches
+        # rounding level; a reloaded file must be certified there too, not
+        # at the full L, which gave 1.09e-12 instead of 3.96e-05 at T=1/L=40
+        spec = synthesize_shifter(T, L)
+        path = tmp_path / "angles.txt"
+        save_angles(path, spec)
+        assert load_angles(path).eps_oc == spec.eps_oc
+
     def test_header_format(self, tmp_path):
         spec = synthesize_shifter(1.0, 10)
         path = tmp_path / "angles.txt"
