@@ -17,11 +17,19 @@ Two backends compute the even-parity probability:
   over instance angles.
 * statevector -- the full ``(n+1)P``-qubit state built from the explicit
   oracle and contracted gate by gate with BLAS ``matmul``, used to
-  cross-validate the analytic backend at small sizes.  Both settings come
-  from one state per instance through the parity expectation: the even
-  X-parity probability is ``(1 + <X..X>)/2`` over the ancillas, and the
-  PLUS_I rotation turns ancilla 0's ``X`` into ``Y``.  It shares no code
-  with ``rotation_product``, so the two backends check each other.
+  cross-validate the analytic backend at small sizes, in three stages:
+  :func:`controlled_grover_blocks` builds each instance's oracle and
+  controlled-Grover block, grouped by register size;
+  :func:`statevector_blocks` the shifter to the power ``S`` around each
+  group in one ``interleaved_shifter`` call (it depends on ``(T, L, S)``,
+  so ``driver.step_probabilities`` shares it across branch counts too);
+  :func:`statevector_parity_probabilities` then, per instance, runs the
+  GHZ ladder, applies the shifter on each of the ``P`` branches, and reads
+  both settings from that one state (one instance's state at a time)
+  through the parity expectation: the even X-parity probability is
+  ``(1 + <X..X>)/2`` over the ancillas, and the PLUS_I rotation turns
+  ancilla 0's ``X`` into ``Y``.  It shares no code with
+  ``rotation_product``, so the two backends check each other.
 """
 
 from __future__ import annotations
@@ -168,17 +176,23 @@ def _apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
 
 def _ghz_state(P: int, n: int) -> np.ndarray:
     """The doubling ladder's GHZ state on the ancillas of ``P`` branches of
-    ``n + 1`` qubits each (qubit order branch by branch, ancilla first)."""
-    anc = [p * (n + 1) for p in range(P)]
-    state = np.zeros(2 ** (P * (n + 1)), dtype=complex)
+    ``n + 1`` qubits each (qubit order branch by branch, ancilla first).
+
+    The ladder acts on the ancillas alone, so it runs on the ``P``-qubit
+    ancilla register, which is then embedded with every system register at
+    ``|0..0>``: one full state is allocated, and the copies each CNOT makes
+    stay ``2^P`` long."""
+    state = np.zeros(2 ** P, dtype=complex)
     state[0] = 1.0
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    state = _apply_block(state, hadamard, anc[0])
+    state = _apply_block(state, hadamard, 0)
     for layer in range(ghz_depth(P)):
         stride = 2 ** layer
         for i in range(min(stride, P - stride)):
-            state = _apply_cnot(state, anc[i], anc[i + stride])
-    return state
+            state = _apply_cnot(state, i, i + stride)
+    full = np.zeros(2 ** (P * (n + 1)), dtype=complex)
+    full.reshape((2, 2 ** n) * P)[(slice(None), 0) * P] = state.reshape((2,) * P)
+    return full
 
 
 def _parity_expectations(state: np.ndarray, P: int, n: int) -> tuple[float, float]:
@@ -195,36 +209,75 @@ def _parity_expectations(state: np.ndarray, P: int, n: int) -> tuple[float, floa
     return (h0 + h1).real, h0.imag - h1.imag
 
 
-def statevector_even_parity_probabilities(spec: PhaseShifterSpec, P: int, S: int,
-                                          instances, oracle_style: str = "canonical",
-                                          oracle_seed=None) -> np.ndarray:
-    """Even-parity probabilities from the full ``(n+1)P``-qubit state, one
-    row per instance, columns PLUS and PLUS_I.
-
-    Per instance: the explicit oracle's controlled-Grover block, the
-    interleaved shifter to the power ``S`` on each of the ``P`` branches
-    of the GHZ state, then both settings from that one state.  The even
-    X-parity probability is ``(1 + <X..X>)/2``; the PLUS_I setting's
-    ``e^{i pi Z/4}`` on ancilla 0 turns that ancilla's ``X`` into ``Y``.
-    Raises :class:`DomainError` for ``P < 1`` or ``S < 1``.
-    """
-    _check_count("branch count", P)
-    _check_count("repetition count", S)
-    rows = []
-    for inst in instances:
-        n = inst.n
+def check_capacity(P: int, ns) -> None:
+    """Raise :class:`CapacityError` at the first register size in ``ns``
+    whose ``P`` branches of ``n + 1`` qubits exceed the statevector guard."""
+    for n in ns:
         nq = P * (n + 1)
         if nq > STATEVECTOR_MAX_QUBITS:
             raise CapacityError(
                 f"{nq} qubits exceed the statevector guard of {STATEVECTOR_MAX_QUBITS}")
+
+
+def controlled_grover_blocks(instances, oracle_style: str = "canonical",
+                             oracle_seed=None) -> dict:
+    """The controlled-Grover block of every instance's explicit oracle,
+    grouped by register size: ``{n: (rows, stack)}`` with ``rows`` the
+    instances' positions and ``stack`` their ``(m, 2^(n+1), 2^(n+1))``
+    blocks, in order."""
+    groups = {}
+    for row, inst in enumerate(instances):
         oracle = build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)
-        wq = controlled_grover(build_grover_unitary(oracle))
-        v = np.linalg.matrix_power(interleaved_shifter(spec.angles.xi, wq), S)
-        state = _ghz_state(P, n)
-        for p in range(P):
-            state = _apply_block(state, v, p * (n + 1))
-        rows.append(_parity_expectations(state, P, n))
-    return np.clip((1.0 + np.array(rows).reshape(-1, 2)) / 2.0, 0.0, 1.0)
+        groups.setdefault(inst.n, []).append(
+            (row, controlled_grover(build_grover_unitary(oracle))))
+    return {n: ([row for row, _ in group], np.stack([wq for _, wq in group]))
+            for n, group in groups.items()}
+
+
+def statevector_blocks(spec: PhaseShifterSpec, S: int, grover_blocks: dict) -> dict:
+    """The interleaved shifter to the power ``S`` around each group of
+    :func:`controlled_grover_blocks`: one ``interleaved_shifter`` call and
+    one ``matrix_power`` per register size, rows kept."""
+    _check_count("repetition count", S)
+    return {n: (rows, np.linalg.matrix_power(interleaved_shifter(spec.angles.xi, stack), S))
+            for n, (rows, stack) in grover_blocks.items()}
+
+
+def statevector_parity_probabilities(blocks: dict, P: int) -> np.ndarray:
+    """``(m, 2)`` probabilities, PLUS then PLUS_I, of ``P`` branches from
+    the shifters of :func:`statevector_blocks`, one row per instance.
+
+    Per instance: the GHZ ladder, the shifter on each of the ``P`` branches,
+    then both settings from that one state.  The even X-parity probability
+    is ``(1 + <X..X>)/2``; the PLUS_I setting's ``e^{i pi Z/4}`` on ancilla
+    0 turns that ancilla's ``X`` into ``Y``.  Raises :class:`CapacityError`
+    before any state is built."""
+    _check_count("branch count", P)
+    check_capacity(P, blocks)
+    rows = np.empty((sum(len(r) for r, _ in blocks.values()), 2))
+    for n, (indices, shifters) in blocks.items():
+        for row, v in zip(indices, shifters):
+            state = _ghz_state(P, n)
+            for p in range(P):
+                state = _apply_block(state, v, p * (n + 1))
+            rows[row] = _parity_expectations(state, P, n)
+    return np.clip((1.0 + rows) / 2.0, 0.0, 1.0)
+
+
+def statevector_even_parity_probabilities(spec: PhaseShifterSpec, P: int, S: int,
+                                          instances, oracle_style: str = "canonical",
+                                          oracle_seed=None) -> np.ndarray:
+    """Even-parity probabilities from the full ``(n+1)P``-qubit state, one
+    row per instance, columns PLUS and PLUS_I: the three statevector
+    stages composed, after the guard.  Raises :class:`DomainError` for
+    ``P < 1`` or ``S < 1`` and :class:`CapacityError` before any oracle is
+    built."""
+    _check_count("branch count", P)
+    _check_count("repetition count", S)
+    instances = list(instances)
+    check_capacity(P, [inst.n for inst in instances])
+    blocks = controlled_grover_blocks(instances, oracle_style, oracle_seed)
+    return statevector_parity_probabilities(statevector_blocks(spec, S, blocks), P)
 
 
 def statevector_even_parity_probability(circuit: ParallelCircuit,

@@ -12,8 +12,12 @@ A run has two phases:
   selected backend.  It is deterministic: it depends on the amplitude and
   the schedule, never on a seed, so it is done once and shared by every
   trial of a sweep.  It alone decides which steps are the same: each
-  distinct ``(p, t, s, l)`` is evaluated once on every backend, and on the
-  analytic backend the eigenphase blocks of each ``(t, l, s)`` once;
+  distinct ``(p, t, s, l)`` is evaluated once on every backend.  The
+  analytic and statevector backends share their work on the same keys:
+  per call, the statevector backend builds each amplitude's explicit
+  oracle and controlled-Grover block once; per distinct ``(t, l, s)``,
+  both build one set of blocks for all amplitudes (the eigenphase blocks,
+  or the shifter to the power ``S``); per ``p`` they contract them;
 * the sampling and recovery phase, :func:`sample_and_recover`, seeds one
   generator, draws the parity counts of one run, ``(K, 2)``, or of a batch
   of trials, ``(trials, K, 2)``, from those probabilities in one binomial
@@ -189,14 +193,26 @@ def step_probabilities(instances, schedule: Schedule,
     step, columns PLUS and PLUS_I, of one instance, ``(K, 2)``, or of a
     sequence of instances, ``(n, K, 2)``.  ``schedule`` may be any sequence
     of steps, repeats included: each distinct ``(p, t, s, l)`` is evaluated
-    once for all instances, and on the analytic backend the eigenphase
-    blocks of each ``(t, l, s)`` are built once and contracted per ``p``."""
+    once for all instances.  The analytic and statevector backends build
+    their blocks once per distinct ``(t, l, s)`` (the eigenphase blocks, or
+    the shifter to the power ``S`` of every instance) and contract them per
+    ``p``.  The statevector backend first checks its qubit guard on every
+    step and instance, then builds each instance's oracle and
+    controlled-Grover block once per call."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     single = isinstance(instances, AmplitudeInstance)
     batch = [instances] if single else list(instances)
     thetas = [inst.theta for inst in batch]
     phis = np.array([inst.phi for inst in batch])
+    statevector = backend == "statevector"
+    contract = (circ.statevector_parity_probabilities if statevector
+                else circ.parity_probabilities)
+    if statevector:
+        ns = [inst.n for inst in batch]
+        for st in schedule:
+            circ.check_capacity(st.p, ns)
+        wq = circ.controlled_grover_blocks(batch)
     columns, blocks = {}, {}
     for st in schedule:
         key = (st.p, st.t, st.s, st.l)
@@ -204,15 +220,13 @@ def step_probabilities(instances, schedule: Schedule,
             continue
         if backend == "ideal":
             columns[key] = circ.ideal_probabilities(st.m, phis)
-        elif backend == "statevector":
-            columns[key] = circ.statevector_even_parity_probabilities(
-                qsp.synthesize_shifter(st.t, st.l), st.p, st.s, batch)
-        else:
-            shared = (st.t, st.l, st.s)
-            if shared not in blocks:
-                blocks[shared] = circ.eigenphase_blocks(
-                    qsp.synthesize_shifter(st.t, st.l), st.s, thetas)
-            columns[key] = circ.parity_probabilities(blocks[shared], st.p)
+            continue
+        shared = (st.t, st.l, st.s)
+        if shared not in blocks:
+            spec = qsp.synthesize_shifter(st.t, st.l)
+            blocks[shared] = (circ.statevector_blocks(spec, st.s, wq) if statevector
+                              else circ.eigenphase_blocks(spec, st.s, thetas))
+        columns[key] = contract(blocks[shared], st.p)
     probabilities = np.stack([columns[st.p, st.t, st.s, st.l] for st in schedule], axis=1)
     return probabilities[0] if single else probabilities
 

@@ -51,8 +51,9 @@ pipeline is:
    ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
    backend evaluates.  ``interleaved_shifter``, independent of it so that
    the backends check each other, builds the product around a
-   controlled-Grover block of any size for the statevector backend and
-   ``build_branch_unitary``, with all ``2L`` x-rotations in one pass.
+   controlled-Grover block of any size, or a stack of them, for the
+   statevector backend and ``build_branch_unitary``, with all ``2L``
+   x-rotations in one pass.
 """
 
 from __future__ import annotations
@@ -543,11 +544,13 @@ def interleaved_shifter(xi: np.ndarray, wq: np.ndarray) -> np.ndarray:
     block ``wq``: odd slots hold ``wq^dagger``, even slots ``wq``, each
     conjugated by an x-rotation of the ancilla.
 
-    All ``2L`` ancilla x-rotations are built in one vectorised pass: the
-    ``(2L, 2, 2)`` stack from the angle vector, lifted to the system size
-    by one ``einsum`` with the identity."""
-    dim = len(wq) // 2
-    wq_dag = wq.conj().T
+    ``wq`` may be one ``(2d, 2d)`` block or an ``(m, 2d, 2d)`` stack, which
+    gives the ``m`` products in one loop over the slots, each slice equal
+    bit for bit to its own 2-D call.  All ``2L`` ancilla x-rotations are
+    built in one vectorised pass: the ``(2L, 2, 2)`` stack from the angle
+    vector, lifted to the system size by one ``einsum`` with the identity."""
+    dim = wq.shape[-1] // 2
+    wq_dag = np.swapaxes(wq, -1, -2).conj()
     xi = np.asarray(xi, dtype=float)
     odd = xi[0::2] + np.pi
     # per pair: rx(odd), rx(-odd), rx(even), rx(-even)

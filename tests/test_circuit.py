@@ -10,7 +10,7 @@ from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  make_instance, parity_probabilities, setting_probability,
                  statevector_even_parity_probabilities,
                  statevector_even_parity_probability, synthesize_shifter)
-from pae.circuit import _apply_block, _apply_cnot, sample_even_parity
+from pae.circuit import _apply_block, _apply_cnot, _ghz_state, sample_even_parity
 from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
 from pae.qsp import controlled_grover, interleaved_shifter
@@ -402,6 +402,18 @@ class TestStatevectorReadout:
         with pytest.raises(CapacityError):
             statevector_even_parity_probabilities(spec, 8, 1, [make_instance(0.5, 2)])
 
+    @pytest.mark.parametrize("style,seed", [("canonical", None), ("random", 11)])
+    def test_batch_equals_per_instance_calls(self, style, seed):
+        # grouping by register size keeps each row bit for bit, the seeded
+        # random dressing included
+        spec = synthesize_shifter(2.0, 14)
+        insts = [make_instance(a, n) for a, n in ((0.3, 2), (0.3, 3), (0.8, 2), (0.6, 3))]
+        for P, S in ((1, 1), (2, 3)):
+            probs = statevector_even_parity_probabilities(spec, P, S, insts, style, seed)
+            for inst, row in zip(insts, probs):
+                assert np.array_equal(row, statevector_even_parity_probabilities(
+                    spec, P, S, [inst], style, seed)[0])
+
 
 class TestStatevectorKernels:
     @pytest.mark.parametrize("width", [1, 2, 4])
@@ -420,6 +432,21 @@ class TestStatevectorKernels:
         for control, target in itertools.combinations(range(7), 2):
             got = _apply_cnot(state, control, target)
             assert np.array_equal(got, literal_cnot(state, control, target, 7))
+
+    @pytest.mark.parametrize("P,n", [(1, 0), (1, 3), (2, 2), (3, 3), (4, 3), (5, 0), (5, 2)])
+    def test_ghz_state_equals_ladder_on_full_register(self, P, n):
+        # the ladder run on the ancilla register and embedded is the ladder
+        # run gate by gate on all P (n + 1) qubits
+        nq = P * (n + 1)
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+        state = np.zeros(2 ** nq, dtype=complex)
+        state[0] = 1.0
+        state = einsum_block(state, hadamard, 0)
+        for layer in range(ghz_depth(P)):
+            stride = 2 ** layer
+            for i in range(min(stride, P - stride)):
+                state = literal_cnot(state, i * (n + 1), (i + stride) * (n + 1), nq)
+        assert np.array_equal(_ghz_state(P, n), state)
 
 
 class TestGhzDepth:

@@ -263,27 +263,55 @@ class TestTwoPhases:
             assert bits(est.phi_hat) == bits(batch.phi_hat[0])
             assert [bits(t) for t in est.trajectory] == [bits(t[0]) for t in batch.trajectory]
 
-    def test_statevector_builds_one_oracle_per_instance_and_step(self, monkeypatch):
-        import pae.circuit
-        from pae import MeasurementSetting, ParallelCircuit, synthesize_shifter
-        built = []
-        real = pae.circuit.build_explicit_oracle
+    def test_statevector_builds_one_oracle_per_instance(self, monkeypatch):
+        # one oracle per instance and call, one shifter stack per distinct
+        # (t, l, s); every row equals the per-setting route bit for bit
+        from pae import MeasurementSetting, ParallelCircuit
+        built, shifters = [], []
 
-        def counting(*args, **kwargs):
-            built.append(args)
-            return real(*args, **kwargs)
+        def counting(log, fn):
+            def wrapper(*args, **kwargs):
+                log.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(pae.circuit, "build_explicit_oracle", counting)
+        monkeypatch.setattr(circuit, "build_explicit_oracle",
+                            counting(built, circuit.build_explicit_oracle))
+        monkeypatch.setattr(circuit, "interleaved_shifter",
+                            counting(shifters, circuit.interleaved_shifter))
         sched = build_schedule(strategy="general", k_max=4, parallelism=2)
         insts = [make_instance(0.3, 3), make_instance(0.8, 3)]
         probs = step_probabilities(insts, sched, "statevector")
-        assert len(built) == 2 * sched.K
+        assert len(built) == len(insts)
+        assert len(shifters) == len({(st.t, st.l, st.s) for st in sched}) < sched.K
         for inst, rows in zip(insts, probs):
             for st, row in zip(sched, rows):
                 pc = ParallelCircuit(P=st.p, spec=synthesize_shifter(st.t, st.l),
                                      S=st.s, instance=inst)
-                assert row.tolist() == [pae.circuit.statevector_even_parity_probability(
+                assert row.tolist() == [circuit.statevector_even_parity_probability(
                     pc, setting) for setting in MeasurementSetting]
+
+    def test_statevector_guard_precedes_any_work(self, monkeypatch):
+        # the 28-qubit third step raises before any oracle or state is built
+        calls = []
+        for name in ("build_explicit_oracle", "_ghz_state"):
+            monkeypatch.setattr(circuit, name, lambda *a, name=name, **k: calls.append(name))
+        sched = build_schedule(strategy="full_parallel", k_max=3)
+        with pytest.raises(circuit.CapacityError,
+                           match="^28 qubits exceed the statevector guard of 22$"):
+            step_probabilities(make_instance(0.3, 6), sched, "statevector")
+        assert calls == []
+
+    def test_statevector_mixed_register_sizes_equal_separate_calls(self):
+        sched = build_schedule(strategy="general", k_max=4, parallelism=2)
+        insts = [make_instance(0.3, 2), make_instance(0.3, 3), make_instance(0.8, 2)]
+        probs = step_probabilities(insts, sched, "statevector")
+        for inst, rows in zip(insts, probs):
+            assert np.array_equal(rows, step_probabilities(inst, sched, "statevector"))
+
+    def test_statevector_empty_batch(self):
+        sched = build_schedule(strategy="general", k_max=4, parallelism=2)
+        assert step_probabilities([], sched, "statevector").shape == (0, sched.K, 2)
 
     def test_shared_blocks_equal_per_step_rows(self):
         # steps with the same (t, l, s) share their eigenphase blocks: every
@@ -303,7 +331,7 @@ class TestTwoPhases:
         # a repeated step reads its first occurrence's column: the table of
         # a schedule passed twice is two copies of its own table, and the
         # work is that of one copy
-        calls = {"oracle": 0, "blocks": 0}
+        calls = {"oracle": 0, "blocks": 0, "shifters": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -315,16 +343,19 @@ class TestTwoPhases:
                             counted("oracle", circuit.build_explicit_oracle))
         monkeypatch.setattr(circuit, "eigenphase_blocks",
                             counted("blocks", circuit.eigenphase_blocks))
+        monkeypatch.setattr(circuit, "interleaved_shifter",
+                            counted("shifters", circuit.interleaved_shifter))
         sched = build_schedule(strategy="general", k_max=4, parallelism=2)
         insts = [make_instance(0.3, 3), make_instance(0.8, 3)]
         once = step_probabilities(insts, sched, backend)
-        calls.update(oracle=0, blocks=0)
+        calls.update(oracle=0, blocks=0, shifters=0)
         twice = step_probabilities(insts, list(sched) * 2, backend)
         assert np.array_equal(twice, np.concatenate([once, once], axis=1))
         distinct_tls = len({(st.t, st.l, st.s) for st in sched})
         assert distinct_tls < sched.K
-        assert calls == {"oracle": 2 * sched.K if backend == "statevector" else 0,
-                         "blocks": distinct_tls if backend == "analytic" else 0}
+        assert calls == {"oracle": len(insts) if backend == "statevector" else 0,
+                         "blocks": distinct_tls if backend == "analytic" else 0,
+                         "shifters": distinct_tls if backend == "statevector" else 0}
 
     def test_ideal_column_equals_setting_probability(self):
         # bit for bit against the scalar closed form of each setting

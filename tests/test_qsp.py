@@ -611,6 +611,22 @@ class TestInterleavedShifter:
             assert wq.shape == (16, 16)
             assert np.array_equal(interleaved_shifter(xi, wq), kron_shifter(xi, wq))
 
+    @pytest.mark.parametrize("L", [2, 10, 20, 58])
+    def test_stack_slices_bit_identical_to_kron_loop(self, L):
+        # a stack of three amplitudes' blocks, on the Grover plane and at
+        # n = 3: each slice of the one stacked call is its own kron product
+        xi = np.random.default_rng(200 + L).uniform(-np.pi, np.pi, L)
+        plane = [controlled_grover(np.array([[np.cos(2 * t), -np.sin(2 * t)],
+                                             [np.sin(2 * t), np.cos(2 * t)]]))
+                 for t in (0.1, 0.7, 1.3)]
+        three = [controlled_grover(build_grover_unitary(build_explicit_oracle(
+            make_instance(a, 3)))) for a in (0.1, 0.45, 0.9)]
+        for blocks in (plane, three):
+            stacked = interleaved_shifter(xi, np.stack(blocks))
+            assert stacked.shape == (3, *blocks[0].shape)
+            for v, wq in zip(stacked, blocks):
+                assert np.array_equal(v, kron_shifter(xi, wq))
+
 
 def matmul_rotation_product(xi, thetas):
     """Reference product: one batched 2x2 ``@`` per interleaved factor."""
