@@ -1,9 +1,13 @@
 """End-to-end estimation runs: schedules, execution, and query accounting.
 
 A schedule fixes, for every resolution step ``k``, the split of the signal
-multiplier ``2^(k-1) = P_k T_k S_k`` into parallel branches, shifter
+multiplier ``m = 2^(k-1) = P_k T_k S_k`` into parallel branches, shifter
 strength, and sequential repetitions, together with shot counts ``nu_k``
-and query lengths ``L_k``.
+and query lengths ``L_k``.  One rule splits every step: ``T_k S_k =
+min(m, 2^(K-1) / parallelism)``, with the strength ``T_k`` capped at
+``t_cap``.  ``full_parallel`` and ``full_sequential`` are its presets
+``parallelism = 2^(K-1)`` and ``parallelism = 1, t_cap = 2^(K-1)``, the two
+ends of ``general``.
 
 A run has two phases:
 
@@ -84,13 +88,6 @@ class ResourceReport:
     width: int           # max_k P_k * (n + 1)
 
 
-def _split_t_s(ts: int, t_cap: int) -> tuple[float, int]:
-    """Factor a multiplier into strength <= t_cap and repetitions."""
-    if ts <= t_cap:
-        return float(ts), 1
-    return float(t_cap), ts // t_cap
-
-
 def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
                    k_max: int | None = None, parallelism: int | None = None,
                    beta: float = 0.05, nu_variant: str = "optimized",
@@ -99,14 +96,15 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
     """Build the per-step resource schedule.
 
     Exactly one of ``eps`` (proof mode, ``K = ceil(log2(1/eps)) + 6``) and
-    ``k_max`` (experiment mode) fixes the step count.  Strategies:
-
-    * ``full_parallel``: ``T_k = 1``, ``P_k = 2^(k-1)``;
-    * ``full_sequential``: ``P_k = 1``, ``T_k = 2^(k-1)``;
-    * ``general``: ``P_k = 1`` while ``2^k <= 2^K / parallelism``, beyond
-      that ``T_k S_k = 2^(K-1) / parallelism`` with the strength capped at
-      ``t_cap`` and the rest folded into repetitions.  ``parallelism``
-      belongs to this strategy alone; the other two reject it.
+    ``k_max`` (experiment mode) fixes the step count.  With ``top =
+    2^(K-1) / parallelism``, every step splits ``m = 2^(k-1)`` as ``T_k S_k
+    = min(m, top)``, ``P_k = m / (T_k S_k)``, ``T_k = min(T_k S_k, t_cap)``
+    and ``S_k`` the rest.
+    ``general`` takes a power-of-two ``parallelism`` up to ``2^(K-1)``;
+    ``full_parallel`` is the preset ``parallelism = 2^(K-1)`` (``T_k = S_k =
+    1``) and ``full_sequential`` the preset ``parallelism = 1, t_cap =
+    2^(K-1)`` (``P_k = S_k = 1``), which checks a given ``t_cap`` but
+    ignores it.  The presets reject ``parallelism``.
 
     ``l_table`` overrides the per-step query lengths, step ``k`` at index
     ``k - 1``, and needs at least ``K`` entries; otherwise they come from
@@ -133,32 +131,26 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
         raise ConfigurationError(
             f"parallelism applies to the general strategy only, got {parallelism} "
             f"for {strategy!r}")
-    if strategy == "general":
-        p_total = parallelism
-        if p_total is None or p_total < 1 or (p_total & (p_total - 1)):
-            raise ConfigurationError(
-                f"general mode needs a power-of-two parallelism, got {p_total}")
-        if p_total > 2 ** (K - 1):
-            raise ConfigurationError(
-                f"parallelism {p_total} exceeds the top multiplier 2^{K - 1}")
+    top = 2 ** (K - 1)
+    if strategy == "full_parallel":
+        parallelism = top
+    elif strategy == "full_sequential":
+        parallelism, t_cap = 1, top
+    elif strategy != "general":
+        raise ConfigurationError(f"unknown strategy {strategy!r}")
+    elif parallelism is None or parallelism < 1 or (parallelism & (parallelism - 1)):
+        raise ConfigurationError(
+            f"general mode needs a power-of-two parallelism, got {parallelism}")
+    elif parallelism > top:
+        raise ConfigurationError(
+            f"parallelism {parallelism} exceeds the top multiplier 2^{K - 1}")
 
     steps = []
     for k in range(1, K + 1):
         m = 2 ** (k - 1)
-        if strategy == "full_parallel":
-            p, t, s = m, 1.0, 1
-        elif strategy == "full_sequential":
-            p, t, s = 1, float(m), 1
-        elif strategy == "general":
-            if 2 ** k <= 2 ** K // p_total:
-                p = 1
-                t, s = _split_t_s(m, t_cap)
-            else:
-                ts = 2 ** (K - 1) // p_total
-                p = m // ts
-                t, s = _split_t_s(ts, t_cap)
-        else:
-            raise ConfigurationError(f"unknown strategy {strategy!r}")
+        ts = min(m, top // parallelism)
+        strength = min(ts, t_cap)
+        p, t, s = m // ts, float(strength), ts // strength
         nu = rpe.schedule_nu(K, k, variant=nu_variant, beta=beta, nu_final=nu_final)
         if l_table is not None:
             l = int(l_table[k - 1])

@@ -138,34 +138,32 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _cert_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The completion's certification angles in ``[0, pi]``, built on first
-    use: the first half of the ``_CERT_GRID`` Chebyshev points, then the
-    ``_CERT_GRID + 1`` uniform ones from 0 to pi; with ``e^{i theta}`` on
-    the Chebyshev part, the only part evaluated by Horner's rule.
+def _half_chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first half of the ``n`` Chebyshev angles, those in ``(0, pi)``,
+    and their ``e^{i theta}``: for even ``n`` the points pair up as
+    ``theta_(n-1-j) = 2 pi - theta_j``.
 
-    For even ``n`` the Chebyshev points pair up as ``theta_(n-1-j) =
-    2 pi - theta_j``, and so do the uniform points of the full ``2 *
-    _CERT_GRID`` grid; a real ``p`` gives ``|P|^2`` the same value at both
-    points of a pair, so the half grid carries every value of the full
-    one."""
-    cheb = chebyshev_grid(_CERT_GRID)[:_CERT_GRID // 2]
-    thetas = np.concatenate([cheb, np.linspace(0.0, np.pi, _CERT_GRID + 1)])
-    return _frozen(thetas), _frozen(np.exp(1j * cheb))
+    Every factor of the shifter product satisfies ``F(-theta) = Z
+    conj(F(theta)) Z`` and ``F(theta + 2 pi) = -F(theta)``, so for even
+    ``L`` its corner entry obeys ``u00(2 pi - theta) = conj(u00(theta))``,
+    as does the target ``P(z) z^-d`` of a real ``p``: the solve residual at
+    ``2 pi - theta_j`` equals the one at ``theta_j``."""
+    thetas = chebyshev_grid(n)[:n // 2]
+    return _frozen(thetas), _frozen(np.exp(1j * thetas))
 
 
 @functools.cache
-def _solve_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The Chebyshev angles of the residual check in ``(0, pi)``, the first
-    half of ``_SOLVE_GRID``, and their ``e^{i theta}``.
-
-    Every factor of the product satisfies ``F(-theta) = Z conj(F(theta)) Z``
-    and ``F(theta + 2 pi) = -F(theta)``, so for even ``L`` its corner entry
-    obeys ``u00(2 pi - theta) = conj(u00(theta))``, as does the target
-    ``P(z) z^-d`` of a real ``p``: the residual at ``2 pi - theta_j`` equals
-    the one at ``theta_j``."""
-    thetas = chebyshev_grid(_SOLVE_GRID)[:_SOLVE_GRID // 2]
-    return _frozen(thetas), _frozen(np.exp(1j * thetas))
+def _cert_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The completion's certification angles in ``[0, pi]``, built on first
+    use: the half ``_CERT_GRID`` Chebyshev grid, then the ``_CERT_GRID +
+    1`` uniform points from 0 to pi; with ``e^{i theta}`` on the Chebyshev
+    part, the only part evaluated by Horner's rule.  The uniform points of
+    the full ``2 * _CERT_GRID`` grid pair up like the Chebyshev ones, and a
+    real ``p`` gives ``|P|^2`` the same value at both points of a pair, so
+    the half grid carries every value of the full one."""
+    cheb, z = _half_chebyshev(_CERT_GRID)
+    thetas = np.concatenate([cheb, np.linspace(0.0, np.pi, _CERT_GRID + 1)])
+    return _frozen(thetas), z
 
 
 def _log_truncation_bound(T: float, h: float) -> float:
@@ -210,11 +208,15 @@ def _check_strength(T: float) -> None:
         raise DomainError(f"evolution strength must be positive and finite, got {T}")
 
 
+def _check_length(L: int) -> None:
+    if L < 2 or L % 2:
+        raise DomainError(f"query length must be a positive even integer, got {L}")
+
+
 def truncate_target(T: float, L: int) -> TruncatedTarget:
     """Truncate the Bessel expansion of the phase target at harmonic L/2."""
     _check_strength(T)
-    if L < 2 or L % 2:
-        raise DomainError(f"query length must be a positive even integer, got {L}")
+    _check_length(L)
     d = L // 2
     j = _bessel_j(float(T), d)
     p = np.concatenate([j[::-1], j[1:]])
@@ -501,14 +503,13 @@ def solve_angles(p: np.ndarray, L: int) -> AngleSequence:
     :class:`SynthesisError` when the realized sequence, padding included,
     misses the target by more than ``1e-8`` on the solving grid.
     """
-    if L < 2 or L % 2:
-        raise DomainError(f"query length must be a positive even integer, got {L}")
+    _check_length(L)
     p = np.asarray(p, float)
     if p.ndim != 1 or len(p) % 2 == 0 or len(p) - 1 > L:
         raise DomainError(f"a length-{L} sequence cannot realize a target of "
                           f"{p.size} Laurent coefficients")
     xi = _solve_layer_peel(p, L)
-    thetas, z = _solve_grid()
+    thetas, z = _half_chebyshev(_SOLVE_GRID)
     target = _laurent_values(p, z) * z ** (-((len(p) - 1) // 2))
     residual = float(np.max(np.abs(rotation_product(xi, thetas)[:, 0, 0] - target)))
     if residual > _RESIDUAL_TOL:
@@ -588,8 +589,7 @@ def _solve_length(T: float, L: int) -> int:
     ``L`` cut (not below 4) to where the truncation bound reaches rounding
     level, past which extra layers cannot improve a double-precision
     synthesis.  ``L`` is checked before the cut, so an error names it."""
-    if L < 2 or L % 2:
-        raise DomainError(f"query length must be a positive even integer, got {L}")
+    _check_length(L)
     while L > 4 and truncation_error_bound(T, L - 2) < 1e-10:
         L -= 2
     return L
@@ -626,18 +626,17 @@ def select_L(T: float, eps_oc: float) -> int:
     return 2 * math.ceil(raw / 2.0 - 1e-9)
 
 
-def minimal_query_length(T: float, threshold: float = BIAS_DELTA_THRESHOLD) -> int:
-    """Even query length from the truncation-bound equality at ``threshold``.
-
-    Solves ``4 T^(x+1) / (2^(x+1) Gamma(x+2)) = threshold`` for real ``x``
-    and rounds ``L = 2x`` to the nearest even integer, at least 4: once
+def minimal_query_length(T: float) -> int:
+    """Even query length from the truncation-bound equality ``4 T^(x+1) /
+    (2^(x+1) Gamma(x+2)) = BIAS_DELTA_THRESHOLD``, solved for real ``x``,
+    with ``L = 2x`` rounded to the nearest even integer, at least 4: once
     ``A(0) = 1`` is pinned, a length-2 sequence realizes only ``C = 0``, so
     no weaker strength can be synthesized at ``L = 2``.
     """
     _check_strength(T)
-    # h(x) = log(bound at L = 2x) - log(threshold) is concave in x, so the
-    # first integer n with h(n + 1/2) <= 0 is its root rounded to nearest
-    log_thr = math.log(threshold)
+    # h(x) = log(bound at L = 2x) - log_thr is concave in x, so the first
+    # integer n with h(n + 1/2) <= 0 is its root rounded to nearest
+    log_thr = math.log(BIAS_DELTA_THRESHOLD)
     n = 0
     while _log_truncation_bound(T, n + 1.5) > log_thr:
         n += 1

@@ -110,12 +110,12 @@ def check_accounting() -> tuple[str, bool, str]:
     return "query-accounting", ok, f"K=1 run reports N={report.n_queries}"
 
 
-def check_angle_roundtrip(tmpdir=None) -> tuple[str, bool, str]:
+def check_angle_roundtrip() -> tuple[str, bool, str]:
     import os
     import tempfile
     # L = 40 is cut to 20, where synthesis certifies and reloading must too
     spec = qsp.synthesize_shifter(1.0, 40)
-    with tempfile.TemporaryDirectory(dir=tmpdir) as td:
+    with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "angles.txt")
         qsp.save_angles(path, spec)
         loaded = qsp.load_angles(path)
@@ -139,10 +139,10 @@ ALL_CHECKS = (
 )
 
 
-def run_all(report=print) -> bool:
+def run_all() -> bool:
     all_ok = True
     for check in ALL_CHECKS:
         name, ok, detail = check()
-        report(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         all_ok = all_ok and ok
     return all_ok

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import re
 
@@ -8,11 +10,108 @@ from pae import (PARALLEL_L_TABLE_PLUS, ConfigurationError, build_schedule,
                  hl_reference, make_instance, query_count, resource_report, run,
                  sample_and_recover, select_L_empirical, step_probabilities,
                  synthesize_shifter, theorem_resources)
-from pae import circuit
+from pae import circuit, qsp, rpe
 from pae.core_model import DomainError
+from pae.driver import ScheduleStep
+
+
+def reference_steps(strategy, K, parallelism=None, beta=0.05, nu_variant="optimized",
+                    nu_final=7, l_table=None, certified=False, t_cap=8):
+    """The schedule loop with one branch per strategy, on valid input."""
+    def split(ts):
+        return (float(ts), 1) if ts <= t_cap else (float(t_cap), ts // t_cap)
+
+    steps = []
+    for k in range(1, K + 1):
+        m = 2 ** (k - 1)
+        if strategy == "full_parallel":
+            p, t, s = m, 1.0, 1
+        elif strategy == "full_sequential":
+            p, t, s = 1, float(m), 1
+        elif 2 ** k <= 2 ** K // parallelism:
+            p = 1
+            t, s = split(m)
+        else:
+            ts = 2 ** (K - 1) // parallelism
+            p = m // ts
+            t, s = split(ts)
+        nu = rpe.schedule_nu(K, k, variant=nu_variant, beta=beta, nu_final=nu_final)
+        if l_table is not None:
+            l = int(l_table[k - 1])
+        elif certified:
+            l = qsp.select_L(t, beta / (math.sqrt(2.0) * p * s))
+        else:
+            l = qsp.select_L_empirical(t)
+        steps.append(ScheduleStep(k=k, m=m, p=p, t=t, s=s, nu=nu, l=l))
+    return steps
+
+
+SCHEDULE_OPTIONS = (
+    {},
+    {"certified": True},
+    {"certified": True, "beta": 0.1, "nu_variant": "theoretical"},
+    {"l_table": tuple(range(10, 42, 2))},
+)
+
+
+def assert_same_steps(sched, want):
+    assert len(sched.steps) == len(want)
+    for got, ref in zip(sched.steps, want):
+        got_fields, ref_fields = dataclasses.astuple(got), dataclasses.astuple(ref)
+        assert got_fields == ref_fields
+        assert [type(v) for v in got_fields] == [type(v) for v in ref_fields]
 
 
 class TestBuildSchedule:
+    @pytest.mark.parametrize("strategy", ["full_parallel", "full_sequential", "general"])
+    def test_one_rule_matches_per_strategy_loop(self, strategy):
+        # experiment mode K = 1..14, then proof mode eps = 0.1, 0.01, 1e-3
+        runs = [({"k_max": K}, K) for K in range(1, 15)]
+        runs += [({"eps": 0.1}, 10), ({"eps": 0.01}, 13), ({"eps": 1e-3}, 16)]
+        for mode, K in runs:
+            ps = [2 ** j for j in range(K)] if strategy == "general" else [None]
+            for parallelism, t_cap, options in itertools.product(
+                    ps, (1, 2, 8, 64), SCHEDULE_OPTIONS):
+                sched = build_schedule(strategy=strategy, parallelism=parallelism,
+                                       t_cap=t_cap, **mode, **options)
+                assert sched.K == K and sched.strategy == strategy
+                assert_same_steps(sched, reference_steps(
+                    strategy, K, parallelism=parallelism, t_cap=t_cap, **options))
+
+    def test_full_sequential_ignores_a_valid_t_cap(self):
+        default = build_schedule(strategy="full_sequential", k_max=8)
+        for t_cap in (1, 2, 64):
+            sched = build_schedule(strategy="full_sequential", k_max=8, t_cap=t_cap)
+            assert sched == default
+            assert [st.t for st in sched] == [2.0 ** (k - 1) for k in range(1, 9)]
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"strategy": "full_parallel", "parallelism": 2},
+         "parallelism applies to the general strategy only, got 2 for 'full_parallel'"),
+        ({"strategy": "full_sequential", "parallelism": 1},
+         "parallelism applies to the general strategy only, got 1 for 'full_sequential'"),
+        ({"strategy": "mixed", "parallelism": 2},
+         "parallelism applies to the general strategy only, got 2 for 'mixed'"),
+        ({"strategy": "general", "parallelism": 3},
+         "general mode needs a power-of-two parallelism, got 3"),
+        ({"strategy": "general"},
+         "general mode needs a power-of-two parallelism, got None"),
+        ({"strategy": "general", "parallelism": 0},
+         "general mode needs a power-of-two parallelism, got 0"),
+        ({"strategy": "general", "parallelism": 16},
+         "parallelism 16 exceeds the top multiplier 2^3"),
+        ({"strategy": "mixed"}, "unknown strategy 'mixed'"),
+        ({"strategy": "general", "parallelism": 2, "t_cap": 3},
+         "strength cap must be a power of two, got 3"),
+        ({"strategy": "full_sequential", "t_cap": 0},
+         "strength cap must be a power of two, got 0"),
+        ({"strategy": "mixed", "t_cap": 6},
+         "strength cap must be a power of two, got 6"),
+    ])
+    def test_error_messages(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            build_schedule(k_max=4, **kwargs)
+
     def test_full_parallel(self):
         sched = build_schedule(strategy="full_parallel", k_max=7)
         assert all(st.t == 1.0 and st.s == 1 for st in sched)
