@@ -8,8 +8,9 @@ Two backends compute the even-parity probability:
 
 * analytic -- on each Grover eigenphase ``e^{+-2i theta}`` the shifter is
   the 2x2 ancilla product ``qsp.rotation_product`` at ``pi/2 +- 2 theta``
-  (:func:`eigenphase_blocks`, which depend on ``(T, L, S)`` and not on
-  ``P``, so ``driver.step_probabilities`` shares them across branch counts);
+  (:func:`eigenphase_blocks`, which do not depend on ``P``:
+  ``driver.step_probabilities`` builds them once per ``(T, L)`` and raises
+  them to each ``S``, sharing both across branch counts);
   :func:`parity_probabilities` contracts them for ``P`` branches, read
   elementwise from the four block entries and averaged over the two
   eigenphases, and the product over identical branches collapses to
@@ -21,15 +22,16 @@ Two backends compute the even-parity probability:
   :func:`controlled_grover_blocks` builds each instance's oracle and
   controlled-Grover block, grouped by register size;
   :func:`statevector_blocks` the shifter to the power ``S`` around each
-  group in one ``interleaved_shifter`` call (it depends on ``(T, L, S)``,
-  so ``driver.step_probabilities`` shares it across branch counts too);
+  group in one ``interleaved_shifter`` call (shared by
+  ``driver.step_probabilities`` as the eigenphase blocks are);
   :func:`statevector_parity_probabilities` then, per instance, runs the
-  GHZ ladder, applies the shifter on each of the ``P`` branches, and reads
-  both settings from that one state (one instance's state at a time)
-  through the parity expectation: the even X-parity probability is
-  ``(1 + <X..X>)/2`` over the ancillas, and the PLUS_I rotation turns
-  ancilla 0's ``X`` into ``Y``.  It shares no code with
-  ``rotation_product``, so the two backends check each other.
+  GHZ ladder on the ``P`` ancillas and grows the full state from it, last
+  branch first, each branch through the two shifter columns its system
+  register ``|0..0>`` reaches, and reads both settings from that one state
+  (one instance's state at a time) through the parity expectation: the
+  even X-parity probability is ``(1 + <X..X>)/2`` over the ancillas, and
+  the PLUS_I rotation turns ancilla 0's ``X`` into ``Y``.  It shares no
+  code with ``rotation_product``, so the two backends check each other.
 """
 
 from __future__ import annotations
@@ -160,8 +162,11 @@ def ghz_depth(P: int) -> int:
 # Full statevector backend
 
 def _apply_block(state: np.ndarray, gate: np.ndarray, first: int) -> np.ndarray:
-    """Apply ``gate`` to the contiguous qubits starting at ``first``."""
-    t = state.reshape(2 ** first, len(gate), -1)
+    """Apply ``gate`` to the contiguous qubits starting at ``first``: one
+    ``matmul`` with ``2^first`` batch entries maps the ``gate.shape[1]``
+    amplitudes there to ``len(gate)``, so a rectangular gate grows the
+    state."""
+    t = state.reshape(2 ** first, gate.shape[1], -1)
     return np.matmul(gate, t).reshape(-1)
 
 
@@ -174,14 +179,8 @@ def _apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
     return t
 
 
-def _ghz_state(P: int, n: int) -> np.ndarray:
-    """The doubling ladder's GHZ state on the ancillas of ``P`` branches of
-    ``n + 1`` qubits each (qubit order branch by branch, ancilla first).
-
-    The ladder acts on the ancillas alone, so it runs on the ``P``-qubit
-    ancilla register, which is then embedded with every system register at
-    ``|0..0>``: one full state is allocated, and the copies each CNOT makes
-    stay ``2^P`` long."""
+def _ghz_state(P: int) -> np.ndarray:
+    """The doubling ladder's GHZ state on a ``P``-qubit ancilla register."""
     state = np.zeros(2 ** P, dtype=complex)
     state[0] = 1.0
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
@@ -190,22 +189,41 @@ def _ghz_state(P: int, n: int) -> np.ndarray:
         stride = 2 ** layer
         for i in range(min(stride, P - stride)):
             state = _apply_cnot(state, i, i + stride)
-    full = np.zeros(2 ** (P * (n + 1)), dtype=complex)
-    full.reshape((2, 2 ** n) * P)[(slice(None), 0) * P] = state.reshape((2,) * P)
-    return full
+    return state
+
+
+def _final_state(v: np.ndarray, P: int, n: int) -> np.ndarray:
+    """The full ``(n+1)P``-qubit state after the GHZ ladder and the
+    shifter ``v`` on each of ``P`` branches (qubit order branch by branch,
+    ancilla first).
+
+    Each branch's system register starts at ``|0..0>``, so only the two
+    columns of ``v`` with ancilla 0 or 1 and system ``|0^n>`` meet a
+    nonzero amplitude.  Starting from the ancilla register's GHZ state, the
+    branches run last to first, each expanding its ancilla's axis into its
+    ``n + 1`` qubits: branch ``p`` is one ``matmul`` with ``2^p`` batch
+    entries, and branch 0 a single GEMM."""
+    columns = v[:, ::2 ** n]
+    state = _ghz_state(P)
+    for p in reversed(range(P)):
+        state = _apply_block(state, columns, p)
+    return state
 
 
 def _parity_expectations(state: np.ndarray, P: int, n: int) -> tuple[float, float]:
     """``<X..X>`` and ``<Y X..X>`` over the ancillas (``Y`` on ancilla 0).
 
-    Flipping every ancilla axis applies ``X`` to each.  Ancilla 0 is the
-    leading qubit, so with ``h_b`` the part of ``<psi|X..X|psi>`` over the
-    half of the state where ancilla 0 reads ``b``, ``<X..X> = Re(h_0 + h_1)``
-    and, as ``Y = -i|0><1| + i|1><0|``, ``<Y X..X> = Im(h_0) - Im(h_1)``."""
-    flipped = np.flip(state.reshape((2, 2 ** n) * P), axis=tuple(range(0, 2 * P, 2)))
-    flipped = flipped.reshape(2, -1)
-    halves = state.reshape(2, -1)
-    h0, h1 = np.vdot(halves[0], flipped[0]), np.vdot(halves[1], flipped[1])
+    Flipping an ancilla axis applies ``X`` to it.  Ancilla 0 is the leading
+    qubit, so with ``psi_b`` the half of the state where it reads ``b`` and
+    ``X'`` the ``X`` on every other ancilla, ``h_b = <psi_b|X'|psi_(1-b)>``
+    is the part of ``<psi|X..X|psi>`` over that half: ``<X..X> = Re(h_0 +
+    h_1)`` and, as ``Y = -i|0><1| + i|1><0|``, ``<Y X..X> = Im(h_0) -
+    Im(h_1)``.  Each ``h_b`` flips a copy of one half only, so no copy of
+    the whole state is made."""
+    halves = state.reshape((2, 2 ** n) * P)
+    others = tuple(range(1, 2 * P - 2, 2))
+    h0 = np.vdot(halves[0], np.flip(halves[1], axis=others))
+    h1 = np.vdot(halves[1], np.flip(halves[0], axis=others))
     return (h0 + h1).real, h0.imag - h1.imag
 
 
@@ -247,20 +265,17 @@ def statevector_parity_probabilities(blocks: dict, P: int) -> np.ndarray:
     """``(m, 2)`` probabilities, PLUS then PLUS_I, of ``P`` branches from
     the shifters of :func:`statevector_blocks`, one row per instance.
 
-    Per instance: the GHZ ladder, the shifter on each of the ``P`` branches,
-    then both settings from that one state.  The even X-parity probability
-    is ``(1 + <X..X>)/2``; the PLUS_I setting's ``e^{i pi Z/4}`` on ancilla
-    0 turns that ancilla's ``X`` into ``Y``.  Raises :class:`CapacityError`
-    before any state is built."""
+    Per instance: the GHZ ladder, the shifter on each of the ``P`` branches
+    (:func:`_final_state`), then both settings from that one state.  The
+    even X-parity probability is ``(1 + <X..X>)/2``; the PLUS_I setting's
+    ``e^{i pi Z/4}`` on ancilla 0 turns that ancilla's ``X`` into ``Y``.
+    Raises :class:`CapacityError` before any state is built."""
     _check_count("branch count", P)
     check_capacity(P, blocks)
     rows = np.empty((sum(len(r) for r, _ in blocks.values()), 2))
     for n, (indices, shifters) in blocks.items():
         for row, v in zip(indices, shifters):
-            state = _ghz_state(P, n)
-            for p in range(P):
-                state = _apply_block(state, v, p * (n + 1))
-            rows[row] = _parity_expectations(state, P, n)
+            rows[row] = _parity_expectations(_final_state(v, P, n), P, n)
     return np.clip((1.0 + rows) / 2.0, 0.0, 1.0)
 
 

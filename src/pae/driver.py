@@ -19,9 +19,10 @@ A run has two phases:
   distinct ``(p, t, s, l)`` is evaluated once on every backend.  The
   analytic and statevector backends share their work on the same keys:
   per call, the statevector backend builds each amplitude's explicit
-  oracle and controlled-Grover block once; per distinct ``(t, l, s)``,
-  both build one set of blocks for all amplitudes (the eigenphase blocks,
-  or the shifter to the power ``S``); per ``p`` they contract them;
+  oracle and controlled-Grover block once; per distinct ``(t, l)``, both
+  build one set of blocks for all amplitudes (the eigenphase blocks, or
+  the shifter); per distinct ``(t, l, s)`` they raise it to the power
+  ``s``; per ``p`` they contract that power;
 * the sampling and recovery phase, :func:`sample_and_recover`, seeds one
   generator, draws the parity counts of one run, ``(K, 2)``, or of a batch
   of trials, ``(trials, K, 2)``, from those probabilities in one binomial
@@ -92,7 +93,7 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
                    k_max: int | None = None, parallelism: int | None = None,
                    beta: float = 0.05, nu_variant: str = "optimized",
                    nu_final: int = 7, l_table=None, certified: bool = False,
-                   t_cap: int = 8) -> Schedule:
+                   t_cap: int | None = None) -> Schedule:
     """Build the per-step resource schedule.
 
     Exactly one of ``eps`` (proof mode, ``K = ceil(log2(1/eps)) + 6``) and
@@ -100,11 +101,11 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
     2^(K-1) / parallelism``, every step splits ``m = 2^(k-1)`` as ``T_k S_k
     = min(m, top)``, ``P_k = m / (T_k S_k)``, ``T_k = min(T_k S_k, t_cap)``
     and ``S_k`` the rest.
-    ``general`` takes a power-of-two ``parallelism`` up to ``2^(K-1)``;
-    ``full_parallel`` is the preset ``parallelism = 2^(K-1)`` (``T_k = S_k =
-    1``) and ``full_sequential`` the preset ``parallelism = 1, t_cap =
-    2^(K-1)`` (``P_k = S_k = 1``), which checks a given ``t_cap`` but
-    ignores it.  The presets reject ``parallelism``.
+    ``general`` takes a power-of-two ``parallelism`` up to ``2^(K-1)`` and
+    a power-of-two ``t_cap``, 8 unless given; ``full_parallel`` is the
+    preset ``parallelism = 2^(K-1)`` (``T_k = S_k = 1``) and
+    ``full_sequential`` the preset ``parallelism = 1, t_cap = 2^(K-1)``
+    (``P_k = S_k = 1``).  The presets reject ``parallelism`` and ``t_cap``.
 
     ``l_table`` overrides the per-step query lengths, step ``k`` at index
     ``k - 1``, and needs at least ``K`` entries; otherwise they come from
@@ -122,16 +123,19 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
         raise ConfigurationError(f"step count must be >= 1, got {K}")
     if not 0.0 < beta < rpe.ROBUSTNESS_LIMIT:
         raise ConfigurationError(f"bias budget must lie in (0, sqrt(6)/8), got {beta}")
-    if t_cap < 1 or t_cap & (t_cap - 1):
+    if t_cap is not None and (t_cap < 1 or t_cap & (t_cap - 1)):
         raise ConfigurationError(f"strength cap must be a power of two, got {t_cap}")
     if l_table is not None and len(l_table) < K:
         raise ConfigurationError(f"l_table has {len(l_table)} entries, schedule needs {K}")
 
-    if parallelism is not None and strategy != "general":
-        raise ConfigurationError(
-            f"parallelism applies to the general strategy only, got {parallelism} "
-            f"for {strategy!r}")
+    for name, value in (("parallelism", parallelism), ("t_cap", t_cap)):
+        if value is not None and strategy != "general":
+            raise ConfigurationError(
+                f"{name} applies to the general strategy only, got {value} "
+                f"for {strategy!r}")
     top = 2 ** (K - 1)
+    if t_cap is None:
+        t_cap = 8
     if strategy == "full_parallel":
         parallelism = top
     elif strategy == "full_sequential":
@@ -186,11 +190,12 @@ def step_probabilities(instances, schedule: Schedule,
     sequence of instances, ``(n, K, 2)``.  ``schedule`` may be any sequence
     of steps, repeats included: each distinct ``(p, t, s, l)`` is evaluated
     once for all instances.  The analytic and statevector backends build
-    their blocks once per distinct ``(t, l, s)`` (the eigenphase blocks, or
-    the shifter to the power ``S`` of every instance) and contract them per
-    ``p``.  The statevector backend first checks its qubit guard on every
-    step and instance, then builds each instance's oracle and
-    controlled-Grover block once per call."""
+    their blocks once per distinct ``(t, l)`` (the eigenphase blocks, or
+    the shifter of every instance), raise them to the power ``s`` once per
+    distinct ``(t, l, s)`` and contract that power per ``p``.  The
+    statevector backend first checks its qubit guard on every step and
+    instance, then builds each instance's oracle and controlled-Grover
+    block once per call."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     single = isinstance(instances, AmplitudeInstance)
@@ -198,14 +203,18 @@ def step_probabilities(instances, schedule: Schedule,
     thetas = [inst.theta for inst in batch]
     phis = np.array([inst.phi for inst in batch])
     statevector = backend == "statevector"
-    contract = (circ.statevector_parity_probabilities if statevector
-                else circ.parity_probabilities)
+    contract, power = circ.parity_probabilities, np.linalg.matrix_power
     if statevector:
         ns = [inst.n for inst in batch]
         for st in schedule:
             circ.check_capacity(st.p, ns)
         wq = circ.controlled_grover_blocks(batch)
-    columns, blocks = {}, {}
+        contract = circ.statevector_parity_probabilities
+
+        def power(groups, s):
+            return {n: (rows, np.linalg.matrix_power(v, s))
+                    for n, (rows, v) in groups.items()}
+    columns, blocks, powers = {}, {}, {}
     for st in schedule:
         key = (st.p, st.t, st.s, st.l)
         if key in columns:
@@ -213,12 +222,14 @@ def step_probabilities(instances, schedule: Schedule,
         if backend == "ideal":
             columns[key] = circ.ideal_probabilities(st.m, phis)
             continue
-        shared = (st.t, st.l, st.s)
-        if shared not in blocks:
+        if (st.t, st.l) not in blocks:
             spec = qsp.synthesize_shifter(st.t, st.l)
-            blocks[shared] = (circ.statevector_blocks(spec, st.s, wq) if statevector
-                              else circ.eigenphase_blocks(spec, st.s, thetas))
-        columns[key] = contract(blocks[shared], st.p)
+            blocks[st.t, st.l] = (circ.statevector_blocks(spec, 1, wq) if statevector
+                                  else circ.eigenphase_blocks(spec, 1, thetas))
+        powered = (st.t, st.l, st.s)
+        if powered not in powers:
+            powers[powered] = power(blocks[st.t, st.l], st.s)
+        columns[key] = contract(powers[powered], st.p)
     probabilities = np.stack([columns[st.p, st.t, st.s, st.l] for st in schedule], axis=1)
     return probabilities[0] if single else probabilities
 

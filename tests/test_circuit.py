@@ -10,7 +10,7 @@ from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  make_instance, parity_probabilities, setting_probability,
                  statevector_even_parity_probabilities,
                  statevector_even_parity_probability, synthesize_shifter)
-from pae.circuit import _apply_block, _apply_cnot, _ghz_state, sample_even_parity
+from pae.circuit import _apply_block, _apply_cnot, _final_state, sample_even_parity
 from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
 from pae.qsp import controlled_grover, interleaved_shifter
@@ -111,7 +111,7 @@ def full_state(v: np.ndarray, P: int, S: int, setting: MeasurementSetting) -> np
 
 def einsum_block(state: np.ndarray, gate: np.ndarray, first: int) -> np.ndarray:
     """Reference kernel: ``gate`` on the qubits from ``first`` by ``einsum``."""
-    t = state.reshape(2 ** first, len(gate), -1)
+    t = state.reshape(2 ** first, gate.shape[1], -1)
     return np.einsum("ab,ibj->iaj", gate, t).reshape(-1)
 
 
@@ -347,6 +347,16 @@ class TestStatevectorBackend:
                 pv = statevector_even_parity_probability(circuit, setting)
                 assert abs(pa - pv) <= 1e-10
 
+    def test_matches_analytic_at_twenty_qubits(self):
+        # five branches of n = 3, near the 22-qubit guard
+        spec = synthesize_shifter(2.0, 14)
+        insts = [make_instance(a, 3) for a in (0.0, 0.3, 0.8)]
+        for S in (1, 2):
+            pv = statevector_even_parity_probabilities(spec, 5, S, insts)
+            pa = parity_probabilities(
+                eigenphase_blocks(spec, S, [inst.theta for inst in insts]), 5)
+            assert np.max(np.abs(pa - pv)) <= 1e-10
+
     def test_matches_closed_form_within_bias(self):
         spec = synthesize_shifter(1.0, 10)
         inst = make_instance(0.0, 2)
@@ -421,10 +431,14 @@ class TestStatevectorKernels:
         rng = np.random.default_rng(5)
         state = rng.standard_normal(2 ** 10) + 1j * rng.standard_normal(2 ** 10)
         dim = 2 ** width
-        gate = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for first in range(10 - width + 1):     # the last block has a trailing 1
-            got = _apply_block(state, gate, first)
-            assert np.max(np.abs(got - einsum_block(state, gate, first))) <= 1e-13
+        square = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        # a (2^width, 2) gate expands one qubit into width qubits
+        rect = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+        for gate, span in ((square, width), (rect, 1)):
+            for first in range(10 - span + 1):     # the last block has a trailing 1
+                got = _apply_block(state, gate, first)
+                assert got.size == 2 ** 10 * len(gate) // gate.shape[1]
+                assert np.max(np.abs(got - einsum_block(state, gate, first))) <= 1e-13
 
     def test_cnot_is_the_literal_permutation(self):
         rng = np.random.default_rng(6)
@@ -435,8 +449,13 @@ class TestStatevectorKernels:
 
     @pytest.mark.parametrize("P,n", [(1, 0), (1, 3), (2, 2), (3, 3), (4, 3), (5, 0), (5, 2)])
     def test_ghz_state_equals_ladder_on_full_register(self, P, n):
-        # the ladder run on the ancilla register and embedded is the ladder
-        # run gate by gate on all P (n + 1) qubits
+        # the ancilla register's ladder, then two columns of v per branch,
+        # last branch first, is the ladder run gate by gate on all
+        # P (n + 1) qubits followed by the whole of v on every branch
+        rng = np.random.default_rng(10 * P + n)
+        dim = 2 ** (n + 1)
+        v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        v /= np.sqrt(2 * dim)       # columns of about unit norm, not unitary
         nq = P * (n + 1)
         hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
         state = np.zeros(2 ** nq, dtype=complex)
@@ -446,7 +465,9 @@ class TestStatevectorKernels:
             stride = 2 ** layer
             for i in range(min(stride, P - stride)):
                 state = literal_cnot(state, i * (n + 1), (i + stride) * (n + 1), nq)
-        assert np.array_equal(_ghz_state(P, n), state)
+        for p in range(P):
+            state = einsum_block(state, v, p * (n + 1))
+        assert np.max(np.abs(_final_state(v, P, n) - state)) <= 1e-13
 
 
 class TestGhzDepth:

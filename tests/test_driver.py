@@ -69,21 +69,26 @@ class TestBuildSchedule:
         runs = [({"k_max": K}, K) for K in range(1, 15)]
         runs += [({"eps": 0.1}, 10), ({"eps": 0.01}, 13), ({"eps": 1e-3}, 16)]
         for mode, K in runs:
-            ps = [2 ** j for j in range(K)] if strategy == "general" else [None]
-            for parallelism, t_cap, options in itertools.product(
-                    ps, (1, 2, 8, 64), SCHEDULE_OPTIONS):
+            general = strategy == "general"
+            ps = [2 ** j for j in range(K)] if general else [None]
+            caps = [{}, {"t_cap": 1}, {"t_cap": 2}, {"t_cap": 8}, {"t_cap": 64}]
+            for parallelism, cap, options in itertools.product(
+                    ps, caps if general else [{}], SCHEDULE_OPTIONS):
                 sched = build_schedule(strategy=strategy, parallelism=parallelism,
-                                       t_cap=t_cap, **mode, **options)
+                                       **cap, **mode, **options)
                 assert sched.K == K and sched.strategy == strategy
                 assert_same_steps(sched, reference_steps(
-                    strategy, K, parallelism=parallelism, t_cap=t_cap, **options))
+                    strategy, K, parallelism=parallelism, **cap, **options))
 
-    def test_full_sequential_ignores_a_valid_t_cap(self):
-        default = build_schedule(strategy="full_sequential", k_max=8)
+    @pytest.mark.parametrize("strategy", ["full_parallel", "full_sequential"])
+    def test_presets_reject_t_cap(self, strategy):
+        # a valid cap used to be ignored without a word: T up to 128 at K = 8
         for t_cap in (1, 2, 64):
-            sched = build_schedule(strategy="full_sequential", k_max=8, t_cap=t_cap)
-            assert sched == default
-            assert [st.t for st in sched] == [2.0 ** (k - 1) for k in range(1, 9)]
+            message = (f"t_cap applies to the general strategy only, got {t_cap} "
+                       f"for {strategy!r}")
+            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+                build_schedule(strategy=strategy, k_max=8, t_cap=t_cap)
+        assert build_schedule(strategy=strategy, k_max=8, t_cap=None).K == 8
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"strategy": "full_parallel", "parallelism": 2},
@@ -364,7 +369,7 @@ class TestTwoPhases:
 
     def test_statevector_builds_one_oracle_per_instance(self, monkeypatch):
         # one oracle per instance and call, one shifter stack per distinct
-        # (t, l, s); every row equals the per-setting route bit for bit
+        # (t, l); every row equals the per-setting route bit for bit
         from pae import MeasurementSetting, ParallelCircuit
         built, shifters = [], []
 
@@ -382,7 +387,7 @@ class TestTwoPhases:
         insts = [make_instance(0.3, 3), make_instance(0.8, 3)]
         probs = step_probabilities(insts, sched, "statevector")
         assert len(built) == len(insts)
-        assert len(shifters) == len({(st.t, st.l, st.s) for st in sched}) < sched.K
+        assert len(shifters) == len({(st.t, st.l) for st in sched}) < sched.K
         for inst, rows in zip(insts, probs):
             for st, row in zip(sched, rows):
                 pc = ParallelCircuit(P=st.p, spec=synthesize_shifter(st.t, st.l),
@@ -413,7 +418,7 @@ class TestTwoPhases:
         assert step_probabilities([], sched, "statevector").shape == (0, sched.K, 2)
 
     def test_shared_blocks_equal_per_step_rows(self):
-        # steps with the same (t, l, s) share their eigenphase blocks: every
+        # steps with the same (t, l) share their eigenphase blocks: every
         # row equals the step's own blocks contracted for its p, bit for bit
         sched = build_schedule(strategy="full_parallel", k_max=9,
                                l_table=PARALLEL_L_TABLE_PLUS)
@@ -450,11 +455,45 @@ class TestTwoPhases:
         calls.update(oracle=0, blocks=0, shifters=0)
         twice = step_probabilities(insts, list(sched) * 2, backend)
         assert np.array_equal(twice, np.concatenate([once, once], axis=1))
-        distinct_tls = len({(st.t, st.l, st.s) for st in sched})
-        assert distinct_tls < sched.K
+        distinct_tl = len({(st.t, st.l) for st in sched})
+        assert distinct_tl < sched.K
         assert calls == {"oracle": len(insts) if backend == "statevector" else 0,
-                         "blocks": distinct_tls if backend == "analytic" else 0,
-                         "shifters": distinct_tls if backend == "statevector" else 0}
+                         "blocks": distinct_tl if backend == "analytic" else 0,
+                         "shifters": distinct_tl if backend == "statevector" else 0}
+
+    @pytest.mark.parametrize("backend", ["analytic", "statevector"])
+    def test_repetition_counts_share_one_shifter(self, backend, monkeypatch):
+        # general P=4, K=7: steps (8, 34, S=1) and (8, 34, S=2) share one
+        # shifter product, raised per S; every row equals its own step's
+        # S-fold blocks contracted for its p, bit for bit
+        calls = {"rotation_product": 0, "interleaved_shifter": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(circuit, name, counted(name, getattr(circuit, name)))
+        sched = build_schedule(strategy="general", k_max=7, parallelism=4)
+        insts = [make_instance(a, 3) for a in (0.0, 0.3, 0.8)]
+        probs = step_probabilities(insts, sched, backend)
+        distinct_tl = len({(st.t, st.l) for st in sched})
+        assert (distinct_tl, len({(st.t, st.l, st.s) for st in sched})) == (4, 5)
+        analytic = backend == "analytic"
+        assert calls == {"rotation_product": distinct_tl if analytic else 0,
+                         "interleaved_shifter": 0 if analytic else distinct_tl}
+        thetas = [inst.theta for inst in insts]
+        for i, st in enumerate(sched):
+            spec = synthesize_shifter(st.t, st.l)
+            if analytic:
+                rows = circuit.parity_probabilities(
+                    circuit.eigenphase_blocks(spec, st.s, thetas), st.p)
+            else:
+                rows = circuit.statevector_even_parity_probabilities(
+                    spec, st.p, st.s, insts)
+            assert np.array_equal(probs[:, i], rows)
 
     def test_ideal_column_equals_setting_probability(self):
         # bit for bit against the scalar closed form of each setting

@@ -124,7 +124,7 @@ class TestRmseSweep:
                             l_table="plus", trials=trials)
         run_rmse_sweep(cfg)
         # K = 1..3 share their steps, and the three distinct steps have
-        # L = 10, 12, 12: one block build per distinct (t, l, s), covering
+        # L = 10, 12, 12: one block build per distinct (t, l), covering
         # both amplitudes, settings and branch counts, independent of trials
         assert calls["blocks"] == 2
         assert calls["sample"] == 2 * 3                       # one generator per cell

@@ -19,10 +19,10 @@ def schedules(draw):
     K = draw(st.integers(1, 8))
     kwargs = dict(strategy=strategy, k_max=K,
                   nu_variant=draw(st.sampled_from(["optimized", "theoretical"])),
-                  nu_final=draw(st.integers(1, 20)),
-                  t_cap=2 ** draw(st.integers(0, 6)))
+                  nu_final=draw(st.integers(1, 20)))
     if strategy == "general":
         kwargs["parallelism"] = 2 ** draw(st.integers(0, K - 1))
+        kwargs["t_cap"] = 2 ** draw(st.integers(0, 6))
     return build_schedule(**kwargs)
 
 
