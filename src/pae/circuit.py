@@ -4,40 +4,41 @@ One circuit is: a GHZ state across ``P`` ancilla qubits, ``S`` sequential
 applications of the phase shifter on every (ancilla, system) branch, then
 per-ancilla X-basis readout classified by the parity of the number of 1s.
 
-Two backends compute the even-parity probability:
+Two backends compute the even-parity probability, and both contract the
+same way: :func:`parity_probabilities` reads each branch's final ancilla
+state from ``(c, n, 2, 2)`` blocks, one ancilla block per component of the
+system register, and the product over identical branches collapses to
+complex powers, so the cost is independent of ``P``.  They differ in where
+the blocks come from:
 
 * analytic -- on each Grover eigenphase ``e^{+-2i theta}`` the shifter is
   the 2x2 ancilla product ``qsp.rotation_product`` at ``pi/2 +- 2 theta``
   (:func:`eigenphase_blocks`, which do not depend on ``P``:
   ``driver.step_probabilities`` builds them once per ``(T, L)`` and raises
-  them to each ``S``, sharing both across branch counts);
-  :func:`parity_probabilities` contracts them for ``P`` branches, read
-  elementwise from the four block entries and averaged over the two
-  eigenphases, and the product over identical branches collapses to
-  complex powers, so the cost is independent of ``P``; exact, and batched
+  them to each ``S``, sharing both across branch counts); the two
+  eigencomponents of ``|0..0>`` are the two components; exact, and batched
   over instance angles.
-* statevector -- the full ``(n+1)P``-qubit state built from the explicit
-  oracle and contracted gate by gate with BLAS ``matmul``, used to
-  cross-validate the analytic backend at small sizes, in three stages:
+* statevector -- the shifter as a dense matrix built from the explicit
+  oracle, used to cross-validate the analytic backend, in three stages:
   :func:`controlled_grover_blocks` builds each instance's oracle and
   controlled-Grover block, grouped by register size;
   :func:`statevector_blocks` the shifter to the power ``S`` around each
   group in one ``interleaved_shifter`` call (shared by
   ``driver.step_probabilities`` as the eigenphase blocks are);
-  :func:`statevector_parity_probabilities` then, per instance, runs the
-  GHZ ladder on the ``P`` ancillas and grows the full state from it, last
-  branch first, each branch through the two shifter columns its system
-  register ``|0..0>`` reaches, and reads both settings from that one state
-  (one instance's state at a time) through the parity expectation: the
-  even X-parity probability is ``(1 + <X..X>)/2`` over the ancillas, and
-  the PLUS_I rotation turns ancilla 0's ``X`` into ``Y``.  It shares no
-  code with ``rotation_product``, so the two backends check each other.
+  :func:`statevector_parity_probabilities` then takes the two shifter
+  columns that a system register at ``|0..0>`` reaches and hands their
+  ``2^n`` system components to :func:`parity_probabilities`.  The full
+  ``(n+1)P``-qubit state is never built; :func:`check_capacity` bounds the
+  dense stacks instead.  The explicit oracle and ``interleaved_shifter``
+  share no code with the eigenphase reduction and ``rotation_product``,
+  so the two backends check each other.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +48,13 @@ from .core_model import (AmplitudeInstance, DomainError, build_explicit_oracle,
 from .qsp import (PhaseShifterSpec, controlled_grover, interleaved_shifter,
                   rotation_product)
 
-STATEVECTOR_MAX_QUBITS = 22
+# Bytes the statevector backend may allocate in the dense stacks of one
+# register size (see :func:`check_capacity`).
+STATEVECTOR_MAX_BYTES = 2 ** 30
 
 
 class CapacityError(RuntimeError):
-    """Raised when a statevector request exceeds the qubit guard."""
+    """Raised when a statevector request exceeds the memory guard."""
 
 
 class MeasurementSetting(enum.Enum):
@@ -91,13 +94,18 @@ def eigenphase_blocks(spec: PhaseShifterSpec, S: int, thetas) -> np.ndarray:
 
 
 def parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
-    """``(n, 2)`` probabilities of ``P`` branches from the ``(2, n, 2, 2)``
-    eigenphase blocks (already to the power S), whose column ``j`` is
-    ancilla state ``phi_j``.
+    """``(n, 2)`` probabilities of ``P`` branches from ``(c, n, 2, 2)``
+    blocks (already to the power S): axis 0 runs over the components of
+    the system register, each block ``sqrt(2)`` times that component's
+    share of the branch state, and column ``j`` of a block is its part of
+    the ancilla state ``phi_j``.  For the analytic backend the components
+    are the two Grover eigenphases, which ``|0..0>`` weights ``1/sqrt(2)``
+    each (the ``(2, n, 2, 2)`` :func:`eigenphase_blocks`); for the
+    statevector backend the ``2^n`` system basis states.
 
-    With ``x_j = <phi_j|X|phi_j>`` and ``z = <phi_1|X|phi_0>`` averaged over
-    the two eigenphases, which ``|0..0>`` weights equally, the product over
-    identical branches collapses to ``p = 1/2 + (x_0^P + x_1^P)/4 + Re(z^P)/2``.
+    With ``x_j = <phi_j|X|phi_j>`` and ``z = <phi_1|X|phi_0>`` over all
+    components, the product over identical branches collapses to
+    ``p = 1/2 + (x_0^P + x_1^P)/4 + Re(z^P)/2``.
     The extra rotation of the PLUS_I setting turns branch 0's ``X`` into ``Y``.
     Every expectation is read elementwise from the block entries ``b_ij``,
     for any 2x2 block: ``x_0 + i y_0 = 2 conj(b00) b10`` (``b01``, ``b11``
@@ -106,7 +114,7 @@ def parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
     """
     _check_count("branch count", P)
     b00, b01, b10, b11 = (blocks[..., i, j] for i in (0, 1) for j in (0, 1))
-    # each sum runs over the two eigenphases: twice their average
+    # with blocks sqrt(2) times each share, each sum is twice its expectation
     w0 = np.sum(b00.conj() * b10, axis=0)
     w1 = np.sum(b01.conj() * b11, axis=0)
     u = 0.5 * np.sum(b01.conj() * b10, axis=0)
@@ -159,82 +167,21 @@ def ghz_depth(P: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Full statevector backend
+# Statevector backend
 
-def _apply_block(state: np.ndarray, gate: np.ndarray, first: int) -> np.ndarray:
-    """Apply ``gate`` to the contiguous qubits starting at ``first``: one
-    ``matmul`` with ``2^first`` batch entries maps the ``gate.shape[1]``
-    amplitudes there to ``len(gate)``, so a rectangular gate grows the
-    state."""
-    t = state.reshape(2 ** first, gate.shape[1], -1)
-    return np.matmul(gate, t).reshape(-1)
-
-
-def _apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    """CNOT from qubit ``control`` to a later qubit ``target``: the
-    ``control = 1`` amplitudes swap their two ``target`` values."""
-    t = state.copy()
-    v = t.reshape(2 ** control, 2, 2 ** (target - control - 1), 2, -1)
-    v[:, 1] = v[:, 1, :, ::-1]
-    return t
-
-
-def _ghz_state(P: int) -> np.ndarray:
-    """The doubling ladder's GHZ state on a ``P``-qubit ancilla register."""
-    state = np.zeros(2 ** P, dtype=complex)
-    state[0] = 1.0
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    state = _apply_block(state, hadamard, 0)
-    for layer in range(ghz_depth(P)):
-        stride = 2 ** layer
-        for i in range(min(stride, P - stride)):
-            state = _apply_cnot(state, i, i + stride)
-    return state
-
-
-def _final_state(v: np.ndarray, P: int, n: int) -> np.ndarray:
-    """The full ``(n+1)P``-qubit state after the GHZ ladder and the
-    shifter ``v`` on each of ``P`` branches (qubit order branch by branch,
-    ancilla first).
-
-    Each branch's system register starts at ``|0..0>``, so only the two
-    columns of ``v`` with ancilla 0 or 1 and system ``|0^n>`` meet a
-    nonzero amplitude.  Starting from the ancilla register's GHZ state, the
-    branches run last to first, each expanding its ancilla's axis into its
-    ``n + 1`` qubits: branch ``p`` is one ``matmul`` with ``2^p`` batch
-    entries, and branch 0 a single GEMM."""
-    columns = v[:, ::2 ** n]
-    state = _ghz_state(P)
-    for p in reversed(range(P)):
-        state = _apply_block(state, columns, p)
-    return state
-
-
-def _parity_expectations(state: np.ndarray, P: int, n: int) -> tuple[float, float]:
-    """``<X..X>`` and ``<Y X..X>`` over the ancillas (``Y`` on ancilla 0).
-
-    Flipping an ancilla axis applies ``X`` to it.  Ancilla 0 is the leading
-    qubit, so with ``psi_b`` the half of the state where it reads ``b`` and
-    ``X'`` the ``X`` on every other ancilla, ``h_b = <psi_b|X'|psi_(1-b)>``
-    is the part of ``<psi|X..X|psi>`` over that half: ``<X..X> = Re(h_0 +
-    h_1)`` and, as ``Y = -i|0><1| + i|1><0|``, ``<Y X..X> = Im(h_0) -
-    Im(h_1)``.  Each ``h_b`` flips a copy of one half only, so no copy of
-    the whole state is made."""
-    halves = state.reshape((2, 2 ** n) * P)
-    others = tuple(range(1, 2 * P - 2, 2))
-    h0 = np.vdot(halves[0], np.flip(halves[1], axis=others))
-    h1 = np.vdot(halves[1], np.flip(halves[0], axis=others))
-    return (h0 + h1).real, h0.imag - h1.imag
-
-
-def check_capacity(P: int, ns) -> None:
+def check_capacity(L: int, ns) -> None:
     """Raise :class:`CapacityError` at the first register size in ``ns``
-    whose ``P`` branches of ``n + 1`` qubits exceed the statevector guard."""
-    for n in ns:
-        nq = P * (n + 1)
-        if nq > STATEVECTOR_MAX_QUBITS:
+    whose dense stacks exceed :data:`STATEVECTOR_MAX_BYTES`: the ``2L``
+    ancilla x-rotations that ``interleaved_shifter`` lifts at once and one
+    controlled-Grover block per amplitude of that size, each
+    ``(2^(n+1))^2`` complex."""
+    for n, m in Counter(ns).items():
+        nbytes = 16 * 4 ** (n + 1) * (2 * L + m)
+        if nbytes > STATEVECTOR_MAX_BYTES:
             raise CapacityError(
-                f"{nq} qubits exceed the statevector guard of {STATEVECTOR_MAX_QUBITS}")
+                f"statevector blocks at n = {n}, L = {L} need "
+                f"{nbytes / 2 ** 30:.3g} GiB, over the "
+                f"{STATEVECTOR_MAX_BYTES / 2 ** 30:g} GiB guard")
 
 
 def controlled_grover_blocks(instances, oracle_style: str = "canonical",
@@ -265,32 +212,32 @@ def statevector_parity_probabilities(blocks: dict, P: int) -> np.ndarray:
     """``(m, 2)`` probabilities, PLUS then PLUS_I, of ``P`` branches from
     the shifters of :func:`statevector_blocks`, one row per instance.
 
-    Per instance: the GHZ ladder, the shifter on each of the ``P`` branches
-    (:func:`_final_state`), then both settings from that one state.  The
-    even X-parity probability is ``(1 + <X..X>)/2``; the PLUS_I setting's
-    ``e^{i pi Z/4}`` on ancilla 0 turns that ancilla's ``X`` into ``Y``.
-    Raises :class:`CapacityError` before any state is built."""
+    Each branch's system register starts at ``|0..0>``, so a branch's final
+    state is fixed by the two shifter columns with ancilla 0 or 1 and
+    system ``|0^n>``.  Split by the system basis state they reach, those
+    columns are ``2^n`` ancilla blocks; scaled by ``sqrt(2)``, as
+    :func:`parity_probabilities` expects, they are contracted there for
+    ``P`` branches."""
     _check_count("branch count", P)
-    check_capacity(P, blocks)
     rows = np.empty((sum(len(r) for r, _ in blocks.values()), 2))
     for n, (indices, shifters) in blocks.items():
-        for row, v in zip(indices, shifters):
-            rows[row] = _parity_expectations(_final_state(v, P, n), P, n)
-    return np.clip((1.0 + rows) / 2.0, 0.0, 1.0)
+        columns = shifters[:, :, ::2 ** n].reshape(len(indices), 2, 2 ** n, 2)
+        rows[indices] = parity_probabilities(
+            np.sqrt(2.0) * columns.transpose(2, 0, 1, 3), P)
+    return rows
 
 
 def statevector_even_parity_probabilities(spec: PhaseShifterSpec, P: int, S: int,
                                           instances, oracle_style: str = "canonical",
                                           oracle_seed=None) -> np.ndarray:
-    """Even-parity probabilities from the full ``(n+1)P``-qubit state, one
-    row per instance, columns PLUS and PLUS_I: the three statevector
-    stages composed, after the guard.  Raises :class:`DomainError` for
-    ``P < 1`` or ``S < 1`` and :class:`CapacityError` before any oracle is
-    built."""
+    """Even-parity probabilities from the explicit oracle, one row per
+    instance, columns PLUS and PLUS_I: the three statevector stages
+    composed, after the guard.  Raises :class:`DomainError` for ``P < 1``
+    or ``S < 1`` and :class:`CapacityError` before any oracle is built."""
     _check_count("branch count", P)
     _check_count("repetition count", S)
     instances = list(instances)
-    check_capacity(P, [inst.n for inst in instances])
+    check_capacity(spec.L, [inst.n for inst in instances])
     blocks = controlled_grover_blocks(instances, oracle_style, oracle_seed)
     return statevector_parity_probabilities(statevector_blocks(spec, S, blocks), P)
 

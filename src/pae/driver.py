@@ -22,7 +22,8 @@ A run has two phases:
   oracle and controlled-Grover block once; per distinct ``(t, l)``, both
   build one set of blocks for all amplitudes (the eigenphase blocks, or
   the shifter); per distinct ``(t, l, s)`` they raise it to the power
-  ``s``; per ``p`` they contract that power;
+  ``s``; per ``p`` they contract that power, both through
+  :func:`circuit.parity_probabilities`;
 * the sampling and recovery phase, :func:`sample_and_recover`, seeds one
   generator, draws the parity counts of one run, ``(K, 2)``, or of a batch
   of trials, ``(trials, K, 2)``, from those probabilities in one binomial
@@ -193,9 +194,9 @@ def step_probabilities(instances, schedule: Schedule,
     their blocks once per distinct ``(t, l)`` (the eigenphase blocks, or
     the shifter of every instance), raise them to the power ``s`` once per
     distinct ``(t, l, s)`` and contract that power per ``p``.  The
-    statevector backend first checks its qubit guard on every step and
-    instance, then builds each instance's oracle and controlled-Grover
-    block once per call."""
+    statevector backend first checks its memory guard at every step's
+    ``l`` and every register size, then builds each instance's oracle and
+    controlled-Grover block once per call."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     single = isinstance(instances, AmplitudeInstance)
@@ -207,7 +208,7 @@ def step_probabilities(instances, schedule: Schedule,
     if statevector:
         ns = [inst.n for inst in batch]
         for st in schedule:
-            circ.check_capacity(st.p, ns)
+            circ.check_capacity(st.l, ns)
         wq = circ.controlled_grover_blocks(batch)
         contract = circ.statevector_parity_probabilities
 

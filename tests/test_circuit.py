@@ -10,7 +10,7 @@ from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  make_instance, parity_probabilities, setting_probability,
                  statevector_even_parity_probabilities,
                  statevector_even_parity_probability, synthesize_shifter)
-from pae.circuit import _apply_block, _apply_cnot, _final_state, sample_even_parity
+from pae.circuit import check_capacity, sample_even_parity, statevector_parity_probabilities
 from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
 from pae.qsp import controlled_grover, interleaved_shifter
@@ -128,12 +128,11 @@ def literal_cnot(state: np.ndarray, control: int, target: int, nq: int) -> np.nd
     return t.reshape(-1)
 
 
-def literal_statevector_probability(spec, P, S, inst, setting, oracle_style="canonical",
-                                    oracle_seed=None) -> float:
-    """Reference statevector route, one setting at a time: the GHZ ladder,
-    ``P`` branch blocks, the setting's phase gate on ancilla 0, a Hadamard
-    on every ancilla, and the probability summed over the even-parity mask."""
-    n = inst.n
+def literal_branch_probability(v, P, n, setting) -> float:
+    """Reference statevector route on the full ``P (n + 1)``-qubit register,
+    one setting at a time: the GHZ ladder, the branch block ``v`` on every
+    branch, the setting's phase gate on ancilla 0, a Hadamard on every
+    ancilla, and the probability summed over the even-parity mask."""
     nq = P * (n + 1)
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     anc = [p * (n + 1) for p in range(P)]
@@ -145,9 +144,6 @@ def literal_statevector_probability(spec, P, S, inst, setting, oracle_style="can
         for i in range(stride):
             if i + stride < P:
                 state = literal_cnot(state, anc[i], anc[i + stride], nq)
-    oracle = build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)
-    wq = controlled_grover(build_grover_unitary(oracle))
-    v = np.linalg.matrix_power(interleaved_shifter(spec.angles.xi, wq), S)
     for p in range(P):
         state = einsum_block(state, v, p * (n + 1))
     if setting is MeasurementSetting.PLUS_I:
@@ -161,6 +157,16 @@ def literal_statevector_probability(spec, P, S, inst, setting, oracle_style="can
     for a in anc:
         parity ^= (idx >> (nq - 1 - a)) & 1
     return min(max(float(np.sum(probs[parity == 0])), 0.0), 1.0)
+
+
+def literal_statevector_probability(spec, P, S, inst, setting, oracle_style="canonical",
+                                    oracle_seed=None) -> float:
+    """:func:`literal_branch_probability` with the shifter to the power
+    ``S`` around the instance's explicit oracle as the branch block."""
+    oracle = build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)
+    wq = controlled_grover(build_grover_unitary(oracle))
+    v = np.linalg.matrix_power(interleaved_shifter(spec.angles.xi, wq), S)
+    return literal_branch_probability(v, P, inst.n, setting)
 
 
 class TestSettingProbability:
@@ -348,7 +354,7 @@ class TestStatevectorBackend:
                 assert abs(pa - pv) <= 1e-10
 
     def test_matches_analytic_at_twenty_qubits(self):
-        # five branches of n = 3, near the 22-qubit guard
+        # five branches of n = 3
         spec = synthesize_shifter(2.0, 14)
         insts = [make_instance(a, 3) for a in (0.0, 0.3, 0.8)]
         for S in (1, 2):
@@ -374,11 +380,25 @@ class TestStatevectorBackend:
                                                     oracle_style="random", oracle_seed=11)
         assert abs(p_can - p_rnd) <= 1e-10
 
-    def test_capacity_guard(self):
+    @pytest.mark.parametrize("P", [64, 256])
+    @pytest.mark.parametrize("S", [1, 2])
+    def test_matches_analytic_at_many_branches(self, P, S):
+        # far past any full register: 3 P qubits
         spec = synthesize_shifter(1.0, 10)
-        circuit = ParallelCircuit(P=8, spec=spec, S=1, instance=make_instance(0.5, 2))
-        with pytest.raises(CapacityError):
-            statevector_even_parity_probability(circuit, MeasurementSetting.PLUS)
+        insts = [make_instance(a, 2) for a in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0)]
+        pv = statevector_even_parity_probabilities(spec, P, S, insts)
+        pa = parity_probabilities(eigenphase_blocks(spec, S, [inst.theta for inst in insts]), P)
+        assert np.max(np.abs(pa - pv)) <= 1e-10
+
+    def test_capacity_guard(self, refused_allocation):
+        # one branch of n = 10: 2 * 10 rotations and one block of 2^22
+        # complex entries each, 1.3 GiB, refused before any oracle
+        spec = synthesize_shifter(1.0, 10)
+        pc = ParallelCircuit(P=1, spec=spec, S=1, instance=make_instance(0.5, 10))
+        with pytest.raises(CapacityError, match="^statevector blocks at n = 10, L = 10 need "
+                                                "1.31 GiB, over the 1 GiB guard$"):
+            statevector_even_parity_probability(pc, MeasurementSetting.PLUS)
+        assert refused_allocation == []
 
     def test_counts_match_analytic_sampler(self):
         # equal seeds, equal probabilities -> equal counts across backends
@@ -394,10 +414,11 @@ class TestStatevectorBackend:
 
 class TestStatevectorReadout:
     @pytest.mark.parametrize("style,seed", [("canonical", None), ("random", 11)])
-    @pytest.mark.parametrize("P", [1, 2, 3])
+    @pytest.mark.parametrize("P", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_literal_route(self, P, n, style, seed):
-        # both columns from one state against one literal circuit per setting
+        # both columns from the shared contraction against one literal
+        # circuit per setting on the full register, up to 16 qubits
         spec = synthesize_shifter(1.0, 10)
         insts = [make_instance(a, n) for a in (0.0, 0.3, 0.5, 1.0)]
         for S in (1, 2, 3):
@@ -407,10 +428,23 @@ class TestStatevectorReadout:
                     for setting in MeasurementSetting] for inst in insts]
             assert np.max(np.abs(probs - np.array(ref))) <= 1e-12
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, refused_allocation):
+        # the n = 2 row fits; the n = 10 row refuses the whole batch
         spec = synthesize_shifter(1.0, 10)
-        with pytest.raises(CapacityError):
-            statevector_even_parity_probabilities(spec, 8, 1, [make_instance(0.5, 2)])
+        insts = [make_instance(0.5, 2), make_instance(0.5, 10)]
+        with pytest.raises(CapacityError, match="at n = 10, L = 10"):
+            statevector_even_parity_probabilities(spec, 1, 1, insts)
+        assert refused_allocation == []
+
+    def test_capacity_bound_counts_rotations_and_blocks(self):
+        # n = 6 blocks are 2^18 bytes: 2 L + m of them fit up to 2^12,
+        # with m the amplitudes of that register size alone
+        check_capacity(2047, [6, 6, 2, 3])
+        check_capacity(2046, [6] * 4)
+        with pytest.raises(CapacityError, match="at n = 6, L = 2047 need 1 GiB"):
+            check_capacity(2047, [2, 6, 6, 6])
+        with pytest.raises(CapacityError, match="at n = 6, L = 2048"):
+            check_capacity(2048, [6])
 
     @pytest.mark.parametrize("style,seed", [("canonical", None), ("random", 11)])
     def test_batch_equals_per_instance_calls(self, style, seed):
@@ -426,48 +460,20 @@ class TestStatevectorReadout:
 
 
 class TestStatevectorKernels:
-    @pytest.mark.parametrize("width", [1, 2, 4])
-    def test_matmul_block_matches_einsum(self, width):
-        rng = np.random.default_rng(5)
-        state = rng.standard_normal(2 ** 10) + 1j * rng.standard_normal(2 ** 10)
-        dim = 2 ** width
-        square = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        # a (2^width, 2) gate expands one qubit into width qubits
-        rect = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
-        for gate, span in ((square, width), (rect, 1)):
-            for first in range(10 - span + 1):     # the last block has a trailing 1
-                got = _apply_block(state, gate, first)
-                assert got.size == 2 ** 10 * len(gate) // gate.shape[1]
-                assert np.max(np.abs(got - einsum_block(state, gate, first))) <= 1e-13
-
-    def test_cnot_is_the_literal_permutation(self):
-        rng = np.random.default_rng(6)
-        state = rng.standard_normal(2 ** 7) + 1j * rng.standard_normal(2 ** 7)
-        for control, target in itertools.combinations(range(7), 2):
-            got = _apply_cnot(state, control, target)
-            assert np.array_equal(got, literal_cnot(state, control, target, 7))
-
     @pytest.mark.parametrize("P,n", [(1, 0), (1, 3), (2, 2), (3, 3), (4, 3), (5, 0), (5, 2)])
     def test_ghz_state_equals_ladder_on_full_register(self, P, n):
-        # the ancilla register's ladder, then two columns of v per branch,
-        # last branch first, is the ladder run gate by gate on all
-        # P (n + 1) qubits followed by the whole of v on every branch
+        # the shared contraction of the two columns that |0..0> reaches, for
+        # a Haar-random branch unitary with no shifter structure, is the
+        # ladder run gate by gate on all P (n + 1) qubits followed by the
+        # whole of v on every branch
         rng = np.random.default_rng(10 * P + n)
         dim = 2 ** (n + 1)
-        v = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        v /= np.sqrt(2 * dim)       # columns of about unit norm, not unitary
-        nq = P * (n + 1)
-        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-        state = np.zeros(2 ** nq, dtype=complex)
-        state[0] = 1.0
-        state = einsum_block(state, hadamard, 0)
-        for layer in range(ghz_depth(P)):
-            stride = 2 ** layer
-            for i in range(min(stride, P - stride)):
-                state = literal_cnot(state, i * (n + 1), (i + stride) * (n + 1), nq)
-        for p in range(P):
-            state = einsum_block(state, v, p * (n + 1))
-        assert np.max(np.abs(_final_state(v, P, n) - state)) <= 1e-13
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(g)
+        v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        got = statevector_parity_probabilities({n: ([0], v[None])}, P)[0]
+        ref = [literal_branch_probability(v, P, n, setting) for setting in MeasurementSetting]
+        assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 class TestGhzDepth:

@@ -258,12 +258,13 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             run(make_instance(0.5), sched, seed=1, backend="imaginary")
 
-    def test_capacity_error_propagates(self):
+    def test_capacity_error_propagates(self, refused_allocation):
         from pae.circuit import CapacityError
         sched = build_schedule(strategy="full_parallel", k_max=5,
                                l_table=PARALLEL_L_TABLE_PLUS[:5])
         with pytest.raises(CapacityError):
-            run(make_instance(0.5, n=3), sched, seed=1, backend="statevector")
+            run(make_instance(0.5, n=10), sched, seed=1, backend="statevector")
+        assert refused_allocation == []
 
     def test_analytic_backend_estimates(self):
         sched = build_schedule(strategy="full_parallel", k_max=5,
@@ -395,16 +396,34 @@ class TestTwoPhases:
                 assert row.tolist() == [circuit.statevector_even_parity_probability(
                     pc, setting) for setting in MeasurementSetting]
 
-    def test_statevector_guard_precedes_any_work(self, monkeypatch):
-        # the 28-qubit third step raises before any oracle or state is built
-        calls = []
-        for name in ("build_explicit_oracle", "_ghz_state"):
-            monkeypatch.setattr(circuit, name, lambda *a, name=name, **k: calls.append(name))
-        sched = build_schedule(strategy="full_parallel", k_max=3)
+    def test_statevector_guard_precedes_any_work(self, refused_allocation):
+        # at n = 8 steps 1 to 6 fit; the seventh, L = 188, raises before
+        # any oracle or shifter is built
+        sched = build_schedule(strategy="full_sequential", k_max=7)
+        assert [st.l for st in sched][-2:] == [102, 188]
         with pytest.raises(circuit.CapacityError,
-                           match="^28 qubits exceed the statevector guard of 22$"):
-            step_probabilities(make_instance(0.3, 6), sched, "statevector")
-        assert calls == []
+                           match="^statevector blocks at n = 8, L = 188 need 1.47 GiB, "
+                                 "over the 1 GiB guard$"):
+            step_probabilities(make_instance(0.3, 8), sched, "statevector")
+        assert refused_allocation == []
+
+    def test_statevector_guard_counts_shifter_rotations(self, refused_allocation):
+        # one branch of n = 10 is 11 qubits, yet interleaved_shifter would
+        # lift 2 * 188 rotations of 2048^2 complex entries at T = 64
+        sched = build_schedule(strategy="full_sequential", k_max=7)
+        assert max(st.p for st in sched) == 1
+        with pytest.raises(circuit.CapacityError, match="at n = 10, L = 10 need"):
+            step_probabilities(make_instance(0.3, 10), sched, "statevector")
+        assert refused_allocation == []
+
+    def test_statevector_full_parallel_at_256_branches(self):
+        # 3 * 256 qubits, far past any full register
+        sched = build_schedule(strategy="full_parallel", k_max=9,
+                               l_table=PARALLEL_L_TABLE_PLUS)
+        insts = [make_instance(a, 2) for a in (0.1, 0.5, 0.9)]
+        pv = step_probabilities(insts, sched, "statevector")
+        pa = step_probabilities(insts, sched, "analytic")
+        assert np.max(np.abs(pv - pa)) <= 1e-10
 
     def test_statevector_mixed_register_sizes_equal_separate_calls(self):
         sched = build_schedule(strategy="general", k_max=4, parallelism=2)
