@@ -14,24 +14,22 @@ pipeline is:
 2. ``complete_target``: adjust ``p`` in one closed-form pass so that
    ``P(z) = sum_k p_k z^k`` is exactly achievable (``P(1) = 1`` and
    ``|P| <= 1`` on the circle), staying within ``8*delta`` of the target.
-   ``|P|^2`` is evaluated on the certification grid twice, to measure the
-   overshoot and to certify the result: by Horner's rule in place on its
-   Chebyshev points, and on its uniform points as the squared moduli of
-   one real FFT of the coefficients, folded mod the grid size.  Every grid
-   of synthesis is symmetric about ``pi`` and, for real ``p``,
-   ``P(e^{-i theta}) = conj P(e^{i theta})``, so ``|P|^2`` takes the same
-   value at ``theta`` and ``2 pi - theta``: each grid keeps only its angles
-   in ``[0, pi]``, the first 2048 of 4096 Chebyshev points and the 4097
-   uniform points ``0, pi/4096, .., pi``, and each value is computed once
-   per mirror pair.  Memory stays linear in the grid and independent of
-   ``L``; the constant grids are built on first use.
+   ``|P|^2`` is a real trigonometric polynomial of degree ``L``.  It is
+   evaluated twice, to measure the overshoot and to gate the result, on one
+   uniform grid sized by that degree (``_sized_grid``: the smallest power
+   of two with at least 64 points per degree), as the squared moduli of one
+   real FFT of the coefficients.  For real ``p``, ``P(e^{-i theta}) = conj
+   P(e^{i theta})``, so ``|P|^2`` takes the same value at ``theta`` and
+   ``2 pi - theta``, and the half spectrum, the angles ``0..pi``, carries
+   every value of the grid.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``P`` by layer peeling alone: complete ``P`` to a
    unitary with the complementary polynomial ``G``
    (``|P|^2 + |G|^2 = 1``, one FFT spectral factorisation, no root finding;
-   its arrays are real or Hermitian, so every transform is a real FFT, and
-   the pair is certified on the 513 points of 1024 uniform ones in
-   ``[0, pi]`` by the same real-FFT moduli) and strip one degree at a time.
+   its arrays are real or Hermitian, so every transform is a real FFT) and
+   strip one degree at a time.  The pair is gated on the sized grid of the
+   degree of ``|P|^2 + |G|^2 - 1`` by the same real-FFT moduli: its maximum
+   there, divided by ``cos(pi degree / n)``, bounds it on the whole circle.
    Only the first row
    ``(P, iG)`` of the Laurent tensor is kept, since the second is its
    reversed conjugate; each layer's angle comes in closed form from the
@@ -72,10 +70,8 @@ from .core_model import DomainError
 BIAS_DELTA_THRESHOLD = 3.813e-5
 
 _SOLVE_GRID = 1024
-_CERT_GRID = 4096
 _RESIDUAL_TOL = 1e-8
 _COMPLEMENT_TOL = 1e-11
-_COMPLEMENT_GRID = 1024
 
 
 class SynthesisError(RuntimeError):
@@ -152,20 +148,6 @@ def _half_chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(thetas), _frozen(np.exp(1j * thetas))
 
 
-@functools.cache
-def _cert_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The completion's certification angles in ``[0, pi]``, built on first
-    use: the half ``_CERT_GRID`` Chebyshev grid, then the ``_CERT_GRID +
-    1`` uniform points from 0 to pi; with ``e^{i theta}`` on the Chebyshev
-    part, the only part evaluated by Horner's rule.  The uniform points of
-    the full ``2 * _CERT_GRID`` grid pair up like the Chebyshev ones, and a
-    real ``p`` gives ``|P|^2`` the same value at both points of a pair, so
-    the half grid carries every value of the full one."""
-    cheb, z = _half_chebyshev(_CERT_GRID)
-    thetas = np.concatenate([cheb, np.linspace(0.0, np.pi, _CERT_GRID + 1)])
-    return _frozen(thetas), z
-
-
 def _log_truncation_bound(T: float, h: float) -> float:
     """``log(4 |T|^h / (2^h Gamma(h + 1)))``: the truncation bound at
     ``h = L/2 + 1``, for real ``h``."""
@@ -236,15 +218,6 @@ def _fejer_kernel_even(d: int) -> np.ndarray:
     return g
 
 
-def _cert_modulus2(p: np.ndarray) -> np.ndarray:
-    """``|P|^2`` on the certification grid, in the order of its angles:
-    Horner's rule on the Chebyshev points, one real FFT on the uniform ones
-    (its ``_CERT_GRID + 1`` bins are the angles ``0..pi``)."""
-    z = _cert_grid()[1]
-    return np.concatenate([np.abs(_laurent_values(p, z)) ** 2,
-                           _uniform_modulus2(p, 2 * _CERT_GRID)])
-
-
 def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and ``i``-sine coefficients of harmonics ``0..d`` of ``p``:
     ``p_l + p_-l`` (``p_0`` counted once) and ``p_l - p_-l``."""
@@ -259,8 +232,9 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
 
     Returns ``p`` on powers ``-L/2..L/2`` whose ``P(e^{i theta})``
     approximates ``exp(-i T sin(theta))``, with ``P(1) = 1`` and
-    ``|P| <= 1`` on the certification grid, in one pass: a global rescale
-    by the measured overshoot plus a margin, then an even-harmonic kernel
+    ``|P|^2 <= 1 + 1e-12`` on the uniform grid that ``_sized_grid`` sizes
+    for its degree ``L``, in one pass: a global rescale by the overshoot
+    measured on that grid plus a margin, then an even-harmonic kernel
     shift restoring ``P(1) = 1`` without lifting the off-zero maxima.  If
     the truncation tail leaves ``|P|^2`` with positive curvature ``curv`` at
     ``theta = 0``, ``mu`` moved from ``z^0`` to ``z^{+-l2}`` lowers it by
@@ -273,7 +247,8 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
     d = target.L // 2
     l2 = 2 * (d // 2)
     p = target.coeffs
-    m = max(0.0, float(np.max(_cert_modulus2(p))) - 1.0)
+    n = _sized_grid(target.L)[0]
+    m = max(0.0, float(np.max(_uniform_modulus2(p, n))) - 1.0)
     kernel = _fejer_kernel_even(d)
     # a small interior margin keeps |P|^2 strictly below 1 away from the
     # pinned points, so the later spectral factorization never meets
@@ -297,16 +272,13 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
         curv = -np.sum(cos_part * ls ** 2) + np.sum(sin_part * ls) ** 2
         if curv > 0.0:
             p2 = shifted(1.5 * curv / l2 ** 2)
-    # the Chebyshev grid is sparsest near theta = pi, where the pair is
-    # pinned at 1; the uniform points, pi itself included, catch
-    # between-node overshoots there
-    gg = _cert_modulus2(p2)
+    gg = _uniform_modulus2(p2, n)
     ip = int(np.argmax(gg))
     over = float(gg[ip]) - 1.0
     if not over <= 1e-12:                 # a NaN must fail too
         raise SynthesisError(
             f"completion failed for T={target.T}, L={target.L}: |P|^2 exceeds 1 "
-            f"by {over:.3g} at theta={float(_cert_grid()[0][ip]):.6f}")
+            f"by {over:.3g} at theta={2.0 * np.pi * ip / n:.6f}")
     return p2
 
 
@@ -390,6 +362,18 @@ def _uniform_modulus2(p: np.ndarray, n: int) -> np.ndarray:
     return half.real ** 2 + half.imag ** 2
 
 
+def _sized_grid(degree: int) -> tuple[int, float]:
+    """The uniform certificate grid of a real trigonometric polynomial of
+    degree ``D``: its size ``n``, the smallest power of two with at least 64
+    points per degree, and the factor ``cos(pi D / n)``.  By van der Corput
+    and Schaake (1935), ``T'^2 + D^2 T^2 <= D^2 max|T|^2``, so ``|T|`` falls
+    from its maximum by at most that factor within ``pi / n``, the farthest
+    any angle lies from the grid: the maximum of ``|T|`` on the ``n`` points,
+    divided by the factor, bounds it on the whole circle."""
+    n = 1 << (64 * degree - 1).bit_length()
+    return n, math.cos(math.pi * degree / n)
+
+
 def _deflate_pinned(r: np.ndarray) -> np.ndarray:
     """``r`` (ascending powers) divided by ``(z - 1)^2 (z + 1)^2``, by
     synthetic division from the top: at the root ``+1`` the quotient is a
@@ -413,7 +397,10 @@ def _fejer_complement(p: np.ndarray) -> np.ndarray:
     ``log R~`` gives the outer factor ``F`` with ``|F|^2 = R~``; ``G`` is
     ``(1 - z^2) F`` reversed, so its zeros lie inside the disk.  Raises
     :class:`SynthesisError` rather than return a factor that misses
-    ``|P|^2 + |G|^2 = 1`` by more than ``_COMPLEMENT_TOL``.
+    ``|P|^2 + |G|^2 = 1`` by more than ``_COMPLEMENT_TOL`` anywhere on the
+    circle: the miss is a real trigonometric polynomial of degree ``2d``,
+    so its maximum on the grid ``_sized_grid(2d)``, divided by the grid's
+    factor, bounds it everywhere.
     """
     d = (len(p) - 1) // 2
     r = -np.convolve(p, p[::-1])
@@ -437,12 +424,19 @@ def _fejer_complement(p: np.ndarray) -> np.ndarray:
     cepstrum[n // 2:] = 0.0
     f = np.fft.irfft(np.exp(np.fft.rfft(cepstrum)), n)[: m + 1]
     g = np.convolve(f, [1.0, 0.0, -1.0])[::-1]
-    err = float(np.max(np.abs(_uniform_modulus2(p, _COMPLEMENT_GRID)
-                              + _uniform_modulus2(g, _COMPLEMENT_GRID) - 1.0)))
+    n_cert, factor = _sized_grid(2 * d)
+    err = _complement_gap(p, g, n_cert) / factor
     if not err <= _COMPLEMENT_TOL:        # a NaN must fail too
         raise SynthesisError(
-            f"complement of degree {d} misses |P|^2 + |G|^2 = 1 by {err:.3g}")
+            f"complement of degree {d} misses |P|^2 + |G|^2 = 1 by {err:.3g}: the "
+            f"maximum on {n_cert} uniform points over the factor {factor:.6f}")
     return g
+
+
+def _complement_gap(p: np.ndarray, g: np.ndarray, n: int) -> float:
+    """``max |P P* + G G* - 1|`` on the ``n``-point uniform grid, from its
+    angles ``0..pi``: both moduli are even in ``theta`` for real ``p, g``."""
+    return float(np.max(np.abs(_uniform_modulus2(p, n) + _uniform_modulus2(g, n) - 1.0)))
 
 
 def _solve_layer_peel(p: np.ndarray, L: int) -> np.ndarray:

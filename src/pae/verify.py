@@ -43,24 +43,27 @@ def check_shifter_error() -> tuple[str, bool, str]:
         f"measured {worst:.3e} vs budget {spec.eps_oc:.3e}"
 
 
-def check_certificate_mirror() -> tuple[str, bool, str]:
-    # synthesis certifies on the grid angles in [0, pi] only; the values it
-    # skips mirror those it keeps, so the full grids must give the same
-    # overshoot maximum and residual
+def check_certificate_grid() -> tuple[str, bool, str]:
+    # the complement's maximum on its sized grid, over the factor, bounds
+    # the maximum on a 16x denser grid, up to the few ulps of 1 to which
+    # both grids round |P|^2 + |G|^2: here the gap itself is at rounding
+    # level.  The residual, checked on the Chebyshev angles in (0, pi)
+    # only, equals the one on all of them
     T, L = 8.0, 34
     p = qsp.complete_target(qsp.truncate_target(T, L))
     angles = qsp.solve_angles(p, L)
-    n = qsp._CERT_GRID
-    cert = np.concatenate([qsp.chebyshev_grid(n), np.arange(2 * n) * (np.pi / n)])
-    over = abs(float(np.max(qsp._cert_modulus2(p)))
-               - float(np.max(np.abs(qsp._laurent_values(p, np.exp(1j * cert))) ** 2)))
+    g = qsp._fejer_complement(p)
+    n, factor = qsp._sized_grid(L)
+    bound = qsp._complement_gap(p, g, n) / factor + 1e-15
+    dense = qsp._complement_gap(p, g, 16 * n)
     thetas = qsp.chebyshev_grid(qsp._SOLVE_GRID)
     z = np.exp(1j * thetas)
     target = qsp._laurent_values(p, z) * z ** (-(L // 2))
     full = float(np.max(np.abs(qsp.rotation_product(angles.xi, thetas)[:, 0, 0] - target)))
     res = abs(angles.residual - full)
-    return "certificate-mirror", over <= 1e-13 and res <= 1e-13, \
-        f"overshoot max differs by {over:.2e}, residual by {res:.2e}"
+    return "certificate-grid", dense <= bound and res <= 1e-13, \
+        f"complement {dense:.2e} on {16 * n} points against bound {bound:.2e}, " \
+        f"residual half/full differ by {res:.2e}"
 
 
 def check_parity_identity() -> tuple[str, bool, str]:
@@ -131,7 +134,7 @@ def check_angle_roundtrip() -> tuple[str, bool, str]:
 ALL_CHECKS = (
     check_grover_plane,
     check_shifter_error,
-    check_certificate_mirror,
+    check_certificate_grid,
     check_parity_identity,
     check_backend_equivalence,
     check_rpe_exactness,

@@ -198,13 +198,17 @@ def test_verify_fails_on_certificate_at_full_length(capsys, monkeypatch):
 
 def test_verify_fails_on_product_without_mirror_symmetry(capsys, monkeypatch):
     # a stray phase e^{1e-9 i theta} is not conjugate-symmetric about pi: the
-    # residual on the half grid no longer equals the one on the full grid
+    # residual on the half grid no longer equals the one on the full grid,
+    # while the complement part, which never calls the product, still holds
     exact = qsp.rotation_product
     monkeypatch.setattr(qsp, "rotation_product", lambda xi, thetas: exact(xi, thetas)
                         * np.exp(1e-9j * np.asarray(thetas))[:, None, None])
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL  certificate-mirror: overshoot max differs by 0.00e+00, residual by 3.15e-09" in out
+    line = next(line for line in out.splitlines() if "certificate-grid" in line)
+    assert line.startswith("FAIL  certificate-grid: complement ")
+    assert line.endswith(", residual half/full differ by 3.15e-09")
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
     assert "PASS  shifter-certified-error" in out
 
 

@@ -17,10 +17,10 @@ from pae import (DomainError, SynthesisError, build_branch_unitary,
                  synthesize_shifter, truncate_target, truncation_error_bound)
 from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae import qsp
-from pae.qsp import (_cert_grid, _cert_modulus2, _deflate_pinned, _fejer_complement,
-                     _fejer_kernel_even, _fold, _laurent_values, _solve_layer_peel,
-                     _uniform_modulus2, chebyshev_grid, controlled_grover, interleaved_shifter,
-                     rotation_product)
+from pae.qsp import (_complement_gap, _deflate_pinned, _fejer_complement,
+                     _fejer_kernel_even, _fold, _laurent_values, _sized_grid,
+                     _solve_layer_peel, _uniform_modulus2, chebyshev_grid, controlled_grover,
+                     interleaved_shifter, rotation_product)
 
 
 def bessel_j_series(order, x, terms=40):
@@ -138,11 +138,12 @@ def iterative_completion(target):
     passes it took."""
     if target.delta >= 1.0:
         raise SynthesisError(f"truncation bound {target.delta:.3g} >= 1; increase L")
-    thetas = _cert_grid()[0]
+    n = _sized_grid(target.L)[0]
+    thetas = 2.0 * np.pi * np.arange(n // 2 + 1) / n
     d = target.L // 2
     ls = np.arange(d + 1)
     p = target.coeffs
-    m = max(0.0, float(np.max(_cert_modulus2(p))) - 1.0)
+    m = max(0.0, float(np.max(_uniform_modulus2(p, n))) - 1.0)
     kernel = _fejer_kernel_even(d)
     l2 = 2 * (d // 2)
     extra = min(4.0 * target.delta, max(0.5 * target.delta, 1e-7))
@@ -160,7 +161,7 @@ def iterative_completion(target):
             if curv > 0.0:
                 mu += 1.5 * curv / l2 ** 2
                 continue
-        gg = _cert_modulus2(p2)
+        gg = _uniform_modulus2(p2, n)
         ip = int(np.argmax(gg))
         over = float(gg[ip]) - 1.0
         if over <= 1e-12:
@@ -170,6 +171,20 @@ def iterative_completion(target):
         else:
             extra += max(over, 1e-12)
     raise SynthesisError(f"completion failed for T={target.T}, L={target.L}")
+
+
+def long_double_modulus2(p, n):
+    """``|P|^2`` at the uniform angles ``2 pi j / n`` in ``[0, pi]``: the
+    cosine and sine series summed in long double, each harmonic's angle
+    taken by its exact integer exponent mod ``n``."""
+    a, c = (v.astype(np.longdouble) for v in cos_sin(p))
+    angle = 8 * np.arctan(np.longdouble(1)) * np.arange(n, dtype=np.longdouble) / n
+    cos_t, sin_t = np.cos(angle), np.sin(angle)
+    out = []
+    for j in range(0, n // 2 + 1, 512):
+        k = np.outer(np.arange(j, min(j + 512, n // 2 + 1)), np.arange(len(a))) % n
+        out.append((cos_t[k] @ a) ** 2 + (sin_t[k] @ c) ** 2)
+    return np.concatenate(out)
 
 
 class TestCompleteTarget:
@@ -183,6 +198,21 @@ class TestCompleteTarget:
         ref, ref_passes = iterative_completion(target)
         assert ref_passes == passes
         assert np.array_equal(complete_target(target), ref)
+
+    def test_overshoot_matches_long_double_sum(self):
+        # Horner's rule on the rounded e^{i theta} drifts as |fl(z)|^L: on
+        # this cut target it read an overshoot of 6.67e-13, where the exact
+        # sum gives 1.2e-14.  The rescale divides the odd harmonics by
+        # 1 + m + extra and nothing else touches them, so harmonic 1 gives
+        # back the m that complete_target measured.  The reference is the
+        # long-double sum on the 8192 uniform angles in [0, pi]
+        T, L = 2048.0, 5586
+        target = truncate_target(T, L)
+        d = L // 2
+        extra = min(4.0 * target.delta, max(0.5 * target.delta, 1e-7))
+        m = target.coeffs[d + 1] / complete_target(target)[d + 1] - 1.0 - extra
+        ref = max(0.0, float(np.max(long_double_modulus2(target.coeffs, 8192))) - 1.0)
+        assert abs(m - ref) <= 1e-14
 
     def test_fails_where_iterative_reference_fails(self):
         target = truncate_target(0.5, 2)
@@ -208,8 +238,8 @@ class TestCompleteTarget:
 
     @pytest.mark.parametrize("T,L", [(1, 10), (4, 22), (1, 20)])
     def test_feasibility(self, T, L):
-        # on both parts of the certification grid: the Chebyshev points and
-        # the uniform ones that the completion evaluates by FFT
+        # on two outside grids, 4096 Chebyshev and 8192 uniform points,
+        # neither of them the grid the completion gates on
         p = complete_target(truncate_target(T, L))
         assert np.sum(cos_sin(p)[0]) == pytest.approx(1.0, abs=1e-14)     # A(0) = 1
         for thetas in (chebyshev_grid(4096),
@@ -308,26 +338,63 @@ class TestMirrorGrids:
     @pytest.mark.parametrize("T,L,res_tol", [
         (48.0, 146, 1e-13), (512.0, 1408, 1e-12), (2048.0, 5586, 1e-12)])
     def test_half_grids_match_full_grids(self, T, L, res_tol):
-        # the overshoot maximum and the residual on the angles in [0, pi]
-        # against both full grids: 4096 Chebyshev and 8192 uniform points
-        # for the completion, 1024 Chebyshev points for the residual.  The
+        # bins 0..n/2 of the sized uniform grid against all n points of the
+        # circle, by a complex FFT: the overshoot maximum of the cut and of
+        # the completed target, and the complement's gap; then the residual
+        # on the half of the 1024 Chebyshev points against all of them.  The
         # residual is the product's rounding, about L eps, and mirror twins
         # round apart: their floats mirror within 2e-15, which the slope
         # of about T magnifies, and the L factors round separately at
         # each.  So from T = 512 the maxima agree to 1e-12 (measured 1.2e-13
         # and 4.8e-13), four orders below the 1e-8 gate
-        cert = np.concatenate([chebyshev_grid(4096), 2.0 * np.pi * np.arange(8192) / 8192])
+        n = _sized_grid(L)[0]
         target = truncate_target(T, L)
         p = complete_target(target)
         for q in (target.coeffs, p):
-            full = np.abs(_laurent_values(q, np.exp(1j * cert))) ** 2
-            assert abs(np.max(_cert_modulus2(q)) - np.max(full)) <= 1e-13
+            full = np.abs(np.fft.fft(q, n)) ** 2
+            assert abs(np.max(_uniform_modulus2(q, n)) - np.max(full)) <= 1e-13
+        g = _fejer_complement(p)
+        full = np.abs(np.fft.fft(p, n)) ** 2 + np.abs(np.fft.fft(g, n)) ** 2 - 1.0
+        assert abs(_complement_gap(p, g, n) - np.max(np.abs(full))) <= 1e-14
         seq = solve_angles(p, L)
         thetas = chebyshev_grid(1024)
         z = np.exp(1j * thetas)
         u00 = rotation_product(seq.xi, thetas)[:, 0, 0]
         full = np.max(np.abs(u00 - _laurent_values(p, z) * z ** (-(L // 2))))
         assert abs(seq.residual - full) <= res_tol
+
+
+def trig_values(c, n):
+    """``c_0 + 2 Re sum_k c_k e^{i k theta}`` at the ``n`` angles ``2 pi j / n``."""
+    return np.fft.irfft(c, n) * n
+
+
+class TestSizedGrid:
+    @pytest.mark.parametrize("degree,n", [(1, 64), (2, 128), (10, 1024), (16, 1024),
+                                          (17, 2048), (5586, 524288)])
+    def test_size_rule(self, degree, n):
+        # the smallest power of two with at least 64 points per degree
+        assert _sized_grid(degree) == (n, math.cos(math.pi * degree / n))
+
+    def test_grid_maximum_bounds_dense_maximum(self):
+        # van der Corput & Schaake on seeded random real trigonometric
+        # polynomials of degree 8..4096.  A lone top harmonic of degree 2^k
+        # peaking halfway between two grid points loses the whole factor,
+        # so there the bound holds with equality
+        rng = np.random.default_rng(1935)
+        degrees = [8, 4096] + np.exp(rng.uniform(np.log(8), np.log(4096), 8)).astype(int).tolist()
+        for degree in degrees:
+            n, factor = _sized_grid(degree)
+            c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+            polys = [c / (2.0 * np.sum(np.abs(c)))]
+            if degree & (degree - 1) == 0:
+                top = np.zeros(degree + 1, dtype=complex)
+                top[degree] = 0.5 * np.exp(-1j * np.pi * degree / n)
+                polys.append(top)
+            for coeffs in polys:
+                coarse = np.max(np.abs(trig_values(coeffs, n)))
+                dense = np.max(np.abs(trig_values(coeffs, 16 * n)))
+                assert dense <= coarse / factor + 1e-15
 
 
 def complex_fft_complement(p):
@@ -400,7 +467,7 @@ class TestComplement:
     def test_rejects_modulus_above_one(self):
         # A(0) = 1 pins the double zeros at z = +-1, but |P|^2 = 1.28 at pi/2
         p = np.array([0.05, -0.4, 0.9, 0.4, 0.05])      # A = (0.9, 0, 0.1), C = (0, 0.8, 0)
-        with pytest.raises(SynthesisError):
+        with pytest.raises(SynthesisError, match=r"on 256 uniform points over the factor 0\.998795"):
             _fejer_complement(p)
 
     def test_rejects_unpinned_target(self):
@@ -681,7 +748,7 @@ class TestSynthesisAtEveryStrength:
         digest = hashlib.sha256()
         for T in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48):
             digest.update(synthesize_shifter(float(T), select_L_empirical(T)).angles.xi.tobytes())
-        assert digest.hexdigest()[:16] == "f2a6092b752a099c"
+        assert digest.hexdigest()[:16] == "ed8c4c80c6bb8c6d"
 
     @pytest.mark.parametrize("T", [2.0 ** j for j in range(12)])
     def test_certified_or_loud(self, T):
