@@ -39,12 +39,12 @@ pipeline is:
    live target, whose core then has length 4) and pads with cancelling
    pairs up to ``L``, the only place that pads; a target that is the
    identity up to rounding is all cancelling pairs.  The residual check
-   covers the returned sequence, pads included, and evaluates the realized
-   product (``rotation_product``) in closed form: every factor lies in
-   SU(2), so only the first row is tracked, elementwise over the grid.  It
-   runs on the half of the 1024 Chebyshev points in ``(0, pi)``: for even
-   ``L`` the realized and the target entry are both conjugate-symmetric
-   about ``pi``, and so is their difference's modulus.
+   covers the returned sequence, pads included, and needs no grid: a
+   product tree (``_product_row``) multiplies the factors out in
+   coefficient space, each level one batched real FFT product, and the
+   residual is the l1 distance of the product's coefficients from ``p``,
+   which bounds the sup distance on the whole circle, plus a rounding term
+   derived from the FFT error bound (``_product_rounding``).
 4. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
    ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
    backend evaluates.  ``interleaved_shifter``, independent of it so that
@@ -56,7 +56,6 @@ pipeline is:
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -69,7 +68,6 @@ from .core_model import DomainError
 # bias of a single (P=1, S=1) shifter at or below 0.05.
 BIAS_DELTA_THRESHOLD = 3.813e-5
 
-_SOLVE_GRID = 1024
 _RESIDUAL_TOL = 1e-8
 _COMPLEMENT_TOL = 1e-11
 
@@ -96,7 +94,12 @@ class TruncatedTarget:
 
 @dataclass(frozen=True)
 class AngleSequence:
-    """Rotation angles realizing a completed Laurent target."""
+    """Rotation angles realizing a completed Laurent target.
+
+    ``residual`` bounds ``|u00(theta) - P(e^{i theta}) e^{-i d theta}|`` on
+    the whole circle for the exact product of the angles: the l1 distance of
+    the product's coefficients from the target's, plus a rounding term.
+    """
 
     xi: np.ndarray
     residual: float = 0.0
@@ -126,26 +129,6 @@ def chebyshev_grid(n: int) -> np.ndarray:
     """``n`` Chebyshev-distributed angles in ``(0, 2*pi)``."""
     j = np.arange(n)
     return np.pi * (1.0 - np.cos(np.pi * (2 * j + 1) / (2 * n)))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-@functools.cache
-def _half_chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first half of the ``n`` Chebyshev angles, those in ``(0, pi)``,
-    and their ``e^{i theta}``: for even ``n`` the points pair up as
-    ``theta_(n-1-j) = 2 pi - theta_j``.
-
-    Every factor of the shifter product satisfies ``F(-theta) = Z
-    conj(F(theta)) Z`` and ``F(theta + 2 pi) = -F(theta)``, so for even
-    ``L`` its corner entry obeys ``u00(2 pi - theta) = conj(u00(theta))``,
-    as does the target ``P(z) z^-d`` of a real ``p``: the solve residual at
-    ``2 pi - theta_j`` equals the one at ``theta_j``."""
-    thetas = chebyshev_grid(n)[:n // 2]
-    return _frozen(thetas), _frozen(np.exp(1j * thetas))
 
 
 def _log_truncation_bound(T: float, h: float) -> float:
@@ -277,8 +260,8 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
     over = float(gg[ip]) - 1.0
     if not over <= 1e-12:                 # a NaN must fail too
         raise SynthesisError(
-            f"completion failed for T={target.T}, L={target.L}: |P|^2 exceeds 1 "
-            f"by {over:.3g} at theta={2.0 * np.pi * ip / n:.6f}")
+            f"completion failed because |P|^2 exceeds 1 by {over:.3g} "
+            f"at theta={2.0 * np.pi * ip / n:.6f}")
     return p2
 
 
@@ -336,17 +319,6 @@ def realized_functions(xi: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 # Layer peeling: complement the target to a full SU(2)-valued trig polynomial
 # and strip one rotation layer at a time.
-
-def _laurent_values(p: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``sum_k p_k z^k`` by Horner's rule, updated in place: one array of the
-    grid's size is alive, where a power or trig table would be ``len(p)``
-    times larger."""
-    y = np.full(z.shape, p[-1], dtype=complex)
-    for coeff in p[-2::-1]:
-        y *= z
-        y += coeff
-    return y
-
 
 def _uniform_modulus2(p: np.ndarray, n: int) -> np.ndarray:
     """``|P(e^{2 pi i j / n})|^2``, ``j = 0..n/2`` (``n`` even), the angles
@@ -489,13 +461,115 @@ def _solve_layer_peel(p: np.ndarray, L: int) -> np.ndarray:
     return xi
 
 
+# ---------------------------------------------------------------------------
+# The realized product in coefficient space: a product tree over the factors,
+# and the bound on its rounding that makes the residual a certificate.
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _tree_levels(length: int):
+    """The levels of the product tree over ``length`` factors (even):
+    ``(count, width, n)`` with the node count after padding to even, the
+    width of each node's coefficient vectors and the real-FFT size that
+    multiplies two of them, the smallest power of two with room for the
+    ``2 width - 1`` coefficients of the product."""
+    count, width = length, 2
+    while count > 1:
+        count += count % 2
+        yield count, width, 1 << (2 * width - 2).bit_length()
+        count, width = count // 2, 2 * width - 1
+
+
+def _product_row(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the first row ``(x, i eta)`` of the interleaved
+    product, both real, on powers ``-m..m`` in steps of 2 of ``w = e^{i
+    theta / 2}``, so on powers ``-m/2..m/2`` of ``z`` like a target ``p``.
+    ``m`` is the smallest power of two at or above ``L``; the powers beyond
+    ``L`` come from the identity pads and are zero up to rounding.
+
+    Factor ``j``'s first row is ``x = ((1 + c)/2, (1 - c)/2)`` and ``eta =
+    (s/2, -s/2)`` on ``(w^-1, w)``, ``(c, s) = (cos, sin)(xi_j)``.  Every
+    node lies in SU(2), so its second row is ``(i rev(eta), rev(x))``, with
+    ``rev`` the reversal of the powers, and two nodes multiply as ``x = x1 *
+    x2 - eta1 * rev(eta2)``, ``eta = x1 * eta2 + eta1 * rev(x2)``.  Each level
+    pairs its nodes, an odd count padded by the exact identity node, and
+    multiplies all pairs in one real FFT of the six input rows and one
+    inverse of the two output rows: ``O(L log^2 L)`` in all.
+    """
+    c, s = np.cos(xi), np.sin(xi)
+    nodes = np.empty((len(xi), 2, 2))
+    nodes[:, 0, 0] = 0.5 * (1.0 + c)
+    nodes[:, 0, 1] = 0.5 * (1.0 - c)
+    nodes[:, 1, 0] = 0.5 * s
+    nodes[:, 1, 1] = -0.5 * s
+    for count, width, n in _tree_levels(len(xi)):
+        if len(nodes) < count:
+            identity = np.zeros((1, 2, width))
+            identity[0, 0, width // 2] = 1.0
+            nodes = np.concatenate([nodes, identity])
+        left, right = nodes[0::2], nodes[1::2]
+        x1, eta1, x2, eta2, rev_x2, rev_eta2 = np.fft.rfft(
+            np.concatenate([left, right, right[:, :, ::-1]], axis=1), n).transpose(1, 0, 2)
+        nodes = np.fft.irfft(np.stack([x1 * x2 - eta1 * rev_eta2,
+                                       x1 * eta2 + eta1 * rev_x2], axis=1), n)[:, :, :2 * width - 1]
+    return nodes[0, 0], nodes[0, 1]
+
+
+def _fft_error(n: int) -> float:
+    """Relative l2 error bound of an ``n``-point FFT, ``n = 2^t`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Thm 24.2): ``t eta /
+    (1 - t eta)`` with ``eta = mu + gamma_4 (sqrt(2) + mu)``, for twiddle
+    factors correct to ``mu = u``.  pocketfft's radix-4 passes and
+    real-input transforms are taken to meet the radix-2 bound."""
+    u = _UNIT_ROUNDOFF
+    eta = u + 4.0 * u / (1.0 - 4.0 * u) * (math.sqrt(2.0) + u)
+    t = math.log2(n)
+    return t * eta / (1.0 - t * eta)
+
+
+def _product_rounding(length: int) -> float:
+    """Bound on ``sup |x_computed - x_exact|`` over the circle for the
+    product tree of ``length`` factors, to first order in ``u``.
+
+    Each node is a 2x2 matrix function of the SU(2) form ``[[a, b], [-b*,
+    a*]]``, whose 2-norm is ``sqrt(|a|^2 + |b|^2)``; a node's rounding enters
+    the root multiplied by unitary siblings, unamplified, so the root's
+    error is at most the sum over the nodes of each one's sup error, and
+    grows about as ``u L``.
+    - A leaf: ``cos`` and ``sin`` within 4 ulps, then one rounded sum and
+      exact halvings, leave its coefficients within ``3u, 3u, 2u, 2u``:
+      ``sqrt(26) u`` in l2, and ``sqrt(2)`` times that in sup.
+    - A product of two nodes at FFT size ``n``: the six forward transforms
+      err by ``phi = _fft_error(n)`` relative to ``sqrt(n)`` times the rows'
+      l2 norms, which Parseval fixes at 1 per node, and at each frequency the
+      unitary children carry the error unamplified: ``(1 + sqrt(2)) phi``
+      in all once scaled back.  Each output row's two complex products and
+      their sum err by ``sqrt(2) gamma_2 + u (1 + sqrt(2) gamma_2)``
+      relative to the sum of the products' moduli, at most 1 by
+      Cauchy-Schwarz, and the inverse transform by ``phi``.  The l2 error
+      of the ``2 width - 1`` output coefficients, times ``sqrt(2 width -
+      1)``, bounds it in sup.
+    """
+    u = _UNIT_ROUNDOFF
+    gamma2 = 2.0 * u / (1.0 - 2.0 * u)
+    products = math.sqrt(2.0) * (math.sqrt(2.0) * gamma2 + u * (1.0 + math.sqrt(2.0) * gamma2))
+    total = length * math.sqrt(2.0 * 26.0) * u
+    for count, width, n in _tree_levels(length):
+        node = (2.0 + math.sqrt(2.0)) * _fft_error(n) + products
+        total += count // 2 * math.sqrt(2 * width - 1) * node
+    return total
+
+
 def solve_angles(p: np.ndarray, L: int) -> AngleSequence:
     """Solve for the ``L`` angles realizing a completed Laurent target ``p``
     (odd length, degree ``(len(p) - 1) / 2 <= L / 2``) by layer peeling.
 
+    The residual bounds the realized product's miss on the whole circle:
+    the l1 distance of its coefficients (``_product_row``) from ``p``,
+    padding included, plus the tree's rounding (``_product_rounding``).
     Raises :class:`DomainError` for any other ``p`` or ``L``, and
-    :class:`SynthesisError` when the realized sequence, padding included,
-    misses the target by more than ``1e-8`` on the solving grid.
+    :class:`SynthesisError` when that bound exceeds ``1e-8``.
     """
     _check_length(L)
     p = np.asarray(p, float)
@@ -503,12 +577,16 @@ def solve_angles(p: np.ndarray, L: int) -> AngleSequence:
         raise DomainError(f"a length-{L} sequence cannot realize a target of "
                           f"{p.size} Laurent coefficients")
     xi = _solve_layer_peel(p, L)
-    thetas, z = _half_chebyshev(_SOLVE_GRID)
-    target = _laurent_values(p, z) * z ** (-((len(p) - 1) // 2))
-    residual = float(np.max(np.abs(rotation_product(xi, thetas)[:, 0, 0] - target)))
-    if residual > _RESIDUAL_TOL:
+    miss = _product_row(xi)[0]
+    k = (len(miss) - len(p)) // 2
+    miss[k:k + len(p)] -= p
+    # (len + 2) u covers the rounding of the differences and of their sum
+    l1 = float(np.sum(np.abs(miss))) * (1.0 + (len(miss) + 2) * _UNIT_ROUNDOFF)
+    residual = l1 + _product_rounding(L)
+    if not residual <= _RESIDUAL_TOL:      # a NaN must fail too
         raise SynthesisError(
-            f"layer-peel solver did not converge for L={L}: residual {residual:.3g}")
+            f"layer-peel solver did not converge: residual {residual:.3g}, the l1 "
+            f"distance {l1:.3g} of the product's coefficients plus their rounding")
     return AngleSequence(xi=xi, residual=residual)
 
 
@@ -593,7 +671,9 @@ def synthesize_shifter(T: float, L: int | None = None,
                        eps_oc: float | None = None) -> PhaseShifterSpec:
     """End-to-end synthesis: pick ``L`` if absent, truncate, complete, solve.
 
-    Results are cached per ``(T, L)``; the returned value is shared.
+    Results are cached per ``(T, L)``; the returned value is shared.  A
+    :class:`SynthesisError` names the shifter: ``T``, ``L`` and the length it
+    is solved at.
     """
     _check_strength(T)
     if L is None:
@@ -601,8 +681,13 @@ def synthesize_shifter(T: float, L: int | None = None,
     key = (float(T), int(L))
     if key not in _shifter_cache:
         # the peel pads the cut target up to L.  A failed solve raises.
-        target = truncate_target(T, _solve_length(T, L))
-        angles = solve_angles(complete_target(target), L)
+        l_solve = _solve_length(T, L)
+        try:
+            target = truncate_target(T, l_solve)
+            angles = solve_angles(complete_target(target), L)
+        except SynthesisError as err:
+            raise SynthesisError(f"shifter T={key[0]}, L={key[1]} "
+                                 f"(solve length {l_solve}): {err}") from err
         _shifter_cache[key] = PhaseShifterSpec(
             T=float(T), L=int(L), angles=angles,
             eps_oc=state_error_bound(target.delta))

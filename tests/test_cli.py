@@ -197,9 +197,10 @@ def test_verify_fails_on_certificate_at_full_length(capsys, monkeypatch):
 
 
 def test_verify_fails_on_product_without_mirror_symmetry(capsys, monkeypatch):
-    # a stray phase e^{1e-9 i theta} is not conjugate-symmetric about pi: the
-    # residual on the half grid no longer equals the one on the full grid,
-    # while the complement part, which never calls the product, still holds
+    # a stray phase e^{1e-9 i theta}, not conjugate-symmetric about pi, moves
+    # the realized product off the coefficients that certify it: its miss on
+    # the dense grid, up to 2 pi 1e-9, leaves the residual bound, while the
+    # complement part, which never calls the product, still holds
     exact = qsp.rotation_product
     monkeypatch.setattr(qsp, "rotation_product", lambda xi, thetas: exact(xi, thetas)
                         * np.exp(1e-9j * np.asarray(thetas))[:, None, None])
@@ -207,7 +208,7 @@ def test_verify_fails_on_product_without_mirror_symmetry(capsys, monkeypatch):
     out = capsys.readouterr().out
     line = next(line for line in out.splitlines() if "certificate-grid" in line)
     assert line.startswith("FAIL  certificate-grid: complement ")
-    assert line.endswith(", residual half/full differ by 3.15e-09")
+    assert line.endswith(", residual 6.27e-09 on 544 points against bound 1.02e-12")
     assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
     assert "PASS  shifter-certified-error" in out
 

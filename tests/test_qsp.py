@@ -18,7 +18,7 @@ from pae import (DomainError, SynthesisError, build_branch_unitary,
 from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae import qsp
 from pae.qsp import (_complement_gap, _deflate_pinned, _fejer_complement,
-                     _fejer_kernel_even, _fold, _laurent_values, _sized_grid,
+                     _fejer_kernel_even, _fold, _product_rounding, _product_row, _sized_grid,
                      _solve_layer_peel, _uniform_modulus2, chebyshev_grid, controlled_grover,
                      interleaved_shifter, rotation_product)
 
@@ -30,6 +30,14 @@ def bessel_j_series(order, x, terms=40):
         total += ((-1) ** m * (x / 2.0) ** (2 * m + order)
                   / (math.factorial(m) * math.factorial(m + order)))
     return total
+
+
+def laurent_values(p, z):
+    """``sum_k p_k z^k`` by Horner's rule."""
+    y = np.full(z.shape, p[-1], dtype=complex)
+    for coeff in p[-2::-1]:
+        y = y * z + coeff
+    return y
 
 
 def cos_sin(p):
@@ -254,6 +262,8 @@ class TestCompleteTarget:
 
 
 class TestLaurentValues:
+    # laurent_values is the tests' Horner reference; synthesis evaluates no
+    # polynomial on a grid
     @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (256.0, 710)])
     def test_matches_trig_series(self, T, L):
         # on the dyadic grid theta_j = j/128 every l*theta_j is exact, so the
@@ -261,7 +271,7 @@ class TestLaurentValues:
         p = complete_target(truncate_target(T, L))
         thetas = np.arange(1024) / 128.0
         z = np.exp(1j * thetas)
-        got = _laurent_values(p, z) * z ** (-(L // 2))
+        got = laurent_values(p, z) * z ** (-(L // 2))
         A, C = eval_pair(p, thetas)
         assert np.max(np.abs(got - (A + 1j * C))) <= 1e-13
 
@@ -270,7 +280,7 @@ class TestLaurentValues:
         p = complete_target(truncate_target(256.0, 710))
         a, c = cos_sin(p)
         thetas = chebyshev_grid(60)
-        got = np.abs(_laurent_values(p, np.exp(1j * thetas))) ** 2
+        got = np.abs(laurent_values(p, np.exp(1j * thetas))) ** 2
         with mpmath.workdps(40):
             ref = []
             for theta in thetas:
@@ -281,8 +291,8 @@ class TestLaurentValues:
         assert np.max(np.abs(got - np.array(ref))) <= 1e-12
 
     def test_synthesis_memory_linear_in_grid(self):
-        # the evaluations hold grid-sized arrays only; a (grid, L/2 + 1)
-        # trig table at this length would take 133 MiB
+        # the peel and the product tree hold O(L) arrays per step and level;
+        # a (grid, L/2 + 1) trig table at this length would take 133 MiB
         tracemalloc.start()
         try:
             solve_angles(complete_target(truncate_target(512.0, 1408)), 1408)
@@ -311,7 +321,7 @@ class TestUniformValues:
         z = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
         got = _uniform_modulus2(p, n)
         assert got.shape == (n // 2 + 1,)
-        assert np.max(np.abs(got - np.abs(_laurent_values(p, z)) ** 2)) <= 1e-13
+        assert np.max(np.abs(got - np.abs(laurent_values(p, z)) ** 2)) <= 1e-13
 
     @pytest.mark.parametrize("T,L,n", [
         (1.0, 10, 1024), (1.0, 10, 8192), (48.0, 146, 1024), (48.0, 146, 8192),
@@ -327,6 +337,14 @@ class TestUniformValues:
         assert np.max(np.abs(got - ref)) <= 1e-13
 
 
+def uniform_values(q, n):
+    """``sum_k q_k z^(k - d)`` for ``q`` on powers ``-d..d``, at the ``n``
+    angles ``2 pi j / n``: one inverse FFT of the coefficients summed into
+    their residues mod ``n``."""
+    d = (len(q) - 1) // 2
+    return n * np.fft.ifft(np.bincount(np.arange(-d, d + 1) % n, weights=q, minlength=n))
+
+
 class TestMirrorGrids:
     @pytest.mark.parametrize("n", [2, 1024, 4096])
     def test_chebyshev_grid_mirror_pairs(self, n):
@@ -340,13 +358,13 @@ class TestMirrorGrids:
     def test_half_grids_match_full_grids(self, T, L, res_tol):
         # bins 0..n/2 of the sized uniform grid against all n points of the
         # circle, by a complex FFT: the overshoot maximum of the cut and of
-        # the completed target, and the complement's gap; then the residual
-        # on the half of the 1024 Chebyshev points against all of them.  The
-        # residual is the product's rounding, about L eps, and mirror twins
-        # round apart: their floats mirror within 2e-15, which the slope
-        # of about T magnifies, and the L factors round separately at
-        # each.  So from T = 512 the maxima agree to 1e-12 (measured 1.2e-13
-        # and 4.8e-13), four orders below the 1e-8 gate
+        # the completed target, and the complement's gap.  Then the residual,
+        # an l1 bound from the product's coefficients plus their rounding,
+        # must cover the realized product's miss on 16 uniform points per
+        # factor, and its l1 part may exceed that miss by res_tol at most.
+        # The miss includes rotation_product's own rounding, about L eps
+        # magnified by the slope of about T: 2.7e-12 at T = 2048, above the
+        # l1 part (6.7e-13) and far below the rounding term (1.7e-10)
         n = _sized_grid(L)[0]
         target = truncate_target(T, L)
         p = complete_target(target)
@@ -357,11 +375,11 @@ class TestMirrorGrids:
         full = np.abs(np.fft.fft(p, n)) ** 2 + np.abs(np.fft.fft(g, n)) ** 2 - 1.0
         assert abs(_complement_gap(p, g, n) - np.max(np.abs(full))) <= 1e-14
         seq = solve_angles(p, L)
-        thetas = chebyshev_grid(1024)
-        z = np.exp(1j * thetas)
-        u00 = rotation_product(seq.xi, thetas)[:, 0, 0]
-        full = np.max(np.abs(u00 - _laurent_values(p, z) * z ** (-(L // 2))))
-        assert abs(seq.residual - full) <= res_tol
+        m = 16 * L
+        u00 = rotation_product(seq.xi, 2.0 * np.pi * np.arange(m) / m)[:, 0, 0]
+        miss = np.max(np.abs(u00 - uniform_values(p, m)))
+        assert miss <= seq.residual
+        assert seq.residual - _product_rounding(L) - miss <= res_tol
 
 
 def trig_values(c, n):
@@ -524,6 +542,100 @@ class TestSolveAngles:
         A0, C0 = realized_functions(seq.xi, np.array([0.0]))
         assert A0[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(C0[0]) <= 1e-12
+
+
+def long_double_product_row(xi):
+    """The first row ``(x, eta)`` of the interleaved product multiplied out
+    one factor at a time in long double: the reference for the tree."""
+    c, s = np.cos(xi.astype(np.longdouble)), np.sin(xi.astype(np.longdouble))
+    x, eta = np.ones(1, dtype=np.longdouble), np.zeros(1, dtype=np.longdouble)
+    for cj, sj in zip(c, s):
+        x2, eta2 = np.array([1 + cj, 1 - cj]) / 2, np.array([sj, -sj]) / 2
+        x, eta = (np.convolve(x, x2) - np.convolve(eta, eta2[::-1]),
+                  np.convolve(x, eta2) + np.convolve(eta, x2[::-1]))
+    return x, eta
+
+
+def tree_deviation(xi):
+    """The l1 distance of the tree's rows, both of them, from the long-double
+    product, and the largest coefficient beyond powers ``+-L``."""
+    L = len(xi)
+    dev, outside = 0.0, 0.0
+    for got, want in zip(_product_row(xi), long_double_product_row(xi)):
+        k = (len(got) - L - 1) // 2
+        dev += float(np.sum(np.abs(got[k:k + L + 1] - want)))
+        outside = max(outside, float(np.max(np.abs(got[:k]), initial=0.0)),
+                      float(np.max(np.abs(got[k + L + 1:]), initial=0.0)))
+    return dev, outside
+
+
+class TestProductTree:
+    @pytest.mark.parametrize("L", [2, 4, 6, 10, 12, 146])
+    def test_matches_long_double_product(self, L):
+        # 6, 10, 12 and 146 factors leave an odd node count on some level,
+        # which the exact identity pads; random angles fill every entry
+        xi = np.random.default_rng(L).uniform(-np.pi, np.pi, L)
+        dev, outside = tree_deviation(xi)
+        assert dev <= 2.0 * L * np.finfo(float).eps
+        assert outside <= np.finfo(float).eps
+
+    @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (512.0, 1408), (2048.0, 5586)])
+    def test_rounding_term_covers_long_double_deviation(self, T, L):
+        # measured 1.1e-15, 1.6e-14, 1.6e-13 and 6.5e-13: about L u, where
+        # the term is about 270 L u
+        dev, _ = tree_deviation(synthesize_shifter(T, L).angles.xi)
+        assert dev <= _product_rounding(L)
+
+    def test_rounding_term_leaves_room_at_largest_strength(self):
+        # from the formula alone: the 1e-8 gate keeps ten times its room at
+        # the calibrated length of T = 8192
+        L = select_L_empirical(8192.0)
+        assert L == 22296
+        assert _product_rounding(L) <= 1e-9
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48])
+    def test_residual_covers_dense_grid(self, T):
+        # the residual bounds the realized product's miss anywhere on the
+        # circle, so on 16 uniform points per factor too; TestMirrorGrids
+        # checks the same at T = 512 and 2048
+        L = select_L_empirical(T)
+        p = complete_target(truncate_target(T, L))
+        seq = solve_angles(p, L)
+        m = 16 * L
+        u00 = rotation_product(seq.xi, 2.0 * np.pi * np.arange(m) / m)[:, 0, 0]
+        assert np.max(np.abs(u00 - uniform_values(p, m))) <= seq.residual
+
+    def test_synthesis_never_evaluates_rotation_product(self, monkeypatch):
+        # the residual comes from the tree alone, so rotation_product stays
+        # an independent evaluation of the synthesized angles
+        def refuse(*args):
+            raise AssertionError("synthesis called rotation_product")
+
+        monkeypatch.setattr(qsp, "rotation_product", refuse)
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        assert synthesize_shifter(8.0, 34).angles.residual <= 1e-8
+
+
+class TestSynthesisErrors:
+    @pytest.mark.parametrize("tol,gate", [
+        ("_COMPLEMENT_TOL", r"complement of degree \d+ misses"),
+        ("_RESIDUAL_TOL", r"layer-peel solver did not converge: residual")])
+    def test_message_names_the_shifter(self, monkeypatch, tol, gate):
+        # each gate, forced to fail, reports T, L and the solve length once
+        monkeypatch.setattr(qsp, tol, -1.0)
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        with pytest.raises(SynthesisError, match=gate) as err:
+            synthesize_shifter(8.0, 34)
+        message = str(err.value)
+        assert message.startswith("shifter T=8.0, L=34 (solve length 34): ")
+        assert [message.count(name) for name in ("T=", "L=", "solve length")] == [1, 1, 1]
+
+    def test_completion_message_names_the_shifter(self, monkeypatch):
+        # an L = 2 shifter of material strength cannot be completed
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        with pytest.raises(SynthesisError, match=r"^shifter T=0\.5, L=2 \(solve length 2\): "
+                                                 r"completion failed because \|P\|\^2 exceeds 1 by "):
+            synthesize_shifter(0.5, 2)
 
 
 def svd_layer_peel(p, L):
