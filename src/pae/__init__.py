@@ -4,7 +4,6 @@ robust phase recovery, and resource benchmarking."""
 from .circuit import (CapacityError, MeasurementSetting, ParallelCircuit,
                       eigenphase_blocks, ghz_depth, ideal_probabilities,
                       parity_probabilities, setting_probability,
-                      statevector_even_parity_probabilities,
                       statevector_even_parity_probability)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .core_model import (AmplitudeInstance, DomainError, ExplicitOracle,
@@ -18,7 +17,7 @@ from .driver import (ConfigurationError, ResourceReport, Schedule, ScheduleStep,
                      PARALLEL_L_TABLE_PLUS_I)
 from .qsp import (AngleSequence, PhaseShifterSpec, SynthesisError,
                   TruncatedTarget, build_branch_unitary, complete_target,
-                  ideal_branch_unitary, load_angles, minimal_query_length,
+                  load_angles, minimal_query_length,
                   realized_functions, save_angles, select_L, select_L_empirical,
                   solve_angles, state_error_bound, synthesize_shifter,
                   truncate_target, truncation_error_bound)

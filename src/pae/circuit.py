@@ -8,26 +8,28 @@ Two backends compute the even-parity probability, and both contract the
 same way: :func:`parity_probabilities` reads each branch's final ancilla
 state from ``(c, n, 2, 2)`` blocks, one ancilla block per component of the
 system register, and the product over identical branches collapses to
-complex powers, so the cost is independent of ``P``.  They differ in where
-the blocks come from:
+complex powers, so the cost is independent of ``P``.  Each stage here
+takes and returns one plain array and knows nothing of ``S``: the caller
+raises the shifter blocks to ``S`` with one ``np.linalg.matrix_power``
+between building and contracting them.  ``driver.step_probabilities``
+composes the stages for a run, sharing blocks across steps; the
+per-setting views :func:`setting_probability` and
+:func:`statevector_even_parity_probability` compose them for one circuit.
+The backends differ in where the blocks come from:
 
 * analytic -- on each Grover eigenphase ``e^{+-2i theta}`` the shifter is
   the 2x2 ancilla product ``qsp.rotation_product`` at ``pi/2 +- 2 theta``
-  (:func:`eigenphase_blocks`, which do not depend on ``P``:
-  ``driver.step_probabilities`` builds them once per ``(T, L)`` and raises
-  them to each ``S``, sharing both across branch counts); the two
+  (:func:`eigenphase_blocks`, which do not depend on ``P``); the two
   eigencomponents of ``|0..0>`` are the two components; exact, and batched
   over instance angles.
 * statevector -- the shifter as a dense matrix built from the explicit
-  oracle, used to cross-validate the analytic backend, in three stages:
-  :func:`controlled_grover_blocks` builds each instance's oracle and
-  controlled-Grover block, grouped by register size;
-  :func:`statevector_blocks` the shifter to the power ``S`` around each
-  group in one ``interleaved_shifter`` call (shared by
-  ``driver.step_probabilities`` as the eigenphase blocks are);
-  :func:`statevector_parity_probabilities` then takes the two shifter
-  columns that a system register at ``|0..0>`` reaches and hands their
-  ``2^n`` system components to :func:`parity_probabilities`.  The full
+  oracle, used to cross-validate the analytic backend:
+  :func:`controlled_grover_blocks` stacks the controlled-Grover blocks of
+  instances of one register size, ``qsp.interleaved_shifter`` multiplies
+  the shifter around the whole stack, and
+  :func:`statevector_parity_probabilities` takes the two shifter columns
+  that a system register at ``|0..0>`` reaches and hands their ``2^n``
+  system components to :func:`parity_probabilities`.  The full
   ``(n+1)P``-qubit state is never built; :func:`check_capacity` bounds the
   dense stacks instead.  The explicit oracle and ``interleaved_shifter``
   share no code with the eigenphase reduction and ``rotation_product``,
@@ -79,18 +81,13 @@ def _check_count(what: str, value: int) -> None:
         raise DomainError(f"{what} must be >= 1, got {value}")
 
 
-def eigenphase_blocks(spec: PhaseShifterSpec, S: int, thetas) -> np.ndarray:
-    """``(2, n, 2, 2)`` ancilla blocks of the ``S``-fold shifter on the two
-    Grover eigenphases of every instance angle: one ``rotation_product``
-    call at ``pi/2 + 2 theta`` then ``pi/2 - 2 theta``, and one
-    ``matrix_power`` to ``S`` when ``S > 1``."""
-    _check_count("repetition count", S)
+def eigenphase_blocks(spec: PhaseShifterSpec, thetas) -> np.ndarray:
+    """``(2, n, 2, 2)`` ancilla blocks of the shifter on the two Grover
+    eigenphases of every instance angle: one ``rotation_product`` call at
+    ``pi/2 + 2 theta`` then ``pi/2 - 2 theta``."""
     two_theta = 2.0 * np.asarray(thetas, dtype=float).reshape(-1)
-    blocks = rotation_product(spec.angles.xi, np.concatenate(
-        [np.pi / 2 + two_theta, np.pi / 2 - two_theta]))
-    if S > 1:
-        blocks = np.linalg.matrix_power(blocks, S)
-    return blocks.reshape(2, -1, 2, 2)
+    return rotation_product(spec.angles.xi, np.concatenate(
+        [np.pi / 2 + two_theta, np.pi / 2 - two_theta])).reshape(2, -1, 2, 2)
 
 
 def parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
@@ -130,8 +127,9 @@ def parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
 def setting_probability(circuit: ParallelCircuit,
                         setting: MeasurementSetting) -> float:
     """Exact even-parity probability of the synthesized circuit."""
-    blocks = eigenphase_blocks(circuit.spec, circuit.S, [circuit.instance.theta])
-    return float(parity_probabilities(blocks, circuit.P)
+    _check_count("repetition count", circuit.S)
+    blocks = eigenphase_blocks(circuit.spec, [circuit.instance.theta])
+    return float(parity_probabilities(np.linalg.matrix_power(blocks, circuit.S), circuit.P)
                  [0, list(MeasurementSetting).index(setting)])
 
 
@@ -185,32 +183,24 @@ def check_capacity(L: int, ns) -> None:
 
 
 def controlled_grover_blocks(instances, oracle_style: str = "canonical",
-                             oracle_seed=None) -> dict:
-    """The controlled-Grover block of every instance's explicit oracle,
-    grouped by register size: ``{n: (rows, stack)}`` with ``rows`` the
-    instances' positions and ``stack`` their ``(m, 2^(n+1), 2^(n+1))``
-    blocks, in order."""
-    groups = {}
-    for row, inst in enumerate(instances):
-        oracle = build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)
-        groups.setdefault(inst.n, []).append(
-            (row, controlled_grover(build_grover_unitary(oracle))))
-    return {n: ([row for row, _ in group], np.stack([wq for _, wq in group]))
-            for n, group in groups.items()}
+                             oracle_seed=None) -> np.ndarray:
+    """The ``(m, 2^(n+1), 2^(n+1))`` stack of the controlled-Grover blocks
+    of ``m`` instances' explicit oracles, in order.  The instances must
+    share one register size ``n``; mixed sizes raise :class:`DomainError`
+    before any oracle is built."""
+    instances = list(instances)
+    sizes = sorted({inst.n for inst in instances})
+    if len(sizes) > 1:
+        raise DomainError(f"controlled-Grover blocks need one register size, got n = {sizes}")
+    return np.stack([controlled_grover(build_grover_unitary(
+        build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)))
+        for inst in instances])
 
 
-def statevector_blocks(spec: PhaseShifterSpec, S: int, grover_blocks: dict) -> dict:
-    """The interleaved shifter to the power ``S`` around each group of
-    :func:`controlled_grover_blocks`: one ``interleaved_shifter`` call and
-    one ``matrix_power`` per register size, rows kept."""
-    _check_count("repetition count", S)
-    return {n: (rows, np.linalg.matrix_power(interleaved_shifter(spec.angles.xi, stack), S))
-            for n, (rows, stack) in grover_blocks.items()}
-
-
-def statevector_parity_probabilities(blocks: dict, P: int) -> np.ndarray:
+def statevector_parity_probabilities(shifters: np.ndarray, P: int) -> np.ndarray:
     """``(m, 2)`` probabilities, PLUS then PLUS_I, of ``P`` branches from
-    the shifters of :func:`statevector_blocks`, one row per instance.
+    the ``(m, 2^(n+1), 2^(n+1))`` shifters (already to the power S) of
+    ``m`` instances of one register size, one row per instance.
 
     Each branch's system register starts at ``|0..0>``, so a branch's final
     state is fixed by the two shifter columns with ancilla 0 or 1 and
@@ -218,35 +208,22 @@ def statevector_parity_probabilities(blocks: dict, P: int) -> np.ndarray:
     columns are ``2^n`` ancilla blocks; scaled by ``sqrt(2)``, as
     :func:`parity_probabilities` expects, they are contracted there for
     ``P`` branches."""
-    _check_count("branch count", P)
-    rows = np.empty((sum(len(r) for r, _ in blocks.values()), 2))
-    for n, (indices, shifters) in blocks.items():
-        columns = shifters[:, :, ::2 ** n].reshape(len(indices), 2, 2 ** n, 2)
-        rows[indices] = parity_probabilities(
-            np.sqrt(2.0) * columns.transpose(2, 0, 1, 3), P)
-    return rows
-
-
-def statevector_even_parity_probabilities(spec: PhaseShifterSpec, P: int, S: int,
-                                          instances, oracle_style: str = "canonical",
-                                          oracle_seed=None) -> np.ndarray:
-    """Even-parity probabilities from the explicit oracle, one row per
-    instance, columns PLUS and PLUS_I: the three statevector stages
-    composed, after the guard.  Raises :class:`DomainError` for ``P < 1``
-    or ``S < 1`` and :class:`CapacityError` before any oracle is built."""
-    _check_count("branch count", P)
-    _check_count("repetition count", S)
-    instances = list(instances)
-    check_capacity(spec.L, [inst.n for inst in instances])
-    blocks = controlled_grover_blocks(instances, oracle_style, oracle_seed)
-    return statevector_parity_probabilities(statevector_blocks(spec, S, blocks), P)
+    m, dim = shifters.shape[:2]
+    columns = shifters[:, :, ::dim // 2].reshape(m, 2, dim // 2, 2)
+    return parity_probabilities(np.sqrt(2.0) * columns.transpose(2, 0, 1, 3), P)
 
 
 def statevector_even_parity_probability(circuit: ParallelCircuit,
-                                        setting: MeasurementSetting,
-                                        oracle_style: str = "canonical",
-                                        oracle_seed=None) -> float:
-    """One setting's column of :func:`statevector_even_parity_probabilities`."""
-    return float(statevector_even_parity_probabilities(
-        circuit.spec, circuit.P, circuit.S, [circuit.instance], oracle_style,
-        oracle_seed)[0, list(MeasurementSetting).index(setting)])
+                                        setting: MeasurementSetting) -> float:
+    """Even-parity probability of the circuit around its instance's explicit
+    oracle: the statevector stages composed, after the guard.  Raises
+    :class:`DomainError` for ``P < 1`` or ``S < 1`` and
+    :class:`CapacityError` before any oracle is built."""
+    _check_count("branch count", circuit.P)
+    _check_count("repetition count", circuit.S)
+    check_capacity(circuit.spec.L, [circuit.instance.n])
+    shifter = interleaved_shifter(circuit.spec.angles.xi,
+                                  controlled_grover_blocks([circuit.instance]))
+    return float(statevector_parity_probabilities(
+        np.linalg.matrix_power(shifter, circuit.S), circuit.P)
+        [0, list(MeasurementSetting).index(setting)])

@@ -15,15 +15,15 @@ A run has two phases:
   even-parity probability of both measurement settings of every step on the
   selected backend.  It is deterministic: it depends on the amplitude and
   the schedule, never on a seed, so it is done once and shared by every
-  trial of a sweep.  It alone decides which steps are the same: each
-  distinct ``(p, t, s, l)`` is evaluated once on every backend.  The
-  analytic and statevector backends share their work on the same keys:
-  per call, the statevector backend builds each amplitude's explicit
-  oracle and controlled-Grover block once; per distinct ``(t, l)``, both
-  build one set of blocks for all amplitudes (the eigenphase blocks, or
+  trial of a sweep.  It alone decides which steps are the same, and it
+  refuses a step that breaks ``m = p t s``.  The analytic and statevector
+  backends share their work on the same keys: per call, the statevector
+  backend builds each amplitude's explicit oracle and controlled-Grover
+  block once, stacked by register size; per distinct ``(t, l)``, both
+  build one stack of blocks for all amplitudes (the eigenphase blocks, or
   the shifter); per distinct ``(t, l, s)`` they raise it to the power
-  ``s``; per ``p`` they contract that power, both through
-  :func:`circuit.parity_probabilities`;
+  ``s``; per distinct ``(p, t, s, l)`` they contract that power, both
+  through :func:`circuit.parity_probabilities`;
 * the sampling and recovery phase, :func:`sample_and_recover`, seeds one
   generator, draws the parity counts of one run, ``(K, 2)``, or of a batch
   of trials, ``(trials, K, 2)``, from those probabilities in one binomial
@@ -189,49 +189,60 @@ def step_probabilities(instances, schedule: Schedule,
     """Probability phase: the exact even-parity probabilities, one row per
     step, columns PLUS and PLUS_I, of one instance, ``(K, 2)``, or of a
     sequence of instances, ``(n, K, 2)``.  ``schedule`` may be any sequence
-    of steps, repeats included: each distinct ``(p, t, s, l)`` is evaluated
-    once for all instances.  The analytic and statevector backends build
-    their blocks once per distinct ``(t, l)`` (the eigenphase blocks, or
-    the shifter of every instance), raise them to the power ``s`` once per
-    distinct ``(t, l, s)`` and contract that power per ``p``.  The
-    statevector backend first checks its memory guard at every step's
-    ``l`` and every register size, then builds each instance's oracle and
-    controlled-Grover block once per call."""
+    of steps, repeats included, but every step must have ``p, s >= 1`` and
+    ``p * t * s == m``: a :class:`ConfigurationError` names the first that
+    does not, before any synthesis or oracle.
+
+    The ideal backend evaluates the closed form of every step at once.  The
+    analytic and statevector backends compose the stages of
+    :mod:`circuit` alike, per register size on the statevector backend: they
+    build one stack of blocks for all instances per distinct ``(t, l)``,
+    raise it with one ``np.linalg.matrix_power`` per distinct ``(t, l, s)``
+    and contract that power per distinct ``(p, t, s, l)``.  They differ only
+    in the blocks: ``circuit.eigenphase_blocks`` of the instance angles, or
+    ``interleaved_shifter`` around the controlled-Grover blocks, which the
+    statevector backend builds once per instance and call, after checking
+    its memory guard at every step's ``l`` and every register size."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
+    steps = list(schedule)
+    for st in steps:
+        if st.p < 1 or st.s < 1 or st.p * st.t * st.s != st.m:
+            raise ConfigurationError(
+                f"step {st.k}: P*T*S = {st.p}*{st.t:g}*{st.s} must equal "
+                f"2^(k-1) = {st.m} with P, S >= 1")
     single = isinstance(instances, AmplitudeInstance)
     batch = [instances] if single else list(instances)
-    thetas = [inst.theta for inst in batch]
-    phis = np.array([inst.phi for inst in batch])
+    if backend == "ideal":
+        probabilities = circ.ideal_probabilities(
+            np.array([st.m for st in steps]), np.array([inst.phi for inst in batch])[:, None])
+        return probabilities[0] if single else probabilities
     statevector = backend == "statevector"
-    contract, power = circ.parity_probabilities, np.linalg.matrix_power
     if statevector:
         ns = [inst.n for inst in batch]
-        for st in schedule:
+        for st in steps:
             circ.check_capacity(st.l, ns)
-        wq = circ.controlled_grover_blocks(batch)
+        sizes = [[row for row, n in enumerate(ns) if n == size] for size in dict.fromkeys(ns)]
+        groups = [(rows, circ.controlled_grover_blocks([batch[row] for row in rows]))
+                  for rows in sizes]
         contract = circ.statevector_parity_probabilities
-
-        def power(groups, s):
-            return {n: (rows, np.linalg.matrix_power(v, s))
-                    for n, (rows, v) in groups.items()}
-    columns, blocks, powers = {}, {}, {}
-    for st in schedule:
-        key = (st.p, st.t, st.s, st.l)
-        if key in columns:
-            continue
-        if backend == "ideal":
-            columns[key] = circ.ideal_probabilities(st.m, phis)
-            continue
-        if (st.t, st.l) not in blocks:
-            spec = qsp.synthesize_shifter(st.t, st.l)
-            blocks[st.t, st.l] = (circ.statevector_blocks(spec, 1, wq) if statevector
-                                  else circ.eigenphase_blocks(spec, 1, thetas))
-        powered = (st.t, st.l, st.s)
-        if powered not in powers:
-            powers[powered] = power(blocks[st.t, st.l], st.s)
-        columns[key] = contract(powers[powered], st.p)
-    probabilities = np.stack([columns[st.p, st.t, st.s, st.l] for st in schedule], axis=1)
+    else:
+        groups = [(slice(None), [inst.theta for inst in batch])]
+        contract = circ.parity_probabilities
+    probabilities = np.empty((len(batch), len(steps), 2))
+    for rows, operand in groups:
+        blocks, powers, columns = {}, {}, {}
+        for i, st in enumerate(steps):
+            key = (st.p, st.t, st.s, st.l)
+            if key not in columns:
+                if (st.t, st.l) not in blocks:
+                    spec = qsp.synthesize_shifter(st.t, st.l)
+                    blocks[st.t, st.l] = (circ.interleaved_shifter(spec.angles.xi, operand)
+                                          if statevector else circ.eigenphase_blocks(spec, operand))
+                if (st.t, st.l, st.s) not in powers:
+                    powers[st.t, st.l, st.s] = np.linalg.matrix_power(blocks[st.t, st.l], st.s)
+                columns[key] = contract(powers[st.t, st.l, st.s], st.p)
+            probabilities[rows, i] = columns[key]
     return probabilities[0] if single else probabilities
 
 

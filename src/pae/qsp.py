@@ -646,13 +646,6 @@ def build_branch_unitary(spec: PhaseShifterSpec, theta: float) -> np.ndarray:
                                controlled_grover(np.array([[c2, -s2], [s2, c2]])))
 
 
-def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:
-    """The exact relative phase shifter ``diag(e^{-iT phi/2}, e^{+iT phi/2})``
-    on the ancilla, identity on the Grover plane."""
-    return np.kron(np.diag([np.exp(-0.5j * T * phi), np.exp(0.5j * T * phi)]),
-                   np.eye(2)).astype(complex)
-
-
 _shifter_cache: dict[tuple[float, int], PhaseShifterSpec] = {}
 
 

@@ -6,17 +6,41 @@ import pytest
 
 from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  build_branch_unitary, build_explicit_oracle, build_grover_unitary,
-                 eigenphase_blocks, ghz_depth, ideal_branch_unitary,
-                 make_instance, parity_probabilities, setting_probability,
-                 statevector_even_parity_probabilities,
-                 statevector_even_parity_probability, synthesize_shifter)
-from pae.circuit import check_capacity, sample_even_parity, statevector_parity_probabilities
+                 eigenphase_blocks, ghz_depth, make_instance, parity_probabilities,
+                 setting_probability, statevector_even_parity_probability,
+                 step_probabilities, synthesize_shifter)
+from pae.circuit import (check_capacity, controlled_grover_blocks, sample_even_parity,
+                         statevector_parity_probabilities)
 from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
+from pae.driver import ScheduleStep
 from pae.qsp import controlled_grover, interleaved_shifter
 
 _X_ANC = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)).astype(complex)
 _Y_ANC = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.eye(2)).astype(complex)
+
+
+def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:
+    """The exact relative phase shifter ``diag(e^{-iT phi/2}, e^{+iT phi/2})``
+    on the ancilla, identity on the Grover plane."""
+    return np.kron(np.diag([np.exp(-0.5j * T * phi), np.exp(0.5j * T * phi)]),
+                   np.eye(2)).astype(complex)
+
+
+def analytic_probabilities(spec, P: int, S: int, thetas) -> np.ndarray:
+    """The analytic stages composed: eigenphase blocks, raised to ``S``,
+    contracted for ``P`` branches."""
+    return parity_probabilities(np.linalg.matrix_power(eigenphase_blocks(spec, thetas), S), P)
+
+
+def statevector_probabilities(spec, P: int, S: int, insts, style="canonical",
+                              seed=None) -> np.ndarray:
+    """The statevector stages composed for instances of one register size:
+    controlled-Grover stack, shifter around it raised to ``S``, column
+    contraction for ``P`` branches."""
+    wq = controlled_grover_blocks(insts, style, seed)
+    return statevector_parity_probabilities(
+        np.linalg.matrix_power(interleaved_shifter(spec.angles.xi, wq), S), P)
 
 
 def ideal_probabilities(P: int, phi: float) -> np.ndarray:
@@ -249,7 +273,7 @@ class TestEvenParityProbabilities:
         thetas = np.linspace(0.0, np.pi / 2, 17)
         for T, L in ((1.0, 10), (4.0, 22)):
             spec = synthesize_shifter(T, L)
-            probs = parity_probabilities(eigenphase_blocks(spec, S, thetas), P)
+            probs = analytic_probabilities(spec, P, S, thetas)
             assert probs.shape == (len(thetas), 2)
             for theta, row in zip(thetas, probs):
                 v = build_branch_unitary(spec, theta)
@@ -261,9 +285,8 @@ class TestEvenParityProbabilities:
     def test_batch_equals_single_calls(self, P, S):
         spec = synthesize_shifter(1.0, 12)
         thetas = np.linspace(0.0, np.pi / 2, 33)
-        batch = parity_probabilities(eigenphase_blocks(spec, S, thetas), P)
-        single = np.concatenate([parity_probabilities(eigenphase_blocks(spec, S, [t]), P)
-                                 for t in thetas])
+        batch = analytic_probabilities(spec, P, S, thetas)
+        single = np.concatenate([analytic_probabilities(spec, P, S, [t]) for t in thetas])
         assert np.array_equal(batch, single)
 
     @pytest.mark.parametrize("P", [1, 2, 7, 64, 256])
@@ -273,19 +296,20 @@ class TestEvenParityProbabilities:
         haar = haar_u2(rng, (2, 101))
         assert np.max(np.abs(np.linalg.det(haar) - 1.0)) > 0.1
         thetas = np.linspace(0.0, np.pi / 2, 101)
-        for blocks in (haar, eigenphase_blocks(synthesize_shifter(1.0, 10), 1, thetas),
-                       eigenphase_blocks(synthesize_shifter(4.0, 22), 3, thetas)):
+        for blocks in (haar, eigenphase_blocks(synthesize_shifter(1.0, 10), thetas),
+                       np.linalg.matrix_power(
+                           eigenphase_blocks(synthesize_shifter(4.0, 22), thetas), 3)):
             got = parity_probabilities(blocks, P)
             assert np.max(np.abs(got - matmul_parity_probabilities(blocks, P))) <= 1e-13
 
     @pytest.mark.parametrize("P,S", [(0, 1), (-1, 1), (1, 0), (1, -1), (0, 0)])
     def test_both_backends_reject_fewer_than_one(self, P, S):
-        spec = synthesize_shifter(1.0, 10)
-        inst = make_instance(0.3)
+        pc = ParallelCircuit(P=P, spec=synthesize_shifter(1.0, 10), S=S,
+                             instance=make_instance(0.3))
         with pytest.raises(DomainError, match="count must be >= 1"):
-            parity_probabilities(eigenphase_blocks(spec, S, [inst.theta]), P)
+            setting_probability(pc, MeasurementSetting.PLUS)
         with pytest.raises(DomainError, match="count must be >= 1"):
-            statevector_even_parity_probabilities(spec, P, S, [inst])
+            statevector_even_parity_probability(pc, MeasurementSetting.PLUS)
 
 
 class TestSampling:
@@ -358,9 +382,8 @@ class TestStatevectorBackend:
         spec = synthesize_shifter(2.0, 14)
         insts = [make_instance(a, 3) for a in (0.0, 0.3, 0.8)]
         for S in (1, 2):
-            pv = statevector_even_parity_probabilities(spec, 5, S, insts)
-            pa = parity_probabilities(
-                eigenphase_blocks(spec, S, [inst.theta for inst in insts]), 5)
+            pv = statevector_probabilities(spec, 5, S, insts)
+            pa = analytic_probabilities(spec, 5, S, [inst.theta for inst in insts])
             assert np.max(np.abs(pa - pv)) <= 1e-10
 
     def test_matches_closed_form_within_bias(self):
@@ -374,11 +397,9 @@ class TestStatevectorBackend:
     def test_random_oracle_dressing_is_immaterial(self):
         spec = synthesize_shifter(1.0, 10)
         inst = make_instance(0.42, 2)
-        circuit = ParallelCircuit(P=2, spec=spec, S=1, instance=inst)
-        p_can = statevector_even_parity_probability(circuit, MeasurementSetting.PLUS)
-        p_rnd = statevector_even_parity_probability(circuit, MeasurementSetting.PLUS,
-                                                    oracle_style="random", oracle_seed=11)
-        assert abs(p_can - p_rnd) <= 1e-10
+        p_can = statevector_probabilities(spec, 2, 1, [inst])
+        p_rnd = statevector_probabilities(spec, 2, 1, [inst], "random", 11)
+        assert np.max(np.abs(p_can - p_rnd)) <= 1e-10
 
     @pytest.mark.parametrize("P", [64, 256])
     @pytest.mark.parametrize("S", [1, 2])
@@ -386,8 +407,8 @@ class TestStatevectorBackend:
         # far past any full register: 3 P qubits
         spec = synthesize_shifter(1.0, 10)
         insts = [make_instance(a, 2) for a in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0)]
-        pv = statevector_even_parity_probabilities(spec, P, S, insts)
-        pa = parity_probabilities(eigenphase_blocks(spec, S, [inst.theta for inst in insts]), P)
+        pv = statevector_probabilities(spec, P, S, insts)
+        pa = analytic_probabilities(spec, P, S, [inst.theta for inst in insts])
         assert np.max(np.abs(pa - pv)) <= 1e-10
 
     def test_capacity_guard(self, refused_allocation):
@@ -422,7 +443,7 @@ class TestStatevectorReadout:
         spec = synthesize_shifter(1.0, 10)
         insts = [make_instance(a, n) for a in (0.0, 0.3, 0.5, 1.0)]
         for S in (1, 2, 3):
-            probs = statevector_even_parity_probabilities(spec, P, S, insts, style, seed)
+            probs = statevector_probabilities(spec, P, S, insts, style, seed)
             assert probs.shape == (4, 2)
             ref = [[literal_statevector_probability(spec, P, S, inst, setting, style, seed)
                     for setting in MeasurementSetting] for inst in insts]
@@ -430,10 +451,18 @@ class TestStatevectorReadout:
 
     def test_capacity_guard(self, refused_allocation):
         # the n = 2 row fits; the n = 10 row refuses the whole batch
-        spec = synthesize_shifter(1.0, 10)
+        step = ScheduleStep(k=1, m=1, p=1, t=1.0, s=1, nu=1, l=10)
         insts = [make_instance(0.5, 2), make_instance(0.5, 10)]
         with pytest.raises(CapacityError, match="at n = 10, L = 10"):
-            statevector_even_parity_probabilities(spec, 1, 1, insts)
+            step_probabilities(insts, [step], "statevector")
+        assert refused_allocation == []
+
+    def test_controlled_grover_blocks_reject_mixed_register_sizes(self, refused_allocation):
+        # one stack holds one register size; a mixed batch is refused
+        # before any oracle is built
+        insts = [make_instance(0.3, 2), make_instance(0.8, 3), make_instance(0.5, 2)]
+        with pytest.raises(DomainError, match=r"one register size, got n = \[2, 3\]"):
+            controlled_grover_blocks(insts)
         assert refused_allocation == []
 
     def test_capacity_bound_counts_rotations_and_blocks(self):
@@ -448,20 +477,21 @@ class TestStatevectorReadout:
 
     @pytest.mark.parametrize("style,seed", [("canonical", None), ("random", 11)])
     def test_batch_equals_per_instance_calls(self, style, seed):
-        # grouping by register size keeps each row bit for bit, the seeded
-        # random dressing included
+        # stacking the instances of each register size keeps each row bit
+        # for bit, the seeded random dressing included
         spec = synthesize_shifter(2.0, 14)
-        insts = [make_instance(a, n) for a, n in ((0.3, 2), (0.3, 3), (0.8, 2), (0.6, 3))]
-        for P, S in ((1, 1), (2, 3)):
-            probs = statevector_even_parity_probabilities(spec, P, S, insts, style, seed)
-            for inst, row in zip(insts, probs):
-                assert np.array_equal(row, statevector_even_parity_probabilities(
-                    spec, P, S, [inst], style, seed)[0])
+        for n in (2, 3):
+            insts = [make_instance(a, n) for a in (0.3, 0.8, 0.6)]
+            for P, S in ((1, 1), (2, 3)):
+                probs = statevector_probabilities(spec, P, S, insts, style, seed)
+                for inst, row in zip(insts, probs):
+                    assert np.array_equal(row, statevector_probabilities(
+                        spec, P, S, [inst], style, seed)[0])
 
 
 class TestStatevectorKernels:
     @pytest.mark.parametrize("P,n", [(1, 0), (1, 3), (2, 2), (3, 3), (4, 3), (5, 0), (5, 2)])
-    def test_ghz_state_equals_ladder_on_full_register(self, P, n):
+    def test_column_contraction_equals_ladder_on_full_register(self, P, n):
         # the shared contraction of the two columns that |0..0> reaches, for
         # a Haar-random branch unitary with no shifter structure, is the
         # ladder run gate by gate on all P (n + 1) qubits followed by the
@@ -471,7 +501,7 @@ class TestStatevectorKernels:
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         q, r = np.linalg.qr(g)
         v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        got = statevector_parity_probabilities({n: ([0], v[None])}, P)[0]
+        got = statevector_parity_probabilities(v[None], P)[0]
         ref = [literal_branch_probability(v, P, n, setting) for setting in MeasurementSetting]
         assert np.max(np.abs(got - ref)) <= 1e-13
 

@@ -172,7 +172,7 @@ def test_verify_fails_on_wrong_shared_block_contraction(capsys, monkeypatch):
     # builds its own blocks
     exact = circuit.eigenphase_blocks
     monkeypatch.setattr(circuit, "eigenphase_blocks",
-                        lambda spec, S, thetas: exact(spec, S, thetas) + 1e-9)
+                        lambda spec, thetas: exact(spec, thetas) + 1e-9)
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  backend-equivalence: max deviation" in out

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
@@ -370,7 +371,8 @@ class TestTwoPhases:
 
     def test_statevector_builds_one_oracle_per_instance(self, monkeypatch):
         # one oracle per instance and call, one shifter stack per distinct
-        # (t, l); every row equals the per-setting route bit for bit
+        # (t, l) and register size of a mixed batch; every row equals the
+        # per-setting route bit for bit
         from pae import MeasurementSetting, ParallelCircuit
         built, shifters = [], []
 
@@ -385,10 +387,12 @@ class TestTwoPhases:
         monkeypatch.setattr(circuit, "interleaved_shifter",
                             counting(shifters, circuit.interleaved_shifter))
         sched = build_schedule(strategy="general", k_max=4, parallelism=2)
-        insts = [make_instance(0.3, 3), make_instance(0.8, 3)]
+        insts = [make_instance(0.3, 3), make_instance(0.5, 2), make_instance(0.8, 3)]
         probs = step_probabilities(insts, sched, "statevector")
         assert len(built) == len(insts)
-        assert len(shifters) == len({(st.t, st.l) for st in sched}) < sched.K
+        distinct_tl = len({(st.t, st.l) for st in sched})
+        assert distinct_tl < sched.K
+        assert sorted(len(wq) for _, wq in shifters) == [1] * distinct_tl + [2] * distinct_tl
         for inst, rows in zip(insts, probs):
             for st, row in zip(sched, rows):
                 pc = ParallelCircuit(P=st.p, spec=synthesize_shifter(st.t, st.l),
@@ -445,8 +449,8 @@ class TestTwoPhases:
         thetas = [inst.theta for inst in insts]
         probs = step_probabilities(insts, sched, "analytic")
         for i, st in enumerate(sched):
-            rows = circuit.parity_probabilities(circuit.eigenphase_blocks(
-                synthesize_shifter(st.t, st.l), st.s, thetas), st.p)
+            blocks = circuit.eigenphase_blocks(synthesize_shifter(st.t, st.l), thetas)
+            rows = circuit.parity_probabilities(np.linalg.matrix_power(blocks, st.s), st.p)
             assert np.array_equal(probs[:, i], rows)
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector", "ideal"])
@@ -507,12 +511,47 @@ class TestTwoPhases:
         for i, st in enumerate(sched):
             spec = synthesize_shifter(st.t, st.l)
             if analytic:
-                rows = circuit.parity_probabilities(
-                    circuit.eigenphase_blocks(spec, st.s, thetas), st.p)
+                blocks = circuit.eigenphase_blocks(spec, thetas)
+                contract = circuit.parity_probabilities
             else:
-                rows = circuit.statevector_even_parity_probabilities(
-                    spec, st.p, st.s, insts)
+                blocks = qsp.interleaved_shifter(spec.angles.xi,
+                                                 circuit.controlled_grover_blocks(insts))
+                contract = circuit.statevector_parity_probabilities
+            rows = contract(np.linalg.matrix_power(blocks, st.s), st.p)
             assert np.array_equal(probs[:, i], rows)
+
+    def test_probability_table_pinned(self):
+        # steps raised to S up to 16, (t, l) shared across s and p, and one
+        # batch mixing register sizes: a change that moves any probability
+        # of either synthesizing backend, even at rounding level, shows here
+        insts = [make_instance(a, n) for a, n in ((0.0, 2), (0.3, 3), (0.8, 2), (1.0, 3))]
+        digest = hashlib.sha256()
+        for sched in (build_schedule(strategy="general", k_max=7, parallelism=2, t_cap=2),
+                      build_schedule(strategy="general", k_max=7, parallelism=4),
+                      build_schedule(strategy="full_parallel", k_max=5,
+                                     l_table=PARALLEL_L_TABLE_PLUS)):
+            for backend in ("analytic", "statevector"):
+                digest.update(step_probabilities(insts, sched, backend).tobytes())
+        assert digest.hexdigest()[:16] == "12dd845ba77edb6d"
+
+    @pytest.mark.parametrize("backend", ["analytic", "statevector", "ideal"])
+    @pytest.mark.parametrize("m,p,s", [(1, 1, 0), (1, 1, -1), (4, 1, 1), (1, -1, -1),
+                                       (0, 0, 1)])
+    def test_impossible_step_is_refused(self, backend, m, p, s, refused_allocation,
+                                        monkeypatch):
+        # s = 0 used to give the identity shifter's probabilities, s = -1
+        # the inverse shifter's, and m = 4 with p t s = 1 a different step
+        # on each backend; now each is refused before synthesis or oracle
+        def refuse(*args):
+            refused_allocation.append("synthesize_shifter")
+            raise AssertionError("synthesize_shifter called past the check")
+
+        monkeypatch.setattr(qsp, "synthesize_shifter", refuse)
+        good = ScheduleStep(k=1, m=1, p=1, t=1.0, s=1, nu=1, l=10)
+        bad = ScheduleStep(k=2, m=m, p=p, t=1.0, s=s, nu=1, l=10)
+        with pytest.raises(ConfigurationError, match=rf"^step 2: P\*T\*S = {p}\*1\*{s} "):
+            step_probabilities(make_instance(0.3), [good, bad], backend)
+        assert refused_allocation == []
 
     def test_ideal_column_equals_setting_probability(self):
         # bit for bit against the scalar closed form of each setting

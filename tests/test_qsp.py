@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pae import (DomainError, SynthesisError, build_branch_unitary,
-                 build_schedule, complete_target, ideal_branch_unitary, load_angles,
+                 build_schedule, complete_target, load_angles,
                  make_instance, minimal_query_length, realized_functions,
                  save_angles, select_L,
                  select_L_empirical, solve_angles, state_error_bound,
@@ -21,6 +21,13 @@ from pae.qsp import (_complement_gap, _deflate_pinned, _fejer_complement,
                      _fejer_kernel_even, _fold, _product_rounding, _product_row, _sized_grid,
                      _solve_layer_peel, _uniform_modulus2, chebyshev_grid, controlled_grover,
                      interleaved_shifter, rotation_product)
+
+
+def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:
+    """The exact relative phase shifter ``diag(e^{-iT phi/2}, e^{+iT phi/2})``
+    on the ancilla, identity on the Grover plane."""
+    return np.kron(np.diag([np.exp(-0.5j * T * phi), np.exp(0.5j * T * phi)]),
+                   np.eye(2)).astype(complex)
 
 
 def bessel_j_series(order, x, terms=40):
