@@ -491,7 +491,7 @@ class TestStatevectorReadout:
 
 class TestStatevectorKernels:
     @pytest.mark.parametrize("P,n", [(1, 0), (1, 3), (2, 2), (3, 3), (4, 3), (5, 0), (5, 2)])
-    def test_column_contraction_equals_ladder_on_full_register(self, P, n):
+    def test_ghz_state_equals_ladder_on_full_register(self, P, n):
         # the shared contraction of the two columns that |0..0> reaches, for
         # a Haar-random branch unitary with no shifter structure, is the
         # ladder run gate by gate on all P (n + 1) qubits followed by the
