@@ -187,9 +187,11 @@ def controlled_grover_blocks(instances, oracle_style: str = "canonical",
     """The ``(m, 2^(n+1), 2^(n+1))`` stack of the controlled-Grover blocks
     of ``m`` instances' explicit oracles, in order.  The instances must
     share one register size ``n``; mixed sizes raise :class:`DomainError`
-    before any oracle is built."""
+    before any oracle is built, and so does an empty batch."""
     instances = list(instances)
     sizes = sorted({inst.n for inst in instances})
+    if not sizes:
+        raise DomainError("empty batch: controlled-Grover blocks need at least one instance")
     if len(sizes) > 1:
         raise DomainError(f"controlled-Grover blocks need one register size, got n = {sizes}")
     return np.stack([controlled_grover(build_grover_unitary(

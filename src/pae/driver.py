@@ -1,46 +1,40 @@
 """End-to-end estimation runs: schedules, execution, and query accounting.
 
-A schedule fixes, for every resolution step ``k``, the split of the signal
+A schedule is a sequence of :class:`ScheduleStep`.  Step ``k`` splits its
 multiplier ``m = 2^(k-1) = P_k T_k S_k`` into parallel branches, shifter
-strength, and sequential repetitions, together with shot counts ``nu_k``
-and query lengths ``L_k``.  One rule splits every step: ``T_k S_k =
-min(m, 2^(K-1) / parallelism)``, with the strength ``T_k`` capped at
-``t_cap``.  ``full_parallel`` and ``full_sequential`` are its presets
-``parallelism = 2^(K-1)`` and ``parallelism = 1, t_cap = 2^(K-1)``, the two
-ends of ``general``.
+strength and sequential repetitions, and carries its shot count ``nu_k``
+and query length ``L_k``.  The step holds that contract: ``m`` is derived
+from ``k``, and a step that breaks it cannot be constructed.
+:func:`build_schedule` splits every step by one rule, ``T_k S_k = min(m,
+2^(K-1) / parallelism)`` with the strength ``T_k`` capped at ``t_cap``;
+``full_parallel`` and ``full_sequential`` are its presets ``parallelism =
+2^(K-1)`` and ``parallelism = 1, t_cap = 2^(K-1)``, the two ends of
+``general``.
 
 A run has two phases:
 
 * the probability phase, :func:`step_probabilities`, computes the exact
   even-parity probability of both measurement settings of every step on the
-  selected backend.  It is deterministic: it depends on the amplitude and
-  the schedule, never on a seed, so it is done once and shared by every
-  trial of a sweep.  It alone decides which steps are the same, and it
-  refuses a step that breaks ``m = p t s``.  The analytic and statevector
-  backends share their work on the same keys: per call, the statevector
-  backend builds each amplitude's explicit oracle and controlled-Grover
-  block once, stacked by register size; per distinct ``(t, l)``, both
-  build one stack of blocks for all amplitudes (the eigenphase blocks, or
-  the shifter); per distinct ``(t, l, s)`` they raise it to the power
-  ``s``; per distinct ``(p, t, s, l)`` they contract that power, both
-  through :func:`circuit.parity_probabilities`;
-* the sampling and recovery phase, :func:`sample_and_recover`, seeds one
-  generator, draws the parity counts of one run, ``(K, 2)``, or of a batch
-  of trials, ``(trials, K, 2)``, from those probabilities in one binomial
-  call, and passes the frequencies ``counts / nu`` straight to
-  :func:`rpe.estimate_phase`.  Both return the estimate and the counts.
-  The trials of a batch are consecutive ``(K, 2)`` draws of that one
-  stream: trial 0 is the single run at the same seed, and the first ``m``
-  trials of any batch are the ``m``-trial batch.
+  selected backend.  It depends on the amplitude and the steps, never on a
+  seed, so it is done once and shared by every trial of a sweep, and it
+  evaluates each distinct ``(p, t, s, l)`` once;
+* the sampling and recovery phase, :func:`sample_and_recover`, draws the
+  parity counts of one run, ``(K, 2)``, or of a batch of trials,
+  ``(trials, K, 2)``, from those probabilities in one binomial call of one
+  seeded generator, and recovers the phase from ``counts / nu`` with
+  :func:`rpe.estimate_phase`.  Trial 0 of a batch is the single run at the
+  same seed, and the first ``m`` trials of any batch are the ``m``-trial
+  batch.
 
-``run`` composes the two, returns the run's ``(K, 2)`` counts, and reports
-the exact query count ``N = 2 sum_k nu_k P_k S_k L_k`` alongside depth and
-width.
+``run`` composes the two and reports the exact query count ``N = 2 sum_k
+nu_k P_k S_k L_k`` alongside depth and width; :func:`theorem_resources`
+gives the count and depth of the proof-mode schedule at a target error.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,20 +57,34 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class ScheduleStep:
+    """Resolution step ``k``, its multiplier ``m = 2^(k-1)`` split as ``P T S``;
+    construction refuses ``k``, ``P`` or ``S`` below 1 and any other split."""
     k: int
-    m: int          # signal multiplier 2^(k-1)
     p: int          # parallel branches
     t: float        # shifter strength
     s: int          # sequential repetitions
     nu: int         # shots per setting
     l: int          # queries per shifter application
 
+    def __post_init__(self):
+        if self.k < 1 or self.p < 1 or self.s < 1 or self.p * self.t * self.s != self.m:
+            raise ConfigurationError(
+                f"step {self.k}: P*T*S = {self.p}*{self.t:g}*{self.s} must equal "
+                f"2^(k-1) = {self.m} with P, S >= 1")
+
+    @property
+    def m(self) -> int:
+        """Signal multiplier ``2^(k-1)``."""
+        return 2 ** (self.k - 1)
+
 
 @dataclass(frozen=True)
 class Schedule:
     steps: tuple[ScheduleStep, ...]
-    strategy: str
-    K: int
+
+    @property
+    def K(self) -> int:
+        return len(self.steps)
 
     def __iter__(self):
         return iter(self.steps)
@@ -90,18 +98,14 @@ class ResourceReport:
     width: int           # max_k P_k * (n + 1)
 
 
-def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
-                   k_max: int | None = None, parallelism: int | None = None,
-                   beta: float = 0.05, nu_variant: str = "optimized",
-                   nu_final: int = 7, l_table=None, certified: bool = False,
-                   t_cap: int | None = None) -> Schedule:
-    """Build the per-step resource schedule.
-
-    Exactly one of ``eps`` (proof mode, ``K = ceil(log2(1/eps)) + 6``) and
-    ``k_max`` (experiment mode) fixes the step count.  With ``top =
-    2^(K-1) / parallelism``, every step splits ``m = 2^(k-1)`` as ``T_k S_k
-    = min(m, top)``, ``P_k = m / (T_k S_k)``, ``T_k = min(T_k S_k, t_cap)``
-    and ``S_k`` the rest.
+def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
+                   parallelism: int | None = None, beta: float = 0.05,
+                   nu_variant: str = "optimized", nu_final: int = 7, l_table=None,
+                   certified: bool = False, t_cap: int | None = None) -> Schedule:
+    """Build the schedule of ``K = k_max`` steps, an integer of at least 1.
+    With ``top = 2^(K-1) / parallelism``, every step splits ``m = 2^(k-1)``
+    as ``T_k S_k = min(m, top)``, ``P_k = m / (T_k S_k)``, ``T_k = min(T_k
+    S_k, t_cap)`` and ``S_k`` the rest.
     ``general`` takes a power-of-two ``parallelism`` up to ``2^(K-1)`` and
     a power-of-two ``t_cap``, 8 unless given; ``full_parallel`` is the
     preset ``parallelism = 2^(K-1)`` (``T_k = S_k = 1``) and
@@ -112,14 +116,10 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
     ``k - 1``, and needs at least ``K`` entries; otherwise they come from
     the calibrated selector (or the certified one when ``certified``).
     """
-    if (eps is None) == (k_max is None):
-        raise ConfigurationError("give exactly one of eps (proof mode) and k_max")
-    if eps is not None:
-        if not 0.0 < eps < 1.0:
-            raise ConfigurationError(f"target error must lie in (0, 1), got {eps}")
-        K = math.ceil(math.log2(1.0 / eps)) + 6
-    else:
-        K = int(k_max)
+    try:
+        K = operator.index(k_max)
+    except TypeError:
+        raise ConfigurationError(f"step count must be an integer, got {k_max!r}") from None
     if K < 1:
         raise ConfigurationError(f"step count must be >= 1, got {K}")
     if not 0.0 < beta < rpe.ROBUSTNESS_LIMIT:
@@ -163,11 +163,8 @@ def build_schedule(strategy: str = "full_sequential", eps: float | None = None,
             l = qsp.select_L(t, beta / (math.sqrt(2.0) * p * s))
         else:
             l = qsp.select_L_empirical(t)
-        if p * t * s != m:
-            raise ConfigurationError(
-                f"step {k}: P*T*S = {p}*{t:g}*{s} differs from 2^(k-1) = {m}")
-        steps.append(ScheduleStep(k=k, m=m, p=p, t=t, s=s, nu=nu, l=l))
-    return Schedule(steps=tuple(steps), strategy=strategy, K=K)
+        steps.append(ScheduleStep(k=k, p=p, t=t, s=s, nu=nu, l=l))
+    return Schedule(steps=tuple(steps))
 
 
 def query_count(schedule: Schedule) -> int:
@@ -189,9 +186,8 @@ def step_probabilities(instances, schedule: Schedule,
     """Probability phase: the exact even-parity probabilities, one row per
     step, columns PLUS and PLUS_I, of one instance, ``(K, 2)``, or of a
     sequence of instances, ``(n, K, 2)``.  ``schedule`` may be any sequence
-    of steps, repeats included, but every step must have ``p, s >= 1`` and
-    ``p * t * s == m``: a :class:`ConfigurationError` names the first that
-    does not, before any synthesis or oracle.
+    of steps, repeats included; each :class:`ScheduleStep` has checked its
+    own split when it was made.
 
     The ideal backend evaluates the closed form of every step at once.  The
     analytic and statevector backends compose the stages of
@@ -206,11 +202,6 @@ def step_probabilities(instances, schedule: Schedule,
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     steps = list(schedule)
-    for st in steps:
-        if st.p < 1 or st.s < 1 or st.p * st.t * st.s != st.m:
-            raise ConfigurationError(
-                f"step {st.k}: P*T*S = {st.p}*{st.t:g}*{st.s} must equal "
-                f"2^(k-1) = {st.m} with P, S >= 1")
     single = isinstance(instances, AmplitudeInstance)
     batch = [instances] if single else list(instances)
     if backend == "ideal":
@@ -267,6 +258,8 @@ def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed,
     if trials is not None and trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     nu = np.array([[st.nu] for st in schedule])
+    if not len(nu):
+        raise DomainError("a run needs at least one step, got an empty schedule")
     if np.shape(probabilities) != (len(nu), 2):
         raise DomainError(f"probabilities must have shape ({len(nu)}, 2), "
                           f"got {np.shape(probabilities)}")
@@ -297,9 +290,12 @@ def hl_reference(n_queries: int) -> float:
 
 def theorem_resources(eps: float, parallelism: int, beta: float = 0.05) -> tuple[int, int]:
     """Concrete (non-asymptotic) query and depth sums of the proof-mode
-    schedule at ``eps`` with the given parallelism: returns
-    ``(N, max_k S_k L_k + ceil(log2 P))``."""
-    sched = build_schedule(strategy="general", eps=eps, parallelism=parallelism,
-                           beta=beta, nu_variant="theoretical")
+    schedule at target error ``eps`` in ``(0, 1)``: the ``general`` schedule
+    of ``K = ceil(log2(1/eps)) + 6`` steps with the given parallelism and
+    theoretical shot counts.  Returns ``(N, max_k S_k L_k + ceil(log2 P))``."""
+    if not 0.0 < eps < 1.0:
+        raise ConfigurationError(f"target error must lie in (0, 1), got {eps}")
+    sched = build_schedule(strategy="general", k_max=math.ceil(math.log2(1.0 / eps)) + 6,
+                           parallelism=parallelism, beta=beta, nu_variant="theoretical")
     depth = max(st.s * st.l for st in sched) + circ.ghz_depth(parallelism)
     return query_count(sched), depth

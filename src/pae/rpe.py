@@ -96,6 +96,8 @@ def estimate_phase(freqs) -> PhaseEstimate:
     from one :func:`step_phase` call; the steps are then unwrapped in order
     and the last one is finalized, with the leading axes carried through."""
     freqs = np.asarray(freqs, dtype=float)
+    if freqs.ndim < 2 or freqs.shape[-2] == 0:
+        raise DomainError(f"recovery needs at least one step, got shape {freqs.shape}")
     phases = step_phase(freqs[..., 0], freqs[..., 1])
     trajectory = []
     prev = None

@@ -88,8 +88,8 @@ def check_backend_equivalence() -> tuple[str, bool, str]:
     # through the probability phase that runs take: steps with the same
     # (t, l) share one shifter, raised per s and contracted per p, up to
     # 64 branches and n = 6
-    steps = [driver.ScheduleStep(k=i + 1, m=p * s, p=p, t=1.0, s=s, nu=1, l=10)
-             for i, (p, s) in enumerate(((1, 1), (2, 1), (1, 2), (2, 2), (4, 1), (64, 1)))]
+    steps = [driver.ScheduleStep(k=k, p=p, t=1.0, s=s, nu=1, l=10)
+             for k, p, s in ((1, 1, 1), (2, 2, 1), (2, 1, 2), (3, 2, 2), (3, 4, 1), (7, 64, 1))]
     insts = [make_instance(a, n) for a in (0.0, 0.25, 1.0) for n in (2, 3, 6)]
     pa = driver.step_probabilities(insts, steps, "analytic")
     pv = driver.step_probabilities(insts, steps, "statevector")

@@ -451,7 +451,7 @@ class TestStatevectorReadout:
 
     def test_capacity_guard(self, refused_allocation):
         # the n = 2 row fits; the n = 10 row refuses the whole batch
-        step = ScheduleStep(k=1, m=1, p=1, t=1.0, s=1, nu=1, l=10)
+        step = ScheduleStep(k=1, p=1, t=1.0, s=1, nu=1, l=10)
         insts = [make_instance(0.5, 2), make_instance(0.5, 10)]
         with pytest.raises(CapacityError, match="at n = 10, L = 10"):
             step_probabilities(insts, [step], "statevector")
@@ -463,6 +463,12 @@ class TestStatevectorReadout:
         insts = [make_instance(0.3, 2), make_instance(0.8, 3), make_instance(0.5, 2)]
         with pytest.raises(DomainError, match=r"one register size, got n = \[2, 3\]"):
             controlled_grover_blocks(insts)
+        assert refused_allocation == []
+
+    def test_controlled_grover_blocks_reject_empty_batch(self, refused_allocation):
+        # np.stack used to fail on the empty list with a bare ValueError
+        with pytest.raises(DomainError, match="^empty batch: controlled-Grover blocks need "):
+            controlled_grover_blocks([])
         assert refused_allocation == []
 
     def test_capacity_bound_counts_rotations_and_blocks(self):

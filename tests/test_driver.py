@@ -43,7 +43,7 @@ def reference_steps(strategy, K, parallelism=None, beta=0.05, nu_variant="optimi
             l = qsp.select_L(t, beta / (math.sqrt(2.0) * p * s))
         else:
             l = qsp.select_L_empirical(t)
-        steps.append(ScheduleStep(k=k, m=m, p=p, t=t, s=s, nu=nu, l=l))
+        steps.append(ScheduleStep(k=k, p=p, t=t, s=s, nu=nu, l=l))
     return steps
 
 
@@ -66,18 +66,16 @@ def assert_same_steps(sched, want):
 class TestBuildSchedule:
     @pytest.mark.parametrize("strategy", ["full_parallel", "full_sequential", "general"])
     def test_one_rule_matches_per_strategy_loop(self, strategy):
-        # experiment mode K = 1..14, then proof mode eps = 0.1, 0.01, 1e-3
-        runs = [({"k_max": K}, K) for K in range(1, 15)]
-        runs += [({"eps": 0.1}, 10), ({"eps": 0.01}, 13), ({"eps": 1e-3}, 16)]
-        for mode, K in runs:
+        # K = 1..14, then 16, the proof-mode step count at eps = 1e-3
+        for K in [*range(1, 15), 16]:
             general = strategy == "general"
             ps = [2 ** j for j in range(K)] if general else [None]
             caps = [{}, {"t_cap": 1}, {"t_cap": 2}, {"t_cap": 8}, {"t_cap": 64}]
             for parallelism, cap, options in itertools.product(
                     ps, caps if general else [{}], SCHEDULE_OPTIONS):
-                sched = build_schedule(strategy=strategy, parallelism=parallelism,
-                                       **cap, **mode, **options)
-                assert sched.K == K and sched.strategy == strategy
+                sched = build_schedule(strategy=strategy, k_max=K, parallelism=parallelism,
+                                       **cap, **options)
+                assert sched.K == K
                 assert_same_steps(sched, reference_steps(
                     strategy, K, parallelism=parallelism, **cap, **options))
 
@@ -131,8 +129,11 @@ class TestBuildSchedule:
         assert [st.l for st in sched] == [10, 14, 22, 34]
 
     def test_proof_mode_step_count(self):
-        sched = build_schedule(strategy="full_sequential", eps=1e-2)
-        assert sched.K == 13     # ceil(log2(100)) + 6
+        # theorem_resources at eps = 1e-2 runs ceil(log2(100)) + 6 = 13 steps
+        sched = build_schedule(strategy="general", k_max=13, parallelism=1,
+                               nu_variant="theoretical")
+        assert theorem_resources(1e-2, 1) == (query_count(sched),
+                                              max(st.s * st.l for st in sched))
 
     def test_multiplier_identity(self):
         for strategy in ("full_parallel", "full_sequential"):
@@ -174,10 +175,29 @@ class TestBuildSchedule:
             build_schedule(strategy="general", k_max=6, parallelism=1, t_cap=t_cap)
 
     def test_mode_exclusivity(self):
-        with pytest.raises(ConfigurationError):
+        # k_max is the one source of the step count: the proof-mode eps
+        # belongs to theorem_resources
+        with pytest.raises(ConfigurationError, match="^step count must be an integer, got None"):
             build_schedule(strategy="full_parallel")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError, match="eps"):
             build_schedule(strategy="full_parallel", eps=0.1, k_max=4)
+
+    @pytest.mark.parametrize("k_max", [1.5, 4.0, "4"])
+    def test_rejects_non_integer_step_count(self, k_max):
+        # int() used to truncate 1.5 into a one-step schedule
+        with pytest.raises(ConfigurationError,
+                           match=f"^step count must be an integer, got {re.escape(repr(k_max))}$"):
+            build_schedule(strategy="full_parallel", k_max=k_max)
+        assert build_schedule(strategy="full_parallel", k_max=np.int64(4)).K == 4
+
+    def test_step_derives_its_multiplier(self):
+        # m and K are derived, never stored
+        step = ScheduleStep(k=5, p=4, t=2.0, s=2, nu=7, l=14)
+        assert step.m == 16
+        assert [f.name for f in dataclasses.fields(step)] == ["k", "p", "t", "s", "nu", "l"]
+        sched = build_schedule(strategy="full_sequential", k_max=3)
+        assert [f.name for f in dataclasses.fields(sched)] == ["steps"]
+        assert sched.K == len(sched.steps) == 3
 
     def test_l_table_override(self):
         sched = build_schedule(strategy="full_parallel", k_max=7,
@@ -338,6 +358,11 @@ class TestTwoPhases:
         with pytest.raises(DomainError, match=r"must have shape \(4, 2\), got "
                            + re.escape(str(shape))):
             sample_and_recover(sched, np.full(shape, 0.5), 1)
+
+    def test_sampler_rejects_empty_schedule(self):
+        # the empty shot array used to reach binomial as floats: a bare TypeError
+        with pytest.raises(DomainError, match="^a run needs at least one step"):
+            sample_and_recover([], np.zeros((0, 2)), 1)
 
     def test_sampler_accepts_seed_sequence(self):
         sched = build_schedule(strategy="full_sequential", k_max=3)
@@ -541,16 +566,23 @@ class TestTwoPhases:
                                         monkeypatch):
         # s = 0 used to give the identity shifter's probabilities, s = -1
         # the inverse shifter's, and m = 4 with p t s = 1 a different step
-        # on each backend; now each is refused before synthesis or oracle
+        # on each backend; now the step refuses to exist (k = 3 for m = 4,
+        # k = 0 for m = 0), and a lazily made schedule fails inside
+        # step_probabilities before the valid step ahead of it is synthesized
+        # or any oracle is built
         def refuse(*args):
             refused_allocation.append("synthesize_shifter")
             raise AssertionError("synthesize_shifter called past the check")
 
         monkeypatch.setattr(qsp, "synthesize_shifter", refuse)
-        good = ScheduleStep(k=1, m=1, p=1, t=1.0, s=1, nu=1, l=10)
-        bad = ScheduleStep(k=2, m=m, p=p, t=1.0, s=s, nu=1, l=10)
-        with pytest.raises(ConfigurationError, match=rf"^step 2: P\*T\*S = {p}\*1\*{s} "):
-            step_probabilities(make_instance(0.3), [good, bad], backend)
+        k = m.bit_length()
+        message = rf"^step {k}: P\*T\*S = {p}\*1\*{s} must equal 2\^\(k-1\) = "
+        with pytest.raises(ConfigurationError, match=message):
+            ScheduleStep(k=k, p=p, t=1.0, s=s, nu=1, l=10)
+        steps = (ScheduleStep(k=k_, p=p_, t=1.0, s=s_, nu=1, l=10)
+                 for k_, p_, s_ in ((1, 1, 1), (k, p, s)))
+        with pytest.raises(ConfigurationError, match=message):
+            step_probabilities(make_instance(0.3), steps, backend)
         assert refused_allocation == []
 
     def test_ideal_column_equals_setting_probability(self):
@@ -608,7 +640,7 @@ class TestTheoremResources:
         eps = 0.1
         K = math.ceil(math.log2(1 / eps)) + 6
         n, depth = theorem_resources(eps, 1)
-        sched = build_schedule(strategy="general", eps=eps, parallelism=1,
+        sched = build_schedule(strategy="general", k_max=K, parallelism=1,
                                nu_variant="theoretical")
         assert depth == max(st.s * st.l for st in sched)
         assert depth >= 2 ** (K - 1) // 8       # Theta(1/eps) oracle depth
@@ -622,6 +654,12 @@ class TestTheoremResources:
 
     def test_query_total_matches_schedule(self):
         n, _ = theorem_resources(0.05, 4)
-        sched = build_schedule(strategy="general", eps=0.05, parallelism=4,
+        sched = build_schedule(strategy="general", k_max=11, parallelism=4,
                                nu_variant="theoretical")
         assert n == query_count(sched)
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, 2.0])
+    def test_rejects_target_error_outside_unit_interval(self, eps):
+        with pytest.raises(ConfigurationError,
+                           match=f"^target error must lie in \\(0, 1\\), got {eps}$"):
+            theorem_resources(eps, 1)

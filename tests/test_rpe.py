@@ -155,6 +155,12 @@ class TestEstimatePhase:
                 for g, w in zip(got.trajectory, want.trajectory):
                     assert np.array_equal(g, w)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2), (2,)])
+    def test_rejects_table_without_steps(self, shape):
+        # (0, 2) used to end in a bare IndexError in finalize
+        with pytest.raises(DomainError, match="^recovery needs at least one step"):
+            estimate_phase(np.zeros(shape))
+
     def test_leading_axes_carried_through(self):
         freqs = np.random.default_rng(4).uniform(0.0, 1.0, (3, 5, 6, 2))
         est = estimate_phase(freqs)
