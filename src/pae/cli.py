@@ -62,7 +62,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_angles(args) -> int:
-    spec = qsp.synthesize_shifter(args.T, L=args.L, eps_oc=args.eps_oc)
+    L = args.L if args.L is not None else (
+        qsp.select_L(args.T, args.eps_oc) if args.eps_oc is not None
+        else qsp.select_L_empirical(args.T))
+    spec = qsp.synthesize_shifter(args.T, L)
     qsp.save_angles(args.out, spec)
     print(f"T={spec.T:g} L={spec.L} residual={spec.angles.residual:.3e} "
           f"state-error budget={spec.eps_oc:.3e}")

@@ -260,6 +260,10 @@ def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed,
     nu = np.array([[st.nu] for st in schedule])
     if not len(nu):
         raise DomainError("a run needs at least one step, got an empty schedule")
+    # recovery reads row i as the multiplier 2^i: step k must be row k - 1
+    ks = [st.k for st in schedule]
+    if ks != list(range(1, len(ks) + 1)):
+        raise DomainError(f"a run's steps must be numbered 1..{len(ks)} in order, got k = {ks}")
     if np.shape(probabilities) != (len(nu), 2):
         raise DomainError(f"probabilities must have shape ({len(nu)}, 2), "
                           f"got {np.shape(probabilities)}")

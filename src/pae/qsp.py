@@ -38,14 +38,16 @@ pipeline is:
    constant.  It runs at the target's effective degree (at least 2 for a
    live target, whose core then has length 4) and pads with cancelling
    pairs up to ``L``, the only place that pads; a target that is the
-   identity up to rounding is all cancelling pairs.  The residual check
-   covers the returned sequence, pads included, and needs no grid: a
+   identity up to rounding is all cancelling pairs.
+4. ``_certify_angles`` gates the sequence, pads included, with no grid: a
    product tree (``_product_row``) multiplies the factors out in
    coefficient space, each level one batched real FFT product, and the
    residual is the l1 distance of the product's coefficients from ``p``,
    which bounds the sup distance on the whole circle, plus a rounding term
    derived from the FFT error bound (``_product_rounding``).
-4. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
+   ``_certified_shifter`` runs steps 1-4 for ``synthesize_shifter`` and,
+   with a file's angles in place of the peel's, for ``load_angles``.
+5. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
    ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
    backend evaluates.  ``interleaved_shifter``, independent of it so that
    the backends check each other, builds the product around a
@@ -179,15 +181,18 @@ def _check_length(L: int) -> None:
 
 
 def truncate_target(T: float, L: int) -> TruncatedTarget:
-    """Truncate the Bessel expansion of the phase target at harmonic L/2."""
+    """Truncate the Bessel expansion of the phase target at harmonic L/2,
+    refusing a bound ``delta >= 1`` before the recurrence runs."""
     _check_strength(T)
     _check_length(L)
+    delta = truncation_error_bound(T, L)
+    if delta >= 1.0:
+        raise SynthesisError(f"truncation bound {delta:.3g} >= 1; increase L")
     d = L // 2
     j = _bessel_j(float(T), d)
     p = np.concatenate([j[::-1], j[1:]])
     p[d + 1::2] *= -1.0
-    return TruncatedTarget(T=float(T), L=int(L), coeffs=p,
-                           delta=truncation_error_bound(T, L))
+    return TruncatedTarget(T=float(T), L=int(L), coeffs=p, delta=delta)
 
 
 def _fejer_kernel_even(d: int) -> np.ndarray:
@@ -225,8 +230,6 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
     makes it ``-curv / 2``.  ``P(1)`` and the curvature are summed over the
     folded harmonics, where the odd ones cancel exactly.
     """
-    if target.delta >= 1.0:
-        raise SynthesisError(f"truncation bound {target.delta:.3g} >= 1; increase L")
     d = target.L // 2
     l2 = 2 * (d // 2)
     p = target.coeffs
@@ -563,30 +566,34 @@ def _product_rounding(length: int) -> float:
 
 def solve_angles(p: np.ndarray, L: int) -> AngleSequence:
     """Solve for the ``L`` angles realizing a completed Laurent target ``p``
-    (odd length, degree ``(len(p) - 1) / 2 <= L / 2``) by layer peeling.
-
-    The residual bounds the realized product's miss on the whole circle:
-    the l1 distance of its coefficients (``_product_row``) from ``p``,
-    padding included, plus the tree's rounding (``_product_rounding``).
-    Raises :class:`DomainError` for any other ``p`` or ``L``, and
-    :class:`SynthesisError` when that bound exceeds ``1e-8``.
+    (odd length, degree ``(len(p) - 1) / 2 <= L / 2``) by layer peeling,
+    gated by :func:`_certify_angles`.  Raises :class:`DomainError` for any
+    other ``p`` or ``L``, and :class:`SynthesisError` when the gate fails.
     """
     _check_length(L)
     p = np.asarray(p, float)
     if p.ndim != 1 or len(p) % 2 == 0 or len(p) - 1 > L:
         raise DomainError(f"a length-{L} sequence cannot realize a target of "
                           f"{p.size} Laurent coefficients")
-    xi = _solve_layer_peel(p, L)
+    return _certify_angles(_solve_layer_peel(p, L), p)
+
+
+def _certify_angles(xi: np.ndarray, p: np.ndarray) -> AngleSequence:
+    """Solved or loaded angles ``xi`` with their residual against ``p``,
+    which bounds the product's miss on the whole circle: the l1 distance of
+    its coefficients (``_product_row``) from ``p``, padding included, plus
+    the tree's rounding (``_product_rounding``).  Raises
+    :class:`SynthesisError` when it exceeds ``1e-8``."""
     miss = _product_row(xi)[0]
     k = (len(miss) - len(p)) // 2
     miss[k:k + len(p)] -= p
     # (len + 2) u covers the rounding of the differences and of their sum
     l1 = float(np.sum(np.abs(miss))) * (1.0 + (len(miss) + 2) * _UNIT_ROUNDOFF)
-    residual = l1 + _product_rounding(L)
+    residual = l1 + _product_rounding(len(xi))
     if not residual <= _RESIDUAL_TOL:      # a NaN must fail too
         raise SynthesisError(
-            f"layer-peel solver did not converge: residual {residual:.3g}, the l1 "
-            f"distance {l1:.3g} of the product's coefficients plus their rounding")
+            f"angles miss the target: residual {residual:.3g}, the l1 distance "
+            f"{l1:.3g} of the product's coefficients plus their rounding")
     return AngleSequence(xi=xi, residual=residual)
 
 
@@ -649,41 +656,33 @@ def build_branch_unitary(spec: PhaseShifterSpec, theta: float) -> np.ndarray:
 _shifter_cache: dict[tuple[float, int], PhaseShifterSpec] = {}
 
 
-def _solve_length(T: float, L: int) -> int:
-    """The length a length-``L`` shifter is truncated and certified at:
-    ``L`` cut (not below 4) to where the truncation bound reaches rounding
-    level, past which extra layers cannot improve a double-precision
-    synthesis.  ``L`` is checked before the cut, so an error names it."""
+def _certified_shifter(T: float, L: int, xi: np.ndarray | None = None) -> PhaseShifterSpec:
+    """The one constructor of a :class:`PhaseShifterSpec`: angles ``xi``, or
+    :func:`solve_angles`'s, gated against the target at the solve length:
+    ``L`` (checked first) cut, not below 4, to where the truncation bound
+    reaches rounding level, past which extra layers cannot improve a
+    double-precision synthesis.  A :class:`SynthesisError` names ``T``,
+    ``L`` and the solve length."""
     _check_length(L)
-    while L > 4 and truncation_error_bound(T, L - 2) < 1e-10:
-        L -= 2
-    return L
+    l_solve = L
+    while l_solve > 4 and truncation_error_bound(T, l_solve - 2) < 1e-10:
+        l_solve -= 2
+    try:
+        target = truncate_target(T, l_solve)
+        p = complete_target(target)
+        angles = solve_angles(p, L) if xi is None else _certify_angles(xi, p)
+    except SynthesisError as err:
+        raise SynthesisError(f"shifter T={float(T)}, L={int(L)} "
+                             f"(solve length {l_solve}): {err}") from err
+    return PhaseShifterSpec(T=float(T), L=int(L), angles=angles,
+                            eps_oc=state_error_bound(target.delta))
 
 
-def synthesize_shifter(T: float, L: int | None = None,
-                       eps_oc: float | None = None) -> PhaseShifterSpec:
-    """End-to-end synthesis: pick ``L`` if absent, truncate, complete, solve.
-
-    Results are cached per ``(T, L)``; the returned value is shared.  A
-    :class:`SynthesisError` names the shifter: ``T``, ``L`` and the length it
-    is solved at.
-    """
-    _check_strength(T)
-    if L is None:
-        L = select_L(T, eps_oc) if eps_oc is not None else select_L_empirical(T)
+def synthesize_shifter(T: float, L: int) -> PhaseShifterSpec:
+    """Synthesis by :func:`_certified_shifter`, cached per ``(T, L)``; the value is shared."""
     key = (float(T), int(L))
     if key not in _shifter_cache:
-        # the peel pads the cut target up to L.  A failed solve raises.
-        l_solve = _solve_length(T, L)
-        try:
-            target = truncate_target(T, l_solve)
-            angles = solve_angles(complete_target(target), L)
-        except SynthesisError as err:
-            raise SynthesisError(f"shifter T={key[0]}, L={key[1]} "
-                                 f"(solve length {l_solve}): {err}") from err
-        _shifter_cache[key] = PhaseShifterSpec(
-            T=float(T), L=int(L), angles=angles,
-            eps_oc=state_error_bound(target.delta))
+        _shifter_cache[key] = _certified_shifter(T, L)
     return _shifter_cache[key]
 
 
@@ -736,7 +735,10 @@ def save_angles(path, spec: PhaseShifterSpec) -> None:
 
 
 def load_angles(path) -> PhaseShifterSpec:
-    """Inverse of :func:`save_angles`; round-trips bit-exactly, ``eps_oc`` too."""
+    """Inverse of :func:`save_angles`, re-certified by synthesis's own
+    constructor: a clean file round-trips bit for bit, its residual
+    recomputed; the header's need only be finite and ``>= 0``.  Angles
+    missing the header's ``T`` raise :class:`SynthesisError` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines:
@@ -747,19 +749,15 @@ def load_angles(path) -> PhaseShifterSpec:
                          f"got {len(header)} fields")
     t_str, l_str, convention, res_str = header
     if convention != "Wz":
-        raise ValueError(f"angle file uses convention {convention!r}, expected 'Wz'")
-    T, L = float(t_str), int(l_str)
-    _check_strength(T)
-    if L < 2 or L % 2:
-        raise ValueError(f"angle file needs an even query length >= 2, header says {L}")
+        raise ValueError(f"angle file {path} uses convention {convention!r}, expected 'Wz'")
     xi = np.array([float(v) for v in lines[1:]])
-    if len(xi) != L:
-        raise ValueError(f"angle file holds {len(xi)} angles, header says {L}")
+    if len(xi) != int(l_str):
+        raise ValueError(f"angle file {path} holds {len(xi)} angles, header says {l_str}")
     if not np.all(np.isfinite(xi)):
-        raise ValueError("angle file holds a non-finite angle")
-    residual = float(res_str)
-    if not 0.0 <= residual < math.inf:     # a NaN must fail too
-        raise ValueError(f"angle file needs a finite residual >= 0, header says {res_str}")
-    angles = AngleSequence(xi=xi, residual=residual)
-    delta = truncation_error_bound(T, _solve_length(T, L))
-    return PhaseShifterSpec(T=T, L=L, angles=angles, eps_oc=state_error_bound(delta))
+        raise ValueError(f"angle file {path} holds a non-finite angle")
+    if not 0.0 <= float(res_str) < math.inf:     # a NaN must fail too
+        raise ValueError(f"angle file {path} needs a finite residual >= 0, got {res_str}")
+    try:
+        return _certified_shifter(float(t_str), int(l_str), xi)
+    except (DomainError, SynthesisError) as err:
+        raise type(err)(f"angle file {path}: {err}") from err

@@ -6,6 +6,7 @@ check.  These are smaller, quicker versions of the full acceptance tests.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -121,18 +122,27 @@ def check_accounting() -> tuple[str, bool, str]:
 def check_angle_roundtrip() -> tuple[str, bool, str]:
     import os
     import tempfile
-    # L = 40 is cut to 20, where synthesis certifies and reloading must too
+    # L = 40 is cut to 20, where synthesis certifies and reloading must too;
+    # a copy with its first angle moved by 0.3 must be refused, not trusted
     spec = qsp.synthesize_shifter(1.0, 40)
+    corrupted = qsp.AngleSequence(spec.angles.xi + 0.3 * (np.arange(spec.L) == 0))
     with tempfile.TemporaryDirectory() as td:
         path = os.path.join(td, "angles.txt")
         qsp.save_angles(path, spec)
         loaded = qsp.load_angles(path)
+        qsp.save_angles(path, dataclasses.replace(spec, angles=corrupted))
+        try:
+            qsp.load_angles(path)
+            refused = False
+        except qsp.SynthesisError:
+            refused = True
     ok = (loaded.T == spec.T and loaded.L == spec.L
           and np.array_equal(loaded.angles.xi, spec.angles.xi)
           and loaded.angles.residual == spec.angles.residual
           and loaded.eps_oc == spec.eps_oc)
-    return "angle-file-roundtrip", ok, \
-        "bit-exact" if ok else f"mismatch (eps_oc {loaded.eps_oc:.3e} vs {spec.eps_oc:.3e})"
+    detail = "bit-exact" if ok else f"mismatch (eps_oc {loaded.eps_oc:.3e} vs {spec.eps_oc:.3e})"
+    return "angle-file-roundtrip", ok and refused, \
+        detail + (", corrupted copy refused" if refused else ", corrupted copy loaded")
 
 
 ALL_CHECKS = (

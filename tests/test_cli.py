@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from pae.cli import main
     (["--T", "inf"], "evolution strength must be positive and finite"),
     # checked before synthesis cuts the length down, so 41 is named, not 21
     (["--T", "1", "--L", "41"], "query length must be a positive even integer, got 41"),
+    # refused before the Bessel recurrence, which raised a bare numpy ValueError
+    (["--T", "1e60", "--L", "4"], "truncation bound 8.33e+178 >= 1; increase L"),
 ])
 def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
     out = tmp_path / "angles.txt"
@@ -193,6 +196,21 @@ def test_verify_fails_on_certificate_at_full_length(capsys, monkeypatch):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  angle-file-roundtrip: mismatch (eps_oc 1.093e-12 vs 3.957e-05)" in out
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
+
+
+def test_verify_fails_on_loading_that_trusts_the_header(capsys, monkeypatch):
+    # a loader that takes the header's residual and the angles on trust
+    # round-trips a clean file but also loads the corrupted copy
+    def trusting(path):
+        T, L, _, residual, *angles = Path(path).read_text().split()
+        angles = qsp.AngleSequence(np.array(angles, dtype=float), float(residual))
+        return dataclasses.replace(qsp.synthesize_shifter(float(T), int(L)), angles=angles)
+
+    monkeypatch.setattr(qsp, "load_angles", trusting)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  angle-file-roundtrip: bit-exact, corrupted copy loaded" in out
     assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
 
 

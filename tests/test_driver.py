@@ -359,6 +359,16 @@ class TestTwoPhases:
                            + re.escape(str(shape))):
             sample_and_recover(sched, np.full(shape, 0.5), 1)
 
+    @pytest.mark.parametrize("ks", [(1, 3), (1, 1)])
+    def test_sampler_rejects_steps_out_of_order(self, ks):
+        # at a = 0.3 these recovered a_hat 0.103 and 0.404 without a word:
+        # recovery reads the rows as steps 1..K
+        sched = [ScheduleStep(k=k, p=1, t=float(2 ** (k - 1)), s=1, nu=1000, l=10) for k in ks]
+        probs = step_probabilities(make_instance(0.3), sched, "ideal")
+        with pytest.raises(DomainError, match=re.escape(
+                f"numbered 1..2 in order, got k = {list(ks)}")):
+            sample_and_recover(sched, probs, 7)
+
     def test_sampler_rejects_empty_schedule(self):
         # the empty shot array used to reach binomial as floats: a bare TypeError
         with pytest.raises(DomainError, match="^a run needs at least one step"):

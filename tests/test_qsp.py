@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pae import (DomainError, SynthesisError, build_branch_unitary,
-                 build_schedule, complete_target, load_angles,
+from pae import (AngleSequence, DomainError, PhaseShifterSpec, SynthesisError,
+                 build_branch_unitary, build_schedule, complete_target, load_angles,
                  make_instance, minimal_query_length, realized_functions,
                  save_angles, select_L,
                  select_L_empirical, solve_angles, state_error_bound,
@@ -116,9 +116,11 @@ class TestTruncationBound:
         # log bound about 1021 at T=2048/L=2000: exp used to raise OverflowError
         assert truncation_error_bound(2048.0, 2000) == math.inf
         assert state_error_bound(math.inf) == math.inf      # was inf - inf = NaN
+        # a file at that bound is refused before the recurrence runs
         path = tmp_path / "angles.txt"
         path.write_text("2048 2000 Wz 0\n" + "0\n" * 2000)
-        assert load_angles(path).eps_oc == math.inf
+        with pytest.raises(SynthesisError, match="truncation bound inf >= 1"):
+            load_angles(path)
 
     def test_huge_finite_bound_does_not_overflow(self, tmp_path):
         # delta ** 2 used to raise OverflowError from about 1e154 on
@@ -128,8 +130,26 @@ class TestTruncationBound:
         assert state_error_bound(1e200) == pytest.approx(8.0 * math.sqrt(2.0) * 1e200)
         path = tmp_path / "angles.txt"
         path.write_text("1e60 4 Wz 0\n" + "0\n" * 4)
-        eps_oc = load_angles(path).eps_oc
-        assert math.isfinite(eps_oc) and eps_oc > 1e170
+        with pytest.raises(SynthesisError, match=r"truncation bound 8\.33e\+178 >= 1"):
+            load_angles(path)
+
+    @pytest.mark.parametrize("T", [1e60, 1e7])
+    def test_refused_before_the_recurrence(self, monkeypatch, T):
+        # the recurrence loops over about T orders: 1.6 s at T = 1e7, and a
+        # bare ValueError from numpy at T = 1e60
+        def refuse(*args):
+            raise AssertionError("_bessel_j called for a bound >= 1")
+
+        monkeypatch.setattr(qsp, "_bessel_j", refuse)
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        tracemalloc.start()
+        try:
+            with pytest.raises(SynthesisError, match=r"^shifter .*: truncation bound .* >= 1"):
+                synthesize_shifter(T, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     @pytest.mark.parametrize("T", [0.25, 1.0, 2.0, 8.0, 16.0, 32.0, 48.0])
     def test_matches_closed_form(self, T):
@@ -626,7 +646,7 @@ class TestProductTree:
 class TestSynthesisErrors:
     @pytest.mark.parametrize("tol,gate", [
         ("_COMPLEMENT_TOL", r"complement of degree \d+ misses"),
-        ("_RESIDUAL_TOL", r"layer-peel solver did not converge: residual")])
+        ("_RESIDUAL_TOL", r"angles miss the target: residual")])
     def test_message_names_the_shifter(self, monkeypatch, tol, gate):
         # each gate, forced to fail, reports T, L and the solve length once
         monkeypatch.setattr(qsp, tol, -1.0)
@@ -911,7 +931,7 @@ class TestSynthesisAtEveryStrength:
         # product.  Up to 1e-7 only harmonic 1 is live, and the peel must
         # still use a core of length 4: a length-2 core realizes only C = 0
         L = select_L_empirical(T)
-        spec = synthesize_shifter(T)
+        spec = synthesize_shifter(T, L)
         assert spec.L == len(spec.angles) == L == 4
         assert spec.angles.residual <= 1e-8
         thetas = chebyshev_grid(4096)
@@ -949,8 +969,9 @@ class TestResourceSelectors:
     def test_strength_domain(self, T):
         # NaN used to pass the T <= 0 guards and inf to overflow; the
         # selectors returned a length for a negative strength
-        for fn in (synthesize_shifter, minimal_query_length, select_L_empirical,
-                   lambda t: truncate_target(t, 10), lambda t: select_L(t, 0.01)):
+        for fn in (lambda t: synthesize_shifter(t, 10), minimal_query_length,
+                   select_L_empirical, lambda t: truncate_target(t, 10),
+                   lambda t: select_L(t, 0.01)):
             with pytest.raises(DomainError, match="positive and finite"):
                 fn(T)
 
@@ -977,15 +998,19 @@ class TestResourceSelectors:
         assert triple <= 3.0 * single + 1e-12
 
 
+def assert_same_shifter(loaded, spec):
+    """Every field of a reloaded shifter equals the synthesized one's."""
+    assert (loaded.T, loaded.L, loaded.angles.residual, loaded.eps_oc) == \
+        (spec.T, spec.L, spec.angles.residual, spec.eps_oc)
+    assert np.array_equal(loaded.angles.xi, spec.angles.xi)
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         spec = synthesize_shifter(2.0, 14)
         path = tmp_path / "angles.txt"
         save_angles(path, spec)
-        loaded = load_angles(path)
-        assert loaded.T == spec.T and loaded.L == spec.L
-        assert loaded.angles.residual == spec.angles.residual
-        assert np.array_equal(loaded.angles.xi, spec.angles.xi)
+        assert_same_shifter(load_angles(path), spec)
 
     @pytest.mark.parametrize("T,L", [(1.0, 40), (2.0, 60), (8.0, 100),
                                      (8.0, select_L_empirical(8.0))])
@@ -996,7 +1021,47 @@ class TestSerialization:
         spec = synthesize_shifter(T, L)
         path = tmp_path / "angles.txt"
         save_angles(path, spec)
-        assert load_angles(path).eps_oc == spec.eps_oc
+        assert_same_shifter(load_angles(path), spec)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48])
+    def test_roundtrip_recomputes_residual(self, tmp_path, T):
+        # the residual is recomputed from the angles, not read from the
+        # header, and equals the synthesized one bit for bit
+        spec = synthesize_shifter(float(T), select_L_empirical(T))
+        path = tmp_path / "angles.txt"
+        save_angles(path, spec)
+        path.write_text(path.read_text().replace(" Wz %.17g" % spec.angles.residual,
+                                                 " Wz 0", 1))
+        assert_same_shifter(load_angles(path), spec)
+
+    def test_rejects_corrupted_angles(self, tmp_path):
+        # one angle moved by 0.3 misses exp(-8i sin theta) by 0.047 on 4001
+        # points; the header still claims the synthesized residual 1.02e-12
+        spec = synthesize_shifter(8.0, 34)
+        xi = spec.angles.xi.copy()
+        xi[0] += 0.3
+        thetas = chebyshev_grid(4001)
+        A, C = realized_functions(xi, thetas)
+        assert np.max(np.abs(A + 1j * C - np.exp(-8j * np.sin(thetas)))) > 0.04
+        path = tmp_path / "corrupted.txt"
+        save_angles(path, PhaseShifterSpec(T=8.0, L=34, eps_oc=spec.eps_oc,
+                                           angles=AngleSequence(xi, spec.angles.residual)))
+        with pytest.raises(SynthesisError) as err:
+            load_angles(path)
+        message = str(err.value)
+        assert message.startswith(f"angle file {path}: shifter T=8.0, L=34 (solve length 34): "
+                                  "angles miss the target: residual ")
+        assert "peel" not in message
+
+    def test_rejects_header_strength_mismatch(self, tmp_path):
+        # the T = 8 angles relabelled 7.5 miss that target by 1.41
+        path = tmp_path / "relabelled.txt"
+        save_angles(path, synthesize_shifter(8.0, 34))
+        path.write_text(path.read_text().replace("8 34 ", "7.5 34 ", 1))
+        with pytest.raises(SynthesisError, match=r"^angle file .*relabelled\.txt: shifter "
+                           r"T=7\.5, L=34 .*: angles miss the target: residual 1\.41, ") as err:
+            load_angles(path)
+        assert "peel" not in str(err.value)
 
     def test_header_format(self, tmp_path):
         spec = synthesize_shifter(1.0, 10)
