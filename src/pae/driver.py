@@ -21,10 +21,10 @@ A run has two phases:
 * the sampling and recovery phase, :func:`sample_and_recover`, draws the
   parity counts of one run, ``(K, 2)``, or of a batch of trials,
   ``(trials, K, 2)``, from those probabilities in one binomial call of one
-  seeded generator, and recovers the phase from ``counts / nu`` with
-  :func:`rpe.estimate_phase`.  Trial 0 of a batch is the single run at the
-  same seed, and the first ``m`` trials of any batch are the ``m``-trial
-  batch.
+  seeded generator (:func:`draw_counts`), and recovers the phase from
+  ``counts / nu`` with :func:`rpe.estimate_phase`.  Trial 0 of a batch is
+  the single run at the same seed, and the first ``m`` trials of any batch
+  are the ``m``-trial batch.
 
 ``run`` composes the two and reports the exact query count ``N = 2 sum_k
 nu_k P_k S_k L_k`` alongside depth and width; :func:`theorem_resources`
@@ -237,11 +237,11 @@ def step_probabilities(instances, schedule: Schedule,
     return probabilities[0] if single else probabilities
 
 
-def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed,
-                       trials: int | None = None):
-    """Sampling and recovery phase: draw every step's counts from the
-    ``(K, 2)`` ``probabilities`` of one instance (as returned by
-    :func:`step_probabilities`) and recover the phase.
+def draw_counts(schedule: Schedule, probabilities: np.ndarray, seed,
+                trials: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sampling phase: draw every step's counts from the ``(K, 2)``
+    ``probabilities`` of one instance (as returned by
+    :func:`step_probabilities`).
 
     ``seed`` is one seed (an integer or a ``SeedSequence``) of one
     ``default_rng``, which draws the counts, ``nu_k`` shots per setting, in
@@ -249,9 +249,8 @@ def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed,
     ``(n, K, 2)`` with ``trials=n``.  A batch is ``n`` consecutive
     ``(K, 2)`` draws of the same stream, so trial 0 equals the single run at
     ``seed`` and the first ``m`` trials equal an ``m``-trial batch.  Returns
-    ``(PhaseEstimate, counts)``: the recovery runs once over ``counts / nu``,
-    so the estimate's fields are scalars for a single run and ``(n,)``
-    arrays for a batch.
+    ``(counts, counts / nu)``, the counts and the frequencies that
+    :func:`rpe.estimate_phase` reads.
     """
     if np.ndim(seed) != 0:
         raise DomainError(f"seed must be a single seed, got shape {np.shape(seed)}")
@@ -269,7 +268,18 @@ def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed,
                           f"got {np.shape(probabilities)}")
     shape = (len(nu), 2) if trials is None else (trials, len(nu), 2)
     counts = np.random.default_rng(seed).binomial(nu, np.broadcast_to(probabilities, shape))
-    return rpe.estimate_phase(counts / nu), counts
+    return counts, counts / nu
+
+
+def sample_and_recover(schedule: Schedule, probabilities: np.ndarray, seed,
+                       trials: int | None = None):
+    """Sampling and recovery phase: :func:`draw_counts`, then the phase
+    recovered once over the frequencies.  Returns ``(PhaseEstimate,
+    counts)``; the estimate's fields are scalars for a single run and
+    ``(n,)`` arrays for a batch of ``trials=n``.
+    """
+    counts, frequencies = draw_counts(schedule, probabilities, seed, trials)
+    return rpe.estimate_phase(frequencies), counts
 
 
 def run(instance: AmplitudeInstance, schedule: Schedule, seed: int,

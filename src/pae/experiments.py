@@ -12,7 +12,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import circuit as circ
-from . import driver, qsp
+from . import driver, qsp, rpe
 from .config import ExperimentConfig
 from .core_model import make_instance
 
@@ -73,6 +73,9 @@ def _cells(cfg: ExperimentConfig, ks):
     if not amplitudes:
         raise driver.ConfigurationError(
             f"{cfg.experiment} needs 'amplitudes' or 'amplitude_grid'")
+    if not ks:
+        raise driver.ConfigurationError(
+            f"{cfg.experiment} needs k_min <= k_max, got {cfg.k_min}..{cfg.k_max}")
     schedules = [_schedule_for(cfg, K) for K in ks]
     table = driver.step_probabilities([make_instance(a, cfg.n) for a in amplitudes],
                                       [st for schedule in schedules for st in schedule],
@@ -88,18 +91,28 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
     The probability phase is :func:`_cells`.  The sampling phase then draws
     each cell's trials in one batch on one generator seeded by the cell's
-    trial-0 seed, so trial 0 of a cell equals :func:`driver.run` at that
-    seed, and recovers the phase of all trials at once.
+    trial-0 seed (:func:`driver.draw_counts`), so trial 0 of a cell equals
+    :func:`driver.run` at that seed.  The frequencies of all cells, padded
+    to the largest K, go to one :func:`rpe.estimate_phase` call, which
+    recovers every trial of every cell at once; recovery is elementwise
+    and step ``k`` reads only steps ``1..k``, so each cell's final estimate
+    is read at its own K, with the bits of a recovery of that cell alone.
     """
+    cells = list(_cells(cfg, range(cfg.k_min, cfg.k_max + 1)))
+    ks = [K for _, K, _, _, _ in cells]
+    frequencies = np.zeros((len(cells), cfg.trials, max(ks), 2))
+    for freqs, (_, K, schedule, probabilities, seed) in zip(frequencies, cells):
+        freqs[:, :K] = driver.draw_counts(schedule, probabilities, seed, cfg.trials)[1]
+    trajectory = rpe.estimate_phase(frequencies).trajectory
+    a_hat = rpe.finalize([np.array([trajectory[K - 1][i] for i, K in enumerate(ks)])]).a_hat
+    reports = {K: driver.resource_report(schedule, cfg.n) for _, K, schedule, _, _ in cells}
     rows = []
-    for a, K, schedule, probabilities, seed in _cells(
-            cfg, range(cfg.k_min, cfg.k_max + 1)):
-        estimate, _ = driver.sample_and_recover(schedule, probabilities, seed, cfg.trials)
-        report = driver.resource_report(schedule, cfg.n)
+    for (a, K, _, _, _), estimates in zip(cells, a_hat):
+        report = reports[K]
         rows.append(ResultRow(
             a=a, K=K, strategy=cfg.strategy, n_queries=report.n_queries,
             oracle_depth=report.oracle_depth, width=report.width,
-            rmse=float(np.sqrt(np.mean((estimate.a_hat - a) ** 2))),
+            rmse=float(np.sqrt(np.mean((estimates - a) ** 2))),
             trials=cfg.trials, seed=cfg.seed))
     return rows
 

@@ -26,19 +26,22 @@ pipeline is:
    product realizes ``P`` by layer peeling alone: complete ``P`` to a
    unitary with the complementary polynomial ``G``
    (``|P|^2 + |G|^2 = 1``, one FFT spectral factorisation, no root finding;
-   its arrays are real or Hermitian, so every transform is a real FFT) and
-   strip one degree at a time.  The pair is gated on the sized grid of the
-   degree of ``|P|^2 + |G|^2 - 1`` by the same real-FFT moduli: its maximum
-   there, divided by ``cos(pi degree / n)``, bounds it on the whole circle.
-   Only the first row
-   ``(P, iG)`` of the Laurent tensor is kept, since the second is its
-   reversed conjugate; each layer's angle comes in closed form from the
-   two end blocks, and each strip is one ``(L, 2) @ (2, 2)`` product with
-   the layer's rank-1 projector, so the peel is ``O(L^2)`` with a small
-   constant.  It runs at the target's effective degree (at least 2 for a
-   live target, whose core then has length 4) and pads with cancelling
-   pairs up to ``L``, the only place that pads; a target that is the
-   identity up to rounding is all cancelling pairs.
+   its arrays are real or Hermitian, so every transform is a real FFT, on
+   a grid that doubles from eight points per coefficient until the
+   cepstrum's aliased tail is at rounding level) and strip one degree at a
+   time.  The pair is gated on the sized grid of the degree of ``|P|^2 +
+   |G|^2 - 1`` by the same real-FFT moduli: its maximum there, divided by
+   ``cos(pi degree / n)``, bounds it on the whole circle.  Only the first
+   row ``(P, iG)`` of the Laurent tensor is kept, since the second is its
+   reversed conjugate, and as the real pair ``(P, G)``: every layer maps a
+   row ``(x, i eta)`` with real ``x`` and ``eta`` to another.  Each layer's
+   angle comes in closed form from the two end blocks, and each strip is
+   one real ``(L, 2) @ (2, 2)`` product with the layer's rank-1 projector,
+   so the peel is ``O(L^2)`` with a small constant.  It runs at the
+   target's effective degree (at least 2 for a live target, whose core
+   then has length 4) and pads with cancelling pairs up to ``L``, the only
+   place that pads; a target that is the identity up to rounding is all
+   cancelling pairs.
 4. ``_certify_angles`` gates the sequence, pads included, with no grid: a
    product tree (``_product_row``) multiplies the factors out in
    coefficient space, each level one batched real FFT product, and the
@@ -362,6 +365,33 @@ def _deflate_pinned(r: np.ndarray) -> np.ndarray:
     return c[::-1]
 
 
+def _log_cepstrum(r: np.ndarray) -> np.ndarray:
+    """The cepstrum of ``log R~`` on a uniform grid of ``n`` points, the
+    length of the result, from the deflated remainder ``r``, which holds
+    ``-R~`` on powers ``-m..m``.
+
+    The cepstrum decays, and the grid aliases its tail onto the kept half,
+    so ``n`` doubles from eight points per coefficient while the tail
+    ``max |c[n/4 : n/2]|`` exceeds ``1e-14``, up to ``max(4096, eight per
+    coefficient)``.  ``R~`` is real and symmetric, so its spectrum and the
+    cepstrum are real: both transforms are real FFTs.  ``R~`` dips below
+    zero only by rounding where ``1 - |P|^2`` is itself at rounding level;
+    clamping the dips changes ``|G|^2`` by that much, and the complement's
+    certificate still rejects a truly infeasible target.
+    """
+    m = (len(r) - 1) // 2
+    n = 1 << (8 * len(r) - 1).bit_length()
+    cap = max(4096, n)
+    while True:
+        spread = np.zeros(n)
+        spread[np.arange(-m, m + 1) % n] = -r
+        values = np.maximum(np.fft.rfft(spread).real, 1e-20)
+        cepstrum = np.fft.irfft(np.log(values), n)
+        if n >= cap or not np.max(np.abs(cepstrum[n // 4:n // 2])) > 1e-14:
+            return cepstrum
+        n *= 2
+
+
 def _fejer_complement(p: np.ndarray) -> np.ndarray:
     """Real ``g`` with ``P(z)P(1/z) + G(z)G(1/z) = 1`` on the unit circle.
 
@@ -382,21 +412,11 @@ def _fejer_complement(p: np.ndarray) -> np.ndarray:
     r[2 * d] += 1.0
     r = _deflate_pinned(r)
     m = (len(r) - 1) // 2                # R~ on powers -m..m
-    # eight grid points per coefficient keep the aliased cepstrum tail at
-    # rounding level
-    n = max(4096, 1 << (8 * len(r) - 1).bit_length())
-    spread = np.zeros(n)
-    spread[np.arange(-m, m + 1) % n] = -r
-    # spread is real and symmetric, so its spectrum and the cepstrum are
-    # real, and exp of the one-sided cepstrum's spectrum is Hermitian: every
-    # transform is a real FFT over the half spectrum.
-    # R~ dips below zero only by rounding where 1 - |P|^2 is itself at
-    # rounding level; clamping the dips changes |G|^2 by that much, and the
-    # certificate below still rejects a truly infeasible target (|P| > 1)
-    values = np.maximum(np.fft.rfft(spread).real, 1e-20)
-    cepstrum = np.fft.irfft(np.log(values), n)
+    cepstrum = _log_cepstrum(r)
+    n = len(cepstrum)
     cepstrum[0] /= 2.0
     cepstrum[n // 2:] = 0.0
+    # exp of the one-sided cepstrum's spectrum is Hermitian: a real FFT too
     f = np.fft.irfft(np.exp(np.fft.rfft(cepstrum)), n)[: m + 1]
     g = np.convolve(f, [1.0, 0.0, -1.0])[::-1]
     n_cert, factor = _sized_grid(2 * d)
@@ -429,32 +449,34 @@ def _solve_layer_peel(p: np.ndarray, L: int) -> np.ndarray:
         return xi
     p = p[d - d_eff:d + d_eff + 1]
     # first row (P, iG) of the half-step Laurent tensor of the completed
-    # unitary.  Every layer factor lies in SU(2), so the second row is the
-    # reversed conjugate of the first, u[n-k, 1] = (-conj(y_k), conj(x_k)),
-    # and the end blocks u[0] and u[n] follow from r[0] and r[n] alone
-    r = np.empty((len(p), 2), dtype=complex)
+    # unitary, held as the real pair (x, eta) = (P, G): every layer maps a
+    # row (x, i eta) with real coefficients to another of that form.  Every
+    # layer factor lies in SU(2), so the second row is the reversed
+    # conjugate of the first, and the end blocks follow from r[0] and r[n]
+    r = np.empty((len(p), 2))
     r[:, 0] = p
-    r[:, 1] = 1j * _fejer_complement(p)
+    r[:, 1] = _fejer_complement(p)
     for j in range(2 * d_eff, 0, -1):
-        (x0, y0), (x1, y1) = r[0].tolist(), r[-1].tolist()
+        (x0, eta0), (x1, eta1) = r[0].tolist(), r[-1].tolist()
         even_slot = j % 2 == 0
         # the layer angle t annihilates the top block along (cos, -i sin)(t/2)
         # and the bottom one along (sin, i cos)(t/2), the other way round in
         # an odd slot: eight real rows in (cos, sin)(t/2), whose Gram matrix
         # m is 2 [[e, s], [s, f]] here, 2 [[f, -s], [-s, e]] in an odd slot.
         # Its null direction makes half the angle atan2(2 m01, m00 - m11) + pi
-        e = abs(x1) ** 2 + abs(y0) ** 2
-        f = abs(x0) ** 2 + abs(y1) ** 2
+        e = x1 ** 2 + eta0 ** 2
+        f = x0 ** 2 + eta1 ** 2
         if e + f < 1e-26:
             # degree-deficient: every row entry is below 1e-13, any angle cancels
             angle = np.pi
         else:
-            s = (x1.conjugate() * y1).imag - (x0.conjugate() * y0).imag
+            s = x1 * eta1 - x0 * eta0
             angle = (math.atan2(2.0 * s, e - f) if even_slot
                      else math.atan2(-2.0 * s, f - e)) + np.pi
         ca, sa = math.cos(angle), math.sin(angle)
-        # the rank-1 projector of the layer; its complement is 1 - pm
-        pm = 0.5 * np.array([[1.0 - ca, -1j * sa], [1j * sa, 1.0 + ca]])
+        # the rank-1 projector of the layer, 0.5 [[1 - c, -i s], [i s, 1 + c]]
+        # on (x, i eta), acting on (x, eta); its complement is 1 - pm
+        pm = 0.5 * np.array([[1.0 - ca, -sa], [-sa, 1.0 + ca]])
         if even_slot:
             xi[j - 1] = angle
             r = r[:-1] + (r[1:] - r[:-1]) @ pm
@@ -750,14 +772,18 @@ def load_angles(path) -> PhaseShifterSpec:
     t_str, l_str, convention, res_str = header
     if convention != "Wz":
         raise ValueError(f"angle file {path} uses convention {convention!r}, expected 'Wz'")
-    xi = np.array([float(v) for v in lines[1:]])
-    if len(xi) != int(l_str):
-        raise ValueError(f"angle file {path} holds {len(xi)} angles, header says {l_str}")
+    try:
+        T, L, residual = float(t_str), int(l_str), float(res_str)
+        xi = np.array([float(v) for v in lines[1:]])
+    except ValueError as err:
+        raise ValueError(f"angle file {path} holds a field that is not a number: {err}") from err
+    if len(xi) != L:
+        raise ValueError(f"angle file {path} holds {len(xi)} angles, header says {L}")
     if not np.all(np.isfinite(xi)):
         raise ValueError(f"angle file {path} holds a non-finite angle")
-    if not 0.0 <= float(res_str) < math.inf:     # a NaN must fail too
+    if not 0.0 <= residual < math.inf:     # a NaN must fail too
         raise ValueError(f"angle file {path} needs a finite residual >= 0, got {res_str}")
     try:
-        return _certified_shifter(float(t_str), int(l_str), xi)
+        return _certified_shifter(T, L, xi)
     except (DomainError, SynthesisError) as err:
         raise type(err)(f"angle file {path}: {err}") from err

@@ -567,7 +567,7 @@ class TestTwoPhases:
                                      l_table=PARALLEL_L_TABLE_PLUS)):
             for backend in ("analytic", "statevector"):
                 digest.update(step_probabilities(insts, sched, backend).tobytes())
-        assert digest.hexdigest()[:16] == "12dd845ba77edb6d"
+        assert digest.hexdigest()[:16] == "347ac19f2b400da0"
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector", "ideal"])
     @pytest.mark.parametrize("m,p,s", [(1, 1, 0), (1, 1, -1), (4, 1, 1), (1, -1, -1),

@@ -7,8 +7,9 @@ import pytest
 
 from pae import (PARALLEL_L_TABLE_PLUS, ConfigError, ConfigurationError,
                  ExperimentConfig, build_schedule, circuit, estimate_phase,
-                 hl_reference, make_instance, parse_config, run, serialize_config,
-                 setting_probability, step_probabilities, synthesize_shifter)
+                 hl_reference, make_instance, parse_config, rpe, run,
+                 sample_and_recover, serialize_config, setting_probability,
+                 step_probabilities, synthesize_shifter)
 from pae.circuit import MeasurementSetting, ParallelCircuit
 from pae.cli import main as cli_main
 from pae.experiments import (BiasRow, ResultRow, run_bias_sweep,
@@ -160,6 +161,35 @@ class TestRmseSweep:
                     sq.append((est.a_hat - a) ** 2)
                 expected.append((a, K, float(np.sqrt(np.mean(sq)))))
         assert [(r.a, r.K, r.rmse) for r in run_rmse_sweep(cfg)] == expected
+
+
+    def test_empty_step_range_is_refused(self):
+        # a config built without parse_config skips its range check
+        with pytest.raises(ConfigurationError, match=r"needs k_min <= k_max, got 4\.\.3"):
+            run_rmse_sweep(self.make_cfg(k_min=4, k_max=3))
+
+    @pytest.mark.parametrize("trials", [1, 7])
+    def test_one_recovery_per_sweep(self, trials, monkeypatch):
+        # cells of K = 1..4 are padded to K = 4 and recovered in one call;
+        # each RMSE keeps the bits of its cell's batch recovered alone
+        cfg = self.make_cfg(amplitudes=(0.1, 0.7), k_min=1, k_max=4, trials=trials)
+        expected = []
+        for a in cfg.amplitudes:
+            for K in range(1, 5):
+                sched = build_schedule(strategy=cfg.strategy, k_max=K)
+                probs = step_probabilities(make_instance(a), sched, "ideal")
+                est, _ = sample_and_recover(sched, probs, trial_seed(cfg.seed, a, K, 0), trials)
+                expected.append(float(np.sqrt(np.mean((est.a_hat - a) ** 2))))
+        shapes = []
+
+        def counted(freqs):
+            shapes.append(np.shape(freqs))
+            return recover(freqs)
+
+        recover = rpe.estimate_phase
+        monkeypatch.setattr(rpe, "estimate_phase", counted)
+        assert [r.rmse for r in run_rmse_sweep(cfg)] == expected
+        assert shapes == [(8, trials, 4, 2)]
 
 
 class TestBiasSweep:

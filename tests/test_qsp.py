@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pae import (AngleSequence, DomainError, PhaseShifterSpec, SynthesisError,
-                 build_branch_unitary, build_schedule, complete_target, load_angles,
+from pae import (PARALLEL_L_TABLE_PLUS, AngleSequence, DomainError, PhaseShifterSpec,
+                 SynthesisError, build_branch_unitary, build_schedule, complete_target, load_angles,
                  make_instance, minimal_query_length, realized_functions,
                  save_angles, select_L,
                  select_L_empirical, solve_angles, state_error_bound,
@@ -18,9 +19,10 @@ from pae import (AngleSequence, DomainError, PhaseShifterSpec, SynthesisError,
 from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae import qsp
 from pae.qsp import (_complement_gap, _deflate_pinned, _fejer_complement,
-                     _fejer_kernel_even, _fold, _product_rounding, _product_row, _sized_grid,
-                     _solve_layer_peel, _uniform_modulus2, chebyshev_grid, controlled_grover,
-                     interleaved_shifter, rotation_product)
+                     _fejer_kernel_even, _fold, _log_cepstrum, _product_rounding,
+                     _product_row, _sized_grid, _solve_layer_peel, _uniform_modulus2,
+                     chebyshev_grid, controlled_grover, interleaved_shifter,
+                     rotation_product)
 
 
 def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:
@@ -442,15 +444,29 @@ class TestSizedGrid:
                 assert dense <= coarse / factor + 1e-15
 
 
-def complex_fft_complement(p):
-    """The spectral factor with complex FFTs throughout: the reference for
-    the real-FFT construction in ``_fejer_complement``."""
+LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
+
+
+def deflated_remainder(p):
+    """``1 - P(z)P(1/z)`` with the pinned zeros at ``z = +-1`` divided out."""
     d = (len(p) - 1) // 2
     r = -np.convolve(p, p[::-1])
     r[2 * d] += 1.0
-    r = _deflate_pinned(r)
+    return _deflate_pinned(r)
+
+
+def degree_rule(r):
+    """Eight grid points per coefficient of ``r``, rounded up to a power of two."""
+    return 1 << (8 * len(r) - 1).bit_length()
+
+
+def complex_fft_complement(p):
+    """The spectral factor with complex FFTs throughout, on a grid of at
+    least 4096 points: the reference for the real-FFT construction in
+    ``_fejer_complement`` and for the size of its grid."""
+    r = deflated_remainder(p)
     m = (len(r) - 1) // 2
-    n = max(4096, 1 << (8 * len(r) - 1).bit_length())
+    n = max(4096, degree_rule(r))
     spread = np.zeros(n)
     spread[np.arange(-m, m + 1) % n] = -r
     values = np.maximum(np.fft.fft(spread).real, 1e-20)
@@ -488,6 +504,33 @@ class TestComplement:
         p = complete_target(truncate_target(T, L))
         g = _fejer_complement(p)
         assert np.max(np.abs(g - complex_fft_complement(p))) <= 1e-14
+
+    @pytest.mark.parametrize("T,L", [(1.0, L) for L in sorted(set(PARALLEL_L_TABLE_PLUS))]
+                             + [(float(T), select_L_empirical(T)) for T in LADDER])
+    def test_sized_grid_matches_floored_reference(self, T, L):
+        # the reference's grid never falls below 4096 points; the cepstrum's
+        # own grid starts at eight points per coefficient and never exceeds it
+        p = complete_target(truncate_target(T, L))
+        r = deflated_remainder(p)
+        assert len(_log_cepstrum(r)) <= max(4096, degree_rule(r))
+        assert np.max(np.abs(_fejer_complement(p) - complex_fft_complement(p))) <= 1e-14
+
+    @pytest.mark.parametrize("T,L", [(2.533577337370513, 10), (3.0, 18)])
+    def test_aliased_tail_doubles_the_grid(self, T, L):
+        # at eight points per coefficient the first target misses the
+        # complement tolerance by 1.8e-10; its cepstrum tail sends it to a
+        # finer grid, which certifies, and neither grid passes the floored one
+        p = complete_target(truncate_target(T, L))
+        r = deflated_remainder(p)
+        n = len(_log_cepstrum(r))
+        assert degree_rule(r) < n <= max(4096, degree_rule(r))
+        assert np.max(np.abs(_fejer_complement(p) - complex_fft_complement(p))) <= 1e-14
+
+    def test_small_targets_take_a_smaller_grid(self):
+        # the T = 1 shifters of the parallel tables need 512 points, not 4096
+        for L in sorted(set(PARALLEL_L_TABLE_PLUS)):
+            assert len(_log_cepstrum(deflated_remainder(
+                complete_target(truncate_target(1.0, L))))) == 512
 
     @pytest.mark.parametrize("T", [1.0, 64.0, 256.0])
     def test_unit_modulus_pair(self, T):
@@ -705,7 +748,55 @@ def svd_layer_peel(p, L):
     return xi
 
 
+def complex_layer_peel(p, L):
+    """The layer peel on the complex first row ``(P, iG)``, with the complex
+    projector: the reference for the real ``(P, G)`` peel of
+    ``_solve_layer_peel``."""
+    d = (len(p) - 1) // 2
+    content = _fold(np.abs(p))[0]
+    alive = np.nonzero(content[1:] > 1e-13 * max(float(np.max(content)), 1.0))[0]
+    d_eff = min(max(int(alive[-1]) + 1, 2), d) if len(alive) else 0
+    xi = np.tile([-np.pi / 2, np.pi / 2], L // 2)
+    if not d_eff:
+        return xi
+    p = p[d - d_eff:d + d_eff + 1]
+    r = np.empty((len(p), 2), dtype=complex)
+    r[:, 0] = p
+    r[:, 1] = 1j * _fejer_complement(p)
+    for j in range(2 * d_eff, 0, -1):
+        (x0, y0), (x1, y1) = r[0].tolist(), r[-1].tolist()
+        even_slot = j % 2 == 0
+        e = abs(x1) ** 2 + abs(y0) ** 2
+        f = abs(x0) ** 2 + abs(y1) ** 2
+        if e + f < 1e-26:
+            angle = np.pi
+        else:
+            s = (x1.conjugate() * y1).imag - (x0.conjugate() * y0).imag
+            angle = (math.atan2(2.0 * s, e - f) if even_slot
+                     else math.atan2(-2.0 * s, f - e)) + np.pi
+        ca, sa = math.cos(angle), math.sin(angle)
+        pm = 0.5 * np.array([[1.0 - ca, -1j * sa], [1j * sa, 1.0 + ca]])
+        if even_slot:
+            xi[j - 1] = angle
+            r = r[:-1] + (r[1:] - r[:-1]) @ pm
+        else:
+            xi[j - 1] = angle - np.pi
+            r = r[1:] + (r[:-1] - r[1:]) @ pm
+    return xi
+
+
 class TestLayerPeel:
+    @pytest.mark.parametrize("T,L", [(1.0, 10), (16.0, 58), (48.0, 146)])
+    def test_real_row_matches_complex_row(self, T, L):
+        # the row (x, i eta) has real x and eta at every layer, so peeling
+        # the real pair takes the same rounding steps as the complex row
+        p = complete_target(truncate_target(T, L))
+        assert np.array_equal(_solve_layer_peel(p, L), complex_layer_peel(p, L))
+
+    def test_real_row_matches_complex_row_at_large_strength(self):
+        p = complete_target(truncate_target(256.0, 710))
+        assert np.max(np.abs(_solve_layer_peel(p, 710) - complex_layer_peel(p, 710))) <= 1e-12
+
     @pytest.mark.parametrize("T", [16.0, 48.0, 256.0])
     def test_matches_svd_reference(self, T):
         # the SVD's sign is arbitrary, so angles agree modulo 2*pi
@@ -885,9 +976,9 @@ class TestSynthesisAtEveryStrength:
         # the same digest the synth_ladder benchmark workload reports: a
         # change that moves any angle, even at rounding level, shows here
         digest = hashlib.sha256()
-        for T in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48):
+        for T in LADDER:
             digest.update(synthesize_shifter(float(T), select_L_empirical(T)).angles.xi.tobytes())
-        assert digest.hexdigest()[:16] == "ed8c4c80c6bb8c6d"
+        assert digest.hexdigest()[:16] == "d56c39a9630fbdbc"
 
     @pytest.mark.parametrize("T", [2.0 ** j for j in range(12)])
     def test_certified_or_loud(self, T):
@@ -1124,6 +1215,16 @@ class TestSerialization:
         save_angles(path, spec)
         path.write_text(path.read_text() + "0.5\n")
         with pytest.raises(ValueError, match="11 angles, header says 10"):
+            load_angles(path)
+
+    @pytest.mark.parametrize("header,angles", [("1 4 Wz 0", "0\nx\n0\n0\n"),
+                                               ("abc 4 Wz 0", "0\n" * 4),
+                                               ("1 four Wz 0", "0\n" * 4)])
+    def test_non_numeric_field_names_the_file(self, tmp_path, header, angles):
+        path = tmp_path / "angles.txt"
+        path.write_text(f"{header}\n{angles}")
+        with pytest.raises(ValueError, match=rf"^angle file {re.escape(str(path))} holds a "
+                           "field that is not a number: "):
             load_angles(path)
 
     def test_rejects_missing_and_nonfinite_angles(self, tmp_path):
