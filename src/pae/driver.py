@@ -55,10 +55,20 @@ class ConfigurationError(ValueError):
     """Raised for invalid schedule or strategy parameters."""
 
 
+def _integer(value) -> int | None:
+    """``value`` as an ``int`` if it is an integer type, else ``None``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True)
 class ScheduleStep:
     """Resolution step ``k``, its multiplier ``m = 2^(k-1)`` split as ``P T S``;
-    construction refuses ``k``, ``P`` or ``S`` below 1 and any other split."""
+    construction refuses ``k``, ``P`` or ``S`` below 1, any other split, a
+    shot count ``nu`` that is not an integer of at least 1 and a query
+    length ``l`` that is not a positive even integer."""
     k: int
     p: int          # parallel branches
     t: float        # shifter strength
@@ -71,6 +81,13 @@ class ScheduleStep:
             raise ConfigurationError(
                 f"step {self.k}: P*T*S = {self.p}*{self.t:g}*{self.s} must equal "
                 f"2^(k-1) = {self.m} with P, S >= 1")
+        nu, l = _integer(self.nu), _integer(self.l)
+        if nu is None or nu < 1:
+            raise ConfigurationError(
+                f"step {self.k}: shots per setting must be an integer >= 1, got {self.nu!r}")
+        if l is None or l < 2 or l % 2:
+            raise ConfigurationError(
+                f"step {self.k}: query length must be a positive even integer, got {self.l!r}")
 
     @property
     def m(self) -> int:
@@ -116,10 +133,9 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
     ``k - 1``, and needs at least ``K`` entries; otherwise they come from
     the calibrated selector (or the certified one when ``certified``).
     """
-    try:
-        K = operator.index(k_max)
-    except TypeError:
-        raise ConfigurationError(f"step count must be an integer, got {k_max!r}") from None
+    K = _integer(k_max)
+    if K is None:
+        raise ConfigurationError(f"step count must be an integer, got {k_max!r}")
     if K < 1:
         raise ConfigurationError(f"step count must be >= 1, got {K}")
     if not 0.0 < beta < rpe.ROBUSTNESS_LIMIT:
@@ -158,7 +174,7 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
         p, t, s = m // ts, float(strength), ts // strength
         nu = rpe.schedule_nu(K, k, variant=nu_variant, beta=beta, nu_final=nu_final)
         if l_table is not None:
-            l = int(l_table[k - 1])
+            l = l_table[k - 1]
         elif certified:
             l = qsp.select_L(t, beta / (math.sqrt(2.0) * p * s))
         else:

@@ -15,13 +15,15 @@ pipeline is:
    ``P(z) = sum_k p_k z^k`` is exactly achievable (``P(1) = 1`` and
    ``|P| <= 1`` on the circle), staying within ``8*delta`` of the target.
    ``|P|^2`` is a real trigonometric polynomial of degree ``L``.  It is
-   evaluated twice, to measure the overshoot and to gate the result, on one
-   uniform grid sized by that degree (``_sized_grid``: the smallest power
-   of two with at least 64 points per degree), as the squared moduli of one
-   real FFT of the coefficients.  For real ``p``, ``P(e^{-i theta}) = conj
-   P(e^{i theta})``, so ``|P|^2`` takes the same value at ``theta`` and
-   ``2 pi - theta``, and the half spectrum, the angles ``0..pi``, carries
-   every value of the grid.
+   evaluated twice, once for the truncated and once for the completed
+   vector, to measure the overshoot and to gate the result, on one uniform
+   grid sized by that degree (``_sized_grid``: the smallest power of two
+   with at least 64 points per degree), as the squared moduli of one real
+   FFT of the coefficients (``_uniform_modulus2``).  For real ``p``,
+   ``P(e^{-i theta}) = conj P(e^{i theta})``, so ``|P|^2`` takes the same
+   value at ``theta`` and ``2 pi - theta``, and the half spectrum, the
+   angles ``0..pi``, carries every value of the grid.  The gate's values
+   are kept for step 3.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``P`` by layer peeling alone: complete ``P`` to a
    unitary with the complementary polynomial ``G``
@@ -31,23 +33,29 @@ pipeline is:
    cepstrum's aliased tail is at rounding level) and strip one degree at a
    time.  The pair is gated on the sized grid of the degree of ``|P|^2 +
    |G|^2 - 1`` by the same real-FFT moduli: its maximum there, divided by
-   ``cos(pi degree / n)``, bounds it on the whole circle.  Only the first
-   row ``(P, iG)`` of the Laurent tensor is kept, since the second is its
-   reversed conjugate, and as the real pair ``(P, G)``: every layer maps a
-   row ``(x, i eta)`` with real ``x`` and ``eta`` to another.  Each layer's
-   angle comes in closed form from the two end blocks, and each strip is
-   one real ``(L, 2) @ (2, 2)`` product with the layer's rank-1 projector,
-   so the peel is ``O(L^2)`` with a small constant.  It runs at the
+   ``cos(pi degree / n)``, bounds it on the whole circle.  When the peel's
+   core is the whole target, as at every calibrated length, that grid and
+   ``P`` are the completion gate's, whose ``|P|^2`` is reused, so only
+   ``|G|^2`` costs a transform there.  Only the first row ``(P, iG)`` of
+   the Laurent tensor is kept, since the second is its reversed conjugate,
+   and as the real pair ``(P, G)``: every layer maps a row ``(x, i eta)``
+   with real ``x`` and ``eta`` to another.  Each layer's angle comes in
+   closed form from the two end blocks, and each strip is one real ``(L,
+   2) @ (2, 2)`` product with the layer's rank-1 projector, refilled in one
+   2x2 array, added in place to the row's view one shorter, so the peel is
+   ``O(L^2)`` with a small constant.  It runs at the
    target's effective degree (at least 2 for a live target, whose core
    then has length 4) and pads with cancelling pairs up to ``L``, the only
    place that pads; a target that is the identity up to rounding is all
    cancelling pairs.
 4. ``_certify_angles`` gates the sequence, pads included, with no grid: a
    product tree (``_product_row``) multiplies the factors out in
-   coefficient space, each level one batched real FFT product, and the
-   residual is the l1 distance of the product's coefficients from ``p``,
-   which bounds the sup distance on the whole circle, plus a rounding term
-   derived from the FFT error bound (``_product_rounding``).
+   coefficient space, each level one real FFT of six rows per pair of
+   nodes, one fused product-sum giving both output rows and one inverse
+   real FFT, and the residual is the l1 distance of the product's
+   coefficients from ``p``, which bounds the sup distance on the whole
+   circle, plus a rounding term derived from the FFT error bound
+   (``_product_rounding``).
    ``_certified_shifter`` runs steps 1-4 for ``synthesize_shifter`` and,
    with a file's angles in place of the peel's, for ``load_angles``.
 5. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
@@ -326,6 +334,11 @@ def realized_functions(xi: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, 
 # Layer peeling: complement the target to a full SU(2)-valued trig polynomial
 # and strip one rotation layer at a time.
 
+# The latest evaluation of _uniform_modulus2 and nothing older, keyed by the
+# grid size and the coefficients' bytes.
+_latest_modulus2: dict[tuple[int, bytes], np.ndarray] = {}
+
+
 def _uniform_modulus2(p: np.ndarray, n: int) -> np.ndarray:
     """``|P(e^{2 pi i j / n})|^2``, ``j = 0..n/2`` (``n`` even), the angles
     ``0..pi`` of the ``n``-point uniform grid, of the real Laurent vector
@@ -333,11 +346,25 @@ def _uniform_modulus2(p: np.ndarray, n: int) -> np.ndarray:
     meet on the grid, so the coefficients are summed into their residues
     first.  Bin ``j`` of the forward transform is ``P(e^{-2 pi i j / n})``,
     the conjugate of ``P(e^{2 pi i j / n})``, which has the same modulus;
-    the remaining points ``j = n/2+1..n-1`` repeat bins ``n/2-1..1``."""
-    d = (len(p) - 1) // 2
-    folded = np.bincount(np.arange(-d, d + 1) % n, weights=p, minlength=n)
-    half = np.fft.rfft(folded)
-    return half.real ** 2 + half.imag ** 2
+    the remaining points ``j = n/2+1..n-1`` repeat bins ``n/2-1..1``.
+
+    The result is read-only and kept until the next call with another ``p``
+    or ``n``: when the peel's core is the whole completed target, the
+    complement gate asks for exactly the completion gate's values, and this
+    hands them over.  Only the latest evaluation is kept, so it serves no
+    synthesis but the one that made it, unless that one was ``load_angles``
+    certifying the same shifter."""
+    p = np.asarray(p, dtype=float)
+    key = (n, p.tobytes())
+    if key not in _latest_modulus2:
+        d = (len(p) - 1) // 2
+        folded = np.bincount(np.arange(-d, d + 1) % n, weights=p, minlength=n)
+        half = np.fft.rfft(folded)
+        values = half.real ** 2 + half.imag ** 2
+        values.flags.writeable = False
+        _latest_modulus2.clear()
+        _latest_modulus2[key] = values
+    return _latest_modulus2[key]
 
 
 def _sized_grid(degree: int) -> tuple[int, float]:
@@ -358,10 +385,10 @@ def _deflate_pinned(r: np.ndarray) -> np.ndarray:
     running sum, at ``-1`` that of the sign-alternated coefficients with the
     signs put back.  Sign flips are exact and ``cumsum`` adds in order, so
     every quotient coefficient is rounded as in the scalar recurrence."""
-    c = r[::-1]
-    for root in (1.0, 1.0, -1.0, -1.0):
-        sign = root ** np.arange(len(c) - 1)
-        c = sign * np.cumsum(sign * c[:-1])
+    c = np.cumsum(np.cumsum(r[:0:-1])[:-1])
+    sign = (-1.0) ** np.arange(len(c) - 1)
+    for size in (len(c) - 1, len(c) - 2):
+        c = sign[:size] * np.cumsum(sign[:size] * c[:size])
     return c[::-1]
 
 
@@ -430,11 +457,19 @@ def _fejer_complement(p: np.ndarray) -> np.ndarray:
 
 def _complement_gap(p: np.ndarray, g: np.ndarray, n: int) -> float:
     """``max |P P* + G G* - 1|`` on the ``n``-point uniform grid, from its
-    angles ``0..pi``: both moduli are even in ``theta`` for real ``p, g``."""
+    angles ``0..pi``: both moduli are even in ``theta`` for real ``p, g``.
+    For the whole completed target ``|P|^2`` on this grid is the completion
+    gate's evaluation, which ``_uniform_modulus2`` still holds, so only
+    ``|G|^2`` is transformed."""
     return float(np.max(np.abs(_uniform_modulus2(p, n) + _uniform_modulus2(g, n) - 1.0)))
 
 
 def _solve_layer_peel(p: np.ndarray, L: int) -> np.ndarray:
+    """The ``L`` angles whose interleaved product realizes the completed
+    target ``p``, by stripping one layer at a time from the real row
+    ``(P, G)``, ``G`` from ``_fejer_complement``.  Each layer refills one
+    2x2 projector array and adds its step in place to the view of the row
+    one coefficient shorter, so the step is the only array a layer makes."""
     # peel at the effective degree and pad with cancelling pairs up to L:
     # harmonics at rounding level would make the complement factor noise.
     # A target with no live harmonic beyond 0 is the identity, all
@@ -444,7 +479,8 @@ def _solve_layer_peel(p: np.ndarray, L: int) -> np.ndarray:
     content = _fold(np.abs(p))[0]       # |p_l| + |p_-l|, |p_0| once
     alive = np.nonzero(content[1:] > 1e-13 * max(float(np.max(content)), 1.0))[0]
     d_eff = min(max(int(alive[-1]) + 1, 2), d) if len(alive) else 0
-    xi = np.tile([-np.pi / 2, np.pi / 2], L // 2)
+    xi = np.empty(L)
+    xi[0::2], xi[1::2] = -np.pi / 2, np.pi / 2
     if not d_eff:
         return xi
     p = p[d - d_eff:d + d_eff + 1]
@@ -456,6 +492,7 @@ def _solve_layer_peel(p: np.ndarray, L: int) -> np.ndarray:
     r = np.empty((len(p), 2))
     r[:, 0] = p
     r[:, 1] = _fejer_complement(p)
+    pm = np.empty((2, 2))
     for j in range(2 * d_eff, 0, -1):
         (x0, eta0), (x1, eta1) = r[0].tolist(), r[-1].tolist()
         even_slot = j % 2 == 0
@@ -476,13 +513,18 @@ def _solve_layer_peel(p: np.ndarray, L: int) -> np.ndarray:
         ca, sa = math.cos(angle), math.sin(angle)
         # the rank-1 projector of the layer, 0.5 [[1 - c, -i s], [i s, 1 + c]]
         # on (x, i eta), acting on (x, eta); its complement is 1 - pm
-        pm = 0.5 * np.array([[1.0 - ca, -sa], [-sa, 1.0 + ca]])
+        pm[0, 0] = 0.5 * (1.0 - ca)
+        pm[0, 1] = pm[1, 0] = 0.5 * -sa
+        pm[1, 1] = 0.5 * (1.0 + ca)
         if even_slot:
             xi[j - 1] = angle
-            r = r[:-1] + (r[1:] - r[:-1]) @ pm
+            step = (r[1:] - r[:-1]) @ pm
+            r = r[:-1]
         else:
             xi[j - 1] = angle - np.pi
-            r = r[1:] + (r[:-1] - r[1:]) @ pm
+            step = (r[:-1] - r[1:]) @ pm
+            r = r[1:]
+        r += step
     return xi
 
 
@@ -520,7 +562,11 @@ def _product_row(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x2 - eta1 * rev(eta2)``, ``eta = x1 * eta2 + eta1 * rev(x2)``.  Each level
     pairs its nodes, an odd count padded by the exact identity node, and
     multiplies all pairs in one real FFT of the six input rows and one
-    inverse of the two output rows: ``O(L log^2 L)`` in all.
+    inverse of the two output rows: ``O(L log^2 L)`` in all.  The six rows
+    are ``x1, eta1, x2, eta2, -rev(eta2), rev(x2)``, so both output rows
+    are one product-sum of their spectra, ``f0 (f2, f3) + f1 (f4, f5)``;
+    negation is exact through the transform and the products, so this is
+    the same rounding as ``x1 x2 - eta1 rev(eta2)``.
     """
     c, s = np.cos(xi), np.sin(xi)
     nodes = np.empty((len(xi), 2, 2))
@@ -533,11 +579,10 @@ def _product_row(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             identity = np.zeros((1, 2, width))
             identity[0, 0, width // 2] = 1.0
             nodes = np.concatenate([nodes, identity])
-        left, right = nodes[0::2], nodes[1::2]
-        x1, eta1, x2, eta2, rev_x2, rev_eta2 = np.fft.rfft(
-            np.concatenate([left, right, right[:, :, ::-1]], axis=1), n).transpose(1, 0, 2)
-        nodes = np.fft.irfft(np.stack([x1 * x2 - eta1 * rev_eta2,
-                                       x1 * eta2 + eta1 * rev_x2], axis=1), n)[:, :, :2 * width - 1]
+        rows = np.concatenate([nodes[0::2], nodes[1::2], nodes[1::2, ::-1, ::-1]], axis=1)
+        rows[:, 4] *= -1.0
+        f = np.fft.rfft(rows, n)
+        nodes = np.fft.irfft(f[:, 0:1] * f[:, 2:4] + f[:, 1:2] * f[:, 4:6], n)[:, :, :2 * width - 1]
     return nodes[0, 0], nodes[0, 1]
 
 

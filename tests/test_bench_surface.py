@@ -68,3 +68,21 @@ def test_every_workload_passes_its_checks_under_the_tracer(bench, tmp_path):
         after = attribute_snapshot()
         assert after.keys() == before.keys()
         assert replaced(before, after) == [], name
+
+
+def test_traced_synthesis_times_each_stage(bench, tmp_path):
+    # the per-layer metrics qsp.truncate_target.s, qsp.complete_target.s
+    # and qsp.solve_angles.s read these spans: a synthesis that stopped
+    # calling its stages through the module would zero them without a word
+    worker, tracing = bench
+    wl = worker.WORKLOADS["synth_ladder"](3, "tiny", str(tmp_path))
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        worker.cold_cache()
+        wl.call()
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    for stage in ("qsp.truncate_target", "qsp.complete_target", "qsp.solve_angles"):
+        assert names.count(stage) >= 1, stage

@@ -199,6 +199,33 @@ class TestBuildSchedule:
         assert [f.name for f in dataclasses.fields(sched)] == ["steps"]
         assert sched.K == len(sched.steps) == 3
 
+    @pytest.mark.parametrize("nu", [0, -3, 1.5, 7.0, None])
+    def test_step_rejects_bad_shot_count(self, nu):
+        # nu = 0 used to give a_hat = nan with only a RuntimeWarning
+        with pytest.raises(ConfigurationError,
+                           match=rf"^step 2: shots per setting must be an integer >= 1, "
+                                 rf"got {re.escape(repr(nu))}$"):
+            ScheduleStep(k=2, p=2, t=1.0, s=1, nu=nu, l=10)
+        assert ScheduleStep(k=2, p=2, t=1.0, s=1, nu=np.int64(1), l=10).nu == 1
+
+    @pytest.mark.parametrize("l", [-2, 0, 3, 11, 10.5, 10.0, "10", None])
+    def test_step_rejects_bad_query_length(self, l):
+        # l = -2 used to report n_queries = -20 and oracle_depth = -2
+        with pytest.raises(ConfigurationError,
+                           match=rf"^step 2: query length must be a positive even integer, "
+                                 rf"got {re.escape(repr(l))}$"):
+            ScheduleStep(k=2, p=2, t=1.0, s=1, nu=7, l=l)
+        assert ScheduleStep(k=2, p=2, t=1.0, s=1, nu=7, l=np.int64(2)).l == 2
+
+    def test_non_integer_l_table_entry_is_refused(self):
+        # int() used to truncate the table into L = 10, 12, 14
+        with pytest.raises(ConfigurationError,
+                           match=r"^step 1: query length must be a positive even integer, "
+                                 r"got 10\.5$"):
+            build_schedule(strategy="full_parallel", k_max=3, l_table=[10.5, 12.9, 14])
+        sched = build_schedule(strategy="full_parallel", k_max=3, l_table=np.array([10, 12, 14]))
+        assert [st.l for st in sched] == [10, 12, 14]
+
     def test_l_table_override(self):
         sched = build_schedule(strategy="full_parallel", k_max=7,
                                l_table=PARALLEL_L_TABLE_PLUS[:7])

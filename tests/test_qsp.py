@@ -566,6 +566,55 @@ class TestComplement:
             _fejer_complement(p)
 
 
+class TestSharedModulus:
+    def test_cold_synthesis_transforms_the_sized_grid_three_times(self, monkeypatch):
+        # |P|^2 of the truncated and of the completed target, and |G|^2:
+        # the complement gate takes the completed target's |P|^2 from the
+        # completion gate, the same vector on the same grid
+        n = _sized_grid(146)[0]
+        assert n == 16384
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        synthesize_shifter(1.0, 10)            # another target goes first
+        rfft, sizes = np.fft.rfft, []
+
+        def counting(a, n=None, *args, **kwargs):
+            sizes.append(np.shape(a)[-1] if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        synthesize_shifter(48.0, 146)
+        assert sizes.count(n) == 3
+
+    def test_interleaved_targets_match_each_target_alone(self):
+        # two targets on the same 4096-point grid, each completion followed
+        # by the other's before either complement and gap
+        targets = [truncate_target(8.0, 34), truncate_target(4.0, 40)]
+        n = _sized_grid(34)[0]
+        assert n == _sized_grid(40)[0] == 4096
+
+        def alone(target):
+            p = complete_target(target)
+            g = _fejer_complement(p)
+            return p, g, _complement_gap(p, g, n)
+
+        want = [alone(target) for target in targets]
+        ps = [complete_target(target) for target in targets]
+        gs = [_fejer_complement(p) for p in ps]
+        gaps = [_complement_gap(ps[i], gs[i], n) for i in (1, 0)][::-1]
+        for (p, g, gap), p2, g2, gap2 in zip(want, ps, gs, gaps):
+            assert np.array_equal(p, p2) and np.array_equal(g, g2) and gap == gap2
+
+    def test_values_are_read_only(self):
+        # the kept values cannot be changed by a caller, and an evaluation
+        # after another target's gives them again
+        p = complete_target(truncate_target(2.0, 14))
+        values = _uniform_modulus2(p, 1024)
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+        _uniform_modulus2(2.0 * p, 1024)
+        assert np.array_equal(values, _uniform_modulus2(p, 1024))
+
+
 class TestSolveAngles:
     def test_identity_target(self):
         thetas = chebyshev_grid(512)
@@ -639,7 +688,44 @@ def tree_deviation(xi):
     return dev, outside
 
 
+def unfused_product_row(xi):
+    """The product tree with each level's six spectra unpacked, the two
+    output rows formed as ``x1 x2 - eta1 rev(eta2)`` and ``x1 eta2 + eta1
+    rev(x2)`` and stacked: the reference for the fused level of
+    ``_product_row``."""
+    c, s = np.cos(xi), np.sin(xi)
+    nodes = np.empty((len(xi), 2, 2))
+    nodes[:, 0, 0] = 0.5 * (1.0 + c)
+    nodes[:, 0, 1] = 0.5 * (1.0 - c)
+    nodes[:, 1, 0] = 0.5 * s
+    nodes[:, 1, 1] = -0.5 * s
+    count, width = len(xi), 2
+    while count > 1:
+        count += count % 2
+        n = 1 << (2 * width - 2).bit_length()
+        if len(nodes) < count:
+            identity = np.zeros((1, 2, width))
+            identity[0, 0, width // 2] = 1.0
+            nodes = np.concatenate([nodes, identity])
+        left, right = nodes[0::2], nodes[1::2]
+        x1, eta1, x2, eta2, rev_x2, rev_eta2 = np.fft.rfft(
+            np.concatenate([left, right, right[:, :, ::-1]], axis=1), n).transpose(1, 0, 2)
+        nodes = np.fft.irfft(np.stack([x1 * x2 - eta1 * rev_eta2,
+                                       x1 * eta2 + eta1 * rev_x2], axis=1), n)[:, :, :2 * width - 1]
+        count, width = count // 2, 2 * width - 1
+    return nodes[0, 0], nodes[0, 1]
+
+
 class TestProductTree:
+    @pytest.mark.parametrize("L", [2, 4, 6, 10, 12, 146, 300])
+    def test_fused_level_matches_unfused_tree(self, L):
+        # negating -rev(eta2) before the transform is exact, so the fused
+        # product-sum rounds as the unfused difference; odd node counts
+        # (6, 10, 12, 146 and 300 factors) reach the identity pads
+        xi = np.random.default_rng(L).uniform(-np.pi, np.pi, L)
+        for got, want in zip(_product_row(xi), unfused_product_row(xi)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("L", [2, 4, 6, 10, 12, 146])
     def test_matches_long_double_product(self, L):
         # 6, 10, 12 and 146 factors leave an odd node count on some level,
@@ -785,7 +871,55 @@ def complex_layer_peel(p, L):
     return xi
 
 
+def allocating_layer_peel(p, L):
+    """The real peel with a new projector and a new row at every layer: the
+    reference for the in-place peel of ``_solve_layer_peel``."""
+    d = (len(p) - 1) // 2
+    content = _fold(np.abs(p))[0]
+    alive = np.nonzero(content[1:] > 1e-13 * max(float(np.max(content)), 1.0))[0]
+    d_eff = min(max(int(alive[-1]) + 1, 2), d) if len(alive) else 0
+    xi = np.tile([-np.pi / 2, np.pi / 2], L // 2)
+    if not d_eff:
+        return xi
+    p = p[d - d_eff:d + d_eff + 1]
+    r = np.empty((len(p), 2))
+    r[:, 0] = p
+    r[:, 1] = qsp._fejer_complement(p)
+    for j in range(2 * d_eff, 0, -1):
+        (x0, eta0), (x1, eta1) = r[0].tolist(), r[-1].tolist()
+        even_slot = j % 2 == 0
+        e = x1 ** 2 + eta0 ** 2
+        f = x0 ** 2 + eta1 ** 2
+        if e + f < 1e-26:
+            angle = np.pi
+        else:
+            s = x1 * eta1 - x0 * eta0
+            angle = (math.atan2(2.0 * s, e - f) if even_slot
+                     else math.atan2(-2.0 * s, f - e)) + np.pi
+        ca, sa = math.cos(angle), math.sin(angle)
+        pm = 0.5 * np.array([[1.0 - ca, -sa], [-sa, 1.0 + ca]])
+        if even_slot:
+            xi[j - 1] = angle
+            r = r[:-1] + (r[1:] - r[:-1]) @ pm
+        else:
+            xi[j - 1] = angle - np.pi
+            r = r[1:] + (r[:-1] - r[1:]) @ pm
+    return xi
+
+
 class TestLayerPeel:
+    @pytest.mark.parametrize("T,L", [(1.0, 10), (16.0, 58), (48.0, 146), (256.0, 710)])
+    def test_in_place_peel_matches_allocating_peel(self, T, L):
+        # the same operations on the same operands, so the same bits
+        p = complete_target(truncate_target(T, L))
+        assert np.array_equal(_solve_layer_peel(p, L), allocating_layer_peel(p, L))
+
+    def test_in_place_peel_matches_allocating_peel_when_degree_deficient(self, monkeypatch):
+        # the target of test_degree_deficient_end_gives_pi
+        monkeypatch.setattr(qsp, "_fejer_complement", lambda p: np.zeros_like(p))
+        p = np.array([0.0, -0.05, 1.0, 0.05, 0.0])
+        assert np.array_equal(_solve_layer_peel(p, 4), allocating_layer_peel(p, 4))
+
     @pytest.mark.parametrize("T,L", [(1.0, 10), (16.0, 58), (48.0, 146)])
     def test_real_row_matches_complex_row(self, T, L):
         # the row (x, i eta) has real x and eta at every layer, so peeling
