@@ -9,31 +9,30 @@ same way: :func:`parity_probabilities` reads each branch's final ancilla
 state from ``(c, n, 2, 2)`` blocks, one ancilla block per component of the
 system register, and the product over identical branches collapses to
 complex powers, so the cost is independent of ``P``.  Each stage here
-takes and returns one plain array and knows nothing of ``S``: the caller
-raises the shifter blocks to ``S`` with one ``np.linalg.matrix_power``
-between building and contracting them.  ``driver.step_probabilities``
-composes the stages for a run, sharing blocks across steps; the
-per-setting views :func:`setting_probability` and
-:func:`statevector_even_parity_probability` compose them for one circuit.
-The backends differ in where the blocks come from:
+takes and returns plain arrays.  ``driver.step_probabilities`` composes
+the stages for a run, sharing blocks across steps; the per-setting views
+:func:`setting_probability` and :func:`statevector_even_parity_probability`
+compose them for one circuit.  The backends differ in where the blocks
+come from:
 
 * analytic -- on each Grover eigenphase ``e^{+-2i theta}`` the shifter is
   the 2x2 ancilla product ``qsp.rotation_product`` at ``pi/2 +- 2 theta``
   (:func:`eigenphase_blocks`, which do not depend on ``P``); the two
   eigencomponents of ``|0..0>`` are the two components; exact, and batched
-  over instance angles.
-* statevector -- the shifter as a dense matrix built from the explicit
-  oracle, used to cross-validate the analytic backend:
-  :func:`controlled_grover_blocks` stacks the controlled-Grover blocks of
-  instances of one register size, ``qsp.interleaved_shifter`` multiplies
-  the shifter around the whole stack, and
-  :func:`statevector_parity_probabilities` takes the two shifter columns
-  that a system register at ``|0..0>`` reaches and hands their ``2^n``
-  system components to :func:`parity_probabilities`.  The full
-  ``(n+1)P``-qubit state is never built; :func:`check_capacity` bounds the
-  dense stacks instead.  The explicit oracle and ``interleaved_shifter``
-  share no code with the eigenphase reduction and ``rotation_product``,
-  so the two backends check each other.
+  over instance angles.  The caller raises the blocks to ``S`` with one
+  ``np.linalg.matrix_power`` before contracting them.
+* statevector -- the shifter around the explicit oracle, used to
+  cross-validate the analytic backend: :func:`controlled_grover_blocks`
+  stacks the controlled-Grover blocks of instances of one register size,
+  and :func:`shifter_columns` applies the shifter's factors to the only
+  two columns a branch reads, those of a system register at ``|0..0>``,
+  ``S`` times over in one pass, without multiplying the shifter out.
+  :func:`statevector_parity_probabilities` hands their ``2^n`` system
+  components to :func:`parity_probabilities`.  The full ``(n+1)P``-qubit
+  state is never built; :func:`check_capacity` bounds the blocks instead.
+  The explicit oracle and the x-rotations of :func:`shifter_columns` share
+  no code with the eigenphase reduction and ``rotation_product``, so the
+  two backends check each other.
 """
 
 from __future__ import annotations
@@ -47,12 +46,16 @@ import numpy as np
 
 from .core_model import (AmplitudeInstance, DomainError, build_explicit_oracle,
                          build_grover_unitary)
-from .qsp import (PhaseShifterSpec, controlled_grover, interleaved_shifter,
-                  rotation_product)
+from .qsp import PhaseShifterSpec, controlled_grover, rotation_product
 
-# Bytes the statevector backend may allocate in the dense stacks of one
+# Bytes the statevector backend may hold at once in the dense blocks of one
 # register size (see :func:`check_capacity`).
 STATEVECTOR_MAX_BYTES = 2 ** 30
+# One controlled-Grover build's temporaries, in blocks of its own size: the
+# padded block, its phased copy and the 2^n-sized oracle and Grover products
+# peaked at 2.3 to 2.8 blocks over the finished stack (tracemalloc, n = 6 to
+# 9, canonical and random oracles).
+_BUILD_BLOCKS = 3
 
 
 class CapacityError(RuntimeError):
@@ -167,52 +170,104 @@ def ghz_depth(P: int) -> int:
 # ---------------------------------------------------------------------------
 # Statevector backend
 
-def check_capacity(L: int, ns) -> None:
+def check_capacity(ns) -> None:
     """Raise :class:`CapacityError` at the first register size in ``ns``
-    whose dense stacks exceed :data:`STATEVECTOR_MAX_BYTES`: the ``2L``
-    ancilla x-rotations that ``interleaved_shifter`` lifts at once and one
-    controlled-Grover block per amplitude of that size, each
-    ``(2^(n+1))^2`` complex."""
+    whose stages would hold more than :data:`STATEVECTOR_MAX_BYTES` at
+    once: the controlled-Grover block of every amplitude of that size, its
+    adjoint, and the temporaries of one block's build, counted as
+    :data:`_BUILD_BLOCKS` blocks, each ``(2^(n+1))^2`` complex.  The
+    shifter's length adds nothing: :func:`shifter_columns` holds two
+    columns per amplitude."""
     for n, m in Counter(ns).items():
-        nbytes = 16 * 4 ** (n + 1) * (2 * L + m)
+        nbytes = 16 * 4 ** (n + 1) * (2 * m + _BUILD_BLOCKS)
         if nbytes > STATEVECTOR_MAX_BYTES:
             raise CapacityError(
-                f"statevector blocks at n = {n}, L = {L} need "
-                f"{nbytes / 2 ** 30:.3g} GiB, over the "
+                f"statevector blocks at n = {n} for {m} amplitude"
+                f"{'' if m == 1 else 's'} need {nbytes / 2 ** 30:.3g} GiB, over the "
                 f"{STATEVECTOR_MAX_BYTES / 2 ** 30:g} GiB guard")
 
 
 def controlled_grover_blocks(instances, oracle_style: str = "canonical",
                              oracle_seed=None) -> np.ndarray:
     """The ``(m, 2^(n+1), 2^(n+1))`` stack of the controlled-Grover blocks
-    of ``m`` instances' explicit oracles, in order.  The instances must
-    share one register size ``n``; mixed sizes raise :class:`DomainError`
-    before any oracle is built, and so does an empty batch."""
+    of ``m`` instances' explicit oracles, in order, each built into its
+    slot.  The instances must share one register size ``n``; mixed sizes
+    raise :class:`DomainError` before any oracle is built, and so does an
+    empty batch."""
     instances = list(instances)
     sizes = sorted({inst.n for inst in instances})
     if not sizes:
         raise DomainError("empty batch: controlled-Grover blocks need at least one instance")
     if len(sizes) > 1:
         raise DomainError(f"controlled-Grover blocks need one register size, got n = {sizes}")
-    return np.stack([controlled_grover(build_grover_unitary(
-        build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)))
-        for inst in instances])
+    dim = 2 ** (sizes[0] + 1)
+    blocks = np.empty((len(instances), dim, dim), dtype=complex)
+    for block, inst in zip(blocks, instances):
+        block[...] = controlled_grover(build_grover_unitary(
+            build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)))
+    return blocks
 
 
-def statevector_parity_probabilities(shifters: np.ndarray, P: int) -> np.ndarray:
+def shifter_columns(xi, wq: np.ndarray, s_max: int) -> np.ndarray:
+    """``(s_max, m, 2^(n+1), 2)`` columns, ``s``-fold at index ``s - 1`` for
+    every ``s = 1 .. s_max``: the two columns, ancilla 0 and ancilla 1 with
+    the system at ``|0^n>``, of the shifter of the angles ``xi`` raised to
+    ``s``, around each of the ``m`` controlled-Grover blocks ``wq``,
+    ``(m, 2^(n+1), 2^(n+1))``.
+
+    The shifter is the product over slots ``j`` of ``rx(a_j) W_j rx(-a_j)``
+    on the ancilla, with ``W_j = wq^dagger`` and ``a_j = xi_j + pi`` in odd
+    slots (even ``j``), ``W_j = wq`` and ``a_j = xi_j`` in even slots.  Its
+    factors are applied right to left to the columns and never multiplied
+    out: consecutive x-rotations merge into one, ``rx(a_(j+1) - a_j)``, so
+    each slot is one batched product with a 2x2 rotation on the ancilla
+    axis and one with a block or its adjoint; where one application of the
+    shifter meets the next, its last and first rotations merge too."""
+    _check_count("repetition count", s_max)
+    m, dim = wq.shape[0], wq.shape[-1]
+    xi = np.asarray(xi, dtype=float)
+    a = xi + np.pi * (np.arange(len(xi)) % 2 == 0)
+    # rotations in the order applied: the shifter's first one, the merged
+    # one at the wrap, its last one, then between slots j + 1 and j for
+    # j = L - 2 .. 0
+    half = np.concatenate([[-a[-1], a[0] - a[-1], a[0]], np.diff(a)[::-1]]) / 2
+    ch, sh = np.cos(half), np.sin(half)
+    rx = np.empty((len(half), 2, 2), dtype=complex)
+    rx[:, 0, 0] = rx[:, 1, 1] = ch
+    rx[:, 0, 1] = rx[:, 1, 0] = -1j * sh
+    first, wrap, last, *between = rx
+    turns = [first, *between]
+    wq_dag = np.swapaxes(wq, -1, -2).conj()
+    slots = [wq if j % 2 else wq_dag for j in range(len(xi) - 1, -1, -1)]
+    cols = np.zeros((m, dim, 2), dtype=complex)
+    cols[:, 0, 0] = cols[:, dim // 2, 1] = 1.0
+    turned = np.empty_like(cols)
+    # views of the same columns with the ancilla as an axis of its own
+    by_ancilla, turned_by_ancilla = cols.reshape(m, 2, -1), turned.reshape(m, 2, -1)
+    out = np.empty((s_max, m, dim, 2), dtype=complex)
+    for s in range(s_max):
+        for turn, block in zip(turns, slots):
+            np.matmul(turn, by_ancilla, out=turned_by_ancilla)
+            np.matmul(block, turned, out=cols)
+        np.matmul(last, by_ancilla, out=out[s].reshape(m, 2, -1))
+        turns[0] = wrap
+    return out
+
+
+def statevector_parity_probabilities(columns: np.ndarray, P: int) -> np.ndarray:
     """``(m, 2)`` probabilities, PLUS then PLUS_I, of ``P`` branches from
-    the ``(m, 2^(n+1), 2^(n+1))`` shifters (already to the power S) of
+    the ``(m, 2^(n+1), 2)`` shifter columns (already to the power S) of
     ``m`` instances of one register size, one row per instance.
 
     Each branch's system register starts at ``|0..0>``, so a branch's final
     state is fixed by the two shifter columns with ancilla 0 or 1 and
-    system ``|0^n>``.  Split by the system basis state they reach, those
-    columns are ``2^n`` ancilla blocks; scaled by ``sqrt(2)``, as
-    :func:`parity_probabilities` expects, they are contracted there for
-    ``P`` branches."""
-    m, dim = shifters.shape[:2]
-    columns = shifters[:, :, ::dim // 2].reshape(m, 2, dim // 2, 2)
-    return parity_probabilities(np.sqrt(2.0) * columns.transpose(2, 0, 1, 3), P)
+    system ``|0^n>`` (:func:`shifter_columns`).  Split by the system basis
+    state they reach, those columns are ``2^n`` ancilla blocks; scaled by
+    ``sqrt(2)``, as :func:`parity_probabilities` expects, they are
+    contracted there for ``P`` branches."""
+    m, dim = columns.shape[:2]
+    blocks = columns.reshape(m, 2, dim // 2, 2).transpose(2, 0, 1, 3)
+    return parity_probabilities(np.sqrt(2.0) * blocks, P)
 
 
 def statevector_even_parity_probability(circuit: ParallelCircuit,
@@ -223,9 +278,8 @@ def statevector_even_parity_probability(circuit: ParallelCircuit,
     :class:`CapacityError` before any oracle is built."""
     _check_count("branch count", circuit.P)
     _check_count("repetition count", circuit.S)
-    check_capacity(circuit.spec.L, [circuit.instance.n])
-    shifter = interleaved_shifter(circuit.spec.angles.xi,
-                                  controlled_grover_blocks([circuit.instance]))
-    return float(statevector_parity_probabilities(
-        np.linalg.matrix_power(shifter, circuit.S), circuit.P)
-        [0, list(MeasurementSetting).index(setting)])
+    check_capacity([circuit.instance.n])
+    columns = shifter_columns(circuit.spec.angles.xi,
+                              controlled_grover_blocks([circuit.instance]), circuit.S)
+    return float(statevector_parity_probabilities(columns[-1], circuit.P)
+                 [0, list(MeasurementSetting).index(setting)])

@@ -207,14 +207,17 @@ def step_probabilities(instances, schedule: Schedule,
 
     The ideal backend evaluates the closed form of every step at once.  The
     analytic and statevector backends compose the stages of
-    :mod:`circuit` alike, per register size on the statevector backend: they
-    build one stack of blocks for all instances per distinct ``(t, l)``,
-    raise it with one ``np.linalg.matrix_power`` per distinct ``(t, l, s)``
-    and contract that power per distinct ``(p, t, s, l)``.  They differ only
-    in the blocks: ``circuit.eigenphase_blocks`` of the instance angles, or
-    ``interleaved_shifter`` around the controlled-Grover blocks, which the
-    statevector backend builds once per instance and call, after checking
-    its memory guard at every step's ``l`` and every register size."""
+    :mod:`circuit` alike, per register size on the statevector backend:
+    they build one stack for all instances per distinct ``(t, l)``, take
+    its power ``s`` once per distinct ``(t, l, s)`` and contract that
+    power per distinct ``(p, t, s, l)``.  They differ in the stack.  The
+    analytic one is ``circuit.eigenphase_blocks`` of the instance angles,
+    raised with ``np.linalg.matrix_power``.  The statevector one is
+    ``circuit.shifter_columns`` around the controlled-Grover blocks, which
+    it builds once per instance and call after checking its memory guard
+    at every register size: one pass along the shifter's factors gives
+    the columns of every power up to the largest ``s`` that any step asks
+    of that ``(t, l)``, and power ``s`` is read at index ``s - 1``."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     steps = list(schedule)
@@ -227,8 +230,7 @@ def step_probabilities(instances, schedule: Schedule,
     statevector = backend == "statevector"
     if statevector:
         ns = [inst.n for inst in batch]
-        for st in steps:
-            circ.check_capacity(st.l, ns)
+        circ.check_capacity(ns)
         sizes = [[row for row, n in enumerate(ns) if n == size] for size in dict.fromkeys(ns)]
         groups = [(rows, circ.controlled_grover_blocks([batch[row] for row in rows]))
                   for rows in sizes]
@@ -236,18 +238,24 @@ def step_probabilities(instances, schedule: Schedule,
     else:
         groups = [(slice(None), [inst.theta for inst in batch])]
         contract = circ.parity_probabilities
+    reach = {}
+    for st in steps:
+        reach[st.t, st.l] = max(reach.get((st.t, st.l), 0), st.s)
     probabilities = np.empty((len(batch), len(steps), 2))
     for rows, operand in groups:
         blocks, powers, columns = {}, {}, {}
         for i, st in enumerate(steps):
             key = (st.p, st.t, st.s, st.l)
             if key not in columns:
-                if (st.t, st.l) not in blocks:
-                    spec = qsp.synthesize_shifter(st.t, st.l)
-                    blocks[st.t, st.l] = (circ.interleaved_shifter(spec.angles.xi, operand)
-                                          if statevector else circ.eigenphase_blocks(spec, operand))
                 if (st.t, st.l, st.s) not in powers:
-                    powers[st.t, st.l, st.s] = np.linalg.matrix_power(blocks[st.t, st.l], st.s)
+                    if (st.t, st.l) not in blocks:
+                        spec = qsp.synthesize_shifter(st.t, st.l)
+                        blocks[st.t, st.l] = (
+                            circ.shifter_columns(spec.angles.xi, operand, reach[st.t, st.l])
+                            if statevector else circ.eigenphase_blocks(spec, operand))
+                    powers[st.t, st.l, st.s] = (
+                        blocks[st.t, st.l][st.s - 1] if statevector
+                        else np.linalg.matrix_power(blocks[st.t, st.l], st.s))
                 columns[key] = contract(powers[st.t, st.l, st.s], st.p)
             probabilities[rows, i] = columns[key]
     return probabilities[0] if single else probabilities

@@ -60,11 +60,14 @@ pipeline is:
    with a file's angles in place of the peel's, for ``load_angles``.
 5. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
    ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
-   backend evaluates.  ``interleaved_shifter``, independent of it so that
-   the backends check each other, builds the product around a
-   controlled-Grover block of any size, or a stack of them, for the
-   statevector backend and ``build_branch_unitary``, with all ``2L``
-   x-rotations in one pass.
+   backend evaluates.  The statevector backend applies the same factors
+   around the ``controlled_grover`` block of an explicit oracle to two
+   columns (``circuit.shifter_columns``), independent of
+   ``rotation_product`` so that the backends check each other.
+   ``interleaved_shifter`` multiplies the product out around a block of
+   any size, or a stack of them, with all ``2L`` x-rotations in one pass;
+   it builds ``build_branch_unitary`` and is the dense reference the
+   column stage is tested against.
 """
 
 from __future__ import annotations
@@ -682,8 +685,8 @@ def controlled_grover(q: np.ndarray) -> np.ndarray:
     dim = len(q)
     cq = np.eye(2 * dim, dtype=complex)
     cq[dim:, dim:] = q
-    rz = np.kron(np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)]), np.eye(dim))
-    return cq @ rz
+    # cq @ kron(diag(e^{-i pi/4}, e^{i pi/4}), 1): the phase scales the columns
+    return cq * np.repeat([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)], dim)
 
 
 def interleaved_shifter(xi: np.ndarray, wq: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  setting_probability, statevector_even_parity_probability,
                  step_probabilities, synthesize_shifter)
 from pae.circuit import (check_capacity, controlled_grover_blocks, sample_even_parity,
-                         statevector_parity_probabilities)
+                         shifter_columns, statevector_parity_probabilities)
 from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
 from pae.driver import ScheduleStep
@@ -36,11 +36,10 @@ def analytic_probabilities(spec, P: int, S: int, thetas) -> np.ndarray:
 def statevector_probabilities(spec, P: int, S: int, insts, style="canonical",
                               seed=None) -> np.ndarray:
     """The statevector stages composed for instances of one register size:
-    controlled-Grover stack, shifter around it raised to ``S``, column
-    contraction for ``P`` branches."""
+    controlled-Grover stack, the two columns of the shifter around it
+    raised to ``S``, their contraction for ``P`` branches."""
     wq = controlled_grover_blocks(insts, style, seed)
-    return statevector_parity_probabilities(
-        np.linalg.matrix_power(interleaved_shifter(spec.angles.xi, wq), S), P)
+    return statevector_parity_probabilities(shifter_columns(spec.angles.xi, wq, S)[-1], P)
 
 
 def ideal_probabilities(P: int, phi: float) -> np.ndarray:
@@ -412,12 +411,13 @@ class TestStatevectorBackend:
         assert np.max(np.abs(pa - pv)) <= 1e-10
 
     def test_capacity_guard(self, refused_allocation):
-        # one branch of n = 10: 2 * 10 rotations and one block of 2^22
-        # complex entries each, 1.3 GiB, refused before any oracle
+        # one branch of n = 11: its block, its adjoint and three blocks of
+        # build temporaries, each of 2^24 complex entries, 1.25 GiB,
+        # refused before any oracle
         spec = synthesize_shifter(1.0, 10)
-        pc = ParallelCircuit(P=1, spec=spec, S=1, instance=make_instance(0.5, 10))
-        with pytest.raises(CapacityError, match="^statevector blocks at n = 10, L = 10 need "
-                                                "1.31 GiB, over the 1 GiB guard$"):
+        pc = ParallelCircuit(P=1, spec=spec, S=1, instance=make_instance(0.5, 11))
+        with pytest.raises(CapacityError, match="^statevector blocks at n = 11 for 1 amplitude "
+                                                "need 1.25 GiB, over the 1 GiB guard$"):
             statevector_even_parity_probability(pc, MeasurementSetting.PLUS)
         assert refused_allocation == []
 
@@ -450,10 +450,10 @@ class TestStatevectorReadout:
             assert np.max(np.abs(probs - np.array(ref))) <= 1e-12
 
     def test_capacity_guard(self, refused_allocation):
-        # the n = 2 row fits; the n = 10 row refuses the whole batch
+        # the n = 2 row fits; the n = 11 row refuses the whole batch
         step = ScheduleStep(k=1, p=1, t=1.0, s=1, nu=1, l=10)
-        insts = [make_instance(0.5, 2), make_instance(0.5, 10)]
-        with pytest.raises(CapacityError, match="at n = 10, L = 10"):
+        insts = [make_instance(0.5, 2), make_instance(0.5, 11)]
+        with pytest.raises(CapacityError, match="at n = 11 for 1 amplitude need"):
             step_probabilities(insts, [step], "statevector")
         assert refused_allocation == []
 
@@ -471,15 +471,18 @@ class TestStatevectorReadout:
             controlled_grover_blocks([])
         assert refused_allocation == []
 
-    def test_capacity_bound_counts_rotations_and_blocks(self):
-        # n = 6 blocks are 2^18 bytes: 2 L + m of them fit up to 2^12,
-        # with m the amplitudes of that register size alone
-        check_capacity(2047, [6, 6, 2, 3])
-        check_capacity(2046, [6] * 4)
-        with pytest.raises(CapacityError, match="at n = 6, L = 2047 need 1 GiB"):
-            check_capacity(2047, [2, 6, 6, 6])
-        with pytest.raises(CapacityError, match="at n = 6, L = 2048"):
-            check_capacity(2048, [6])
+    def test_capacity_bound_counts_blocks_and_adjoints(self):
+        # n = 6 blocks are 2^18 bytes: 2 m + 3 of them fit up to 2^12, with
+        # m the amplitudes of that register size alone; no query length
+        # enters
+        check_capacity([6] * 2046 + [2, 3])
+        with pytest.raises(CapacityError, match="^statevector blocks at n = 6 for 2047 "
+                                                "amplitudes need 1 GiB, over the 1 GiB guard$"):
+            check_capacity([2] + [6] * 2047)
+        # one amplitude fits up to n = 10 and not at n = 11
+        check_capacity([10])
+        with pytest.raises(CapacityError, match="at n = 11 for 1 amplitude need 1.25 GiB"):
+            check_capacity([2, 11])
 
     @pytest.mark.parametrize("style,seed", [("canonical", None), ("random", 11)])
     def test_batch_equals_per_instance_calls(self, style, seed):
@@ -507,9 +510,45 @@ class TestStatevectorKernels:
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         q, r = np.linalg.qr(g)
         v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        got = statevector_parity_probabilities(v[None], P)[0]
+        got = statevector_parity_probabilities(v[None, :, ::dim // 2], P)[0]
         ref = [literal_branch_probability(v, P, n, setting) for setting in MeasurementSetting]
         assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+class TestShifterColumns:
+    @pytest.mark.parametrize("style,seed", [("canonical", None), ("random", 11)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_columns_match_dense_shifter_powers(self, n, style, seed):
+        # the factors applied to two columns, rotations merged, against the
+        # dense product raised to s by matrix_power, for s = 1 .. 3
+        insts = [make_instance(a, n) for a in (0.0, 0.3, 0.8, 1.0)]
+        wq = controlled_grover_blocks(insts, style, seed)
+        for T, L in ((1.0, 10), (2.0, 14), (8.0, 34)):
+            xi = synthesize_shifter(T, L).angles.xi
+            columns = shifter_columns(xi, wq, 3)
+            assert columns.shape == (3, len(insts), 2 ** (n + 1), 2)
+            dense = interleaved_shifter(xi, wq)
+            for s in (1, 2, 3):
+                ref = np.linalg.matrix_power(dense, s)[:, :, ::2 ** n]
+                assert np.max(np.abs(columns[s - 1] - ref)) <= 1e-13
+
+    def test_longer_pass_extends_shorter_bit_for_bit(self):
+        # the columns of s are the same bits whatever s_max, and each
+        # block's columns those of its own call: step_probabilities reads s
+        # from a pass to the largest s of a batch
+        wq = controlled_grover_blocks([make_instance(a, 3) for a in (0.2, 0.7)])
+        xi = synthesize_shifter(4.0, 22).angles.xi
+        three = shifter_columns(xi, wq, 3)
+        assert np.array_equal(three[:2], shifter_columns(xi, wq, 2))
+        assert np.array_equal(three[:1], shifter_columns(xi, wq, 1))
+        for i in range(len(wq)):
+            assert np.array_equal(three[:, i], shifter_columns(xi, wq[i:i + 1], 3)[:, 0])
+
+    @pytest.mark.parametrize("s_max", [0, -1])
+    def test_rejects_fewer_than_one_repetition(self, s_max):
+        wq = controlled_grover_blocks([make_instance(0.3, 2)])
+        with pytest.raises(DomainError, match="repetition count must be >= 1"):
+            shifter_columns(synthesize_shifter(1.0, 10).angles.xi, wq, s_max)
 
 
 class TestGhzDepth:

@@ -52,7 +52,7 @@ def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
     ("experiment = rmse_vs_queries\namplitudes = 0.5\nk_max = 2\ntrials = 2\n"
      "nu_final = -3\n", "final shot count must be >= 1, got -3"),
     ("experiment = single_run\nbackend = statevector\namplitudes = 0.5\nn = 30\n"
-     "k_max = 2\n", "statevector blocks at n = 30, L = 10 need 1.44e+12 GiB, over the "
+     "k_max = 2\n", "statevector blocks at n = 30 for 1 amplitude need 3.44e+11 GiB, over the "
      "1 GiB guard"),
     ("experiment = rmse_vs_queries\nk_max = 2\ntrials = 2\n",
      "rmse_vs_queries needs 'amplitudes' or 'amplitude_grid'"),

@@ -311,7 +311,7 @@ class TestRun:
         sched = build_schedule(strategy="full_parallel", k_max=5,
                                l_table=PARALLEL_L_TABLE_PLUS[:5])
         with pytest.raises(CapacityError):
-            run(make_instance(0.5, n=10), sched, seed=1, backend="statevector")
+            run(make_instance(0.5, n=11), sched, seed=1, backend="statevector")
         assert refused_allocation == []
 
     def test_analytic_backend_estimates(self):
@@ -432,9 +432,9 @@ class TestTwoPhases:
             assert [bits(t) for t in est.trajectory] == [bits(t[0]) for t in batch.trajectory]
 
     def test_statevector_builds_one_oracle_per_instance(self, monkeypatch):
-        # one oracle per instance and call, one shifter stack per distinct
-        # (t, l) and register size of a mixed batch; every row equals the
-        # per-setting route bit for bit
+        # one oracle per instance and call, one pass of the shifter stage
+        # per distinct (t, l) and register size of a mixed batch; every row
+        # equals the per-setting route bit for bit
         from pae import MeasurementSetting, ParallelCircuit
         built, shifters = [], []
 
@@ -446,15 +446,15 @@ class TestTwoPhases:
 
         monkeypatch.setattr(circuit, "build_explicit_oracle",
                             counting(built, circuit.build_explicit_oracle))
-        monkeypatch.setattr(circuit, "interleaved_shifter",
-                            counting(shifters, circuit.interleaved_shifter))
+        monkeypatch.setattr(circuit, "shifter_columns",
+                            counting(shifters, circuit.shifter_columns))
         sched = build_schedule(strategy="general", k_max=4, parallelism=2)
         insts = [make_instance(0.3, 3), make_instance(0.5, 2), make_instance(0.8, 3)]
         probs = step_probabilities(insts, sched, "statevector")
         assert len(built) == len(insts)
         distinct_tl = len({(st.t, st.l) for st in sched})
         assert distinct_tl < sched.K
-        assert sorted(len(wq) for _, wq in shifters) == [1] * distinct_tl + [2] * distinct_tl
+        assert sorted(len(wq) for _, wq, _ in shifters) == [1] * distinct_tl + [2] * distinct_tl
         for inst, rows in zip(insts, probs):
             for st, row in zip(sched, rows):
                 pc = ParallelCircuit(P=st.p, spec=synthesize_shifter(st.t, st.l),
@@ -463,24 +463,40 @@ class TestTwoPhases:
                     pc, setting) for setting in MeasurementSetting]
 
     def test_statevector_guard_precedes_any_work(self, refused_allocation):
-        # at n = 8 steps 1 to 6 fit; the seventh, L = 188, raises before
-        # any oracle or shifter is built
+        # an n = 2 amplitude fits, but one of n = 11 (five blocks of 2^24
+        # complex entries) refuses the whole batch before any oracle is
+        # built or any shifter applied
         sched = build_schedule(strategy="full_sequential", k_max=7)
-        assert [st.l for st in sched][-2:] == [102, 188]
         with pytest.raises(circuit.CapacityError,
-                           match="^statevector blocks at n = 8, L = 188 need 1.47 GiB, "
+                           match="^statevector blocks at n = 11 for 1 amplitude need 1.25 GiB, "
                                  "over the 1 GiB guard$"):
-            step_probabilities(make_instance(0.3, 8), sched, "statevector")
+            step_probabilities([make_instance(0.3, 2), make_instance(0.3, 11)], sched,
+                               "statevector")
         assert refused_allocation == []
 
-    def test_statevector_guard_counts_shifter_rotations(self, refused_allocation):
-        # one branch of n = 10 is 11 qubits, yet interleaved_shifter would
-        # lift 2 * 188 rotations of 2048^2 complex entries at T = 64
+    def test_statevector_guard_counts_blocks_and_adjoints(self, refused_allocation):
+        # the guard charges each amplitude's block and its adjoint, whatever
+        # the query length: at n = 10 one amplitude fits even at T = 64
+        # (L = 188), and seven amplitudes, 17 blocks of 2048^2 complex
+        # entries, are refused before any work
         sched = build_schedule(strategy="full_sequential", k_max=7)
-        assert max(st.p for st in sched) == 1
-        with pytest.raises(circuit.CapacityError, match="at n = 10, L = 10 need"):
-            step_probabilities(make_instance(0.3, 10), sched, "statevector")
+        assert sched.steps[-1].l == 188
+        circuit.check_capacity([10])
+        with pytest.raises(circuit.CapacityError,
+                           match="at n = 10 for 7 amplitudes need 1.06 GiB"):
+            step_probabilities([make_instance(0.1 * i, 10) for i in range(7)], sched,
+                               "statevector")
         assert refused_allocation == []
+
+    def test_statevector_full_sequential_at_n8(self):
+        # T = 64 (L = 188) around 512 x 512 blocks: the dense stacks that
+        # the guard used to charge for 2 L rotations came to 1.47 GiB
+        sched = build_schedule(strategy="full_sequential", k_max=7)
+        assert (sched.steps[-1].t, sched.steps[-1].l) == (64.0, 188)
+        insts = [make_instance(a, 8) for a in (0.3, 0.8)]
+        pv = step_probabilities(insts, sched, "statevector")
+        pa = step_probabilities(insts, sched, "analytic")
+        assert np.max(np.abs(pv - pa)) <= 1e-10
 
     def test_statevector_full_parallel_at_256_branches(self):
         # 3 * 256 qubits, far past any full register
@@ -532,8 +548,8 @@ class TestTwoPhases:
                             counted("oracle", circuit.build_explicit_oracle))
         monkeypatch.setattr(circuit, "eigenphase_blocks",
                             counted("blocks", circuit.eigenphase_blocks))
-        monkeypatch.setattr(circuit, "interleaved_shifter",
-                            counted("shifters", circuit.interleaved_shifter))
+        monkeypatch.setattr(circuit, "shifter_columns",
+                            counted("shifters", circuit.shifter_columns))
         sched = build_schedule(strategy="general", k_max=4, parallelism=2)
         insts = [make_instance(0.3, 3), make_instance(0.8, 3)]
         once = step_probabilities(insts, sched, backend)
@@ -549,13 +565,17 @@ class TestTwoPhases:
     @pytest.mark.parametrize("backend", ["analytic", "statevector"])
     def test_repetition_counts_share_one_shifter(self, backend, monkeypatch):
         # general P=4, K=7: steps (8, 34, S=1) and (8, 34, S=2) share one
-        # shifter product, raised per S; every row equals its own step's
-        # S-fold blocks contracted for its p, bit for bit
-        calls = {"rotation_product": 0, "interleaved_shifter": 0}
+        # shifter product, raised per S, or one pass of the shifter stage
+        # to S = 2; every row equals its own step's S-fold blocks or
+        # columns contracted for its p, bit for bit
+        calls = {"rotation_product": 0, "shifter_columns": 0}
+        reaches = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "shifter_columns":
+                    reaches.append(args[2])
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -568,33 +588,42 @@ class TestTwoPhases:
         assert (distinct_tl, len({(st.t, st.l, st.s) for st in sched})) == (4, 5)
         analytic = backend == "analytic"
         assert calls == {"rotation_product": distinct_tl if analytic else 0,
-                         "interleaved_shifter": 0 if analytic else distinct_tl}
+                         "shifter_columns": 0 if analytic else distinct_tl}
+        assert sorted(reaches) == ([] if analytic else [1, 1, 1, 2])
         thetas = [inst.theta for inst in insts]
         for i, st in enumerate(sched):
             spec = synthesize_shifter(st.t, st.l)
             if analytic:
-                blocks = circuit.eigenphase_blocks(spec, thetas)
-                contract = circuit.parity_probabilities
+                power = np.linalg.matrix_power(circuit.eigenphase_blocks(spec, thetas), st.s)
+                rows = circuit.parity_probabilities(power, st.p)
             else:
-                blocks = qsp.interleaved_shifter(spec.angles.xi,
-                                                 circuit.controlled_grover_blocks(insts))
-                contract = circuit.statevector_parity_probabilities
-            rows = contract(np.linalg.matrix_power(blocks, st.s), st.p)
+                columns = circuit.shifter_columns(
+                    spec.angles.xi, circuit.controlled_grover_blocks(insts), st.s)[-1]
+                rows = circuit.statevector_parity_probabilities(columns, st.p)
             assert np.array_equal(probs[:, i], rows)
 
-    def test_probability_table_pinned(self):
+    @staticmethod
+    def pinned_table_digest(backend: str) -> str:
         # steps raised to S up to 16, (t, l) shared across s and p, and one
-        # batch mixing register sizes: a change that moves any probability
-        # of either synthesizing backend, even at rounding level, shows here
+        # batch mixing register sizes
         insts = [make_instance(a, n) for a, n in ((0.0, 2), (0.3, 3), (0.8, 2), (1.0, 3))]
         digest = hashlib.sha256()
         for sched in (build_schedule(strategy="general", k_max=7, parallelism=2, t_cap=2),
                       build_schedule(strategy="general", k_max=7, parallelism=4),
                       build_schedule(strategy="full_parallel", k_max=5,
                                      l_table=PARALLEL_L_TABLE_PLUS)):
-            for backend in ("analytic", "statevector"):
-                digest.update(step_probabilities(insts, sched, backend).tobytes())
-        assert digest.hexdigest()[:16] == "347ac19f2b400da0"
+            digest.update(step_probabilities(insts, sched, backend).tobytes())
+        return digest.hexdigest()[:16]
+
+    def test_probability_table_pinned(self):
+        # a change that moves any analytic probability, even at rounding
+        # level, shows here
+        assert self.pinned_table_digest("analytic") == "d7a77f436ce1faf9"
+
+    def test_statevector_probability_table_pinned(self):
+        # the same table on the statevector backend, pinned apart so that a
+        # change to its arithmetic alone moves only this digest
+        assert self.pinned_table_digest("statevector") == "28990edd685f5e6f"
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector", "ideal"])
     @pytest.mark.parametrize("m,p,s", [(1, 1, 0), (1, 1, -1), (4, 1, 1), (1, -1, -1),

@@ -1059,6 +1059,36 @@ class TestInterleavedShifter:
                 assert np.array_equal(v, kron_shifter(xi, wq))
 
 
+class TestControlledGrover:
+    @staticmethod
+    def dense_phase_product(q):
+        """Reference block: the padded ``q`` times the dense ancilla phase."""
+        dim = len(q)
+        cq = np.eye(2 * dim, dtype=complex)
+        cq[dim:, dim:] = q
+        return cq @ np.kron(np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)]),
+                            np.eye(dim))
+
+    def test_plane_blocks_bit_identical_to_dense_product(self):
+        for theta in np.linspace(0.0, np.pi / 2, 41):
+            c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
+            q = np.array([[c2, -s2], [s2, c2]])
+            assert np.array_equal(controlled_grover(q), self.dense_phase_product(q))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 8])
+    def test_canonical_blocks_bit_identical_to_dense_product(self, n):
+        for a in (0.0, 0.3, 0.8, 1.0):
+            q = build_grover_unitary(build_explicit_oracle(make_instance(a, n)))
+            assert np.array_equal(controlled_grover(q), self.dense_phase_product(q))
+
+    def test_random_blocks_match_dense_product(self):
+        # the dense product may fuse a multiply-add that the scaling rounds
+        # twice, which shows only in entries at rounding level
+        for a in (0.0, 0.3, 0.8, 1.0):
+            q = build_grover_unitary(build_explicit_oracle(make_instance(a, 3), "random", 11))
+            assert np.max(np.abs(controlled_grover(q) - self.dense_phase_product(q))) <= 1e-16
+
+
 def matmul_rotation_product(xi, thetas):
     """Reference product: one batched 2x2 ``@`` per interleaved factor."""
     u = np.broadcast_to(np.eye(2, dtype=complex), (len(thetas), 2, 2)).copy()
