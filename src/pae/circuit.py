@@ -8,31 +8,32 @@ Two backends compute the even-parity probability, and both contract the
 same way: :func:`parity_probabilities` reads each branch's final ancilla
 state from ``(c, n, 2, 2)`` blocks, one ancilla block per component of the
 system register, and the product over identical branches collapses to
-complex powers, so the cost is independent of ``P``.  Each stage here
-takes and returns plain arrays.  ``driver.step_probabilities`` composes
-the stages for a run, sharing blocks across steps; the per-setting views
-:func:`setting_probability` and :func:`statevector_even_parity_probability`
-compose them for one circuit.  The backends differ in where the blocks
-come from:
+complex powers, so the cost is independent of ``P``.  Each backend has one
+stage with one contract, ``stage(spec, operand, powers) -> {s: blocks}``:
+it raises the shifter to every requested power ``s`` and returns the
+blocks of each in the layout :func:`parity_probabilities` reads.
+``driver.step_probabilities`` composes the stages for a run, sharing one
+stage call across steps; the per-setting views :func:`setting_probability`
+and :func:`statevector_even_parity_probability` compose them for one
+circuit.  The backends differ in where the blocks come from:
 
 * analytic -- on each Grover eigenphase ``e^{+-2i theta}`` the shifter is
-  the 2x2 ancilla product ``qsp.rotation_product`` at ``pi/2 +- 2 theta``
-  (:func:`eigenphase_blocks`, which do not depend on ``P``); the two
-  eigencomponents of ``|0..0>`` are the two components; exact, and batched
-  over instance angles.  The caller raises the blocks to ``S`` with one
-  ``np.linalg.matrix_power`` before contracting them.
+  the 2x2 ancilla product ``qsp.rotation_product`` at ``pi/2 +- 2 theta``;
+  the two eigencomponents of ``|0..0>`` are the two components.
+  :func:`eigenphase_blocks` raises that product to each ``s`` with
+  ``np.linalg.matrix_power``; exact, and batched over instance angles.
 * statevector -- the shifter around the explicit oracle, used to
   cross-validate the analytic backend: :func:`controlled_grover_blocks`
   stacks the controlled-Grover blocks of instances of one register size,
   and :func:`shifter_columns` applies the shifter's factors to the only
   two columns a branch reads, those of a system register at ``|0..0>``,
-  ``S`` times over in one pass, without multiplying the shifter out.
-  :func:`statevector_parity_probabilities` hands their ``2^n`` system
-  components to :func:`parity_probabilities`.  The full ``(n+1)P``-qubit
-  state is never built; :func:`check_capacity` bounds the blocks instead.
-  The explicit oracle and the x-rotations of :func:`shifter_columns` share
-  no code with the eigenphase reduction and ``rotation_product``, so the
-  two backends check each other.
+  up to the largest ``s`` in one pass, without multiplying the shifter
+  out; split by the system basis state they reach, the columns are the
+  blocks of ``2^n`` components.  The full ``(n+1)P``-qubit state is never
+  built; :func:`check_capacity` bounds the blocks instead.  The explicit
+  oracle and the x-rotations of :func:`shifter_columns` share no code with
+  the eigenphase reduction and ``rotation_product``, so the two backends
+  check each other.
 """
 
 from __future__ import annotations
@@ -71,12 +72,16 @@ class MeasurementSetting(enum.Enum):
 
 @dataclass(frozen=True)
 class ParallelCircuit:
-    """``P`` parallel branches of an ``S``-fold sequential shifter."""
+    """``P`` parallel branches of an ``S``-fold sequential shifter, ``P, S >= 1``."""
 
     P: int
     spec: PhaseShifterSpec
     S: int
     instance: AmplitudeInstance
+
+    def __post_init__(self):
+        _check_count("branch count", self.P)
+        _check_count("repetition count", self.S)
 
 
 def _check_count(what: str, value: int) -> None:
@@ -84,24 +89,37 @@ def _check_count(what: str, value: int) -> None:
         raise DomainError(f"{what} must be >= 1, got {value}")
 
 
-def eigenphase_blocks(spec: PhaseShifterSpec, thetas) -> np.ndarray:
-    """``(2, n, 2, 2)`` ancilla blocks of the shifter on the two Grover
-    eigenphases of every instance angle: one ``rotation_product`` call at
-    ``pi/2 + 2 theta`` then ``pi/2 - 2 theta``."""
+def _repetitions(powers) -> list[int]:
+    """The distinct requested powers, ascending; a power below 1, or none,
+    raises :class:`DomainError`."""
+    powers = sorted(set(powers))
+    _check_count("repetition count", powers[0] if powers else 0)
+    return powers
+
+
+def eigenphase_blocks(spec: PhaseShifterSpec, thetas, powers) -> dict[int, np.ndarray]:
+    """The analytic stage: ``{s: blocks}`` for every requested power ``s``,
+    each the ``(2, n, 2, 2)`` ancilla blocks of the shifter raised to ``s``
+    on the two Grover eigenphases of every instance angle.  The shifter is
+    one ``rotation_product`` call at ``pi/2 + 2 theta`` then ``pi/2 - 2
+    theta``, raised once per power with ``np.linalg.matrix_power``."""
     two_theta = 2.0 * np.asarray(thetas, dtype=float).reshape(-1)
-    return rotation_product(spec.angles.xi, np.concatenate(
+    blocks = rotation_product(spec.angles.xi, np.concatenate(
         [np.pi / 2 + two_theta, np.pi / 2 - two_theta])).reshape(2, -1, 2, 2)
+    return {s: np.linalg.matrix_power(blocks, s) for s in _repetitions(powers)}
 
 
 def parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
     """``(n, 2)`` probabilities of ``P`` branches from ``(c, n, 2, 2)``
-    blocks (already to the power S): axis 0 runs over the components of
-    the system register, each block ``sqrt(2)`` times that component's
-    share of the branch state, and column ``j`` of a block is its part of
-    the ancilla state ``phi_j``.  For the analytic backend the components
-    are the two Grover eigenphases, which ``|0..0>`` weights ``1/sqrt(2)``
-    each (the ``(2, n, 2, 2)`` :func:`eigenphase_blocks`); for the
-    statevector backend the ``2^n`` system basis states.
+    blocks already raised to ``S``, one value of a stage's ``{s: blocks}``:
+    axis 0 runs over the components of the system register, each block
+    ``sqrt(2)`` times that component's share of the branch state, and
+    column ``j`` of a block is its part of the ancilla state ``phi_j``.
+    For the analytic backend the components are the two Grover
+    eigenphases, which ``|0..0>`` weights ``1/sqrt(2)`` each (the ``(2, n,
+    2, 2)`` :func:`eigenphase_blocks`); for the statevector backend the
+    ``2^n`` system basis states (the ``(2^n, m, 2, 2)``
+    :func:`shifter_columns`).
 
     With ``x_j = <phi_j|X|phi_j>`` and ``z = <phi_1|X|phi_0>`` over all
     components, the product over identical branches collapses to
@@ -129,10 +147,10 @@ def parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
 
 def setting_probability(circuit: ParallelCircuit,
                         setting: MeasurementSetting) -> float:
-    """Exact even-parity probability of the synthesized circuit."""
-    _check_count("repetition count", circuit.S)
-    blocks = eigenphase_blocks(circuit.spec, [circuit.instance.theta])
-    return float(parity_probabilities(np.linalg.matrix_power(blocks, circuit.S), circuit.P)
+    """Exact even-parity probability of the synthesized circuit: the
+    analytic stage, then :func:`parity_probabilities`."""
+    blocks = eigenphase_blocks(circuit.spec, [circuit.instance.theta], [circuit.S])
+    return float(parity_probabilities(blocks[circuit.S], circuit.P)
                  [0, list(MeasurementSetting).index(setting)])
 
 
@@ -208,12 +226,17 @@ def controlled_grover_blocks(instances, oracle_style: str = "canonical",
     return blocks
 
 
-def shifter_columns(xi, wq: np.ndarray, s_max: int) -> np.ndarray:
-    """``(s_max, m, 2^(n+1), 2)`` columns, ``s``-fold at index ``s - 1`` for
-    every ``s = 1 .. s_max``: the two columns, ancilla 0 and ancilla 1 with
-    the system at ``|0^n>``, of the shifter of the angles ``xi`` raised to
-    ``s``, around each of the ``m`` controlled-Grover blocks ``wq``,
-    ``(m, 2^(n+1), 2^(n+1))``.
+def shifter_columns(spec: PhaseShifterSpec, wq: np.ndarray,
+                    powers) -> dict[int, np.ndarray]:
+    """The statevector stage: ``{s: blocks}`` for every requested power
+    ``s``, each the ``(2^n, m, 2, 2)`` blocks of the shifter of ``spec``
+    raised to ``s`` around each of the ``m`` controlled-Grover blocks
+    ``wq``, ``(m, 2^(n+1), 2^(n+1))``.
+
+    A branch's system register starts at ``|0..0>``, so two columns of the
+    shifter, ancilla 0 and 1 with the system at ``|0^n>``, fix its final
+    state; split by the system basis state they reach, and scaled by
+    ``sqrt(2)``, they are the branch's ``2^n`` ancilla blocks.
 
     The shifter is the product over slots ``j`` of ``rx(a_j) W_j rx(-a_j)``
     on the ancilla, with ``W_j = wq^dagger`` and ``a_j = xi_j + pi`` in odd
@@ -222,10 +245,11 @@ def shifter_columns(xi, wq: np.ndarray, s_max: int) -> np.ndarray:
     out: consecutive x-rotations merge into one, ``rx(a_(j+1) - a_j)``, so
     each slot is one batched product with a 2x2 rotation on the ancilla
     axis and one with a block or its adjoint; where one application of the
-    shifter meets the next, its last and first rotations merge too."""
-    _check_count("repetition count", s_max)
+    shifter meets the next, its last and first rotations merge too, so one
+    pass to the largest ``s`` gives every smaller one on the way."""
+    powers = _repetitions(powers)
     m, dim = wq.shape[0], wq.shape[-1]
-    xi = np.asarray(xi, dtype=float)
+    xi = np.asarray(spec.angles.xi, dtype=float)
     a = xi + np.pi * (np.arange(len(xi)) % 2 == 0)
     # rotations in the order applied: the shifter's first one, the merged
     # one at the wrap, its last one, then between slots j + 1 and j for
@@ -244,42 +268,26 @@ def shifter_columns(xi, wq: np.ndarray, s_max: int) -> np.ndarray:
     turned = np.empty_like(cols)
     # views of the same columns with the ancilla as an axis of its own
     by_ancilla, turned_by_ancilla = cols.reshape(m, 2, -1), turned.reshape(m, 2, -1)
-    out = np.empty((s_max, m, dim, 2), dtype=complex)
-    for s in range(s_max):
+    blocks = {}
+    for s in range(1, powers[-1] + 1):
         for turn, block in zip(turns, slots):
             np.matmul(turn, by_ancilla, out=turned_by_ancilla)
             np.matmul(block, turned, out=cols)
-        np.matmul(last, by_ancilla, out=out[s].reshape(m, 2, -1))
         turns[0] = wrap
-    return out
-
-
-def statevector_parity_probabilities(columns: np.ndarray, P: int) -> np.ndarray:
-    """``(m, 2)`` probabilities, PLUS then PLUS_I, of ``P`` branches from
-    the ``(m, 2^(n+1), 2)`` shifter columns (already to the power S) of
-    ``m`` instances of one register size, one row per instance.
-
-    Each branch's system register starts at ``|0..0>``, so a branch's final
-    state is fixed by the two shifter columns with ancilla 0 or 1 and
-    system ``|0^n>`` (:func:`shifter_columns`).  Split by the system basis
-    state they reach, those columns are ``2^n`` ancilla blocks; scaled by
-    ``sqrt(2)``, as :func:`parity_probabilities` expects, they are
-    contracted there for ``P`` branches."""
-    m, dim = columns.shape[:2]
-    blocks = columns.reshape(m, 2, dim // 2, 2).transpose(2, 0, 1, 3)
-    return parity_probabilities(np.sqrt(2.0) * blocks, P)
+        if s in powers:
+            # (ancilla, system, column) per amplitude, system first
+            columns = np.matmul(last, by_ancilla).reshape(m, 2, dim // 2, 2)
+            blocks[s] = np.sqrt(2.0) * columns.transpose(2, 0, 1, 3)
+    return blocks
 
 
 def statevector_even_parity_probability(circuit: ParallelCircuit,
                                         setting: MeasurementSetting) -> float:
-    """Even-parity probability of the circuit around its instance's explicit
-    oracle: the statevector stages composed, after the guard.  Raises
-    :class:`DomainError` for ``P < 1`` or ``S < 1`` and
-    :class:`CapacityError` before any oracle is built."""
-    _check_count("branch count", circuit.P)
-    _check_count("repetition count", circuit.S)
+    """Even-parity probability around the instance's explicit oracle: the
+    statevector stage, then :func:`parity_probabilities`, after the guard,
+    which raises :class:`CapacityError` before any oracle is built."""
     check_capacity([circuit.instance.n])
-    columns = shifter_columns(circuit.spec.angles.xi,
-                              controlled_grover_blocks([circuit.instance]), circuit.S)
-    return float(statevector_parity_probabilities(columns[-1], circuit.P)
+    blocks = shifter_columns(circuit.spec, controlled_grover_blocks([circuit.instance]),
+                             [circuit.S])
+    return float(parity_probabilities(blocks[circuit.S], circuit.P)
                  [0, list(MeasurementSetting).index(setting)])

@@ -28,6 +28,21 @@ def _check_output_dir(path: str) -> None:
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), existing)
 
 
+def _check_output_file(path: str) -> None:
+    """Fail before synthesis, not after it, when ``path`` cannot be opened
+    as a file to write: it must not be a directory, and its parent must."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
@@ -65,6 +80,7 @@ def _cmd_angles(args) -> int:
     L = args.L if args.L is not None else (
         qsp.select_L(args.T, args.eps_oc) if args.eps_oc is not None
         else qsp.select_L_empirical(args.T))
+    _check_output_file(args.out)
     spec = qsp.synthesize_shifter(args.T, L)
     qsp.save_angles(args.out, spec)
     print(f"T={spec.T:g} L={spec.L} residual={spec.angles.residual:.3e} "

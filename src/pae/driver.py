@@ -206,18 +206,15 @@ def step_probabilities(instances, schedule: Schedule,
     own split when it was made.
 
     The ideal backend evaluates the closed form of every step at once.  The
-    analytic and statevector backends compose the stages of
-    :mod:`circuit` alike, per register size on the statevector backend:
-    they build one stack for all instances per distinct ``(t, l)``, take
-    its power ``s`` once per distinct ``(t, l, s)`` and contract that
-    power per distinct ``(p, t, s, l)``.  They differ in the stack.  The
-    analytic one is ``circuit.eigenphase_blocks`` of the instance angles,
-    raised with ``np.linalg.matrix_power``.  The statevector one is
-    ``circuit.shifter_columns`` around the controlled-Grover blocks, which
-    it builds once per instance and call after checking its memory guard
-    at every register size: one pass along the shifter's factors gives
-    the columns of every power up to the largest ``s`` that any step asks
-    of that ``(t, l)``, and power ``s`` is read at index ``s - 1``."""
+    analytic and statevector backends compose the stages of :mod:`circuit`
+    alike: one stage call per distinct ``(t, l)``, given every ``s`` that
+    the steps ask of it, and one ``circuit.parity_probabilities`` call per
+    distinct ``(p, t, s, l)`` on the blocks of its ``s``.  The stage is
+    ``circuit.eigenphase_blocks`` of the instance angles on the analytic
+    backend, and ``circuit.shifter_columns`` around the controlled-Grover
+    blocks on the statevector one, once per register size; those blocks are
+    built once per instance and call, after the memory guard has passed
+    every register size."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     steps = list(schedule)
@@ -227,36 +224,28 @@ def step_probabilities(instances, schedule: Schedule,
         probabilities = circ.ideal_probabilities(
             np.array([st.m for st in steps]), np.array([inst.phi for inst in batch])[:, None])
         return probabilities[0] if single else probabilities
-    statevector = backend == "statevector"
-    if statevector:
+    if backend == "statevector":
         ns = [inst.n for inst in batch]
         circ.check_capacity(ns)
         sizes = [[row for row, n in enumerate(ns) if n == size] for size in dict.fromkeys(ns)]
         groups = [(rows, circ.controlled_grover_blocks([batch[row] for row in rows]))
                   for rows in sizes]
-        contract = circ.statevector_parity_probabilities
+        stage = circ.shifter_columns
     else:
         groups = [(slice(None), [inst.theta for inst in batch])]
-        contract = circ.parity_probabilities
-    reach = {}
+        stage = circ.eigenphase_blocks
+    powers = {}
     for st in steps:
-        reach[st.t, st.l] = max(reach.get((st.t, st.l), 0), st.s)
+        powers.setdefault((st.t, st.l), set()).add(st.s)
     probabilities = np.empty((len(batch), len(steps), 2))
     for rows, operand in groups:
-        blocks, powers, columns = {}, {}, {}
+        blocks = {(t, l): stage(qsp.synthesize_shifter(t, l), operand, ss)
+                  for (t, l), ss in powers.items()}
+        columns = {}
         for i, st in enumerate(steps):
             key = (st.p, st.t, st.s, st.l)
             if key not in columns:
-                if (st.t, st.l, st.s) not in powers:
-                    if (st.t, st.l) not in blocks:
-                        spec = qsp.synthesize_shifter(st.t, st.l)
-                        blocks[st.t, st.l] = (
-                            circ.shifter_columns(spec.angles.xi, operand, reach[st.t, st.l])
-                            if statevector else circ.eigenphase_blocks(spec, operand))
-                    powers[st.t, st.l, st.s] = (
-                        blocks[st.t, st.l][st.s - 1] if statevector
-                        else np.linalg.matrix_power(blocks[st.t, st.l], st.s))
-                columns[key] = contract(powers[st.t, st.l, st.s], st.p)
+                columns[key] = circ.parity_probabilities(blocks[st.t, st.l][st.s], st.p)
             probabilities[rows, i] = columns[key]
     return probabilities[0] if single else probabilities
 

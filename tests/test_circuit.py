@@ -10,7 +10,7 @@ from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  setting_probability, statevector_even_parity_probability,
                  step_probabilities, synthesize_shifter)
 from pae.circuit import (check_capacity, controlled_grover_blocks, sample_even_parity,
-                         shifter_columns, statevector_parity_probabilities)
+                         shifter_columns)
 from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
 from pae.driver import ScheduleStep
@@ -28,18 +28,24 @@ def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:
 
 
 def analytic_probabilities(spec, P: int, S: int, thetas) -> np.ndarray:
-    """The analytic stages composed: eigenphase blocks, raised to ``S``,
-    contracted for ``P`` branches."""
-    return parity_probabilities(np.linalg.matrix_power(eigenphase_blocks(spec, thetas), S), P)
+    """The analytic stage at ``S``, contracted for ``P`` branches."""
+    return parity_probabilities(eigenphase_blocks(spec, thetas, [S])[S], P)
 
 
 def statevector_probabilities(spec, P: int, S: int, insts, style="canonical",
                               seed=None) -> np.ndarray:
-    """The statevector stages composed for instances of one register size:
-    controlled-Grover stack, the two columns of the shifter around it
-    raised to ``S``, their contraction for ``P`` branches."""
+    """The statevector stage at ``S`` around the controlled-Grover stack of
+    instances of one register size, contracted for ``P`` branches."""
     wq = controlled_grover_blocks(insts, style, seed)
-    return statevector_parity_probabilities(shifter_columns(spec.angles.xi, wq, S)[-1], P)
+    return parity_probabilities(shifter_columns(spec, wq, [S])[S], P)
+
+
+def column_blocks(columns: np.ndarray) -> np.ndarray:
+    """The ``(2^n, m, 2, 2)`` blocks that :func:`parity_probabilities`
+    reads from ``(m, 2^(n+1), 2)`` columns, the ones with the system at
+    ``|0^n>``: split by the system basis state, scaled by ``sqrt(2)``."""
+    m, dim = columns.shape[:2]
+    return np.sqrt(2.0) * columns.reshape(m, 2, dim // 2, 2).transpose(2, 0, 1, 3)
 
 
 def ideal_probabilities(P: int, phi: float) -> np.ndarray:
@@ -295,20 +301,17 @@ class TestEvenParityProbabilities:
         haar = haar_u2(rng, (2, 101))
         assert np.max(np.abs(np.linalg.det(haar) - 1.0)) > 0.1
         thetas = np.linspace(0.0, np.pi / 2, 101)
-        for blocks in (haar, eigenphase_blocks(synthesize_shifter(1.0, 10), thetas),
-                       np.linalg.matrix_power(
-                           eigenphase_blocks(synthesize_shifter(4.0, 22), thetas), 3)):
+        for blocks in (haar, eigenphase_blocks(synthesize_shifter(1.0, 10), thetas, [1])[1],
+                       eigenphase_blocks(synthesize_shifter(4.0, 22), thetas, [3])[3]):
             got = parity_probabilities(blocks, P)
             assert np.max(np.abs(got - matmul_parity_probabilities(blocks, P))) <= 1e-13
 
     @pytest.mark.parametrize("P,S", [(0, 1), (-1, 1), (1, 0), (1, -1), (0, 0)])
     def test_both_backends_reject_fewer_than_one(self, P, S):
-        pc = ParallelCircuit(P=P, spec=synthesize_shifter(1.0, 10), S=S,
-                             instance=make_instance(0.3))
+        # the circuit refuses to exist, so neither backend's view meets it
         with pytest.raises(DomainError, match="count must be >= 1"):
-            setting_probability(pc, MeasurementSetting.PLUS)
-        with pytest.raises(DomainError, match="count must be >= 1"):
-            statevector_even_parity_probability(pc, MeasurementSetting.PLUS)
+            ParallelCircuit(P=P, spec=synthesize_shifter(1.0, 10), S=S,
+                            instance=make_instance(0.3))
 
 
 class TestSampling:
@@ -510,7 +513,7 @@ class TestStatevectorKernels:
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         q, r = np.linalg.qr(g)
         v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        got = statevector_parity_probabilities(v[None, :, ::dim // 2], P)[0]
+        got = parity_probabilities(column_blocks(v[None, :, ::dim // 2]), P)[0]
         ref = [literal_branch_probability(v, P, n, setting) for setting in MeasurementSetting]
         assert np.max(np.abs(got - ref)) <= 1e-13
 
@@ -524,31 +527,66 @@ class TestShifterColumns:
         insts = [make_instance(a, n) for a in (0.0, 0.3, 0.8, 1.0)]
         wq = controlled_grover_blocks(insts, style, seed)
         for T, L in ((1.0, 10), (2.0, 14), (8.0, 34)):
-            xi = synthesize_shifter(T, L).angles.xi
-            columns = shifter_columns(xi, wq, 3)
-            assert columns.shape == (3, len(insts), 2 ** (n + 1), 2)
-            dense = interleaved_shifter(xi, wq)
+            spec = synthesize_shifter(T, L)
+            blocks = shifter_columns(spec, wq, {1, 2, 3})
+            dense = interleaved_shifter(spec.angles.xi, wq)
             for s in (1, 2, 3):
-                ref = np.linalg.matrix_power(dense, s)[:, :, ::2 ** n]
-                assert np.max(np.abs(columns[s - 1] - ref)) <= 1e-13
+                assert blocks[s].shape == (2 ** n, len(insts), 2, 2)
+                ref = column_blocks(np.linalg.matrix_power(dense, s)[:, :, ::2 ** n])
+                assert np.max(np.abs(blocks[s] - ref)) <= 1e-13
 
     def test_longer_pass_extends_shorter_bit_for_bit(self):
-        # the columns of s are the same bits whatever s_max, and each
-        # block's columns those of its own call: step_probabilities reads s
-        # from a pass to the largest s of a batch
+        # the blocks of s are the same bits whatever else a pass is asked
+        # for, powers skipped on the way included, and each amplitude's
+        # blocks those of its own call: step_probabilities asks one pass
+        # for every s of a (t, l)
         wq = controlled_grover_blocks([make_instance(a, 3) for a in (0.2, 0.7)])
-        xi = synthesize_shifter(4.0, 22).angles.xi
-        three = shifter_columns(xi, wq, 3)
-        assert np.array_equal(three[:2], shifter_columns(xi, wq, 2))
-        assert np.array_equal(three[:1], shifter_columns(xi, wq, 1))
+        spec = synthesize_shifter(4.0, 22)
+        three = shifter_columns(spec, wq, {1, 2, 3})
+        for powers in ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}):
+            shorter = shifter_columns(spec, wq, powers)
+            assert all(np.array_equal(three[s], shorter[s]) for s in powers)
         for i in range(len(wq)):
-            assert np.array_equal(three[:, i], shifter_columns(xi, wq[i:i + 1], 3)[:, 0])
+            alone = shifter_columns(spec, wq[i:i + 1], {1, 2, 3})
+            assert all(np.array_equal(three[s][:, i], alone[s][:, 0]) for s in (1, 2, 3))
 
-    @pytest.mark.parametrize("s_max", [0, -1])
-    def test_rejects_fewer_than_one_repetition(self, s_max):
-        wq = controlled_grover_blocks([make_instance(0.3, 2)])
-        with pytest.raises(DomainError, match="repetition count must be >= 1"):
-            shifter_columns(synthesize_shifter(1.0, 10).angles.xi, wq, s_max)
+    @pytest.mark.parametrize("power", [0, -1])
+    def test_rejects_fewer_than_one_repetition(self, power):
+        # both stages, alone or beside a valid power; an empty request too
+        spec = synthesize_shifter(1.0, 10)
+        inst = make_instance(0.3, 2)
+        wq = controlled_grover_blocks([inst])
+        for powers in ([power], [1, power], []):
+            with pytest.raises(DomainError, match="repetition count must be >= 1"):
+                shifter_columns(spec, wq, powers)
+            with pytest.raises(DomainError, match="repetition count must be >= 1"):
+                eigenphase_blocks(spec, [inst.theta], powers)
+
+
+class TestStageContract:
+    @pytest.mark.parametrize("backend", ["analytic", "statevector"])
+    def test_each_stage_returns_exactly_the_requested_powers(self, backend):
+        # {s: blocks} for the distinct requested s, repeats folded, each in
+        # the (c, m, 2, 2) layout of parity_probabilities
+        spec = synthesize_shifter(2.0, 14)
+        insts = [make_instance(a, 3) for a in (0.0, 0.4, 0.9)]
+        if backend == "analytic":
+            stage, operand, c = eigenphase_blocks, [inst.theta for inst in insts], 2
+        else:
+            stage, operand, c = shifter_columns, controlled_grover_blocks(insts), 2 ** 3
+        for powers in ([1], [4], [2, 2], (1, 3, 4), range(1, 6)):
+            blocks = stage(spec, operand, powers)
+            assert set(blocks) == set(powers)
+            assert all(b.shape == (c, len(insts), 2, 2) for b in blocks.values())
+
+    def test_analytic_stage_raises_one_product_by_matrix_power(self):
+        # every power is matrix_power of the s = 1 blocks, bit for bit
+        spec = synthesize_shifter(4.0, 22)
+        thetas = np.linspace(0.0, np.pi / 2, 9)
+        one = eigenphase_blocks(spec, thetas, [1])[1]
+        blocks = eigenphase_blocks(spec, thetas, {1, 2, 5, 16})
+        for s, b in blocks.items():
+            assert np.array_equal(b, np.linalg.matrix_power(one, s))
 
 
 class TestGhzDepth:

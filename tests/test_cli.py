@@ -151,6 +151,26 @@ def test_angles_reports_directory_as_output(tmp_path, capsys):
     assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target,message", [
+    ("missing/dir/x.txt", "[Errno 2] No such file or directory"),
+    (".", "[Errno 21] Is a directory"),
+    ("file/x.txt", "[Errno 20] Not a directory"),
+])
+def test_angles_checks_output_before_synthesis(tmp_path, capsys, monkeypatch, target,
+                                               message):
+    # an output path that open() would refuse is refused before the shifter
+    # is synthesized, with the error open() would give
+    calls = []
+    monkeypatch.setattr(qsp, "synthesize_shifter", lambda *args: calls.append(args))
+    (tmp_path / "file").write_text("keep")
+    out = tmp_path / target
+    assert main(["angles", "--T", "2048", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert calls == []
+    assert (tmp_path / "file").read_text() == "keep"
+
+
 def test_verify_passes(capsys):
     # one PASS line per built-in invariant suite, and exit status 0
     assert main(["verify"]) == 0
@@ -174,8 +194,8 @@ def test_verify_fails_on_wrong_shared_block_contraction(capsys, monkeypatch):
     # analytic steps share their eigenphase blocks; the closed-form check
     # builds its own blocks
     exact = circuit.eigenphase_blocks
-    monkeypatch.setattr(circuit, "eigenphase_blocks",
-                        lambda spec, thetas: exact(spec, thetas) + 1e-9)
+    monkeypatch.setattr(circuit, "eigenphase_blocks", lambda spec, thetas, powers: {
+        s: blocks + 1e-9 for s, blocks in exact(spec, thetas, powers).items()})
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  backend-equivalence: max deviation" in out
@@ -211,6 +231,22 @@ def test_verify_fails_on_loading_that_trusts_the_header(capsys, monkeypatch):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  angle-file-roundtrip: bit-exact, corrupted copy loaded" in out
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
+
+
+def test_verify_fails_on_grid_without_factor(capsys, monkeypatch):
+    # a certificate grid that trusts its maximum, without the factor
+    # cos(pi D / n), misses the complement scaled by 1 - 1e-3, whose gap of
+    # about 1.9e-7 sits far above rounding; the unscaled gap, at rounding
+    # level, still passes within its slack, and synthesis, which the gate
+    # only refuses, still passes every other check
+    exact = qsp._sized_grid
+    monkeypatch.setattr(qsp, "_sized_grid", lambda degree: (exact(degree)[0], 1.0))
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    line = next(line for line in out.splitlines() if "certificate-grid" in line)
+    assert line.startswith("FAIL  certificate-grid: complement ")
+    assert "at 0.999 scale 1.89991e-07 against bound 1.89990e-07" in line
     assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
 
 

@@ -519,16 +519,17 @@ class TestTwoPhases:
         assert step_probabilities([], sched, "statevector").shape == (0, sched.K, 2)
 
     def test_shared_blocks_equal_per_step_rows(self):
-        # steps with the same (t, l) share their eigenphase blocks: every
-        # row equals the step's own blocks contracted for its p, bit for bit
+        # steps with the same (t, l) share one stage call: every row equals
+        # the step's own stage call at its s contracted for its p, bit for
+        # bit
         sched = build_schedule(strategy="full_parallel", k_max=9,
                                l_table=PARALLEL_L_TABLE_PLUS)
         insts = [make_instance(float(a)) for a in np.linspace(0.0, 1.0, 101)]
         thetas = [inst.theta for inst in insts]
         probs = step_probabilities(insts, sched, "analytic")
         for i, st in enumerate(sched):
-            blocks = circuit.eigenphase_blocks(synthesize_shifter(st.t, st.l), thetas)
-            rows = circuit.parity_probabilities(np.linalg.matrix_power(blocks, st.s), st.p)
+            blocks = circuit.eigenphase_blocks(synthesize_shifter(st.t, st.l), thetas, [st.s])
+            rows = circuit.parity_probabilities(blocks[st.s], st.p)
             assert np.array_equal(probs[:, i], rows)
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector", "ideal"])
@@ -565,17 +566,19 @@ class TestTwoPhases:
     @pytest.mark.parametrize("backend", ["analytic", "statevector"])
     def test_repetition_counts_share_one_shifter(self, backend, monkeypatch):
         # general P=4, K=7: steps (8, 34, S=1) and (8, 34, S=2) share one
-        # shifter product, raised per S, or one pass of the shifter stage
-        # to S = 2; every row equals its own step's S-fold blocks or
-        # columns contracted for its p, bit for bit
-        calls = {"rotation_product": 0, "shifter_columns": 0}
-        reaches = []
+        # stage call, asked for the powers {1, 2}: one shifter product
+        # raised per S, or one pass of the shifter to S = 2; every row
+        # equals its own step's stage call at its S contracted for its p,
+        # bit for bit
+        stage = "eigenphase_blocks" if backend == "analytic" else "shifter_columns"
+        calls = {"rotation_product": 0, stage: 0}
+        powers = {}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                if name == "shifter_columns":
-                    reaches.append(args[2])
+                if name == stage:
+                    powers[args[0].T] = set(args[2])
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -588,19 +591,13 @@ class TestTwoPhases:
         assert (distinct_tl, len({(st.t, st.l, st.s) for st in sched})) == (4, 5)
         analytic = backend == "analytic"
         assert calls == {"rotation_product": distinct_tl if analytic else 0,
-                         "shifter_columns": 0 if analytic else distinct_tl}
-        assert sorted(reaches) == ([] if analytic else [1, 1, 1, 2])
-        thetas = [inst.theta for inst in insts]
+                         stage: distinct_tl}
+        assert powers == {1.0: {1}, 2.0: {1}, 4.0: {1}, 8.0: {1, 2}}
+        operand = ([inst.theta for inst in insts] if analytic
+                   else circuit.controlled_grover_blocks(insts))
         for i, st in enumerate(sched):
-            spec = synthesize_shifter(st.t, st.l)
-            if analytic:
-                power = np.linalg.matrix_power(circuit.eigenphase_blocks(spec, thetas), st.s)
-                rows = circuit.parity_probabilities(power, st.p)
-            else:
-                columns = circuit.shifter_columns(
-                    spec.angles.xi, circuit.controlled_grover_blocks(insts), st.s)[-1]
-                rows = circuit.statevector_parity_probabilities(columns, st.p)
-            assert np.array_equal(probs[:, i], rows)
+            blocks = getattr(circuit, stage)(synthesize_shifter(st.t, st.l), operand, [st.s])
+            assert np.array_equal(probs[:, i], circuit.parity_probabilities(blocks[st.s], st.p))
 
     @staticmethod
     def pinned_table_digest(backend: str) -> str:
