@@ -205,13 +205,12 @@ def check_capacity(ns) -> None:
                 f"{STATEVECTOR_MAX_BYTES / 2 ** 30:g} GiB guard")
 
 
-def controlled_grover_blocks(instances, oracle_style: str = "canonical",
-                             oracle_seed=None) -> np.ndarray:
+def controlled_grover_blocks(instances) -> np.ndarray:
     """The ``(m, 2^(n+1), 2^(n+1))`` stack of the controlled-Grover blocks
-    of ``m`` instances' explicit oracles, in order, each built into its
-    slot.  The instances must share one register size ``n``; mixed sizes
-    raise :class:`DomainError` before any oracle is built, and so does an
-    empty batch."""
+    of ``m`` instances' canonical explicit oracles, in order, each built
+    into its slot.  The instances must share one register size ``n``; mixed
+    sizes raise :class:`DomainError` before any oracle is built, and so does
+    an empty batch."""
     instances = list(instances)
     sizes = sorted({inst.n for inst in instances})
     if not sizes:
@@ -221,8 +220,7 @@ def controlled_grover_blocks(instances, oracle_style: str = "canonical",
     dim = 2 ** (sizes[0] + 1)
     blocks = np.empty((len(instances), dim, dim), dtype=complex)
     for block, inst in zip(blocks, instances):
-        block[...] = controlled_grover(build_grover_unitary(
-            build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)))
+        block[...] = controlled_grover(build_grover_unitary(build_explicit_oracle(inst)))
     return blocks
 
 

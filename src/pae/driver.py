@@ -28,7 +28,8 @@ A run has two phases:
 
 ``run`` composes the two and reports the exact query count ``N = 2 sum_k
 nu_k P_k S_k L_k`` alongside depth and width; :func:`theorem_resources`
-gives the count and depth of the proof-mode schedule at a target error.
+gives the count and depth of the proof-mode schedule at a target error, at
+the calibrated lengths.
 """
 
 from __future__ import annotations
@@ -63,12 +64,19 @@ def _integer(value) -> int | None:
         return None
 
 
+def _power_of_two(value) -> bool:
+    """Whether ``value`` is an integer type holding a power of two."""
+    n = _integer(value)
+    return n is not None and n >= 1 and not n & (n - 1)
+
+
 @dataclass(frozen=True)
 class ScheduleStep:
     """Resolution step ``k``, its multiplier ``m = 2^(k-1)`` split as ``P T S``;
-    construction refuses ``k``, ``P`` or ``S`` below 1, any other split, a
-    shot count ``nu`` that is not an integer of at least 1 and a query
-    length ``l`` that is not a positive even integer."""
+    construction refuses ``P`` or ``S`` that is not an integer, ``k``, ``P``
+    or ``S`` below 1, any other split, a shot count ``nu`` that is not an
+    integer of at least 1 and a query length ``l`` that is not a positive
+    even integer."""
     k: int
     p: int          # parallel branches
     t: float        # shifter strength
@@ -77,6 +85,10 @@ class ScheduleStep:
     l: int          # queries per shifter application
 
     def __post_init__(self):
+        for name, value in (("branch count", self.p), ("repetition count", self.s)):
+            if _integer(value) is None:
+                raise ConfigurationError(
+                    f"step {self.k}: {name} must be an integer, got {value!r}")
         if self.k < 1 or self.p < 1 or self.s < 1 or self.p * self.t * self.s != self.m:
             raise ConfigurationError(
                 f"step {self.k}: P*T*S = {self.p}*{self.t:g}*{self.s} must equal "
@@ -131,7 +143,9 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
 
     ``l_table`` overrides the per-step query lengths, step ``k`` at index
     ``k - 1``, and needs at least ``K`` entries; otherwise they come from
-    the calibrated selector (or the certified one when ``certified``).
+    the calibrated ``qsp.select_L_empirical``, or, when ``certified``, from
+    ``qsp.select_L``: the shortest length whose certified state error meets
+    the step's share ``beta / (sqrt(2) P_k S_k)`` of the bias budget.
     """
     K = _integer(k_max)
     if K is None:
@@ -140,7 +154,7 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
         raise ConfigurationError(f"step count must be >= 1, got {K}")
     if not 0.0 < beta < rpe.ROBUSTNESS_LIMIT:
         raise ConfigurationError(f"bias budget must lie in (0, sqrt(6)/8), got {beta}")
-    if t_cap is not None and (t_cap < 1 or t_cap & (t_cap - 1)):
+    if t_cap is not None and not _power_of_two(t_cap):
         raise ConfigurationError(f"strength cap must be a power of two, got {t_cap}")
     if l_table is not None and len(l_table) < K:
         raise ConfigurationError(f"l_table has {len(l_table)} entries, schedule needs {K}")
@@ -159,7 +173,7 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
         parallelism, t_cap = 1, top
     elif strategy != "general":
         raise ConfigurationError(f"unknown strategy {strategy!r}")
-    elif parallelism is None or parallelism < 1 or (parallelism & (parallelism - 1)):
+    elif not _power_of_two(parallelism):
         raise ConfigurationError(
             f"general mode needs a power-of-two parallelism, got {parallelism}")
     elif parallelism > top:
@@ -319,7 +333,10 @@ def theorem_resources(eps: float, parallelism: int, beta: float = 0.05) -> tuple
     """Concrete (non-asymptotic) query and depth sums of the proof-mode
     schedule at target error ``eps`` in ``(0, 1)``: the ``general`` schedule
     of ``K = ceil(log2(1/eps)) + 6`` steps with the given parallelism and
-    theoretical shot counts.  Returns ``(N, max_k S_k L_k + ceil(log2 P))``."""
+    theoretical shot counts, at the calibrated lengths
+    (``qsp.select_L_empirical``); the certified lengths, and their
+    resources, come from ``build_schedule(..., certified=True)``.  Returns
+    ``(N, max_k S_k L_k + ceil(log2 P))``."""
     if not 0.0 < eps < 1.0:
         raise ConfigurationError(f"target error must lie in (0, 1), got {eps}")
     sched = build_schedule(strategy="general", k_max=math.ceil(math.log2(1.0 / eps)) + 6,

@@ -58,6 +58,11 @@ pipeline is:
    (``_product_rounding``).
    ``_certified_shifter`` runs steps 1-4 for ``synthesize_shifter`` and,
    with a file's angles in place of the peel's, for ``load_angles``.
+   Lengths come from one search, ``_shortest_length``: the shortest even
+   ``L >= 4`` whose truncation bound passes a test, with two limits.  The
+   solve length is the search for ``delta < 1e-10`` (rounding level),
+   capped at the shifter's ``L``; ``select_L`` is the search for
+   ``state_error_bound(delta) <= eps_oc``, the shortest certified length.
 5. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
    ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
    backend evaluates.  The statevector backend applies the same factors
@@ -729,14 +734,14 @@ _shifter_cache: dict[tuple[float, int], PhaseShifterSpec] = {}
 def _certified_shifter(T: float, L: int, xi: np.ndarray | None = None) -> PhaseShifterSpec:
     """The one constructor of a :class:`PhaseShifterSpec`: angles ``xi``, or
     :func:`solve_angles`'s, gated against the target at the solve length:
-    ``L`` (checked first) cut, not below 4, to where the truncation bound
-    reaches rounding level, past which extra layers cannot improve a
-    double-precision synthesis.  A :class:`SynthesisError` names ``T``,
-    ``L`` and the solve length."""
+    ``L`` (checked first) cut to the shortest length whose truncation bound
+    is below rounding level, ``1e-10``, past which extra layers cannot
+    improve a double-precision synthesis.  The cut is
+    :func:`_shortest_length`, the search :func:`select_L` makes against a
+    state-error budget, with this limit and capped at ``L``.  A
+    :class:`SynthesisError` names ``T``, ``L`` and the solve length."""
     _check_length(L)
-    l_solve = L
-    while l_solve > 4 and truncation_error_bound(T, l_solve - 2) < 1e-10:
-        l_solve -= 2
+    l_solve = _shortest_length(T, lambda delta: delta < 1e-10, longest=L)
     try:
         target = truncate_target(T, l_solve)
         p = complete_target(target)
@@ -756,15 +761,43 @@ def synthesize_shifter(T: float, L: int) -> PhaseShifterSpec:
     return _shifter_cache[key]
 
 
+def _shortest_length(T: float, passes, longest: int | None = None) -> int:
+    """The shortest even ``L >= 4`` whose ``truncation_error_bound(T, L)``
+    passes the test ``passes``, or ``longest`` when no shorter length does.
+
+    The bound is at least 4 while ``h = L/2 + 1 <= T/2`` and falls strictly
+    after that, so for a test that passes only below 1, and at every
+    smaller bound once it passes, the passing lengths are every length
+    from the first one up: doubling from 4 brackets the first, and
+    bisection finds it in ``O(log L)`` evaluations.  With ``longest``, the
+    bracket is ``longest - 2``, so a length that nothing shortens costs
+    one evaluation."""
+    if longest is not None:
+        if longest <= 4 or not passes(truncation_error_bound(T, longest - 2)):
+            return longest
+        fails, hi = 2, longest - 2
+    else:
+        fails, hi = 2, 4
+        while not passes(truncation_error_bound(T, hi)):
+            fails, hi = hi, 2 * hi
+    # fails is 2, which the search never returns, or a length that fails
+    while hi - fails > 2:
+        mid = fails + (hi - fails) // 4 * 2
+        if passes(truncation_error_bound(T, mid)):
+            hi = mid
+        else:
+            fails = mid
+    return hi
+
+
 def select_L(T: float, eps_oc: float) -> int:
-    """Smallest even integer at or above ``e^2 T + 4 ln(1/eps_oc) + 10``."""
+    """The shortest certified length: the shortest even ``L >= 4`` whose
+    state error ``state_error_bound(truncation_error_bound(T, L))`` is at
+    most ``eps_oc``, by :func:`_shortest_length`."""
     _check_strength(T)
     if not 0.0 < eps_oc < 1.0:
         raise DomainError(f"state-error budget must lie in (0, 1), got {eps_oc}")
-    raw = math.e ** 2 * T + 4.0 * math.log(1.0 / eps_oc) + 10.0
-    # the 1e-9 slack keeps boundary values (raw at an even integer up to
-    # floating-point noise) from being bumped a full step
-    return 2 * math.ceil(raw / 2.0 - 1e-9)
+    return _shortest_length(T, lambda delta: state_error_bound(delta) <= eps_oc)
 
 
 def minimal_query_length(T: float) -> int:

@@ -32,11 +32,21 @@ def analytic_probabilities(spec, P: int, S: int, thetas) -> np.ndarray:
     return parity_probabilities(eigenphase_blocks(spec, thetas, [S])[S], P)
 
 
+def grover_blocks(insts, style="canonical", seed=None) -> np.ndarray:
+    """The controlled-Grover stack of the explicit oracles of ``style``:
+    :func:`controlled_grover_blocks` for the canonical oracle, built here
+    block by block for any other."""
+    if style == "canonical":
+        return controlled_grover_blocks(insts)
+    return np.stack([controlled_grover(build_grover_unitary(
+        build_explicit_oracle(inst, style=style, seed=seed))) for inst in insts])
+
+
 def statevector_probabilities(spec, P: int, S: int, insts, style="canonical",
                               seed=None) -> np.ndarray:
     """The statevector stage at ``S`` around the controlled-Grover stack of
     instances of one register size, contracted for ``P`` branches."""
-    wq = controlled_grover_blocks(insts, style, seed)
+    wq = grover_blocks(insts, style, seed)
     return parity_probabilities(shifter_columns(spec, wq, [S])[S], P)
 
 
@@ -525,7 +535,7 @@ class TestShifterColumns:
         # the factors applied to two columns, rotations merged, against the
         # dense product raised to s by matrix_power, for s = 1 .. 3
         insts = [make_instance(a, n) for a in (0.0, 0.3, 0.8, 1.0)]
-        wq = controlled_grover_blocks(insts, style, seed)
+        wq = grover_blocks(insts, style, seed)
         for T, L in ((1.0, 10), (2.0, 14), (8.0, 34)):
             spec = synthesize_shifter(T, L)
             blocks = shifter_columns(spec, wq, {1, 2, 3})

@@ -171,6 +171,18 @@ def test_angles_checks_output_before_synthesis(tmp_path, capsys, monkeypatch, ta
     assert (tmp_path / "file").read_text() == "keep"
 
 
+def test_angles_synthesizes_certified_length(tmp_path, capsys):
+    # the shortest length that meets the budget, 716 at T = 256; the closed
+    # form's 1922, cut to 734, missed the complement gate by 3.1e-10
+    out = tmp_path / "angles.txt"
+    assert main(["angles", "--T", "256", "--eps-oc", "0.01", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"T=256 L={qsp.select_L(256.0, 0.01)} ")
+    assert float(lines[0].split("state-error budget=")[1]) <= 0.01
+    assert lines[1] == f"wrote {out}"
+    assert qsp.load_angles(out).L == qsp.select_L(256.0, 0.01)
+
+
 def test_verify_passes(capsys):
     # one PASS line per built-in invariant suite, and exit status 0
     assert main(["verify"]) == 0

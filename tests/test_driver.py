@@ -111,6 +111,11 @@ class TestBuildSchedule:
          "strength cap must be a power of two, got 0"),
         ({"strategy": "mixed", "t_cap": 6},
          "strength cap must be a power of two, got 6"),
+        # a float used to reach `&` and raise a bare TypeError
+        ({"strategy": "general", "parallelism": 2.0},
+         "general mode needs a power-of-two parallelism, got 2.0"),
+        ({"strategy": "general", "parallelism": 2, "t_cap": 8.0},
+         "strength cap must be a power of two, got 8.0"),
     ])
     def test_error_messages(self, kwargs, message):
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
@@ -207,6 +212,17 @@ class TestBuildSchedule:
                                  rf"got {re.escape(repr(nu))}$"):
             ScheduleStep(k=2, p=2, t=1.0, s=1, nu=nu, l=10)
         assert ScheduleStep(k=2, p=2, t=1.0, s=1, nu=np.int64(1), l=10).nu == 1
+
+    @pytest.mark.parametrize("field,name", [("p", "branch count"), ("s", "repetition count")])
+    def test_step_rejects_non_integer_split(self, field, name):
+        # s = 2.0 used to be accepted and end in a bare TypeError in
+        # step_probabilities, and p = 2.0 ran without a word
+        split = {"p": 1, "s": 1, field: 2.0}
+        with pytest.raises(ConfigurationError,
+                           match=rf"^step 2: {name} must be an integer, got 2\.0$"):
+            ScheduleStep(k=2, t=1.0, nu=1, l=10, **split)
+        split[field] = np.int64(2)
+        assert getattr(ScheduleStep(k=2, t=1.0, nu=1, l=10, **split), field) == 2
 
     @pytest.mark.parametrize("l", [-2, 0, 3, 11, 10.5, 10.0, "10", None])
     def test_step_rejects_bad_query_length(self, l):

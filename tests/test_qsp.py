@@ -1135,6 +1135,15 @@ class TestEigenphaseBlocks:
             assert np.max(np.abs(m[1::2, 0::2])) <= 1e-14
 
 
+def cut_loop(T, L):
+    """The solve length as a loop: ``L`` cut down, not below 4, while the
+    truncation bound two below is under ``1e-10``."""
+    l_solve = L
+    while l_solve > 4 and truncation_error_bound(T, l_solve - 2) < 1e-10:
+        l_solve -= 2
+    return l_solve
+
+
 class TestSynthesisAtEveryStrength:
     def test_ladder_angles_pinned(self):
         # the same digest the synth_ladder benchmark workload reports: a
@@ -1159,24 +1168,30 @@ class TestSynthesisAtEveryStrength:
         assert dev <= 8.0 * truncation_error_bound(T, L)
 
     @pytest.mark.parametrize("schedule", [
-        build_schedule(strategy="full_sequential", k_max=7, certified=True),
-        build_schedule(strategy="general", k_max=7, parallelism=4, certified=True)],
-        ids=["full_sequential", "general"])
+        build_schedule(strategy="full_sequential", k_max=12, certified=True),
+        build_schedule(strategy="full_parallel", k_max=12, certified=True),
+        build_schedule(strategy="general", k_max=7, parallelism=4, certified=True),
+        build_schedule(strategy="general", k_max=12, parallelism=4, t_cap=2048, certified=True),
+        build_schedule(strategy="general", k_max=12, parallelism=16, t_cap=2048,
+                       certified=True)],
+        ids=["full_sequential", "full_parallel", "general", "general-P4", "general-P16"])
     def test_certified_schedule_synthesizes(self, schedule):
-        # certified lengths run far beyond where the truncation bound meets
-        # rounding; synthesis truncates at the shortest length whose bound is
-        # below 1e-10, pads with cancelling pairs, and is certified there
+        # every strength a K = 12 schedule asks for synthesizes at its
+        # certified length, T = 2048 at L = 5580 included.  A certified
+        # length is the shortest that meets its step's budget, so it reaches
+        # past where the truncation bound meets rounding only at budgets
+        # below about 4e-5, here the last two full_parallel steps (L = 22,
+        # cut to 20); synthesis is certified at the solve length
         thetas = chebyshev_grid(4096)
         for st in schedule:
             spec = synthesize_shifter(st.t, st.l)
             assert spec.L == len(spec.angles) == st.l
             assert spec.angles.residual <= 1e-8
-            l_solve = st.l
-            while l_solve > 4 and truncation_error_bound(st.t, l_solve - 2) < 1e-10:
-                l_solve -= 2
+            delta = truncation_error_bound(st.t, cut_loop(st.t, st.l))
+            assert spec.eps_oc == state_error_bound(delta)
             A, C = realized_functions(spec.angles.xi, thetas)
             dev = np.max(np.abs(A + 1j * C - np.exp(-1j * st.t * np.sin(thetas))))
-            assert dev <= 8.0 * truncation_error_bound(st.t, l_solve)
+            assert dev <= 8.0 * delta
 
     @pytest.mark.parametrize("T", [1e-300, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3, 0.01, 0.03])
     def test_small_strength_certified(self, T):
@@ -1206,13 +1221,96 @@ def test_import_does_not_load_mpmath():
     assert out.stdout.strip() == "False []"
 
 
+class TestSolveLengthCut:
+    @staticmethod
+    def stop_at_truncation(monkeypatch):
+        """Make ``_certified_shifter`` stop where it truncates, so the solve
+        length shows in its message, and count the cut's bound evaluations."""
+        calls = []
+        bound = qsp.truncation_error_bound
+
+        def counted(T, L):
+            calls.append(L)
+            return bound(T, L)
+
+        def stop(T, L):
+            raise SynthesisError("stopped")
+
+        monkeypatch.setattr(qsp, "truncation_error_bound", counted)
+        monkeypatch.setattr(qsp, "truncate_target", stop)
+        return calls
+
+    @staticmethod
+    def solve_length(T, L):
+        with pytest.raises(SynthesisError, match="stopped") as err:
+            qsp._certified_shifter(T, L)
+        return int(re.search(r"solve length (\d+)\)", str(err.value)).group(1))
+
+    def test_cut_equals_the_loop(self, monkeypatch):
+        # T = 1 at L = 40 cuts to 20; lengths far past the bound cut to
+        # where it meets 1e-10, lengths short of it are not cut
+        self.stop_at_truncation(monkeypatch)
+        assert self.solve_length(1.0, 40) == 20
+        for T in (1e-300, 1e-15, 1e-6, 0.25, 1.0, 2.0, 8.0, 48.0, 1024.0, 2048.0):
+            for L in [*range(2, 122, 2), 400, 1000, 5580, 20000]:
+                assert self.solve_length(T, L) == cut_loop(T, L), (T, L)
+
+    @pytest.mark.parametrize("T", [1, 2, 4, 8, 16, 32, 48, 2048])
+    def test_uncut_length_costs_one_evaluation(self, monkeypatch, T):
+        # at every calibrated and certified length nothing is cut, and the
+        # cut evaluates the bound once, two below the length
+        calls = self.stop_at_truncation(monkeypatch)
+        for L in (select_L_empirical(T), select_L(T, 0.05 / math.sqrt(2.0))):
+            calls.clear()
+            assert self.solve_length(float(T), L) == L
+            assert calls == [L - 2]
+
+    @pytest.mark.parametrize("T,L", [(1.0, 40), (8.0, 100), (48.0, 400)])
+    def test_cut_synthesis_certified_at_solve_length(self, T, L):
+        # past where the bound meets rounding, synthesis solves at the cut
+        # length, pads with cancelling pairs up to L, and is certified there
+        l_solve = cut_loop(T, L)
+        assert l_solve < L
+        spec = synthesize_shifter(T, L)
+        assert spec.L == len(spec.angles) == L
+        assert spec.angles.residual <= 1e-8
+        delta = truncation_error_bound(T, l_solve)
+        assert spec.eps_oc == state_error_bound(delta)
+        thetas = chebyshev_grid(4096)
+        A, C = realized_functions(spec.angles.xi, thetas)
+        dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
+        assert dev <= 8.0 * delta
+
+
+def closed_form_length(T, eps_oc):
+    """The closed-form length, the smallest even integer at or above ``e^2 T
+    + 4 ln(1/eps_oc) + 10``, which the certificate never needs to exceed."""
+    return 2 * math.ceil((math.e ** 2 * T + 4.0 * math.log(1.0 / eps_oc) + 10.0) / 2.0 - 1e-9)
+
+
 class TestResourceSelectors:
     def test_select_l_constant_term(self):
-        assert select_L(1e-15, 1.0 - 1e-12) == 10
+        # the minimum length: at T = 1e-15 the bound at L = 4 is 8.3e-47
+        assert select_L(1e-15, 1.0 - 1e-12) == 4
 
     def test_select_l_values(self):
-        assert select_L(1.0, 0.01) == 36     # e^2 + 4 ln(100) + 10 = 35.81
-        assert select_L(10.0, 0.05) == 96    # 73.89 + 11.98 + 10 = 95.87
+        # state errors 0.0142 at L = 12 and 0.00353 at L = 14; 0.0726 at
+        # L = 38 and 0.0350 at L = 40
+        assert select_L(1.0, 0.01) == 14
+        assert select_L(10.0, 0.05) == 40
+
+    @pytest.mark.parametrize("eps_oc", [0.01, 0.05 / math.sqrt(2.0),
+                                        0.05 / (math.sqrt(2.0) * 1024)])
+    @pytest.mark.parametrize("T", [1e-15, 0.25, 1.0, 8.0, 48.0, 1024.0, 2048.0])
+    def test_select_l_is_shortest_certified(self, T, eps_oc):
+        # the certificate holds at L and fails two below, and the length is
+        # never above the closed form e^2 T + 4 ln(1/eps_oc) + 10
+        L = select_L(T, eps_oc)
+        assert L >= 4 and L % 2 == 0
+        assert state_error_bound(truncation_error_bound(T, L)) <= eps_oc
+        if L > 4:
+            assert state_error_bound(truncation_error_bound(T, L - 2)) > eps_oc
+        assert L <= closed_form_length(T, eps_oc)
 
     def test_select_l_domain(self):
         with pytest.raises(DomainError):
