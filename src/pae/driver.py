@@ -228,7 +228,7 @@ def step_probabilities(instances, schedule: Schedule,
     backend, and ``circuit.shifter_columns`` around the controlled-Grover
     blocks on the statevector one, once per register size; those blocks are
     built once per instance and call, after the memory guard has passed
-    every register size."""
+    every register size, and each size's only when its group runs."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     steps = list(schedule)
@@ -242,8 +242,8 @@ def step_probabilities(instances, schedule: Schedule,
         ns = [inst.n for inst in batch]
         circ.check_capacity(ns)
         sizes = [[row for row, n in enumerate(ns) if n == size] for size in dict.fromkeys(ns)]
-        groups = [(rows, circ.controlled_grover_blocks([batch[row] for row in rows]))
-                  for rows in sizes]
+        groups = ((rows, circ.controlled_grover_blocks([batch[row] for row in rows]))
+                  for rows in sizes)
         stage = circ.shifter_columns
     else:
         groups = [(slice(None), [inst.theta for inst in batch])]

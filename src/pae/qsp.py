@@ -59,10 +59,14 @@ pipeline is:
    ``_certified_shifter`` runs steps 1-4 for ``synthesize_shifter`` and,
    with a file's angles in place of the peel's, for ``load_angles``.
    Lengths come from one search, ``_shortest_length``: the shortest even
-   ``L >= 4`` whose truncation bound passes a test, with two limits.  The
-   solve length is the search for ``delta < 1e-10`` (rounding level),
-   capped at the shifter's ``L``; ``select_L`` is the search for
-   ``state_error_bound(delta) <= eps_oc``, the shortest certified length.
+   ``L >= 4`` that passes a test on ``L``, with three tests.  The solve
+   length, ``_solve_length``, is the search for ``delta < 1e-10``
+   (rounding level), capped at the shifter's ``L``; ``select_L`` is the
+   search for ``state_error_bound(delta) <= eps_oc``, the shortest
+   certified length, and refuses a budget that the solve length cuts;
+   ``minimal_query_length`` is the search for ``BIAS_DELTA_THRESHOLD`` on
+   the log bound at ``h = L/2 + 3/2``, the calibrated length below
+   ``T = 10``.
 5. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
    ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
    backend evaluates.  The statevector backend applies the same factors
@@ -733,15 +737,11 @@ _shifter_cache: dict[tuple[float, int], PhaseShifterSpec] = {}
 
 def _certified_shifter(T: float, L: int, xi: np.ndarray | None = None) -> PhaseShifterSpec:
     """The one constructor of a :class:`PhaseShifterSpec`: angles ``xi``, or
-    :func:`solve_angles`'s, gated against the target at the solve length:
-    ``L`` (checked first) cut to the shortest length whose truncation bound
-    is below rounding level, ``1e-10``, past which extra layers cannot
-    improve a double-precision synthesis.  The cut is
-    :func:`_shortest_length`, the search :func:`select_L` makes against a
-    state-error budget, with this limit and capped at ``L``.  A
+    :func:`solve_angles`'s, gated against the target at the solve length
+    :func:`_solve_length` of ``L`` (checked first).  A
     :class:`SynthesisError` names ``T``, ``L`` and the solve length."""
     _check_length(L)
-    l_solve = _shortest_length(T, lambda delta: delta < 1e-10, longest=L)
+    l_solve = _solve_length(T, L)
     try:
         target = truncate_target(T, l_solve)
         p = complete_target(target)
@@ -761,43 +761,61 @@ def synthesize_shifter(T: float, L: int) -> PhaseShifterSpec:
     return _shifter_cache[key]
 
 
-def _shortest_length(T: float, passes, longest: int | None = None) -> int:
-    """The shortest even ``L >= 4`` whose ``truncation_error_bound(T, L)``
-    passes the test ``passes``, or ``longest`` when no shorter length does.
+def _shortest_length(passes, longest: int | None = None) -> int:
+    """The shortest even ``L >= 4`` that passes the test ``passes(L)``, or
+    ``longest`` when no shorter length does.
 
-    The bound is at least 4 while ``h = L/2 + 1 <= T/2`` and falls strictly
-    after that, so for a test that passes only below 1, and at every
-    smaller bound once it passes, the passing lengths are every length
-    from the first one up: doubling from 4 brackets the first, and
-    bisection finds it in ``O(log L)`` evaluations.  With ``longest``, the
-    bracket is ``longest - 2``, so a length that nothing shortens costs
-    one evaluation."""
+    The test must keep passing at every longer length once it passes, so
+    the passing lengths are every length from the first one up: doubling
+    from 4 brackets the first, and bisection finds it in ``O(log L)``
+    tests.  With ``longest``, the bracket is ``longest - 2``, so a length
+    that nothing shortens costs one test."""
     if longest is not None:
-        if longest <= 4 or not passes(truncation_error_bound(T, longest - 2)):
+        if longest <= 4 or not passes(longest - 2):
             return longest
         fails, hi = 2, longest - 2
     else:
         fails, hi = 2, 4
-        while not passes(truncation_error_bound(T, hi)):
+        while not passes(hi):
             fails, hi = hi, 2 * hi
     # fails is 2, which the search never returns, or a length that fails
     while hi - fails > 2:
         mid = fails + (hi - fails) // 4 * 2
-        if passes(truncation_error_bound(T, mid)):
+        if passes(mid):
             hi = mid
         else:
             fails = mid
     return hi
 
 
+def _solve_length(T: float, L: int) -> int:
+    """``L`` cut to the shortest length whose truncation bound is below
+    rounding level, ``1e-10``, past which extra layers cannot improve a
+    double-precision synthesis.  The bound is at least 4 while ``L/2 + 1 <=
+    T/2`` and falls strictly after that, so the test keeps passing."""
+    return _shortest_length(lambda l: truncation_error_bound(T, l) < 1e-10, longest=L)
+
+
 def select_L(T: float, eps_oc: float) -> int:
     """The shortest certified length: the shortest even ``L >= 4`` whose
     state error ``state_error_bound(truncation_error_bound(T, L))`` is at
-    most ``eps_oc``, by :func:`_shortest_length`."""
+    most ``eps_oc``, by :func:`_shortest_length`.
+
+    Synthesis solves at :func:`_solve_length`, and a length past it
+    certifies only the state error there, the floor: a budget below the
+    floor raises :class:`DomainError` naming ``T``, the budget, the floor
+    and the solve length, so no returned length is cut."""
     _check_strength(T)
     if not 0.0 < eps_oc < 1.0:
         raise DomainError(f"state-error budget must lie in (0, 1), got {eps_oc}")
-    return _shortest_length(T, lambda delta: state_error_bound(delta) <= eps_oc)
+    L = _shortest_length(lambda l: state_error_bound(truncation_error_bound(T, l)) <= eps_oc)
+    l_solve = _solve_length(T, L)
+    if l_solve < L:
+        floor = state_error_bound(truncation_error_bound(T, l_solve))
+        raise DomainError(
+            f"state-error budget {eps_oc:.3g} at T={float(T):g} is below the floor "
+            f"{floor:.3g} that synthesis certifies at its solve length {l_solve}")
+    return L
 
 
 def minimal_query_length(T: float) -> int:
@@ -806,15 +824,15 @@ def minimal_query_length(T: float) -> int:
     with ``L = 2x`` rounded to the nearest even integer, at least 4: once
     ``A(0) = 1`` is pinned, a length-2 sequence realizes only ``C = 0``, so
     no weaker strength can be synthesized at ``L = 2``.
+
+    The log bound less the threshold is concave in ``x``, so the nearest
+    even root is the first ``L`` with a bound at ``x = L/2 + 1/2`` at or
+    below the threshold, and from ``L = 4`` on the test keeps passing:
+    :func:`_shortest_length` finds it in ``O(log T)`` evaluations.
     """
     _check_strength(T)
-    # h(x) = log(bound at L = 2x) - log_thr is concave in x, so the first
-    # integer n with h(n + 1/2) <= 0 is its root rounded to nearest
     log_thr = math.log(BIAS_DELTA_THRESHOLD)
-    n = 0
-    while _log_truncation_bound(T, n + 1.5) > log_thr:
-        n += 1
-    return max(4, 2 * n)
+    return _shortest_length(lambda l: _log_truncation_bound(T, l / 2 + 1.5) <= log_thr)
 
 
 def select_L_empirical(T: float) -> int:

@@ -183,6 +183,17 @@ def test_angles_synthesizes_certified_length(tmp_path, capsys):
     assert qsp.load_angles(out).L == qsp.select_L(256.0, 0.01)
 
 
+def test_angles_refuses_budget_below_floor(tmp_path, capsys):
+    # at T = 1 no length certifies 1e-5: synthesis would cut it to 20,
+    # whose state error is 3.96e-5
+    out = tmp_path / "angles.txt"
+    assert main(["angles", "--T", "1", "--eps-oc", "1e-5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: state-error budget 1e-05 at T=1 is below the floor 3.96e-05 "
+                   "that synthesis certifies at its solve length 20\n")
+    assert not out.exists()
+
+
 def test_verify_passes(capsys):
     # one PASS line per built-in invariant suite, and exit status 0
     assert main(["verify"]) == 0

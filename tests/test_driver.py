@@ -73,11 +73,19 @@ class TestBuildSchedule:
             caps = [{}, {"t_cap": 1}, {"t_cap": 2}, {"t_cap": 8}, {"t_cap": 64}]
             for parallelism, cap, options in itertools.product(
                     ps, caps if general else [{}], SCHEDULE_OPTIONS):
-                sched = build_schedule(strategy=strategy, k_max=K, parallelism=parallelism,
-                                       **cap, **options)
+                kwargs = dict(parallelism=parallelism, **cap, **options)
+                try:
+                    want = reference_steps(strategy, K, **kwargs)
+                except DomainError as refusal:
+                    # a certified step's budget below the floor of its
+                    # solve length: the schedule refuses it alike
+                    assert options.get("certified")
+                    with pytest.raises(DomainError, match=f"^{re.escape(str(refusal))}$"):
+                        build_schedule(strategy=strategy, k_max=K, **kwargs)
+                    continue
+                sched = build_schedule(strategy=strategy, k_max=K, **kwargs)
                 assert sched.K == K
-                assert_same_steps(sched, reference_steps(
-                    strategy, K, parallelism=parallelism, **cap, **options))
+                assert_same_steps(sched, want)
 
     @pytest.mark.parametrize("strategy", ["full_parallel", "full_sequential"])
     def test_presets_reject_t_cap(self, strategy):
@@ -477,6 +485,21 @@ class TestTwoPhases:
                                      S=st.s, instance=inst)
                 assert row.tolist() == [circuit.statevector_even_parity_probability(
                     pc, setting) for setting in MeasurementSetting]
+
+    def test_statevector_builds_each_size_when_its_group_runs(self, monkeypatch):
+        # a register size's blocks are built only after the stages of the
+        # size before it ran, so two sizes' blocks are never held at once
+        events = []
+        for name in ("controlled_grover_blocks", "shifter_columns"):
+            def recording(*args, _name=name, _fn=getattr(circuit, name)):
+                events.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(circuit, name, recording)
+        sched = build_schedule(strategy="general", k_max=4, parallelism=2)
+        insts = [make_instance(0.3, 2), make_instance(0.5, 3), make_instance(0.8, 2)]
+        step_probabilities(insts, sched, "statevector")
+        distinct_tl = len({(st.t, st.l) for st in sched})
+        assert events == (["controlled_grover_blocks"] + ["shifter_columns"] * distinct_tl) * 2
 
     def test_statevector_guard_precedes_any_work(self, refused_allocation):
         # an n = 2 amplitude fits, but one of n = 11 (five blocks of 2^24

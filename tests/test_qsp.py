@@ -1169,29 +1169,36 @@ class TestSynthesisAtEveryStrength:
 
     @pytest.mark.parametrize("schedule", [
         build_schedule(strategy="full_sequential", k_max=12, certified=True),
-        build_schedule(strategy="full_parallel", k_max=12, certified=True),
+        build_schedule(strategy="full_parallel", k_max=10, certified=True),
         build_schedule(strategy="general", k_max=7, parallelism=4, certified=True),
         build_schedule(strategy="general", k_max=12, parallelism=4, t_cap=2048, certified=True),
         build_schedule(strategy="general", k_max=12, parallelism=16, t_cap=2048,
                        certified=True)],
         ids=["full_sequential", "full_parallel", "general", "general-P4", "general-P16"])
     def test_certified_schedule_synthesizes(self, schedule):
-        # every strength a K = 12 schedule asks for synthesizes at its
-        # certified length, T = 2048 at L = 5580 included.  A certified
-        # length is the shortest that meets its step's budget, so it reaches
-        # past where the truncation bound meets rounding only at budgets
-        # below about 4e-5, here the last two full_parallel steps (L = 22,
-        # cut to 20); synthesis is certified at the solve length
+        # every strength a schedule asks for synthesizes at its certified
+        # length, T = 2048 at L = 5580 included, uncut, and meets its step's
+        # budget beta / (sqrt(2) P S).  full_parallel stops at K = 10: its
+        # step-11 budget lies below the floor of the solve length
         thetas = chebyshev_grid(4096)
         for st in schedule:
             spec = synthesize_shifter(st.t, st.l)
-            assert spec.L == len(spec.angles) == st.l
+            assert spec.L == len(spec.angles) == st.l == cut_loop(st.t, st.l)
             assert spec.angles.residual <= 1e-8
-            delta = truncation_error_bound(st.t, cut_loop(st.t, st.l))
+            delta = truncation_error_bound(st.t, st.l)
             assert spec.eps_oc == state_error_bound(delta)
+            assert spec.eps_oc <= 0.05 / (math.sqrt(2.0) * st.p * st.s)
             A, C = realized_functions(spec.angles.xi, thetas)
             dev = np.max(np.abs(A + 1j * C - np.exp(-1j * st.t * np.sin(thetas))))
             assert dev <= 8.0 * delta
+
+    def test_certified_schedule_refuses_budget_below_floor(self):
+        # step 11 of full_parallel (P = 1024) has the budget 3.45e-5, below
+        # the state error 3.96e-5 at T = 1's solve length 20
+        with pytest.raises(DomainError, match=r"^state-error budget 3\.45e-05 at T=1 is "
+                                              r"below the floor 3\.96e-05 that synthesis "
+                                              r"certifies at its solve length 20$"):
+            build_schedule(strategy="full_parallel", k_max=11, certified=True)
 
     @pytest.mark.parametrize("T", [1e-300, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3, 0.01, 0.03])
     def test_small_strength_certified(self, T):
@@ -1288,7 +1295,36 @@ def closed_form_length(T, eps_oc):
     return 2 * math.ceil((math.e ** 2 * T + 4.0 * math.log(1.0 / eps_oc) + 10.0) / 2.0 - 1e-9)
 
 
+def minimal_length_loop(T):
+    """The nearest-even root as a loop: the first integer ``n`` whose log
+    bound at ``h = n + 3/2`` is at or below the threshold, ``L = 2n``, at
+    least 4."""
+    log_thr = math.log(qsp.BIAS_DELTA_THRESHOLD)
+    n = 0
+    while qsp._log_truncation_bound(T, n + 1.5) > log_thr:
+        n += 1
+    return max(4, 2 * n)
+
+
 class TestResourceSelectors:
+    def test_minimal_length_equals_the_loop(self):
+        for T in [*range(1, 2049), *np.logspace(-12, 3, 2000)]:
+            assert minimal_query_length(float(T)) == minimal_length_loop(float(T)), T
+
+    def test_minimal_length_is_a_search(self, monkeypatch):
+        # 35 evaluations at T = 1e5 (L = 271836), where the loop made one
+        # per harmonic, 135,919
+        calls = []
+        bound = qsp._log_truncation_bound
+
+        def counted(T, h):
+            calls.append(h)
+            return bound(T, h)
+
+        monkeypatch.setattr(qsp, "_log_truncation_bound", counted)
+        assert minimal_query_length(1e5) == 271836
+        assert len(calls) <= 40
+
     def test_select_l_constant_term(self):
         # the minimum length: at T = 1e-15 the bound at L = 4 is 8.3e-47
         assert select_L(1e-15, 1.0 - 1e-12) == 4
@@ -1303,14 +1339,28 @@ class TestResourceSelectors:
                                         0.05 / (math.sqrt(2.0) * 1024)])
     @pytest.mark.parametrize("T", [1e-15, 0.25, 1.0, 8.0, 48.0, 1024.0, 2048.0])
     def test_select_l_is_shortest_certified(self, T, eps_oc):
-        # the certificate holds at L and fails two below, and the length is
-        # never above the closed form e^2 T + 4 ln(1/eps_oc) + 10
+        # the certificate holds at L and fails two below, the length is
+        # never above the closed form e^2 T + 4 ln(1/eps_oc) + 10, and
+        # synthesis does not cut it.  The smallest budget, 3.45e-5, lies
+        # below the floor, the state error at the solve length, at T = 1, 8,
+        # 1024 and 2048: 3.96e-5 at T = 1 (length 20), 5.59e-5 at T = 2048
+        # (5604); at T = 48 L = 168 meets it uncut
+        if eps_oc < 1e-4 and T in (1.0, 8.0, 1024.0, 2048.0):
+            l_solve = cut_loop(T, closed_form_length(T, eps_oc))
+            floor = state_error_bound(truncation_error_bound(T, l_solve))
+            assert floor > eps_oc
+            with pytest.raises(DomainError, match=(
+                    f"^state-error budget {eps_oc:.3g} at T={T:g} is below the floor "
+                    f"{floor:.3g} that synthesis certifies at its solve length {l_solve}$")):
+                select_L(T, eps_oc)
+            return
         L = select_L(T, eps_oc)
         assert L >= 4 and L % 2 == 0
         assert state_error_bound(truncation_error_bound(T, L)) <= eps_oc
         if L > 4:
             assert state_error_bound(truncation_error_bound(T, L - 2)) > eps_oc
         assert L <= closed_form_length(T, eps_oc)
+        assert cut_loop(T, L) == L
 
     def test_select_l_domain(self):
         with pytest.raises(DomainError):
