@@ -7,9 +7,8 @@ from .circuit import (CapacityError, MeasurementSetting, ParallelCircuit,
                       statevector_even_parity_probability)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .core_model import (AmplitudeInstance, DomainError, ExplicitOracle,
-                         GroverPlaneOperator, build_explicit_oracle,
-                         build_grover_unitary, grover_plane, grover_plane_basis,
-                         make_instance)
+                         build_explicit_oracle, build_grover_unitary,
+                         grover_plane, grover_plane_basis, make_instance)
 from .driver import (ConfigurationError, ResourceReport, Schedule, ScheduleStep,
                      build_schedule, hl_reference, query_count, resource_report,
                      run, sample_and_recover, step_probabilities,
@@ -17,7 +16,7 @@ from .driver import (ConfigurationError, ResourceReport, Schedule, ScheduleStep,
                      PARALLEL_L_TABLE_PLUS_I)
 from .qsp import (AngleSequence, PhaseShifterSpec, SynthesisError,
                   TruncatedTarget, build_branch_unitary, complete_target,
-                  load_angles, minimal_query_length,
+                  load_angles,
                   realized_functions, save_angles, select_L, select_L_empirical,
                   solve_angles, state_error_bound, synthesize_shifter,
                   truncate_target, truncation_error_bound)

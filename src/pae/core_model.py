@@ -31,19 +31,6 @@ class AmplitudeInstance:
 
 
 @dataclass(frozen=True)
-class GroverPlaneOperator:
-    """The Grover operator restricted to its invariant 2-dimensional plane.
-
-    ``matrix`` is the rotation by ``2*theta`` on the ordered basis
-    ``{|0..0>, |psi>}``; ``eigenphases`` are ``(-2*theta, +2*theta)`` attached
-    to the eigenvectors ``(|0..0> +- i|psi>)/sqrt(2)``.
-    """
-
-    matrix: np.ndarray
-    eigenphases: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class ExplicitOracle:
     """A concrete unitary realization of the amplitude oracle."""
 
@@ -66,11 +53,13 @@ def make_instance(a: float, n: int = 2) -> AmplitudeInstance:
     return AmplitudeInstance(a=float(a), theta=theta, phi=2.0 * (1.0 - 2.0 * a), n=int(n))
 
 
-def grover_plane(inst: AmplitudeInstance) -> GroverPlaneOperator:
-    """The exact 2x2 action of the Grover operator on its invariant plane."""
+def grover_plane(inst: AmplitudeInstance) -> np.ndarray:
+    """The exact 2x2 action of the Grover operator on its invariant plane:
+    the rotation by ``2*theta`` on the ordered basis ``{|0..0>, |psi>}``,
+    with eigenphases ``-+2*theta`` on the eigenvectors ``(|0..0> +-
+    i|psi>)/sqrt(2)``."""
     c, s = np.cos(2 * inst.theta), np.sin(2 * inst.theta)
-    mat = np.array([[c, -s], [s, c]], dtype=complex)
-    return GroverPlaneOperator(matrix=mat, eigenphases=(-2 * inst.theta, 2 * inst.theta))
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def _ry(angle: float) -> np.ndarray:

@@ -143,9 +143,14 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
 
     ``l_table`` overrides the per-step query lengths, step ``k`` at index
     ``k - 1``, and needs at least ``K`` entries; otherwise they come from
-    the calibrated ``qsp.select_L_empirical``, or, when ``certified``, from
-    ``qsp.select_L``: the shortest length whose certified state error meets
-    the step's share ``beta / (sqrt(2) P_k S_k)`` of the bias budget.
+    the calibrated ``qsp.select_L_empirical``, the shortest length whose
+    truncation bound meets ``qsp.BIAS_DELTA_THRESHOLD``, or, when
+    ``certified``, from ``qsp.select_L``: the shortest length whose
+    certified state error meets the step's share ``beta / (sqrt(2) P_k
+    S_k)`` of the bias budget.  Both come from the one length search
+    ``qsp._shortest_length``.  A step whose share ``select_L`` refuses
+    raises its :class:`DomainError` prefixed with the step, ``step k (P =
+    P_k, S = S_k): ``.
     """
     K = _integer(k_max)
     if K is None:
@@ -190,7 +195,10 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
         if l_table is not None:
             l = l_table[k - 1]
         elif certified:
-            l = qsp.select_L(t, beta / (math.sqrt(2.0) * p * s))
+            try:
+                l = qsp.select_L(t, beta / (math.sqrt(2.0) * p * s))
+            except DomainError as err:
+                raise DomainError(f"step {k} (P = {p}, S = {s}): {err}") from err
         else:
             l = qsp.select_L_empirical(t)
         steps.append(ScheduleStep(k=k, p=p, t=t, s=s, nu=nu, l=l))

@@ -160,7 +160,8 @@ class TlRow:
 
 
 def run_tl_curve(cfg: ExperimentConfig) -> list[TlRow]:
-    """Minimal even query length over a grid of shifter strengths.
+    """The calibrated query length, ``qsp.select_L_empirical``, the one
+    that schedules use, over a grid of shifter strengths.
 
     The grid ``t_min + i t_step`` is computed in decimal from the configured
     values, so a step of 0.1 gives 0.3, not 0.30000000000000004.
@@ -176,7 +177,7 @@ def run_tl_curve(cfg: ExperimentConfig) -> list[TlRow]:
     rows = []
     for i in range(count):
         t = float(t_min + i * t_step)
-        rows.append(TlRow(t=t, l_min=qsp.minimal_query_length(t)))
+        rows.append(TlRow(t=t, l_min=qsp.select_L_empirical(t)))
     return rows
 
 

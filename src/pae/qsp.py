@@ -34,20 +34,23 @@ pipeline is:
    time.  The pair is gated on the sized grid of the degree of ``|P|^2 +
    |G|^2 - 1`` by the same real-FFT moduli: its maximum there, divided by
    ``cos(pi degree / n)``, bounds it on the whole circle.  When the peel's
-   core is the whole target, as at every calibrated length, that grid and
-   ``P`` are the completion gate's, whose ``|P|^2`` is reused, so only
-   ``|G|^2`` costs a transform there.  Only the first row ``(P, iG)`` of
-   the Laurent tensor is kept, since the second is its reversed conjugate,
-   and as the real pair ``(P, G)``: every layer maps a row ``(x, i eta)``
-   with real ``x`` and ``eta`` to another.  Each layer's angle comes in
-   closed form from the two end blocks, and each strip is one real ``(L,
-   2) @ (2, 2)`` product with the layer's rank-1 projector, refilled in one
-   2x2 array, added in place to the row's view one shorter, so the peel is
-   ``O(L^2)`` with a small constant.  It runs at the
-   target's effective degree (at least 2 for a live target, whose core
-   then has length 4) and pads with cancelling pairs up to ``L``, the only
-   place that pads; a target that is the identity up to rounding is all
-   cancelling pairs.
+   core is the whole target, that grid and ``P`` are the completion
+   gate's, whose ``|P|^2`` is reused, so only ``|G|^2`` costs a transform
+   there.  At the calibrated length that holds at every integer strength
+   up to ``T = 108``; at 966 of the 1940 integer strengths from 109 to
+   2048 the target's top harmonics fall below the peel's ``1e-13`` cut,
+   and the shorter core pays the ``|P|^2`` transform again.  Only the
+   first row ``(P, iG)`` of the Laurent tensor is kept, since the second
+   is its reversed conjugate, and as the real pair ``(P, G)``: every layer
+   maps a row ``(x, i eta)`` with real ``x`` and ``eta`` to another.  Each
+   layer's angle comes in closed form from the two end blocks, and each
+   strip is one real ``(L, 2) @ (2, 2)`` product with the layer's rank-1
+   projector, refilled in one 2x2 array, added in place to the row's view
+   one shorter, so the peel is ``O(L^2)`` with a small constant.  It runs
+   at the target's effective degree (at least 2 for a live target, whose
+   core then has length 4) and pads with cancelling pairs up to ``L``, the
+   only place that pads; a target that is the identity up to rounding is
+   all cancelling pairs.
 4. ``_certify_angles`` gates the sequence, pads included, with no grid: a
    product tree (``_product_row``) multiplies the factors out in
    coefficient space, each level one real FFT of six rows per pair of
@@ -64,9 +67,9 @@ pipeline is:
    (rounding level), capped at the shifter's ``L``; ``select_L`` is the
    search for ``state_error_bound(delta) <= eps_oc``, the shortest
    certified length, and refuses a budget that the solve length cuts;
-   ``minimal_query_length`` is the search for ``BIAS_DELTA_THRESHOLD`` on
-   the log bound at ``h = L/2 + 3/2``, the calibrated length below
-   ``T = 10``.
+   ``select_L_empirical`` is the search for ``BIAS_DELTA_THRESHOLD`` on
+   the log bound at ``h = L/2 + 3/2``, the calibrated length at every
+   strength.
 5. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
    ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
    backend evaluates.  The statevector backend applies the same factors
@@ -363,8 +366,10 @@ def _uniform_modulus2(p: np.ndarray, n: int) -> np.ndarray:
     The result is read-only and kept until the next call with another ``p``
     or ``n``: when the peel's core is the whole completed target, the
     complement gate asks for exactly the completion gate's values, and this
-    hands them over.  Only the latest evaluation is kept, so it serves no
-    synthesis but the one that made it, unless that one was ``load_angles``
+    hands them over.  A core the peel cuts shorter, as at about half the
+    calibrated lengths from ``T = 109`` up, is another ``p`` on another
+    grid.  Only the latest evaluation is kept, so it serves no synthesis
+    but the one that made it, unless that one was ``load_angles``
     certifying the same shifter."""
     p = np.asarray(p, dtype=float)
     key = (n, p.tobytes())
@@ -818,12 +823,13 @@ def select_L(T: float, eps_oc: float) -> int:
     return L
 
 
-def minimal_query_length(T: float) -> int:
-    """Even query length from the truncation-bound equality ``4 T^(x+1) /
-    (2^(x+1) Gamma(x+2)) = BIAS_DELTA_THRESHOLD``, solved for real ``x``,
-    with ``L = 2x`` rounded to the nearest even integer, at least 4: once
-    ``A(0) = 1`` is pinned, a length-2 sequence realizes only ``C = 0``, so
-    no weaker strength can be synthesized at ``L = 2``.
+def select_L_empirical(T: float) -> int:
+    """Calibrated query length: the even root of the truncation-bound
+    equality ``4 T^(x+1) / (2^(x+1) Gamma(x+2)) = BIAS_DELTA_THRESHOLD``,
+    solved for real ``x``, with ``L = 2x`` rounded to the nearest even
+    integer, at least 4: once ``A(0) = 1`` is pinned, a length-2 sequence
+    realizes only ``C = 0``, so no weaker strength can be synthesized at
+    ``L = 2``.
 
     The log bound less the threshold is concave in ``x``, so the nearest
     even root is the first ``L`` with a bound at ``x = L/2 + 1/2`` at or
@@ -833,15 +839,6 @@ def minimal_query_length(T: float) -> int:
     _check_strength(T)
     log_thr = math.log(BIAS_DELTA_THRESHOLD)
     return _shortest_length(lambda l: _log_truncation_bound(T, l / 2 + 1.5) <= log_thr)
-
-
-def select_L_empirical(T: float) -> int:
-    """Calibrated query length: bound equality below ``T = 10``, the linear
-    fit ``L = 2.72 T + 13.64`` (rounded up to even) at or above it."""
-    _check_strength(T)
-    if T >= 10.0:
-        return 2 * math.ceil((2.72 * T + 13.64) / 2.0)
-    return minimal_query_length(T)
 
 
 # ---------------------------------------------------------------------------

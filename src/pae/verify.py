@@ -27,7 +27,7 @@ def check_grover_plane() -> tuple[str, bool, str]:
             e0, e1 = grover_plane_basis(oracle, inst)
             basis = np.column_stack([e0, e1])
             restricted = basis.conj().T @ q @ basis
-            worst = max(worst, float(np.max(np.abs(restricted - grover_plane(inst).matrix))))
+            worst = max(worst, float(np.max(np.abs(restricted - grover_plane(inst)))))
     return "grover-plane-restriction", worst <= 1e-10, f"max deviation {worst:.2e}"
 
 

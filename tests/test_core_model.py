@@ -42,28 +42,29 @@ class TestMakeInstance:
 
 class TestGroverPlane:
     def test_a0_identity(self):
-        assert np.allclose(grover_plane(make_instance(0.0)).matrix, np.eye(2), atol=1e-15)
+        assert np.allclose(grover_plane(make_instance(0.0)), np.eye(2), atol=1e-15)
 
     def test_a_half_quarter_turn(self):
-        mat = grover_plane(make_instance(0.5)).matrix
+        mat = grover_plane(make_instance(0.5))
         assert np.allclose(mat, [[0, -1], [1, 0]], atol=1e-15)
 
     def test_a_quarter(self):
         # cos/sin of 2*arcsin(0.5) = pi/3
-        mat = grover_plane(make_instance(0.25)).matrix
+        mat = grover_plane(make_instance(0.25))
         expected = [[0.5, -np.sqrt(3) / 2], [np.sqrt(3) / 2, 0.5]]
         assert np.allclose(mat, expected, atol=1e-14)
 
     @pytest.mark.parametrize("a", np.linspace(0.0, 1.0, 17))
     def test_structure(self, a):
         inst = make_instance(float(a))
-        op = grover_plane(inst)
-        assert np.max(np.abs(op.matrix.conj().T @ op.matrix - np.eye(2))) <= 1e-12
-        col = op.matrix @ np.array([1.0, 0.0])
+        mat = grover_plane(inst)
+        assert np.max(np.abs(mat.conj().T @ mat - np.eye(2))) <= 1e-12
+        col = mat @ np.array([1.0, 0.0])
         assert np.allclose(col, [np.cos(2 * inst.theta), np.sin(2 * inst.theta)], atol=1e-12)
-        for phase, sign in zip(op.eigenphases, (+1, -1)):
+        # eigenphases -2 theta and +2 theta on (|0..0> +- i|psi>)/sqrt(2)
+        for phase, sign in zip((-2 * inst.theta, 2 * inst.theta), (+1, -1)):
             vec = np.array([1.0, sign * 1j]) / SQRT2
-            assert np.allclose(op.matrix @ vec, np.exp(1j * phase) * vec, atol=1e-12)
+            assert np.allclose(mat @ vec, np.exp(1j * phase) * vec, atol=1e-12)
 
 
 class TestExplicitOracle:
@@ -142,7 +143,7 @@ class TestPlaneRestriction:
             q = build_grover_unitary(oracle)
             basis = np.column_stack(grover_plane_basis(oracle, inst))
             restricted = basis.conj().T @ q @ basis
-            worst = max(worst, float(np.max(np.abs(restricted - grover_plane(inst).matrix))))
+            worst = max(worst, float(np.max(np.abs(restricted - grover_plane(inst)))))
         assert worst <= 1e-10
 
     def test_zero_state_is_eigenvector_sum(self):

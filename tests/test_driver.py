@@ -40,7 +40,10 @@ def reference_steps(strategy, K, parallelism=None, beta=0.05, nu_variant="optimi
         if l_table is not None:
             l = int(l_table[k - 1])
         elif certified:
-            l = qsp.select_L(t, beta / (math.sqrt(2.0) * p * s))
+            try:
+                l = qsp.select_L(t, beta / (math.sqrt(2.0) * p * s))
+            except DomainError as err:
+                raise DomainError(f"step {k} (P = {p}, S = {s}): {err}") from err
         else:
             l = qsp.select_L_empirical(t)
         steps.append(ScheduleStep(k=k, p=p, t=t, s=s, nu=nu, l=l))
@@ -78,8 +81,11 @@ class TestBuildSchedule:
                     want = reference_steps(strategy, K, **kwargs)
                 except DomainError as refusal:
                     # a certified step's budget below the floor of its
-                    # solve length: the schedule refuses it alike
+                    # solve length: the schedule refuses it alike, naming
+                    # the step, its P and its S
                     assert options.get("certified")
+                    assert re.match(r"step \d+ \(P = \d+, S = \d+\): state-error budget",
+                                    str(refusal))
                     with pytest.raises(DomainError, match=f"^{re.escape(str(refusal))}$"):
                         build_schedule(strategy=strategy, k_max=K, **kwargs)
                     continue

@@ -12,8 +12,7 @@ import pytest
 
 from pae import (PARALLEL_L_TABLE_PLUS, AngleSequence, DomainError, PhaseShifterSpec,
                  SynthesisError, build_branch_unitary, build_schedule, complete_target, load_angles,
-                 make_instance, minimal_query_length, realized_functions,
-                 save_angles, select_L,
+                 make_instance, realized_functions, save_angles, select_L,
                  select_L_empirical, solve_angles, state_error_bound,
                  synthesize_shifter, truncate_target, truncation_error_bound)
 from pae.core_model import build_explicit_oracle, build_grover_unitary
@@ -445,6 +444,11 @@ class TestSizedGrid:
 
 
 LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
+# the ladder's lengths under the linear fit 2.72 T + 13.64 that ruled from
+# T = 10 up before the calibrated length became one search; the search is
+# 2 shorter at T = 12, 16, 32 and 48
+FIT_LADDER = ((1, 10), (2, 14), (3, 18), (4, 22), (6, 28), (8, 34),
+              (12, 48), (16, 58), (24, 80), (32, 102), (48, 146))
 
 
 def deflated_remainder(p):
@@ -506,7 +510,9 @@ class TestComplement:
         assert np.max(np.abs(g - complex_fft_complement(p))) <= 1e-14
 
     @pytest.mark.parametrize("T,L", [(1.0, L) for L in sorted(set(PARALLEL_L_TABLE_PLUS))]
-                             + [(float(T), select_L_empirical(T)) for T in LADDER])
+                             + [(float(T), L) for T, L in FIT_LADDER]
+                             + [(float(T), select_L_empirical(T)) for T in LADDER
+                                if (T, select_L_empirical(T)) not in FIT_LADDER])
     def test_sized_grid_matches_floored_reference(self, T, L):
         # the reference's grid never falls below 4096 points; the cepstrum's
         # own grid starts at eight points per coefficient and never exceeds it
@@ -746,7 +752,7 @@ class TestProductTree:
         # from the formula alone: the 1e-8 gate keeps ten times its room at
         # the calibrated length of T = 8192
         L = select_L_empirical(8192.0)
-        assert L == 22296
+        assert L == 22278
         assert _product_rounding(L) <= 1e-9
 
     @pytest.mark.parametrize("T", [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48])
@@ -931,11 +937,10 @@ class TestLayerPeel:
         p = complete_target(truncate_target(256.0, 710))
         assert np.max(np.abs(_solve_layer_peel(p, 710) - complex_layer_peel(p, 710))) <= 1e-12
 
-    @pytest.mark.parametrize("T", [16.0, 48.0, 256.0])
-    def test_matches_svd_reference(self, T):
+    @pytest.mark.parametrize("T,L", [(16.0, 58), (48.0, 146), (256.0, 710)],
+                             ids=["16.0", "48.0", "256.0"])
+    def test_matches_svd_reference(self, T, L):
         # the SVD's sign is arbitrary, so angles agree modulo 2*pi
-        L = select_L_empirical(T)
-        assert L == {16.0: 58, 48.0: 146, 256.0: 710}[T]
         p = complete_target(truncate_target(T, L))
         xi = _solve_layer_peel(p, L)
         gap = np.angle(np.exp(1j * (xi - svd_layer_peel(p, L))))
@@ -1144,14 +1149,22 @@ def cut_loop(T, L):
     return l_solve
 
 
+def ladder_digest(pairs):
+    """The first 16 hex digits of the sha256 of the angles synthesized at
+    each ``(T, L)``, in order: the synth_ladder benchmark workload's digest."""
+    digest = hashlib.sha256()
+    for T, L in pairs:
+        digest.update(synthesize_shifter(float(T), L).angles.xi.tobytes())
+    return digest.hexdigest()[:16]
+
+
 class TestSynthesisAtEveryStrength:
     def test_ladder_angles_pinned(self):
-        # the same digest the synth_ladder benchmark workload reports: a
-        # change that moves any angle, even at rounding level, shows here
-        digest = hashlib.sha256()
-        for T in LADDER:
-            digest.update(synthesize_shifter(float(T), select_L_empirical(T)).angles.xi.tobytes())
-        assert digest.hexdigest()[:16] == "d56c39a9630fbdbc"
+        # a change that moves any angle, even at rounding level, shows here:
+        # the fit's ladder keeps its digest, and the calibrated ladder, 2
+        # shorter at T = 12, 16, 32 and 48, has its own
+        assert ladder_digest(FIT_LADDER) == "d56c39a9630fbdbc"
+        assert ladder_digest((T, select_L_empirical(T)) for T in LADDER) == "e92b570ceb7dc4ee"
 
     @pytest.mark.parametrize("T", [2.0 ** j for j in range(12)])
     def test_certified_or_loud(self, T):
@@ -1194,11 +1207,31 @@ class TestSynthesisAtEveryStrength:
 
     def test_certified_schedule_refuses_budget_below_floor(self):
         # step 11 of full_parallel (P = 1024) has the budget 3.45e-5, below
-        # the state error 3.96e-5 at T = 1's solve length 20
-        with pytest.raises(DomainError, match=r"^state-error budget 3\.45e-05 at T=1 is "
+        # the state error 3.96e-5 at T = 1's solve length 20; the refusal
+        # names the step
+        with pytest.raises(DomainError, match=r"^step 11 \(P = 1024, S = 1\): "
+                                              r"state-error budget 3\.45e-05 at T=1 is "
                                               r"below the floor 3\.96e-05 that synthesis "
                                               r"certifies at its solve length 20$"):
             build_schedule(strategy="full_parallel", k_max=11, certified=True)
+
+    @pytest.mark.parametrize("T", [1508.0, 1617.0, 1667.0, 1706.0, 1899.0, 1939.0, 1981.0])
+    def test_calibrated_length_synthesizes_where_the_fit_failed(self, T):
+        # the complement missed its certificate at the fit's length, 2 to
+        # 8 longer, at each of these strengths
+        L = select_L_empirical(T)
+        assert L < fit_length(T)
+        spec = synthesize_shifter(T, L)
+        assert spec.L == len(spec.angles) == L
+        assert spec.angles.residual <= 1e-8
+
+    def test_calibrated_failure_is_loud(self):
+        # the one integer strength up to 2048 that fails at its calibrated
+        # length: the complement misses by about 1.1e-11
+        L = select_L_empirical(1868.0)
+        with pytest.raises(SynthesisError, match=rf"^shifter T=1868\.0, L={L} \(solve length "
+                                                 r"\d+\): complement of degree \d+ misses"):
+            synthesize_shifter(1868.0, L)
 
     @pytest.mark.parametrize("T", [1e-300, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3, 0.01, 0.03])
     def test_small_strength_certified(self, T):
@@ -1306,10 +1339,24 @@ def minimal_length_loop(T):
     return max(4, 2 * n)
 
 
+def fit_length(T):
+    """The linear fit ``2.72 T + 13.64``, rounded up to even, that was the
+    calibrated length from ``T = 10`` up."""
+    return 2 * math.ceil((2.72 * T + 13.64) / 2.0)
+
+
 class TestResourceSelectors:
     def test_minimal_length_equals_the_loop(self):
+        # the calibrated length is the nearest-even root at every strength,
+        # with no fit from T = 10 up
         for T in [*range(1, 2049), *np.logspace(-12, 3, 2000)]:
-            assert minimal_query_length(float(T)) == minimal_length_loop(float(T)), T
+            assert select_L_empirical(float(T)) == minimal_length_loop(float(T)), T
+
+    def test_never_longer_than_the_fit(self):
+        # equal at 95 integer strengths, 2 to 8 shorter at the rest
+        shorter = [fit_length(T) - select_L_empirical(float(T)) for T in range(10, 2049)]
+        assert min(shorter) >= 0
+        assert max(shorter) == 8
 
     def test_minimal_length_is_a_search(self, monkeypatch):
         # 35 evaluations at T = 1e5 (L = 271836), where the loop made one
@@ -1322,7 +1369,7 @@ class TestResourceSelectors:
             return bound(T, h)
 
         monkeypatch.setattr(qsp, "_log_truncation_bound", counted)
-        assert minimal_query_length(1e5) == 271836
+        assert select_L_empirical(1e5) == 271836
         assert len(calls) <= 40
 
     def test_select_l_constant_term(self):
@@ -1372,7 +1419,7 @@ class TestResourceSelectors:
     def test_strength_domain(self, T):
         # NaN used to pass the T <= 0 guards and inf to overflow; the
         # selectors returned a length for a negative strength
-        for fn in (lambda t: synthesize_shifter(t, 10), minimal_query_length,
+        for fn in (lambda t: synthesize_shifter(t, 10),
                    select_L_empirical, lambda t: truncate_target(t, 10),
                    lambda t: select_L(t, 0.01)):
             with pytest.raises(DomainError, match="positive and finite"):
@@ -1382,7 +1429,9 @@ class TestResourceSelectors:
         assert [select_L_empirical(t) for t in (1, 2, 4, 8)] == [10, 14, 22, 34]
 
     def test_empirical_fit_regime(self):
-        assert select_L_empirical(16.0) == 58    # 2*ceil((2.72*16+13.64)/2)
+        # where the fit 2.72 T + 13.64 gave 58: the bound at h = 29.5 is
+        # 3.6e-5, below the threshold 3.813e-5, and 1.3e-4 at h = 28.5
+        assert select_L_empirical(16.0) == 56
 
     def test_empirical_tiny_strength(self):
         # a length-2 sequence with A(0) = 1 pinned realizes only C = 0
