@@ -19,7 +19,7 @@ from .qsp import (AngleSequence, PhaseShifterSpec, SynthesisError,
                   load_angles,
                   realized_functions, save_angles, select_L, select_L_empirical,
                   solve_angles, state_error_bound, synthesize_shifter,
-                  truncate_target, truncation_error_bound)
+                  synthesize_shifters, truncate_target, truncation_error_bound)
 from .rpe import (PhaseEstimate, estimate_phase, finalize, mse_bound,
                   schedule_nu, step_phase, unwrap_step)
 

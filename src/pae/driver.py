@@ -229,14 +229,17 @@ def step_probabilities(instances, schedule: Schedule,
 
     The ideal backend evaluates the closed form of every step at once.  The
     analytic and statevector backends compose the stages of :mod:`circuit`
-    alike: one stage call per distinct ``(t, l)``, given every ``s`` that
-    the steps ask of it, and one ``circuit.parity_probabilities`` call per
-    distinct ``(p, t, s, l)`` on the blocks of its ``s``.  The stage is
-    ``circuit.eigenphase_blocks`` of the instance angles on the analytic
-    backend, and ``circuit.shifter_columns`` around the controlled-Grover
-    blocks on the statevector one, once per register size; those blocks are
-    built once per instance and call, after the memory guard has passed
-    every register size, and each size's only when its group runs."""
+    alike: the shifters of every distinct ``(t, l)`` come from one
+    ``qsp.synthesize_shifters`` batch, after the memory guard and before
+    any stage; then one stage call per distinct ``(t, l)``, given every
+    ``s`` that the steps ask of it, and one
+    ``circuit.parity_probabilities`` call per distinct ``(p, t, s, l)`` on
+    the blocks of its ``s``.  The stage is ``circuit.eigenphase_blocks`` of
+    the instance angles on the analytic backend, and
+    ``circuit.shifter_columns`` around the controlled-Grover blocks on the
+    statevector one, once per register size; those blocks are built once
+    per instance and call, after the memory guard has passed every register
+    size, and each size's only when its group runs."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     steps = list(schedule)
@@ -259,10 +262,10 @@ def step_probabilities(instances, schedule: Schedule,
     powers = {}
     for st in steps:
         powers.setdefault((st.t, st.l), set()).add(st.s)
+    specs = qsp.synthesize_shifters(powers)
     probabilities = np.empty((len(batch), len(steps), 2))
     for rows, operand in groups:
-        blocks = {(t, l): stage(qsp.synthesize_shifter(t, l), operand, ss)
-                  for (t, l), ss in powers.items()}
+        blocks = {(t, l): stage(specs[t, l], operand, ss) for (t, l), ss in powers.items()}
         columns = {}
         for i, st in enumerate(steps):
             key = (st.p, st.t, st.s, st.l)

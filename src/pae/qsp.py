@@ -23,7 +23,7 @@ pipeline is:
    ``P(e^{-i theta}) = conj P(e^{i theta})``, so ``|P|^2`` takes the same
    value at ``theta`` and ``2 pi - theta``, and the half spectrum, the
    angles ``0..pi``, carries every value of the grid.  The gate's values
-   are kept for step 3.
+   go to the caller that asks for them, in an array it passes.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``P`` by layer peeling alone: complete ``P`` to a
    unitary with the complementary polynomial ``G``
@@ -35,32 +35,40 @@ pipeline is:
    |G|^2 - 1`` by the same real-FFT moduli: its maximum there, divided by
    ``cos(pi degree / n)``, bounds it on the whole circle.  When the peel's
    core is the whole target, that grid and ``P`` are the completion
-   gate's, whose ``|P|^2`` is reused, so only ``|G|^2`` costs a transform
-   there.  At the calibrated length that holds at every integer strength
-   up to ``T = 108``; at 966 of the 1940 integer strengths from 109 to
-   2048 the target's top harmonics fall below the peel's ``1e-13`` cut,
-   and the shorter core pays the ``|P|^2`` transform again.  Only the
-   first row ``(P, iG)`` of the Laurent tensor is kept, since the second
-   is its reversed conjugate, and as the real pair ``(P, G)``: every layer
-   maps a row ``(x, i eta)`` with real ``x`` and ``eta`` to another.  Each
-   layer's angle comes in closed form from the two end blocks, and each
-   strip is one real ``(L, 2) @ (2, 2)`` product with the layer's rank-1
-   projector, refilled in one 2x2 array, added in place to the row's view
-   one shorter, so the peel is ``O(L^2)`` with a small constant.  It runs
-   at the target's effective degree (at least 2 for a live target, whose
-   core then has length 4) and pads with cancelling pairs up to ``L``, the
-   only place that pads; a target that is the identity up to rounding is
-   all cancelling pairs.
-4. ``_certify_angles`` gates the sequence, pads included, with no grid: a
+   gate's, whose ``|P|^2`` the caller hands over as an argument, so only
+   ``|G|^2`` costs a transform there.  At the calibrated length that holds
+   at every integer strength up to ``T = 108``; at 966 of the 1940 integer
+   strengths from 109 to 2048 the target's top harmonics fall below the
+   peel's ``1e-13`` cut, and the shorter core pays the ``|P|^2`` transform
+   again.  Only the first row ``(P, iG)`` of the Laurent tensor is kept,
+   since the second is its reversed conjugate, and as the real pair ``(P,
+   G)``: every layer maps a row ``(x, i eta)`` with real ``x`` and ``eta``
+   to another.  Each layer's angle comes in closed form from the two end
+   blocks, and each strip is one real ``(L, 2) @ (2, 2)`` product with the
+   layer's rank-1 projector, refilled in place, added in place to the
+   row's view one shorter, so the peel is ``O(L^2)`` with a small
+   constant.  It runs at the target's effective degree (at least 2 for a
+   live target, whose core then has length 4) and pads with cancelling
+   pairs up to ``L``, the only place that pads; a target that is the
+   identity up to rounding is all cancelling pairs.  A list of targets is
+   one batch: each is complemented alone, and all are peeled in one
+   lockstep loop over the layers (``_solve_layer_peel``), where a core
+   joins the stacked rows at its own first layer, so the batch shares each
+   layer's calls, never its arithmetic; one target is the batch of one.
+4. ``_certify_angles`` gates the sequences, pads included, with no grid: a
    product tree (``_product_row``) multiplies the factors out in
    coefficient space, each level one real FFT of six rows per pair of
    nodes, one fused product-sum giving both output rows and one inverse
    real FFT, and the residual is the l1 distance of the product's
    coefficients from ``p``, which bounds the sup distance on the whole
    circle, plus a rounding term derived from the FFT error bound
-   (``_product_rounding``).
-   ``_certified_shifter`` runs steps 1-4 for ``synthesize_shifter`` and,
-   with a file's angles in place of the peel's, for ``load_angles``.
+   (``_product_rounding``).  A level's node width and FFT size depend on
+   the level alone, so all sequences of a batch share one tree, each with
+   its own pairs and pads: one transform pair per level of the longest.
+   ``_certified_shifters`` runs steps 1-4 for a batch of keys ``(T, L)``,
+   for ``synthesize_shifters`` and so for ``synthesize_shifter``, its batch
+   of one, and, with a file's angles in place of the peel's, for
+   ``load_angles``; every spec is bit for bit what its key gets alone.
    Lengths come from one search, ``_shortest_length``: the shortest even
    ``L >= 4`` that passes a test on ``L``, with three tests.  The solve
    length, ``_solve_length``, is the search for ``delta < 1e-10``
@@ -101,7 +109,9 @@ _COMPLEMENT_TOL = 1e-11
 
 
 class SynthesisError(RuntimeError):
-    """Raised when completion or angle solving cannot meet its contract."""
+    """Raised when completion or angle solving cannot meet its contract.
+    Raised for one target of a :func:`solve_angles` batch, it carries that
+    target's index as ``target``."""
 
 
 @dataclass(frozen=True)
@@ -241,7 +251,7 @@ def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos_part, p[d:] - p[d::-1]
 
 
-def complete_target(target: TruncatedTarget) -> np.ndarray:
+def complete_target(target: TruncatedTarget, modulus2: np.ndarray | None = None) -> np.ndarray:
     """Adjust the truncated Laurent vector into an exactly achievable one.
 
     Returns ``p`` on powers ``-L/2..L/2`` whose ``P(e^{i theta})``
@@ -255,6 +265,11 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
     exactly ``mu l2^2`` without moving ``P(1)``, so ``mu = 1.5 curv / l2^2``
     makes it ``-curv / 2``.  ``P(1)`` and the curvature are summed over the
     folded harmonics, where the odd ones cancel exactly.
+
+    ``modulus2``, when given, an array of ``n/2 + 1`` floats for the
+    grid's ``n`` points, receives the gate's ``|P|^2`` on the angles
+    ``0..pi`` (``_uniform_modulus2``): the complement gate of a peel whose
+    core is all of ``p`` takes it in place of a transform.
     """
     d = target.L // 2
     l2 = 2 * (d // 2)
@@ -284,7 +299,7 @@ def complete_target(target: TruncatedTarget) -> np.ndarray:
         curv = -np.sum(cos_part * ls ** 2) + np.sum(sin_part * ls) ** 2
         if curv > 0.0:
             p2 = shifted(1.5 * curv / l2 ** 2)
-    gg = _uniform_modulus2(p2, n)
+    gg = _uniform_modulus2(p2, n, modulus2)
     ip = int(np.argmax(gg))
     over = float(gg[ip]) - 1.0
     if not over <= 1e-12:                 # a NaN must fail too
@@ -349,12 +364,7 @@ def realized_functions(xi: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, 
 # Layer peeling: complement the target to a full SU(2)-valued trig polynomial
 # and strip one rotation layer at a time.
 
-# The latest evaluation of _uniform_modulus2 and nothing older, keyed by the
-# grid size and the coefficients' bytes.
-_latest_modulus2: dict[tuple[int, bytes], np.ndarray] = {}
-
-
-def _uniform_modulus2(p: np.ndarray, n: int) -> np.ndarray:
+def _uniform_modulus2(p: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """``|P(e^{2 pi i j / n})|^2``, ``j = 0..n/2`` (``n`` even), the angles
     ``0..pi`` of the ``n``-point uniform grid, of the real Laurent vector
     ``p`` on powers ``-d..d`` by one real FFT.  Powers congruent mod ``n``
@@ -362,26 +372,11 @@ def _uniform_modulus2(p: np.ndarray, n: int) -> np.ndarray:
     first.  Bin ``j`` of the forward transform is ``P(e^{-2 pi i j / n})``,
     the conjugate of ``P(e^{2 pi i j / n})``, which has the same modulus;
     the remaining points ``j = n/2+1..n-1`` repeat bins ``n/2-1..1``.
-
-    The result is read-only and kept until the next call with another ``p``
-    or ``n``: when the peel's core is the whole completed target, the
-    complement gate asks for exactly the completion gate's values, and this
-    hands them over.  A core the peel cuts shorter, as at about half the
-    calibrated lengths from ``T = 109`` up, is another ``p`` on another
-    grid.  Only the latest evaluation is kept, so it serves no synthesis
-    but the one that made it, unless that one was ``load_angles``
-    certifying the same shifter."""
+    ``out``, when given, receives the values."""
     p = np.asarray(p, dtype=float)
-    key = (n, p.tobytes())
-    if key not in _latest_modulus2:
-        d = (len(p) - 1) // 2
-        folded = np.bincount(np.arange(-d, d + 1) % n, weights=p, minlength=n)
-        half = np.fft.rfft(folded)
-        values = half.real ** 2 + half.imag ** 2
-        values.flags.writeable = False
-        _latest_modulus2.clear()
-        _latest_modulus2[key] = values
-    return _latest_modulus2[key]
+    d = (len(p) - 1) // 2
+    half = np.fft.rfft(np.bincount(np.arange(-d, d + 1) % n, weights=p, minlength=n))
+    return np.add(half.real ** 2, half.imag ** 2, out=out)
 
 
 def _sized_grid(degree: int) -> tuple[int, float]:
@@ -436,7 +431,7 @@ def _log_cepstrum(r: np.ndarray) -> np.ndarray:
         n *= 2
 
 
-def _fejer_complement(p: np.ndarray) -> np.ndarray:
+def _fejer_complement(p: np.ndarray, modulus2: np.ndarray | None = None) -> np.ndarray:
     """Real ``g`` with ``P(z)P(1/z) + G(z)G(1/z) = 1`` on the unit circle.
 
     Spectral factorisation by FFT (the Weiss / log-Hilbert construction):
@@ -449,7 +444,8 @@ def _fejer_complement(p: np.ndarray) -> np.ndarray:
     ``|P|^2 + |G|^2 = 1`` by more than ``_COMPLEMENT_TOL`` anywhere on the
     circle: the miss is a real trigonometric polynomial of degree ``2d``,
     so its maximum on the grid ``_sized_grid(2d)``, divided by the grid's
-    factor, bounds it everywhere.
+    factor, bounds it everywhere.  ``modulus2``, when given, is ``|P|^2``
+    on that grid, as the completion gate evaluated it.
     """
     d = (len(p) - 1) // 2
     r = -np.convolve(p, p[::-1])
@@ -464,7 +460,7 @@ def _fejer_complement(p: np.ndarray) -> np.ndarray:
     f = np.fft.irfft(np.exp(np.fft.rfft(cepstrum)), n)[: m + 1]
     g = np.convolve(f, [1.0, 0.0, -1.0])[::-1]
     n_cert, factor = _sized_grid(2 * d)
-    err = _complement_gap(p, g, n_cert) / factor
+    err = _complement_gap(p, g, n_cert, modulus2) / factor
     if not err <= _COMPLEMENT_TOL:        # a NaN must fail too
         raise SynthesisError(
             f"complement of degree {d} misses |P|^2 + |G|^2 = 1 by {err:.3g}: the "
@@ -472,77 +468,126 @@ def _fejer_complement(p: np.ndarray) -> np.ndarray:
     return g
 
 
-def _complement_gap(p: np.ndarray, g: np.ndarray, n: int) -> float:
+def _complement_gap(p: np.ndarray, g: np.ndarray, n: int,
+                    modulus2: np.ndarray | None = None) -> float:
     """``max |P P* + G G* - 1|`` on the ``n``-point uniform grid, from its
     angles ``0..pi``: both moduli are even in ``theta`` for real ``p, g``.
-    For the whole completed target ``|P|^2`` on this grid is the completion
-    gate's evaluation, which ``_uniform_modulus2`` still holds, so only
-    ``|G|^2`` is transformed."""
-    return float(np.max(np.abs(_uniform_modulus2(p, n) + _uniform_modulus2(g, n) - 1.0)))
+    ``modulus2``, when given, is ``|P|^2`` there, and only ``|G|^2`` is
+    transformed."""
+    if modulus2 is None:
+        modulus2 = _uniform_modulus2(p, n)
+    return float(np.max(np.abs(modulus2 + _uniform_modulus2(g, n) - 1.0)))
 
 
-def _solve_layer_peel(p: np.ndarray, L: int) -> np.ndarray:
-    """The ``L`` angles whose interleaved product realizes the completed
-    target ``p``, by stripping one layer at a time from the real row
-    ``(P, G)``, ``G`` from ``_fejer_complement``.  Each layer refills one
-    2x2 projector array and adds its step in place to the view of the row
-    one coefficient shorter, so the step is the only array a layer makes."""
-    # peel at the effective degree and pad with cancelling pairs up to L:
-    # harmonics at rounding level would make the complement factor noise.
-    # A target with no live harmonic beyond 0 is the identity, all
-    # cancelling pairs; a live one keeps a core of length at least 4,
-    # because a length-2 core with A(0) = 1 realizes only C = 0
+def _complemented_core(p: np.ndarray, modulus2: np.ndarray | None = None) -> np.ndarray:
+    """The real row ``(P, G)`` that the peel strips, ``(2 d + 1, 2)``, of
+    the core of the completed target ``p``: ``p`` cut to its effective
+    degree ``d``, with ``G`` from ``_fejer_complement``.  Harmonics at
+    rounding level would make the complement factor noise.  A target with
+    no live harmonic beyond 0 is the identity, an empty row; a live one
+    keeps a core of degree at least 2, because a length-2 core with ``A(0)
+    = 1`` realizes only ``C = 0``.  ``modulus2`` is the completion gate's
+    ``|P|^2`` of all of ``p``, which the complement gate takes when the
+    core is all of ``p``; a core cut shorter, as at about half the
+    calibrated lengths from ``T = 109`` up, is another vector on another
+    grid, whose ``|P|^2`` costs a transform."""
     d = (len(p) - 1) // 2
     content = _fold(np.abs(p))[0]       # |p_l| + |p_-l|, |p_0| once
     alive = np.nonzero(content[1:] > 1e-13 * max(float(np.max(content)), 1.0))[0]
     d_eff = min(max(int(alive[-1]) + 1, 2), d) if len(alive) else 0
-    xi = np.empty(L)
-    xi[0::2], xi[1::2] = -np.pi / 2, np.pi / 2
-    if not d_eff:
-        return xi
-    p = p[d - d_eff:d + d_eff + 1]
-    # first row (P, iG) of the half-step Laurent tensor of the completed
-    # unitary, held as the real pair (x, eta) = (P, G): every layer maps a
-    # row (x, i eta) with real coefficients to another of that form.  Every
-    # layer factor lies in SU(2), so the second row is the reversed
-    # conjugate of the first, and the end blocks follow from r[0] and r[n]
-    r = np.empty((len(p), 2))
-    r[:, 0] = p
-    r[:, 1] = _fejer_complement(p)
-    pm = np.empty((2, 2))
-    for j in range(2 * d_eff, 0, -1):
-        (x0, eta0), (x1, eta1) = r[0].tolist(), r[-1].tolist()
+    core = p[d - d_eff:d + d_eff + 1] if d_eff else p[:0]
+    row = np.empty((len(core), 2))
+    row[:, 0] = core
+    if d_eff:
+        row[:, 1] = _fejer_complement(core, modulus2 if d_eff == d else None)
+    return row
+
+
+# Every coefficient of a stack of rows but the last, and but the first: the
+# index tuples are made once, as each costs about as much as the slicing
+_BUT_LAST = (slice(None), slice(None, -1))
+_BUT_FIRST = (slice(None), slice(1, None))
+
+
+def _solve_layer_peel(rows: list[np.ndarray], lengths: list[int]) -> list[np.ndarray]:
+    """The angles of every row ``rows[b]`` of :func:`_complemented_core`,
+    ``lengths[b]`` of them, by stripping one layer at a time from the real
+    row ``(P, G)`` of the core and padding with cancelling pairs up to the
+    length, the only place that pads; an empty row is all cancelling pairs.
+
+    Every row runs in one lockstep loop over the layers.  A core of ``2 d +
+    1`` coefficients has ``2 d`` layers and has ``j + 1`` coefficients at
+    its layer ``j``, so the cores joined at layer ``j`` form one ``(k, j +
+    1, 2)`` stack: a core joins at its own first layer, ``j = 2 d``, and no
+    row is ever padded, so every row takes the arithmetic it takes alone.
+    Each layer reads both end blocks of every row in one call, fills one
+    2x2 projector per row in place and adds its step, one stacked ``(j, 2)
+    @ (2, 2)`` product, in place to the view of the stack one coefficient
+    shorter: only the per-layer call overhead is shared."""
+    xis = []
+    for L in lengths:
+        xi = np.empty(L)
+        xi[0::2], xi[1::2] = -np.pi / 2, np.pi / 2
+        xis.append(xi)
+    live = sorted((b for b in range(len(rows)) if len(rows[b])), key=lambda b: -len(rows[b]))
+    if not live:
+        return xis
+    # the first rows (P, iG) of the half-step Laurent tensors of the
+    # completed unitaries, held as real pairs (x, eta) = (P, G): every layer
+    # maps a row (x, i eta) with real coefficients to another of that form.
+    # Every layer factor lies in SU(2), so the second row is the reversed
+    # conjugate of the first, and the end blocks follow from r[0] and r[n].
+    # At layer j the stack's rows are its columns lo..lo + j
+    stack = np.empty((len(live), len(rows[live[0]]), 2))
+    pm = np.empty((len(live), 2, 2))
+    joins = [len(rows[b]) - 1 for b in live] + [0]     # each core's first layer
+    lo = joined = 0
+    # the scalar functions of the per-row loop, looked up once
+    atan2, cos, sin, pi = math.atan2, math.cos, math.sin, math.pi
+    for j in range(joins[0], 0, -1):
+        if joins[joined] == j:
+            while joins[joined] == j:
+                stack[joined, lo:lo + j + 1] = rows[live[joined]]
+                joined += 1
+            r = stack[:joined, lo:lo + j + 1]
+            projectors = pm[:joined]
+            views, targets = list(projectors), [xis[b] for b in live[:joined]]
         even_slot = j % 2 == 0
-        # the layer angle t annihilates the top block along (cos, -i sin)(t/2)
-        # and the bottom one along (sin, i cos)(t/2), the other way round in
-        # an odd slot: eight real rows in (cos, sin)(t/2), whose Gram matrix
-        # m is 2 [[e, s], [s, f]] here, 2 [[f, -s], [-s, e]] in an odd slot.
-        # Its null direction makes half the angle atan2(2 m01, m00 - m11) + pi
-        e = x1 ** 2 + eta0 ** 2
-        f = x0 ** 2 + eta1 ** 2
-        if e + f < 1e-26:
-            # degree-deficient: every row entry is below 1e-13, any angle cancels
-            angle = np.pi
-        else:
-            s = x1 * eta1 - x0 * eta0
-            angle = (math.atan2(2.0 * s, e - f) if even_slot
-                     else math.atan2(-2.0 * s, f - e)) + np.pi
-        ca, sa = math.cos(angle), math.sin(angle)
-        # the rank-1 projector of the layer, 0.5 [[1 - c, -i s], [i s, 1 + c]]
-        # on (x, i eta), acting on (x, eta); its complement is 1 - pm
-        pm[0, 0] = 0.5 * (1.0 - ca)
-        pm[0, 1] = pm[1, 0] = 0.5 * -sa
-        pm[1, 1] = 0.5 * (1.0 + ca)
+        b = 0
+        for (x0, eta0), (x1, eta1) in r[:, ::j].tolist():
+            # the layer angle t annihilates the top block along (cos, -i
+            # sin)(t/2) and the bottom one along (sin, i cos)(t/2), the other
+            # way round in an odd slot: eight real rows in (cos, sin)(t/2),
+            # whose Gram matrix m is 2 [[e, s], [s, f]] here, 2 [[f, -s],
+            # [-s, e]] in an odd slot.  Its null direction makes half the
+            # angle atan2(2 m01, m00 - m11) + pi
+            e = x1 ** 2 + eta0 ** 2
+            f = x0 ** 2 + eta1 ** 2
+            if e + f < 1e-26:
+                # degree-deficient: every row entry is below 1e-13, any angle cancels
+                angle = pi
+            else:
+                s = x1 * eta1 - x0 * eta0
+                angle = (atan2(2.0 * s, e - f) if even_slot else atan2(-2.0 * s, f - e)) + pi
+            ca, sa = cos(angle), sin(angle)
+            # the rank-1 projector of the layer, 0.5 [[1 - c, -i s], [i s, 1 + c]]
+            # on (x, i eta), acting on (x, eta); its complement is 1 - pm
+            proj = views[b]
+            proj[0, 0] = 0.5 * (1.0 - ca)
+            proj[0, 1] = proj[1, 0] = 0.5 * -sa
+            proj[1, 1] = 0.5 * (1.0 + ca)
+            targets[b][j - 1] = angle if even_slot else angle - pi
+            b += 1
         if even_slot:
-            xi[j - 1] = angle
-            step = (r[1:] - r[:-1]) @ pm
-            r = r[:-1]
+            kept = r[_BUT_LAST]
+            step = (r[_BUT_FIRST] - kept) @ projectors
         else:
-            xi[j - 1] = angle - np.pi
-            step = (r[:-1] - r[1:]) @ pm
-            r = r[1:]
+            kept = r[_BUT_FIRST]
+            step = (r[_BUT_LAST] - kept) @ projectors
+            lo += 1
+        r = kept
         r += step
-    return xi
+    return xis
 
 
 # ---------------------------------------------------------------------------
@@ -565,42 +610,68 @@ def _tree_levels(length: int):
         count, width = count // 2, 2 * width - 1
 
 
-def _product_row(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _product_row(xis: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Coefficients of the first row ``(x, i eta)`` of the interleaved
-    product, both real, on powers ``-m..m`` in steps of 2 of ``w = e^{i
-    theta / 2}``, so on powers ``-m/2..m/2`` of ``z`` like a target ``p``.
-    ``m`` is the smallest power of two at or above ``L``; the powers beyond
-    ``L`` come from the identity pads and are zero up to rounding.
+    product of each sequence ``xis[b]``, both real, on powers ``-m..m`` in
+    steps of 2 of ``w = e^{i theta / 2}``, so on powers ``-m/2..m/2`` of
+    ``z`` like a target ``p``.  ``m`` is the smallest power of two at or
+    above ``L``; the powers beyond ``L`` come from the identity pads and are
+    zero up to rounding.
 
     Factor ``j``'s first row is ``x = ((1 + c)/2, (1 - c)/2)`` and ``eta =
     (s/2, -s/2)`` on ``(w^-1, w)``, ``(c, s) = (cos, sin)(xi_j)``.  Every
     node lies in SU(2), so its second row is ``(i rev(eta), rev(x))``, with
     ``rev`` the reversal of the powers, and two nodes multiply as ``x = x1 *
     x2 - eta1 * rev(eta2)``, ``eta = x1 * eta2 + eta1 * rev(x2)``.  Each level
-    pairs its nodes, an odd count padded by the exact identity node, and
-    multiplies all pairs in one real FFT of the six input rows and one
-    inverse of the two output rows: ``O(L log^2 L)`` in all.  The six rows
-    are ``x1, eta1, x2, eta2, -rev(eta2), rev(x2)``, so both output rows
-    are one product-sum of their spectra, ``f0 (f2, f3) + f1 (f4, f5)``;
-    negation is exact through the transform and the products, so this is
-    the same rounding as ``x1 x2 - eta1 rev(eta2)``.
+    pairs each sequence's nodes, an odd count padded by the exact identity
+    node, and multiplies all pairs in one real FFT of the six input rows and
+    one inverse of the two output rows: ``O(L log^2 L)`` in all.  The six
+    rows are ``x1, eta1, x2, eta2, -rev(eta2), rev(x2)``, so both output
+    rows are one product-sum of their spectra, ``f0 (f2, f3) + f1 (f4,
+    f5)``; negation is exact through the transform and the products, so
+    this is the same rounding as ``x1 x2 - eta1 rev(eta2)``.
+
+    A level's node width and FFT size depend on the level alone, so every
+    sequence's nodes share one stack, longest sequence first, each keeping
+    its own pairs and pads: the stack costs one transform pair per level of
+    the longest sequence, and each row is rounded as in its own tree.  A
+    shorter sequence, which needs no more levels, leaves the stack's end
+    when its count reaches one node.
     """
+    if not xis:
+        return []
+    order = sorted(range(len(xis)), key=lambda b: -len(xis[b]))
+    counts = [len(xis[b]) for b in order]
+    xi = np.concatenate([xis[b] for b in order])
     c, s = np.cos(xi), np.sin(xi)
     nodes = np.empty((len(xi), 2, 2))
     nodes[:, 0, 0] = 0.5 * (1.0 + c)
     nodes[:, 0, 1] = 0.5 * (1.0 - c)
     nodes[:, 1, 0] = 0.5 * s
     nodes[:, 1, 1] = -0.5 * s
-    for count, width, n in _tree_levels(len(xi)):
-        if len(nodes) < count:
+    out: list = [None] * len(xis)
+    for _, width, n in _tree_levels(counts[0]):
+        odd = [count % 2 for count in counts]
+        if 1 in odd:
             identity = np.zeros((1, 2, width))
             identity[0, 0, width // 2] = 1.0
-            nodes = np.concatenate([nodes, identity])
+            pieces, end = [], 0
+            for count, pad in zip(counts, odd):
+                end += count
+                pieces.append(nodes[end - count:end])
+                if pad:
+                    pieces.append(identity)
+            nodes = np.concatenate(pieces)
         rows = np.concatenate([nodes[0::2], nodes[1::2], nodes[1::2, ::-1, ::-1]], axis=1)
         rows[:, 4] *= -1.0
         f = np.fft.rfft(rows, n)
         nodes = np.fft.irfft(f[:, 0:1] * f[:, 2:4] + f[:, 1:2] * f[:, 4:6], n)[:, :, :2 * width - 1]
-    return nodes[0, 0], nodes[0, 1]
+        counts = [(count + 1) // 2 for count in counts]
+        while counts and counts[-1] == 1:
+            counts.pop()
+            out[order[len(counts)]] = (nodes[-1, 0], nodes[-1, 1])
+            nodes = nodes[:-1]
+    return out
 
 
 def _fft_error(n: int) -> float:
@@ -648,37 +719,63 @@ def _product_rounding(length: int) -> float:
     return total
 
 
-def solve_angles(p: np.ndarray, L: int) -> AngleSequence:
+def solve_angles(p, L, modulus2=None):
     """Solve for the ``L`` angles realizing a completed Laurent target ``p``
     (odd length, degree ``(len(p) - 1) / 2 <= L / 2``) by layer peeling,
-    gated by :func:`_certify_angles`.  Raises :class:`DomainError` for any
-    other ``p`` or ``L``, and :class:`SynthesisError` when the gate fails.
+    gated by :func:`_certify_angles`; ``modulus2``, when given, is the
+    ``|P|^2`` that :func:`complete_target` kept for ``p``.
+
+    With a list of lengths ``L``, ``p`` and ``modulus2`` (or ``None``) are
+    lists too, one entry per target, and the batch is solved at once: each
+    core complemented alone, all of them peeled in one
+    :func:`_solve_layer_peel` and certified in one product tree, each
+    sequence bit for bit what it is alone.  The result is the list of
+    sequences; one target is the batch of one.  Raises
+    :class:`DomainError` for any other ``p`` or ``L``, and
+    :class:`SynthesisError` when a gate fails, the failing target's index
+    in its ``target``.
     """
-    _check_length(L)
-    p = np.asarray(p, float)
-    if p.ndim != 1 or len(p) % 2 == 0 or len(p) - 1 > L:
-        raise DomainError(f"a length-{L} sequence cannot realize a target of "
-                          f"{p.size} Laurent coefficients")
-    return _certify_angles(_solve_layer_peel(p, L), p)
+    batch = isinstance(L, list)
+    ps, lengths, moduli = (p, L, modulus2) if batch else ([p], [L], [modulus2])
+    ps = [np.asarray(q, float) for q in ps]
+    for q, length in zip(ps, lengths):
+        _check_length(length)
+        if q.ndim != 1 or len(q) % 2 == 0 or len(q) - 1 > length:
+            raise DomainError(f"a length-{length} sequence cannot realize a target of "
+                              f"{q.size} Laurent coefficients")
+    rows = []
+    for q, m in zip(ps, moduli or [None] * len(ps)):
+        try:
+            rows.append(_complemented_core(q, m))
+        except SynthesisError as err:
+            err.target = len(rows)
+            raise
+    sequences = _certify_angles(_solve_layer_peel(rows, lengths), ps)
+    return sequences if batch else sequences[0]
 
 
-def _certify_angles(xi: np.ndarray, p: np.ndarray) -> AngleSequence:
-    """Solved or loaded angles ``xi`` with their residual against ``p``,
-    which bounds the product's miss on the whole circle: the l1 distance of
-    its coefficients (``_product_row``) from ``p``, padding included, plus
-    the tree's rounding (``_product_rounding``).  Raises
-    :class:`SynthesisError` when it exceeds ``1e-8``."""
-    miss = _product_row(xi)[0]
-    k = (len(miss) - len(p)) // 2
-    miss[k:k + len(p)] -= p
-    # (len + 2) u covers the rounding of the differences and of their sum
-    l1 = float(np.sum(np.abs(miss))) * (1.0 + (len(miss) + 2) * _UNIT_ROUNDOFF)
-    residual = l1 + _product_rounding(len(xi))
-    if not residual <= _RESIDUAL_TOL:      # a NaN must fail too
-        raise SynthesisError(
-            f"angles miss the target: residual {residual:.3g}, the l1 distance "
-            f"{l1:.3g} of the product's coefficients plus their rounding")
-    return AngleSequence(xi=xi, residual=residual)
+def _certify_angles(xis: list[np.ndarray], ps: list[np.ndarray]) -> list[AngleSequence]:
+    """Each solved or loaded sequence ``xis[b]`` with its residual against
+    ``ps[b]``, which bounds the product's miss on the whole circle: the l1
+    distance of its coefficients (``_product_row``, one tree for every
+    sequence) from ``p``, padding included, plus the tree's rounding
+    (``_product_rounding``).  Raises :class:`SynthesisError`, marked with
+    its index, at the first sequence whose residual exceeds ``1e-8``."""
+    sequences = []
+    for xi, p, (miss, _) in zip(xis, ps, _product_row(xis)):
+        k = (len(miss) - len(p)) // 2
+        miss[k:k + len(p)] -= p
+        # (len + 2) u covers the rounding of the differences and of their sum
+        l1 = float(np.sum(np.abs(miss))) * (1.0 + (len(miss) + 2) * _UNIT_ROUNDOFF)
+        residual = l1 + _product_rounding(len(xi))
+        if not residual <= _RESIDUAL_TOL:      # a NaN must fail too
+            err = SynthesisError(
+                f"angles miss the target: residual {residual:.3g}, the l1 distance "
+                f"{l1:.3g} of the product's coefficients plus their rounding")
+            err.target = len(sequences)
+            raise err
+        sequences.append(AngleSequence(xi=xi, residual=residual))
+    return sequences
 
 
 # ---------------------------------------------------------------------------
@@ -740,30 +837,65 @@ def build_branch_unitary(spec: PhaseShifterSpec, theta: float) -> np.ndarray:
 _shifter_cache: dict[tuple[float, int], PhaseShifterSpec] = {}
 
 
-def _certified_shifter(T: float, L: int, xi: np.ndarray | None = None) -> PhaseShifterSpec:
-    """The one constructor of a :class:`PhaseShifterSpec`: angles ``xi``, or
-    :func:`solve_angles`'s, gated against the target at the solve length
-    :func:`_solve_length` of ``L`` (checked first).  A
-    :class:`SynthesisError` names ``T``, ``L`` and the solve length."""
+def _check_key(T: float, L: int) -> None:
     _check_length(L)
-    l_solve = _solve_length(T, L)
+    _check_strength(T)
+
+
+def _named(T: float, L: int, l_solve: int, err: SynthesisError) -> SynthesisError:
+    """``err`` prefixed with the shifter's ``T``, ``L`` and solve length."""
+    return SynthesisError(f"shifter T={float(T)}, L={int(L)} (solve length {l_solve}): {err}")
+
+
+def _certified_shifters(keys: list[tuple[float, int]],
+                        angles: list[np.ndarray] | None = None) -> list[PhaseShifterSpec]:
+    """The one constructor of a :class:`PhaseShifterSpec`, for every
+    checked key ``(T, L)`` at once: angles ``angles[b]``, or
+    :func:`solve_angles`'s, gated against the target at the solve length
+    :func:`_solve_length` of ``L``.  Each key is truncated and completed on
+    its own grid, its completion's ``|P|^2`` kept for the complement gate;
+    then one :func:`solve_angles` batch, or one certificate of the given
+    angles, serves them all.  A :class:`SynthesisError` names ``T``, ``L``
+    and the solve length of the key that failed."""
+    names, ps, moduli, deltas = [], [], [], []
+    for T, L in keys:
+        l_solve = _solve_length(T, L)
+        names.append((T, L, l_solve))
+        moduli.append(np.empty(_sized_grid(l_solve)[0] // 2 + 1))
+        try:
+            target = truncate_target(T, l_solve)
+            ps.append(complete_target(target, moduli[-1]))
+        except SynthesisError as err:
+            raise _named(T, L, l_solve, err) from err
+        deltas.append(target.delta)
     try:
-        target = truncate_target(T, l_solve)
-        p = complete_target(target)
-        angles = solve_angles(p, L) if xi is None else _certify_angles(xi, p)
+        sequences = (solve_angles(ps, [L for _, L in keys], moduli) if angles is None
+                     else _certify_angles(angles, ps))
     except SynthesisError as err:
-        raise SynthesisError(f"shifter T={float(T)}, L={int(L)} "
-                             f"(solve length {l_solve}): {err}") from err
-    return PhaseShifterSpec(T=float(T), L=int(L), angles=angles,
-                            eps_oc=state_error_bound(target.delta))
+        raise _named(*names[err.target], err) from err
+    return [PhaseShifterSpec(T=float(T), L=int(L), angles=seq, eps_oc=state_error_bound(delta))
+            for (T, L, _), seq, delta in zip(names, sequences, deltas)]
+
+
+def synthesize_shifters(keys) -> dict[tuple[float, int], PhaseShifterSpec]:
+    """Every shifter ``(T, L)`` of ``keys``, by :func:`_certified_shifters`
+    in one batch for those not yet cached, keyed by ``(float(T), int(L))``.
+    Every key is checked before any work: a strength that is not positive
+    and finite or a length that is not a positive even integer raises
+    :class:`DomainError`.  Cached per ``(T, L)``; the values are shared."""
+    keys = list(keys)
+    for T, L in keys:
+        _check_key(T, L)
+    keys = [(float(T), int(L)) for T, L in keys]
+    todo = [key for key in dict.fromkeys(keys) if key not in _shifter_cache]
+    if todo:
+        _shifter_cache.update(zip(todo, _certified_shifters(todo)))
+    return {key: _shifter_cache[key] for key in keys}
 
 
 def synthesize_shifter(T: float, L: int) -> PhaseShifterSpec:
-    """Synthesis by :func:`_certified_shifter`, cached per ``(T, L)``; the value is shared."""
-    key = (float(T), int(L))
-    if key not in _shifter_cache:
-        _shifter_cache[key] = _certified_shifter(T, L)
-    return _shifter_cache[key]
+    """The batch of one of :func:`synthesize_shifters`."""
+    return synthesize_shifters([(T, L)])[float(T), int(L)]
 
 
 def _shortest_length(passes, longest: int | None = None) -> int:
@@ -880,6 +1012,7 @@ def load_angles(path) -> PhaseShifterSpec:
     if not 0.0 <= residual < math.inf:     # a NaN must fail too
         raise ValueError(f"angle file {path} needs a finite residual >= 0, got {res_str}")
     try:
-        return _certified_shifter(T, L, xi)
+        _check_key(T, L)
+        return _certified_shifters([(T, L)], [xi])[0]
     except (DomainError, SynthesisError) as err:
         raise type(err)(f"angle file {path}: {err}") from err

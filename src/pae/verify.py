@@ -152,6 +152,29 @@ def check_angle_roundtrip() -> tuple[str, bool, str]:
         detail + (", corrupted copy refused" if refused else ", corrupted copy loaded")
 
 
+def check_synthesis_batch() -> tuple[str, bool, str]:
+    # the six plus shifters and three stronger ones synthesized as one batch
+    # against each synthesized as a batch of one, both uncached: the batch
+    # stacks every layer's product and every tree level's transforms, and is
+    # bit for bit only where the stacked numpy and BLAS calls round each row
+    # as the calls of one shifter do
+    keys = ([(1.0, L) for L in sorted(set(driver.PARALLEL_L_TABLE_PLUS))]
+            + [(2.0, 14), (4.0, 22), (8.0, 34)])
+    try:
+        batch = qsp._certified_shifters(keys)
+    except qsp.SynthesisError as err:
+        return "synthesis-batch", False, f"the batch is refused: {err}"
+    differ = [f"T={T:g} L={L}" for (T, L), spec in zip(keys, batch)
+              if not _same_bits(spec, qsp._certified_shifters([(T, L)])[0])]
+    return "synthesis-batch", not differ, \
+        f"{len(keys)} shifters bit-exact" if not differ else "differ at " + ", ".join(differ)
+
+
+def _same_bits(a: qsp.PhaseShifterSpec, b: qsp.PhaseShifterSpec) -> bool:
+    return (a.angles.xi.tobytes() == b.angles.xi.tobytes()
+            and a.angles.residual == b.angles.residual and a.eps_oc == b.eps_oc)
+
+
 ALL_CHECKS = (
     check_grover_plane,
     check_shifter_error,
@@ -161,6 +184,7 @@ ALL_CHECKS = (
     check_rpe_exactness,
     check_accounting,
     check_angle_roundtrip,
+    check_synthesis_batch,
 )
 
 

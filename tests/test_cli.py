@@ -198,7 +198,7 @@ def test_verify_passes(capsys):
     # one PASS line per built-in invariant suite, and exit status 0
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert sum(line.startswith("PASS") for line in lines) == 8
+    assert sum(line.startswith("PASS") for line in lines) == 9
     assert not any("FAIL" in line for line in lines)
 
 
@@ -239,7 +239,7 @@ def test_verify_fails_on_certificate_at_full_length(capsys, monkeypatch):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  angle-file-roundtrip: mismatch (eps_oc 1.093e-12 vs 3.957e-05)" in out
-    assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
 
 
 def test_verify_fails_on_loading_that_trusts_the_header(capsys, monkeypatch):
@@ -254,7 +254,7 @@ def test_verify_fails_on_loading_that_trusts_the_header(capsys, monkeypatch):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  angle-file-roundtrip: bit-exact, corrupted copy loaded" in out
-    assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
 
 
 def test_verify_fails_on_grid_without_factor(capsys, monkeypatch):
@@ -270,7 +270,7 @@ def test_verify_fails_on_grid_without_factor(capsys, monkeypatch):
     line = next(line for line in out.splitlines() if "certificate-grid" in line)
     assert line.startswith("FAIL  certificate-grid: complement ")
     assert "at 0.999 scale 1.89991e-07 against bound 1.89990e-07" in line
-    assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
 
 
 def test_verify_fails_on_product_without_mirror_symmetry(capsys, monkeypatch):
@@ -286,8 +286,25 @@ def test_verify_fails_on_product_without_mirror_symmetry(capsys, monkeypatch):
     line = next(line for line in out.splitlines() if "certificate-grid" in line)
     assert line.startswith("FAIL  certificate-grid: complement ")
     assert line.endswith(", residual 6.27e-09 on 544 points against bound 1.02e-12")
-    assert sum(line.startswith("PASS") for line in out.splitlines()) == 7
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
     assert "PASS  shifter-certified-error" in out
+
+
+def test_verify_fails_on_batch_that_rounds_otherwise(capsys, monkeypatch):
+    # a batch whose angles sit one ulp off the batch of one's still
+    # certifies, but it is not bit for bit, and the check names every key
+    peel = qsp._solve_layer_peel
+
+    def nudged(rows, lengths):
+        xis = peel(rows, lengths)
+        return [np.nextafter(xi, np.inf) for xi in xis] if len(rows) > 1 else xis
+
+    monkeypatch.setattr(qsp, "_solve_layer_peel", nudged)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL  synthesis-batch: differ at T=1 L=10, T=1 L=12, T=1 L=14, T=1 L=16, "
+            "T=1 L=18, T=1 L=20, T=2 L=14, T=4 L=22, T=8 L=34\n") in out
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
 
 
 def test_cli_import_starts_no_process_machinery():

@@ -507,6 +507,41 @@ class TestTwoPhases:
         distinct_tl = len({(st.t, st.l) for st in sched})
         assert events == (["controlled_grover_blocks"] + ["shifter_columns"] * distinct_tl) * 2
 
+    @pytest.mark.parametrize("backend", ["analytic", "statevector"])
+    def test_one_synthesis_batch_precedes_every_stage(self, backend, monkeypatch):
+        # every distinct (t, l) of the steps, repeats and repetition counts
+        # included, in one batch, before the first stage or oracle
+        events = []
+        batch = qsp.synthesize_shifters
+
+        def recording(keys):
+            keys = list(keys)
+            events.append(("synthesize_shifters", keys))
+            return batch(keys)
+
+        monkeypatch.setattr(qsp, "synthesize_shifters", recording)
+        for name in ("controlled_grover_blocks", "eigenphase_blocks", "shifter_columns"):
+            def stage(*args, _name=name, _fn=getattr(circuit, name)):
+                events.append((_name, None))
+                return _fn(*args)
+            monkeypatch.setattr(circuit, name, stage)
+        steps = [ScheduleStep(k=k, p=p, t=t, s=s, nu=1, l=l)
+                 for k, p, t, s, l in ((1, 1, 1.0, 1, 10), (2, 2, 1.0, 1, 12), (2, 1, 1.0, 2, 10),
+                                       (3, 1, 4.0, 1, 22), (3, 4, 1.0, 1, 10))]
+        step_probabilities([make_instance(0.3, 2), make_instance(0.6, 3)], steps, backend)
+        assert events[0] == ("synthesize_shifters", [(1.0, 10), (1.0, 12), (4.0, 22)])
+        assert [name for name, _ in events].count("synthesize_shifters") == 1
+
+    def test_statevector_guard_precedes_synthesis(self, monkeypatch):
+        # a batch the guard refuses synthesizes nothing
+        def refuse(keys):
+            raise AssertionError("synthesize_shifters called past the guard")
+
+        monkeypatch.setattr(qsp, "synthesize_shifters", refuse)
+        sched = build_schedule(strategy="full_sequential", k_max=3)
+        with pytest.raises(circuit.CapacityError):
+            step_probabilities([make_instance(0.3, 11)], sched, "statevector")
+
     def test_statevector_guard_precedes_any_work(self, refused_allocation):
         # an n = 2 amplitude fits, but one of n = 11 (five blocks of 2^24
         # complex entries) refuses the whole batch before any oracle is
@@ -679,10 +714,10 @@ class TestTwoPhases:
         # step_probabilities before the valid step ahead of it is synthesized
         # or any oracle is built
         def refuse(*args):
-            refused_allocation.append("synthesize_shifter")
-            raise AssertionError("synthesize_shifter called past the check")
+            refused_allocation.append("synthesize_shifters")
+            raise AssertionError("synthesize_shifters called past the check")
 
-        monkeypatch.setattr(qsp, "synthesize_shifter", refuse)
+        monkeypatch.setattr(qsp, "synthesize_shifters", refuse)
         k = m.bit_length()
         message = rf"^step {k}: P\*T\*S = {p}\*1\*{s} must equal 2\^\(k-1\) = "
         with pytest.raises(ConfigurationError, match=message):

@@ -14,14 +14,25 @@ from pae import (PARALLEL_L_TABLE_PLUS, AngleSequence, DomainError, PhaseShifter
                  SynthesisError, build_branch_unitary, build_schedule, complete_target, load_angles,
                  make_instance, realized_functions, save_angles, select_L,
                  select_L_empirical, solve_angles, state_error_bound,
-                 synthesize_shifter, truncate_target, truncation_error_bound)
+                 synthesize_shifter, synthesize_shifters, truncate_target,
+                 truncation_error_bound)
 from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae import qsp
-from pae.qsp import (_complement_gap, _deflate_pinned, _fejer_complement,
-                     _fejer_kernel_even, _fold, _log_cepstrum, _product_rounding,
-                     _product_row, _sized_grid, _solve_layer_peel, _uniform_modulus2,
-                     chebyshev_grid, controlled_grover, interleaved_shifter,
-                     rotation_product)
+from pae.qsp import (_complement_gap, _complemented_core, _deflate_pinned,
+                     _fejer_complement, _fejer_kernel_even, _fold, _log_cepstrum,
+                     _product_rounding, _product_row, _sized_grid, _solve_layer_peel,
+                     _uniform_modulus2, chebyshev_grid, controlled_grover,
+                     interleaved_shifter, rotation_product)
+
+
+def layer_peel(p, L):
+    """The peel of one completed target: the batch of one."""
+    return _solve_layer_peel([_complemented_core(p)], [L])[0]
+
+
+def product_row(xi):
+    """The product tree's row of one sequence: the batch of one."""
+    return _product_row([xi])[0]
 
 
 def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:
@@ -572,6 +583,18 @@ class TestComplement:
             _fejer_complement(p)
 
 
+def counting_rfft(monkeypatch):
+    """Record the grid size of every ``np.fft.rfft`` call."""
+    rfft, sizes = np.fft.rfft, []
+
+    def counting(a, n=None, *args, **kwargs):
+        sizes.append(np.shape(a)[-1] if n is None else n)
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    return sizes
+
+
 class TestSharedModulus:
     def test_cold_synthesis_transforms_the_sized_grid_three_times(self, monkeypatch):
         # |P|^2 of the truncated and of the completed target, and |G|^2:
@@ -581,19 +604,25 @@ class TestSharedModulus:
         assert n == 16384
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         synthesize_shifter(1.0, 10)            # another target goes first
-        rfft, sizes = np.fft.rfft, []
-
-        def counting(a, n=None, *args, **kwargs):
-            sizes.append(np.shape(a)[-1] if n is None else n)
-            return rfft(a, n, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "rfft", counting)
+        sizes = counting_rfft(monkeypatch)
         synthesize_shifter(48.0, 146)
         assert sizes.count(n) == 3
 
+    def test_cold_shifter_in_a_batch_transforms_its_grid_three_times(self, monkeypatch):
+        # the hand-over is an argument, so it survives the other shifters'
+        # completions, all of which run before the first complement; no
+        # other shifter of the batch uses the 16384-point grid
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        keys = [(1.0, L) for L in (10, 12, 14, 16, 18)]
+        assert all(_sized_grid(L)[0] < 16384 for _, L in keys)
+        sizes = counting_rfft(monkeypatch)
+        synthesize_shifters([keys[0], keys[1], (48.0, 146), *keys[2:]])
+        assert sizes.count(16384) == 3
+
     def test_interleaved_targets_match_each_target_alone(self):
         # two targets on the same 4096-point grid, each completion followed
-        # by the other's before either complement and gap
+        # by the other's before either complement and gap, each complement
+        # given its own completion's |P|^2
         targets = [truncate_target(8.0, 34), truncate_target(4.0, 40)]
         n = _sized_grid(34)[0]
         assert n == _sized_grid(40)[0] == 4096
@@ -604,21 +633,23 @@ class TestSharedModulus:
             return p, g, _complement_gap(p, g, n)
 
         want = [alone(target) for target in targets]
-        ps = [complete_target(target) for target in targets]
-        gs = [_fejer_complement(p) for p in ps]
-        gaps = [_complement_gap(ps[i], gs[i], n) for i in (1, 0)][::-1]
+        moduli = [np.empty(n // 2 + 1) for _ in targets]
+        ps = [complete_target(target, m) for target, m in zip(targets, moduli)]
+        gs = [_fejer_complement(p, m) for p, m in zip(ps, moduli)]
+        gaps = [_complement_gap(ps[i], gs[i], n, moduli[i]) for i in (1, 0)][::-1]
         for (p, g, gap), p2, g2, gap2 in zip(want, ps, gs, gaps):
             assert np.array_equal(p, p2) and np.array_equal(g, g2) and gap == gap2
 
-    def test_values_are_read_only(self):
-        # the kept values cannot be changed by a caller, and an evaluation
-        # after another target's gives them again
-        p = complete_target(truncate_target(2.0, 14))
-        values = _uniform_modulus2(p, 1024)
-        with pytest.raises(ValueError):
-            values[0] = 0.0
-        _uniform_modulus2(2.0 * p, 1024)
-        assert np.array_equal(values, _uniform_modulus2(p, 1024))
+    def test_kept_values_are_the_completion_gates_own(self):
+        # what the completion keeps is |P|^2 of the vector it returns on its
+        # sized grid, bit for bit, so the complement gate reads the values
+        # it would have transformed
+        target = truncate_target(2.0, 14)
+        n = _sized_grid(14)[0]
+        kept = np.full(n // 2 + 1, np.nan)
+        p = complete_target(target, kept)
+        assert np.array_equal(kept, _uniform_modulus2(p, n))
+        assert np.array_equal(p, complete_target(target))
 
 
 class TestSolveAngles:
@@ -686,7 +717,7 @@ def tree_deviation(xi):
     product, and the largest coefficient beyond powers ``+-L``."""
     L = len(xi)
     dev, outside = 0.0, 0.0
-    for got, want in zip(_product_row(xi), long_double_product_row(xi)):
+    for got, want in zip(product_row(xi), long_double_product_row(xi)):
         k = (len(got) - L - 1) // 2
         dev += float(np.sum(np.abs(got[k:k + L + 1] - want)))
         outside = max(outside, float(np.max(np.abs(got[:k]), initial=0.0)),
@@ -729,7 +760,7 @@ class TestProductTree:
         # product-sum rounds as the unfused difference; odd node counts
         # (6, 10, 12, 146 and 300 factors) reach the identity pads
         xi = np.random.default_rng(L).uniform(-np.pi, np.pi, L)
-        for got, want in zip(_product_row(xi), unfused_product_row(xi)):
+        for got, want in zip(product_row(xi), unfused_product_row(xi)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("L", [2, 4, 6, 10, 12, 146])
@@ -918,31 +949,32 @@ class TestLayerPeel:
     def test_in_place_peel_matches_allocating_peel(self, T, L):
         # the same operations on the same operands, so the same bits
         p = complete_target(truncate_target(T, L))
-        assert np.array_equal(_solve_layer_peel(p, L), allocating_layer_peel(p, L))
+        assert np.array_equal(layer_peel(p, L), allocating_layer_peel(p, L))
 
     def test_in_place_peel_matches_allocating_peel_when_degree_deficient(self, monkeypatch):
         # the target of test_degree_deficient_end_gives_pi
-        monkeypatch.setattr(qsp, "_fejer_complement", lambda p: np.zeros_like(p))
+        monkeypatch.setattr(qsp, "_fejer_complement",
+                            lambda p, modulus2=None: np.zeros_like(p))
         p = np.array([0.0, -0.05, 1.0, 0.05, 0.0])
-        assert np.array_equal(_solve_layer_peel(p, 4), allocating_layer_peel(p, 4))
+        assert np.array_equal(layer_peel(p, 4), allocating_layer_peel(p, 4))
 
     @pytest.mark.parametrize("T,L", [(1.0, 10), (16.0, 58), (48.0, 146)])
     def test_real_row_matches_complex_row(self, T, L):
         # the row (x, i eta) has real x and eta at every layer, so peeling
         # the real pair takes the same rounding steps as the complex row
         p = complete_target(truncate_target(T, L))
-        assert np.array_equal(_solve_layer_peel(p, L), complex_layer_peel(p, L))
+        assert np.array_equal(layer_peel(p, L), complex_layer_peel(p, L))
 
     def test_real_row_matches_complex_row_at_large_strength(self):
         p = complete_target(truncate_target(256.0, 710))
-        assert np.max(np.abs(_solve_layer_peel(p, 710) - complex_layer_peel(p, 710))) <= 1e-12
+        assert np.max(np.abs(layer_peel(p, 710) - complex_layer_peel(p, 710))) <= 1e-12
 
     @pytest.mark.parametrize("T,L", [(16.0, 58), (48.0, 146), (256.0, 710)],
                              ids=["16.0", "48.0", "256.0"])
     def test_matches_svd_reference(self, T, L):
         # the SVD's sign is arbitrary, so angles agree modulo 2*pi
         p = complete_target(truncate_target(T, L))
-        xi = _solve_layer_peel(p, L)
+        xi = layer_peel(p, L)
         gap = np.angle(np.exp(1j * (xi - svd_layer_peel(p, L))))
         assert len(xi) == L
         assert np.max(np.abs(gap)) <= 1e-10
@@ -950,8 +982,9 @@ class TestLayerPeel:
     def test_degree_deficient_end_gives_pi(self, monkeypatch):
         # harmonic 2 of P is zero and the complement is stubbed to zero, so
         # both end blocks vanish at the first layer: any angle cancels them
-        monkeypatch.setattr(qsp, "_fejer_complement", lambda p: np.zeros_like(p))
-        xi = _solve_layer_peel(np.array([0.0, -0.05, 1.0, 0.05, 0.0]), 4)
+        monkeypatch.setattr(qsp, "_fejer_complement",
+                            lambda p, modulus2=None: np.zeros_like(p))
+        xi = layer_peel(np.array([0.0, -0.05, 1.0, 0.05, 0.0]), 4)
         assert xi[-1] == np.pi
 
 
@@ -1264,7 +1297,7 @@ def test_import_does_not_load_mpmath():
 class TestSolveLengthCut:
     @staticmethod
     def stop_at_truncation(monkeypatch):
-        """Make ``_certified_shifter`` stop where it truncates, so the solve
+        """Make ``_certified_shifters`` stop where it truncates, so the solve
         length shows in its message, and count the cut's bound evaluations."""
         calls = []
         bound = qsp.truncation_error_bound
@@ -1283,7 +1316,7 @@ class TestSolveLengthCut:
     @staticmethod
     def solve_length(T, L):
         with pytest.raises(SynthesisError, match="stopped") as err:
-            qsp._certified_shifter(T, L)
+            qsp._certified_shifters([(T, L)])
         return int(re.search(r"solve length (\d+)\)", str(err.value)).group(1))
 
     def test_cut_equals_the_loop(self, monkeypatch):

@@ -1,0 +1,191 @@
+"""One batch synthesizes every shifter of a run: each spec is bit for bit
+the one its key gets alone, a failing key fails the batch as it fails
+alone, and the batch shares the peel's layers and the product tree's
+levels of all its shifters."""
+
+import contextlib
+import inspect
+import math
+import sys
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from pae import (PARALLEL_L_TABLE_PLUS, DomainError, SynthesisError,  # noqa: E402
+                 select_L_empirical, solve_angles, synthesize_shifter, synthesize_shifters)
+from pae import qsp  # noqa: E402
+
+LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
+PLUS = [(1.0, L) for L in sorted(set(PARALLEL_L_TABLE_PLUS))]
+# the calibrated lengths of the ladder, the plus lengths at T = 1, and two
+# strengths whose peel cuts its core: T = 160 at L = 450 and T = 256 at its
+# calibrated 710 peel cores of degree 224 and 354
+KEYS = ([(float(T), select_L_empirical(T)) for T in LADDER] + PLUS
+        + [(160.0, 450), (256.0, select_L_empirical(256.0))])
+
+
+@contextlib.contextmanager
+def cold_cache():
+    """Run the block on an empty shifter cache, putting the old one back."""
+    kept = dict(qsp._shifter_cache)
+    qsp._shifter_cache.clear()
+    try:
+        yield qsp._shifter_cache
+    finally:
+        qsp._shifter_cache.clear()
+        qsp._shifter_cache.update(kept)
+
+
+_alone = {}
+
+
+def alone(key):
+    """The key synthesized by itself on a cold cache, once per session."""
+    if key not in _alone:
+        with cold_cache():
+            _alone[key] = synthesize_shifter(*key)
+    return _alone[key]
+
+
+def same_bits(a, b):
+    return (a.T == b.T and a.L == b.L and a.angles.xi.tobytes() == b.angles.xi.tobytes()
+            and a.angles.residual == b.angles.residual and a.eps_oc == b.eps_oc)
+
+
+def test_cut_cores_are_drawn():
+    # the two strong keys reach the peel's shorter core
+    for T, L in KEYS[-2:]:
+        p = qsp.complete_target(qsp.truncate_target(T, qsp._solve_length(T, L)))
+        assert len(qsp._complemented_core(p)) < len(p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=8),
+       cached=st.lists(st.sampled_from(KEYS), max_size=3))
+def test_batch_equals_each_key_alone(keys, cached):
+    # random order, repeats, and some keys cached before the batch: every
+    # spec has the bits of its key alone, and a key met twice, or cached,
+    # is one shared object
+    with cold_cache() as cache:
+        before = {key: synthesize_shifter(*key) for key in cached}
+        specs = synthesize_shifters(keys)
+        assert list(specs) == list(dict.fromkeys(keys))
+        for key, spec in specs.items():
+            assert same_bits(spec, alone(key)), key
+            assert cache[key] is spec
+            if key in before:
+                assert spec is before[key]
+        again = synthesize_shifters(list(reversed(keys)))
+        assert all(again[key] is specs[key] for key in keys)
+
+
+def test_empty_batch():
+    assert synthesize_shifters([]) == {}
+    assert solve_angles([], []) == []
+
+
+def test_solve_angles_batch_equals_each_target_alone():
+    # the public solver takes the same lists, with no moduli handed over:
+    # a whole core, one padded up to a longer sequence and a cut one
+    targets = [qsp.complete_target(qsp.truncate_target(T, L))
+               for T, L in ((8.0, 34), (1.0, 10), (256.0, 710))]
+    lengths = [34, 20, 710]
+    alone = [solve_angles(p, L) for p, L in zip(targets, lengths)]
+    batch = solve_angles(targets, lengths)
+    assert [s.xi.tobytes() for s in batch] == [s.xi.tobytes() for s in alone]
+    assert [s.residual for s in batch] == [s.residual for s in alone]
+
+
+def counted_rfft(monkeypatch):
+    """Count the calls of ``np.fft.rfft``, recording each input's rank."""
+    rfft, ranks = np.fft.rfft, []
+
+    def counting(a, *args, **kwargs):
+        ranks.append(np.ndim(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    return ranks
+
+
+class TestFailureInABatch:
+    @pytest.mark.parametrize("bad", [(1.0, 11), (1.0, 1), (1.0, 0), (0.0, 10), (0, 10),
+                                     (math.nan, 10), (-2.0, 14), (math.inf, 14)])
+    def test_bad_key_raises_as_alone_before_any_transform(self, bad, monkeypatch):
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        with pytest.raises(DomainError) as alone_err:
+            synthesize_shifter(*bad)
+        ranks = counted_rfft(monkeypatch)
+        with pytest.raises(DomainError) as batch_err:
+            synthesize_shifters([PLUS[0], (48.0, 146), bad, PLUS[1]])
+        assert str(batch_err.value) == str(alone_err.value)
+        assert ranks == [] and qsp._shifter_cache == {}
+
+    def test_failing_complement_names_its_shifter(self, monkeypatch):
+        # T = 1868 at its calibrated L = 5090 misses the complement gate by
+        # about 1e-11, alone and among good keys before and after it
+        L = select_L_empirical(1868.0)
+        assert L == 5090
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        with pytest.raises(SynthesisError) as alone_err:
+            synthesize_shifter(1868.0, L)
+        assert str(alone_err.value).startswith("shifter T=1868.0, L=5090 ")
+        with pytest.raises(SynthesisError) as batch_err:
+            synthesize_shifters([PLUS[0], (48.0, 146), (1868.0, L), (8.0, 34)])
+        assert str(batch_err.value) == str(alone_err.value)
+        assert qsp._shifter_cache == {}
+
+    def test_failing_residual_names_its_shifter(self, monkeypatch):
+        # a residual gate that refuses only the length-34 sequence fails the
+        # batch with that key's name, as it fails alone
+        rounding = qsp._product_rounding
+        monkeypatch.setattr(qsp, "_product_rounding",
+                            lambda length: 1.0 if length == 34 else rounding(length))
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        with pytest.raises(SynthesisError) as alone_err:
+            synthesize_shifter(8.0, 34)
+        with pytest.raises(SynthesisError) as batch_err:
+            synthesize_shifters([(1.0, 10), (8.0, 34), (4.0, 22)])
+        assert str(batch_err.value) == str(alone_err.value)
+        assert str(alone_err.value).startswith(
+            "shifter T=8.0, L=34 (solve length 34): angles miss")
+
+
+def peel_layers_and_tree_levels(monkeypatch, synthesize):
+    """Run ``synthesize()`` and count the peel's layer iterations, the lines
+    ``r += step`` executed in ``_solve_layer_peel``, and the product tree's
+    transform pairs, the real FFTs of its rank-3 stacks."""
+    lines, first = inspect.getsourcelines(qsp._solve_layer_peel)
+    step_line = first + [line.strip() for line in lines].index("r += step")
+    code, layers = qsp._solve_layer_peel.__code__, []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == step_line:
+            layers.append(1)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    ranks = counted_rfft(monkeypatch)
+    monkeypatch.setattr(qsp, "_shifter_cache", {})
+    sys.settrace(tracer)
+    try:
+        synthesize()
+    finally:
+        sys.settrace(None)
+    return len(layers), ranks.count(3)
+
+
+def test_batch_shares_layers_and_levels(monkeypatch):
+    # the six plus shifters peel 10 + 12 + ... + 20 = 90 layers and take
+    # 4 + 4 + 4 + 4 + 5 + 5 = 26 tree levels one at a time; as one batch
+    # the longest sets both, 20 layers and 5 levels
+    alone_counts = [peel_layers_and_tree_levels(monkeypatch,
+                                                lambda key=key: synthesize_shifter(*key))
+                    for key in PLUS]
+    assert [sum(c) for c in zip(*alone_counts)] == [90, 26]
+    assert peel_layers_and_tree_levels(monkeypatch, lambda: synthesize_shifters(PLUS)) == (20, 5)
