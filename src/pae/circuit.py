@@ -8,7 +8,8 @@ Two backends compute the even-parity probability, and both contract the
 same way: :func:`parity_probabilities` reads each branch's final ancilla
 state from ``(c, n, 2, 2)`` blocks, one ancilla block per component of the
 system register, and the product over identical branches collapses to
-complex powers, so the cost is independent of ``P``.  Each backend has one
+complex powers, so the cost is independent of ``P``; one call contracts a
+stack of steps, each with its own ``P``.  Each backend has one
 stage with one contract, ``stage(spec, operand, powers) -> {s: blocks}``:
 it raises the shifter to every requested power ``s`` and returns the
 blocks of each in the layout :func:`parity_probabilities` reads.
@@ -18,10 +19,14 @@ and :func:`statevector_even_parity_probability` compose them for one
 circuit.  The backends differ in where the blocks come from:
 
 * analytic -- on each Grover eigenphase ``e^{+-2i theta}`` the shifter is
-  the 2x2 ancilla product ``qsp.rotation_product`` at ``pi/2 +- 2 theta``;
-  the two eigencomponents of ``|0..0>`` are the two components.
-  :func:`eigenphase_blocks` raises that product to each ``s`` with
-  ``np.linalg.matrix_power``; exact, and batched over instance angles.
+  a 2x2 SU(2) ancilla matrix at ``pi/2 +- 2 theta``; the two
+  eigencomponents of ``|0..0>`` are the two components.
+  :func:`eigenphase_blocks` evaluates it from the row that certified the
+  angles (``AngleSequence.row``), one table of powers and one product for
+  all instance angles, and raises it to each ``s`` in closed form; exact,
+  and batched over instance angles.  ``qsp.rotation_product``, which
+  multiplies the angles out layer by layer, stays the independent check of
+  this stage (``pae verify``).
 * statevector -- the shifter around the explicit oracle, used to
   cross-validate the analytic backend: :func:`controlled_grover_blocks`
   stacks the controlled-Grover blocks of instances of one register size,
@@ -32,7 +37,7 @@ circuit.  The backends differ in where the blocks come from:
   blocks of ``2^n`` components.  The full ``(n+1)P``-qubit state is never
   built; :func:`check_capacity` bounds the blocks instead.  The explicit
   oracle and the x-rotations of :func:`shifter_columns` share no code with
-  the eigenphase reduction and ``rotation_product``, so the two backends
+  the eigenphase reduction and the certified row, so the two backends
   check each other.
 """
 
@@ -47,7 +52,7 @@ import numpy as np
 
 from .core_model import (AmplitudeInstance, DomainError, build_explicit_oracle,
                          build_grover_unitary)
-from .qsp import PhaseShifterSpec, controlled_grover, rotation_product
+from .qsp import PhaseShifterSpec, controlled_grover
 
 # Bytes the statevector backend may hold at once in the dense blocks of one
 # register size (see :func:`check_capacity`).
@@ -57,6 +62,14 @@ STATEVECTOR_MAX_BYTES = 2 ** 30
 # peaked at 2.3 to 2.8 blocks over the finished stack (tracemalloc, n = 6 to
 # 9, canonical and random oracles).
 _BUILD_BLOCKS = 3
+
+
+# The analytic stage's table of powers holds at most this many bytes at
+# once: it is built over chunks of instance angles, so its memory does not
+# grow with the amplitude grid (2^24 bytes is 255 angles at L = 5586).
+_TABLE_BYTES = 2 ** 24
+# An instance's two Grover eigenphases sit at pi/2 + 2 theta and pi/2 - 2 theta.
+_TWICE = np.array([[2.0], [-2.0]])
 
 
 class CapacityError(RuntimeError):
@@ -100,26 +113,77 @@ def _repetitions(powers) -> list[int]:
 def eigenphase_blocks(spec: PhaseShifterSpec, thetas, powers) -> dict[int, np.ndarray]:
     """The analytic stage: ``{s: blocks}`` for every requested power ``s``,
     each the ``(2, n, 2, 2)`` ancilla blocks of the shifter raised to ``s``
-    on the two Grover eigenphases of every instance angle.  The shifter is
-    one ``rotation_product`` call at ``pi/2 + 2 theta`` then ``pi/2 - 2
-    theta``, raised once per power with ``np.linalg.matrix_power``."""
-    two_theta = 2.0 * np.asarray(thetas, dtype=float).reshape(-1)
-    blocks = rotation_product(spec.angles.xi, np.concatenate(
-        [np.pi / 2 + two_theta, np.pi / 2 - two_theta])).reshape(2, -1, 2, 2)
-    return {s: np.linalg.matrix_power(blocks, s) for s in _repetitions(powers)}
+    on the two Grover eigenphases of every instance angle.
+
+    The blocks come from the row that certified the angles
+    (``AngleSequence.row``): with ``(x, eta)`` on powers ``-h..h`` of ``v =
+    e^{i phi}``, ``h = m/2``, the shifter at ``phi = pi/2 +- 2 theta`` is the
+    SU(2) matrix ``U`` with first row ``u00 = x(v)``, ``u01 = i eta(v)``.
+    The powers ``v^k``, ``k = 0..h``, are one table, a running product per
+    angle, and the real coefficients fold onto its real and imaginary
+    parts, ``x(v) = sum_k (x_k + x_-k) cos(k phi) + i (x_k - x_-k) sin(k
+    phi)``: one matrix product gives ``x(v)`` and ``eta(v)`` at every angle.
+    The table is built over chunks of angles, at most :data:`_TABLE_BYTES`
+    each, so its memory is bounded whatever the number of amplitudes.
+    Each power is then the axis-angle form ``U^s = cos(s a) I + (sin(s a) /
+    sin a) (U - cos(a) I)``, with ``cos a = Re u00`` and ``sin a = |(Im u00,
+    u01)|``, the norm of ``U - cos(a) I``: where ``sin a = 0`` that matrix
+    and its term vanish.  Unlike the three-term Chebyshev recurrence, which
+    drifts from ``matrix_power`` as ``s`` grows, the form stays at its
+    rounding level."""
+    powers = _repetitions(powers)
+    row = spec.angles.row
+    if row is None:
+        raise DomainError("the shifter's angles carry no certified row: "
+                          "synthesize or load them through qsp")
+    phi = (np.pi / 2 + _TWICE * np.asarray(thetas, dtype=float).reshape(-1)).ravel()
+    h = len(row) // 2
+    # the row folded onto (cos, sin)(k phi), k = 0..h: columns Re x(v),
+    # Re eta(v), Im x(v), Im eta(v)
+    fold = np.zeros((h + 1, 2, 4))
+    np.add(row[h:], row[h::-1], out=fold[:, 0, :2])
+    fold[0, 0, :2] = row[h]
+    np.subtract(row[h:], row[h::-1], out=fold[:, 1, 2:])
+    fold = fold.reshape(-1, 4)
+    values = np.empty((len(phi), 4))
+    chunk = max(1, _TABLE_BYTES // (16 * (h + 1)))
+    for start in range(0, len(phi), chunk):
+        part = phi[start:start + chunk]
+        table = np.empty((len(part), h + 1), dtype=complex)
+        table[:, 0] = 1.0
+        table[:, 1:] = np.exp(1j * part)[:, None]
+        np.cumprod(table, axis=1, out=table)
+        np.matmul(table.view(float), fold, out=values[start:start + chunk])
+    x_re, eta_re, x_im, eta_im = values.T
+    u01 = 1j * (eta_re + 1j * eta_im)
+    # U - cos(a) I, from U's first row u00 = cos(a) + i x_im and u01
+    axis = np.empty((len(phi), 2, 2), dtype=complex)
+    axis[:, 0, 0] = 1j * x_im
+    axis[:, 0, 1] = u01
+    axis[:, 1, 0] = -u01.conj()
+    axis[:, 1, 1] = -axis[:, 0, 0]
+    sin_a = np.hypot(x_im, np.hypot(eta_re, eta_im))
+    sa = np.multiply.outer(powers, np.arctan2(sin_a, x_re))
+    ratio = np.sin(sa)
+    np.divide(ratio, sin_a, out=ratio, where=sin_a > 0)
+    blocks = ratio[..., None, None] * axis + np.cos(sa)[..., None, None] * np.eye(2)
+    return dict(zip(powers, blocks.reshape(len(powers), 2, len(phi) // 2, 2, 2)))
 
 
-def parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
-    """``(n, 2)`` probabilities of ``P`` branches from ``(c, n, 2, 2)``
-    blocks already raised to ``S``, one value of a stage's ``{s: blocks}``:
-    axis 0 runs over the components of the system register, each block
-    ``sqrt(2)`` times that component's share of the branch state, and
-    column ``j`` of a block is its part of the ancilla state ``phi_j``.
-    For the analytic backend the components are the two Grover
-    eigenphases, which ``|0..0>`` weights ``1/sqrt(2)`` each (the ``(2, n,
-    2, 2)`` :func:`eigenphase_blocks`); for the statevector backend the
-    ``2^n`` system basis states (the ``(2^n, m, 2, 2)``
-    :func:`shifter_columns`).
+def parity_probabilities(blocks: np.ndarray, P) -> np.ndarray:
+    """``(g, n, 2)`` probabilities of a stack of ``g`` steps, step ``i``
+    with ``P[i]`` branches, from ``(g, c, n, 2, 2)`` blocks already raised
+    to each step's ``S``, each a ``(c, n, 2, 2)`` value of a stage's ``{s:
+    blocks}``; a single step is the stack of one, ``(blocks[None], [P])``,
+    and its row has the same bits alone or in any stack.  ``P`` must hold
+    one count per step, else :class:`DomainError`.  Per step, axis ``c`` runs
+    over the components of the system register, each block ``sqrt(2)``
+    times that component's share of the branch state, and column ``j`` of a
+    block is its part of the ancilla state ``phi_j``.  For the analytic
+    backend the components are the two Grover eigenphases, which ``|0..0>``
+    weights ``1/sqrt(2)`` each (the ``(2, n, 2, 2)``
+    :func:`eigenphase_blocks`); for the statevector backend the ``2^n``
+    system basis states (the ``(2^n, m, 2, 2)`` :func:`shifter_columns`).
 
     With ``x_j = <phi_j|X|phi_j>`` and ``z = <phi_1|X|phi_0>`` over all
     components, the product over identical branches collapses to
@@ -130,19 +194,24 @@ def parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
     for ``j = 1``), ``z_x = conj(b01) b10 + conj(b11) b00`` and
     ``z_y = i (conj(b11) b00 - conj(b01) b10)``.
     """
-    _check_count("branch count", P)
+    P = np.asarray(P)
+    if P.shape != blocks.shape[:1]:
+        raise DomainError(f"one branch count per step: {len(blocks)} steps, "
+                          f"branch counts of shape {P.shape}")
+    _check_count("branch count", int(P.min(initial=1)))
+    P = P[:, None]
     b00, b01, b10, b11 = (blocks[..., i, j] for i in (0, 1) for j in (0, 1))
     # with blocks sqrt(2) times each share, each sum is twice its expectation
-    w0 = np.sum(b00.conj() * b10, axis=0)
-    w1 = np.sum(b01.conj() * b11, axis=0)
-    u = 0.5 * np.sum(b01.conj() * b10, axis=0)
-    v = 0.5 * np.sum(b11.conj() * b00, axis=0)
+    w0 = np.sum(b00.conj() * b10, axis=1)
+    w1 = np.sum(b01.conj() * b11, axis=1)
+    u = 0.5 * np.sum(b01.conj() * b10, axis=1)
+    v = 0.5 * np.sum(b11.conj() * b00, axis=1)
     x0, y0, x1, y1 = w0.real, w0.imag, w1.real, w1.imag
     zx, zy = u + v, 1j * (v - u)
     plus = 0.5 + 0.25 * (x0 ** P + x1 ** P) + 0.5 * (zx ** P).real
     plus_i = (0.5 + 0.25 * (y0 * x0 ** (P - 1) + y1 * x1 ** (P - 1))
               + 0.5 * (zy * zx ** (P - 1)).real)
-    return np.clip(np.stack([plus, plus_i], axis=1), 0.0, 1.0)
+    return np.clip(np.stack([plus, plus_i], axis=-1), 0.0, 1.0)
 
 
 def setting_probability(circuit: ParallelCircuit,
@@ -150,8 +219,8 @@ def setting_probability(circuit: ParallelCircuit,
     """Exact even-parity probability of the synthesized circuit: the
     analytic stage, then :func:`parity_probabilities`."""
     blocks = eigenphase_blocks(circuit.spec, [circuit.instance.theta], [circuit.S])
-    return float(parity_probabilities(blocks[circuit.S], circuit.P)
-                 [0, list(MeasurementSetting).index(setting)])
+    return float(parity_probabilities(blocks[circuit.S][None], [circuit.P])
+                 [0, 0, list(MeasurementSetting).index(setting)])
 
 
 def ideal_probabilities(multiplier, phi) -> np.ndarray:
@@ -287,5 +356,5 @@ def statevector_even_parity_probability(circuit: ParallelCircuit,
     check_capacity([circuit.instance.n])
     blocks = shifter_columns(circuit.spec, controlled_grover_blocks([circuit.instance]),
                              [circuit.S])
-    return float(parity_probabilities(blocks[circuit.S], circuit.P)
-                 [0, list(MeasurementSetting).index(setting)])
+    return float(parity_probabilities(blocks[circuit.S][None], [circuit.P])
+                 [0, 0, list(MeasurementSetting).index(setting)])

@@ -17,7 +17,8 @@ A run has two phases:
   even-parity probability of both measurement settings of every step on the
   selected backend.  It depends on the amplitude and the steps, never on a
   seed, so it is done once and shared by every trial of a sweep, and it
-  evaluates each distinct ``(p, t, s, l)`` once;
+  evaluates each distinct ``(p, t, s, l)`` once, all of them in one
+  contraction per register size;
 * the sampling and recovery phase, :func:`sample_and_recover`, draws the
   parity counts of one run, ``(K, 2)``, or of a batch of trials,
   ``(trials, K, 2)``, from those probabilities in one binomial call of one
@@ -232,14 +233,16 @@ def step_probabilities(instances, schedule: Schedule,
     alike: the shifters of every distinct ``(t, l)`` come from one
     ``qsp.synthesize_shifters`` batch, after the memory guard and before
     any stage; then one stage call per distinct ``(t, l)``, given every
-    ``s`` that the steps ask of it, and one
-    ``circuit.parity_probabilities`` call per distinct ``(p, t, s, l)`` on
-    the blocks of its ``s``.  The stage is ``circuit.eigenphase_blocks`` of
-    the instance angles on the analytic backend, and
+    ``s`` that the steps ask of it, then one
+    ``circuit.parity_probabilities`` call that contracts the stack of every
+    distinct ``(p, t, s, l)``, each on the blocks of its ``s`` for its
+    ``p``.  The stage is ``circuit.eigenphase_blocks`` of the instance
+    angles on the analytic backend, called for all instances at once, and
     ``circuit.shifter_columns`` around the controlled-Grover blocks on the
-    statevector one, once per register size; those blocks are built once
-    per instance and call, after the memory guard has passed every register
-    size, and each size's only when its group runs."""
+    statevector one, called once per register size, as is the contraction;
+    those blocks are built once per instance and call, after the memory
+    guard has passed every register size, and each size's only when its
+    group runs."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     steps = list(schedule)
@@ -263,15 +266,16 @@ def step_probabilities(instances, schedule: Schedule,
     for st in steps:
         powers.setdefault((st.t, st.l), set()).add(st.s)
     specs = qsp.synthesize_shifters(powers)
+    index = {}
+    column = [index.setdefault((st.p, st.t, st.s, st.l), len(index)) for st in steps]
     probabilities = np.empty((len(batch), len(steps), 2))
-    for rows, operand in groups:
+    # an empty schedule has nothing to stack, and builds no oracle
+    for rows, operand in groups if steps else ():
         blocks = {(t, l): stage(specs[t, l], operand, ss) for (t, l), ss in powers.items()}
-        columns = {}
-        for i, st in enumerate(steps):
-            key = (st.p, st.t, st.s, st.l)
-            if key not in columns:
-                columns[key] = circ.parity_probabilities(blocks[st.t, st.l][st.s], st.p)
-            probabilities[rows, i] = columns[key]
+        columns = circ.parity_probabilities(
+            np.stack([blocks[t, l][s] for _, t, s, l in index]),
+            np.array([p for p, _, _, _ in index]))
+        probabilities[rows] = columns[column].swapaxes(0, 1)
     return probabilities[0] if single else probabilities
 
 

@@ -62,9 +62,12 @@ pipeline is:
    real FFT, and the residual is the l1 distance of the product's
    coefficients from ``p``, which bounds the sup distance on the whole
    circle, plus a rounding term derived from the FFT error bound
-   (``_product_rounding``).  A level's node width and FFT size depend on
-   the level alone, so all sequences of a batch share one tree, each with
-   its own pairs and pads: one transform pair per level of the longest.
+   (``_product_rounding``).  Each certified sequence keeps that row,
+   ``AngleSequence.row``, which fixes the whole SU(2) product and is what
+   the analytic backend evaluates.  A level's node width and FFT size
+   depend on the level alone, so all sequences of a batch share one tree,
+   each with its own pairs and pads: one transform pair per level of the
+   longest.
    ``_certified_shifters`` runs steps 1-4 for a batch of keys ``(T, L)``,
    for ``synthesize_shifters`` and so for ``synthesize_shifter``, its batch
    of one, and, with a file's angles in place of the peel's, for
@@ -79,11 +82,15 @@ pipeline is:
    the log bound at ``h = L/2 + 3/2``, the calibrated length at every
    strength.
 5. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
-   ancilla as ``rotation_product(xi, pi/2 +- 2 theta)``, which the analytic
-   backend evaluates.  The statevector backend applies the same factors
-   around the ``controlled_grover`` block of an explicit oracle to two
-   columns (``circuit.shifter_columns``), independent of
-   ``rotation_product`` so that the backends check each other.
+   ancilla as the product at ``pi/2 +- 2 theta``.  The analytic backend
+   evaluates it from the certified row (``circuit.eigenphase_blocks``), so
+   its probabilities come from the evaluation that was certified;
+   ``rotation_product`` multiplies the angles out layer by layer, the
+   independent evaluation that ``pae verify``, ``realized_functions`` and
+   the benchmark's synthesis check read.  The statevector backend applies
+   the same factors around the ``controlled_grover`` block of an explicit
+   oracle to two columns (``circuit.shifter_columns``), independent of
+   both, so that the backends check each other.
    ``interleaved_shifter`` multiplies the product out around a block of
    any size, or a stack of them, with all ``2L`` x-rotations in one pass;
    it builds ``build_branch_unitary`` and is the dense reference the
@@ -137,10 +144,14 @@ class AngleSequence:
     ``residual`` bounds ``|u00(theta) - P(e^{i theta}) e^{-i d theta}|`` on
     the whole circle for the exact product of the angles: the l1 distance of
     the product's coefficients from the target's, plus a rounding term.
+    ``row`` is the ``(m + 1, 2)`` first row ``(x, eta)`` of that product,
+    the one the residual was measured on (``_product_row``), which fixes the
+    whole SU(2) product; ``None`` for a sequence that was never certified.
     """
 
     xi: np.ndarray
     residual: float = 0.0
+    row: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.xi)
@@ -759,10 +770,13 @@ def _certify_angles(xis: list[np.ndarray], ps: list[np.ndarray]) -> list[AngleSe
     ``ps[b]``, which bounds the product's miss on the whole circle: the l1
     distance of its coefficients (``_product_row``, one tree for every
     sequence) from ``p``, padding included, plus the tree's rounding
-    (``_product_rounding``).  Raises :class:`SynthesisError`, marked with
-    its index, at the first sequence whose residual exceeds ``1e-8``."""
+    (``_product_rounding``).  Each keeps the row it was certified on, which
+    the analytic stage evaluates (``circuit.eigenphase_blocks``).  Raises
+    :class:`SynthesisError`, marked with its index, at the first sequence
+    whose residual exceeds ``1e-8``."""
     sequences = []
-    for xi, p, (miss, _) in zip(xis, ps, _product_row(xis)):
+    for xi, p, (x, eta) in zip(xis, ps, _product_row(xis)):
+        miss = x.copy()
         k = (len(miss) - len(p)) // 2
         miss[k:k + len(p)] -= p
         # (len + 2) u covers the rounding of the differences and of their sum
@@ -774,7 +788,8 @@ def _certify_angles(xis: list[np.ndarray], ps: list[np.ndarray]) -> list[AngleSe
                 f"{l1:.3g} of the product's coefficients plus their rounding")
             err.target = len(sequences)
             raise err
-        sequences.append(AngleSequence(xi=xi, residual=residual))
+        sequences.append(AngleSequence(xi=xi, residual=residual,
+                                       row=np.stack([x, eta], axis=1)))
     return sequences
 
 

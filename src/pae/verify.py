@@ -31,6 +31,15 @@ def check_grover_plane() -> tuple[str, bool, str]:
     return "grover-plane-restriction", worst <= 1e-10, f"max deviation {worst:.2e}"
 
 
+def _eigenphase_products(spec: qsp.PhaseShifterSpec, thetas) -> np.ndarray:
+    """The ``(2, n, 2, 2)`` shifter products at ``pi/2 +- 2 theta`` by
+    ``qsp.rotation_product``, layer by layer from the angles: independent
+    of the row that certified them, which the analytic stage evaluates."""
+    two_theta = 2.0 * np.asarray(thetas, dtype=float)
+    return qsp.rotation_product(spec.angles.xi, np.concatenate(
+        [np.pi / 2 + two_theta, np.pi / 2 - two_theta])).reshape(2, -1, 2, 2)
+
+
 def check_shifter_error() -> tuple[str, bool, str]:
     # the plane vector |0> weights both eigenphases 1/sqrt(2), so column a's
     # squared error is the mean over them of |(b - d) e_a|^2, with d the
@@ -40,10 +49,25 @@ def check_shifter_error() -> tuple[str, bool, str]:
     half = np.exp(0.5j * spec.T * np.array([inst.phi for inst in insts]))
     exact = np.zeros((len(insts), 2, 2), dtype=complex)
     exact[:, 0, 0], exact[:, 1, 1] = half.conj(), half
-    miss = circ.eigenphase_blocks(spec, [inst.theta for inst in insts], [1])[1] - exact
+    miss = _eigenphase_products(spec, [inst.theta for inst in insts]) - exact
     worst = float(np.sqrt(np.max(np.mean(np.sum(np.abs(miss) ** 2, axis=-2), axis=0))))
     return "shifter-certified-error", worst <= spec.eps_oc, \
         f"measured {worst:.3e} vs budget {spec.eps_oc:.3e}"
+
+
+def check_row_evaluation() -> tuple[str, bool, str]:
+    # the analytic stage evaluates the certified row and raises it in
+    # closed form; the reference multiplies the angles out layer by layer
+    # and raises the product by matrix_power
+    thetas = np.linspace(0.0, np.pi / 2, 101)
+    worst = 0.0
+    for T, L in ((1.0, 10), (48.0, 144)):
+        spec = qsp.synthesize_shifter(T, L)
+        blocks = circ.eigenphase_blocks(spec, thetas, [1, 2, 16])
+        products = _eigenphase_products(spec, thetas)
+        for s, b in blocks.items():
+            worst = max(worst, float(np.max(np.abs(b - np.linalg.matrix_power(products, s)))))
+    return "row-evaluation", worst <= 1e-12, f"max deviation {worst:.2e}"
 
 
 def check_certificate_grid() -> tuple[str, bool, str]:
@@ -85,10 +109,9 @@ def check_parity_identity() -> tuple[str, bool, str]:
     half = np.exp(0.5j * phis)
     blocks = np.zeros((2, len(phis), 2, 2), dtype=complex)
     blocks[:, :, 0, 0], blocks[:, :, 1, 1] = half.conj(), half
-    worst = 0.0
-    for m in (1, 4, 32):
-        probs = circ.parity_probabilities(blocks, m)
-        worst = max(worst, float(np.max(np.abs(probs - circ.ideal_probabilities(m, phis)))))
+    ms = np.array([1, 4, 32])
+    probs = circ.parity_probabilities(np.stack([blocks] * len(ms)), ms)
+    worst = float(np.max(np.abs(probs - circ.ideal_probabilities(ms[:, None], phis))))
     return "parity-closed-form", worst <= 1e-12, f"max deviation {worst:.2e}"
 
 
@@ -178,6 +201,7 @@ def _same_bits(a: qsp.PhaseShifterSpec, b: qsp.PhaseShifterSpec) -> bool:
 ALL_CHECKS = (
     check_grover_plane,
     check_shifter_error,
+    check_row_evaluation,
     check_certificate_grid,
     check_parity_identity,
     check_backend_equivalence,

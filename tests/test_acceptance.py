@@ -72,7 +72,7 @@ def test_03_parity_identity():
         block = np.diag([np.exp(-0.5j * inst.phi), np.exp(0.5j * inst.phi)])
         blocks = np.broadcast_to(block, (2, 1, 2, 2))
         for m in range(1, 65):
-            pp, pi_ = parity_probabilities(blocks, m)[0]
+            pp, pi_ = parity_probabilities(blocks[None], [m])[0, 0]
             worst = max(worst,
                         abs(pp - (1 + math.cos(m * inst.phi)) / 2),
                         abs(pi_ - (1 + math.sin(m * inst.phi)) / 2))

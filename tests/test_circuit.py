@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from pae.circuit import (check_capacity, controlled_grover_blocks, sample_even_p
 from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
 from pae.driver import ScheduleStep
-from pae.qsp import controlled_grover, interleaved_shifter
+from pae.qsp import AngleSequence, controlled_grover, interleaved_shifter, rotation_product
 
 _X_ANC = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)).astype(complex)
 _Y_ANC = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.eye(2)).astype(complex)
@@ -27,9 +29,14 @@ def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:
                    np.eye(2)).astype(complex)
 
 
+def contract_one(blocks: np.ndarray, P: int) -> np.ndarray:
+    """:func:`parity_probabilities` of one step, the stack of one."""
+    return parity_probabilities(blocks[None], [P])[0]
+
+
 def analytic_probabilities(spec, P: int, S: int, thetas) -> np.ndarray:
     """The analytic stage at ``S``, contracted for ``P`` branches."""
-    return parity_probabilities(eigenphase_blocks(spec, thetas, [S])[S], P)
+    return contract_one(eigenphase_blocks(spec, thetas, [S])[S], P)
 
 
 def grover_blocks(insts, style="canonical", seed=None) -> np.ndarray:
@@ -47,7 +54,7 @@ def statevector_probabilities(spec, P: int, S: int, insts, style="canonical",
     """The statevector stage at ``S`` around the controlled-Grover stack of
     instances of one register size, contracted for ``P`` branches."""
     wq = grover_blocks(insts, style, seed)
-    return parity_probabilities(shifter_columns(spec, wq, [S])[S], P)
+    return contract_one(shifter_columns(spec, wq, [S])[S], P)
 
 
 def column_blocks(columns: np.ndarray) -> np.ndarray:
@@ -62,7 +69,7 @@ def ideal_probabilities(P: int, phi: float) -> np.ndarray:
     """(PLUS, PLUS_I) probabilities with the exact T = S = 1 shifter: the
     block ``diag(e^{-i phi/2}, e^{+i phi/2})`` on both eigenphases."""
     block = np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
-    return parity_probabilities(np.broadcast_to(block, (2, 1, 2, 2)), P)[0]
+    return contract_one(np.broadcast_to(block, (2, 1, 2, 2)), P)[0]
 
 
 def matmul_parity_probabilities(blocks: np.ndarray, P: int) -> np.ndarray:
@@ -313,8 +320,40 @@ class TestEvenParityProbabilities:
         thetas = np.linspace(0.0, np.pi / 2, 101)
         for blocks in (haar, eigenphase_blocks(synthesize_shifter(1.0, 10), thetas, [1])[1],
                        eigenphase_blocks(synthesize_shifter(4.0, 22), thetas, [3])[3]):
-            got = parity_probabilities(blocks, P)
+            got = contract_one(blocks, P)
             assert np.max(np.abs(got - matmul_parity_probabilities(blocks, P))) <= 1e-13
+
+    def test_stack_equals_per_step_calls(self):
+        # one contraction of a stack of steps, each with its own P: every
+        # step's rows are the bits of its own call, on both backends' blocks
+        rng = np.random.default_rng(7)
+        thetas = np.linspace(0.0, np.pi / 2, 33)
+        analytic = [eigenphase_blocks(synthesize_shifter(T, L), thetas, [S])[S]
+                    for T, L, S in ((1.0, 10, 1), (1.0, 12, 2), (4.0, 22, 3))]
+        wq = controlled_grover_blocks([make_instance(a, 2) for a in (0.1, 0.6, 0.9)])
+        statevector = [shifter_columns(synthesize_shifter(2.0, 14), wq, [S])[S] for S in (1, 3)]
+        for stack in (analytic + [haar_u2(rng, (2, 33))], statevector):
+            ps = [1, 7, 256, 2][:len(stack)]
+            probs = parity_probabilities(np.stack(stack), np.array(ps))
+            assert probs.shape == (len(stack),) + stack[0].shape[1:2] + (2,)
+            for blocks, P, rows in zip(stack, ps, probs):
+                assert np.array_equal(rows, contract_one(blocks, P))
+
+    @pytest.mark.parametrize("ps", [[1, 0], [-1, 2], [0]])
+    def test_stack_rejects_fewer_than_one_branch(self, ps):
+        blocks = eigenphase_blocks(synthesize_shifter(1.0, 10), [0.3], [1])[1]
+        with pytest.raises(DomainError, match="branch count must be >= 1"):
+            parity_probabilities(np.stack([blocks] * len(ps)), np.array(ps))
+
+    @pytest.mark.parametrize("ps", [3, [3], [1, 2, 3], [[1], [2]]])
+    def test_stack_needs_one_branch_count_per_step(self, ps):
+        # counts that are not one per step, for an unstacked (2, n, 2, 2)
+        # value or a stack of two, are refused rather than read along the
+        # wrong axis
+        blocks = eigenphase_blocks(synthesize_shifter(1.0, 10), [0.3], [1])[1]
+        for stack in (blocks, np.stack([blocks] * 2)):
+            with pytest.raises(DomainError, match="one branch count per step"):
+                parity_probabilities(stack, ps)
 
     @pytest.mark.parametrize("P,S", [(0, 1), (-1, 1), (1, 0), (1, -1), (0, 0)])
     def test_both_backends_reject_fewer_than_one(self, P, S):
@@ -523,7 +562,7 @@ class TestStatevectorKernels:
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         q, r = np.linalg.qr(g)
         v = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        got = parity_probabilities(column_blocks(v[None, :, ::dim // 2]), P)[0]
+        got = contract_one(column_blocks(v[None, :, ::dim // 2]), P)[0]
         ref = [literal_branch_probability(v, P, n, setting) for setting in MeasurementSetting]
         assert np.max(np.abs(got - ref)) <= 1e-13
 
@@ -589,14 +628,66 @@ class TestStageContract:
             assert set(blocks) == set(powers)
             assert all(b.shape == (c, len(insts), 2, 2) for b in blocks.values())
 
-    def test_analytic_stage_raises_one_product_by_matrix_power(self):
-        # every power is matrix_power of the s = 1 blocks, bit for bit
-        spec = synthesize_shifter(4.0, 22)
-        thetas = np.linspace(0.0, np.pi / 2, 9)
-        one = eigenphase_blocks(spec, thetas, [1])[1]
-        blocks = eigenphase_blocks(spec, thetas, {1, 2, 5, 16})
-        for s, b in blocks.items():
-            assert np.array_equal(b, np.linalg.matrix_power(one, s))
+    def test_analytic_stage_powers_match_matrix_power(self):
+        # each power is the axis-angle closed form of the s = 1 blocks,
+        # which stays at matrix_power's own rounding level where a
+        # three-term recurrence would drift
+        thetas = np.linspace(0.0, np.pi / 2, 101)
+        tolerance = {s: 1e-13 for s in range(2, 17)} | {1024: 1e-12}
+        for T, L in ((1.0, 10), (4.0, 22), (48.0, 144)):
+            blocks = eigenphase_blocks(synthesize_shifter(T, L), thetas, {1, *tolerance})
+            for s, tol in tolerance.items():
+                assert np.max(np.abs(blocks[s] - np.linalg.matrix_power(blocks[1], s))) <= tol
+
+    @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 144), (256.0, 710)])
+    def test_row_blocks_match_rotation_product(self, T, L):
+        # the certified row evaluated on its power table against the angles
+        # multiplied out layer by layer, on both eigenphases of 101 amplitudes
+        spec = synthesize_shifter(T, L)
+        thetas = np.linspace(0.0, np.pi / 2, 101)
+        products = rotation_product(spec.angles.xi, np.concatenate(
+            [np.pi / 2 + 2 * thetas, np.pi / 2 - 2 * thetas])).reshape(2, -1, 2, 2)
+        blocks = eigenphase_blocks(spec, thetas, [1])[1]
+        assert np.max(np.abs(blocks - products)) <= 1e-12
+
+    def test_analytic_stage_at_identity_blocks(self):
+        # where sin a = 0 the blocks are +-I and every power is exact: an
+        # identity row gives the identity, and the row of -I its powers
+        spec = synthesize_shifter(1.0, 10)
+        row = np.zeros_like(spec.angles.row)
+        row[len(row) // 2, 0] = 1.0
+        for sign in (1.0, -1.0):
+            angles = dataclasses.replace(spec.angles, row=sign * row)
+            blocks = eigenphase_blocks(dataclasses.replace(spec, angles=angles),
+                                       [0.0, 0.4], {1, 2, 7})
+            for s, b in blocks.items():
+                assert np.array_equal(b, np.broadcast_to(sign ** s * np.eye(2), b.shape))
+
+    def test_analytic_stage_refuses_angles_without_a_row(self):
+        # a sequence built by hand was never certified, so it has no row
+        spec = synthesize_shifter(1.0, 10)
+        bare = dataclasses.replace(spec, angles=AngleSequence(spec.angles.xi))
+        with pytest.raises(DomainError, match="no certified row"):
+            eigenphase_blocks(bare, [0.3], [1])
+
+    def test_analytic_table_memory_is_bounded(self, monkeypatch):
+        # the table of powers is built over chunks of angles: a budget of
+        # five angles a chunk gives the blocks of one table to rounding,
+        # and the stage's peak stays under half of that one table
+        spec = synthesize_shifter(48.0, 144)
+        thetas = np.linspace(0.0, np.pi / 2, 4000)
+        whole = eigenphase_blocks(spec, thetas, [1, 3])
+        h = len(spec.angles.row) // 2
+        monkeypatch.setattr("pae.circuit._TABLE_BYTES", 16 * (h + 1) * 5)
+        tracemalloc.start()
+        try:
+            chunked = eigenphase_blocks(spec, thetas, [1, 3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for s in (1, 3):
+            assert np.max(np.abs(chunked[s] - whole[s])) <= 1e-14
+        assert peak < 16 * (h + 1) * 2 * len(thetas) / 2
 
 
 class TestGhzDepth:

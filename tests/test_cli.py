@@ -198,7 +198,7 @@ def test_verify_passes(capsys):
     # one PASS line per built-in invariant suite, and exit status 0
     assert main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert sum(line.startswith("PASS") for line in lines) == 9
+    assert sum(line.startswith("PASS") for line in lines) == 10
     assert not any("FAIL" in line for line in lines)
 
 
@@ -225,6 +225,31 @@ def test_verify_fails_on_wrong_shared_block_contraction(capsys, monkeypatch):
     assert "PASS  parity-closed-form" in out
 
 
+def test_verify_fails_on_row_off_by_1e_9(capsys, monkeypatch):
+    # a row kept 1e-9 off the one the residual was measured on leaves the
+    # certificate as it was, but the analytic stage evaluates it and misses
+    # the layer-by-layer product, by 1.6e-8 at S = 16; the backend check
+    # sees it too, through the same stage, while the shifter-error check
+    # reads the product alone
+    certify = qsp._certify_angles
+
+    def off_row(xis, ps):
+        sequences = certify(xis, ps)
+        for seq in sequences:
+            seq.row[len(seq.row) // 2, 0] += 1e-9
+        return sequences
+
+    monkeypatch.setattr(qsp, "_certify_angles", off_row)
+    monkeypatch.setattr(qsp, "_shifter_cache", {})
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    line = next(line for line in out.splitlines() if "row-evaluation" in line)
+    assert line == "FAIL  row-evaluation: max deviation 1.60e-08"
+    assert "FAIL  backend-equivalence" in out
+    assert "PASS  shifter-certified-error" in out
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
+
+
 def test_verify_fails_on_certificate_at_full_length(capsys, monkeypatch):
     # a reloaded shifter certified at its full L rather than at the length
     # synthesis truncates at (20 for T = 1, L = 40) claims a far smaller error
@@ -239,7 +264,7 @@ def test_verify_fails_on_certificate_at_full_length(capsys, monkeypatch):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  angle-file-roundtrip: mismatch (eps_oc 1.093e-12 vs 3.957e-05)" in out
-    assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 9
 
 
 def test_verify_fails_on_loading_that_trusts_the_header(capsys, monkeypatch):
@@ -254,7 +279,7 @@ def test_verify_fails_on_loading_that_trusts_the_header(capsys, monkeypatch):
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  angle-file-roundtrip: bit-exact, corrupted copy loaded" in out
-    assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 9
 
 
 def test_verify_fails_on_grid_without_factor(capsys, monkeypatch):
@@ -270,7 +295,7 @@ def test_verify_fails_on_grid_without_factor(capsys, monkeypatch):
     line = next(line for line in out.splitlines() if "certificate-grid" in line)
     assert line.startswith("FAIL  certificate-grid: complement ")
     assert "at 0.999 scale 1.89991e-07 against bound 1.89990e-07" in line
-    assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 9
 
 
 def test_verify_fails_on_product_without_mirror_symmetry(capsys, monkeypatch):
@@ -286,6 +311,9 @@ def test_verify_fails_on_product_without_mirror_symmetry(capsys, monkeypatch):
     line = next(line for line in out.splitlines() if "certificate-grid" in line)
     assert line.startswith("FAIL  certificate-grid: complement ")
     assert line.endswith(", residual 6.27e-09 on 544 points against bound 1.02e-12")
+    # the row check compares the analytic stage, which never calls the
+    # product, with it, so it sees the stray phase too
+    assert "FAIL  row-evaluation: max deviation" in out
     assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
     assert "PASS  shifter-certified-error" in out
 
@@ -304,7 +332,7 @@ def test_verify_fails_on_batch_that_rounds_otherwise(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert ("FAIL  synthesis-batch: differ at T=1 L=10, T=1 L=12, T=1 L=14, T=1 L=16, "
             "T=1 L=18, T=1 L=20, T=2 L=14, T=4 L=22, T=8 L=34\n") in out
-    assert sum(line.startswith("PASS") for line in out.splitlines()) == 8
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 9
 
 
 def test_cli_import_starts_no_process_machinery():

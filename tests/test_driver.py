@@ -598,6 +598,18 @@ class TestTwoPhases:
         sched = build_schedule(strategy="general", k_max=4, parallelism=2)
         assert step_probabilities([], sched, "statevector").shape == (0, sched.K, 2)
 
+    def test_analytic_empty_batch(self):
+        sched = build_schedule(strategy="general", k_max=4, parallelism=2)
+        assert step_probabilities([], sched, "analytic").shape == (0, sched.K, 2)
+
+    @pytest.mark.parametrize("backend", ["analytic", "statevector", "ideal"])
+    def test_empty_schedule(self, backend, refused_allocation):
+        # no step, nothing to contract: an empty table, and no oracle built
+        insts = [make_instance(0.3, 2), make_instance(0.8, 3)]
+        assert step_probabilities(insts, [], backend).shape == (2, 0, 2)
+        assert step_probabilities(insts[0], [], backend).shape == (0, 2)
+        assert refused_allocation == []
+
     def test_shared_blocks_equal_per_step_rows(self):
         # steps with the same (t, l) share one stage call: every row equals
         # the step's own stage call at its s contracted for its p, bit for
@@ -609,7 +621,7 @@ class TestTwoPhases:
         probs = step_probabilities(insts, sched, "analytic")
         for i, st in enumerate(sched):
             blocks = circuit.eigenphase_blocks(synthesize_shifter(st.t, st.l), thetas, [st.s])
-            rows = circuit.parity_probabilities(blocks[st.s], st.p)
+            rows = circuit.parity_probabilities(blocks[st.s][None], [st.p])[0]
             assert np.array_equal(probs[:, i], rows)
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector", "ideal"])
@@ -646,12 +658,13 @@ class TestTwoPhases:
     @pytest.mark.parametrize("backend", ["analytic", "statevector"])
     def test_repetition_counts_share_one_shifter(self, backend, monkeypatch):
         # general P=4, K=7: steps (8, 34, S=1) and (8, 34, S=2) share one
-        # stage call, asked for the powers {1, 2}: one shifter product
-        # raised per S, or one pass of the shifter to S = 2; every row
-        # equals its own step's stage call at its S contracted for its p,
-        # bit for bit
+        # stage call, asked for the powers {1, 2}: the certified row raised
+        # in closed form per S, or one pass of the shifter to S = 2.  No
+        # shifter is multiplied out layer by layer, all steps are contracted
+        # in one call, and every row equals its own step's stage call at
+        # its S contracted for its p, bit for bit
         stage = "eigenphase_blocks" if backend == "analytic" else "shifter_columns"
-        calls = {"rotation_product": 0, stage: 0}
+        calls = {"rotation_product": 0, stage: 0, "parity_probabilities": 0}
         powers = {}
 
         def counted(name, fn):
@@ -663,21 +676,40 @@ class TestTwoPhases:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(circuit, name, counted(name, getattr(circuit, name)))
+            module = qsp if name == "rotation_product" else circuit
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         sched = build_schedule(strategy="general", k_max=7, parallelism=4)
         insts = [make_instance(a, 3) for a in (0.0, 0.3, 0.8)]
         probs = step_probabilities(insts, sched, backend)
         distinct_tl = len({(st.t, st.l) for st in sched})
         assert (distinct_tl, len({(st.t, st.l, st.s) for st in sched})) == (4, 5)
-        analytic = backend == "analytic"
-        assert calls == {"rotation_product": distinct_tl if analytic else 0,
-                         stage: distinct_tl}
+        assert calls == {"rotation_product": 0, stage: distinct_tl, "parity_probabilities": 1}
         assert powers == {1.0: {1}, 2.0: {1}, 4.0: {1}, 8.0: {1, 2}}
-        operand = ([inst.theta for inst in insts] if analytic
+        operand = ([inst.theta for inst in insts] if backend == "analytic"
                    else circuit.controlled_grover_blocks(insts))
         for i, st in enumerate(sched):
             blocks = getattr(circuit, stage)(synthesize_shifter(st.t, st.l), operand, [st.s])
-            assert np.array_equal(probs[:, i], circuit.parity_probabilities(blocks[st.s], st.p))
+            assert np.array_equal(probs[:, i],
+                                  circuit.parity_probabilities(blocks[st.s][None], [st.p])[0])
+
+    @pytest.mark.parametrize("backend,contractions", [("analytic", 1), ("statevector", 2)])
+    def test_one_contraction_per_register_size(self, backend, contractions, monkeypatch):
+        # a batch mixing n = 3, 2, 3 is one contraction of every step on the
+        # analytic backend, and one per register size on the statevector
+        # one, each a stack of the distinct (p, t, s, l)
+        stacks = []
+        contract = circuit.parity_probabilities
+
+        def recording(blocks, P):
+            stacks.append((blocks.shape[0], list(P)))
+            return contract(blocks, P)
+
+        monkeypatch.setattr(circuit, "parity_probabilities", recording)
+        sched = build_schedule(strategy="general", k_max=5, parallelism=2)
+        keys = list(dict.fromkeys((st.p, st.t, st.s, st.l) for st in sched))
+        insts = [make_instance(0.3, 3), make_instance(0.5, 2), make_instance(0.8, 3)]
+        step_probabilities(insts, sched, backend)
+        assert stacks == [(len(keys), [p for p, _, _, _ in keys])] * contractions
 
     @staticmethod
     def pinned_table_digest(backend: str) -> str:
@@ -695,12 +727,12 @@ class TestTwoPhases:
     def test_probability_table_pinned(self):
         # a change that moves any analytic probability, even at rounding
         # level, shows here
-        assert self.pinned_table_digest("analytic") == "d7a77f436ce1faf9"
+        assert self.pinned_table_digest("analytic") == "3e0b86be5a5a6117"
 
     def test_statevector_probability_table_pinned(self):
         # the same table on the statevector backend, pinned apart so that a
         # change to its arithmetic alone moves only this digest
-        assert self.pinned_table_digest("statevector") == "28990edd685f5e6f"
+        assert self.pinned_table_digest("statevector") == "8505810437039c3e"
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector", "ideal"])
     @pytest.mark.parametrize("m,p,s", [(1, 1, 0), (1, 1, -1), (4, 1, 1), (1, -1, -1),

@@ -16,6 +16,7 @@ from pae import (PARALLEL_L_TABLE_PLUS, AngleSequence, DomainError, PhaseShifter
                  select_L_empirical, solve_angles, state_error_bound,
                  synthesize_shifter, synthesize_shifters, truncate_target,
                  truncation_error_bound)
+from pae.circuit import eigenphase_blocks
 from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae import qsp
 from pae.qsp import (_complement_gap, _complemented_core, _deflate_pinned,
@@ -772,6 +773,16 @@ class TestProductTree:
         assert dev <= 2.0 * L * np.finfo(float).eps
         assert outside <= np.finfo(float).eps
 
+    @pytest.mark.parametrize("T,L", [(1.0, 10), (1.0, 40), (8.0, 34), (48.0, 144)])
+    def test_certified_row_is_the_product_row(self, T, L):
+        # the sequence keeps the row its residual was measured on, bit for
+        # bit: measuring the miss leaves the row's own buffer untouched
+        spec = synthesize_shifter(T, L)
+        x, eta = product_row(spec.angles.xi)
+        assert spec.angles.row.shape == (len(x), 2)
+        assert spec.angles.row.tobytes() == np.stack([x, eta], axis=1).tobytes()
+        assert AngleSequence(spec.angles.xi).row is None
+
     @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (512.0, 1408), (2048.0, 5586)])
     def test_rounding_term_covers_long_double_deviation(self, T, L):
         # measured 1.1e-15, 1.6e-14, 1.6e-13 and 6.5e-13: about L u, where
@@ -1484,10 +1495,12 @@ class TestResourceSelectors:
 
 
 def assert_same_shifter(loaded, spec):
-    """Every field of a reloaded shifter equals the synthesized one's."""
+    """Every field of a reloaded shifter equals the synthesized one's, the
+    certified row bit for bit."""
     assert (loaded.T, loaded.L, loaded.angles.residual, loaded.eps_oc) == \
         (spec.T, spec.L, spec.angles.residual, spec.eps_oc)
     assert np.array_equal(loaded.angles.xi, spec.angles.xi)
+    assert loaded.angles.row.tobytes() == spec.angles.row.tobytes()
 
 
 class TestSerialization:
@@ -1496,6 +1509,19 @@ class TestSerialization:
         path = tmp_path / "angles.txt"
         save_angles(path, spec)
         assert_same_shifter(load_angles(path), spec)
+
+    @pytest.mark.parametrize("T,L", [(1.0, 10), (1.0, 40), (8.0, 34), (48.0, 144)])
+    def test_loaded_row_is_synthesized_row(self, tmp_path, T, L):
+        # loading re-certifies the angles and keeps the row it measured,
+        # which is synthesis's bit for bit, and so are the analytic blocks
+        spec = synthesize_shifter(T, L)
+        path = tmp_path / "angles.txt"
+        save_angles(path, spec)
+        loaded = load_angles(path)
+        assert loaded.angles.row.tobytes() == spec.angles.row.tobytes()
+        thetas = np.linspace(0.0, np.pi / 2, 5)
+        assert eigenphase_blocks(loaded, thetas, [1])[1].tobytes() == \
+            eigenphase_blocks(spec, thetas, [1])[1].tobytes()
 
     @pytest.mark.parametrize("T,L", [(1.0, 40), (2.0, 60), (8.0, 100),
                                      (8.0, select_L_empirical(8.0))])
