@@ -2,9 +2,10 @@
 robust phase recovery, and resource benchmarking."""
 
 from .circuit import (CapacityError, MeasurementSetting, ParallelCircuit,
-                      eigenphase_blocks, ghz_depth, ideal_probabilities,
-                      parity_probabilities, setting_probability,
-                      statevector_even_parity_probability)
+                      analytic_stage, eigenphase_blocks, ghz_depth,
+                      ideal_probabilities, parity_probabilities,
+                      setting_probability, statevector_even_parity_probability,
+                      statevector_stage)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .core_model import (AmplitudeInstance, DomainError, ExplicitOracle,
                          build_explicit_oracle, build_grover_unitary,

@@ -10,27 +10,33 @@ state from ``(c, n, 2, 2)`` blocks, one ancilla block per component of the
 system register, and the product over identical branches collapses to
 complex powers, so the cost is independent of ``P``; one call contracts a
 stack of steps, each with its own ``P``.  Each backend has one
-stage with one contract, ``stage(spec, operand, powers) -> {s: blocks}``:
-it raises the shifter to every requested power ``s`` and returns the
-blocks of each in the layout :func:`parity_probabilities` reads.
-``driver.step_probabilities`` composes the stages for a run, sharing one
-stage call across steps; the per-setting views :func:`setting_probability`
-and :func:`statevector_even_parity_probability` compose them for one
-circuit.  The backends differ in where the blocks come from:
+stage with one contract, ``stage(requests, operand) -> [{s: blocks}]``:
+for every ``(spec, powers)`` of a run's requests it raises the shifter to
+every requested power ``s`` and returns the blocks of each in the layout
+:func:`parity_probabilities` reads.  A single shifter's call,
+``(spec, operand, powers) -> {s: blocks}``, is the batch of one.
+``driver.step_probabilities`` composes the stages for a run, one stage
+call for every shifter of a register size; the per-setting views
+:func:`setting_probability` and :func:`statevector_even_parity_probability`
+compose them for one circuit.  The backends differ in where the blocks
+come from:
 
 * analytic -- on each Grover eigenphase ``e^{+-2i theta}`` the shifter is
   a 2x2 SU(2) ancilla matrix at ``pi/2 +- 2 theta``; the two
   eigencomponents of ``|0..0>`` are the two components.
-  :func:`eigenphase_blocks` evaluates it from the row that certified the
-  angles (``AngleSequence.row``), one table of powers and one product for
-  all instance angles, and raises it to each ``s`` in closed form; exact,
-  and batched over instance angles.  ``qsp.rotation_product``, which
+  :func:`analytic_stage` evaluates each shifter from the row that
+  certified its angles (``AngleSequence.row``), on one table of powers
+  shared by every shifter of the run and one product per shifter for all
+  instance angles, and raises it to each ``s`` in closed form; exact, and
+  batched over shifters and instance angles (:func:`eigenphase_blocks` is
+  its batch of one).  ``qsp.rotation_product``, which
   multiplies the angles out layer by layer, stays the independent check of
   this stage (``pae verify``).
 * statevector -- the shifter around the explicit oracle, used to
   cross-validate the analytic backend: :func:`controlled_grover_blocks`
   stacks the controlled-Grover blocks of instances of one register size,
-  and :func:`shifter_columns` applies the shifter's factors to the only
+  and :func:`statevector_stage` applies each shifter in turn
+  (:func:`shifter_columns` is its batch of one): its factors go to the only
   two columns a branch reads, those of a system register at ``|0..0>``,
   up to the largest ``s`` in one pass, without multiplying the shifter
   out; split by the system basis state they reach, the columns are the
@@ -65,8 +71,9 @@ _BUILD_BLOCKS = 3
 
 
 # The analytic stage's table of powers holds at most this many bytes at
-# once: it is built over chunks of instance angles, so its memory does not
-# grow with the amplitude grid (2^24 bytes is 255 angles at L = 5586).
+# once: it is as wide as the run's widest row and built over chunks of
+# instance angles, so its memory does not grow with the amplitude grid or
+# the number of shifters (2^24 bytes is 255 angles at L = 5586).
 _TABLE_BYTES = 2 ** 24
 # An instance's two Grover eigenphases sit at pi/2 + 2 theta and pi/2 - 2 theta.
 _TWICE = np.array([[2.0], [-2.0]])
@@ -110,64 +117,117 @@ def _repetitions(powers) -> list[int]:
     return powers
 
 
-def eigenphase_blocks(spec: PhaseShifterSpec, thetas, powers) -> dict[int, np.ndarray]:
-    """The analytic stage: ``{s: blocks}`` for every requested power ``s``,
-    each the ``(2, n, 2, 2)`` ancilla blocks of the shifter raised to ``s``
-    on the two Grover eigenphases of every instance angle.
+def _requests(requests) -> list[tuple[PhaseShifterSpec, list[int]]]:
+    """Every ``(spec, powers)`` of a run-level request, its powers checked
+    and sorted by :func:`_repetitions`, all before any work."""
+    return [(spec, _repetitions(powers)) for spec, powers in requests]
+
+
+def analytic_stage(requests, thetas) -> list[dict[int, np.ndarray]]:
+    """The analytic stage of a run: for every ``(spec, powers)`` of
+    ``requests``, in order, ``{s: blocks}`` for every requested power
+    ``s``, each the ``(2, n, 2, 2)`` ancilla blocks of the shifter raised
+    to ``s`` on the two Grover eigenphases of every instance angle.
 
     The blocks come from the row that certified the angles
     (``AngleSequence.row``): with ``(x, eta)`` on powers ``-h..h`` of ``v =
     e^{i phi}``, ``h = m/2``, the shifter at ``phi = pi/2 +- 2 theta`` is the
     SU(2) matrix ``U`` with first row ``u00 = x(v)``, ``u01 = i eta(v)``.
-    The powers ``v^k``, ``k = 0..h``, are one table, a running product per
-    angle, and the real coefficients fold onto its real and imaginary
-    parts, ``x(v) = sum_k (x_k + x_-k) cos(k phi) + i (x_k - x_-k) sin(k
-    phi)``: one matrix product gives ``x(v)`` and ``eta(v)`` at every angle.
-    The table is built over chunks of angles, at most :data:`_TABLE_BYTES`
-    each, so its memory is bounded whatever the number of amplitudes.
+    Every shifter reads the same powers ``v^k``, so they are one table, a
+    running product per angle, as wide as the widest row, ``k = 0..h``;
+    each row's real coefficients fold onto the real and imaginary parts of
+    its own prefix of that table, ``x(v) = sum_k (x_k + x_-k) cos(k phi) +
+    i (x_k - x_-k) sin(k phi)``: one matrix product per row gives ``x(v)``
+    and ``eta(v)`` at every angle.  The table is built over chunks of
+    angles, at most :data:`_TABLE_BYTES` at the widest row's width, so its
+    memory is bounded whatever the number of amplitudes; a narrower row's
+    product runs on the same chunks, so past one chunk its values can move
+    at rounding level from those of its batch of one.
     Each power is then the axis-angle form ``U^s = cos(s a) I + (sin(s a) /
     sin a) (U - cos(a) I)``, with ``cos a = Re u00`` and ``sin a = |(Im u00,
     u01)|``, the norm of ``U - cos(a) I``: where ``sin a = 0`` that matrix
-    and its term vanish.  Unlike the three-term Chebyshev recurrence, which
-    drifts from ``matrix_power`` as ``s`` grows, the form stays at its
-    rounding level."""
-    powers = _repetitions(powers)
-    row = spec.angles.row
-    if row is None:
-        raise DomainError("the shifter's angles carry no certified row: "
-                          "synthesize or load them through qsp")
+    and its term vanish; every shifter asked for the same powers is raised
+    in one pass.  Unlike the three-term Chebyshev recurrence, which drifts
+    from ``matrix_power`` as ``s`` grows, the form stays at its rounding
+    level.  A spec whose angles carry no row raises :class:`DomainError`
+    naming its ``T`` and ``L``, before any work."""
+    requests = _requests(requests)
+    for spec, _ in requests:
+        if spec.angles.row is None:
+            raise DomainError(f"shifter T={float(spec.T)}, L={int(spec.L)}: the shifter's "
+                              "angles carry no certified row: synthesize or load them "
+                              "through qsp")
     phi = (np.pi / 2 + _TWICE * np.asarray(thetas, dtype=float).reshape(-1)).ravel()
+    folds = [_fold(spec.angles.row) for spec, _ in requests]
+    width = max((len(fold) // 2 for fold in folds), default=1)
+    values = np.empty((len(requests), len(phi), 4))
+    chunk = max(1, _TABLE_BYTES // (16 * width))
+    for start in range(0, len(phi), chunk):
+        part = phi[start:start + chunk]
+        table = np.empty((len(part), width), dtype=complex)
+        table[:, 0] = 1.0
+        table[:, 1:] = np.exp(1j * part)[:, None]
+        np.cumprod(table, axis=1, out=table)
+        for fold, out in zip(folds, values):
+            np.matmul(table[:, :len(fold) // 2].view(float), fold,
+                      out=out[start:start + chunk])
+    same_powers = {}
+    for i, (_, powers) in enumerate(requests):
+        same_powers.setdefault(tuple(powers), []).append(i)
+    stages = [None] * len(requests)
+    for powers, members in same_powers.items():
+        blocks = _raised(values[members], powers).reshape(
+            len(powers), len(members), 2, len(phi) // 2, 2, 2)
+        for j, i in enumerate(members):
+            stages[i] = dict(zip(powers, blocks[:, j]))
+    return stages
+
+
+def _fold(row: np.ndarray) -> np.ndarray:
+    """The ``(m+1, 2)`` row ``(x, eta)`` on powers ``-h..h``, folded onto
+    ``(cos, sin)(k phi)``, ``k = 0..h``: the ``(2 (h+1), 4)`` matrix whose
+    product with the real view of a table of powers gives columns
+    ``Re x(v)``, ``Re eta(v)``, ``Im x(v)``, ``Im eta(v)``."""
     h = len(row) // 2
-    # the row folded onto (cos, sin)(k phi), k = 0..h: columns Re x(v),
-    # Re eta(v), Im x(v), Im eta(v)
     fold = np.zeros((h + 1, 2, 4))
     np.add(row[h:], row[h::-1], out=fold[:, 0, :2])
     fold[0, 0, :2] = row[h]
     np.subtract(row[h:], row[h::-1], out=fold[:, 1, 2:])
-    fold = fold.reshape(-1, 4)
-    values = np.empty((len(phi), 4))
-    chunk = max(1, _TABLE_BYTES // (16 * (h + 1)))
-    for start in range(0, len(phi), chunk):
-        part = phi[start:start + chunk]
-        table = np.empty((len(part), h + 1), dtype=complex)
-        table[:, 0] = 1.0
-        table[:, 1:] = np.exp(1j * part)[:, None]
-        np.cumprod(table, axis=1, out=table)
-        np.matmul(table.view(float), fold, out=values[start:start + chunk])
-    x_re, eta_re, x_im, eta_im = values.T
-    u01 = 1j * (eta_re + 1j * eta_im)
-    # U - cos(a) I, from U's first row u00 = cos(a) + i x_im and u01
-    axis = np.empty((len(phi), 2, 2), dtype=complex)
-    axis[:, 0, 0] = 1j * x_im
-    axis[:, 0, 1] = u01
-    axis[:, 1, 0] = -u01.conj()
-    axis[:, 1, 1] = -axis[:, 0, 0]
+    return fold.reshape(-1, 4)
+
+
+def _raised(values: np.ndarray, powers: list[int]) -> np.ndarray:
+    """The ``(len(powers), ...)`` axis-angle powers of the SU(2) matrices
+    whose first rows the ``(..., 4)`` ``values`` hold, as columns ``Re
+    u00``, ``Re eta``, ``Im u00``, ``Im eta`` with ``u01 = i eta``.
+
+    ``U - cos(a) I`` is ``[[i Im u00, u01], [-conj(u01), -i Im u00]]``, so
+    with ``r = sin(s a) / sin a`` the power is ``[[cos(s a) + i r Im u00,
+    r (-Im eta + i Re eta)], [r (Im eta + i Re eta), cos(s a) - i r Im
+    u00]]``; each real and imaginary part is written in place, one
+    product each."""
+    x_re, eta_re, x_im, eta_im = np.moveaxis(values, -1, 0)
     sin_a = np.hypot(x_im, np.hypot(eta_re, eta_im))
     sa = np.multiply.outer(powers, np.arctan2(sin_a, x_re))
     ratio = np.sin(sa)
     np.divide(ratio, sin_a, out=ratio, where=sin_a > 0)
-    blocks = ratio[..., None, None] * axis + np.cos(sa)[..., None, None] * np.eye(2)
-    return dict(zip(powers, blocks.reshape(len(powers), 2, len(phi) // 2, 2, 2)))
+    blocks = np.empty(sa.shape + (2, 2), dtype=complex)
+    re, im = blocks.real, blocks.imag
+    np.cos(sa, out=re[..., 0, 0])
+    re[..., 1, 1] = re[..., 0, 0]
+    np.multiply(ratio, x_im, out=im[..., 0, 0])
+    np.negative(im[..., 0, 0], out=im[..., 1, 1])
+    np.multiply(ratio, eta_im, out=re[..., 1, 0])
+    np.negative(re[..., 1, 0], out=re[..., 0, 1])
+    np.multiply(ratio, eta_re, out=im[..., 0, 1])
+    im[..., 1, 0] = im[..., 0, 1]
+    return blocks
+
+
+def eigenphase_blocks(spec: PhaseShifterSpec, thetas, powers) -> dict[int, np.ndarray]:
+    """The batch of one of :func:`analytic_stage`: ``{s: blocks}`` of one
+    shifter, each ``(2, n, 2, 2)``."""
+    return analytic_stage([(spec, powers)], thetas)[0]
 
 
 def parity_probabilities(blocks: np.ndarray, P) -> np.ndarray:
@@ -263,7 +323,7 @@ def check_capacity(ns) -> None:
     once: the controlled-Grover block of every amplitude of that size, its
     adjoint, and the temporaries of one block's build, counted as
     :data:`_BUILD_BLOCKS` blocks, each ``(2^(n+1))^2`` complex.  The
-    shifter's length adds nothing: :func:`shifter_columns` holds two
+    shifter's length adds nothing: :func:`statevector_stage` holds two
     columns per amplitude."""
     for n, m in Counter(ns).items():
         nbytes = 16 * 4 ** (n + 1) * (2 * m + _BUILD_BLOCKS)
@@ -293,12 +353,28 @@ def controlled_grover_blocks(instances) -> np.ndarray:
     return blocks
 
 
-def shifter_columns(spec: PhaseShifterSpec, wq: np.ndarray,
-                    powers) -> dict[int, np.ndarray]:
-    """The statevector stage: ``{s: blocks}`` for every requested power
+def statevector_stage(requests, wq: np.ndarray) -> list[dict[int, np.ndarray]]:
+    """The statevector stage of a run: for every ``(spec, powers)`` of
+    ``requests``, in order, ``{s: blocks}`` for every requested power
     ``s``, each the ``(2^n, m, 2, 2)`` blocks of the shifter of ``spec``
     raised to ``s`` around each of the ``m`` controlled-Grover blocks
-    ``wq``, ``(m, 2^(n+1), 2^(n+1))``.
+    ``wq``, ``(m, 2^(n+1), 2^(n+1))``.  Every request's powers are checked
+    before any work; then each shifter is applied in turn, by
+    :func:`_columns`."""
+    return [_columns(spec, wq, powers) for spec, powers in _requests(requests)]
+
+
+def shifter_columns(spec: PhaseShifterSpec, wq: np.ndarray,
+                    powers) -> dict[int, np.ndarray]:
+    """The batch of one of :func:`statevector_stage`: ``{s: blocks}`` of
+    one shifter, each ``(2^n, m, 2, 2)``."""
+    return statevector_stage([(spec, powers)], wq)[0]
+
+
+def _columns(spec: PhaseShifterSpec, wq: np.ndarray,
+             powers: list[int]) -> dict[int, np.ndarray]:
+    """One shifter's blocks of :func:`statevector_stage`, for the checked
+    ``powers``, distinct and ascending.
 
     A branch's system register starts at ``|0..0>``, so two columns of the
     shifter, ancilla 0 and 1 with the system at ``|0^n>``, fix its final
@@ -314,7 +390,6 @@ def shifter_columns(spec: PhaseShifterSpec, wq: np.ndarray,
     axis and one with a block or its adjoint; where one application of the
     shifter meets the next, its last and first rotations merge too, so one
     pass to the largest ``s`` gives every smaller one on the way."""
-    powers = _repetitions(powers)
     m, dim = wq.shape[0], wq.shape[-1]
     xi = np.asarray(spec.angles.xi, dtype=float)
     a = xi + np.pi * (np.arange(len(xi)) % 2 == 0)

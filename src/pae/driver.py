@@ -232,17 +232,17 @@ def step_probabilities(instances, schedule: Schedule,
     analytic and statevector backends compose the stages of :mod:`circuit`
     alike: the shifters of every distinct ``(t, l)`` come from one
     ``qsp.synthesize_shifters`` batch, after the memory guard and before
-    any stage; then one stage call per distinct ``(t, l)``, given every
-    ``s`` that the steps ask of it, then one
+    any stage; then one stage call that asks every distinct ``(t, l)`` for
+    every ``s`` the steps ask of it, then one
     ``circuit.parity_probabilities`` call that contracts the stack of every
     distinct ``(p, t, s, l)``, each on the blocks of its ``s`` for its
-    ``p``.  The stage is ``circuit.eigenphase_blocks`` of the instance
-    angles on the analytic backend, called for all instances at once, and
-    ``circuit.shifter_columns`` around the controlled-Grover blocks on the
-    statevector one, called once per register size, as is the contraction;
-    those blocks are built once per instance and call, after the memory
-    guard has passed every register size, and each size's only when its
-    group runs."""
+    ``p``.  The stage is ``circuit.analytic_stage`` of the instance angles
+    on the analytic backend, one call for all instances, and
+    ``circuit.statevector_stage`` around the controlled-Grover blocks on
+    the statevector one, one call per register size, as is the
+    contraction; those blocks are built once per instance and call, after
+    the memory guard has passed every register size, and each size's only
+    when its group runs."""
     if backend not in BACKENDS:
         raise ConfigurationError(f"unknown backend {backend!r}")
     steps = list(schedule)
@@ -258,20 +258,21 @@ def step_probabilities(instances, schedule: Schedule,
         sizes = [[row for row, n in enumerate(ns) if n == size] for size in dict.fromkeys(ns)]
         groups = ((rows, circ.controlled_grover_blocks([batch[row] for row in rows]))
                   for rows in sizes)
-        stage = circ.shifter_columns
+        stage = circ.statevector_stage
     else:
         groups = [(slice(None), [inst.theta for inst in batch])]
-        stage = circ.eigenphase_blocks
+        stage = circ.analytic_stage
     powers = {}
     for st in steps:
         powers.setdefault((st.t, st.l), set()).add(st.s)
     specs = qsp.synthesize_shifters(powers)
+    requests = [(specs[key], ss) for key, ss in powers.items()]
     index = {}
     column = [index.setdefault((st.p, st.t, st.s, st.l), len(index)) for st in steps]
     probabilities = np.empty((len(batch), len(steps), 2))
     # an empty schedule has nothing to stack, and builds no oracle
     for rows, operand in groups if steps else ():
-        blocks = {(t, l): stage(specs[t, l], operand, ss) for (t, l), ss in powers.items()}
+        blocks = dict(zip(powers, stage(requests, operand)))
         columns = circ.parity_probabilities(
             np.stack([blocks[t, l][s] for _, t, s, l in index]),
             np.array([p for p, _, _, _ in index]))

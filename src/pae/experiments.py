@@ -105,7 +105,8 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
         freqs[:, :K] = driver.draw_counts(schedule, probabilities, seed, cfg.trials)[1]
     trajectory = rpe.estimate_phase(frequencies).trajectory
     a_hat = rpe.finalize([np.array([trajectory[K - 1][i] for i, K in enumerate(ks)])]).a_hat
-    reports = {K: driver.resource_report(schedule, cfg.n) for _, K, schedule, _, _ in cells}
+    schedules = {K: schedule for _, K, schedule, _, _ in cells}
+    reports = {K: driver.resource_report(schedule, cfg.n) for K, schedule in schedules.items()}
     rows = []
     for (a, K, _, _, _), estimates in zip(cells, a_hat):
         report = reports[K]

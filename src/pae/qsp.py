@@ -83,13 +83,13 @@ pipeline is:
    strength.
 5. On the Grover eigenphase ``e^{+-2i theta}`` the shifter acts on the
    ancilla as the product at ``pi/2 +- 2 theta``.  The analytic backend
-   evaluates it from the certified row (``circuit.eigenphase_blocks``), so
+   evaluates it from the certified row (``circuit.analytic_stage``), so
    its probabilities come from the evaluation that was certified;
    ``rotation_product`` multiplies the angles out layer by layer, the
    independent evaluation that ``pae verify``, ``realized_functions`` and
    the benchmark's synthesis check read.  The statevector backend applies
    the same factors around the ``controlled_grover`` block of an explicit
-   oracle to two columns (``circuit.shifter_columns``), independent of
+   oracle to two columns (``circuit.statevector_stage``), independent of
    both, so that the backends check each other.
    ``interleaved_shifter`` multiplies the product out around a block of
    any size, or a stack of them, with all ``2L`` x-rotations in one pass;
@@ -771,7 +771,7 @@ def _certify_angles(xis: list[np.ndarray], ps: list[np.ndarray]) -> list[AngleSe
     distance of its coefficients (``_product_row``, one tree for every
     sequence) from ``p``, padding included, plus the tree's rounding
     (``_product_rounding``).  Each keeps the row it was certified on, which
-    the analytic stage evaluates (``circuit.eigenphase_blocks``).  Raises
+    the analytic stage evaluates (``circuit.analytic_stage``).  Raises
     :class:`SynthesisError`, marked with its index, at the first sequence
     whose residual exceeds ``1e-8``."""
     sequences = []

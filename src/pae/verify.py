@@ -177,10 +177,13 @@ def check_angle_roundtrip() -> tuple[str, bool, str]:
 
 def check_synthesis_batch() -> tuple[str, bool, str]:
     # the six plus shifters and three stronger ones synthesized as one batch
-    # against each synthesized as a batch of one, both uncached: the batch
-    # stacks every layer's product and every tree level's transforms, and is
-    # bit for bit only where the stacked numpy and BLAS calls round each row
-    # as the calls of one shifter do
+    # against each synthesized as a batch of one, both uncached, then their
+    # blocks on 101 amplitudes from one analytic stage call against each
+    # shifter's batch-of-one call: the synthesis batch stacks every layer's
+    # product and every tree level's transforms, the stage shares one table
+    # of powers and one axis-angle pass per set of powers, and both are bit
+    # for bit only where the stacked numpy and BLAS calls round each row as
+    # the calls of one shifter do
     keys = ([(1.0, L) for L in sorted(set(driver.PARALLEL_L_TABLE_PLUS))]
             + [(2.0, 14), (4.0, 22), (8.0, 34)])
     try:
@@ -189,13 +192,23 @@ def check_synthesis_batch() -> tuple[str, bool, str]:
         return "synthesis-batch", False, f"the batch is refused: {err}"
     differ = [f"T={T:g} L={L}" for (T, L), spec in zip(keys, batch)
               if not _same_bits(spec, qsp._certified_shifters([(T, L)])[0])]
+    thetas = np.linspace(0.0, np.pi / 2, 101)
+    requests = [(spec, [1] if spec.T == 1.0 else [1, 2, 16]) for spec in batch]
+    differ += [f"staged T={spec.T:g} L={spec.L}"
+               for (spec, powers), blocks in zip(requests, circ.analytic_stage(requests, thetas))
+               if not _same_blocks(blocks, circ.eigenphase_blocks(spec, thetas, powers))]
     return "synthesis-batch", not differ, \
-        f"{len(keys)} shifters bit-exact" if not differ else "differ at " + ", ".join(differ)
+        f"{len(keys)} shifters bit-exact, synthesized and staged" if not differ \
+        else "differ at " + ", ".join(differ)
 
 
 def _same_bits(a: qsp.PhaseShifterSpec, b: qsp.PhaseShifterSpec) -> bool:
     return (a.angles.xi.tobytes() == b.angles.xi.tobytes()
             and a.angles.residual == b.angles.residual and a.eps_oc == b.eps_oc)
+
+
+def _same_blocks(a: dict[int, np.ndarray], b: dict[int, np.ndarray]) -> bool:
+    return a.keys() == b.keys() and all(a[s].tobytes() == b[s].tobytes() for s in a)
 
 
 ALL_CHECKS = (

@@ -11,8 +11,8 @@ from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  eigenphase_blocks, ghz_depth, make_instance, parity_probabilities,
                  setting_probability, statevector_even_parity_probability,
                  step_probabilities, synthesize_shifter)
-from pae.circuit import (check_capacity, controlled_grover_blocks, sample_even_parity,
-                         shifter_columns)
+from pae.circuit import (analytic_stage, check_capacity, controlled_grover_blocks,
+                         sample_even_parity, shifter_columns, statevector_stage)
 from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
 from pae.driver import ScheduleStep
@@ -664,11 +664,17 @@ class TestStageContract:
                 assert np.array_equal(b, np.broadcast_to(sign ** s * np.eye(2), b.shape))
 
     def test_analytic_stage_refuses_angles_without_a_row(self):
-        # a sequence built by hand was never certified, so it has no row
-        spec = synthesize_shifter(1.0, 10)
+        # a sequence built by hand was never certified, so it has no row;
+        # among certified ones in a run-level call it refuses the whole
+        # call, naming its shifter
+        spec = synthesize_shifter(2.0, 14)
         bare = dataclasses.replace(spec, angles=AngleSequence(spec.angles.xi))
-        with pytest.raises(DomainError, match="no certified row"):
+        message = r"^shifter T=2\.0, L=14: the shifter's angles carry no certified row"
+        with pytest.raises(DomainError, match=message):
             eigenphase_blocks(bare, [0.3], [1])
+        good = [synthesize_shifter(1.0, 10), synthesize_shifter(4.0, 22)]
+        with pytest.raises(DomainError, match=message):
+            analytic_stage([(good[0], [1]), (bare, [1]), (good[1], [2])], [0.3, 0.6])
 
     def test_analytic_table_memory_is_bounded(self, monkeypatch):
         # the table of powers is built over chunks of angles: a budget of
@@ -688,6 +694,53 @@ class TestStageContract:
         for s in (1, 3):
             assert np.max(np.abs(chunked[s] - whole[s])) <= 1e-14
         assert peak < 16 * (h + 1) * 2 * len(thetas) / 2
+
+    def test_run_level_table_spans_chunks_of_the_widest_row(self, monkeypatch):
+        # a budget of five angles of the widest row: every table the run's
+        # one stage call builds fits it, the widest row keeps the bits of
+        # its own call, and the narrower rows, multiplied on the widest
+        # row's chunks, stay within 1e-15 of theirs
+        specs = [synthesize_shifter(T, L) for T, L in ((1.0, 10), (8.0, 34), (48.0, 144))]
+        requests = [(spec, [1, 3]) for spec in specs]
+        thetas = np.linspace(0.0, np.pi / 2, 4000)
+        width = len(specs[-1].angles.row) // 2 + 1
+        monkeypatch.setattr("pae.circuit._TABLE_BYTES", 16 * width * 5)
+        alone = [eigenphase_blocks(spec, thetas, powers) for spec, powers in requests]
+        tables = []
+        cumprod = np.cumprod
+
+        def recording(table, *args, **kwargs):
+            tables.append(table.nbytes)
+            return cumprod(table, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumprod", recording)
+        staged = analytic_stage(requests, thetas)
+        assert len(tables) == math.ceil(2 * len(thetas) / 5)
+        assert max(tables) <= 16 * width * 5
+        for blocks, own in zip(staged, alone):
+            assert all(np.max(np.abs(blocks[s] - own[s])) <= 1e-15 for s in (1, 3))
+        assert all(staged[-1][s].tobytes() == alone[-1][s].tobytes() for s in (1, 3))
+
+    @pytest.mark.parametrize("backend", ["analytic", "statevector"])
+    def test_run_level_stage_is_its_batches_of_one(self, backend):
+        # every shifter of one run-level call, asked for its own powers,
+        # has the bits of its batch-of-one call; an empty request is empty
+        insts = [make_instance(a, 2) for a in (0.0, 0.4, 0.9)]
+        if backend == "analytic":
+            stage, single, operand = analytic_stage, eigenphase_blocks, [i.theta for i in insts]
+        else:
+            stage, single, operand = (statevector_stage, shifter_columns,
+                                      controlled_grover_blocks(insts))
+        requests = [(synthesize_shifter(T, L), powers)
+                    for T, L, powers in ((1.0, 10, {1}), (2.0, 14, {1, 3}), (1.0, 12, [1]),
+                                         (8.0, 34, {2, 1}))]
+        staged = stage(requests, operand)
+        assert len(staged) == len(requests)
+        for (spec, powers), blocks in zip(requests, staged):
+            alone = single(spec, operand, powers)
+            assert set(blocks) == set(powers)
+            assert all(blocks[s].tobytes() == alone[s].tobytes() for s in powers)
+        assert stage([], operand) == []
 
 
 class TestGhzDepth:

@@ -214,15 +214,37 @@ def test_verify_fails_on_wrong_parity_contraction(capsys, monkeypatch):
 
 def test_verify_fails_on_wrong_shared_block_contraction(capsys, monkeypatch):
     # the backend check goes through the driver's probability phase, where
-    # analytic steps share their eigenphase blocks; the closed-form check
-    # builds its own blocks
-    exact = circuit.eigenphase_blocks
-    monkeypatch.setattr(circuit, "eigenphase_blocks", lambda spec, thetas, powers: {
-        s: blocks + 1e-9 for s, blocks in exact(spec, thetas, powers).items()})
+    # analytic steps share their eigenphase blocks from one stage call; the
+    # closed-form check builds its own blocks
+    exact = circuit.analytic_stage
+    monkeypatch.setattr(circuit, "analytic_stage", lambda requests, thetas: [
+        {s: blocks + 1e-9 for s, blocks in stage.items()} for stage in exact(requests, thetas)])
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  backend-equivalence: max deviation" in out
     assert "PASS  parity-closed-form" in out
+
+
+def test_verify_fails_on_blocks_moved_only_in_a_run_level_stage(capsys, monkeypatch):
+    # blocks 1e-9 off only where one stage call serves several shifters:
+    # every batch-of-one call, and the backend check's one shifter, stay
+    # exact, so only the synthesis-batch check's staging sees it
+    exact = circuit.analytic_stage
+
+    def moved(requests, thetas):
+        stages = exact(requests, thetas)
+        if len(stages) == 1:
+            return stages
+        return [{s: blocks + 1e-9 for s, blocks in stage.items()} for stage in stages]
+
+    monkeypatch.setattr(circuit, "analytic_stage", moved)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    line = next(line for line in out.splitlines() if "synthesis-batch" in line)
+    assert line == "FAIL  synthesis-batch: differ at " + ", ".join(
+        f"staged T={T} L={L}" for T, L in ((1, 10), (1, 12), (1, 14), (1, 16), (1, 18),
+                                           (1, 20), (2, 14), (4, 22), (8, 34)))
+    assert sum(line.startswith("PASS") for line in out.splitlines()) == 9
 
 
 def test_verify_fails_on_row_off_by_1e_9(capsys, monkeypatch):

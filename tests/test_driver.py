@@ -462,11 +462,11 @@ class TestTwoPhases:
             assert [bits(t) for t in est.trajectory] == [bits(t[0]) for t in batch.trajectory]
 
     def test_statevector_builds_one_oracle_per_instance(self, monkeypatch):
-        # one oracle per instance and call, one pass of the shifter stage
-        # per distinct (t, l) and register size of a mixed batch; every row
-        # equals the per-setting route bit for bit
+        # one oracle per instance and call, one stage call per register size
+        # of a mixed batch, asking it for every distinct (t, l) once; every
+        # row equals the per-setting route bit for bit
         from pae import MeasurementSetting, ParallelCircuit
-        built, shifters = [], []
+        built, stages = [], []
 
         def counting(log, fn):
             def wrapper(*args, **kwargs):
@@ -476,15 +476,17 @@ class TestTwoPhases:
 
         monkeypatch.setattr(circuit, "build_explicit_oracle",
                             counting(built, circuit.build_explicit_oracle))
-        monkeypatch.setattr(circuit, "shifter_columns",
-                            counting(shifters, circuit.shifter_columns))
+        monkeypatch.setattr(circuit, "statevector_stage",
+                            counting(stages, circuit.statevector_stage))
         sched = build_schedule(strategy="general", k_max=4, parallelism=2)
         insts = [make_instance(0.3, 3), make_instance(0.5, 2), make_instance(0.8, 3)]
         probs = step_probabilities(insts, sched, "statevector")
         assert len(built) == len(insts)
-        distinct_tl = len({(st.t, st.l) for st in sched})
-        assert distinct_tl < sched.K
-        assert sorted(len(wq) for _, wq, _ in shifters) == [1] * distinct_tl + [2] * distinct_tl
+        distinct_tl = list(dict.fromkeys((st.t, st.l) for st in sched))
+        assert len(distinct_tl) < sched.K
+        assert sorted(len(wq) for _, wq in stages) == [1, 2]
+        for requests, _ in stages:
+            assert [(spec.T, spec.L) for spec, _ in requests] == distinct_tl
         for inst, rows in zip(insts, probs):
             for st, row in zip(sched, rows):
                 pc = ParallelCircuit(P=st.p, spec=synthesize_shifter(st.t, st.l),
@@ -493,10 +495,10 @@ class TestTwoPhases:
                     pc, setting) for setting in MeasurementSetting]
 
     def test_statevector_builds_each_size_when_its_group_runs(self, monkeypatch):
-        # a register size's blocks are built only after the stages of the
+        # a register size's blocks are built only after the stage of the
         # size before it ran, so two sizes' blocks are never held at once
         events = []
-        for name in ("controlled_grover_blocks", "shifter_columns"):
+        for name in ("controlled_grover_blocks", "statevector_stage"):
             def recording(*args, _name=name, _fn=getattr(circuit, name)):
                 events.append(_name)
                 return _fn(*args)
@@ -504,8 +506,7 @@ class TestTwoPhases:
         sched = build_schedule(strategy="general", k_max=4, parallelism=2)
         insts = [make_instance(0.3, 2), make_instance(0.5, 3), make_instance(0.8, 2)]
         step_probabilities(insts, sched, "statevector")
-        distinct_tl = len({(st.t, st.l) for st in sched})
-        assert events == (["controlled_grover_blocks"] + ["shifter_columns"] * distinct_tl) * 2
+        assert events == ["controlled_grover_blocks", "statevector_stage"] * 2
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector"])
     def test_one_synthesis_batch_precedes_every_stage(self, backend, monkeypatch):
@@ -520,7 +521,7 @@ class TestTwoPhases:
             return batch(keys)
 
         monkeypatch.setattr(qsp, "synthesize_shifters", recording)
-        for name in ("controlled_grover_blocks", "eigenphase_blocks", "shifter_columns"):
+        for name in ("controlled_grover_blocks", "analytic_stage", "statevector_stage"):
             def stage(*args, _name=name, _fn=getattr(circuit, name)):
                 events.append((_name, None))
                 return _fn(*args)
@@ -628,50 +629,60 @@ class TestTwoPhases:
     def test_repeated_steps_are_evaluated_once(self, backend, monkeypatch):
         # a repeated step reads its first occurrence's column: the table of
         # a schedule passed twice is two copies of its own table, and the
-        # work is that of one copy
+        # work is that of one copy, one stage call asking each distinct
+        # (t, l) once for the powers of its steps
         calls = {"oracle": 0, "blocks": 0, "shifters": 0}
+        requested = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name != "oracle":
+                    requested.append([(spec.T, spec.L, set(ss)) for spec, ss in args[0]])
                 return fn(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(circuit, "build_explicit_oracle",
                             counted("oracle", circuit.build_explicit_oracle))
-        monkeypatch.setattr(circuit, "eigenphase_blocks",
-                            counted("blocks", circuit.eigenphase_blocks))
-        monkeypatch.setattr(circuit, "shifter_columns",
-                            counted("shifters", circuit.shifter_columns))
+        monkeypatch.setattr(circuit, "analytic_stage",
+                            counted("blocks", circuit.analytic_stage))
+        monkeypatch.setattr(circuit, "statevector_stage",
+                            counted("shifters", circuit.statevector_stage))
         sched = build_schedule(strategy="general", k_max=4, parallelism=2)
         insts = [make_instance(0.3, 3), make_instance(0.8, 3)]
         once = step_probabilities(insts, sched, backend)
         calls.update(oracle=0, blocks=0, shifters=0)
+        requested.clear()
         twice = step_probabilities(insts, list(sched) * 2, backend)
         assert np.array_equal(twice, np.concatenate([once, once], axis=1))
-        distinct_tl = len({(st.t, st.l) for st in sched})
-        assert distinct_tl < sched.K
+        distinct_tl = list(dict.fromkeys((st.t, st.l) for st in sched))
+        assert len(distinct_tl) < sched.K
         assert calls == {"oracle": len(insts) if backend == "statevector" else 0,
-                         "blocks": distinct_tl if backend == "analytic" else 0,
-                         "shifters": distinct_tl if backend == "statevector" else 0}
+                         "blocks": 1 if backend == "analytic" else 0,
+                         "shifters": 1 if backend == "statevector" else 0}
+        expected = [(t, l, {st.s for st in sched if (st.t, st.l) == (t, l)})
+                    for t, l in distinct_tl]
+        assert requested == ([expected] if backend != "ideal" else [])
 
     @pytest.mark.parametrize("backend", ["analytic", "statevector"])
     def test_repetition_counts_share_one_shifter(self, backend, monkeypatch):
         # general P=4, K=7: steps (8, 34, S=1) and (8, 34, S=2) share one
-        # stage call, asked for the powers {1, 2}: the certified row raised
-        # in closed form per S, or one pass of the shifter to S = 2.  No
-        # shifter is multiplied out layer by layer, all steps are contracted
-        # in one call, and every row equals its own step's stage call at
-        # its S contracted for its p, bit for bit
-        stage = "eigenphase_blocks" if backend == "analytic" else "shifter_columns"
+        # shifter, asked for the powers {1, 2} in the run's one stage call:
+        # the certified row raised in closed form per S, or one pass of the
+        # shifter to S = 2.  No shifter is multiplied out layer by layer,
+        # all steps are contracted in one call, and every row equals its
+        # own step's batch-of-one stage call at its S contracted for its p,
+        # bit for bit
+        stage = f"{backend}_stage"
+        single = "eigenphase_blocks" if backend == "analytic" else "shifter_columns"
         calls = {"rotation_product": 0, stage: 0, "parity_probabilities": 0}
-        powers = {}
+        powers = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 if name == stage:
-                    powers[args[0].T] = set(args[2])
+                    powers.extend((spec.T, set(ss)) for spec, ss in args[0])
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -683,33 +694,41 @@ class TestTwoPhases:
         probs = step_probabilities(insts, sched, backend)
         distinct_tl = len({(st.t, st.l) for st in sched})
         assert (distinct_tl, len({(st.t, st.l, st.s) for st in sched})) == (4, 5)
-        assert calls == {"rotation_product": 0, stage: distinct_tl, "parity_probabilities": 1}
-        assert powers == {1.0: {1}, 2.0: {1}, 4.0: {1}, 8.0: {1, 2}}
+        assert calls == {"rotation_product": 0, stage: 1, "parity_probabilities": 1}
+        assert powers == [(1.0, {1}), (2.0, {1}), (4.0, {1}), (8.0, {1, 2})]
         operand = ([inst.theta for inst in insts] if backend == "analytic"
                    else circuit.controlled_grover_blocks(insts))
         for i, st in enumerate(sched):
-            blocks = getattr(circuit, stage)(synthesize_shifter(st.t, st.l), operand, [st.s])
+            blocks = getattr(circuit, single)(synthesize_shifter(st.t, st.l), operand, [st.s])
             assert np.array_equal(probs[:, i],
                                   circuit.parity_probabilities(blocks[st.s][None], [st.p])[0])
 
     @pytest.mark.parametrize("backend,contractions", [("analytic", 1), ("statevector", 2)])
     def test_one_contraction_per_register_size(self, backend, contractions, monkeypatch):
-        # a batch mixing n = 3, 2, 3 is one contraction of every step on the
-        # analytic backend, and one per register size on the statevector
-        # one, each a stack of the distinct (p, t, s, l)
-        stacks = []
-        contract = circuit.parity_probabilities
+        # a batch mixing n = 3, 2, 3 is one stage call and one contraction
+        # of every step on the analytic backend, and one of each per
+        # register size on the statevector one: each stage call asks for
+        # every distinct (t, l), each contraction is a stack of the
+        # distinct (p, t, s, l)
+        stacks, stages = [], []
+        contract, stage = circuit.parity_probabilities, getattr(circuit, f"{backend}_stage")
 
         def recording(blocks, P):
             stacks.append((blocks.shape[0], list(P)))
             return contract(blocks, P)
 
+        def staging(requests, operand):
+            stages.append([(spec.T, spec.L) for spec, _ in requests])
+            return stage(requests, operand)
+
         monkeypatch.setattr(circuit, "parity_probabilities", recording)
+        monkeypatch.setattr(circuit, f"{backend}_stage", staging)
         sched = build_schedule(strategy="general", k_max=5, parallelism=2)
         keys = list(dict.fromkeys((st.p, st.t, st.s, st.l) for st in sched))
         insts = [make_instance(0.3, 3), make_instance(0.5, 2), make_instance(0.8, 3)]
         step_probabilities(insts, sched, backend)
         assert stacks == [(len(keys), [p for p, _, _, _ in keys])] * contractions
+        assert stages == [list(dict.fromkeys((t, l) for _, t, _, l in keys))] * contractions
 
     @staticmethod
     def pinned_table_digest(backend: str) -> str:

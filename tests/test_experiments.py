@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pae import (PARALLEL_L_TABLE_PLUS, ConfigError, ConfigurationError,
-                 ExperimentConfig, build_schedule, circuit, estimate_phase,
+                 ExperimentConfig, build_schedule, circuit, driver, estimate_phase,
                  hl_reference, make_instance, parse_config, rpe, run,
                  sample_and_recover, serialize_config, setting_probability,
                  step_probabilities, synthesize_shifter)
@@ -100,6 +100,21 @@ class TestRmseSweep:
         ks = [r.K for r in run_rmse_sweep(cfg)]
         assert ks == sorted(ks)
 
+    def test_one_resource_report_per_schedule(self, monkeypatch):
+        # three amplitudes and K = 2..4 are nine cells of three schedules:
+        # one report per schedule, each read by the cells of its K
+        reported = []
+        report = driver.resource_report
+
+        def counted(schedule, n):
+            reported.append(schedule.K)
+            return report(schedule, n)
+
+        monkeypatch.setattr(driver, "resource_report", counted)
+        rows = run_rmse_sweep(self.make_cfg(amplitudes=(0.1, 0.5, 0.9)))
+        assert len(rows) == 9
+        assert reported == [2, 3, 4]
+
     def test_query_column_matches_accounting(self):
         from pae import build_schedule, query_count
         for row in run_rmse_sweep(self.make_cfg()):
@@ -109,15 +124,18 @@ class TestRmseSweep:
     @pytest.mark.parametrize("trials", [2, 5])
     def test_probabilities_computed_once_per_distinct_step(self, trials, monkeypatch):
         calls = {"blocks": 0, "sample": 0}
+        requested = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "blocks":
+                    requested.extend((spec.T, spec.L, set(ss)) for spec, ss in args[0])
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(circuit, "eigenphase_blocks",
-                            counted("blocks", circuit.eigenphase_blocks))
+        monkeypatch.setattr(circuit, "analytic_stage",
+                            counted("blocks", circuit.analytic_stage))
         monkeypatch.setattr(np.random, "default_rng",
                             counted("sample", np.random.default_rng))
         cfg = self.make_cfg(amplitudes=(0.0, 0.3), k_min=1, k_max=3,
@@ -125,9 +143,11 @@ class TestRmseSweep:
                             l_table="plus", trials=trials)
         run_rmse_sweep(cfg)
         # K = 1..3 share their steps, and the three distinct steps have
-        # L = 10, 12, 12: one block build per distinct (t, l), covering
-        # both amplitudes, settings and branch counts, independent of trials
-        assert calls["blocks"] == 2
+        # L = 10, 12, 12: one stage call asking each distinct (t, l) once,
+        # covering both amplitudes, settings and branch counts, independent
+        # of trials
+        assert calls["blocks"] == 1
+        assert requested == [(1.0, 10, {1}), (1.0, 12, {1})]
         assert calls["sample"] == 2 * 3                       # one generator per cell
 
     @pytest.mark.parametrize("backend,strategy", [("ideal", "full_sequential"),

@@ -1,5 +1,5 @@
-"""Property tests of the schedule invariants, of batched sampling and of
-noiseless phase recovery."""
+"""Property tests of the schedule invariants, of the run-level analytic
+stage, of batched sampling and of noiseless phase recovery."""
 
 import math
 
@@ -9,8 +9,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pae import (build_schedule, estimate_phase, ideal_probabilities,  # noqa: E402
-                 make_instance, query_count, run, sample_and_recover)
+from pae import (PARALLEL_L_TABLE_PLUS, analytic_stage, build_schedule,  # noqa: E402
+                 eigenphase_blocks, estimate_phase, ideal_probabilities, make_instance,
+                 query_count, run, sample_and_recover, select_L_empirical,
+                 synthesize_shifter)
+
+# the strengths of the benchmark's synthesis ladder at their calibrated
+# lengths, and the T = 1 shifters of the plus table
+STAGE_KEYS = sorted({(float(T), select_L_empirical(T))
+                     for T in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)}
+                    | {(1.0, L) for L in PARALLEL_L_TABLE_PLUS})
 
 
 @st.composite
@@ -35,6 +43,24 @@ def test_multiplier_split_and_query_accounting(sched, seed, a):
     assert report.n_queries == query_count(sched)
     nu = np.array([[s.nu] for s in sched])
     assert counts.shape == (sched.K, 2) and ((0 <= counts) & (counts <= nu)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys=st.lists(st.sampled_from(STAGE_KEYS), unique=True, max_size=6),
+       data=st.data(),
+       thetas=st.lists(st.floats(0.0, math.pi / 2, allow_nan=False), max_size=257))
+def test_run_level_stage_is_its_batches_of_one(keys, data, thetas):
+    # every shifter of one analytic stage call, each asked for its own set
+    # of powers, has the bits of its own call: the angles of up to 257
+    # amplitudes fit one chunk of the widest row here
+    requests = [(synthesize_shifter(T, L), data.draw(st.sets(st.integers(1, 16), min_size=1)))
+                for T, L in keys]
+    staged = analytic_stage(requests, thetas)
+    assert len(staged) == len(requests)
+    for (spec, powers), blocks in zip(requests, staged):
+        alone = eigenphase_blocks(spec, thetas, powers)
+        assert blocks.keys() == alone.keys() == powers
+        assert all(blocks[s].tobytes() == alone[s].tobytes() for s in powers)
 
 
 @settings(max_examples=60, deadline=None)
