@@ -36,21 +36,23 @@ come from:
   cross-validate the analytic backend: :func:`controlled_grover_blocks`
   stacks the controlled-Grover blocks of instances of one register size,
   and :func:`statevector_stage` applies each shifter in turn
-  (:func:`shifter_columns` is its batch of one): its factors go to the only
-  two columns a branch reads, those of a system register at ``|0..0>``,
-  up to the largest ``s`` in one pass, without multiplying the shifter
-  out; split by the system basis state they reach, the columns are the
-  blocks of ``2^n`` components.  The full ``(n+1)P``-qubit state is never
-  built; :func:`check_capacity` bounds the blocks instead.  The explicit
-  oracle and the x-rotations of :func:`shifter_columns` share no code with
-  the eigenphase reduction and the certified row, so the two backends
-  check each other.
+  (:func:`shifter_columns` is its batch of one) by
+  :func:`qsp.apply_shifter`: its factors go to the only two columns a
+  branch reads, those of a system register at ``|0..0>``, up to the
+  largest ``s`` in one pass, without multiplying the shifter out; split by
+  the system basis state they reach, the columns are the blocks of ``2^n``
+  components.  The full ``(n+1)P``-qubit state is never built;
+  :func:`check_capacity` bounds the blocks instead.  The explicit oracle
+  and the x-rotations of :func:`qsp.apply_shifter` share no code with the
+  eigenphase reduction and the certified row, so the two backends check
+  each other.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -58,6 +60,7 @@ import numpy as np
 
 from .core_model import (AmplitudeInstance, DomainError, build_explicit_oracle,
                          build_grover_unitary)
+from . import qsp
 from .qsp import PhaseShifterSpec, controlled_grover
 
 # Bytes the statevector backend may hold at once in the dense blocks of one
@@ -92,7 +95,8 @@ class MeasurementSetting(enum.Enum):
 
 @dataclass(frozen=True)
 class ParallelCircuit:
-    """``P`` parallel branches of an ``S``-fold sequential shifter, ``P, S >= 1``."""
+    """``P`` parallel branches of an ``S``-fold sequential shifter, integers
+    ``P, S >= 1``."""
 
     P: int
     spec: PhaseShifterSpec
@@ -105,16 +109,21 @@ class ParallelCircuit:
 
 
 def _check_count(what: str, value: int) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
     if value < 1:
         raise DomainError(f"{what} must be >= 1, got {value}")
 
 
 def _repetitions(powers) -> list[int]:
-    """The distinct requested powers, ascending; a power below 1, or none,
-    raises :class:`DomainError`."""
-    powers = sorted(set(powers))
-    _check_count("repetition count", powers[0] if powers else 0)
-    return powers
+    """The distinct requested powers, ascending; a power that is not an
+    integer, or below 1, or none, raises :class:`DomainError`."""
+    powers = set(powers)
+    for s in powers or [0]:
+        _check_count("repetition count", s)
+    return sorted(powers)
 
 
 def _requests(requests) -> list[tuple[PhaseShifterSpec, list[int]]]:
@@ -187,12 +196,10 @@ def _fold(row: np.ndarray) -> np.ndarray:
     """The ``(m+1, 2)`` row ``(x, eta)`` on powers ``-h..h``, folded onto
     ``(cos, sin)(k phi)``, ``k = 0..h``: the ``(2 (h+1), 4)`` matrix whose
     product with the real view of a table of powers gives columns
-    ``Re x(v)``, ``Re eta(v)``, ``Im x(v)``, ``Im eta(v)``."""
-    h = len(row) // 2
-    fold = np.zeros((h + 1, 2, 4))
-    np.add(row[h:], row[h::-1], out=fold[:, 0, :2])
-    fold[0, 0, :2] = row[h]
-    np.subtract(row[h:], row[h::-1], out=fold[:, 1, 2:])
+    ``Re x(v)``, ``Re eta(v)``, ``Im x(v)``, ``Im eta(v)``, from the
+    cosine and sine parts of ``qsp._fold``."""
+    fold = np.zeros((len(row) // 2 + 1, 2, 4))
+    fold[:, 0, :2], fold[:, 1, 2:] = qsp._fold(row)
     return fold.reshape(-1, 4)
 
 
@@ -236,10 +243,10 @@ def parity_probabilities(blocks: np.ndarray, P) -> np.ndarray:
     to each step's ``S``, each a ``(c, n, 2, 2)`` value of a stage's ``{s:
     blocks}``; a single step is the stack of one, ``(blocks[None], [P])``,
     and its row has the same bits alone or in any stack.  ``P`` must hold
-    one count per step, else :class:`DomainError`.  Per step, axis ``c`` runs
-    over the components of the system register, each block ``sqrt(2)``
-    times that component's share of the branch state, and column ``j`` of a
-    block is its part of the ancilla state ``phi_j``.  For the analytic
+    one integer count per step, else :class:`DomainError`.  Per step, axis
+    ``c`` runs over the components of the system register, each block
+    ``sqrt(2)`` times that component's share of the branch state, and
+    column ``j`` of a block is its part of the ancilla state ``phi_j``.  For the analytic
     backend the components are the two Grover eigenphases, which ``|0..0>``
     weights ``1/sqrt(2)`` each (the ``(2, n, 2, 2)``
     :func:`eigenphase_blocks`); for the statevector backend the ``2^n``
@@ -258,6 +265,8 @@ def parity_probabilities(blocks: np.ndarray, P) -> np.ndarray:
     if P.shape != blocks.shape[:1]:
         raise DomainError(f"one branch count per step: {len(blocks)} steps, "
                           f"branch counts of shape {P.shape}")
+    if P.size and P.dtype.kind not in "iu":
+        raise DomainError(f"branch counts must be integers, got {P.tolist()}")
     _check_count("branch count", int(P.min(initial=1)))
     P = P[:, None]
     b00, b01, b10, b11 = (blocks[..., i, j] for i in (0, 1) for j in (0, 1))
@@ -360,8 +369,22 @@ def statevector_stage(requests, wq: np.ndarray) -> list[dict[int, np.ndarray]]:
     raised to ``s`` around each of the ``m`` controlled-Grover blocks
     ``wq``, ``(m, 2^(n+1), 2^(n+1))``.  Every request's powers are checked
     before any work; then each shifter is applied in turn, by
-    :func:`_columns`."""
-    return [_columns(spec, wq, powers) for spec, powers in _requests(requests)]
+    :func:`qsp.apply_shifter`, to the only two columns a branch reads.
+
+    A branch's system register starts at ``|0..0>``, so two columns of the
+    shifter, ancilla 0 and 1 with the system at ``|0^n>``, fix its final
+    state; split by the system basis state they reach, and scaled by
+    ``sqrt(2)``, they are the branch's ``2^n`` ancilla blocks."""
+    m, dim = wq.shape[0], wq.shape[-1]
+    start = np.zeros((m, dim, 2), dtype=complex)
+    start[:, 0, 0] = start[:, dim // 2, 1] = 1.0
+    stages = []
+    for spec, powers in _requests(requests):
+        applied = qsp.apply_shifter(spec.angles.xi, wq, start, powers)
+        # (ancilla, system, column) per amplitude, system first
+        stages.append({s: np.sqrt(2.0) * cols.reshape(m, 2, dim // 2, 2).transpose(2, 0, 1, 3)
+                       for s, cols in applied.items()})
+    return stages
 
 
 def shifter_columns(spec: PhaseShifterSpec, wq: np.ndarray,
@@ -369,58 +392,6 @@ def shifter_columns(spec: PhaseShifterSpec, wq: np.ndarray,
     """The batch of one of :func:`statevector_stage`: ``{s: blocks}`` of
     one shifter, each ``(2^n, m, 2, 2)``."""
     return statevector_stage([(spec, powers)], wq)[0]
-
-
-def _columns(spec: PhaseShifterSpec, wq: np.ndarray,
-             powers: list[int]) -> dict[int, np.ndarray]:
-    """One shifter's blocks of :func:`statevector_stage`, for the checked
-    ``powers``, distinct and ascending.
-
-    A branch's system register starts at ``|0..0>``, so two columns of the
-    shifter, ancilla 0 and 1 with the system at ``|0^n>``, fix its final
-    state; split by the system basis state they reach, and scaled by
-    ``sqrt(2)``, they are the branch's ``2^n`` ancilla blocks.
-
-    The shifter is the product over slots ``j`` of ``rx(a_j) W_j rx(-a_j)``
-    on the ancilla, with ``W_j = wq^dagger`` and ``a_j = xi_j + pi`` in odd
-    slots (even ``j``), ``W_j = wq`` and ``a_j = xi_j`` in even slots.  Its
-    factors are applied right to left to the columns and never multiplied
-    out: consecutive x-rotations merge into one, ``rx(a_(j+1) - a_j)``, so
-    each slot is one batched product with a 2x2 rotation on the ancilla
-    axis and one with a block or its adjoint; where one application of the
-    shifter meets the next, its last and first rotations merge too, so one
-    pass to the largest ``s`` gives every smaller one on the way."""
-    m, dim = wq.shape[0], wq.shape[-1]
-    xi = np.asarray(spec.angles.xi, dtype=float)
-    a = xi + np.pi * (np.arange(len(xi)) % 2 == 0)
-    # rotations in the order applied: the shifter's first one, the merged
-    # one at the wrap, its last one, then between slots j + 1 and j for
-    # j = L - 2 .. 0
-    half = np.concatenate([[-a[-1], a[0] - a[-1], a[0]], np.diff(a)[::-1]]) / 2
-    ch, sh = np.cos(half), np.sin(half)
-    rx = np.empty((len(half), 2, 2), dtype=complex)
-    rx[:, 0, 0] = rx[:, 1, 1] = ch
-    rx[:, 0, 1] = rx[:, 1, 0] = -1j * sh
-    first, wrap, last, *between = rx
-    turns = [first, *between]
-    wq_dag = np.swapaxes(wq, -1, -2).conj()
-    slots = [wq if j % 2 else wq_dag for j in range(len(xi) - 1, -1, -1)]
-    cols = np.zeros((m, dim, 2), dtype=complex)
-    cols[:, 0, 0] = cols[:, dim // 2, 1] = 1.0
-    turned = np.empty_like(cols)
-    # views of the same columns with the ancilla as an axis of its own
-    by_ancilla, turned_by_ancilla = cols.reshape(m, 2, -1), turned.reshape(m, 2, -1)
-    blocks = {}
-    for s in range(1, powers[-1] + 1):
-        for turn, block in zip(turns, slots):
-            np.matmul(turn, by_ancilla, out=turned_by_ancilla)
-            np.matmul(block, turned, out=cols)
-        turns[0] = wrap
-        if s in powers:
-            # (ancilla, system, column) per amplitude, system first
-            columns = np.matmul(last, by_ancilla).reshape(m, 2, dim // 2, 2)
-            blocks[s] = np.sqrt(2.0) * columns.transpose(2, 0, 1, 3)
-    return blocks
 
 
 def statevector_even_parity_probability(circuit: ParallelCircuit,

@@ -87,14 +87,13 @@ pipeline is:
    its probabilities come from the evaluation that was certified;
    ``rotation_product`` multiplies the angles out layer by layer, the
    independent evaluation that ``pae verify``, ``realized_functions`` and
-   the benchmark's synthesis check read.  The statevector backend applies
-   the same factors around the ``controlled_grover`` block of an explicit
-   oracle to two columns (``circuit.statevector_stage``), independent of
-   both, so that the backends check each other.
-   ``interleaved_shifter`` multiplies the product out around a block of
-   any size, or a stack of them, with all ``2L`` x-rotations in one pass;
-   it builds ``build_branch_unitary`` and is the dense reference the
-   column stage is tested against.
+   the benchmark's synthesis check read.  ``apply_shifter`` applies the
+   same factors, never multiplied out, around a stack of controlled-Grover
+   blocks to given columns, up to the largest power in one pass: to the
+   two columns a branch reads around explicit oracles
+   (``circuit.statevector_stage``), independent of both, so that the
+   backends check each other, and to the identity's four on the Grover
+   plane (``build_branch_unitary``).
 """
 
 from __future__ import annotations
@@ -255,7 +254,8 @@ def _fejer_kernel_even(d: int) -> np.ndarray:
 
 def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosine and ``i``-sine coefficients of harmonics ``0..d`` of ``p``:
-    ``p_l + p_-l`` (``p_0`` counted once) and ``p_l - p_-l``."""
+    ``p_l + p_-l`` (``p_0`` counted once) and ``p_l - p_-l``, along the
+    first axis, so a certified ``(m + 1, 2)`` row folds too."""
     d = (len(p) - 1) // 2
     cos_part = p[d:].copy()
     cos_part[1:] += p[d - 1::-1]
@@ -730,24 +730,21 @@ def _product_rounding(length: int) -> float:
     return total
 
 
-def solve_angles(p, L, modulus2=None):
-    """Solve for the ``L`` angles realizing a completed Laurent target ``p``
-    (odd length, degree ``(len(p) - 1) / 2 <= L / 2``) by layer peeling,
-    gated by :func:`_certify_angles`; ``modulus2``, when given, is the
-    ``|P|^2`` that :func:`complete_target` kept for ``p``.
+def solve_angles(ps, lengths, moduli=None) -> list[AngleSequence]:
+    """Solve for the angles of each completed Laurent target ``ps[b]`` (odd
+    length, degree ``(len(p) - 1) / 2 <= L / 2``) at length ``lengths[b]``
+    by layer peeling, gated by :func:`_certify_angles`; ``moduli[b]``, when
+    ``moduli`` is given, is the ``|P|^2`` that :func:`complete_target` kept
+    for ``ps[b]``.
 
-    With a list of lengths ``L``, ``p`` and ``modulus2`` (or ``None``) are
-    lists too, one entry per target, and the batch is solved at once: each
-    core complemented alone, all of them peeled in one
-    :func:`_solve_layer_peel` and certified in one product tree, each
-    sequence bit for bit what it is alone.  The result is the list of
-    sequences; one target is the batch of one.  Raises
-    :class:`DomainError` for any other ``p`` or ``L``, and
+    The batch is solved at once: each core complemented alone, all of them
+    peeled in one :func:`_solve_layer_peel` and certified in one product
+    tree, each sequence bit for bit what it is alone; one target is the
+    batch of one, ``solve_angles([p], [L])[0]``.  Raises
+    :class:`DomainError` for any other target or length, and
     :class:`SynthesisError` when a gate fails, the failing target's index
     in its ``target``.
     """
-    batch = isinstance(L, list)
-    ps, lengths, moduli = (p, L, modulus2) if batch else ([p], [L], [modulus2])
     ps = [np.asarray(q, float) for q in ps]
     for q, length in zip(ps, lengths):
         _check_length(length)
@@ -761,8 +758,7 @@ def solve_angles(p, L, modulus2=None):
         except SynthesisError as err:
             err.target = len(rows)
             raise
-    sequences = _certify_angles(_solve_layer_peel(rows, lengths), ps)
-    return sequences if batch else sequences[0]
+    return _certify_angles(_solve_layer_peel(rows, lengths), ps)
 
 
 def _certify_angles(xis: list[np.ndarray], ps: list[np.ndarray]) -> list[AngleSequence]:
@@ -815,38 +811,59 @@ def controlled_grover(q: np.ndarray) -> np.ndarray:
     return cq * np.repeat([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)], dim)
 
 
-def interleaved_shifter(xi: np.ndarray, wq: np.ndarray) -> np.ndarray:
-    """Shifter product of the angles ``xi`` around the controlled-Grover
-    block ``wq``: odd slots hold ``wq^dagger``, even slots ``wq``, each
-    conjugated by an x-rotation of the ancilla.
+def apply_shifter(xi: np.ndarray, wq: np.ndarray, columns: np.ndarray,
+                  powers) -> dict[int, np.ndarray]:
+    """The shifter of the angles ``xi`` around each of the ``m``
+    controlled-Grover blocks ``wq``, ``(m, 2d, 2d)``, raised to every power
+    ``s`` of ``powers`` (distinct, ascending, at least 1) and applied to
+    ``columns``, ``(m, 2d, k)``: ``{s: (m, 2d, k) columns}``, each slice
+    along ``m`` bit for bit its own call's.
 
-    ``wq`` may be one ``(2d, 2d)`` block or an ``(m, 2d, 2d)`` stack, which
-    gives the ``m`` products in one loop over the slots, each slice equal
-    bit for bit to its own 2-D call.  All ``2L`` ancilla x-rotations are
-    built in one vectorised pass: the ``(2L, 2, 2)`` stack from the angle
-    vector, lifted to the system size by one ``einsum`` with the identity."""
-    dim = wq.shape[-1] // 2
-    wq_dag = np.swapaxes(wq, -1, -2).conj()
+    The shifter is the product over slots ``j`` of ``rx(a_j) W_j rx(-a_j)``
+    on the ancilla, with ``W_j = wq^dagger`` and ``a_j = xi_j + pi`` in odd
+    slots (even ``j``), ``W_j = wq`` and ``a_j = xi_j`` in even slots.  Its
+    factors are applied right to left to the columns and never multiplied
+    out: consecutive x-rotations merge into one, ``rx(a_(j+1) - a_j)``, so
+    each slot is one batched product with a 2x2 rotation on the ancilla
+    axis and one with a block or its adjoint; where one application of the
+    shifter meets the next, its last and first rotations merge too, so one
+    pass to the largest ``s`` gives every smaller one on the way."""
+    m, dim = wq.shape[0], wq.shape[-1]
     xi = np.asarray(xi, dtype=float)
-    odd = xi[0::2] + np.pi
-    # per pair: rx(odd), rx(-odd), rx(even), rx(-even)
-    half = np.stack([odd, -odd, xi[1::2], -xi[1::2]], axis=1).reshape(-1) / 2
+    a = xi + np.pi * (np.arange(len(xi)) % 2 == 0)
+    # rotations in the order applied: the shifter's first one, the merged
+    # one at the wrap, its last one, then between slots j + 1 and j for
+    # j = L - 2 .. 0
+    half = np.concatenate([[-a[-1], a[0] - a[-1], a[0]], np.diff(a)[::-1]]) / 2
     ch, sh = np.cos(half), np.sin(half)
-    r2 = np.empty((len(half), 2, 2), dtype=complex)
-    r2[:, 0, 0] = r2[:, 1, 1] = ch
-    r2[:, 0, 1] = r2[:, 1, 0] = -1j * sh
-    rots = np.einsum("nab,ij->naibj", r2, np.eye(dim)).reshape(-1, 4, 2 * dim, 2 * dim)
-    v = np.eye(2 * dim, dtype=complex)
-    for r_odd, r_odd_inv, r_even, r_even_inv in rots:
-        v = v @ (r_odd @ wq_dag @ r_odd_inv) @ (r_even @ wq @ r_even_inv)
-    return v
+    rx = np.empty((len(half), 2, 2), dtype=complex)
+    rx[:, 0, 0] = rx[:, 1, 1] = ch
+    rx[:, 0, 1] = rx[:, 1, 0] = -1j * sh
+    first, wrap, last, *between = rx
+    turns = [first, *between]
+    wq_dag = np.swapaxes(wq, -1, -2).conj()
+    slots = [wq if j % 2 else wq_dag for j in range(len(xi) - 1, -1, -1)]
+    cols = np.array(columns, dtype=complex)
+    turned = np.empty_like(cols)
+    # views of the same columns with the ancilla as an axis of its own
+    by_ancilla, turned_by_ancilla = cols.reshape(m, 2, -1), turned.reshape(m, 2, -1)
+    applied = {}
+    for s in range(1, powers[-1] + 1):
+        for turn, block in zip(turns, slots):
+            np.matmul(turn, by_ancilla, out=turned_by_ancilla)
+            np.matmul(block, turned, out=cols)
+        turns[0] = wrap
+        if s in powers:
+            applied[s] = np.matmul(last, by_ancilla).reshape(cols.shape)
+    return applied
 
 
 def build_branch_unitary(spec: PhaseShifterSpec, theta: float) -> np.ndarray:
-    """4x4 shifter on ancilla (x) Grover plane at instance angle ``theta``."""
+    """4x4 shifter on ancilla (x) Grover plane at instance angle ``theta``:
+    :func:`apply_shifter` on the identity's columns."""
     c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
-    return interleaved_shifter(spec.angles.xi,
-                               controlled_grover(np.array([[c2, -s2], [s2, c2]])))
+    wq = controlled_grover(np.array([[c2, -s2], [s2, c2]]))
+    return apply_shifter(spec.angles.xi, wq[None], np.eye(4, dtype=complex)[None], [1])[1][0]
 
 
 _shifter_cache: dict[tuple[float, int], PhaseShifterSpec] = {}

@@ -81,7 +81,7 @@ def check_certificate_grid() -> tuple[str, bool, str]:
     # the realized product's miss on 16 uniform points per factor
     T, L = 8.0, 34
     p = qsp.complete_target(qsp.truncate_target(T, L))
-    angles = qsp.solve_angles(p, L)
+    angles = qsp.solve_angles([p], [L])[0]
     g = qsp._fejer_complement(p)
     n, factor = qsp._sized_grid(L)
     bound = qsp._complement_gap(p, g, n) / factor + 1e-15

@@ -16,17 +16,11 @@ from pae.circuit import (analytic_stage, check_capacity, controlled_grover_block
 from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
 from pae.driver import ScheduleStep
-from pae.qsp import AngleSequence, controlled_grover, interleaved_shifter, rotation_product
+from pae.qsp import AngleSequence, controlled_grover, rotation_product
+from conftest import ideal_branch_unitary, kron_shifter
 
 _X_ANC = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)).astype(complex)
 _Y_ANC = np.kron(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.eye(2)).astype(complex)
-
-
-def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:
-    """The exact relative phase shifter ``diag(e^{-iT phi/2}, e^{+iT phi/2})``
-    on the ancilla, identity on the Grover plane."""
-    return np.kron(np.diag([np.exp(-0.5j * T * phi), np.exp(0.5j * T * phi)]),
-                   np.eye(2)).astype(complex)
 
 
 def contract_one(blocks: np.ndarray, P: int) -> np.ndarray:
@@ -211,7 +205,7 @@ def literal_statevector_probability(spec, P, S, inst, setting, oracle_style="can
     ``S`` around the instance's explicit oracle as the branch block."""
     oracle = build_explicit_oracle(inst, style=oracle_style, seed=oracle_seed)
     wq = controlled_grover(build_grover_unitary(oracle))
-    v = np.linalg.matrix_power(interleaved_shifter(spec.angles.xi, wq), S)
+    v = np.linalg.matrix_power(kron_shifter(spec.angles.xi, wq), S)
     return literal_branch_probability(v, P, inst.n, setting)
 
 
@@ -345,6 +339,13 @@ class TestEvenParityProbabilities:
         with pytest.raises(DomainError, match="branch count must be >= 1"):
             parity_probabilities(np.stack([blocks] * len(ps)), np.array(ps))
 
+    @pytest.mark.parametrize("ps", [[2.5], [2.0], [1, 2.5]])
+    def test_stack_rejects_non_integer_branch_counts(self, ps):
+        # a float count would raise x to a fractional power: NaN, not a refusal
+        blocks = eigenphase_blocks(synthesize_shifter(1.0, 10), [0.3], [1])[1]
+        with pytest.raises(DomainError, match="branch counts must be integers"):
+            parity_probabilities(np.stack([blocks] * len(ps)), ps)
+
     @pytest.mark.parametrize("ps", [3, [3], [1, 2, 3], [[1], [2]]])
     def test_stack_needs_one_branch_count_per_step(self, ps):
         # counts that are not one per step, for an unstacked (2, n, 2, 2)
@@ -359,6 +360,12 @@ class TestEvenParityProbabilities:
     def test_both_backends_reject_fewer_than_one(self, P, S):
         # the circuit refuses to exist, so neither backend's view meets it
         with pytest.raises(DomainError, match="count must be >= 1"):
+            ParallelCircuit(P=P, spec=synthesize_shifter(1.0, 10), S=S,
+                            instance=make_instance(0.3))
+
+    @pytest.mark.parametrize("P,S", [(2.5, 1), (2.0, 1), (1, 1.5), (1, 2.0)])
+    def test_circuit_rejects_non_integer_counts(self, P, S):
+        with pytest.raises(DomainError, match="count must be an integer"):
             ParallelCircuit(P=P, spec=synthesize_shifter(1.0, 10), S=S,
                             instance=make_instance(0.3))
 
@@ -578,7 +585,7 @@ class TestShifterColumns:
         for T, L in ((1.0, 10), (2.0, 14), (8.0, 34)):
             spec = synthesize_shifter(T, L)
             blocks = shifter_columns(spec, wq, {1, 2, 3})
-            dense = interleaved_shifter(spec.angles.xi, wq)
+            dense = np.stack([kron_shifter(spec.angles.xi, block) for block in wq])
             for s in (1, 2, 3):
                 assert blocks[s].shape == (2 ** n, len(insts), 2, 2)
                 ref = column_blocks(np.linalg.matrix_power(dense, s)[:, :, ::2 ** n])
@@ -610,6 +617,22 @@ class TestShifterColumns:
                 shifter_columns(spec, wq, powers)
             with pytest.raises(DomainError, match="repetition count must be >= 1"):
                 eigenphase_blocks(spec, [inst.theta], powers)
+
+    @pytest.mark.parametrize("power", [1.5, 2.0, "2"])
+    def test_statevector_stage_rejects_non_integer_repetitions(self, power):
+        # alone or beside a valid power, before any column is touched
+        spec = synthesize_shifter(1.0, 10)
+        wq = controlled_grover_blocks([make_instance(0.3, 2)])
+        for powers in ([power], [1, power]):
+            with pytest.raises(DomainError, match="repetition count must be an integer"):
+                shifter_columns(spec, wq, powers)
+
+    @pytest.mark.parametrize("power", [1.5, 2.0, "2"])
+    def test_analytic_stage_rejects_non_integer_repetitions(self, power):
+        spec = synthesize_shifter(1.0, 10)
+        for powers in ([power], [1, power]):
+            with pytest.raises(DomainError, match="repetition count must be an integer"):
+                eigenphase_blocks(spec, [0.3], powers)
 
 
 class TestStageContract:
@@ -747,3 +770,8 @@ class TestGhzDepth:
     @pytest.mark.parametrize("P,layers", [(1, 0), (2, 1), (3, 2), (4, 2), (64, 6)])
     def test_values(self, P, layers):
         assert ghz_depth(P) == layers
+
+    @pytest.mark.parametrize("P", [2.5, 4.0])
+    def test_rejects_non_integer_branch_count(self, P):
+        with pytest.raises(DomainError, match="branch count must be an integer"):
+            ghz_depth(P)

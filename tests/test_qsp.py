@@ -22,8 +22,9 @@ from pae import qsp
 from pae.qsp import (_complement_gap, _complemented_core, _deflate_pinned,
                      _fejer_complement, _fejer_kernel_even, _fold, _log_cepstrum,
                      _product_rounding, _product_row, _sized_grid, _solve_layer_peel,
-                     _uniform_modulus2, chebyshev_grid, controlled_grover,
-                     interleaved_shifter, rotation_product)
+                     _uniform_modulus2, apply_shifter, chebyshev_grid, controlled_grover,
+                     rotation_product)
+from conftest import ideal_branch_unitary, kron_shifter
 
 
 def layer_peel(p, L):
@@ -34,13 +35,6 @@ def layer_peel(p, L):
 def product_row(xi):
     """The product tree's row of one sequence: the batch of one."""
     return _product_row([xi])[0]
-
-
-def ideal_branch_unitary(T: float, phi: float) -> np.ndarray:
-    """The exact relative phase shifter ``diag(e^{-iT phi/2}, e^{+iT phi/2})``
-    on the ancilla, identity on the Grover plane."""
-    return np.kron(np.diag([np.exp(-0.5j * T * phi), np.exp(0.5j * T * phi)]),
-                   np.eye(2)).astype(complex)
 
 
 def bessel_j_series(order, x, terms=40):
@@ -335,7 +329,7 @@ class TestLaurentValues:
         # a (grid, L/2 + 1) trig table at this length would take 133 MiB
         tracemalloc.start()
         try:
-            solve_angles(complete_target(truncate_target(512.0, 1408)), 1408)
+            solve_angles([complete_target(truncate_target(512.0, 1408))], [1408])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,7 +408,7 @@ class TestMirrorGrids:
         g = _fejer_complement(p)
         full = np.abs(np.fft.fft(p, n)) ** 2 + np.abs(np.fft.fft(g, n)) ** 2 - 1.0
         assert abs(_complement_gap(p, g, n) - np.max(np.abs(full))) <= 1e-14
-        seq = solve_angles(p, L)
+        seq = solve_angles([p], [L])[0]
         m = 16 * L
         u00 = rotation_product(seq.xi, 2.0 * np.pi * np.arange(m) / m)[:, 0, 0]
         miss = np.max(np.abs(u00 - uniform_values(p, m)))
@@ -568,7 +562,7 @@ class TestComplement:
         # 1 - |P|^2 is at rounding level here, so R~ dips below zero by
         # rounding: the factor must still certify and the peel converge
         p = complete_target(truncate_target(T, L))
-        assert solve_angles(p, L).residual <= 1e-8
+        assert solve_angles([p], [L])[0].residual <= 1e-8
 
     def test_rejects_modulus_above_one(self):
         # A(0) = 1 pins the double zeros at z = +-1, but |P|^2 = 1.28 at pi/2
@@ -656,7 +650,7 @@ class TestSharedModulus:
 class TestSolveAngles:
     def test_identity_target(self):
         thetas = chebyshev_grid(512)
-        seq = solve_angles(np.array([0.0, 1.0, 0.0]), 2)
+        seq = solve_angles([np.array([0.0, 1.0, 0.0])], [2])[0]
         A, C = realized_functions(seq.xi, thetas)
         assert np.max(np.hypot(A - 1.0, C)) <= 1e-10
         assert seq.residual <= 1e-10
@@ -666,21 +660,21 @@ class TestSolveAngles:
         # a degree-5 target in a length-20 sequence: the peel pads with
         # cancelling pairs, and the residual covers the padded sequence
         p = complete_target(truncate_target(1.0, 10))
-        seq = solve_angles(p, 20)
+        seq = solve_angles([p], [20])[0]
         assert len(seq) == 20 and seq.residual <= 1e-8
         assert np.array_equal(seq.xi[10:], np.tile([-np.pi / 2, np.pi / 2], 5))
-        assert np.array_equal(seq.xi[:10], solve_angles(p, 10).xi)
+        assert np.array_equal(seq.xi[:10], solve_angles([p], [10])[0].xi)
 
     @pytest.mark.parametrize("p,L", [(np.zeros(4), 4), (np.zeros(7), 4),
                                      (np.zeros((3, 3)), 4), (np.zeros(0), 4),
                                      (np.array([0.0, 1.0, 0.0]), 3)])
     def test_rejects_misfit_target(self, p, L):
         with pytest.raises(DomainError):
-            solve_angles(p, L)
+            solve_angles([p], [L])
 
     @pytest.mark.parametrize("T,L", [(2, 14), (4, 22), (8, 34)])
     def test_layer_peel_residual(self, T, L):
-        seq = solve_angles(complete_target(truncate_target(T, L)), L)
+        seq = solve_angles([complete_target(truncate_target(T, L))], [L])[0]
         assert seq.residual <= 1e-8
 
     def test_realized_functions_normalized(self):
@@ -804,7 +798,7 @@ class TestProductTree:
         # checks the same at T = 512 and 2048
         L = select_L_empirical(T)
         p = complete_target(truncate_target(T, L))
-        seq = solve_angles(p, L)
+        seq = solve_angles([p], [L])[0]
         m = 16 * L
         u00 = rotation_product(seq.xi, 2.0 * np.pi * np.arange(m) / m)[:, 0, 0]
         assert np.max(np.abs(u00 - uniform_values(p, m))) <= seq.residual
@@ -1056,56 +1050,67 @@ class TestBranchUnitary:
             assert len(spec.angles) == spec.L == L
 
 
-def kron_shifter(xi, wq):
-    """Reference shifter product: one ``np.kron`` per ancilla x-rotation."""
-    dim = len(wq) // 2
-    wq_dag = wq.conj().T
-
-    def rx(angle):
-        ch, sh = np.cos(angle / 2), np.sin(angle / 2)
-        return np.kron(np.array([[ch, -1j * sh], [-1j * sh, ch]]), np.eye(dim))
-
-    v = np.eye(2 * dim, dtype=complex)
-    for l in range(0, len(xi), 2):
-        odd = rx(xi[l] + np.pi) @ wq_dag @ rx(-(xi[l] + np.pi))
-        even = rx(xi[l + 1]) @ wq @ rx(-xi[l + 1])
-        v = v @ odd @ even
-    return v
+def identity_columns(xi, wq) -> np.ndarray:
+    """:func:`apply_shifter` at ``s = 1`` on every column of the identity:
+    the shifter around each block of the stack ``wq``, multiplied out."""
+    m, dim = wq.shape[:2]
+    eye = np.broadcast_to(np.eye(dim, dtype=complex), (m, dim, dim))
+    return apply_shifter(xi, wq, eye, [1])[1]
 
 
-class TestInterleavedShifter:
+def plane_blocks(thetas) -> np.ndarray:
+    """The controlled-Grover blocks on the Grover plane at each ``theta``."""
+    return np.stack([controlled_grover(np.array([[np.cos(2 * t), -np.sin(2 * t)],
+                                                 [np.sin(2 * t), np.cos(2 * t)]]))
+                     for t in thetas])
+
+
+def oracle_blocks(amplitudes, style="canonical", seed=None) -> np.ndarray:
+    """The controlled-Grover blocks of the ``n = 3`` explicit oracles of
+    ``style`` at each amplitude."""
+    return np.stack([controlled_grover(build_grover_unitary(build_explicit_oracle(
+        make_instance(a, 3), style, seed))) for a in amplitudes])
+
+
+class TestApplyShifter:
     @pytest.mark.parametrize("L", [2, 10, 20, 58])
-    def test_bit_identical_to_kron_loop_plane(self, L):
+    def test_identity_columns_match_kron_loop_plane(self, L):
         xi = np.random.default_rng(L).uniform(-np.pi, np.pi, L)
-        for theta in (0.0, 0.1, 0.7, 1.3):
-            c2, s2 = np.cos(2 * theta), np.sin(2 * theta)
-            wq = controlled_grover(np.array([[c2, -s2], [s2, c2]]))
-            assert np.array_equal(interleaved_shifter(xi, wq), kron_shifter(xi, wq))
+        wq = plane_blocks((0.0, 0.1, 0.7, 1.3))
+        for v, block in zip(identity_columns(xi, wq), wq):
+            assert np.max(np.abs(v - kron_shifter(xi, block))) <= 1e-14
 
     @pytest.mark.parametrize("L", [2, 10, 20, 58])
-    def test_bit_identical_to_kron_loop_three_qubits(self, L):
+    def test_identity_columns_match_kron_loop_three_qubits(self, L):
+        # around the canonical and a random oracle's blocks
         xi = np.random.default_rng(100 + L).uniform(-np.pi, np.pi, L)
-        for a in (0.1, 0.45, 0.9):
-            oracle = build_explicit_oracle(make_instance(a, 3))
-            wq = controlled_grover(build_grover_unitary(oracle))
-            assert wq.shape == (16, 16)
-            assert np.array_equal(interleaved_shifter(xi, wq), kron_shifter(xi, wq))
+        for style, seed in (("canonical", None), ("random", 11)):
+            wq = oracle_blocks((0.1, 0.45, 0.9), style, seed)
+            assert wq.shape == (3, 16, 16)
+            for v, block in zip(identity_columns(xi, wq), wq):
+                assert np.max(np.abs(v - kron_shifter(xi, block))) <= 1e-14
 
     @pytest.mark.parametrize("L", [2, 10, 20, 58])
-    def test_stack_slices_bit_identical_to_kron_loop(self, L):
+    def test_stack_slices_bit_identical_to_own_calls(self, L):
         # a stack of three amplitudes' blocks, on the Grover plane and at
-        # n = 3: each slice of the one stacked call is its own kron product
+        # n = 3, on identity columns and on two: each slice of the one
+        # stacked call is its own call, at every power
         xi = np.random.default_rng(200 + L).uniform(-np.pi, np.pi, L)
-        plane = [controlled_grover(np.array([[np.cos(2 * t), -np.sin(2 * t)],
-                                             [np.sin(2 * t), np.cos(2 * t)]]))
-                 for t in (0.1, 0.7, 1.3)]
-        three = [controlled_grover(build_grover_unitary(build_explicit_oracle(
-            make_instance(a, 3)))) for a in (0.1, 0.45, 0.9)]
-        for blocks in (plane, three):
-            stacked = interleaved_shifter(xi, np.stack(blocks))
-            assert stacked.shape == (3, *blocks[0].shape)
-            for v, wq in zip(stacked, blocks):
-                assert np.array_equal(v, kron_shifter(xi, wq))
+        for wq in (plane_blocks((0.1, 0.7, 1.3)), oracle_blocks((0.1, 0.45, 0.9))):
+            dim = wq.shape[-1]
+            for columns in (np.broadcast_to(np.eye(dim), wq.shape),
+                            np.broadcast_to(np.eye(dim)[:, ::dim // 2], (3, dim, 2))):
+                stacked = apply_shifter(xi, wq, columns, [1, 2, 3])
+                for i in range(len(wq)):
+                    alone = apply_shifter(xi, wq[i:i + 1], columns[i:i + 1], [1, 2, 3])
+                    assert all(np.array_equal(stacked[s][i], alone[s][0]) for s in (1, 2, 3))
+
+    @pytest.mark.parametrize("T,L", [(1.0, 10), (8.0, 34), (48.0, 144)])
+    def test_branch_unitary_matches_kron_loop(self, T, L):
+        spec = synthesize_shifter(T, L)
+        for theta in np.linspace(0.0, np.pi / 2, 9):
+            ref = kron_shifter(spec.angles.xi, plane_blocks([theta])[0])
+            assert np.max(np.abs(build_branch_unitary(spec, theta) - ref)) <= 1e-14
 
 
 class TestControlledGrover:

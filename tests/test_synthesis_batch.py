@@ -93,7 +93,7 @@ def test_solve_angles_batch_equals_each_target_alone():
     targets = [qsp.complete_target(qsp.truncate_target(T, L))
                for T, L in ((8.0, 34), (1.0, 10), (256.0, 710))]
     lengths = [34, 20, 710]
-    alone = [solve_angles(p, L) for p, L in zip(targets, lengths)]
+    alone = [solve_angles([p], [L])[0] for p, L in zip(targets, lengths)]
     batch = solve_angles(targets, lengths)
     assert [s.xi.tobytes() for s in batch] == [s.xi.tobytes() for s in alone]
     assert [s.residual for s in batch] == [s.residual for s in alone]
