@@ -10,11 +10,10 @@ from .config import ConfigError, ExperimentConfig, parse_config, serialize_confi
 from .core_model import (AmplitudeInstance, DomainError, ExplicitOracle,
                          build_explicit_oracle, build_grover_unitary,
                          grover_plane, grover_plane_basis, make_instance)
-from .driver import (ConfigurationError, ResourceReport, Schedule, ScheduleStep,
-                     build_schedule, hl_reference, query_count, resource_report,
-                     run, sample_and_recover, step_probabilities,
-                     theorem_resources, PARALLEL_L_TABLE_PLUS,
-                     PARALLEL_L_TABLE_PLUS_I)
+from .driver import (ResourceReport, Schedule, ScheduleStep, build_schedule,
+                     hl_reference, query_count, resource_report, run,
+                     sample_and_recover, step_probabilities, theorem_resources,
+                     PARALLEL_L_TABLE_PLUS, PARALLEL_L_TABLE_PLUS_I)
 from .qsp import (AngleSequence, PhaseShifterSpec, SynthesisError,
                   TruncatedTarget, build_branch_unitary, complete_target,
                   load_angles,

@@ -51,15 +51,13 @@ come from:
 from __future__ import annotations
 
 import enum
-import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core_model import (AmplitudeInstance, DomainError, build_explicit_oracle,
-                         build_grover_unitary)
+                         build_grover_unitary, checked_count)
 from . import qsp
 from .qsp import PhaseShifterSpec, controlled_grover
 
@@ -104,26 +102,14 @@ class ParallelCircuit:
     instance: AmplitudeInstance
 
     def __post_init__(self):
-        _check_count("branch count", self.P)
-        _check_count("repetition count", self.S)
-
-
-def _check_count(what: str, value: int) -> None:
-    try:
-        operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise DomainError(f"{what} must be >= 1, got {value}")
+        checked_count("branch count", self.P)
+        checked_count("repetition count", self.S)
 
 
 def _repetitions(powers) -> list[int]:
     """The distinct requested powers, ascending; a power that is not an
     integer, or below 1, or none, raises :class:`DomainError`."""
-    powers = set(powers)
-    for s in powers or [0]:
-        _check_count("repetition count", s)
-    return sorted(powers)
+    return sorted({checked_count("repetition count", s) for s in list(powers) or [0]})
 
 
 def _requests(requests) -> list[tuple[PhaseShifterSpec, list[int]]]:
@@ -265,10 +251,7 @@ def parity_probabilities(blocks: np.ndarray, P) -> np.ndarray:
     if P.shape != blocks.shape[:1]:
         raise DomainError(f"one branch count per step: {len(blocks)} steps, "
                           f"branch counts of shape {P.shape}")
-    if P.size and P.dtype.kind not in "iu":
-        raise DomainError(f"branch counts must be integers, got {P.tolist()}")
-    _check_count("branch count", int(P.min(initial=1)))
-    P = P[:, None]
+    P = np.array([checked_count("branch count", p) for p in P.tolist()], dtype=int)[:, None]
     b00, b01, b10, b11 = (blocks[..., i, j] for i in (0, 1) for j in (0, 1))
     # with blocks sqrt(2) times each share, each sum is twice its expectation
     w0 = np.sum(b00.conj() * b10, axis=1)
@@ -309,18 +292,20 @@ def sample_even_parity(probability, shots: int, seed):
 
     ``probability`` may be a float, which gives an int, or an array, which
     gives an integer array of the same shape drawn in C order.  A
-    probability outside ``[0, 1]``, or NaN, raises ``ValueError``.  ``seed``
-    may be anything ``numpy.random.default_rng`` accepts, including an
-    existing generator.
+    probability outside ``[0, 1]``, or NaN, raises ``ValueError``; a shot
+    count that is not an integer of at least 0 raises :class:`DomainError`
+    before any draw.  ``seed`` may be anything ``numpy.random.default_rng``
+    accepts, including an existing generator.
     """
+    shots = checked_count("shots", shots, 0)
     counts = np.random.default_rng(seed).binomial(shots, probability)
     return int(counts) if np.ndim(counts) == 0 else counts
 
 
 def ghz_depth(P: int) -> int:
-    """Entangling layers of the doubling ladder preparing the GHZ state."""
-    _check_count("branch count", P)
-    return math.ceil(math.log2(P))
+    """Entangling layers of the doubling ladder preparing the GHZ state,
+    ``ceil(log2 P)``, exact for every integer ``P >= 1``."""
+    return (checked_count("branch count", P) - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------

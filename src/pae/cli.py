@@ -124,8 +124,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, driver.ConfigurationError, DomainError, qsp.SynthesisError,
-            circuit.CapacityError, OSError) as exc:
+    except (ConfigError, DomainError, qsp.SynthesisError, circuit.CapacityError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

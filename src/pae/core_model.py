@@ -11,6 +11,7 @@ statevector cross-validation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,31 @@ import numpy as np
 
 class DomainError(ValueError):
     """Raised when an argument is outside its documented domain."""
+
+
+def checked_count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an ``int``, through ``operator.index``: a count that is
+    not of an integer type, or is below ``minimum``, raises
+    :class:`DomainError` naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
+def checked_length(name: str, value) -> int:
+    """``value`` as an ``int`` if it is a positive even integer, the only
+    query lengths a shifter has, else :class:`DomainError` naming ``name``."""
+    try:
+        length = operator.index(value)
+    except TypeError:
+        length = 0
+    if length < 2 or length % 2:
+        raise DomainError(f"{name} must be a positive even integer, got {value!r}")
+    return length
 
 
 @dataclass(frozen=True)
@@ -43,14 +69,14 @@ class ExplicitOracle:
 def make_instance(a: float, n: int = 2) -> AmplitudeInstance:
     """Build an :class:`AmplitudeInstance` from the amplitude ``a``.
 
-    Raises :class:`DomainError` for ``a`` outside ``[0, 1]`` or ``n < 2``.
+    Raises :class:`DomainError` for ``a`` outside ``[0, 1]`` or an oracle
+    qubit count ``n`` that is not an integer of at least 2.
     """
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"amplitude must lie in [0, 1], got {a}")
-    if n < 2:
-        raise DomainError(f"oracle qubit count must be >= 2, got {n}")
+    n = checked_count("oracle qubit count", n, 2)
     theta = float(np.arcsin(np.sqrt(a)))
-    return AmplitudeInstance(a=float(a), theta=theta, phi=2.0 * (1.0 - 2.0 * a), n=int(n))
+    return AmplitudeInstance(a=float(a), theta=theta, phi=2.0 * (1.0 - 2.0 * a), n=n)
 
 
 def grover_plane(inst: AmplitudeInstance) -> np.ndarray:

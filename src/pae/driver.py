@@ -36,14 +36,13 @@ the calibrated lengths.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import circuit as circ
 from . import qsp, rpe
-from .core_model import AmplitudeInstance, DomainError
+from .core_model import AmplitudeInstance, DomainError, checked_count, checked_length
 
 # Calibrated per-step query lengths for T=1 parallel runs that keep the
 # measured probability bias of each setting at or below 0.05 (steps 1..9).
@@ -53,31 +52,21 @@ PARALLEL_L_TABLE_PLUS_I = (12, 14, 14, 14, 16, 16, 18, 20, 20)
 BACKENDS = ("analytic", "statevector", "ideal")
 
 
-class ConfigurationError(ValueError):
-    """Raised for invalid schedule or strategy parameters."""
-
-
-def _integer(value) -> int | None:
-    """``value`` as an ``int`` if it is an integer type, else ``None``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
-
-
 def _power_of_two(value) -> bool:
-    """Whether ``value`` is an integer type holding a power of two."""
-    n = _integer(value)
-    return n is not None and n >= 1 and not n & (n - 1)
+    """Whether ``value`` passes :func:`checked_count` and holds a power of two."""
+    try:
+        n = checked_count("power of two", value)
+    except DomainError:
+        return False
+    return not n & (n - 1)
 
 
 @dataclass(frozen=True)
 class ScheduleStep:
     """Resolution step ``k``, its multiplier ``m = 2^(k-1)`` split as ``P T S``;
-    construction refuses ``P`` or ``S`` that is not an integer, ``k``, ``P``
-    or ``S`` below 1, any other split, a shot count ``nu`` that is not an
-    integer of at least 1 and a query length ``l`` that is not a positive
-    even integer."""
+    construction refuses ``k``, ``P``, ``S`` or a shot count ``nu`` that is
+    not an integer of at least 1, any other split, and a query length ``l``
+    that is not a positive even integer, with :class:`DomainError`."""
     k: int
     p: int          # parallel branches
     t: float        # shifter strength
@@ -86,21 +75,16 @@ class ScheduleStep:
     l: int          # queries per shifter application
 
     def __post_init__(self):
-        for name, value in (("branch count", self.p), ("repetition count", self.s)):
-            if _integer(value) is None:
-                raise ConfigurationError(
-                    f"step {self.k}: {name} must be an integer, got {value!r}")
-        if self.k < 1 or self.p < 1 or self.s < 1 or self.p * self.t * self.s != self.m:
-            raise ConfigurationError(
-                f"step {self.k}: P*T*S = {self.p}*{self.t:g}*{self.s} must equal "
-                f"2^(k-1) = {self.m} with P, S >= 1")
-        nu, l = _integer(self.nu), _integer(self.l)
-        if nu is None or nu < 1:
-            raise ConfigurationError(
-                f"step {self.k}: shots per setting must be an integer >= 1, got {self.nu!r}")
-        if l is None or l < 2 or l % 2:
-            raise ConfigurationError(
-                f"step {self.k}: query length must be a positive even integer, got {self.l!r}")
+        checked_count("step index", self.k)
+        where = f"step {self.k}: "
+        checked_count(where + "branch count", self.p)
+        checked_count(where + "repetition count", self.s)
+        if self.p * self.t * self.s != self.m:
+            raise DomainError(
+                f"{where}P*T*S = {self.p}*{self.t:g}*{self.s} must equal "
+                f"2^(k-1) = {self.m}")
+        checked_count(where + "shots per setting", self.nu)
+        checked_length(where + "query length", self.l)
 
     @property
     def m(self) -> int:
@@ -141,6 +125,10 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
     preset ``parallelism = 2^(K-1)`` (``T_k = S_k = 1``) and
     ``full_sequential`` the preset ``parallelism = 1, t_cap = 2^(K-1)``
     (``P_k = S_k = 1``).  The presets reject ``parallelism`` and ``t_cap``.
+    The bias budget ``beta`` must lie in ``[0, sqrt(6)/8)``
+    (:func:`rpe.check_bias`), and the shot counts come from
+    :func:`rpe.schedule_nu`, which refuses a ``nu_final`` that is not an
+    integer of at least 1.  Every refusal is a :class:`DomainError`.
 
     ``l_table`` overrides the per-step query lengths, step ``k`` at index
     ``k - 1``, and needs at least ``K`` entries; otherwise they come from
@@ -153,21 +141,16 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
     raises its :class:`DomainError` prefixed with the step, ``step k (P =
     P_k, S = S_k): ``.
     """
-    K = _integer(k_max)
-    if K is None:
-        raise ConfigurationError(f"step count must be an integer, got {k_max!r}")
-    if K < 1:
-        raise ConfigurationError(f"step count must be >= 1, got {K}")
-    if not 0.0 < beta < rpe.ROBUSTNESS_LIMIT:
-        raise ConfigurationError(f"bias budget must lie in (0, sqrt(6)/8), got {beta}")
+    K = checked_count("step count", k_max)
+    rpe.check_bias(beta)
     if t_cap is not None and not _power_of_two(t_cap):
-        raise ConfigurationError(f"strength cap must be a power of two, got {t_cap}")
+        raise DomainError(f"strength cap must be a power of two, got {t_cap}")
     if l_table is not None and len(l_table) < K:
-        raise ConfigurationError(f"l_table has {len(l_table)} entries, schedule needs {K}")
+        raise DomainError(f"l_table has {len(l_table)} entries, schedule needs {K}")
 
     for name, value in (("parallelism", parallelism), ("t_cap", t_cap)):
         if value is not None and strategy != "general":
-            raise ConfigurationError(
+            raise DomainError(
                 f"{name} applies to the general strategy only, got {value} "
                 f"for {strategy!r}")
     top = 2 ** (K - 1)
@@ -178,12 +161,12 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
     elif strategy == "full_sequential":
         parallelism, t_cap = 1, top
     elif strategy != "general":
-        raise ConfigurationError(f"unknown strategy {strategy!r}")
+        raise DomainError(f"unknown strategy {strategy!r}")
     elif not _power_of_two(parallelism):
-        raise ConfigurationError(
+        raise DomainError(
             f"general mode needs a power-of-two parallelism, got {parallelism}")
     elif parallelism > top:
-        raise ConfigurationError(
+        raise DomainError(
             f"parallelism {parallelism} exceeds the top multiplier 2^{K - 1}")
 
     steps = []
@@ -244,7 +227,7 @@ def step_probabilities(instances, schedule: Schedule,
     the memory guard has passed every register size, and each size's only
     when its group runs."""
     if backend not in BACKENDS:
-        raise ConfigurationError(f"unknown backend {backend!r}")
+        raise DomainError(f"unknown backend {backend!r}")
     steps = list(schedule)
     single = isinstance(instances, AmplitudeInstance)
     batch = [instances] if single else list(instances)
@@ -297,8 +280,8 @@ def draw_counts(schedule: Schedule, probabilities: np.ndarray, seed,
     """
     if np.ndim(seed) != 0:
         raise DomainError(f"seed must be a single seed, got shape {np.shape(seed)}")
-    if trials is not None and trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    if trials is not None:
+        trials = checked_count("trials", trials)
     nu = np.array([[st.nu] for st in schedule])
     if not len(nu):
         raise DomainError("a run needs at least one step, got an empty schedule")
@@ -340,9 +323,7 @@ def run(instance: AmplitudeInstance, schedule: Schedule, seed: int,
 def hl_reference(n_queries: int) -> float:
     """Reference error level ``pi / (2 (N - 1))`` of the most query-efficient
     sequential estimator, for plot overlays."""
-    if n_queries <= 1:
-        raise DomainError(f"query count must exceed 1, got {n_queries}")
-    return math.pi / (2.0 * (n_queries - 1))
+    return math.pi / (2.0 * (checked_count("query count", n_queries, 2) - 1))
 
 
 def theorem_resources(eps: float, parallelism: int, beta: float = 0.05) -> tuple[int, int]:
@@ -354,7 +335,7 @@ def theorem_resources(eps: float, parallelism: int, beta: float = 0.05) -> tuple
     resources, come from ``build_schedule(..., certified=True)``.  Returns
     ``(N, max_k S_k L_k + ceil(log2 P))``."""
     if not 0.0 < eps < 1.0:
-        raise ConfigurationError(f"target error must lie in (0, 1), got {eps}")
+        raise DomainError(f"target error must lie in (0, 1), got {eps}")
     sched = build_schedule(strategy="general", k_max=math.ceil(math.log2(1.0 / eps)) + 6,
                            parallelism=parallelism, beta=beta, nu_variant="theoretical")
     depth = max(st.s * st.l for st in sched) + circ.ghz_depth(parallelism)

@@ -14,7 +14,7 @@ import numpy as np
 from . import circuit as circ
 from . import driver, qsp, rpe
 from .config import ExperimentConfig
-from .core_model import make_instance
+from .core_model import DomainError, make_instance
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,10 @@ def _cells(cfg: ExperimentConfig, ks):
     """
     amplitudes = _amplitudes(cfg)
     if not amplitudes:
-        raise driver.ConfigurationError(
+        raise DomainError(
             f"{cfg.experiment} needs 'amplitudes' or 'amplitude_grid'")
     if not ks:
-        raise driver.ConfigurationError(
+        raise DomainError(
             f"{cfg.experiment} needs k_min <= k_max, got {cfg.k_min}..{cfg.k_max}")
     schedules = [_schedule_for(cfg, K) for K in ks]
     table = driver.step_probabilities([make_instance(a, cfg.n) for a in amplitudes],
@@ -136,7 +136,7 @@ def run_bias_sweep(cfg: ExperimentConfig) -> list[BiasRow]:
     (``analytic`` or ``statevector``).
     """
     if cfg.backend == "ideal":
-        raise driver.ConfigurationError("bias sweep needs a synthesizing backend")
+        raise DomainError("bias sweep needs a synthesizing backend")
     table = _resolve_l_table(cfg) or driver.PARALLEL_L_TABLE_PLUS
     amps = _amplitudes(cfg) or [float(v) for v in np.linspace(0.0, 1.0, 101)]
     instances = [make_instance(a, cfg.n) for a in amps]
@@ -168,10 +168,10 @@ def run_tl_curve(cfg: ExperimentConfig) -> list[TlRow]:
     values, so a step of 0.1 gives 0.3, not 0.30000000000000004.
     """
     if not 0 < cfg.t_step < math.inf:
-        raise driver.ConfigurationError(
+        raise DomainError(
             f"t_step must be positive and finite, got {cfg.t_step}")
     if not -math.inf < cfg.t_min <= cfg.t_max < math.inf:
-        raise driver.ConfigurationError(
+        raise DomainError(
             f"empty or unbounded strength grid: t_min {cfg.t_min}, t_max {cfg.t_max}")
     t_min, t_step = Decimal(repr(cfg.t_min)), Decimal(repr(cfg.t_step))
     count = math.floor((Decimal(repr(cfg.t_max)) - t_min) / t_step) + 1

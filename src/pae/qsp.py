@@ -104,7 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DomainError
+from .core_model import DomainError, checked_length
 
 # Bias threshold on the truncation error that keeps the measurement-probability
 # bias of a single (P=1, S=1) shifter at or below 0.05.
@@ -187,7 +187,9 @@ def _log_truncation_bound(T: float, h: float) -> float:
 
 def truncation_error_bound(T: float, L: int) -> float:
     """Certified sup-norm bound ``4 T^(L/2+1) / (2^(L/2+1) (L/2+1)!)``,
-    evaluated in log space; beyond the largest float it is ``inf``."""
+    evaluated in log space; beyond the largest float it is ``inf``.  A
+    length that is not a positive even integer raises :class:`DomainError`."""
+    L = checked_length("query length", L)
     if T == 0:
         return 0.0
     log_bound = _log_truncation_bound(T, L // 2 + 1)
@@ -221,16 +223,13 @@ def _check_strength(T: float) -> None:
         raise DomainError(f"evolution strength must be positive and finite, got {T}")
 
 
-def _check_length(L: int) -> None:
-    if L < 2 or L % 2:
-        raise DomainError(f"query length must be a positive even integer, got {L}")
-
-
 def truncate_target(T: float, L: int) -> TruncatedTarget:
     """Truncate the Bessel expansion of the phase target at harmonic L/2,
-    refusing a bound ``delta >= 1`` before the recurrence runs."""
+    refusing a bound ``delta >= 1`` before the recurrence runs, and with
+    :class:`DomainError` a strength that is not positive and finite or a
+    length that is not a positive even integer."""
     _check_strength(T)
-    _check_length(L)
+    L = checked_length("query length", L)
     delta = truncation_error_bound(T, L)
     if delta >= 1.0:
         raise SynthesisError(f"truncation bound {delta:.3g} >= 1; increase L")
@@ -238,7 +237,7 @@ def truncate_target(T: float, L: int) -> TruncatedTarget:
     j = _bessel_j(float(T), d)
     p = np.concatenate([j[::-1], j[1:]])
     p[d + 1::2] *= -1.0
-    return TruncatedTarget(T=float(T), L=int(L), coeffs=p, delta=delta)
+    return TruncatedTarget(T=float(T), L=L, coeffs=p, delta=delta)
 
 
 def _fejer_kernel_even(d: int) -> np.ndarray:
@@ -746,8 +745,8 @@ def solve_angles(ps, lengths, moduli=None) -> list[AngleSequence]:
     in its ``target``.
     """
     ps = [np.asarray(q, float) for q in ps]
+    lengths = [checked_length("query length", length) for length in lengths]
     for q, length in zip(ps, lengths):
-        _check_length(length)
         if q.ndim != 1 or len(q) % 2 == 0 or len(q) - 1 > length:
             raise DomainError(f"a length-{length} sequence cannot realize a target of "
                               f"{q.size} Laurent coefficients")
@@ -869,11 +868,6 @@ def build_branch_unitary(spec: PhaseShifterSpec, theta: float) -> np.ndarray:
 _shifter_cache: dict[tuple[float, int], PhaseShifterSpec] = {}
 
 
-def _check_key(T: float, L: int) -> None:
-    _check_length(L)
-    _check_strength(T)
-
-
 def _named(T: float, L: int, l_solve: int, err: SynthesisError) -> SynthesisError:
     """``err`` prefixed with the shifter's ``T``, ``L`` and solve length."""
     return SynthesisError(f"shifter T={float(T)}, L={int(L)} (solve length {l_solve}): {err}")
@@ -915,14 +909,15 @@ def synthesize_shifters(keys) -> dict[tuple[float, int], PhaseShifterSpec]:
     Every key is checked before any work: a strength that is not positive
     and finite or a length that is not a positive even integer raises
     :class:`DomainError`.  Cached per ``(T, L)``; the values are shared."""
-    keys = list(keys)
+    checked = []
     for T, L in keys:
-        _check_key(T, L)
-    keys = [(float(T), int(L)) for T, L in keys]
-    todo = [key for key in dict.fromkeys(keys) if key not in _shifter_cache]
+        length = checked_length("query length", L)
+        _check_strength(T)
+        checked.append((float(T), length))
+    todo = [key for key in dict.fromkeys(checked) if key not in _shifter_cache]
     if todo:
         _shifter_cache.update(zip(todo, _certified_shifters(todo)))
-    return {key: _shifter_cache[key] for key in keys}
+    return {key: _shifter_cache[key] for key in checked}
 
 
 def synthesize_shifter(T: float, L: int) -> PhaseShifterSpec:
@@ -1044,7 +1039,8 @@ def load_angles(path) -> PhaseShifterSpec:
     if not 0.0 <= residual < math.inf:     # a NaN must fail too
         raise ValueError(f"angle file {path} needs a finite residual >= 0, got {res_str}")
     try:
-        _check_key(T, L)
+        checked_length("query length", L)
+        _check_strength(T)
         return _certified_shifters([(T, L)], [xi])[0]
     except (DomainError, SynthesisError) as err:
         raise type(err)(f"angle file {path}: {err}") from err

@@ -23,9 +23,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .core_model import DomainError
+from .core_model import DomainError, checked_count
 
 ROBUSTNESS_LIMIT = math.sqrt(6.0) / 8.0
+
+
+def check_bias(beta: float) -> None:
+    """Refuse, with :class:`DomainError`, a bias outside ``[0, sqrt(6)/8)``,
+    where the recovery's error bound holds (Kimmel, Low & Yoder 2015)."""
+    if not 0.0 <= beta < ROBUSTNESS_LIMIT:     # a NaN must fail too
+        raise DomainError(f"bias must lie in [0, sqrt(6)/8), got {beta}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +68,7 @@ def unwrap_step(k: int, phi_step, prev=None):
     ``m`` in ``{eta - 1, eta, eta + 1}`` is chosen by the two threshold
     tests against ``pi / 2^(k-1)``, then wrapped into ``[0, 2 pi)``.
     """
-    if k < 1:
-        raise DomainError(f"step index must be >= 1, got {k}")
+    k = checked_count("step index", k)
     if (prev is None) != (k == 1):
         raise DomainError("previous estimate must be given exactly when k > 1")
     if k == 1:
@@ -114,8 +120,8 @@ def mse_bound(K: int, nu: Sequence[int], beta: float) -> float:
     Requires ``beta < sqrt(6)/8`` (the robustness condition) and one shot
     count per step.
     """
-    if not 0.0 <= beta < ROBUSTNESS_LIMIT:
-        raise DomainError(f"bias must lie in [0, sqrt(6)/8), got {beta}")
+    check_bias(beta)
+    K = checked_count("step count", K)
     if len(nu) != K:
         raise DomainError(f"need {K} shot counts, got {len(nu)}")
     gap = (ROBUSTNESS_LIMIT - beta) ** 2
@@ -131,16 +137,15 @@ def schedule_nu(K: int, k: int, variant: str = "theoretical", beta: float = 0.05
 
     ``theoretical``: ``1 + ceil(ln(6) (K - k) / (2 (sqrt(6)/8 - beta)^2))``.
     ``optimized``: ``round(4.0835 (K - k) + nu_final)`` (half to even),
-    which needs ``nu_final >= 1``: the final step takes the fewest shots.
+    which needs an integer ``nu_final >= 1``: the final step takes the
+    fewest shots.  ``K`` and ``k`` are integers, ``1 <= k <= K``.
     """
-    if not 1 <= k <= K:
+    K, k = checked_count("step count", K), checked_count("step index", k)
+    if k > K:
         raise DomainError(f"step index {k} outside 1..{K}")
     if variant == "theoretical":
-        if not 0.0 <= beta < ROBUSTNESS_LIMIT:
-            raise DomainError(f"bias must lie in [0, sqrt(6)/8), got {beta}")
+        check_bias(beta)
         return 1 + math.ceil(math.log(6.0) * (K - k) / (2.0 * (ROBUSTNESS_LIMIT - beta) ** 2))
     if variant == "optimized":
-        if not nu_final >= 1:
-            raise DomainError(f"final shot count must be >= 1, got {nu_final}")
-        return round(4.0835 * (K - k) + nu_final)
+        return round(4.0835 * (K - k) + checked_count("final shot count", nu_final))
     raise DomainError(f"unknown shot-schedule variant {variant!r}")

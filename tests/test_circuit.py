@@ -343,7 +343,7 @@ class TestEvenParityProbabilities:
     def test_stack_rejects_non_integer_branch_counts(self, ps):
         # a float count would raise x to a fractional power: NaN, not a refusal
         blocks = eigenphase_blocks(synthesize_shifter(1.0, 10), [0.3], [1])[1]
-        with pytest.raises(DomainError, match="branch counts must be integers"):
+        with pytest.raises(DomainError, match="branch count must be an integer"):
             parity_probabilities(np.stack([blocks] * len(ps)), ps)
 
     @pytest.mark.parametrize("ps", [3, [3], [1, 2, 3], [[1], [2]]])
@@ -391,6 +391,13 @@ class TestSampling:
             sample_even_parity(p, 100, seed=1)
         with pytest.raises(ValueError):
             sample_even_parity(np.array([[0.5, p]]), 100, seed=1)
+
+    @pytest.mark.parametrize("shots", [2.5, 2.0, "2", -1])
+    def test_rejects_shot_count_that_is_no_count(self, shots):
+        # numpy truncated 2.5 shots to 2 without a word
+        with pytest.raises(DomainError, match="^shots must be "):
+            sample_even_parity(1.0, shots, seed=1)
+        assert sample_even_parity(1.0, np.int64(2), seed=1) == 2
 
     def test_array_of_probabilities(self):
         counts = sample_even_parity(np.array([[0.0, 1.0], [0.0, 1.0]]), 50, seed=4)
@@ -767,7 +774,10 @@ class TestStageContract:
 
 
 class TestGhzDepth:
-    @pytest.mark.parametrize("P,layers", [(1, 0), (2, 1), (3, 2), (4, 2), (64, 6)])
+    # ceil(log2(P)) rounded through a float gave 49, 53 and 60 at the last three
+    @pytest.mark.parametrize("P,layers", [(1, 0), (2, 1), (3, 2), (4, 2), (64, 6),
+                                          (2 ** 49 + 1, 50), (2 ** 53 + 1, 54),
+                                          (2 ** 60 + 1, 61)])
     def test_values(self, P, layers):
         assert ghz_depth(P) == layers
 

@@ -39,6 +39,13 @@ class TestMakeInstance:
         with pytest.raises(DomainError):
             make_instance(0.5, n=1)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_non_integer_n_rejected(self, n):
+        # n = 2.5 used to be truncated into a two-qubit oracle
+        with pytest.raises(DomainError, match="^oracle qubit count must be an integer, got "):
+            make_instance(0.3, n)
+        assert make_instance(0.3, np.int64(3)).n == 3
+
 
 class TestGroverPlane:
     def test_a0_identity(self):

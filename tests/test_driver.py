@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from pae import (PARALLEL_L_TABLE_PLUS, ConfigurationError, build_schedule,
+from pae import (PARALLEL_L_TABLE_PLUS, build_schedule,
                  hl_reference, make_instance, query_count, resource_report, run,
                  sample_and_recover, select_L_empirical, step_probabilities,
                  synthesize_shifter, theorem_resources)
@@ -99,7 +99,7 @@ class TestBuildSchedule:
         for t_cap in (1, 2, 64):
             message = (f"t_cap applies to the general strategy only, got {t_cap} "
                        f"for {strategy!r}")
-            with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 build_schedule(strategy=strategy, k_max=8, t_cap=t_cap)
         assert build_schedule(strategy=strategy, k_max=8, t_cap=None).K == 8
 
@@ -130,9 +130,12 @@ class TestBuildSchedule:
          "general mode needs a power-of-two parallelism, got 2.0"),
         ({"strategy": "general", "parallelism": 2, "t_cap": 8.0},
          "strength cap must be a power of two, got 8.0"),
+        # round() used to take 2.5 final shots: nu = 15, 11, 7, 2
+        ({"strategy": "full_parallel", "nu_final": 2.5},
+         "final shot count must be an integer, got 2.5"),
     ])
     def test_error_messages(self, kwargs, message):
-        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             build_schedule(k_max=4, **kwargs)
 
     def test_full_parallel(self):
@@ -173,30 +176,30 @@ class TestBuildSchedule:
         assert big.p == 2 and big.t * big.s == 32 and big.t == 8.0 and big.s == 4
 
     def test_general_rejects_non_power_of_two(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             build_schedule(strategy="general", k_max=6, parallelism=3)
 
     def test_general_rejects_oversized_parallelism(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             build_schedule(strategy="general", k_max=3, parallelism=16)
 
     @pytest.mark.parametrize("strategy", ["full_parallel", "full_sequential"])
     def test_parallelism_rejected_outside_general(self, strategy):
         # it used to be ignored without a word
-        with pytest.raises(ConfigurationError, match="parallelism"):
+        with pytest.raises(DomainError, match="parallelism"):
             build_schedule(strategy=strategy, k_max=4, parallelism=2)
         assert build_schedule(strategy=strategy, k_max=4, parallelism=None).K == 4
 
     @pytest.mark.parametrize("t_cap", [0, 3, 6, 12])
     def test_rejects_non_power_of_two_t_cap(self, t_cap):
         # floor division used to turn t_cap=3 into multipliers 3, 6, 15
-        with pytest.raises(ConfigurationError, match="strength cap"):
+        with pytest.raises(DomainError, match="strength cap"):
             build_schedule(strategy="general", k_max=6, parallelism=1, t_cap=t_cap)
 
     def test_mode_exclusivity(self):
         # k_max is the one source of the step count: the proof-mode eps
         # belongs to theorem_resources
-        with pytest.raises(ConfigurationError, match="^step count must be an integer, got None"):
+        with pytest.raises(DomainError, match="^step count must be an integer, got None"):
             build_schedule(strategy="full_parallel")
         with pytest.raises(TypeError, match="eps"):
             build_schedule(strategy="full_parallel", eps=0.1, k_max=4)
@@ -204,7 +207,7 @@ class TestBuildSchedule:
     @pytest.mark.parametrize("k_max", [1.5, 4.0, "4"])
     def test_rejects_non_integer_step_count(self, k_max):
         # int() used to truncate 1.5 into a one-step schedule
-        with pytest.raises(ConfigurationError,
+        with pytest.raises(DomainError,
                            match=f"^step count must be an integer, got {re.escape(repr(k_max))}$"):
             build_schedule(strategy="full_parallel", k_max=k_max)
         assert build_schedule(strategy="full_parallel", k_max=np.int64(4)).K == 4
@@ -221,27 +224,31 @@ class TestBuildSchedule:
     @pytest.mark.parametrize("nu", [0, -3, 1.5, 7.0, None])
     def test_step_rejects_bad_shot_count(self, nu):
         # nu = 0 used to give a_hat = nan with only a RuntimeWarning
-        with pytest.raises(ConfigurationError,
-                           match=rf"^step 2: shots per setting must be an integer >= 1, "
-                                 rf"got {re.escape(repr(nu))}$"):
+        message = (f"must be >= 1, got {nu}" if isinstance(nu, int)
+                   else f"must be an integer, got {nu!r}")
+        with pytest.raises(DomainError,
+                           match=f"^step 2: shots per setting {re.escape(message)}$"):
             ScheduleStep(k=2, p=2, t=1.0, s=1, nu=nu, l=10)
         assert ScheduleStep(k=2, p=2, t=1.0, s=1, nu=np.int64(1), l=10).nu == 1
 
-    @pytest.mark.parametrize("field,name", [("p", "branch count"), ("s", "repetition count")])
+    @pytest.mark.parametrize("field,name", [("p", "branch count"), ("s", "repetition count"),
+                                            ("k", "step index")])
     def test_step_rejects_non_integer_split(self, field, name):
         # s = 2.0 used to be accepted and end in a bare TypeError in
-        # step_probabilities, and p = 2.0 ran without a word
-        split = {"p": 1, "s": 1, field: 2.0}
-        with pytest.raises(ConfigurationError,
-                           match=rf"^step 2: {name} must be an integer, got 2\.0$"):
-            ScheduleStep(k=2, t=1.0, nu=1, l=10, **split)
-        split[field] = np.int64(2)
-        assert getattr(ScheduleStep(k=2, t=1.0, nu=1, l=10, **split), field) == 2
+        # step_probabilities, p = 2.0 ran without a word, and k = 3.0 made
+        # a step of multiplier 4.0
+        counts = {"k": 3, "p": 2, "s": 2}
+        where = "" if field == "k" else "step 3: "
+        with pytest.raises(DomainError, match=f"^{where}{name} must be an integer, "
+                                              f"got {counts[field]}\\.0$"):
+            ScheduleStep(t=1.0, nu=1, l=10, **{**counts, field: float(counts[field])})
+        step = ScheduleStep(t=1.0, nu=1, l=10, **{**counts, field: np.int64(counts[field])})
+        assert getattr(step, field) == counts[field]
 
     @pytest.mark.parametrize("l", [-2, 0, 3, 11, 10.5, 10.0, "10", None])
     def test_step_rejects_bad_query_length(self, l):
         # l = -2 used to report n_queries = -20 and oracle_depth = -2
-        with pytest.raises(ConfigurationError,
+        with pytest.raises(DomainError,
                            match=rf"^step 2: query length must be a positive even integer, "
                                  rf"got {re.escape(repr(l))}$"):
             ScheduleStep(k=2, p=2, t=1.0, s=1, nu=7, l=l)
@@ -249,7 +256,7 @@ class TestBuildSchedule:
 
     def test_non_integer_l_table_entry_is_refused(self):
         # int() used to truncate the table into L = 10, 12, 14
-        with pytest.raises(ConfigurationError,
+        with pytest.raises(DomainError,
                            match=r"^step 1: query length must be a positive even integer, "
                                  r"got 10\.5$"):
             build_schedule(strategy="full_parallel", k_max=3, l_table=[10.5, 12.9, 14])
@@ -263,12 +270,23 @@ class TestBuildSchedule:
 
     def test_short_l_table_rejected(self):
         # it used to end in a bare IndexError at the first missing step
-        with pytest.raises(ConfigurationError,
+        with pytest.raises(DomainError,
                            match="l_table has 2 entries, schedule needs 5"):
             build_schedule(strategy="full_parallel", k_max=5, l_table=(10, 12))
         longer = build_schedule(strategy="full_parallel", k_max=2,
                                 l_table=PARALLEL_L_TABLE_PLUS)
         assert [st.l for st in longer] == [10, 12]
+
+    def test_bias_budget_domain_is_the_recoverys(self):
+        # beta = 0 used to be refused here, while rpe.mse_bound and
+        # rpe.schedule_nu took it: one check, [0, sqrt(6)/8), for all three
+        assert build_schedule(strategy="full_parallel", k_max=3, beta=0.0).K == 3
+        with pytest.raises(DomainError, match=r"^step 1 \(P = 1, S = 1\): state-error budget "
+                                              r"must lie in \(0, 1\), got 0\.0$"):
+            build_schedule(strategy="full_parallel", k_max=3, beta=0.0, certified=True)
+        for beta in (-0.01, rpe.ROBUSTNESS_LIMIT, math.nan):
+            with pytest.raises(DomainError, match=r"^bias must lie in \[0, sqrt\(6\)/8\), got "):
+                build_schedule(strategy="full_parallel", k_max=3, beta=beta)
 
     def test_certified_mode_lengths_grow_with_parallelism(self):
         sched = build_schedule(strategy="full_parallel", k_max=6, certified=True)
@@ -333,7 +351,7 @@ class TestRun:
 
     def test_backend_guard(self):
         sched = build_schedule(strategy="full_sequential", k_max=2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             run(make_instance(0.5), sched, seed=1, backend="imaginary")
 
     def test_capacity_error_propagates(self, refused_allocation):
@@ -400,6 +418,8 @@ class TestTwoPhases:
         (np.array([3]), 4, "single seed"),
         (1, 0, "trials must be >= 1"),
         (1, -2, "trials must be >= 1"),
+        # a float count used to reach binomial's shape as a bare TypeError
+        (1, 2.5, "^trials must be an integer, got 2.5$"),
     ])
     def test_sampler_rejects_seed_vectors_and_empty_batches(self, seed, trials, message):
         # default_rng would take a seed list as entropy for one stream
@@ -761,21 +781,26 @@ class TestTwoPhases:
         # s = 0 used to give the identity shifter's probabilities, s = -1
         # the inverse shifter's, and m = 4 with p t s = 1 a different step
         # on each backend; now the step refuses to exist (k = 3 for m = 4,
-        # k = 0 for m = 0), and a lazily made schedule fails inside
-        # step_probabilities before the valid step ahead of it is synthesized
-        # or any oracle is built
+        # k = 0 for m = 0), naming the count it refuses, and a lazily made
+        # schedule fails inside step_probabilities before the valid step
+        # ahead of it is synthesized or any oracle is built
         def refuse(*args):
             refused_allocation.append("synthesize_shifters")
             raise AssertionError("synthesize_shifters called past the check")
 
         monkeypatch.setattr(qsp, "synthesize_shifters", refuse)
         k = m.bit_length()
-        message = rf"^step {k}: P\*T\*S = {p}\*1\*{s} must equal 2\^\(k-1\) = "
-        with pytest.raises(ConfigurationError, match=message):
+        message = {(1, 1, 0): "step 1: repetition count must be >= 1, got 0",
+                   (1, 1, -1): "step 1: repetition count must be >= 1, got -1",
+                   (4, 1, 1): "step 3: P*T*S = 1*1*1 must equal 2^(k-1) = 4",
+                   (1, -1, -1): "step 1: branch count must be >= 1, got -1",
+                   (0, 0, 1): "step index must be >= 1, got 0"}[m, p, s]
+        message = f"^{re.escape(message)}$"
+        with pytest.raises(DomainError, match=message):
             ScheduleStep(k=k, p=p, t=1.0, s=s, nu=1, l=10)
         steps = (ScheduleStep(k=k_, p=p_, t=1.0, s=s_, nu=1, l=10)
                  for k_, p_, s_ in ((1, 1, 1), (k, p, s)))
-        with pytest.raises(ConfigurationError, match=message):
+        with pytest.raises(DomainError, match=message):
             step_probabilities(make_instance(0.3), steps, backend)
         assert refused_allocation == []
 
@@ -854,6 +879,6 @@ class TestTheoremResources:
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, 2.0])
     def test_rejects_target_error_outside_unit_interval(self, eps):
-        with pytest.raises(ConfigurationError,
+        with pytest.raises(DomainError,
                            match=f"^target error must lie in \\(0, 1\\), got {eps}$"):
             theorem_resources(eps, 1)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pae import (PARALLEL_L_TABLE_PLUS, ConfigError, ConfigurationError,
+from pae import (PARALLEL_L_TABLE_PLUS, ConfigError, DomainError,
                  ExperimentConfig, build_schedule, circuit, driver, estimate_phase,
                  hl_reference, make_instance, parse_config, rpe, run,
                  sample_and_recover, serialize_config, setting_probability,
@@ -185,7 +185,7 @@ class TestRmseSweep:
 
     def test_empty_step_range_is_refused(self):
         # a config built without parse_config skips its range check
-        with pytest.raises(ConfigurationError, match=r"needs k_min <= k_max, got 4\.\.3"):
+        with pytest.raises(DomainError, match=r"needs k_min <= k_max, got 4\.\.3"):
             run_rmse_sweep(self.make_cfg(k_min=4, k_max=3))
 
     @pytest.mark.parametrize("trials", [1, 7])
@@ -214,9 +214,8 @@ class TestRmseSweep:
 
 class TestBiasSweep:
     def test_requires_synthesizing_backend(self):
-        from pae.driver import ConfigurationError
         cfg = ExperimentConfig(experiment="bias_sweep", backend="ideal")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             run_bias_sweep(cfg)
 
     def test_small_sweep_below_threshold(self):
@@ -310,7 +309,7 @@ class TestTlCurve:
             0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
     def test_rejects_non_positive_step(self):
-        with pytest.raises(ConfigurationError, match="t_step"):
+        with pytest.raises(DomainError, match="t_step"):
             run_tl_curve(ExperimentConfig(experiment="tl_curve", t_step=0.0))
 
     def test_linear_fit_regime(self):

@@ -667,7 +667,8 @@ class TestSolveAngles:
 
     @pytest.mark.parametrize("p,L", [(np.zeros(4), 4), (np.zeros(7), 4),
                                      (np.zeros((3, 3)), 4), (np.zeros(0), 4),
-                                     (np.array([0.0, 1.0, 0.0]), 3)])
+                                     (np.array([0.0, 1.0, 0.0]), 3),
+                                     (np.array([0.0, 1.0, 0.0]), 10.0)])
     def test_rejects_misfit_target(self, p, L):
         with pytest.raises(DomainError):
             solve_angles([p], [L])
@@ -1473,6 +1474,19 @@ class TestResourceSelectors:
                    lambda t: select_L(t, 0.01)):
             with pytest.raises(DomainError, match="positive and finite"):
                 fn(T)
+
+    @pytest.mark.parametrize("L", [10.0, 10.5, 9, 0, -2, "10", None])
+    def test_length_domain(self, L):
+        # L = 10.0 used to be synthesized, and to end in a bare TypeError in
+        # truncate_target and solve_angles, and the bound read 9 as 8 and
+        # 10.5 as 10; every entry point refuses them alike
+        target = complete_target(truncate_target(1.0, 10))
+        for fn in (lambda l: synthesize_shifter(1.0, l), lambda l: truncate_target(1.0, l),
+                   lambda l: solve_angles([target], [l]),
+                   lambda l: truncation_error_bound(1.0, l)):
+            with pytest.raises(DomainError, match=f"^query length must be a positive even "
+                                                  f"integer, got {re.escape(repr(L))}$"):
+                fn(L)
 
     def test_empirical_table(self):
         assert [select_L_empirical(t) for t in (1, 2, 4, 8)] == [10, 14, 22, 34]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ class TestUnwrapStep:
             unwrap_step(2, 0.3)
         with pytest.raises(DomainError):
             unwrap_step(1, 0.3, prev=0.1)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", 0])
+    def test_rejects_step_index_that_is_no_count(self, k):
+        # k = 2.5 used to return a phase on a grid of pi / 2^0.5
+        with pytest.raises(DomainError, match="^step index must be "):
+            unwrap_step(k, 0.1, 0.2)
 
     def test_noiseless_sqrt2_trajectory(self):
         phi = math.sqrt(2.0)
@@ -214,6 +221,20 @@ class TestScheduleNu:
     def test_bad_variant(self):
         with pytest.raises(DomainError):
             schedule_nu(3, 1, variant="exotic")
+
+    @pytest.mark.parametrize("K,k,variant,nu_final,message", [
+        (3, 1.5, "optimized", 7, "step index must be an integer, got 1.5"),
+        (3.5, 1, "optimized", 7, "step count must be an integer, got 3.5"),
+        (3, 1.5, "theoretical", 7, "step index must be an integer, got 1.5"),
+        (3, 0, "optimized", 7, "step index must be >= 1, got 0"),
+        (3, 4, "optimized", 7, "step index 4 outside 1..3"),
+        (3, 1, "optimized", 2.5, "final shot count must be an integer, got 2.5"),
+    ])
+    def test_rejects_counts_that_are_no_counts(self, K, k, variant, nu_final, message):
+        # (3, 1.5) and (3.5, 1) used to return shot counts, and 2.5 final
+        # shots a schedule of 11, 7 and 2
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            schedule_nu(K, k, variant=variant, nu_final=nu_final)
 
     @pytest.mark.parametrize("nu_final", [0, -3])
     def test_optimized_rejects_nonpositive_final(self, nu_final):
