@@ -23,7 +23,10 @@ pipeline is:
    ``P(e^{-i theta}) = conj P(e^{i theta})``, so ``|P|^2`` takes the same
    value at ``theta`` and ``2 pi - theta``, and the half spectrum, the
    angles ``0..pi``, carries every value of the grid.  The gate's values
-   go to the caller that asks for them, in an array it passes.
+   go to the caller that asks for them, in a list it passes.  A list of
+   targets is one batch: the targets that share a sized grid share each of
+   its two transforms, one real FFT of their stacked rows, while every sum
+   stays per target.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``P`` by layer peeling alone: complete ``P`` to a
    unitary with the complementary polynomial ``G``
@@ -51,10 +54,23 @@ pipeline is:
    live target, whose core then has length 4) and pads with cancelling
    pairs up to ``L``, the only place that pads; a target that is the
    identity up to rounding is all cancelling pairs.  A list of targets is
-   one batch: each is complemented alone, and all are peeled in one
-   lockstep loop over the layers (``_solve_layer_peel``), where a core
-   joins the stacked rows at its own first layer, so the batch shares each
-   layer's calls, never its arithmetic; one target is the batch of one.
+   one batch: all live cores are complemented together
+   (``_fejer_complements``), each transform one real FFT of the stacked
+   rows on its grid size, at every cepstrum doubling step, where a core
+   leaves the stack once its tail passes, at the exponential's pair and at
+   the gate's ``|G|^2``; and all are peeled in one lockstep loop over the
+   layers (``_solve_layer_peel``), where a core joins the stacked rows at
+   its own first layer, so the batch shares each layer's calls, never its
+   arithmetic; one target is the batch of one.
+
+   A stacked real FFT gives each row the bits of its own call, and an
+   elementwise step does too, but a pairwise sum over a zero-padded row
+   does not.  So every step that reduces over a target's own length stays
+   per target: the Bessel recurrence, the fold's sums and curvature, the
+   deflation, the ``np.convolve`` products and each gate's maximum.  A
+   stack holds at most ``_STACK_BYTES`` of rows, one row always, and the
+   first target in batch order whose gate fails names the batch's
+   failure, as it would alone.
 4. ``_certify_angles`` gates the sequences, pads included, with no grid: a
    product tree (``_product_row``) multiplies the factors out in
    coefficient space, each level one real FFT of six rows per pair of
@@ -98,13 +114,14 @@ pipeline is:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DomainError, checked_length
+from .core_model import DomainError, checked_count, checked_length
 
 # Bias threshold on the truncation error that keeps the measurement-probability
 # bias of a single (P=1, S=1) shifter at or below 0.05.
@@ -174,7 +191,9 @@ class PhaseShifterSpec:
 
 
 def chebyshev_grid(n: int) -> np.ndarray:
-    """``n`` Chebyshev-distributed angles in ``(0, 2*pi)``."""
+    """``n`` Chebyshev-distributed angles in ``(0, 2*pi)``; a count that is
+    not an integer of at least 1 raises :class:`DomainError`."""
+    n = checked_count("grid size", n)
     j = np.arange(n)
     return np.pi * (1.0 - np.cos(np.pi * (2 * j + 1) / (2 * n)))
 
@@ -208,14 +227,14 @@ def _bessel_j(T: float, d: int) -> np.ndarray:
     """
     m = max(d, math.ceil(T))
     n = m + 16 + math.isqrt(40 * (m + 1))
-    r = np.empty(n)
+    r = [0.0] * n
     ratio = 0.0
     for k in range(n, 0, -1):
         ratio = T / (2.0 * k - T * ratio)
         r[k - 1] = ratio
     scaled = np.cumprod(r)                      # J_k / J_0 for k = 1..n
     j = np.concatenate([[1.0], scaled[:d]])
-    return j / (1.0 + 2.0 * np.sum(scaled[1::2]))
+    return j / (1.0 + 2.0 * scaled[1::2].sum())
 
 
 def _check_strength(T: float) -> None:
@@ -240,14 +259,16 @@ def truncate_target(T: float, L: int) -> TruncatedTarget:
     return TruncatedTarget(T=float(T), L=L, coeffs=p, delta=delta)
 
 
+@functools.lru_cache(maxsize=64)
 def _fejer_kernel_even(d: int) -> np.ndarray:
     """Laurent vector on powers ``-d..d`` of a nonnegative series on the
     harmonics {0, 2, .., 2*(d//2)} that is exactly 1 at theta in {0, pi}
-    and decays in between."""
+    and decays in between.  Memoized, so the vector is read-only."""
     dp = d // 2
     r = np.arange(-dp, dp + 1)
     g = np.zeros(2 * d + 1)
     g[d + 2 * r] = (dp + 1 - np.abs(r)) / (dp + 1) ** 2
+    g.flags.writeable = False
     return g
 
 
@@ -261,11 +282,12 @@ def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos_part, p[d:] - p[d::-1]
 
 
-def complete_target(target: TruncatedTarget, modulus2: np.ndarray | None = None) -> np.ndarray:
-    """Adjust the truncated Laurent vector into an exactly achievable one.
+def complete_target(targets, moduli=None) -> list[np.ndarray]:
+    """Adjust each truncated Laurent vector ``targets[b]`` into an exactly
+    achievable one.
 
-    Returns ``p`` on powers ``-L/2..L/2`` whose ``P(e^{i theta})``
-    approximates ``exp(-i T sin(theta))``, with ``P(1) = 1`` and
+    Returns, per target, ``p`` on powers ``-L/2..L/2`` whose ``P(e^{i
+    theta})`` approximates ``exp(-i T sin(theta))``, with ``P(1) = 1`` and
     ``|P|^2 <= 1 + 1e-12`` on the uniform grid that ``_sized_grid`` sizes
     for its degree ``L``, in one pass: a global rescale by the overshoot
     measured on that grid plus a margin, then an even-harmonic kernel
@@ -276,47 +298,63 @@ def complete_target(target: TruncatedTarget, modulus2: np.ndarray | None = None)
     makes it ``-curv / 2``.  ``P(1)`` and the curvature are summed over the
     folded harmonics, where the odd ones cancel exactly.
 
-    ``modulus2``, when given, an array of ``n/2 + 1`` floats for the
-    grid's ``n`` points, receives the gate's ``|P|^2`` on the angles
-    ``0..pi`` (``_uniform_modulus2``): the complement gate of a peel whose
-    core is all of ``p`` takes it in place of a transform.
+    The list is one batch, and one target is the batch of one,
+    ``complete_target([target])[0]``: the ``|P|^2`` of the truncated
+    targets is one stacked real FFT per sized grid (:func:`_grid_moduli`),
+    and so is that of the completed ones, while every sum stays per
+    target, so each vector is bit for bit what it is alone.  ``moduli``,
+    when given, is a list with one entry per target, and entry ``b`` is set
+    to the gate's ``|P|^2`` on the angles ``0..pi`` of the target's grid of
+    ``n`` points, ``n/2 + 1`` floats (``_uniform_modulus2``): the complement
+    gate of a peel whose core is all of ``p`` takes it in place of a
+    transform.  Raises :class:`SynthesisError` for the first target, in
+    batch order, whose gate fails, with its index in ``target``.
     """
-    d = target.L // 2
-    l2 = 2 * (d // 2)
-    p = target.coeffs
-    n = _sized_grid(target.L)[0]
-    m = max(0.0, float(np.max(_uniform_modulus2(p, n))) - 1.0)
-    kernel = _fejer_kernel_even(d)
-    # a small interior margin keeps |P|^2 strictly below 1 away from the
-    # pinned points, so the later spectral factorization never meets
-    # degenerate zeros on the unit circle; capped at 4*delta to stay inside
-    # the completion's 8*delta budget
-    extra = min(4.0 * target.delta, max(0.5 * target.delta, 1e-7))
-    s = 1.0 + m + extra
+    grids = [_sized_grid(target.L)[0] for target in targets]
+    ps = []
+    for target, modulus2 in zip(targets, _grid_moduli([t.coeffs for t in targets], grids)):
+        d = target.L // 2
+        l2 = 2 * (d // 2)
+        p = target.coeffs
+        m = max(0.0, float(modulus2.max()) - 1.0)
+        kernel = _fejer_kernel_even(d)
+        # a small interior margin keeps |P|^2 strictly below 1 away from the
+        # pinned points, so the later spectral factorization never meets
+        # degenerate zeros on the unit circle; capped at 4*delta to stay
+        # inside the completion's 8*delta budget
+        extra = min(4.0 * target.delta, max(0.5 * target.delta, 1e-7))
+        s = 1.0 + m + extra
 
-    def shifted(mu: float) -> np.ndarray:
-        # mu goes in before the kernel shift, whose coefficient it leaves
-        # unchanged up to rounding; at mu = 0 both updates are exact no-ops
-        p2 = p / s
-        p2[[d - l2, d + l2]] += mu / 2.0
-        p2[d] -= mu
-        return p2 + (1.0 - np.sum(_fold(p2)[0])) * kernel
+        def shifted(mu: float) -> np.ndarray:
+            # mu goes in before the kernel shift, whose coefficient it leaves
+            # unchanged up to rounding; at mu = 0 the updates are exact
+            # no-ops, and mu is nonzero only where l2 >= 2
+            p2 = p / s
+            p2[d - l2] += mu / 2.0
+            p2[d + l2] += mu / 2.0
+            p2[d] -= mu
+            return p2 + (1.0 - _fold(p2)[0].sum()) * kernel
 
-    p2 = shifted(0.0)
-    if l2 >= 2:
-        ls = np.arange(d + 1)
-        cos_part, sin_part = _fold(p2)
-        curv = -np.sum(cos_part * ls ** 2) + np.sum(sin_part * ls) ** 2
-        if curv > 0.0:
-            p2 = shifted(1.5 * curv / l2 ** 2)
-    gg = _uniform_modulus2(p2, n, modulus2)
-    ip = int(np.argmax(gg))
-    over = float(gg[ip]) - 1.0
-    if not over <= 1e-12:                 # a NaN must fail too
-        raise SynthesisError(
-            f"completion failed because |P|^2 exceeds 1 by {over:.3g} "
-            f"at theta={2.0 * np.pi * ip / n:.6f}")
-    return p2
+        p2 = shifted(0.0)
+        if l2 >= 2:
+            ls = np.arange(d + 1)
+            cos_part, sin_part = _fold(p2)
+            curv = -(cos_part * ls ** 2).sum() + (sin_part * ls).sum() ** 2
+            if curv > 0.0:
+                p2 = shifted(1.5 * curv / l2 ** 2)
+        ps.append(p2)
+    for b, (n, gg) in enumerate(zip(grids, _grid_moduli(ps, grids))):
+        ip = int(gg.argmax())
+        over = float(gg[ip]) - 1.0
+        if not over <= 1e-12:                 # a NaN must fail too
+            err = SynthesisError(
+                f"completion failed because |P|^2 exceeds 1 by {over:.3g} "
+                f"at theta={2.0 * np.pi * ip / n:.6f}")
+            err.target = b
+            raise err
+        if moduli is not None:
+            moduli[b] = gg
+    return ps
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +412,76 @@ def realized_functions(xi: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, 
 # Layer peeling: complement the target to a full SU(2)-valued trig polynomial
 # and strip one rotation layer at a time.
 
-def _uniform_modulus2(p: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+# A stacked transform holds at most this many bytes of real rows, and one
+# row is always allowed.  With numpy 2.4's pocketfft on one thread of a
+# 2-CPU x86-64 host, a stack of rows of up to 8192 points cost about a
+# third less per row than one call each, while from 16384 points up a
+# stack of two or four rows took 0.9 to 1.7 times as long as their calls
+# one by one: rows of that size go alone
+_STACK_BYTES = 1 << 17
+
+
+@functools.lru_cache(maxsize=256)
+def _residues(size: int, n: int) -> np.ndarray:
+    """The residues mod ``n`` of the powers ``-d..d`` of a Laurent vector of
+    ``size = 2 d + 1`` coefficients, read-only: where each lands on the
+    ``n``-point grid."""
+    d = (size - 1) // 2
+    residues = np.arange(-d, d + 1) % n
+    residues.flags.writeable = False
+    return residues
+
+
+def _runs(batch: list[int], n: int) -> list[list[int]]:
+    """``batch`` cut into runs of at most ``_STACK_BYTES`` of ``n``-point
+    real rows, at least one row each."""
+    rows = max(1, _STACK_BYTES // (8 * n))
+    if len(batch) <= rows:
+        return [batch]
+    return [batch[i:i + rows] for i in range(0, len(batch), rows)]
+
+
+def _uniform_moduli(vectors: list[np.ndarray], n: int) -> np.ndarray:
     """``|P(e^{2 pi i j / n})|^2``, ``j = 0..n/2`` (``n`` even), the angles
-    ``0..pi`` of the ``n``-point uniform grid, of the real Laurent vector
-    ``p`` on powers ``-d..d`` by one real FFT.  Powers congruent mod ``n``
-    meet on the grid, so the coefficients are summed into their residues
-    first.  Bin ``j`` of the forward transform is ``P(e^{-2 pi i j / n})``,
-    the conjugate of ``P(e^{2 pi i j / n})``, which has the same modulus;
-    the remaining points ``j = n/2+1..n-1`` repeat bins ``n/2-1..1``.
-    ``out``, when given, receives the values."""
-    p = np.asarray(p, dtype=float)
-    d = (len(p) - 1) // 2
-    half = np.fft.rfft(np.bincount(np.arange(-d, d + 1) % n, weights=p, minlength=n))
-    return np.add(half.real ** 2, half.imag ** 2, out=out)
+    ``0..pi`` of the ``n``-point uniform grid, of each real Laurent vector
+    ``p`` of ``vectors`` on powers ``-d..d``: one ``(k, n/2 + 1)`` array from
+    one real FFT of the stacked rows.  Powers congruent mod ``n`` meet on
+    the grid when ``2 d + 1 > n``, so their coefficients are summed into
+    their residues first; on a grid with room for every power each lands
+    on its own point, where a sum onto zero would change at most the sign
+    of a zero, which no modulus keeps.  Bin ``j`` of the forward transform
+    is ``P(e^{-2 pi i j / n})``, the conjugate of ``P(e^{2 pi i j / n})``,
+    which has the same modulus; the remaining points ``j = n/2+1..n-1``
+    repeat bins ``n/2-1..1``."""
+    rows = np.zeros((len(vectors), n))
+    for row, p in zip(rows, vectors):
+        if len(p) <= n:
+            row[_residues(len(p), n)] = p
+        else:
+            row += np.bincount(_residues(len(p), n), weights=p, minlength=n)
+    half = np.fft.rfft(rows)
+    return np.add(half.real ** 2, half.imag ** 2)
+
+
+def _uniform_modulus2(p: np.ndarray, n: int) -> np.ndarray:
+    """The batch of one of :func:`_uniform_moduli`."""
+    return _uniform_moduli([np.asarray(p, dtype=float)], n)[0]
+
+
+def _grid_moduli(vectors: list[np.ndarray], grids: list[int]) -> list[np.ndarray]:
+    """:func:`_uniform_moduli` of each vector on its own grid of
+    ``grids[b]`` points: one stacked real FFT per grid size and run
+    (:func:`_runs`).  A stacked real FFT gives each row the bits of its own
+    call."""
+    groups: dict[int, list[int]] = {}
+    for b, n in enumerate(grids):
+        groups.setdefault(n, []).append(b)
+    out: list = [None] * len(vectors)
+    for n, group in groups.items():
+        for run in _runs(group, n):
+            for b, values in zip(run, _uniform_moduli([vectors[b] for b in run], n)):
+                out[b] = values
+    return out
 
 
 def _sized_grid(degree: int) -> tuple[int, float]:
@@ -408,16 +503,20 @@ def _deflate_pinned(r: np.ndarray) -> np.ndarray:
     signs put back.  Sign flips are exact and ``cumsum`` adds in order, so
     every quotient coefficient is rounded as in the scalar recurrence."""
     c = np.cumsum(np.cumsum(r[:0:-1])[:-1])
-    sign = (-1.0) ** np.arange(len(c) - 1)
+    sign = np.ones(len(c) - 1)           # (-1)^k, without a power per entry
+    sign[1::2] = -1.0
     for size in (len(c) - 1, len(c) - 2):
         c = sign[:size] * np.cumsum(sign[:size] * c[:size])
     return c[::-1]
 
 
-def _log_cepstrum(r: np.ndarray) -> np.ndarray:
-    """The cepstrum of ``log R~`` on a uniform grid of ``n`` points, the
-    length of the result, from the deflated remainder ``r``, which holds
-    ``-R~`` on powers ``-m..m``.
+def _outer_factors(rs: list[np.ndarray]) -> list[np.ndarray]:
+    """The outer factor ``F``, ``|F|^2 = R~``, with its zeros outside the
+    disk, from each deflated remainder ``rs[b]``, which holds ``-R~`` on
+    powers ``-m..m``: ``F`` on the ``n`` points of the uniform grid of its
+    cepstrum, the length of the result, with the coefficients of powers
+    ``0..m`` first.  The analytic half of the cepstrum of ``log R~`` is the
+    cepstrum of ``log F``.
 
     The cepstrum decays, and the grid aliases its tail onto the kept half,
     so ``n`` doubles from eight points per coefficient while the tail
@@ -427,22 +526,46 @@ def _log_cepstrum(r: np.ndarray) -> np.ndarray:
     zero only by rounding where ``1 - |P|^2`` is itself at rounding level;
     clamping the dips changes ``|G|^2`` by that much, and the complement's
     certificate still rejects a truly infeasible target.
-    """
-    m = (len(r) - 1) // 2
-    n = 1 << (8 * len(r) - 1).bit_length()
-    cap = max(4096, n)
-    while True:
-        spread = np.zeros(n)
-        spread[np.arange(-m, m + 1) % n] = -r
-        values = np.maximum(np.fft.rfft(spread).real, 1e-20)
-        cepstrum = np.fft.irfft(np.log(values), n)
-        if n >= cap or not np.max(np.abs(cepstrum[n // 4:n // 2])) > 1e-14:
-            return cepstrum
-        n *= 2
+
+    Every doubling step stacks the remainders on its grid size, smallest
+    first, each transform one call per run (:func:`_runs`); the rows whose
+    tail passes leave the stack for the exponential's pair of transforms,
+    one more call each per run."""
+    caps, waiting = [], {}                  # the remainders on each grid size
+    for b, r in enumerate(rs):
+        n = 1 << (8 * len(r) - 1).bit_length()
+        caps.append(max(4096, n))
+        waiting.setdefault(n, []).append(b)
+    factors: list = [None] * len(rs)
+    while waiting:
+        n = min(waiting)
+        for run in _runs(waiting.pop(n), n):
+            spread = np.zeros((len(run), n))
+            for row, b in zip(spread, run):
+                row[_residues(len(rs[b]), n)] = -rs[b]
+            values = np.maximum(np.fft.rfft(spread).real, 1e-20)
+            cepstrum = np.fft.irfft(np.log(values), n)
+            leaving = []
+            for i, (b, row) in enumerate(zip(run, cepstrum)):
+                if n >= caps[b] or not np.abs(row[n // 4:n // 2]).max() > 1e-14:
+                    # the analytic half of the cepstrum
+                    row[0] /= 2.0
+                    row[n // 2:] = 0.0
+                    leaving.append(i)
+                else:
+                    waiting.setdefault(2 * n, []).append(b)
+            if leaving:
+                half = cepstrum if len(leaving) == len(run) else cepstrum[leaving]
+                # exp of the one-sided cepstrum's spectrum is Hermitian: a
+                # real FFT too
+                for i, row in zip(leaving, np.fft.irfft(np.exp(np.fft.rfft(half)), n)):
+                    factors[run[i]] = row
+    return factors
 
 
-def _fejer_complement(p: np.ndarray, modulus2: np.ndarray | None = None) -> np.ndarray:
-    """Real ``g`` with ``P(z)P(1/z) + G(z)G(1/z) = 1`` on the unit circle.
+def _fejer_complements(ps: list[np.ndarray], moduli=None) -> list[np.ndarray]:
+    """Real ``g`` with ``P(z)P(1/z) + G(z)G(1/z) = 1`` on the unit circle,
+    for each ``p`` of ``ps``.
 
     Spectral factorisation by FFT (the Weiss / log-Hilbert construction):
     ``R = 1 - P(z)P(1/z)`` equals ``4 sin^2(theta) R~`` once the pinned
@@ -454,28 +577,47 @@ def _fejer_complement(p: np.ndarray, modulus2: np.ndarray | None = None) -> np.n
     ``|P|^2 + |G|^2 = 1`` by more than ``_COMPLEMENT_TOL`` anywhere on the
     circle: the miss is a real trigonometric polynomial of degree ``2d``,
     so its maximum on the grid ``_sized_grid(2d)``, divided by the grid's
-    factor, bounds it everywhere.  ``modulus2``, when given, is ``|P|^2``
-    on that grid, as the completion gate evaluated it.
+    factor, bounds it everywhere.  ``moduli[b]``, when given and not
+    ``None``, is ``|P|^2`` of ``ps[b]`` on that grid, as the completion gate
+    evaluated it.
+
+    The list is one batch: every transform of a grid size, each cepstrum
+    doubling step and the exponential's pair (:func:`_outer_factors`) and
+    the gate's ``|G|^2``, with the ``|P|^2`` that no modulus supplies, is
+    one stacked real FFT, while the products, the deflation and each gate's
+    maximum stay per target, so each ``g`` is bit for bit what it is alone.
+    The first target in batch order whose gate fails raises, with its
+    index in ``target``.
     """
-    d = (len(p) - 1) // 2
-    r = -np.convolve(p, p[::-1])
-    r[2 * d] += 1.0
-    r = _deflate_pinned(r)
-    m = (len(r) - 1) // 2                # R~ on powers -m..m
-    cepstrum = _log_cepstrum(r)
-    n = len(cepstrum)
-    cepstrum[0] /= 2.0
-    cepstrum[n // 2:] = 0.0
-    # exp of the one-sided cepstrum's spectrum is Hermitian: a real FFT too
-    f = np.fft.irfft(np.exp(np.fft.rfft(cepstrum)), n)[: m + 1]
-    g = np.convolve(f, [1.0, 0.0, -1.0])[::-1]
-    n_cert, factor = _sized_grid(2 * d)
-    err = _complement_gap(p, g, n_cert, modulus2) / factor
-    if not err <= _COMPLEMENT_TOL:        # a NaN must fail too
-        raise SynthesisError(
-            f"complement of degree {d} misses |P|^2 + |G|^2 = 1 by {err:.3g}: the "
-            f"maximum on {n_cert} uniform points over the factor {factor:.6f}")
-    return g
+    rs = []
+    for p in ps:
+        r = -np.convolve(p, p[::-1])
+        r[len(p) - 1] += 1.0
+        rs.append(_deflate_pinned(r))
+    # G is (1 - z^2) F reversed, F on the powers 0..m of R~'s -m..m
+    gs = [np.convolve(f[:(len(r) + 1) // 2], [1.0, 0.0, -1.0])[::-1]
+          for f, r in zip(_outer_factors(rs), rs)]
+    moduli = list(moduli or [None] * len(ps))
+    sized = [_sized_grid(len(p) - 1) for p in ps]
+    missing = [b for b, m in enumerate(moduli) if m is None]
+    values = _grid_moduli(gs + [ps[b] for b in missing],
+                          [n for n, _ in sized] + [sized[b][0] for b in missing])
+    for b, modulus2 in zip(missing, values[len(ps):]):
+        moduli[b] = modulus2
+    for b, ((n, factor), g2, modulus2) in enumerate(zip(sized, values, moduli)):
+        err = float(np.abs(modulus2 + g2 - 1.0).max()) / factor
+        if not err <= _COMPLEMENT_TOL:        # a NaN must fail too
+            fail = SynthesisError(
+                f"complement of degree {(len(ps[b]) - 1) // 2} misses |P|^2 + |G|^2 = 1 by "
+                f"{err:.3g}: the maximum on {n} uniform points over the factor {factor:.6f}")
+            fail.target = b
+            raise fail
+    return gs
+
+
+def _fejer_complement(p: np.ndarray, modulus2: np.ndarray | None = None) -> np.ndarray:
+    """The batch of one of :func:`_fejer_complements`."""
+    return _fejer_complements([p], [modulus2])[0]
 
 
 def _complement_gap(p: np.ndarray, g: np.ndarray, n: int,
@@ -486,31 +628,49 @@ def _complement_gap(p: np.ndarray, g: np.ndarray, n: int,
     transformed."""
     if modulus2 is None:
         modulus2 = _uniform_modulus2(p, n)
-    return float(np.max(np.abs(modulus2 + _uniform_modulus2(g, n) - 1.0)))
+    return float(np.abs(modulus2 + _uniform_modulus2(g, n) - 1.0).max())
+
+
+def _complemented_cores(ps: list[np.ndarray], moduli=None) -> list[np.ndarray]:
+    """The real row ``(P, G)`` that the peel strips, ``(2 d + 1, 2)``, of
+    the core of each completed target ``ps[b]``: ``p`` cut to its effective
+    degree ``d``, with ``G`` from :func:`_fejer_complements`, one batch for
+    every live core.  Harmonics at rounding level would make the complement
+    factor noise.  A target with no live harmonic beyond 0 is the identity,
+    an empty row; a live one keeps a core of degree at least 2, because a
+    length-2 core with ``A(0) = 1`` realizes only ``C = 0``.  ``moduli[b]``
+    is the completion gate's ``|P|^2`` of all of ``ps[b]``, which the
+    complement gate takes when the core is all of ``p``; a core cut
+    shorter, as at about half the calibrated lengths from ``T = 109`` up, is
+    another vector on another grid, whose ``|P|^2`` costs a transform.  A
+    failing gate raises with the index of its target in ``target``."""
+    rows, live, cores, given = [], [], [], []
+    for b, (p, modulus2) in enumerate(zip(ps, moduli or [None] * len(ps))):
+        d = (len(p) - 1) // 2
+        content = _fold(np.abs(p))[0]       # |p_l| + |p_-l|, |p_0| once
+        alive = np.nonzero(content[1:] > 1e-13 * max(float(content.max()), 1.0))[0]
+        d_eff = min(max(int(alive[-1]) + 1, 2), d) if len(alive) else 0
+        core = p[d - d_eff:d + d_eff + 1] if d_eff else p[:0]
+        row = np.empty((len(core), 2))
+        row[:, 0] = core
+        rows.append(row)
+        if d_eff:
+            live.append(b)
+            cores.append(core)
+            given.append(modulus2 if d_eff == d else None)
+    try:
+        gs = _fejer_complements(cores, given)
+    except SynthesisError as err:
+        err.target = live[err.target]
+        raise
+    for b, g in zip(live, gs):
+        rows[b][:, 1] = g
+    return rows
 
 
 def _complemented_core(p: np.ndarray, modulus2: np.ndarray | None = None) -> np.ndarray:
-    """The real row ``(P, G)`` that the peel strips, ``(2 d + 1, 2)``, of
-    the core of the completed target ``p``: ``p`` cut to its effective
-    degree ``d``, with ``G`` from ``_fejer_complement``.  Harmonics at
-    rounding level would make the complement factor noise.  A target with
-    no live harmonic beyond 0 is the identity, an empty row; a live one
-    keeps a core of degree at least 2, because a length-2 core with ``A(0)
-    = 1`` realizes only ``C = 0``.  ``modulus2`` is the completion gate's
-    ``|P|^2`` of all of ``p``, which the complement gate takes when the
-    core is all of ``p``; a core cut shorter, as at about half the
-    calibrated lengths from ``T = 109`` up, is another vector on another
-    grid, whose ``|P|^2`` costs a transform."""
-    d = (len(p) - 1) // 2
-    content = _fold(np.abs(p))[0]       # |p_l| + |p_-l|, |p_0| once
-    alive = np.nonzero(content[1:] > 1e-13 * max(float(np.max(content)), 1.0))[0]
-    d_eff = min(max(int(alive[-1]) + 1, 2), d) if len(alive) else 0
-    core = p[d - d_eff:d + d_eff + 1] if d_eff else p[:0]
-    row = np.empty((len(core), 2))
-    row[:, 0] = core
-    if d_eff:
-        row[:, 1] = _fejer_complement(core, modulus2 if d_eff == d else None)
-    return row
+    """The batch of one of :func:`_complemented_cores`."""
+    return _complemented_cores([p], [modulus2])[0]
 
 
 # Every coefficient of a stack of rows but the last, and but the first: the
@@ -550,6 +710,9 @@ def _solve_layer_peel(rows: list[np.ndarray], lengths: list[int]) -> list[np.nda
     # At layer j the stack's rows are its columns lo..lo + j
     stack = np.empty((len(live), len(rows[live[0]]), 2))
     pm = np.empty((len(live), 2, 2))
+    # the projectors' entries, row b's at 4b .. 4b + 3: a flat index is a
+    # third of the cost of a pair
+    entries = pm.reshape(-1)
     joins = [len(rows[b]) - 1 for b in live] + [0]     # each core's first layer
     lo = joined = 0
     # the scalar functions of the per-row loop, looked up once
@@ -561,7 +724,7 @@ def _solve_layer_peel(rows: list[np.ndarray], lengths: list[int]) -> list[np.nda
                 joined += 1
             r = stack[:joined, lo:lo + j + 1]
             projectors = pm[:joined]
-            views, targets = list(projectors), [xis[b] for b in live[:joined]]
+            targets = [xis[b] for b in live[:joined]]
         even_slot = j % 2 == 0
         b = 0
         for (x0, eta0), (x1, eta1) in r[:, ::j].tolist():
@@ -582,10 +745,10 @@ def _solve_layer_peel(rows: list[np.ndarray], lengths: list[int]) -> list[np.nda
             ca, sa = cos(angle), sin(angle)
             # the rank-1 projector of the layer, 0.5 [[1 - c, -i s], [i s, 1 + c]]
             # on (x, i eta), acting on (x, eta); its complement is 1 - pm
-            proj = views[b]
-            proj[0, 0] = 0.5 * (1.0 - ca)
-            proj[0, 1] = proj[1, 0] = 0.5 * -sa
-            proj[1, 1] = 0.5 * (1.0 + ca)
+            at = 4 * b
+            entries[at] = 0.5 * (1.0 - ca)
+            entries[at + 1] = entries[at + 2] = 0.5 * -sa
+            entries[at + 3] = 0.5 * (1.0 + ca)
             targets[b][j - 1] = angle if even_slot else angle - pi
             b += 1
         if even_slot:
@@ -696,6 +859,7 @@ def _fft_error(n: int) -> float:
     return t * eta / (1.0 - t * eta)
 
 
+@functools.lru_cache(maxsize=256)
 def _product_rounding(length: int) -> float:
     """Bound on ``sup |x_computed - x_exact|`` over the circle for the
     product tree of ``length`` factors, to first order in ``u``.
@@ -718,6 +882,8 @@ def _product_rounding(length: int) -> float:
       Cauchy-Schwarz, and the inverse transform by ``phi``.  The l2 error
       of the ``2 width - 1`` output coefficients, times ``sqrt(2 width -
       1)``, bounds it in sup.
+
+    It depends on ``length`` alone, so each length is computed once.
     """
     u = _UNIT_ROUNDOFF
     gamma2 = 2.0 * u / (1.0 - 2.0 * u)
@@ -736,13 +902,14 @@ def solve_angles(ps, lengths, moduli=None) -> list[AngleSequence]:
     ``moduli`` is given, is the ``|P|^2`` that :func:`complete_target` kept
     for ``ps[b]``.
 
-    The batch is solved at once: each core complemented alone, all of them
+    The batch is solved at once: all cores complemented together, each
+    transform of a grid size one stacked call (:func:`_complemented_cores`),
     peeled in one :func:`_solve_layer_peel` and certified in one product
     tree, each sequence bit for bit what it is alone; one target is the
     batch of one, ``solve_angles([p], [L])[0]``.  Raises
     :class:`DomainError` for any other target or length, and
-    :class:`SynthesisError` when a gate fails, the failing target's index
-    in its ``target``.
+    :class:`SynthesisError` when a gate fails, the index of the first
+    failing target in batch order in its ``target``.
     """
     ps = [np.asarray(q, float) for q in ps]
     lengths = [checked_length("query length", length) for length in lengths]
@@ -750,14 +917,7 @@ def solve_angles(ps, lengths, moduli=None) -> list[AngleSequence]:
         if q.ndim != 1 or len(q) % 2 == 0 or len(q) - 1 > length:
             raise DomainError(f"a length-{length} sequence cannot realize a target of "
                               f"{q.size} Laurent coefficients")
-    rows = []
-    for q, m in zip(ps, moduli or [None] * len(ps)):
-        try:
-            rows.append(_complemented_core(q, m))
-        except SynthesisError as err:
-            err.target = len(rows)
-            raise
-    return _certify_angles(_solve_layer_peel(rows, lengths), ps)
+    return _certify_angles(_solve_layer_peel(_complemented_cores(ps, moduli), lengths), ps)
 
 
 def _certify_angles(xis: list[np.ndarray], ps: list[np.ndarray]) -> list[AngleSequence]:
@@ -775,7 +935,7 @@ def _certify_angles(xis: list[np.ndarray], ps: list[np.ndarray]) -> list[AngleSe
         k = (len(miss) - len(p)) // 2
         miss[k:k + len(p)] -= p
         # (len + 2) u covers the rounding of the differences and of their sum
-        l1 = float(np.sum(np.abs(miss))) * (1.0 + (len(miss) + 2) * _UNIT_ROUNDOFF)
+        l1 = float(np.abs(miss).sum()) * (1.0 + (len(miss) + 2) * _UNIT_ROUNDOFF)
         residual = l1 + _product_rounding(len(xi))
         if not residual <= _RESIDUAL_TOL:      # a NaN must fail too
             err = SynthesisError(
@@ -783,8 +943,9 @@ def _certify_angles(xis: list[np.ndarray], ps: list[np.ndarray]) -> list[AngleSe
                 f"{l1:.3g} of the product's coefficients plus their rounding")
             err.target = len(sequences)
             raise err
-        sequences.append(AngleSequence(xi=xi, residual=residual,
-                                       row=np.stack([x, eta], axis=1)))
+        row = np.empty((len(x), 2))
+        row[:, 0], row[:, 1] = x, eta
+        sequences.append(AngleSequence(xi=xi, residual=residual, row=row))
     return sequences
 
 
@@ -878,29 +1039,35 @@ def _certified_shifters(keys: list[tuple[float, int]],
     """The one constructor of a :class:`PhaseShifterSpec`, for every
     checked key ``(T, L)`` at once: angles ``angles[b]``, or
     :func:`solve_angles`'s, gated against the target at the solve length
-    :func:`_solve_length` of ``L``.  Each key is truncated and completed on
-    its own grid, its completion's ``|P|^2`` kept for the complement gate;
-    then one :func:`solve_angles` batch, or one certificate of the given
-    angles, serves them all.  A :class:`SynthesisError` names ``T``, ``L``
-    and the solve length of the key that failed."""
-    names, ps, moduli, deltas = [], [], [], []
+    :func:`_solve_length` of ``L``.  Each key is truncated, then one
+    :func:`complete_target` batch completes them all on their own grids,
+    keeping each completion's ``|P|^2`` for the complement gate, and one
+    :func:`solve_angles` batch, or one certificate of the given angles,
+    serves them all.  A :class:`SynthesisError` names ``T``, ``L`` and the
+    solve length of the first key in batch order that failed: a key whose
+    truncation fails stops the batch after the keys before it complete."""
+    names, targets, refused = [], [], None
     for T, L in keys:
         l_solve = _solve_length(T, L)
         names.append((T, L, l_solve))
-        moduli.append(np.empty(_sized_grid(l_solve)[0] // 2 + 1))
         try:
-            target = truncate_target(T, l_solve)
-            ps.append(complete_target(target, moduli[-1]))
+            targets.append(truncate_target(T, l_solve))
         except SynthesisError as err:
-            raise _named(T, L, l_solve, err) from err
-        deltas.append(target.delta)
+            refused = err
+            break
+    moduli: list = [None] * len(targets)
     try:
+        ps = complete_target(targets, moduli)
+        if refused is not None:
+            refused.target = len(targets)
+            raise refused
         sequences = (solve_angles(ps, [L for _, L in keys], moduli) if angles is None
                      else _certify_angles(angles, ps))
     except SynthesisError as err:
         raise _named(*names[err.target], err) from err
-    return [PhaseShifterSpec(T=float(T), L=int(L), angles=seq, eps_oc=state_error_bound(delta))
-            for (T, L, _), seq, delta in zip(names, sequences, deltas)]
+    return [PhaseShifterSpec(T=float(T), L=int(L), angles=seq,
+                             eps_oc=state_error_bound(target.delta))
+            for (T, L, _), seq, target in zip(names, sequences, targets)]
 
 
 def synthesize_shifters(keys) -> dict[tuple[float, int], PhaseShifterSpec]:

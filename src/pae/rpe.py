@@ -118,12 +118,13 @@ def mse_bound(K: int, nu: Sequence[int], beta: float) -> float:
     ``(2 pi/3)^2 (4^-K + sum_k 4^(4-k) exp(-2 nu_k (sqrt(6)/8 - beta)^2))``.
 
     Requires ``beta < sqrt(6)/8`` (the robustness condition) and one shot
-    count per step.
+    count per step, each an integer of at least 1.
     """
     check_bias(beta)
     K = checked_count("step count", K)
     if len(nu) != K:
         raise DomainError(f"need {K} shot counts, got {len(nu)}")
+    nu = [checked_count(f"shot count of step {k}", count) for k, count in enumerate(nu, 1)]
     gap = (ROBUSTNESS_LIMIT - beta) ** 2
     total = 4.0 ** (-K)
     for k in range(1, K + 1):

@@ -80,7 +80,7 @@ def check_certificate_grid() -> tuple[str, bool, str]:
     # The residual, an l1 bound from the product's coefficients, covers
     # the realized product's miss on 16 uniform points per factor
     T, L = 8.0, 34
-    p = qsp.complete_target(qsp.truncate_target(T, L))
+    p = qsp.complete_target([qsp.truncate_target(T, L)])[0]
     angles = qsp.solve_angles([p], [L])[0]
     g = qsp._fejer_complement(p)
     n, factor = qsp._sized_grid(L)

@@ -86,3 +86,25 @@ def test_traced_synthesis_times_each_stage(bench, tmp_path):
     names = [span[0] for span in tracer.spans]
     for stage in ("qsp.truncate_target", "qsp.complete_target", "qsp.solve_angles"):
         assert names.count(stage) >= 1, stage
+
+
+# The output digest of each workload at seed 7 and full size, as
+# ``bench/run.py --seed 7`` reports it: the CSV of a ``pae run``, or the
+# angles of ``synth_ladder``.  A change that moves one announces it.
+SEED_7_DIGESTS = {"sweep_parallel": "1651873beaff1813", "synth_ladder": "e92b570ceb7dc4ee",
+                  "bias_calib": "4562b30370aeb2b1", "crosscheck_sv": "412d37ae918e11c9"}
+
+
+def test_seed_7_digests_are_pinned(bench, tmp_path):
+    worker, _ = bench
+    digests = {}
+    for name, workload in worker.WORKLOADS.items():
+        out = tmp_path / name
+        out.mkdir()
+        wl = workload(7, "full", str(out))
+        worker.cold_cache()
+        wl.call()
+        ops, fails, errors = wl.check()
+        assert ops >= 1 and fails == 0 and errors == [], (name, errors)
+        digests[name] = wl.digests[-1]
+    assert digests == SEED_7_DIGESTS

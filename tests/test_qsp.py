@@ -20,7 +20,7 @@ from pae.circuit import eigenphase_blocks
 from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae import qsp
 from pae.qsp import (_complement_gap, _complemented_core, _deflate_pinned,
-                     _fejer_complement, _fejer_kernel_even, _fold, _log_cepstrum,
+                     _fejer_complement, _fejer_kernel_even, _fold, _outer_factors,
                      _product_rounding, _product_row, _sized_grid, _solve_layer_peel,
                      _uniform_modulus2, apply_shifter, chebyshev_grid, controlled_grover,
                      rotation_product)
@@ -239,7 +239,27 @@ class TestCompleteTarget:
         target = truncate_target(T, L)
         ref, ref_passes = iterative_completion(target)
         assert ref_passes == passes
-        assert np.array_equal(complete_target(target), ref)
+        assert np.array_equal(complete_target([target])[0], ref)
+
+    def test_batch_equals_each_target_alone(self):
+        # targets sharing the 1024- and 4096-point grids and one alone on
+        # its own, completed as one batch: each vector and each kept |P|^2
+        # has the bits it has alone
+        targets = [truncate_target(T, L) for T, L in
+                   ((8.0, 34), (1.0, 10), (48.0, 146), (4.0, 40), (1.0, 14), (2.0, 14))]
+        moduli = [None] * len(targets)
+        batch = complete_target(targets, moduli)
+        for target, p, kept in zip(targets, batch, moduli):
+            alone = [None]
+            assert np.array_equal(complete_target([target], alone)[0], p)
+            assert alone[0].tobytes() == kept.tobytes()
+
+    def test_batch_names_its_first_failing_target(self):
+        good, bad = truncate_target(1.0, 10), truncate_target(0.5, 2)
+        with pytest.raises(SynthesisError) as err:
+            complete_target([good, bad, good, bad])
+        assert err.value.target == 1
+        assert complete_target([]) == []
 
     def test_overshoot_matches_long_double_sum(self):
         # Horner's rule on the rounded e^{i theta} drifts as |fl(z)|^L: on
@@ -252,7 +272,7 @@ class TestCompleteTarget:
         target = truncate_target(T, L)
         d = L // 2
         extra = min(4.0 * target.delta, max(0.5 * target.delta, 1e-7))
-        m = target.coeffs[d + 1] / complete_target(target)[d + 1] - 1.0 - extra
+        m = target.coeffs[d + 1] / complete_target([target])[0][d + 1] - 1.0 - extra
         ref = max(0.0, float(np.max(long_double_modulus2(target.coeffs, 8192))) - 1.0)
         assert abs(m - ref) <= 1e-14
 
@@ -261,10 +281,10 @@ class TestCompleteTarget:
         with pytest.raises(SynthesisError):
             iterative_completion(target)
         with pytest.raises(SynthesisError, match=r"completion failed .* at theta=\d"):
-            complete_target(target)
+            complete_target([target])[0]
 
     def test_near_zero_strength_unchanged(self):
-        a, c = cos_sin(complete_target(truncate_target(1e-15, 4)))
+        a, c = cos_sin(complete_target([truncate_target(1e-15, 4)])[0])
         assert a[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(a[1:])) <= 1e-12
         assert np.max(np.abs(c)) <= 1e-12
@@ -272,7 +292,7 @@ class TestCompleteTarget:
     @pytest.mark.parametrize("T,L", [(1, 10), (2, 14), (4, 22), (8, 34)])
     def test_within_8delta_of_exponential(self, T, L):
         target = truncate_target(T, L)
-        p = complete_target(target)
+        p = complete_target([target])[0]
         thetas = chebyshev_grid(4096)
         A, C = eval_pair(p, thetas)
         dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
@@ -282,7 +302,7 @@ class TestCompleteTarget:
     def test_feasibility(self, T, L):
         # on two outside grids, 4096 Chebyshev and 8192 uniform points,
         # neither of them the grid the completion gates on
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         assert np.sum(cos_sin(p)[0]) == pytest.approx(1.0, abs=1e-14)     # A(0) = 1
         for thetas in (chebyshev_grid(4096),
                        np.linspace(0.0, 2 * np.pi, 8192, endpoint=False)):
@@ -290,7 +310,7 @@ class TestCompleteTarget:
             assert float(np.max(A * A + C * C)) - 1.0 <= 1e-12    # margin >= 0
 
     def test_parity_structure(self):
-        a, c = cos_sin(complete_target(truncate_target(2.0, 14)))
+        a, c = cos_sin(complete_target([truncate_target(2.0, 14)])[0])
         assert np.max(np.abs(a[1::2])) == 0.0   # cosine part even harmonics only
         assert np.max(np.abs(c[0::2])) == 0.0   # sine part odd harmonics only
 
@@ -302,7 +322,7 @@ class TestLaurentValues:
     def test_matches_trig_series(self, T, L):
         # on the dyadic grid theta_j = j/128 every l*theta_j is exact, so the
         # direct series is accurate to rounding of its terms
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         thetas = np.arange(1024) / 128.0
         z = np.exp(1j * thetas)
         got = laurent_values(p, z) * z ** (-(L // 2))
@@ -311,7 +331,7 @@ class TestLaurentValues:
 
     def test_modulus_against_extended_precision(self):
         mpmath = pytest.importorskip("mpmath")
-        p = complete_target(truncate_target(256.0, 710))
+        p = complete_target([truncate_target(256.0, 710)])[0]
         a, c = cos_sin(p)
         thetas = chebyshev_grid(60)
         got = np.abs(laurent_values(p, np.exp(1j * thetas))) ** 2
@@ -329,7 +349,7 @@ class TestLaurentValues:
         # a (grid, L/2 + 1) trig table at this length would take 133 MiB
         tracemalloc.start()
         try:
-            solve_angles([complete_target(truncate_target(512.0, 1408))], [1408])
+            solve_angles([complete_target([truncate_target(512.0, 1408)])[0]], [1408])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,7 +371,7 @@ class TestUniformValues:
     @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (256.0, 710)])
     def test_matches_horner(self, T, L, n):
         # bins 0..n/2 are the grid's angles in [0, pi]
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         z = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
         got = _uniform_modulus2(p, n)
         assert got.shape == (n // 2 + 1,)
@@ -401,7 +421,7 @@ class TestMirrorGrids:
         # l1 part (6.7e-13) and far below the rounding term (1.7e-10)
         n = _sized_grid(L)[0]
         target = truncate_target(T, L)
-        p = complete_target(target)
+        p = complete_target([target])[0]
         for q in (target.coeffs, p):
             full = np.abs(np.fft.fft(q, n)) ** 2
             assert abs(np.max(_uniform_modulus2(q, n)) - np.max(full)) <= 1e-13
@@ -501,7 +521,7 @@ def deflate_loop(coeffs_asc, root):
 class TestComplement:
     @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (256.0, 710)])
     def test_deflation_matches_division_loop(self, T, L):
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         r = -np.convolve(p, p[::-1])
         r[L] += 1.0
         ref = r
@@ -511,7 +531,7 @@ class TestComplement:
 
     @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (256.0, 710)])
     def test_matches_complex_fft_reference(self, T, L):
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         g = _fejer_complement(p)
         assert np.max(np.abs(g - complex_fft_complement(p))) <= 1e-14
 
@@ -522,9 +542,9 @@ class TestComplement:
     def test_sized_grid_matches_floored_reference(self, T, L):
         # the reference's grid never falls below 4096 points; the cepstrum's
         # own grid starts at eight points per coefficient and never exceeds it
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         r = deflated_remainder(p)
-        assert len(_log_cepstrum(r)) <= max(4096, degree_rule(r))
+        assert len(_outer_factors([r])[0]) <= max(4096, degree_rule(r))
         assert np.max(np.abs(_fejer_complement(p) - complex_fft_complement(p))) <= 1e-14
 
     @pytest.mark.parametrize("T,L", [(2.533577337370513, 10), (3.0, 18)])
@@ -532,23 +552,23 @@ class TestComplement:
         # at eight points per coefficient the first target misses the
         # complement tolerance by 1.8e-10; its cepstrum tail sends it to a
         # finer grid, which certifies, and neither grid passes the floored one
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         r = deflated_remainder(p)
-        n = len(_log_cepstrum(r))
+        n = len(_outer_factors([r])[0])
         assert degree_rule(r) < n <= max(4096, degree_rule(r))
         assert np.max(np.abs(_fejer_complement(p) - complex_fft_complement(p))) <= 1e-14
 
     def test_small_targets_take_a_smaller_grid(self):
         # the T = 1 shifters of the parallel tables need 512 points, not 4096
         for L in sorted(set(PARALLEL_L_TABLE_PLUS)):
-            assert len(_log_cepstrum(deflated_remainder(
-                complete_target(truncate_target(1.0, L))))) == 512
+            assert len(_outer_factors([deflated_remainder(
+                complete_target([truncate_target(1.0, L)])[0])])[0]) == 512
 
     @pytest.mark.parametrize("T", [1.0, 64.0, 256.0])
     def test_unit_modulus_pair(self, T):
         # T=64 is where the root-finding complement broke down
         L = select_L_empirical(T)
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         g = _fejer_complement(p)
         d = L // 2
         z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 3001))
@@ -561,7 +581,7 @@ class TestComplement:
     def test_rounding_level_remainder(self, T, L):
         # 1 - |P|^2 is at rounding level here, so R~ dips below zero by
         # rounding: the factor must still certify and the peel converge
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         assert solve_angles([p], [L])[0].residual <= 1e-8
 
     def test_rejects_modulus_above_one(self):
@@ -614,22 +634,34 @@ class TestSharedModulus:
         synthesize_shifters([keys[0], keys[1], (48.0, 146), *keys[2:]])
         assert sizes.count(16384) == 3
 
+    def test_cold_plus_batch_transforms_each_grid_three_times(self, monkeypatch):
+        # the six T = 1 shifters of the plus table sit on two sized grids,
+        # 1024 points (L = 10 .. 16) and 2048 (L = 18, 20): the truncated
+        # |P|^2, the completed |P|^2 and |G|^2 are one stacked transform
+        # each per grid, not one per key
+        keys = [(1.0, L) for L in sorted(set(PARALLEL_L_TABLE_PLUS))]
+        assert [_sized_grid(L)[0] for _, L in keys] == [1024] * 4 + [2048] * 2
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        sizes = counting_rfft(monkeypatch)
+        synthesize_shifters(keys)
+        assert sizes.count(1024) == sizes.count(2048) == 3
+
     def test_interleaved_targets_match_each_target_alone(self):
-        # two targets on the same 4096-point grid, each completion followed
-        # by the other's before either complement and gap, each complement
-        # given its own completion's |P|^2
+        # two targets on the same 4096-point grid, completed in one batch,
+        # whose transforms stack both rows, before either complement and
+        # gap, each complement given its own completion's |P|^2
         targets = [truncate_target(8.0, 34), truncate_target(4.0, 40)]
         n = _sized_grid(34)[0]
         assert n == _sized_grid(40)[0] == 4096
 
         def alone(target):
-            p = complete_target(target)
+            p = complete_target([target])[0]
             g = _fejer_complement(p)
             return p, g, _complement_gap(p, g, n)
 
         want = [alone(target) for target in targets]
-        moduli = [np.empty(n // 2 + 1) for _ in targets]
-        ps = [complete_target(target, m) for target, m in zip(targets, moduli)]
+        moduli = [None] * len(targets)
+        ps = complete_target(targets, moduli)
         gs = [_fejer_complement(p, m) for p, m in zip(ps, moduli)]
         gaps = [_complement_gap(ps[i], gs[i], n, moduli[i]) for i in (1, 0)][::-1]
         for (p, g, gap), p2, g2, gap2 in zip(want, ps, gs, gaps):
@@ -641,10 +673,11 @@ class TestSharedModulus:
         # it would have transformed
         target = truncate_target(2.0, 14)
         n = _sized_grid(14)[0]
-        kept = np.full(n // 2 + 1, np.nan)
-        p = complete_target(target, kept)
-        assert np.array_equal(kept, _uniform_modulus2(p, n))
-        assert np.array_equal(p, complete_target(target))
+        kept = [None]
+        p = complete_target([target], kept)[0]
+        assert kept[0].shape == (n // 2 + 1,)
+        assert np.array_equal(kept[0], _uniform_modulus2(p, n))
+        assert np.array_equal(p, complete_target([target])[0])
 
 
 class TestSolveAngles:
@@ -659,7 +692,7 @@ class TestSolveAngles:
     def test_pads_beyond_target_degree(self):
         # a degree-5 target in a length-20 sequence: the peel pads with
         # cancelling pairs, and the residual covers the padded sequence
-        p = complete_target(truncate_target(1.0, 10))
+        p = complete_target([truncate_target(1.0, 10)])[0]
         seq = solve_angles([p], [20])[0]
         assert len(seq) == 20 and seq.residual <= 1e-8
         assert np.array_equal(seq.xi[10:], np.tile([-np.pi / 2, np.pi / 2], 5))
@@ -675,7 +708,7 @@ class TestSolveAngles:
 
     @pytest.mark.parametrize("T,L", [(2, 14), (4, 22), (8, 34)])
     def test_layer_peel_residual(self, T, L):
-        seq = solve_angles([complete_target(truncate_target(T, L))], [L])[0]
+        seq = solve_angles([complete_target([truncate_target(T, L)])[0]], [L])[0]
         assert seq.residual <= 1e-8
 
     def test_realized_functions_normalized(self):
@@ -798,7 +831,7 @@ class TestProductTree:
         # circle, so on 16 uniform points per factor too; TestMirrorGrids
         # checks the same at T = 512 and 2048
         L = select_L_empirical(T)
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         seq = solve_angles([p], [L])[0]
         m = 16 * L
         u00 = rotation_product(seq.xi, 2.0 * np.pi * np.arange(m) / m)[:, 0, 0]
@@ -954,13 +987,13 @@ class TestLayerPeel:
     @pytest.mark.parametrize("T,L", [(1.0, 10), (16.0, 58), (48.0, 146), (256.0, 710)])
     def test_in_place_peel_matches_allocating_peel(self, T, L):
         # the same operations on the same operands, so the same bits
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         assert np.array_equal(layer_peel(p, L), allocating_layer_peel(p, L))
 
     def test_in_place_peel_matches_allocating_peel_when_degree_deficient(self, monkeypatch):
         # the target of test_degree_deficient_end_gives_pi
-        monkeypatch.setattr(qsp, "_fejer_complement",
-                            lambda p, modulus2=None: np.zeros_like(p))
+        monkeypatch.setattr(qsp, "_fejer_complements",
+                            lambda ps, moduli=None: [np.zeros_like(p) for p in ps])
         p = np.array([0.0, -0.05, 1.0, 0.05, 0.0])
         assert np.array_equal(layer_peel(p, 4), allocating_layer_peel(p, 4))
 
@@ -968,18 +1001,18 @@ class TestLayerPeel:
     def test_real_row_matches_complex_row(self, T, L):
         # the row (x, i eta) has real x and eta at every layer, so peeling
         # the real pair takes the same rounding steps as the complex row
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         assert np.array_equal(layer_peel(p, L), complex_layer_peel(p, L))
 
     def test_real_row_matches_complex_row_at_large_strength(self):
-        p = complete_target(truncate_target(256.0, 710))
+        p = complete_target([truncate_target(256.0, 710)])[0]
         assert np.max(np.abs(layer_peel(p, 710) - complex_layer_peel(p, 710))) <= 1e-12
 
     @pytest.mark.parametrize("T,L", [(16.0, 58), (48.0, 146), (256.0, 710)],
                              ids=["16.0", "48.0", "256.0"])
     def test_matches_svd_reference(self, T, L):
         # the SVD's sign is arbitrary, so angles agree modulo 2*pi
-        p = complete_target(truncate_target(T, L))
+        p = complete_target([truncate_target(T, L)])[0]
         xi = layer_peel(p, L)
         gap = np.angle(np.exp(1j * (xi - svd_layer_peel(p, L))))
         assert len(xi) == L
@@ -988,8 +1021,8 @@ class TestLayerPeel:
     def test_degree_deficient_end_gives_pi(self, monkeypatch):
         # harmonic 2 of P is zero and the complement is stubbed to zero, so
         # both end blocks vanish at the first layer: any angle cancels them
-        monkeypatch.setattr(qsp, "_fejer_complement",
-                            lambda p, modulus2=None: np.zeros_like(p))
+        monkeypatch.setattr(qsp, "_fejer_complements",
+                            lambda ps, moduli=None: [np.zeros_like(p) for p in ps])
         xi = layer_peel(np.array([0.0, -0.05, 1.0, 0.05, 0.0]), 4)
         assert xi[-1] == np.pi
 
@@ -1480,13 +1513,22 @@ class TestResourceSelectors:
         # L = 10.0 used to be synthesized, and to end in a bare TypeError in
         # truncate_target and solve_angles, and the bound read 9 as 8 and
         # 10.5 as 10; every entry point refuses them alike
-        target = complete_target(truncate_target(1.0, 10))
+        target = complete_target([truncate_target(1.0, 10)])[0]
         for fn in (lambda l: synthesize_shifter(1.0, l), lambda l: truncate_target(1.0, l),
                    lambda l: solve_angles([target], [l]),
                    lambda l: truncation_error_bound(1.0, l)):
             with pytest.raises(DomainError, match=f"^query length must be a positive even "
                                                   f"integer, got {re.escape(repr(L))}$"):
                 fn(L)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, 0, -1, "4", None])
+    def test_grid_size_domain(self, n):
+        # 2.5 gave the three angles 0.600, 4.112 and 2 pi, the last outside
+        # the open interval
+        message = (f"must be >= 1, got {n}" if isinstance(n, int)
+                   else f"must be an integer, got {n!r}")
+        with pytest.raises(DomainError, match=f"^grid size {re.escape(message)}$"):
+            chebyshev_grid(n)
 
     def test_empirical_table(self):
         assert [select_L_empirical(t) for t in (1, 2, 4, 8)] == [10, 14, 22, 34]
@@ -1685,4 +1727,4 @@ def test_completion_failure_is_reported():
     # an L=2 target with material strength is not achievable: the constant
     # cosine part cannot reach A(0)=1 while A^2+C^2 <= 1 holds
     with pytest.raises(SynthesisError):
-        complete_target(truncate_target(0.5, 2))
+        complete_target([truncate_target(0.5, 2)])[0]

@@ -202,6 +202,17 @@ class TestMseBound:
         with pytest.raises(DomainError):
             mse_bound(3, [5, 5], beta=0.0)
 
+    @pytest.mark.parametrize("nu,message", [
+        ([5.5, 5], "shot count of step 1 must be an integer, got 5.5"),
+        ([-3, 5], "shot count of step 1 must be >= 1, got -3"),
+        ([5, 0], "shot count of step 2 must be >= 1, got 0"),
+        ([5, None], "shot count of step 2 must be an integer, got None")])
+    def test_each_shot_count_is_a_count(self, nu, message):
+        # 5.5 shots gave 127.86 and -3 shots 520.46, where [5, 5] gives 137.70
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            mse_bound(2, nu, beta=0.0)
+        assert mse_bound(2, np.array([5, 5]), beta=0.0) == mse_bound(2, [5, 5], beta=0.0)
+
 
 class TestScheduleNu:
     def test_theoretical_final_step(self):

@@ -51,14 +51,16 @@ def alone(key):
 
 
 def same_bits(a, b):
+    # the row is what the analytic stage evaluates
     return (a.T == b.T and a.L == b.L and a.angles.xi.tobytes() == b.angles.xi.tobytes()
+            and a.angles.row.tobytes() == b.angles.row.tobytes()
             and a.angles.residual == b.angles.residual and a.eps_oc == b.eps_oc)
 
 
 def test_cut_cores_are_drawn():
     # the two strong keys reach the peel's shorter core
     for T, L in KEYS[-2:]:
-        p = qsp.complete_target(qsp.truncate_target(T, qsp._solve_length(T, L)))
+        p = qsp.complete_target([qsp.truncate_target(T, qsp._solve_length(T, L))])[0]
         assert len(qsp._complemented_core(p)) < len(p)
 
 
@@ -82,6 +84,27 @@ def test_batch_equals_each_key_alone(keys, cached):
         assert all(again[key] is specs[key] for key in keys)
 
 
+def test_one_row_stacks_give_the_same_bits(monkeypatch):
+    # the plus keys share the 1024- and 2048-point grids, the ladder keys
+    # (whose T = 1 key is the plus table's (1.0, 10)) some of theirs, and
+    # T = 160 peels a cut core: with every transform cut down to one row
+    # the batch makes more calls, and every spec keeps its bits
+    keys = PLUS + [(float(T), select_L_empirical(T)) for T in LADDER[1:]] + [(160.0, 450)]
+    for key in keys:
+        alone(key)
+    ranks = counted_rfft(monkeypatch)
+    with cold_cache():
+        stacked = synthesize_shifters(keys)
+    calls = len(ranks)
+    monkeypatch.setattr(qsp, "_STACK_BYTES", 1)
+    with cold_cache():
+        one_row = synthesize_shifters(keys)
+    assert len(ranks) - calls > calls
+    for key in keys:
+        assert same_bits(stacked[key], alone(key)), key
+        assert same_bits(one_row[key], alone(key)), key
+
+
 def test_empty_batch():
     assert synthesize_shifters([]) == {}
     assert solve_angles([], []) == []
@@ -90,7 +113,7 @@ def test_empty_batch():
 def test_solve_angles_batch_equals_each_target_alone():
     # the public solver takes the same lists, with no moduli handed over:
     # a whole core, one padded up to a longer sequence and a cut one
-    targets = [qsp.complete_target(qsp.truncate_target(T, L))
+    targets = [qsp.complete_target([qsp.truncate_target(T, L)])[0]
                for T, L in ((8.0, 34), (1.0, 10), (256.0, 710))]
     lengths = [34, 20, 710]
     alone = [solve_angles([p], [L])[0] for p, L in zip(targets, lengths)]
@@ -136,6 +159,39 @@ class TestFailureInABatch:
         with pytest.raises(SynthesisError) as batch_err:
             synthesize_shifters([PLUS[0], (48.0, 146), (1868.0, L), (8.0, 34)])
         assert str(batch_err.value) == str(alone_err.value)
+        assert qsp._shifter_cache == {}
+
+    def test_first_failing_key_in_batch_order_is_named(self, monkeypatch):
+        # every complement gate refuses, (1.0, 10) and (1.0, 12) in one
+        # stacked transform on 1024 points: the batch names its first key,
+        # (8.0, 34) on 4096 points, as alone
+        monkeypatch.setattr(qsp, "_COMPLEMENT_TOL", -1.0)
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        keys = [(8.0, 34), (1.0, 10), (1.0, 12), (4.0, 22)]
+        with pytest.raises(SynthesisError) as alone_err:
+            synthesize_shifter(*keys[0])
+        with pytest.raises(SynthesisError) as batch_err:
+            synthesize_shifters(keys)
+        assert str(batch_err.value) == str(alone_err.value)
+        assert str(batch_err.value).startswith("shifter T=8.0, L=34 (solve length 34): "
+                                               "complement of degree 17 misses")
+        assert qsp._shifter_cache == {}
+
+    def test_failing_truncation_or_completion_names_the_first_key(self, monkeypatch):
+        # (0.5, 2) fails its completion and (100.0, 10) its truncation: the
+        # batch truncates before it completes, and still names the first
+        # failing key in batch order, as alone
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        alone_errors = {}
+        for key in ((0.5, 2), (100.0, 10)):
+            with pytest.raises(SynthesisError) as err:
+                synthesize_shifter(*key)
+            alone_errors[key] = str(err.value)
+        for keys in ([(0.5, 2), (100.0, 10)], [(1.0, 10), (100.0, 10), (0.5, 2)]):
+            with pytest.raises(SynthesisError) as err:
+                synthesize_shifters(keys)
+            first = next(key for key in keys if key in alone_errors)
+            assert str(err.value) == alone_errors[first]
         assert qsp._shifter_cache == {}
 
     def test_failing_residual_names_its_shifter(self, monkeypatch):
