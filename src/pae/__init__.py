@@ -2,8 +2,7 @@
 robust phase recovery, and resource benchmarking."""
 
 from .circuit import (CapacityError, MeasurementSetting, ParallelCircuit,
-                      analytic_stage, eigenphase_blocks, ghz_depth,
-                      ideal_probabilities, parity_probabilities,
+                      analytic_stage, ghz_depth, ideal_probabilities, parity_probabilities,
                       setting_probability, statevector_even_parity_probability,
                       statevector_stage)
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config

@@ -13,13 +13,12 @@ stack of steps, each with its own ``P``.  Each backend has one
 stage with one contract, ``stage(requests, operand) -> [{s: blocks}]``:
 for every ``(spec, powers)`` of a run's requests it raises the shifter to
 every requested power ``s`` and returns the blocks of each in the layout
-:func:`parity_probabilities` reads.  A single shifter's call,
-``(spec, operand, powers) -> {s: blocks}``, is the batch of one.
-``driver.step_probabilities`` composes the stages for a run, one stage
-call for every shifter of a register size; the per-setting views
-:func:`setting_probability` and :func:`statevector_even_parity_probability`
-compose them for one circuit.  The backends differ in where the blocks
-come from:
+:func:`parity_probabilities` reads; one shifter is the batch of one,
+``stage([(spec, powers)], operand)[0]``.  ``driver.step_probabilities``
+composes the stages for a run, one stage call for every shifter of a
+register size; the per-setting views :func:`setting_probability` and
+:func:`statevector_even_parity_probability` compose them for one circuit.
+The backends differ in where the blocks come from:
 
 * analytic -- on each Grover eigenphase ``e^{+-2i theta}`` the shifter is
   a 2x2 SU(2) ancilla matrix at ``pi/2 +- 2 theta``; the two
@@ -28,15 +27,13 @@ come from:
   certified its angles (``AngleSequence.row``), on one table of powers
   shared by every shifter of the run and one product per shifter for all
   instance angles, and raises it to each ``s`` in closed form; exact, and
-  batched over shifters and instance angles (:func:`eigenphase_blocks` is
-  its batch of one).  ``qsp.rotation_product``, which
-  multiplies the angles out layer by layer, stays the independent check of
-  this stage (``pae verify``).
+  batched over shifters and instance angles.  ``qsp.rotation_product``,
+  which multiplies the angles out layer by layer, stays the independent
+  check of this stage (``pae verify``).
 * statevector -- the shifter around the explicit oracle, used to
   cross-validate the analytic backend: :func:`controlled_grover_blocks`
   stacks the controlled-Grover blocks of instances of one register size,
-  and :func:`statevector_stage` applies each shifter in turn
-  (:func:`shifter_columns` is its batch of one) by
+  and :func:`statevector_stage` applies each shifter in turn by
   :func:`qsp.apply_shifter`: its factors go to the only two columns a
   branch reads, those of a system register at ``|0..0>``, up to the
   largest ``s`` in one pass, without multiplying the shifter out; split by
@@ -217,12 +214,6 @@ def _raised(values: np.ndarray, powers: list[int]) -> np.ndarray:
     return blocks
 
 
-def eigenphase_blocks(spec: PhaseShifterSpec, thetas, powers) -> dict[int, np.ndarray]:
-    """The batch of one of :func:`analytic_stage`: ``{s: blocks}`` of one
-    shifter, each ``(2, n, 2, 2)``."""
-    return analytic_stage([(spec, powers)], thetas)[0]
-
-
 def parity_probabilities(blocks: np.ndarray, P) -> np.ndarray:
     """``(g, n, 2)`` probabilities of a stack of ``g`` steps, step ``i``
     with ``P[i]`` branches, from ``(g, c, n, 2, 2)`` blocks already raised
@@ -234,9 +225,9 @@ def parity_probabilities(blocks: np.ndarray, P) -> np.ndarray:
     ``sqrt(2)`` times that component's share of the branch state, and
     column ``j`` of a block is its part of the ancilla state ``phi_j``.  For the analytic
     backend the components are the two Grover eigenphases, which ``|0..0>``
-    weights ``1/sqrt(2)`` each (the ``(2, n, 2, 2)``
-    :func:`eigenphase_blocks`); for the statevector backend the ``2^n``
-    system basis states (the ``(2^n, m, 2, 2)`` :func:`shifter_columns`).
+    weights ``1/sqrt(2)`` each (the ``(2, n, 2, 2)`` blocks of
+    :func:`analytic_stage`); for the statevector backend the ``2^n`` system
+    basis states (the ``(2^n, m, 2, 2)`` blocks of :func:`statevector_stage`).
 
     With ``x_j = <phi_j|X|phi_j>`` and ``z = <phi_1|X|phi_0>`` over all
     components, the product over identical branches collapses to
@@ -266,13 +257,20 @@ def parity_probabilities(blocks: np.ndarray, P) -> np.ndarray:
     return np.clip(np.stack([plus, plus_i], axis=-1), 0.0, 1.0)
 
 
+def _circuit_probability(stage, operand, circuit: ParallelCircuit,
+                         setting: MeasurementSetting) -> float:
+    """The even-parity probability at ``setting`` of the shifter raised to
+    ``S`` by ``stage`` on ``operand``, contracted for ``P`` branches."""
+    blocks = stage([(circuit.spec, [circuit.S])], operand)[0][circuit.S]
+    return float(parity_probabilities(blocks[None], [circuit.P])
+                 [0, 0, list(MeasurementSetting).index(setting)])
+
+
 def setting_probability(circuit: ParallelCircuit,
                         setting: MeasurementSetting) -> float:
     """Exact even-parity probability of the synthesized circuit: the
     analytic stage, then :func:`parity_probabilities`."""
-    blocks = eigenphase_blocks(circuit.spec, [circuit.instance.theta], [circuit.S])
-    return float(parity_probabilities(blocks[circuit.S][None], [circuit.P])
-                 [0, 0, list(MeasurementSetting).index(setting)])
+    return _circuit_probability(analytic_stage, [circuit.instance.theta], circuit, setting)
 
 
 def ideal_probabilities(multiplier, phi) -> np.ndarray:
@@ -372,20 +370,11 @@ def statevector_stage(requests, wq: np.ndarray) -> list[dict[int, np.ndarray]]:
     return stages
 
 
-def shifter_columns(spec: PhaseShifterSpec, wq: np.ndarray,
-                    powers) -> dict[int, np.ndarray]:
-    """The batch of one of :func:`statevector_stage`: ``{s: blocks}`` of
-    one shifter, each ``(2^n, m, 2, 2)``."""
-    return statevector_stage([(spec, powers)], wq)[0]
-
-
 def statevector_even_parity_probability(circuit: ParallelCircuit,
                                         setting: MeasurementSetting) -> float:
     """Even-parity probability around the instance's explicit oracle: the
     statevector stage, then :func:`parity_probabilities`, after the guard,
     which raises :class:`CapacityError` before any oracle is built."""
     check_capacity([circuit.instance.n])
-    blocks = shifter_columns(circuit.spec, controlled_grover_blocks([circuit.instance]),
-                             [circuit.S])
-    return float(parity_probabilities(blocks[circuit.S][None], [circuit.P])
-                 [0, 0, list(MeasurementSetting).index(setting)])
+    return _circuit_probability(statevector_stage, controlled_grover_blocks([circuit.instance]),
+                                circuit, setting)

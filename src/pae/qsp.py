@@ -19,14 +19,14 @@ pipeline is:
    vector, to measure the overshoot and to gate the result, on one uniform
    grid sized by that degree (``_sized_grid``: the smallest power of two
    with at least 64 points per degree), as the squared moduli of one real
-   FFT of the coefficients (``_uniform_modulus2``).  For real ``p``,
+   FFT of the coefficients (``_uniform_moduli``).  For real ``p``,
    ``P(e^{-i theta}) = conj P(e^{i theta})``, so ``|P|^2`` takes the same
    value at ``theta`` and ``2 pi - theta``, and the half spectrum, the
    angles ``0..pi``, carries every value of the grid.  The gate's values
    go to the caller that asks for them, in a list it passes.  A list of
    targets is one batch: the targets that share a sized grid share each of
-   its two transforms, one real FFT of their stacked rows, while every sum
-   stays per target.
+   its two transforms, one real FFT of their stacked rows (``_stacks``),
+   while every sum stays per target.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``P`` by layer peeling alone: complete ``P`` to a
    unitary with the complementary polynomial ``G``
@@ -35,11 +35,11 @@ pipeline is:
    a grid that doubles from eight points per coefficient until the
    cepstrum's aliased tail is at rounding level) and strip one degree at a
    time.  The pair is gated on the sized grid of the degree of ``|P|^2 +
-   |G|^2 - 1`` by the same real-FFT moduli: its maximum there, divided by
-   ``cos(pi degree / n)``, bounds it on the whole circle.  When the peel's
-   core is the whole target, that grid and ``P`` are the completion
-   gate's, whose ``|P|^2`` the caller hands over as an argument, so only
-   ``|G|^2`` costs a transform there.  At the calibrated length that holds
+   |G|^2 - 1`` by the same real-FFT moduli (``_complement_gaps``): its
+   maximum there, divided by ``cos(pi degree / n)``, bounds it on the
+   whole circle.  When the peel's core is the whole target, that grid and
+   ``P`` are the completion gate's, whose ``|P|^2`` the caller hands over
+   as an argument, so only ``|G|^2`` costs a transform there.  At the calibrated length that holds
    at every integer strength up to ``T = 108``; at 966 of the 1940 integer
    strengths from 109 to 2048 the target's top harmonics fall below the
    peel's ``1e-13`` cut, and the shorter core pays the ``|P|^2`` transform
@@ -206,9 +206,13 @@ def _log_truncation_bound(T: float, h: float) -> float:
 
 def truncation_error_bound(T: float, L: int) -> float:
     """Certified sup-norm bound ``4 T^(L/2+1) / (2^(L/2+1) (L/2+1)!)``,
-    evaluated in log space; beyond the largest float it is ``inf``.  A
-    length that is not a positive even integer raises :class:`DomainError`."""
+    evaluated in log space: 0 at ``T = 0``, that of ``|T|`` at a negative
+    ``T``, and ``inf`` at an infinite ``T`` or beyond the largest float.  A
+    NaN ``T``, or a length that is not a positive even integer, raises
+    :class:`DomainError`."""
     L = checked_length("query length", L)
+    if math.isnan(T):
+        raise DomainError(f"evolution strength must be a number, got {T}")
     if T == 0:
         return 0.0
     log_bound = _log_truncation_bound(T, L // 2 + 1)
@@ -305,7 +309,7 @@ def complete_target(targets, moduli=None) -> list[np.ndarray]:
     target, so each vector is bit for bit what it is alone.  ``moduli``,
     when given, is a list with one entry per target, and entry ``b`` is set
     to the gate's ``|P|^2`` on the angles ``0..pi`` of the target's grid of
-    ``n`` points, ``n/2 + 1`` floats (``_uniform_modulus2``): the complement
+    ``n`` points, ``n/2 + 1`` floats (:func:`_uniform_moduli`): the complement
     gate of a peel whose core is all of ``p`` takes it in place of a
     transform.  Raises :class:`SynthesisError` for the first target, in
     batch order, whose gate fails, with its index in ``target``.
@@ -432,55 +436,54 @@ def _residues(size: int, n: int) -> np.ndarray:
     return residues
 
 
-def _runs(batch: list[int], n: int) -> list[list[int]]:
-    """``batch`` cut into runs of at most ``_STACK_BYTES`` of ``n``-point
-    real rows, at least one row each."""
-    rows = max(1, _STACK_BYTES // (8 * n))
-    if len(batch) <= rows:
-        return [batch]
-    return [batch[i:i + rows] for i in range(0, len(batch), rows)]
-
-
-def _uniform_moduli(vectors: list[np.ndarray], n: int) -> np.ndarray:
-    """``|P(e^{2 pi i j / n})|^2``, ``j = 0..n/2`` (``n`` even), the angles
-    ``0..pi`` of the ``n``-point uniform grid, of each real Laurent vector
-    ``p`` of ``vectors`` on powers ``-d..d``: one ``(k, n/2 + 1)`` array from
-    one real FFT of the stacked rows.  Powers congruent mod ``n`` meet on
-    the grid when ``2 d + 1 > n``, so their coefficients are summed into
-    their residues first; on a grid with room for every power each lands
-    on its own point, where a sum onto zero would change at most the sign
-    of a zero, which no modulus keeps.  Bin ``j`` of the forward transform
-    is ``P(e^{-2 pi i j / n})``, the conjugate of ``P(e^{2 pi i j / n})``,
-    which has the same modulus; the remaining points ``j = n/2+1..n-1``
-    repeat bins ``n/2-1..1``."""
+def _spread(vectors: list[np.ndarray], n: int) -> np.ndarray:
+    """The ``(k, n)`` rows of the real Laurent vectors ``vectors`` on the
+    ``n``-point grid, each coefficient of power ``-d..d`` at its residue
+    mod ``n``: summed where ``2 d + 1 > n`` makes powers meet, else set,
+    which a sum onto zero would give but for the sign of a zero."""
     rows = np.zeros((len(vectors), n))
     for row, p in zip(rows, vectors):
         if len(p) <= n:
             row[_residues(len(p), n)] = p
         else:
             row += np.bincount(_residues(len(p), n), weights=p, minlength=n)
-    half = np.fft.rfft(rows)
+    return rows
+
+
+def _stacks(sizes: list[int]):
+    """Yield ``(n, run)``, smallest grid size first, for the indices ``b``
+    with ``sizes[b] = n``, in runs of at most ``_STACK_BYTES`` of ``n``-point
+    real rows, at least one row each.  An index whose size the caller
+    raises while reading the runs of ``n`` is read again in its turn."""
+    pending = range(len(sizes))
+    while pending:
+        n = min([sizes[b] for b in pending])
+        batch = [b for b in pending if sizes[b] == n]
+        rows = max(1, _STACK_BYTES // (8 * n))
+        for start in range(0, len(batch), rows):
+            yield n, batch[start:start + rows]
+        pending = [b for b in pending if sizes[b] > n]
+
+
+def _uniform_moduli(vectors: list[np.ndarray], n: int) -> np.ndarray:
+    """``|P(e^{2 pi i j / n})|^2``, ``j = 0..n/2`` (``n`` even), the angles
+    ``0..pi`` of the ``n``-point uniform grid, of each real Laurent vector
+    of ``vectors``: one ``(k, n/2 + 1)`` array from one real FFT of the
+    rows of :func:`_spread`.  Bin ``j`` is the conjugate ``P(e^{-2 pi i j /
+    n})``, of the same modulus; the points ``n/2+1..n-1`` repeat ``n/2-1..1``."""
+    half = np.fft.rfft(_spread(vectors, n))
     return np.add(half.real ** 2, half.imag ** 2)
-
-
-def _uniform_modulus2(p: np.ndarray, n: int) -> np.ndarray:
-    """The batch of one of :func:`_uniform_moduli`."""
-    return _uniform_moduli([np.asarray(p, dtype=float)], n)[0]
 
 
 def _grid_moduli(vectors: list[np.ndarray], grids: list[int]) -> list[np.ndarray]:
     """:func:`_uniform_moduli` of each vector on its own grid of
     ``grids[b]`` points: one stacked real FFT per grid size and run
-    (:func:`_runs`).  A stacked real FFT gives each row the bits of its own
-    call."""
-    groups: dict[int, list[int]] = {}
-    for b, n in enumerate(grids):
-        groups.setdefault(n, []).append(b)
+    (:func:`_stacks`).  A stacked real FFT gives each row the bits of its
+    own call."""
     out: list = [None] * len(vectors)
-    for n, group in groups.items():
-        for run in _runs(group, n):
-            for b, values in zip(run, _uniform_moduli([vectors[b] for b in run], n)):
-                out[b] = values
+    for n, run in _stacks(grids):
+        for b, values in zip(run, _uniform_moduli([vectors[b] for b in run], n)):
+            out[b] = values
     return out
 
 
@@ -528,38 +531,30 @@ def _outer_factors(rs: list[np.ndarray]) -> list[np.ndarray]:
     certificate still rejects a truly infeasible target.
 
     Every doubling step stacks the remainders on its grid size, smallest
-    first, each transform one call per run (:func:`_runs`); the rows whose
-    tail passes leave the stack for the exponential's pair of transforms,
-    one more call each per run."""
-    caps, waiting = [], {}                  # the remainders on each grid size
-    for b, r in enumerate(rs):
-        n = 1 << (8 * len(r) - 1).bit_length()
-        caps.append(max(4096, n))
-        waiting.setdefault(n, []).append(b)
+    first, each transform one call per run (:func:`_stacks`); the rows
+    whose tail passes leave the stack for the exponential's pair of
+    transforms, one more call each per run."""
+    sizes = [1 << (8 * len(r) - 1).bit_length() for r in rs]
+    caps = [max(4096, n) for n in sizes]
     factors: list = [None] * len(rs)
-    while waiting:
-        n = min(waiting)
-        for run in _runs(waiting.pop(n), n):
-            spread = np.zeros((len(run), n))
-            for row, b in zip(spread, run):
-                row[_residues(len(rs[b]), n)] = -rs[b]
-            values = np.maximum(np.fft.rfft(spread).real, 1e-20)
-            cepstrum = np.fft.irfft(np.log(values), n)
-            leaving = []
-            for i, (b, row) in enumerate(zip(run, cepstrum)):
-                if n >= caps[b] or not np.abs(row[n // 4:n // 2]).max() > 1e-14:
-                    # the analytic half of the cepstrum
-                    row[0] /= 2.0
-                    row[n // 2:] = 0.0
-                    leaving.append(i)
-                else:
-                    waiting.setdefault(2 * n, []).append(b)
-            if leaving:
-                half = cepstrum if len(leaving) == len(run) else cepstrum[leaving]
-                # exp of the one-sided cepstrum's spectrum is Hermitian: a
-                # real FFT too
-                for i, row in zip(leaving, np.fft.irfft(np.exp(np.fft.rfft(half)), n)):
-                    factors[run[i]] = row
+    for n, run in _stacks(sizes):
+        values = np.maximum(np.fft.rfft(_spread([-rs[b] for b in run], n)).real, 1e-20)
+        cepstrum = np.fft.irfft(np.log(values), n)
+        leaving = []
+        for i, (b, row) in enumerate(zip(run, cepstrum)):
+            if n >= caps[b] or not np.abs(row[n // 4:n // 2]).max() > 1e-14:
+                # the analytic half of the cepstrum
+                row[0] /= 2.0
+                row[n // 2:] = 0.0
+                leaving.append(i)
+            else:
+                sizes[b] = 2 * n
+        if leaving:
+            half = cepstrum if len(leaving) == len(run) else cepstrum[leaving]
+            # exp of the one-sided cepstrum's spectrum is Hermitian: a real
+            # FFT too
+            for i, row in zip(leaving, np.fft.irfft(np.exp(np.fft.rfft(half)), n)):
+                factors[run[i]] = row
     return factors
 
 
@@ -597,15 +592,10 @@ def _fejer_complements(ps: list[np.ndarray], moduli=None) -> list[np.ndarray]:
     # G is (1 - z^2) F reversed, F on the powers 0..m of R~'s -m..m
     gs = [np.convolve(f[:(len(r) + 1) // 2], [1.0, 0.0, -1.0])[::-1]
           for f, r in zip(_outer_factors(rs), rs)]
-    moduli = list(moduli or [None] * len(ps))
     sized = [_sized_grid(len(p) - 1) for p in ps]
-    missing = [b for b, m in enumerate(moduli) if m is None]
-    values = _grid_moduli(gs + [ps[b] for b in missing],
-                          [n for n, _ in sized] + [sized[b][0] for b in missing])
-    for b, modulus2 in zip(missing, values[len(ps):]):
-        moduli[b] = modulus2
-    for b, ((n, factor), g2, modulus2) in enumerate(zip(sized, values, moduli)):
-        err = float(np.abs(modulus2 + g2 - 1.0).max()) / factor
+    gaps = _complement_gaps(ps, gs, [n for n, _ in sized], moduli)
+    for b, ((n, factor), gap) in enumerate(zip(sized, gaps)):
+        err = gap / factor
         if not err <= _COMPLEMENT_TOL:        # a NaN must fail too
             fail = SynthesisError(
                 f"complement of degree {(len(ps[b]) - 1) // 2} misses |P|^2 + |G|^2 = 1 by "
@@ -615,20 +605,17 @@ def _fejer_complements(ps: list[np.ndarray], moduli=None) -> list[np.ndarray]:
     return gs
 
 
-def _fejer_complement(p: np.ndarray, modulus2: np.ndarray | None = None) -> np.ndarray:
-    """The batch of one of :func:`_fejer_complements`."""
-    return _fejer_complements([p], [modulus2])[0]
-
-
-def _complement_gap(p: np.ndarray, g: np.ndarray, n: int,
-                    modulus2: np.ndarray | None = None) -> float:
-    """``max |P P* + G G* - 1|`` on the ``n``-point uniform grid, from its
-    angles ``0..pi``: both moduli are even in ``theta`` for real ``p, g``.
-    ``modulus2``, when given, is ``|P|^2`` there, and only ``|G|^2`` is
-    transformed."""
-    if modulus2 is None:
-        modulus2 = _uniform_modulus2(p, n)
-    return float(np.abs(modulus2 + _uniform_modulus2(g, n) - 1.0).max())
+def _complement_gaps(ps: list, gs: list, grids: list[int], moduli=None) -> list[float]:
+    """``max |P P* + G G* - 1|`` of each real pair ``ps[b]``, ``gs[b]`` on
+    the angles ``0..pi`` of its grid of ``grids[b]`` points, where both
+    moduli are even; ``moduli[b]``, if not ``None``, is ``|P|^2`` there.
+    Every other modulus comes from one :func:`_grid_moduli` call."""
+    moduli = list(moduli or [None] * len(ps))
+    missing = [b for b, m in enumerate(moduli) if m is None]
+    values = _grid_moduli(gs + [ps[b] for b in missing], grids + [grids[b] for b in missing])
+    for b, modulus2 in zip(missing, values[len(ps):]):
+        moduli[b] = modulus2
+    return [float(np.abs(modulus2 + g2 - 1.0).max()) for g2, modulus2 in zip(values, moduli)]
 
 
 def _complemented_cores(ps: list[np.ndarray], moduli=None) -> list[np.ndarray]:
@@ -668,11 +655,6 @@ def _complemented_cores(ps: list[np.ndarray], moduli=None) -> list[np.ndarray]:
     return rows
 
 
-def _complemented_core(p: np.ndarray, modulus2: np.ndarray | None = None) -> np.ndarray:
-    """The batch of one of :func:`_complemented_cores`."""
-    return _complemented_cores([p], [modulus2])[0]
-
-
 # Every coefficient of a stack of rows but the last, and but the first: the
 # index tuples are made once, as each costs about as much as the slicing
 _BUT_LAST = (slice(None), slice(None, -1))
@@ -680,7 +662,7 @@ _BUT_FIRST = (slice(None), slice(1, None))
 
 
 def _solve_layer_peel(rows: list[np.ndarray], lengths: list[int]) -> list[np.ndarray]:
-    """The angles of every row ``rows[b]`` of :func:`_complemented_core`,
+    """The angles of every row ``rows[b]`` of :func:`_complemented_cores`,
     ``lengths[b]`` of them, by stripping one layer at a time from the real
     row ``(P, G)`` of the core and padding with cancelling pairs up to the
     length, the only place that pads; an empty row is all cancelling pairs.
@@ -956,7 +938,10 @@ def state_error_bound(delta: float) -> float:
     """Certified state error of one shifter application from the truncation
     bound: ``sqrt(2) * (8 delta + sqrt(16 delta (1 - 4 delta)))``.  The
     factored radicand overflows to ``-inf`` rather than raising, so every
-    ``delta`` up to ``inf`` gives a bound, ``inf`` beyond the largest float."""
+    ``delta`` up to ``inf`` gives a bound, ``inf`` beyond the largest float;
+    a NaN or negative ``delta`` raises :class:`DomainError`."""
+    if not delta >= 0.0:                  # a NaN must fail too
+        raise DomainError(f"truncation bound must be >= 0, got {delta}")
     return math.sqrt(2.0) * (8.0 * delta
                              + math.sqrt(max(16.0 * delta * (1.0 - 4.0 * delta), 0.0)))
 

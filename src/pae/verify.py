@@ -63,7 +63,7 @@ def check_row_evaluation() -> tuple[str, bool, str]:
     worst = 0.0
     for T, L in ((1.0, 10), (48.0, 144)):
         spec = qsp.synthesize_shifter(T, L)
-        blocks = circ.eigenphase_blocks(spec, thetas, [1, 2, 16])
+        blocks = circ.analytic_stage([(spec, [1, 2, 16])], thetas)[0]
         products = _eigenphase_products(spec, thetas)
         for s, b in blocks.items():
             worst = max(worst, float(np.max(np.abs(b - np.linalg.matrix_power(products, s)))))
@@ -82,17 +82,13 @@ def check_certificate_grid() -> tuple[str, bool, str]:
     T, L = 8.0, 34
     p = qsp.complete_target([qsp.truncate_target(T, L)])[0]
     angles = qsp.solve_angles([p], [L])[0]
-    g = qsp._fejer_complement(p)
+    g = qsp._fejer_complements([p])[0]
     n, factor = qsp._sized_grid(L)
-    bound = qsp._complement_gap(p, g, n) / factor + 1e-15
-    dense = qsp._complement_gap(p, g, 16 * n)
-    scaled_bound = qsp._complement_gap(p, (1.0 - 1e-3) * g, n) / factor
-    scaled_dense = qsp._complement_gap(p, (1.0 - 1e-3) * g, 16 * n)
+    gap, dense, scaled_gap, scaled_dense = qsp._complement_gaps(
+        [p] * 4, [g, g, (1.0 - 1e-3) * g, (1.0 - 1e-3) * g], [n, 16 * n, n, 16 * n])
+    bound, scaled_bound = gap / factor + 1e-15, scaled_gap / factor
     m = 16 * L
-    d = (len(p) - 1) // 2
-    spread = np.zeros(m)
-    spread[np.arange(-d, d + 1) % m] = p
-    target = m * np.fft.ifft(spread)                # P(z) z^-d at z = e^{2 pi i j / m}
+    target = m * np.fft.ifft(qsp._spread([p], m)[0])    # P(z) z^-d at z = e^{2 pi i j / m}
     u00 = qsp.rotation_product(angles.xi, 2.0 * np.pi * np.arange(m) / m)[:, 0, 0]
     miss = float(np.max(np.abs(u00 - target)))
     ok = dense <= bound and scaled_dense <= scaled_bound and miss <= angles.residual
@@ -196,7 +192,7 @@ def check_synthesis_batch() -> tuple[str, bool, str]:
     requests = [(spec, [1] if spec.T == 1.0 else [1, 2, 16]) for spec in batch]
     differ += [f"staged T={spec.T:g} L={spec.L}"
                for (spec, powers), blocks in zip(requests, circ.analytic_stage(requests, thetas))
-               if not _same_blocks(blocks, circ.eigenphase_blocks(spec, thetas, powers))]
+               if not _same_blocks(blocks, circ.analytic_stage([(spec, powers)], thetas)[0])]
     return "synthesis-batch", not differ, \
         f"{len(keys)} shifters bit-exact, synthesized and staged" if not differ \
         else "differ at " + ", ".join(differ)

@@ -8,11 +8,11 @@ import pytest
 
 from pae import (CapacityError, MeasurementSetting, ParallelCircuit,
                  build_branch_unitary, build_explicit_oracle, build_grover_unitary,
-                 eigenphase_blocks, ghz_depth, make_instance, parity_probabilities,
+                 ghz_depth, make_instance, parity_probabilities,
                  setting_probability, statevector_even_parity_probability,
                  step_probabilities, synthesize_shifter)
 from pae.circuit import (analytic_stage, check_capacity, controlled_grover_blocks,
-                         sample_even_parity, shifter_columns, statevector_stage)
+                         sample_even_parity, statevector_stage)
 from pae.circuit import ideal_probabilities as closed_form
 from pae.core_model import DomainError
 from pae.driver import ScheduleStep
@@ -30,7 +30,7 @@ def contract_one(blocks: np.ndarray, P: int) -> np.ndarray:
 
 def analytic_probabilities(spec, P: int, S: int, thetas) -> np.ndarray:
     """The analytic stage at ``S``, contracted for ``P`` branches."""
-    return contract_one(eigenphase_blocks(spec, thetas, [S])[S], P)
+    return contract_one(analytic_stage([(spec, [S])], thetas)[0][S], P)
 
 
 def grover_blocks(insts, style="canonical", seed=None) -> np.ndarray:
@@ -48,7 +48,7 @@ def statevector_probabilities(spec, P: int, S: int, insts, style="canonical",
     """The statevector stage at ``S`` around the controlled-Grover stack of
     instances of one register size, contracted for ``P`` branches."""
     wq = grover_blocks(insts, style, seed)
-    return contract_one(shifter_columns(spec, wq, [S])[S], P)
+    return contract_one(statevector_stage([(spec, [S])], wq)[0][S], P)
 
 
 def column_blocks(columns: np.ndarray) -> np.ndarray:
@@ -312,8 +312,8 @@ class TestEvenParityProbabilities:
         haar = haar_u2(rng, (2, 101))
         assert np.max(np.abs(np.linalg.det(haar) - 1.0)) > 0.1
         thetas = np.linspace(0.0, np.pi / 2, 101)
-        for blocks in (haar, eigenphase_blocks(synthesize_shifter(1.0, 10), thetas, [1])[1],
-                       eigenphase_blocks(synthesize_shifter(4.0, 22), thetas, [3])[3]):
+        for blocks in (haar, analytic_stage([(synthesize_shifter(1.0, 10), [1])], thetas)[0][1],
+                       analytic_stage([(synthesize_shifter(4.0, 22), [3])], thetas)[0][3]):
             got = contract_one(blocks, P)
             assert np.max(np.abs(got - matmul_parity_probabilities(blocks, P))) <= 1e-13
 
@@ -322,10 +322,11 @@ class TestEvenParityProbabilities:
         # step's rows are the bits of its own call, on both backends' blocks
         rng = np.random.default_rng(7)
         thetas = np.linspace(0.0, np.pi / 2, 33)
-        analytic = [eigenphase_blocks(synthesize_shifter(T, L), thetas, [S])[S]
+        analytic = [analytic_stage([(synthesize_shifter(T, L), [S])], thetas)[0][S]
                     for T, L, S in ((1.0, 10, 1), (1.0, 12, 2), (4.0, 22, 3))]
         wq = controlled_grover_blocks([make_instance(a, 2) for a in (0.1, 0.6, 0.9)])
-        statevector = [shifter_columns(synthesize_shifter(2.0, 14), wq, [S])[S] for S in (1, 3)]
+        statevector = [statevector_stage([(synthesize_shifter(2.0, 14), [S])], wq)[0][S]
+                       for S in (1, 3)]
         for stack in (analytic + [haar_u2(rng, (2, 33))], statevector):
             ps = [1, 7, 256, 2][:len(stack)]
             probs = parity_probabilities(np.stack(stack), np.array(ps))
@@ -335,14 +336,14 @@ class TestEvenParityProbabilities:
 
     @pytest.mark.parametrize("ps", [[1, 0], [-1, 2], [0]])
     def test_stack_rejects_fewer_than_one_branch(self, ps):
-        blocks = eigenphase_blocks(synthesize_shifter(1.0, 10), [0.3], [1])[1]
+        blocks = analytic_stage([(synthesize_shifter(1.0, 10), [1])], [0.3])[0][1]
         with pytest.raises(DomainError, match="branch count must be >= 1"):
             parity_probabilities(np.stack([blocks] * len(ps)), np.array(ps))
 
     @pytest.mark.parametrize("ps", [[2.5], [2.0], [1, 2.5]])
     def test_stack_rejects_non_integer_branch_counts(self, ps):
         # a float count would raise x to a fractional power: NaN, not a refusal
-        blocks = eigenphase_blocks(synthesize_shifter(1.0, 10), [0.3], [1])[1]
+        blocks = analytic_stage([(synthesize_shifter(1.0, 10), [1])], [0.3])[0][1]
         with pytest.raises(DomainError, match="branch count must be an integer"):
             parity_probabilities(np.stack([blocks] * len(ps)), ps)
 
@@ -351,7 +352,7 @@ class TestEvenParityProbabilities:
         # counts that are not one per step, for an unstacked (2, n, 2, 2)
         # value or a stack of two, are refused rather than read along the
         # wrong axis
-        blocks = eigenphase_blocks(synthesize_shifter(1.0, 10), [0.3], [1])[1]
+        blocks = analytic_stage([(synthesize_shifter(1.0, 10), [1])], [0.3])[0][1]
         for stack in (blocks, np.stack([blocks] * 2)):
             with pytest.raises(DomainError, match="one branch count per step"):
                 parity_probabilities(stack, ps)
@@ -591,7 +592,7 @@ class TestShifterColumns:
         wq = grover_blocks(insts, style, seed)
         for T, L in ((1.0, 10), (2.0, 14), (8.0, 34)):
             spec = synthesize_shifter(T, L)
-            blocks = shifter_columns(spec, wq, {1, 2, 3})
+            blocks = statevector_stage([(spec, {1, 2, 3})], wq)[0]
             dense = np.stack([kron_shifter(spec.angles.xi, block) for block in wq])
             for s in (1, 2, 3):
                 assert blocks[s].shape == (2 ** n, len(insts), 2, 2)
@@ -605,12 +606,12 @@ class TestShifterColumns:
         # for every s of a (t, l)
         wq = controlled_grover_blocks([make_instance(a, 3) for a in (0.2, 0.7)])
         spec = synthesize_shifter(4.0, 22)
-        three = shifter_columns(spec, wq, {1, 2, 3})
+        three = statevector_stage([(spec, {1, 2, 3})], wq)[0]
         for powers in ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}):
-            shorter = shifter_columns(spec, wq, powers)
+            shorter = statevector_stage([(spec, powers)], wq)[0]
             assert all(np.array_equal(three[s], shorter[s]) for s in powers)
         for i in range(len(wq)):
-            alone = shifter_columns(spec, wq[i:i + 1], {1, 2, 3})
+            alone = statevector_stage([(spec, {1, 2, 3})], wq[i:i + 1])[0]
             assert all(np.array_equal(three[s][:, i], alone[s][:, 0]) for s in (1, 2, 3))
 
     @pytest.mark.parametrize("power", [0, -1])
@@ -621,9 +622,9 @@ class TestShifterColumns:
         wq = controlled_grover_blocks([inst])
         for powers in ([power], [1, power], []):
             with pytest.raises(DomainError, match="repetition count must be >= 1"):
-                shifter_columns(spec, wq, powers)
+                statevector_stage([(spec, powers)], wq)
             with pytest.raises(DomainError, match="repetition count must be >= 1"):
-                eigenphase_blocks(spec, [inst.theta], powers)
+                analytic_stage([(spec, powers)], [inst.theta])
 
     @pytest.mark.parametrize("power", [1.5, 2.0, "2"])
     def test_statevector_stage_rejects_non_integer_repetitions(self, power):
@@ -632,14 +633,14 @@ class TestShifterColumns:
         wq = controlled_grover_blocks([make_instance(0.3, 2)])
         for powers in ([power], [1, power]):
             with pytest.raises(DomainError, match="repetition count must be an integer"):
-                shifter_columns(spec, wq, powers)
+                statevector_stage([(spec, powers)], wq)
 
     @pytest.mark.parametrize("power", [1.5, 2.0, "2"])
     def test_analytic_stage_rejects_non_integer_repetitions(self, power):
         spec = synthesize_shifter(1.0, 10)
         for powers in ([power], [1, power]):
             with pytest.raises(DomainError, match="repetition count must be an integer"):
-                eigenphase_blocks(spec, [0.3], powers)
+                analytic_stage([(spec, powers)], [0.3])
 
 
 class TestStageContract:
@@ -650,11 +651,11 @@ class TestStageContract:
         spec = synthesize_shifter(2.0, 14)
         insts = [make_instance(a, 3) for a in (0.0, 0.4, 0.9)]
         if backend == "analytic":
-            stage, operand, c = eigenphase_blocks, [inst.theta for inst in insts], 2
+            stage, operand, c = analytic_stage, [inst.theta for inst in insts], 2
         else:
-            stage, operand, c = shifter_columns, controlled_grover_blocks(insts), 2 ** 3
+            stage, operand, c = statevector_stage, controlled_grover_blocks(insts), 2 ** 3
         for powers in ([1], [4], [2, 2], (1, 3, 4), range(1, 6)):
-            blocks = stage(spec, operand, powers)
+            blocks = stage([(spec, powers)], operand)[0]
             assert set(blocks) == set(powers)
             assert all(b.shape == (c, len(insts), 2, 2) for b in blocks.values())
 
@@ -665,7 +666,7 @@ class TestStageContract:
         thetas = np.linspace(0.0, np.pi / 2, 101)
         tolerance = {s: 1e-13 for s in range(2, 17)} | {1024: 1e-12}
         for T, L in ((1.0, 10), (4.0, 22), (48.0, 144)):
-            blocks = eigenphase_blocks(synthesize_shifter(T, L), thetas, {1, *tolerance})
+            blocks = analytic_stage([(synthesize_shifter(T, L), {1, *tolerance})], thetas)[0]
             for s, tol in tolerance.items():
                 assert np.max(np.abs(blocks[s] - np.linalg.matrix_power(blocks[1], s))) <= tol
 
@@ -677,7 +678,7 @@ class TestStageContract:
         thetas = np.linspace(0.0, np.pi / 2, 101)
         products = rotation_product(spec.angles.xi, np.concatenate(
             [np.pi / 2 + 2 * thetas, np.pi / 2 - 2 * thetas])).reshape(2, -1, 2, 2)
-        blocks = eigenphase_blocks(spec, thetas, [1])[1]
+        blocks = analytic_stage([(spec, [1])], thetas)[0][1]
         assert np.max(np.abs(blocks - products)) <= 1e-12
 
     def test_analytic_stage_at_identity_blocks(self):
@@ -688,8 +689,8 @@ class TestStageContract:
         row[len(row) // 2, 0] = 1.0
         for sign in (1.0, -1.0):
             angles = dataclasses.replace(spec.angles, row=sign * row)
-            blocks = eigenphase_blocks(dataclasses.replace(spec, angles=angles),
-                                       [0.0, 0.4], {1, 2, 7})
+            blocks = analytic_stage([(dataclasses.replace(spec, angles=angles), {1, 2, 7})],
+                                    [0.0, 0.4])[0]
             for s, b in blocks.items():
                 assert np.array_equal(b, np.broadcast_to(sign ** s * np.eye(2), b.shape))
 
@@ -701,7 +702,7 @@ class TestStageContract:
         bare = dataclasses.replace(spec, angles=AngleSequence(spec.angles.xi))
         message = r"^shifter T=2\.0, L=14: the shifter's angles carry no certified row"
         with pytest.raises(DomainError, match=message):
-            eigenphase_blocks(bare, [0.3], [1])
+            analytic_stage([(bare, [1])], [0.3])
         good = [synthesize_shifter(1.0, 10), synthesize_shifter(4.0, 22)]
         with pytest.raises(DomainError, match=message):
             analytic_stage([(good[0], [1]), (bare, [1]), (good[1], [2])], [0.3, 0.6])
@@ -712,12 +713,12 @@ class TestStageContract:
         # and the stage's peak stays under half of that one table
         spec = synthesize_shifter(48.0, 144)
         thetas = np.linspace(0.0, np.pi / 2, 4000)
-        whole = eigenphase_blocks(spec, thetas, [1, 3])
+        whole = analytic_stage([(spec, [1, 3])], thetas)[0]
         h = len(spec.angles.row) // 2
         monkeypatch.setattr("pae.circuit._TABLE_BYTES", 16 * (h + 1) * 5)
         tracemalloc.start()
         try:
-            chunked = eigenphase_blocks(spec, thetas, [1, 3])
+            chunked = analytic_stage([(spec, [1, 3])], thetas)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -735,7 +736,7 @@ class TestStageContract:
         thetas = np.linspace(0.0, np.pi / 2, 4000)
         width = len(specs[-1].angles.row) // 2 + 1
         monkeypatch.setattr("pae.circuit._TABLE_BYTES", 16 * width * 5)
-        alone = [eigenphase_blocks(spec, thetas, powers) for spec, powers in requests]
+        alone = [analytic_stage([request], thetas)[0] for request in requests]
         tables = []
         cumprod = np.cumprod
 
@@ -757,17 +758,16 @@ class TestStageContract:
         # has the bits of its batch-of-one call; an empty request is empty
         insts = [make_instance(a, 2) for a in (0.0, 0.4, 0.9)]
         if backend == "analytic":
-            stage, single, operand = analytic_stage, eigenphase_blocks, [i.theta for i in insts]
+            stage, operand = analytic_stage, [i.theta for i in insts]
         else:
-            stage, single, operand = (statevector_stage, shifter_columns,
-                                      controlled_grover_blocks(insts))
+            stage, operand = statevector_stage, controlled_grover_blocks(insts)
         requests = [(synthesize_shifter(T, L), powers)
                     for T, L, powers in ((1.0, 10, {1}), (2.0, 14, {1, 3}), (1.0, 12, [1]),
                                          (8.0, 34, {2, 1}))]
         staged = stage(requests, operand)
         assert len(staged) == len(requests)
         for (spec, powers), blocks in zip(requests, staged):
-            alone = single(spec, operand, powers)
+            alone = stage([(spec, powers)], operand)[0]
             assert set(blocks) == set(powers)
             assert all(blocks[s].tobytes() == alone[s].tobytes() for s in powers)
         assert stage([], operand) == []

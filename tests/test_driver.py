@@ -641,7 +641,7 @@ class TestTwoPhases:
         thetas = [inst.theta for inst in insts]
         probs = step_probabilities(insts, sched, "analytic")
         for i, st in enumerate(sched):
-            blocks = circuit.eigenphase_blocks(synthesize_shifter(st.t, st.l), thetas, [st.s])
+            blocks = circuit.analytic_stage([(synthesize_shifter(st.t, st.l), [st.s])], thetas)[0]
             rows = circuit.parity_probabilities(blocks[st.s][None], [st.p])[0]
             assert np.array_equal(probs[:, i], rows)
 
@@ -694,7 +694,6 @@ class TestTwoPhases:
         # own step's batch-of-one stage call at its S contracted for its p,
         # bit for bit
         stage = f"{backend}_stage"
-        single = "eigenphase_blocks" if backend == "analytic" else "shifter_columns"
         calls = {"rotation_product": 0, stage: 0, "parity_probabilities": 0}
         powers = []
 
@@ -719,7 +718,8 @@ class TestTwoPhases:
         operand = ([inst.theta for inst in insts] if backend == "analytic"
                    else circuit.controlled_grover_blocks(insts))
         for i, st in enumerate(sched):
-            blocks = getattr(circuit, single)(synthesize_shifter(st.t, st.l), operand, [st.s])
+            spec = synthesize_shifter(st.t, st.l)
+            blocks = getattr(circuit, stage)([(spec, [st.s])], operand)[0]
             assert np.array_equal(probs[:, i],
                                   circuit.parity_probabilities(blocks[st.s][None], [st.p])[0])
 

@@ -10,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from pae import (PARALLEL_L_TABLE_PLUS, analytic_stage, build_schedule,  # noqa: E402
-                 eigenphase_blocks, estimate_phase, ideal_probabilities, make_instance,
+                 estimate_phase, ideal_probabilities, make_instance,
                  query_count, run, sample_and_recover, select_L_empirical,
                  synthesize_shifter)
 
@@ -58,7 +58,7 @@ def test_run_level_stage_is_its_batches_of_one(keys, data, thetas):
     staged = analytic_stage(requests, thetas)
     assert len(staged) == len(requests)
     for (spec, powers), blocks in zip(requests, staged):
-        alone = eigenphase_blocks(spec, thetas, powers)
+        alone = analytic_stage([(spec, powers)], thetas)[0]
         assert blocks.keys() == alone.keys() == powers
         assert all(blocks[s].tobytes() == alone[s].tobytes() for s in powers)
 

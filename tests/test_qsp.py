@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,20 +17,20 @@ from pae import (PARALLEL_L_TABLE_PLUS, AngleSequence, DomainError, PhaseShifter
                  select_L_empirical, solve_angles, state_error_bound,
                  synthesize_shifter, synthesize_shifters, truncate_target,
                  truncation_error_bound)
-from pae.circuit import eigenphase_blocks
+from pae.circuit import analytic_stage
 from pae.core_model import build_explicit_oracle, build_grover_unitary
 from pae import qsp
-from pae.qsp import (_complement_gap, _complemented_core, _deflate_pinned,
-                     _fejer_complement, _fejer_kernel_even, _fold, _outer_factors,
+from pae.qsp import (_complement_gaps, _complemented_cores, _deflate_pinned,
+                     _fejer_complements, _fejer_kernel_even, _fold, _outer_factors,
                      _product_rounding, _product_row, _sized_grid, _solve_layer_peel,
-                     _uniform_modulus2, apply_shifter, chebyshev_grid, controlled_grover,
+                     _uniform_moduli, apply_shifter, chebyshev_grid, controlled_grover,
                      rotation_product)
 from conftest import ideal_branch_unitary, kron_shifter
 
 
 def layer_peel(p, L):
     """The peel of one completed target: the batch of one."""
-    return _solve_layer_peel([_complemented_core(p)], [L])[0]
+    return _solve_layer_peel(_complemented_cores([p]), [L])[0]
 
 
 def product_row(xi):
@@ -158,6 +159,25 @@ class TestTruncationBound:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    def test_refuses_what_it_cannot_bound(self):
+        # a NaN strength gave a NaN bound, and a NaN or negative delta a NaN
+        # or negative state error: bounds that bound nothing
+        with pytest.raises(DomainError, match="evolution strength must be a number, got nan"):
+            truncation_error_bound(math.nan, 10)
+        for delta in (math.nan, -1e-3, -math.inf):
+            with pytest.raises(DomainError, match="truncation bound must be >= 0"):
+                state_error_bound(delta)
+
+    def test_zero_infinite_and_negative_strengths(self):
+        # T = 0 is the identity, exactly; an infinite T bounds nothing
+        # finite; a negative T targets the conjugate of |T|'s target
+        assert truncation_error_bound(0.0, 10) == 0.0
+        assert truncation_error_bound(math.inf, 10) == math.inf
+        assert truncation_error_bound(-math.inf, 10) == math.inf
+        for T in (0.5, 8.0, 256.0):
+            assert truncation_error_bound(-T, 20) == truncation_error_bound(T, 20)
+        assert state_error_bound(0.0) == 0.0
+
     @pytest.mark.parametrize("T", [0.25, 1.0, 2.0, 8.0, 16.0, 32.0, 48.0])
     def test_matches_closed_form(self, T):
         for L in (2, 10, select_L_empirical(T), 200):
@@ -185,7 +205,7 @@ def iterative_completion(target):
     d = target.L // 2
     ls = np.arange(d + 1)
     p = target.coeffs
-    m = max(0.0, float(np.max(_uniform_modulus2(p, n))) - 1.0)
+    m = max(0.0, float(np.max(_uniform_moduli([p], n)[0])) - 1.0)
     kernel = _fejer_kernel_even(d)
     l2 = 2 * (d // 2)
     extra = min(4.0 * target.delta, max(0.5 * target.delta, 1e-7))
@@ -203,7 +223,7 @@ def iterative_completion(target):
             if curv > 0.0:
                 mu += 1.5 * curv / l2 ** 2
                 continue
-        gg = _uniform_modulus2(p2, n)
+        gg = _uniform_moduli([p2], n)[0]
         ip = int(np.argmax(gg))
         over = float(gg[ip]) - 1.0
         if over <= 1e-12:
@@ -373,7 +393,7 @@ class TestUniformValues:
         # bins 0..n/2 are the grid's angles in [0, pi]
         p = complete_target([truncate_target(T, L)])[0]
         z = np.exp(2j * np.pi * np.arange(n // 2 + 1) / n)
-        got = _uniform_modulus2(p, n)
+        got = _uniform_moduli([p], n)[0]
         assert got.shape == (n // 2 + 1,)
         assert np.max(np.abs(got - np.abs(laurent_values(p, z)) ** 2)) <= 1e-13
 
@@ -385,7 +405,7 @@ class TestUniformValues:
         # L + 1 > n folds several powers onto each grid point: they must be
         # summed, where a plain scatter would keep one of them
         p = truncate_target(T, L).coeffs
-        got = _uniform_modulus2(p, n)
+        got = _uniform_moduli([p], n)[0]
         ref = np.abs(direct_uniform_sum(p, n)[:n // 2 + 1]) ** 2
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13
@@ -424,10 +444,10 @@ class TestMirrorGrids:
         p = complete_target([target])[0]
         for q in (target.coeffs, p):
             full = np.abs(np.fft.fft(q, n)) ** 2
-            assert abs(np.max(_uniform_modulus2(q, n)) - np.max(full)) <= 1e-13
-        g = _fejer_complement(p)
+            assert abs(np.max(_uniform_moduli([q], n)[0]) - np.max(full)) <= 1e-13
+        g = _fejer_complements([p])[0]
         full = np.abs(np.fft.fft(p, n)) ** 2 + np.abs(np.fft.fft(g, n)) ** 2 - 1.0
-        assert abs(_complement_gap(p, g, n) - np.max(np.abs(full))) <= 1e-14
+        assert abs(_complement_gaps([p], [g], [n])[0] - np.max(np.abs(full))) <= 1e-14
         seq = solve_angles([p], [L])[0]
         m = 16 * L
         u00 = rotation_product(seq.xi, 2.0 * np.pi * np.arange(m) / m)[:, 0, 0]
@@ -493,7 +513,7 @@ def degree_rule(r):
 def complex_fft_complement(p):
     """The spectral factor with complex FFTs throughout, on a grid of at
     least 4096 points: the reference for the real-FFT construction in
-    ``_fejer_complement`` and for the size of its grid."""
+    ``_fejer_complements`` and for the size of its grid."""
     r = deflated_remainder(p)
     m = (len(r) - 1) // 2
     n = max(4096, degree_rule(r))
@@ -532,7 +552,7 @@ class TestComplement:
     @pytest.mark.parametrize("T,L", [(1.0, 10), (48.0, 146), (256.0, 710)])
     def test_matches_complex_fft_reference(self, T, L):
         p = complete_target([truncate_target(T, L)])[0]
-        g = _fejer_complement(p)
+        g = _fejer_complements([p])[0]
         assert np.max(np.abs(g - complex_fft_complement(p))) <= 1e-14
 
     @pytest.mark.parametrize("T,L", [(1.0, L) for L in sorted(set(PARALLEL_L_TABLE_PLUS))]
@@ -545,7 +565,7 @@ class TestComplement:
         p = complete_target([truncate_target(T, L)])[0]
         r = deflated_remainder(p)
         assert len(_outer_factors([r])[0]) <= max(4096, degree_rule(r))
-        assert np.max(np.abs(_fejer_complement(p) - complex_fft_complement(p))) <= 1e-14
+        assert np.max(np.abs(_fejer_complements([p])[0] - complex_fft_complement(p))) <= 1e-14
 
     @pytest.mark.parametrize("T,L", [(2.533577337370513, 10), (3.0, 18)])
     def test_aliased_tail_doubles_the_grid(self, T, L):
@@ -556,7 +576,7 @@ class TestComplement:
         r = deflated_remainder(p)
         n = len(_outer_factors([r])[0])
         assert degree_rule(r) < n <= max(4096, degree_rule(r))
-        assert np.max(np.abs(_fejer_complement(p) - complex_fft_complement(p))) <= 1e-14
+        assert np.max(np.abs(_fejer_complements([p])[0] - complex_fft_complement(p))) <= 1e-14
 
     def test_small_targets_take_a_smaller_grid(self):
         # the T = 1 shifters of the parallel tables need 512 points, not 4096
@@ -569,7 +589,7 @@ class TestComplement:
         # T=64 is where the root-finding complement broke down
         L = select_L_empirical(T)
         p = complete_target([truncate_target(T, L)])[0]
-        g = _fejer_complement(p)
+        g = _fejer_complements([p])[0]
         d = L // 2
         z = np.exp(1j * np.linspace(0.0, 2 * np.pi, 3001))
         pv = np.polyval(p[::-1], z) * z ** (-d)
@@ -588,14 +608,14 @@ class TestComplement:
         # A(0) = 1 pins the double zeros at z = +-1, but |P|^2 = 1.28 at pi/2
         p = np.array([0.05, -0.4, 0.9, 0.4, 0.05])      # A = (0.9, 0, 0.1), C = (0, 0.8, 0)
         with pytest.raises(SynthesisError, match=r"on 256 uniform points over the factor 0\.998795"):
-            _fejer_complement(p)
+            _fejer_complements([p])
 
     def test_rejects_unpinned_target(self):
         # |P| <= 0.8 < 1, but without the zeros at z = +-1 that the
         # factorisation divides out
         p = np.array([0.15, 0.0, 0.5, 0.0, 0.15])       # A = (0.5, 0, 0.3), C = 0
         with pytest.raises(SynthesisError):
-            _fejer_complement(p)
+            _fejer_complements([p])
 
 
 def counting_rfft(monkeypatch):
@@ -608,6 +628,38 @@ def counting_rfft(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", counting)
     return sizes
+
+
+class TestStacks:
+    def test_smallest_first_in_runs_with_raised_sizes(self):
+        # 1024-point rows fit 16 to a run of 2^17 bytes and 65536-point ones
+        # go one by one.  Sizes raised while the runs are read, one to a
+        # size between two waiting ones and one above them all, come in
+        # their turn; every index is read once at each size it holds
+        assert qsp._STACK_BYTES == 1 << 17
+        sizes = [4096, 4096] + [1024] * 38 + [65536, 65536]
+        seen = []
+        for n, run in qsp._stacks(sizes):
+            assert 1 <= len(run) <= max(1, qsp._STACK_BYTES // (8 * n))
+            assert all(sizes[b] == n for b in run)
+            seen += [(n, b) for b in run]
+            if n == 1024 and 2 in run:
+                sizes[2] = 2048
+            if n == 4096:
+                sizes[0] = 131072
+        order = [n for n, _ in seen]
+        assert order == sorted(order)
+        assert [len(run) for n, run in qsp._stacks([1024] * 38)] == [16, 16, 6]
+        assert seen == ([(1024, b) for b in range(2, 40)] + [(2048, 2), (4096, 0), (4096, 1),
+                                                             (65536, 40), (65536, 41),
+                                                             (131072, 0)])
+        assert sorted(Counter(b for _, b in seen).items()) == \
+            [(b, 2 if b in (0, 2) else 1) for b in range(42)]
+
+    def test_one_row_budget_reads_rows_one_by_one(self, monkeypatch):
+        monkeypatch.setattr(qsp, "_STACK_BYTES", 1)
+        assert list(qsp._stacks([8, 8, 8])) == [(8, [0]), (8, [1]), (8, [2])]
+        assert list(qsp._stacks([])) == []
 
 
 class TestSharedModulus:
@@ -656,14 +708,14 @@ class TestSharedModulus:
 
         def alone(target):
             p = complete_target([target])[0]
-            g = _fejer_complement(p)
-            return p, g, _complement_gap(p, g, n)
+            g = _fejer_complements([p])[0]
+            return p, g, _complement_gaps([p], [g], [n])[0]
 
         want = [alone(target) for target in targets]
         moduli = [None] * len(targets)
         ps = complete_target(targets, moduli)
-        gs = [_fejer_complement(p, m) for p, m in zip(ps, moduli)]
-        gaps = [_complement_gap(ps[i], gs[i], n, moduli[i]) for i in (1, 0)][::-1]
+        gs = [_fejer_complements([p], [m])[0] for p, m in zip(ps, moduli)]
+        gaps = [_complement_gaps([ps[i]], [gs[i]], [n], [moduli[i]])[0] for i in (1, 0)][::-1]
         for (p, g, gap), p2, g2, gap2 in zip(want, ps, gs, gaps):
             assert np.array_equal(p, p2) and np.array_equal(g, g2) and gap == gap2
 
@@ -676,7 +728,7 @@ class TestSharedModulus:
         kept = [None]
         p = complete_target([target], kept)[0]
         assert kept[0].shape == (n // 2 + 1,)
-        assert np.array_equal(kept[0], _uniform_modulus2(p, n))
+        assert np.array_equal(kept[0], _uniform_moduli([p], n)[0])
         assert np.array_equal(p, complete_target([target])[0])
 
 
@@ -881,7 +933,7 @@ def svd_layer_peel(p, L):
         d = (len(p) - 1) // 2
         core = svd_layer_peel(p[d - d_eff:d + d_eff + 1], 2 * d_eff) if d_eff else []
         return np.concatenate([core, np.tile([-np.pi / 2, np.pi / 2], (L - 2 * d_eff) // 2)])
-    g = _fejer_complement(p)
+    g = _fejer_complements([p])[0]
     u = np.empty((L + 1, 2, 2), dtype=complex)
     u[:, 0, 0], u[:, 1, 1] = p, p[::-1]
     u[:, 0, 1], u[:, 1, 0] = 1j * g, 1j * g[::-1]
@@ -924,7 +976,7 @@ def complex_layer_peel(p, L):
     p = p[d - d_eff:d + d_eff + 1]
     r = np.empty((len(p), 2), dtype=complex)
     r[:, 0] = p
-    r[:, 1] = 1j * _fejer_complement(p)
+    r[:, 1] = 1j * _fejer_complements([p])[0]
     for j in range(2 * d_eff, 0, -1):
         (x0, y0), (x1, y1) = r[0].tolist(), r[-1].tolist()
         even_slot = j % 2 == 0
@@ -960,7 +1012,7 @@ def allocating_layer_peel(p, L):
     p = p[d - d_eff:d + d_eff + 1]
     r = np.empty((len(p), 2))
     r[:, 0] = p
-    r[:, 1] = qsp._fejer_complement(p)
+    r[:, 1] = qsp._fejer_complements([p])[0]
     for j in range(2 * d_eff, 0, -1):
         (x0, eta0), (x1, eta1) = r[0].tolist(), r[-1].tolist()
         even_slot = j % 2 == 0
@@ -1581,8 +1633,8 @@ class TestSerialization:
         loaded = load_angles(path)
         assert loaded.angles.row.tobytes() == spec.angles.row.tobytes()
         thetas = np.linspace(0.0, np.pi / 2, 5)
-        assert eigenphase_blocks(loaded, thetas, [1])[1].tobytes() == \
-            eigenphase_blocks(spec, thetas, [1])[1].tobytes()
+        assert analytic_stage([(loaded, [1])], thetas)[0][1].tobytes() == \
+            analytic_stage([(spec, [1])], thetas)[0][1].tobytes()
 
     @pytest.mark.parametrize("T,L", [(1.0, 40), (2.0, 60), (8.0, 100),
                                      (8.0, select_L_empirical(8.0))])

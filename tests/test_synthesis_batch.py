@@ -61,7 +61,7 @@ def test_cut_cores_are_drawn():
     # the two strong keys reach the peel's shorter core
     for T, L in KEYS[-2:]:
         p = qsp.complete_target([qsp.truncate_target(T, qsp._solve_length(T, L))])[0]
-        assert len(qsp._complemented_core(p)) < len(p)
+        assert len(qsp._complemented_cores([p])[0]) < len(p)
 
 
 @settings(max_examples=25, deadline=None)
