@@ -294,6 +294,10 @@ def sample_even_parity(probability, shots: int, seed):
     count that is not an integer of at least 0 raises :class:`DomainError`
     before any draw.  ``seed`` may be anything ``numpy.random.default_rng``
     accepts, including an existing generator.
+
+    No pae code calls it any more: the sampling phase draws through
+    :func:`driver.draw_counts` and the bias sweep draws nothing.  It stays
+    for the benchmark's tracer and its tests.
     """
     shots = checked_count("shots", shots, 0)
     counts = np.random.default_rng(seed).binomial(shots, probability)

@@ -35,7 +35,9 @@ class ExperimentConfig:
     trials: int = 100
     backend: str = "ideal"
     n: int = 2
-    shots: int = 100000              # bias sweep
+    # unused since the bias sweep draws nothing; kept so that existing
+    # configs, and the bias-calibration criterion's, still parse
+    shots: int = 100000
     l_table: str = "auto"            # auto | plus | plus_i
     t_min: float = 1.0               # tl curve
     t_max: float = 100.0

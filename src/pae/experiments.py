@@ -11,7 +11,6 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import circuit as circ
 from . import driver, qsp, rpe
 from .config import ExperimentConfig
 from .core_model import DomainError, make_instance
@@ -124,16 +123,26 @@ class BiasRow:
     l: int
     beta_plus: float
     beta_i: float
+    a_plus: float
+    a_i: float
 
 
 def run_bias_sweep(cfg: ExperimentConfig) -> list[BiasRow]:
-    """Measured probability bias of the synthesized parallel circuit.
+    """Exact probability bias of the synthesized parallel circuit.
 
-    For every step ``k`` (strength 1, ``2^(k-1)`` branches, query length from
-    the configured table) the even-parity frequency at ``shots`` draws is
-    compared with the exact-shifter probability, maximized over the
-    amplitude grid.  Requires a backend that actually synthesizes
-    (``analytic`` or ``statevector``).
+    For every step ``k`` from ``k_min`` to ``k_max`` (strength 1,
+    ``2^(k-1)`` branches, query length from the configured table, ``plus``
+    when ``auto``) the probability of each setting on the configured
+    backend is compared with the exact-shifter one of the ``ideal``
+    backend.  ``beta_plus`` and ``beta_i`` are the largest ``|p - p_ideal|``
+    over the amplitudes, and ``a_plus`` and ``a_i`` the amplitudes where
+    they fall, the first one on ties.  The amplitudes are the configured
+    ones, or 101 evenly spaced in ``[0, 1]`` when neither ``amplitudes``
+    nor ``amplitude_grid`` is set.
+
+    The bias is exact on the amplitude grid: nothing is drawn, so the rows
+    depend on neither ``shots`` nor ``seed``.  Requires a backend that
+    actually synthesizes (``analytic`` or ``statevector``).
     """
     if cfg.backend == "ideal":
         raise DomainError("bias sweep needs a synthesizing backend")
@@ -142,16 +151,13 @@ def run_bias_sweep(cfg: ExperimentConfig) -> list[BiasRow]:
     instances = [make_instance(a, cfg.n) for a in amps]
     steps = driver.build_schedule(strategy="full_parallel", k_max=cfg.k_max,
                                   l_table=table).steps[cfg.k_min - 1:]
-    probs = driver.step_probabilities(instances, steps, cfg.backend)
-    ideal = driver.step_probabilities(instances, steps, "ideal")
-    rows = []
-    for i, st in enumerate(steps):
-        # one draw per step: rows are amplitudes, columns PLUS and PLUS_I
-        counts = circ.sample_even_parity(probs[:, i], cfg.shots,
-                                         np.random.SeedSequence([cfg.seed, st.k]))
-        worst = np.max(np.abs(counts / cfg.shots - ideal[:, i]), axis=0)
-        rows.append(BiasRow(k=st.k, l=st.l, beta_plus=float(worst[0]), beta_i=float(worst[1])))
-    return rows
+    bias = np.abs(driver.step_probabilities(instances, steps, cfg.backend)
+                  - driver.step_probabilities(instances, steps, "ideal"))
+    where = np.argmax(bias, axis=0)
+    worst = np.take_along_axis(bias, where[None], axis=0)[0].tolist()
+    at = np.asarray(amps)[where].tolist()
+    return [BiasRow(k=st.k, l=st.l, beta_plus=b[0], beta_i=b[1], a_plus=a[0], a_i=a[1])
+            for st, b, a in zip(steps, worst, at)]
 
 
 @dataclass(frozen=True)

@@ -158,8 +158,8 @@ def render(rows, kind: str, output_dir: str) -> list[str]:
                    hl_line=(kind == "rmse_vs_queries"))
     elif kind == "bias_sweep":
         ks = [r.k for r in rows]
-        render_svg(svg_path, [("max |bias|, X parity", ks, [max(r.beta_plus, 1e-6) for r in rows]),
-                              ("max |bias|, rotated parity", ks, [max(r.beta_i, 1e-6) for r in rows])],
+        render_svg(svg_path, [("max |bias|, X parity", ks, [r.beta_plus for r in rows]),
+                              ("max |bias|, rotated parity", ks, [r.beta_i for r in rows])],
                    xlabel="step k", ylabel="probability bias", logx=False, logy=True)
     elif kind == "tl_curve":
         render_svg(svg_path, [("minimal query length", [r.t for r in rows],

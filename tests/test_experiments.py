@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from pae import (PARALLEL_L_TABLE_PLUS, ConfigError, DomainError,
                  ExperimentConfig, build_schedule, circuit, driver, estimate_phase,
-                 hl_reference, make_instance, parse_config, rpe, run,
+                 hl_reference, make_instance, parse_config, qsp, rpe, run,
                  sample_and_recover, serialize_config, setting_probability,
                  step_probabilities, synthesize_shifter)
 from pae.circuit import MeasurementSetting, ParallelCircuit
@@ -224,24 +225,90 @@ class TestBiasSweep:
                                shots=4000, l_table="plus", seed=3)
         rows = run_bias_sweep(cfg)
         assert [r.l for r in rows] == [10, 12, 12]
-        sigma3 = 3.0 / (2.0 * math.sqrt(4000))
-        assert all(r.beta_plus <= 0.05 + sigma3 for r in rows)
+        assert all(max(r.beta_plus, r.beta_i) <= 0.05 for r in rows)
 
     def test_rows_pinned(self):
-        # pins the branch-unitary kernel and the seeded sampling stream
-        # together; recorded when the stream became one binomial draw per
-        # step over the (amplitudes, 2) probabilities
+        # pins the exact bias of the branch-unitary kernel over five amplitudes
         cfg = ExperimentConfig(experiment="bias_sweep", backend="analytic",
                                k_min=1, k_max=3, amplitude_grid=5,
                                shots=10000, seed=2024)
         assert run_bias_sweep(cfg) == [
-            BiasRow(k=1, l=10, beta_plus=0.005251152934069858,
-                    beta_i=0.0029000000000000137),
-            BiasRow(k=2, l=12, beta_plus=0.0023734182735711817,
-                    beta_i=0.0018000000000000238),
-            BiasRow(k=3, l=12, beta_plus=0.003150016904306774,
-                    beta_i=0.0038000000000000256),
+            BiasRow(k=1, l=10, beta_plus=6.424092088730404e-06,
+                    beta_i=7.793783636173002e-05, a_plus=0.25, a_i=0.75),
+            BiasRow(k=2, l=12, beta_plus=2.0937865550463286e-05,
+                    beta_i=1.8407894426197835e-05, a_plus=0.0, a_i=0.25),
+            BiasRow(k=3, l=12, beta_plus=1.737683345476304e-05,
+                    beta_i=2.5954618921408823e-05, a_plus=0.0, a_i=0.0),
         ]
+
+    @pytest.mark.parametrize("backend", ["analytic", "statevector"])
+    def test_rows_are_the_exact_maxima(self, backend):
+        cfg = ExperimentConfig(experiment="bias_sweep", backend=backend,
+                               k_min=2, k_max=4, amplitude_grid=5)
+        amps = np.linspace(0.0, 1.0, 5)
+        instances = [make_instance(float(a), cfg.n) for a in amps]
+        steps = build_schedule(strategy="full_parallel", k_max=4,
+                               l_table=PARALLEL_L_TABLE_PLUS).steps[1:]
+        probs = step_probabilities(instances, steps, backend)
+        ideal = step_probabilities(instances, steps, "ideal")
+        expected = []
+        for i, st in enumerate(steps):
+            worst = []
+            for col in (0, 1):
+                bias = [abs(p - q) for p, q in zip(probs[:, i, col], ideal[:, i, col])]
+                worst.append((max(bias), float(amps[bias.index(max(bias))])))
+            expected.append(BiasRow(k=st.k, l=st.l, beta_plus=worst[0][0], beta_i=worst[1][0],
+                                    a_plus=worst[0][1], a_i=worst[1][1]))
+        assert run_bias_sweep(cfg) == expected
+
+    def test_backends_agree(self):
+        def rows(backend):
+            return run_bias_sweep(ExperimentConfig(
+                experiment="bias_sweep", backend=backend, k_min=1, k_max=4,
+                amplitude_grid=5))
+        for a, b in zip(rows("analytic"), rows("statevector"), strict=True):
+            assert (a.k, a.l) == (b.k, b.l)
+            assert abs(a.beta_plus - b.beta_plus) <= 1e-12
+            assert abs(a.beta_i - b.beta_i) <= 1e-12
+
+    def test_rows_ignore_shots_and_seed(self):
+        def rows(shots, seed):
+            return run_bias_sweep(ExperimentConfig(
+                experiment="bias_sweep", backend="analytic", k_min=1, k_max=3,
+                amplitude_grid=7, shots=shots, seed=seed))
+        assert rows(10, 1) == rows(100000, 1) == rows(10, 2) == rows(100000, 2)
+
+    def test_shifted_step_moves_only_its_row(self, monkeypatch):
+        # push step 2's PLUS probabilities 0.002 further from the ideal ones
+        cfg = ExperimentConfig(experiment="bias_sweep", backend="analytic",
+                               k_min=1, k_max=3, amplitude_grid=9)
+        before = run_bias_sweep(cfg)
+        exact = driver.step_probabilities
+
+        def shifted(instances, steps, backend):
+            table = exact(instances, steps, backend)
+            if backend != "ideal":
+                ideal = exact(instances, steps, "ideal")
+                table[:, 1, 0] += 0.002 * np.sign(table[:, 1, 0] - ideal[:, 1, 0])
+            return table
+
+        monkeypatch.setattr(driver, "step_probabilities", shifted)
+        after = run_bias_sweep(cfg)
+        assert abs(after[1].beta_plus - before[1].beta_plus - 0.002) <= 1e-15
+        assert after[1] == dataclasses.replace(before[1], beta_plus=after[1].beta_plus)
+        assert [after[0], after[2]] == [before[0], before[2]]
+
+    def test_draws_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bias sweep drew a random number")
+
+        cfg = ExperimentConfig(experiment="bias_sweep", backend="analytic",
+                               k_min=1, k_max=3, amplitude_grid=5)
+        expected = run_bias_sweep(cfg)
+        monkeypatch.setattr(circuit, "sample_even_parity", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(qsp, "_shifter_cache", {})   # synthesize cold too
+        assert run_bias_sweep(cfg) == expected
 
     def test_longer_sequences_reduce_exact_bias(self):
         # systematic bias (no sampling): growing L by 4 shrinks it
@@ -361,6 +428,15 @@ class TestRendering:
         assert svg.count("<circle") == 1
         coords = re.findall(r'\b(?:cx|cy|x1|x2|y1|y2|x|y)="([^"]+)"', svg)
         assert coords and all(math.isfinite(float(v)) for v in coords)
+
+    def test_render_bias_below_one_in_a_million(self, tmp_path):
+        # exact biases far below 1e-6 each keep their own height
+        rows = [BiasRow(k=k, l=10, beta_plus=beta, beta_i=beta, a_plus=0.5, a_i=0.5)
+                for k, beta in ((1, 5e-8), (2, 5e-7), (3, 5e-6))]
+        _, svg_path = render(rows, "bias_sweep", str(tmp_path))
+        svg = Path(svg_path).read_text()
+        heights = re.findall(r'<circle cx="[^"]+" cy="([^"]+)" r="3" fill="#1f77b4"', svg)
+        assert len(heights) == 3 and len(set(heights)) == 3
 
     def test_reference_line_value(self):
         assert hl_reference(1001) == pytest.approx(math.pi / 2000)
