@@ -18,15 +18,14 @@ pipeline is:
    evaluated twice, once for the truncated and once for the completed
    vector, to measure the overshoot and to gate the result, on one uniform
    grid sized by that degree (``_sized_grid``: the smallest power of two
-   with at least 64 points per degree), as the squared moduli of one real
-   FFT of the coefficients (``_uniform_moduli``).  For real ``p``,
+   with at least 64 points per degree), as the squared absolute values of
+   one real FFT of the coefficients (``_uniform_moduli``).  For real ``p``,
    ``P(e^{-i theta}) = conj P(e^{i theta})``, so ``|P|^2`` takes the same
    value at ``theta`` and ``2 pi - theta``, and the half spectrum, the
-   angles ``0..pi``, carries every value of the grid.  The gate's values
-   go to the caller that asks for them, in a list it passes.  A list of
-   targets is one batch: the targets that share a sized grid share each of
-   its two transforms, one real FFT of their stacked rows (``_stacks``),
-   while every sum stays per target.
+   angles ``0..pi``, carries every value of the grid.  A list of targets
+   is one batch: the targets that share a sized grid share each of its two
+   transforms, one real FFT of their stacked rows (``_stacks``), while
+   every sum stays per target.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``P`` by layer peeling alone: complete ``P`` to a
    unitary with the complementary polynomial ``G``
@@ -34,20 +33,20 @@ pipeline is:
    its arrays are real or Hermitian, so every transform is a real FFT, on
    a grid that doubles from eight points per coefficient until the
    cepstrum's aliased tail is at rounding level) and strip one degree at a
-   time.  The pair is gated on the sized grid of the degree of ``|P|^2 +
-   |G|^2 - 1`` by the same real-FFT moduli (``_complement_gaps``): its
-   maximum there, divided by ``cos(pi degree / n)``, bounds it on the
-   whole circle.  When the peel's core is the whole target, that grid and
-   ``P`` are the completion gate's, whose ``|P|^2`` the caller hands over
-   as an argument, so only ``|G|^2`` costs a transform there.  At the calibrated length that holds
-   at every integer strength up to ``T = 108``; at 966 of the 1940 integer
-   strengths from 109 to 2048 the target's top harmonics fall below the
-   peel's ``1e-13`` cut, and the shorter core pays the ``|P|^2`` transform
-   again.  Only the first row ``(P, iG)`` of the Laurent tensor is kept,
-   since the second is its reversed conjugate, and as the real pair ``(P,
-   G)``: every layer maps a row ``(x, i eta)`` with real ``x`` and ``eta``
-   to another.  Each layer's angle comes in closed form from the two end
-   blocks, and each strip is one real ``(L, 2) @ (2, 2)`` product with the
+   time.  The pair is gated by its miss ``|P|^2 + |G|^2 - 1``, a real
+   symmetric Laurent vector formed in coefficient space from the product
+   ``P(z)P(1/z)`` that the factorisation already needs and the new
+   ``G(z)G(1/z)`` (``_complement_gaps``): its values on the sized grid of
+   its degree are the real part of one real FFT, and their maximum,
+   divided by ``cos(pi degree / n)``, bounds it on the whole circle.  So
+   the gate costs one transform, whether the peel's core is the whole
+   target or, as at about half the calibrated lengths from ``T = 109`` up,
+   a core cut shorter where the target's top harmonics fall below the
+   peel's ``1e-13`` cut.  Only the first row ``(P, iG)`` of the Laurent
+   tensor is kept, since the second is its reversed conjugate, and as the
+   real pair ``(P, G)``: every layer maps a row ``(x, i eta)`` with real
+   ``x`` and ``eta`` to another.  Each layer's angle comes in closed form
+   from the two end blocks, and each strip is one real ``(L, 2) @ (2, 2)`` product with the
    layer's rank-1 projector, refilled in place, added in place to the
    row's view one shorter, so the peel is ``O(L^2)`` with a small
    constant.  It runs at the target's effective degree (at least 2 for a
@@ -58,7 +57,7 @@ pipeline is:
    (``_fejer_complements``), each transform one real FFT of the stacked
    rows on its grid size, at every cepstrum doubling step, where a core
    leaves the stack once its tail passes, at the exponential's pair and at
-   the gate's ``|G|^2``; and all are peeled in one lockstep loop over the
+   the gate's miss; and all are peeled in one lockstep loop over the
    layers (``_solve_layer_peel``), where a core joins the stacked rows at
    its own first layer, so the batch shares each layer's calls, never its
    arithmetic; one target is the batch of one.
@@ -286,7 +285,7 @@ def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cos_part, p[d:] - p[d::-1]
 
 
-def complete_target(targets, moduli=None) -> list[np.ndarray]:
+def complete_target(targets) -> list[np.ndarray]:
     """Adjust each truncated Laurent vector ``targets[b]`` into an exactly
     achievable one.
 
@@ -306,13 +305,9 @@ def complete_target(targets, moduli=None) -> list[np.ndarray]:
     ``complete_target([target])[0]``: the ``|P|^2`` of the truncated
     targets is one stacked real FFT per sized grid (:func:`_grid_moduli`),
     and so is that of the completed ones, while every sum stays per
-    target, so each vector is bit for bit what it is alone.  ``moduli``,
-    when given, is a list with one entry per target, and entry ``b`` is set
-    to the gate's ``|P|^2`` on the angles ``0..pi`` of the target's grid of
-    ``n`` points, ``n/2 + 1`` floats (:func:`_uniform_moduli`): the complement
-    gate of a peel whose core is all of ``p`` takes it in place of a
-    transform.  Raises :class:`SynthesisError` for the first target, in
-    batch order, whose gate fails, with its index in ``target``.
+    target, so each vector is bit for bit what it is alone.  Raises
+    :class:`SynthesisError` for the first target, in batch order, whose
+    gate fails, with its index in ``target``.
     """
     grids = [_sized_grid(target.L)[0] for target in targets]
     ps = []
@@ -356,8 +351,6 @@ def complete_target(targets, moduli=None) -> list[np.ndarray]:
                 f"at theta={2.0 * np.pi * ip / n:.6f}")
             err.target = b
             raise err
-        if moduli is not None:
-            moduli[b] = gg
     return ps
 
 
@@ -558,7 +551,7 @@ def _outer_factors(rs: list[np.ndarray]) -> list[np.ndarray]:
     return factors
 
 
-def _fejer_complements(ps: list[np.ndarray], moduli=None) -> list[np.ndarray]:
+def _fejer_complements(ps: list[np.ndarray]) -> list[np.ndarray]:
     """Real ``g`` with ``P(z)P(1/z) + G(z)G(1/z) = 1`` on the unit circle,
     for each ``p`` of ``ps``.
 
@@ -572,28 +565,28 @@ def _fejer_complements(ps: list[np.ndarray], moduli=None) -> list[np.ndarray]:
     ``|P|^2 + |G|^2 = 1`` by more than ``_COMPLEMENT_TOL`` anywhere on the
     circle: the miss is a real trigonometric polynomial of degree ``2d``,
     so its maximum on the grid ``_sized_grid(2d)``, divided by the grid's
-    factor, bounds it everywhere.  ``moduli[b]``, when given and not
-    ``None``, is ``|P|^2`` of ``ps[b]`` on that grid, as the completion gate
-    evaluated it.
+    factor, bounds it everywhere (:func:`_complement_gaps`, which reads the
+    miss from ``P(z)P(1/z)``, the product that ``R`` is formed from).
 
     The list is one batch: every transform of a grid size, each cepstrum
     doubling step and the exponential's pair (:func:`_outer_factors`) and
-    the gate's ``|G|^2``, with the ``|P|^2`` that no modulus supplies, is
-    one stacked real FFT, while the products, the deflation and each gate's
-    maximum stay per target, so each ``g`` is bit for bit what it is alone.
+    the gate's miss, is one stacked real FFT, while the products, the
+    deflation and each gate's maximum stay per target, so each ``g`` is bit
+    for bit what it is alone.
     The first target in batch order whose gate fails raises, with its
     index in ``target``.
     """
+    pps = [np.convolve(p, p[::-1]) for p in ps]
     rs = []
-    for p in ps:
-        r = -np.convolve(p, p[::-1])
-        r[len(p) - 1] += 1.0
+    for pp in pps:
+        r = -pp
+        r[len(r) // 2] += 1.0
         rs.append(_deflate_pinned(r))
     # G is (1 - z^2) F reversed, F on the powers 0..m of R~'s -m..m
     gs = [np.convolve(f[:(len(r) + 1) // 2], [1.0, 0.0, -1.0])[::-1]
           for f, r in zip(_outer_factors(rs), rs)]
     sized = [_sized_grid(len(p) - 1) for p in ps]
-    gaps = _complement_gaps(ps, gs, [n for n, _ in sized], moduli)
+    gaps = _complement_gaps(pps, gs, [n for n, _ in sized])
     for b, ((n, factor), gap) in enumerate(zip(sized, gaps)):
         err = gap / factor
         if not err <= _COMPLEMENT_TOL:        # a NaN must fail too
@@ -605,34 +598,33 @@ def _fejer_complements(ps: list[np.ndarray], moduli=None) -> list[np.ndarray]:
     return gs
 
 
-def _complement_gaps(ps: list, gs: list, grids: list[int], moduli=None) -> list[float]:
-    """``max |P P* + G G* - 1|`` of each real pair ``ps[b]``, ``gs[b]`` on
-    the angles ``0..pi`` of its grid of ``grids[b]`` points, where both
-    moduli are even; ``moduli[b]``, if not ``None``, is ``|P|^2`` there.
-    Every other modulus comes from one :func:`_grid_moduli` call."""
-    moduli = list(moduli or [None] * len(ps))
-    missing = [b for b, m in enumerate(moduli) if m is None]
-    values = _grid_moduli(gs + [ps[b] for b in missing], grids + [grids[b] for b in missing])
-    for b, modulus2 in zip(missing, values[len(ps):]):
-        moduli[b] = modulus2
-    return [float(np.abs(modulus2 + g2 - 1.0).max()) for g2, modulus2 in zip(values, moduli)]
+def _complement_gaps(pps: list, gs: list, grids: list[int]) -> list[float]:
+    """``max |P P* + G G* - 1|`` on the grid of ``grids[b]`` points of each
+    real pair, from ``pps[b] = np.convolve(p, p[::-1])`` and ``gs[b]``, as
+    long as ``p``.  The miss is a real symmetric Laurent vector, so its
+    values on the angles ``0..pi``, which carry every value of the grid,
+    are the real part of one stacked real FFT per grid size and run."""
+    misses = [pp + np.convolve(g, g[::-1]) for pp, g in zip(pps, gs)]
+    gaps: list = [None] * len(misses)
+    for n, run in _stacks(grids):
+        rows = _spread([misses[b] for b in run], n)
+        rows[:, 0] -= 1.0                     # the constant term, power 0
+        for b, values in zip(run, np.fft.rfft(rows).real):
+            gaps[b] = float(np.abs(values).max())
+    return gaps
 
 
-def _complemented_cores(ps: list[np.ndarray], moduli=None) -> list[np.ndarray]:
+def _complemented_cores(ps: list[np.ndarray]) -> list[np.ndarray]:
     """The real row ``(P, G)`` that the peel strips, ``(2 d + 1, 2)``, of
     the core of each completed target ``ps[b]``: ``p`` cut to its effective
     degree ``d``, with ``G`` from :func:`_fejer_complements`, one batch for
     every live core.  Harmonics at rounding level would make the complement
     factor noise.  A target with no live harmonic beyond 0 is the identity,
     an empty row; a live one keeps a core of degree at least 2, because a
-    length-2 core with ``A(0) = 1`` realizes only ``C = 0``.  ``moduli[b]``
-    is the completion gate's ``|P|^2`` of all of ``ps[b]``, which the
-    complement gate takes when the core is all of ``p``; a core cut
-    shorter, as at about half the calibrated lengths from ``T = 109`` up, is
-    another vector on another grid, whose ``|P|^2`` costs a transform.  A
-    failing gate raises with the index of its target in ``target``."""
-    rows, live, cores, given = [], [], [], []
-    for b, (p, modulus2) in enumerate(zip(ps, moduli or [None] * len(ps))):
+    length-2 core with ``A(0) = 1`` realizes only ``C = 0``.  A failing
+    gate raises with the index of its target in ``target``."""
+    rows, live, cores = [], [], []
+    for b, p in enumerate(ps):
         d = (len(p) - 1) // 2
         content = _fold(np.abs(p))[0]       # |p_l| + |p_-l|, |p_0| once
         alive = np.nonzero(content[1:] > 1e-13 * max(float(content.max()), 1.0))[0]
@@ -644,9 +636,8 @@ def _complemented_cores(ps: list[np.ndarray], moduli=None) -> list[np.ndarray]:
         if d_eff:
             live.append(b)
             cores.append(core)
-            given.append(modulus2 if d_eff == d else None)
     try:
-        gs = _fejer_complements(cores, given)
+        gs = _fejer_complements(cores)
     except SynthesisError as err:
         err.target = live[err.target]
         raise
@@ -860,7 +851,7 @@ def _product_rounding(length: int) -> float:
       unitary children carry the error unamplified: ``(1 + sqrt(2)) phi``
       in all once scaled back.  Each output row's two complex products and
       their sum err by ``sqrt(2) gamma_2 + u (1 + sqrt(2) gamma_2)``
-      relative to the sum of the products' moduli, at most 1 by
+      relative to the sum of the products' absolute values, at most 1 by
       Cauchy-Schwarz, and the inverse transform by ``phi``.  The l2 error
       of the ``2 width - 1`` output coefficients, times ``sqrt(2 width -
       1)``, bounds it in sup.
@@ -877,29 +868,31 @@ def _product_rounding(length: int) -> float:
     return total
 
 
-def solve_angles(ps, lengths, moduli=None) -> list[AngleSequence]:
+def solve_angles(ps, lengths) -> list[AngleSequence]:
     """Solve for the angles of each completed Laurent target ``ps[b]`` (odd
     length, degree ``(len(p) - 1) / 2 <= L / 2``) at length ``lengths[b]``
-    by layer peeling, gated by :func:`_certify_angles`; ``moduli[b]``, when
-    ``moduli`` is given, is the ``|P|^2`` that :func:`complete_target` kept
-    for ``ps[b]``.
+    by layer peeling, gated by :func:`_certify_angles`.
 
     The batch is solved at once: all cores complemented together, each
     transform of a grid size one stacked call (:func:`_complemented_cores`),
     peeled in one :func:`_solve_layer_peel` and certified in one product
     tree, each sequence bit for bit what it is alone; one target is the
     batch of one, ``solve_angles([p], [L])[0]``.  Raises
-    :class:`DomainError` for any other target or length, and
-    :class:`SynthesisError` when a gate fails, the index of the first
-    failing target in batch order in its ``target``.
+    :class:`DomainError` before any work for lists of different lengths and
+    for any other target or length, and :class:`SynthesisError` when a gate
+    fails, the index of the first failing target in batch order in its
+    ``target``.
     """
     ps = [np.asarray(q, float) for q in ps]
     lengths = [checked_length("query length", length) for length in lengths]
+    if len(ps) != len(lengths):
+        raise DomainError(f"one length per target: got {len(ps)} targets "
+                          f"and {len(lengths)} lengths")
     for q, length in zip(ps, lengths):
         if q.ndim != 1 or len(q) % 2 == 0 or len(q) - 1 > length:
             raise DomainError(f"a length-{length} sequence cannot realize a target of "
                               f"{q.size} Laurent coefficients")
-    return _certify_angles(_solve_layer_peel(_complemented_cores(ps, moduli), lengths), ps)
+    return _certify_angles(_solve_layer_peel(_complemented_cores(ps), lengths), ps)
 
 
 def _certify_angles(xis: list[np.ndarray], ps: list[np.ndarray]) -> list[AngleSequence]:
@@ -960,9 +953,10 @@ def apply_shifter(xi: np.ndarray, wq: np.ndarray, columns: np.ndarray,
                   powers) -> dict[int, np.ndarray]:
     """The shifter of the angles ``xi`` around each of the ``m``
     controlled-Grover blocks ``wq``, ``(m, 2d, 2d)``, raised to every power
-    ``s`` of ``powers`` (distinct, ascending, at least 1) and applied to
-    ``columns``, ``(m, 2d, k)``: ``{s: (m, 2d, k) columns}``, each slice
-    along ``m`` bit for bit its own call's.
+    ``s`` of ``powers`` and applied to ``columns``, ``(m, 2d, k)``: ``{s:
+    (m, 2d, k) columns}``, each slice along ``m`` bit for bit its own
+    call's.  ``powers`` must be integers at least 1, strictly ascending,
+    and at least one, else :class:`DomainError` before any work.
 
     The shifter is the product over slots ``j`` of ``rx(a_j) W_j rx(-a_j)``
     on the ancilla, with ``W_j = wq^dagger`` and ``a_j = xi_j + pi`` in odd
@@ -973,6 +967,9 @@ def apply_shifter(xi: np.ndarray, wq: np.ndarray, columns: np.ndarray,
     axis and one with a block or its adjoint; where one application of the
     shifter meets the next, its last and first rotations merge too, so one
     pass to the largest ``s`` gives every smaller one on the way."""
+    powers = [checked_count("repetition count", s) for s in powers]
+    if not powers or any(s <= r for r, s in zip(powers, powers[1:])):
+        raise DomainError(f"powers must be strictly ascending, at least one, got {powers}")
     m, dim = wq.shape[0], wq.shape[-1]
     xi = np.asarray(xi, dtype=float)
     a = xi + np.pi * (np.arange(len(xi)) % 2 == 0)
@@ -1026,9 +1023,8 @@ def _certified_shifters(keys: list[tuple[float, int]],
     :func:`solve_angles`'s, gated against the target at the solve length
     :func:`_solve_length` of ``L``.  Each key is truncated, then one
     :func:`complete_target` batch completes them all on their own grids,
-    keeping each completion's ``|P|^2`` for the complement gate, and one
-    :func:`solve_angles` batch, or one certificate of the given angles,
-    serves them all.  A :class:`SynthesisError` names ``T``, ``L`` and the
+    and one :func:`solve_angles` batch, or one certificate of the given
+    angles, serves them all.  A :class:`SynthesisError` names ``T``, ``L`` and the
     solve length of the first key in batch order that failed: a key whose
     truncation fails stops the batch after the keys before it complete."""
     names, targets, refused = [], [], None
@@ -1040,13 +1036,12 @@ def _certified_shifters(keys: list[tuple[float, int]],
         except SynthesisError as err:
             refused = err
             break
-    moduli: list = [None] * len(targets)
     try:
-        ps = complete_target(targets, moduli)
+        ps = complete_target(targets)
         if refused is not None:
             refused.target = len(targets)
             raise refused
-        sequences = (solve_angles(ps, [L for _, L in keys], moduli) if angles is None
+        sequences = (solve_angles(ps, [L for _, L in keys]) if angles is None
                      else _certify_angles(angles, ps))
     except SynthesisError as err:
         raise _named(*names[err.target], err) from err

@@ -71,10 +71,10 @@ def check_row_evaluation() -> tuple[str, bool, str]:
 
 
 def check_certificate_grid() -> tuple[str, bool, str]:
-    # the complement's maximum on its sized grid, over the factor, bounds
-    # the maximum on a 16x denser grid, up to the few ulps of 1 to which
-    # both grids round |P|^2 + |G|^2: there the gap itself is at rounding
-    # level.  Scaled by 1 - 1e-3 the complement misses by about 1.9e-7, far
+    # the complement's miss |P|^2 + |G|^2 - 1, one Laurent vector, has its
+    # maximum on the sized grid, over the factor, bound the maximum on a
+    # 16x denser grid, up to the two transforms' rounding, which the 1e-15
+    # covers: there the gap itself is at rounding level.  Scaled by 1 - 1e-3 the complement misses by about 1.9e-7, far
     # above rounding, and the bound must hold with no slack; it holds by
     # the factor alone, as the grid maximum falls short of the dense one.
     # The residual, an l1 bound from the product's coefficients, covers
@@ -85,7 +85,8 @@ def check_certificate_grid() -> tuple[str, bool, str]:
     g = qsp._fejer_complements([p])[0]
     n, factor = qsp._sized_grid(L)
     gap, dense, scaled_gap, scaled_dense = qsp._complement_gaps(
-        [p] * 4, [g, g, (1.0 - 1e-3) * g, (1.0 - 1e-3) * g], [n, 16 * n, n, 16 * n])
+        [np.convolve(p, p[::-1])] * 4, [g, g, (1.0 - 1e-3) * g, (1.0 - 1e-3) * g],
+        [n, 16 * n, n, 16 * n])
     bound, scaled_bound = gap / factor + 1e-15, scaled_gap / factor
     m = 16 * L
     target = m * np.fft.ifft(qsp._spread([p], m)[0])    # P(z) z^-d at z = e^{2 pi i j / m}

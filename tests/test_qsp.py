@@ -263,16 +263,13 @@ class TestCompleteTarget:
 
     def test_batch_equals_each_target_alone(self):
         # targets sharing the 1024- and 4096-point grids and one alone on
-        # its own, completed as one batch: each vector and each kept |P|^2
-        # has the bits it has alone
+        # its own, completed as one batch: each vector has the bits it has
+        # alone
         targets = [truncate_target(T, L) for T, L in
                    ((8.0, 34), (1.0, 10), (48.0, 146), (4.0, 40), (1.0, 14), (2.0, 14))]
-        moduli = [None] * len(targets)
-        batch = complete_target(targets, moduli)
-        for target, p, kept in zip(targets, batch, moduli):
-            alone = [None]
-            assert np.array_equal(complete_target([target], alone)[0], p)
-            assert alone[0].tobytes() == kept.tobytes()
+        batch = complete_target(targets)
+        for target, p in zip(targets, batch):
+            assert complete_target([target])[0].tobytes() == p.tobytes()
 
     def test_batch_names_its_first_failing_target(self):
         good, bad = truncate_target(1.0, 10), truncate_target(0.5, 2)
@@ -446,14 +443,35 @@ class TestMirrorGrids:
             full = np.abs(np.fft.fft(q, n)) ** 2
             assert abs(np.max(_uniform_moduli([q], n)[0]) - np.max(full)) <= 1e-13
         g = _fejer_complements([p])[0]
-        full = np.abs(np.fft.fft(p, n)) ** 2 + np.abs(np.fft.fft(g, n)) ** 2 - 1.0
-        assert abs(_complement_gaps([p], [g], [n])[0] - np.max(np.abs(full))) <= 1e-14
+        assert abs(complement_gap(p, g, n) - dense_complement_gap(p, g, n)) <= 1e-14
         seq = solve_angles([p], [L])[0]
         m = 16 * L
         u00 = rotation_product(seq.xi, 2.0 * np.pi * np.arange(m) / m)[:, 0, 0]
         miss = np.max(np.abs(u00 - uniform_values(p, m)))
         assert miss <= seq.residual
         assert seq.residual - _product_rounding(L) - miss <= res_tol
+
+    def test_cut_core_gap_matches_full_grid(self):
+        # the core of T = 256 at L = 710 is cut to degree 354 of 355, and
+        # its gap, read from the miss polynomial on the half grid, is the
+        # maximum of |P|^2 + |G|^2 - 1 on all n points by a complex FFT
+        p = complete_target([truncate_target(256.0, 710)])[0]
+        row = _complemented_cores([p])[0]
+        assert (len(p), len(row)) == (711, 709)
+        core, g = row[:, 0].copy(), row[:, 1].copy()
+        n = _sized_grid(len(core) - 1)[0]
+        assert n == 65536
+        assert abs(complement_gap(core, g, n) - dense_complement_gap(core, g, n)) <= 1e-14
+
+
+def complement_gap(p, g, n):
+    """The complement gate's gap of the pair ``(p, g)`` on ``n`` points."""
+    return _complement_gaps([np.convolve(p, p[::-1])], [g], [n])[0]
+
+
+def dense_complement_gap(p, g, n):
+    """``max |P|^2 + |G|^2 - 1`` on all ``n`` points, by complex FFTs."""
+    return np.max(np.abs(np.abs(np.fft.fft(p, n)) ** 2 + np.abs(np.fft.fft(g, n)) ** 2 - 1.0))
 
 
 def trig_values(c, n):
@@ -664,9 +682,8 @@ class TestStacks:
 
 class TestSharedModulus:
     def test_cold_synthesis_transforms_the_sized_grid_three_times(self, monkeypatch):
-        # |P|^2 of the truncated and of the completed target, and |G|^2:
-        # the complement gate takes the completed target's |P|^2 from the
-        # completion gate, the same vector on the same grid
+        # |P|^2 of the truncated and of the completed target, and the
+        # complement's miss |P|^2 + |G|^2 - 1, one Laurent vector
         n = _sized_grid(146)[0]
         assert n == 16384
         monkeypatch.setattr(qsp, "_shifter_cache", {})
@@ -676,9 +693,9 @@ class TestSharedModulus:
         assert sizes.count(n) == 3
 
     def test_cold_shifter_in_a_batch_transforms_its_grid_three_times(self, monkeypatch):
-        # the hand-over is an argument, so it survives the other shifters'
-        # completions, all of which run before the first complement; no
-        # other shifter of the batch uses the 16384-point grid
+        # truncated |P|^2, completed |P|^2 and the miss, among the other
+        # shifters' completions and complements, none of which uses the
+        # 16384-point grid
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         keys = [(1.0, L) for L in (10, 12, 14, 16, 18)]
         assert all(_sized_grid(L)[0] < 16384 for _, L in keys)
@@ -689,7 +706,7 @@ class TestSharedModulus:
     def test_cold_plus_batch_transforms_each_grid_three_times(self, monkeypatch):
         # the six T = 1 shifters of the plus table sit on two sized grids,
         # 1024 points (L = 10 .. 16) and 2048 (L = 18, 20): the truncated
-        # |P|^2, the completed |P|^2 and |G|^2 are one stacked transform
+        # |P|^2, the completed |P|^2 and the miss are one stacked transform
         # each per grid, not one per key
         keys = [(1.0, L) for L in sorted(set(PARALLEL_L_TABLE_PLUS))]
         assert [_sized_grid(L)[0] for _, L in keys] == [1024] * 4 + [2048] * 2
@@ -698,10 +715,22 @@ class TestSharedModulus:
         synthesize_shifters(keys)
         assert sizes.count(1024) == sizes.count(2048) == 3
 
+    def test_cold_cut_core_transforms_its_grid_three_times(self, monkeypatch):
+        # T = 256 at L = 710 peels a core of degree 354 of 355, on the same
+        # 65536-point grid as its completion: truncated |P|^2, completed
+        # |P|^2 and the core's miss, with no |P|^2 of the core on its own
+        assert _sized_grid(708)[0] == _sized_grid(710)[0] == 65536
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        synthesize_shifter(1.0, 10)            # another target goes first
+        sizes = counting_rfft(monkeypatch)
+        synthesize_shifter(256.0, 710)
+        assert sizes.count(65536) == 3
+
     def test_interleaved_targets_match_each_target_alone(self):
-        # two targets on the same 4096-point grid, completed in one batch,
-        # whose transforms stack both rows, before either complement and
-        # gap, each complement given its own completion's |P|^2
+        # two targets on the same 4096-point grid, completed in one batch
+        # and complemented in another, whose transforms stack both rows,
+        # then their gaps read in reverse order in a third: each vector and
+        # each gap has the bits it has alone
         targets = [truncate_target(8.0, 34), truncate_target(4.0, 40)]
         n = _sized_grid(34)[0]
         assert n == _sized_grid(40)[0] == 4096
@@ -709,27 +738,15 @@ class TestSharedModulus:
         def alone(target):
             p = complete_target([target])[0]
             g = _fejer_complements([p])[0]
-            return p, g, _complement_gaps([p], [g], [n])[0]
+            return p, g, complement_gap(p, g, n)
 
         want = [alone(target) for target in targets]
-        moduli = [None] * len(targets)
-        ps = complete_target(targets, moduli)
-        gs = [_fejer_complements([p], [m])[0] for p, m in zip(ps, moduli)]
-        gaps = [_complement_gaps([ps[i]], [gs[i]], [n], [moduli[i]])[0] for i in (1, 0)][::-1]
+        ps = complete_target(targets)
+        gs = _fejer_complements(ps)
+        gaps = _complement_gaps([np.convolve(ps[i], ps[i][::-1]) for i in (1, 0)],
+                                [gs[1], gs[0]], [n, n])[::-1]
         for (p, g, gap), p2, g2, gap2 in zip(want, ps, gs, gaps):
-            assert np.array_equal(p, p2) and np.array_equal(g, g2) and gap == gap2
-
-    def test_kept_values_are_the_completion_gates_own(self):
-        # what the completion keeps is |P|^2 of the vector it returns on its
-        # sized grid, bit for bit, so the complement gate reads the values
-        # it would have transformed
-        target = truncate_target(2.0, 14)
-        n = _sized_grid(14)[0]
-        kept = [None]
-        p = complete_target([target], kept)[0]
-        assert kept[0].shape == (n // 2 + 1,)
-        assert np.array_equal(kept[0], _uniform_moduli([p], n)[0])
-        assert np.array_equal(p, complete_target([target])[0])
+            assert p.tobytes() == p2.tobytes() and g.tobytes() == g2.tobytes() and gap == gap2
 
 
 class TestSolveAngles:
@@ -757,6 +774,18 @@ class TestSolveAngles:
     def test_rejects_misfit_target(self, p, L):
         with pytest.raises(DomainError):
             solve_angles([p], [L])
+
+    @pytest.mark.parametrize("count,lengths", [(2, [10]), (1, [10, 12]), (1, [])])
+    def test_rejects_lists_of_different_lengths(self, count, lengths, monkeypatch):
+        # refused before any work: the complement is never reached
+        def unreached(ps):
+            raise AssertionError("complemented a batch of unequal lists")
+
+        monkeypatch.setattr(qsp, "_fejer_complements", unreached)
+        p = complete_target([truncate_target(1.0, 10)])[0]
+        with pytest.raises(DomainError, match=f"^one length per target: got {count} targets "
+                                              f"and {len(lengths)} lengths$"):
+            solve_angles([p] * count, lengths)
 
     @pytest.mark.parametrize("T,L", [(2, 14), (4, 22), (8, 34)])
     def test_layer_peel_residual(self, T, L):
@@ -1045,7 +1074,7 @@ class TestLayerPeel:
     def test_in_place_peel_matches_allocating_peel_when_degree_deficient(self, monkeypatch):
         # the target of test_degree_deficient_end_gives_pi
         monkeypatch.setattr(qsp, "_fejer_complements",
-                            lambda ps, moduli=None: [np.zeros_like(p) for p in ps])
+                            lambda ps: [np.zeros_like(p) for p in ps])
         p = np.array([0.0, -0.05, 1.0, 0.05, 0.0])
         assert np.array_equal(layer_peel(p, 4), allocating_layer_peel(p, 4))
 
@@ -1074,7 +1103,7 @@ class TestLayerPeel:
         # harmonic 2 of P is zero and the complement is stubbed to zero, so
         # both end blocks vanish at the first layer: any angle cancels them
         monkeypatch.setattr(qsp, "_fejer_complements",
-                            lambda ps, moduli=None: [np.zeros_like(p) for p in ps])
+                            lambda ps: [np.zeros_like(p) for p in ps])
         xi = layer_peel(np.array([0.0, -0.05, 1.0, 0.05, 0.0]), 4)
         assert xi[-1] == np.pi
 
@@ -1190,6 +1219,22 @@ class TestApplyShifter:
                 for i in range(len(wq)):
                     alone = apply_shifter(xi, wq[i:i + 1], columns[i:i + 1], [1, 2, 3])
                     assert all(np.array_equal(stacked[s][i], alone[s][0]) for s in (1, 2, 3))
+
+    @pytest.mark.parametrize("powers", [[], [2, 1], [1, 1], [0, 1], [-1], [1.0], [1, 2.5]])
+    def test_rejects_powers_not_strictly_ascending_counts(self, powers):
+        # an empty list, a repeat, a descent, a power below 1 or one that is
+        # not an integer: each used to give a short dict or an IndexError
+        xi = np.random.default_rng(3).uniform(-np.pi, np.pi, 10)
+        with pytest.raises(DomainError):
+            apply_shifter(xi, plane_blocks((0.1,)), np.eye(4, dtype=complex)[None], powers)
+
+    def test_returns_every_requested_power(self):
+        xi = np.random.default_rng(3).uniform(-np.pi, np.pi, 10)
+        wq, columns = plane_blocks((0.1, 0.7)), np.broadcast_to(np.eye(4), (2, 4, 4))
+        applied = apply_shifter(xi, wq, columns, (1, np.int64(3), 4))
+        assert list(applied) == [1, 3, 4]
+        assert all(np.array_equal(applied[s], apply_shifter(xi, wq, columns, [s])[s])
+                   for s in (1, 3, 4))
 
     @pytest.mark.parametrize("T,L", [(1.0, 10), (8.0, 34), (48.0, 144)])
     def test_branch_unitary_matches_kron_loop(self, T, L):

@@ -111,8 +111,8 @@ def test_empty_batch():
 
 
 def test_solve_angles_batch_equals_each_target_alone():
-    # the public solver takes the same lists, with no moduli handed over:
-    # a whole core, one padded up to a longer sequence and a cut one
+    # the public solver takes the same lists: a whole core, one padded up
+    # to a longer sequence and a cut one
     targets = [qsp.complete_target([qsp.truncate_target(T, L)])[0]
                for T, L in ((8.0, 34), (1.0, 10), (256.0, 710))]
     lengths = [34, 20, 710]
