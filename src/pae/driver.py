@@ -65,8 +65,9 @@ def _power_of_two(value) -> bool:
 class ScheduleStep:
     """Resolution step ``k``, its multiplier ``m = 2^(k-1)`` split as ``P T S``;
     construction refuses ``k``, ``P``, ``S`` or a shot count ``nu`` that is
-    not an integer of at least 1, any other split, and a query length ``l``
-    that is not a positive even integer, with :class:`DomainError`."""
+    not an integer of at least 1, a ``k`` above 63, whose multiplier would
+    not fit a signed 64-bit count, any other split, and a query length
+    ``l`` that is not a positive even integer, with :class:`DomainError`."""
     k: int
     p: int          # parallel branches
     t: float        # shifter strength
@@ -77,6 +78,9 @@ class ScheduleStep:
     def __post_init__(self):
         checked_count("step index", self.k)
         where = f"step {self.k}: "
+        if self.k > 63:
+            raise DomainError(f"{where}the multiplier 2^(k-1) = 2^{self.k - 1} must fit "
+                              f"a signed 64-bit count, so k <= 63")
         checked_count(where + "branch count", self.p)
         checked_count(where + "repetition count", self.s)
         if self.p * self.t * self.s != self.m:
@@ -137,9 +141,10 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
     ``certified``, from ``qsp.select_L``: the shortest length whose
     certified state error meets the step's share ``beta / (sqrt(2) P_k
     S_k)`` of the bias budget.  Both come from the one length search
-    ``qsp._shortest_length``.  A step whose share ``select_L`` refuses
-    raises its :class:`DomainError` prefixed with the step, ``step k (P =
-    P_k, S = S_k): ``.
+    ``qsp._shortest_length``.  A step whose length the search refuses, a
+    share below ``select_L``'s floor or a strength that needs a length
+    above ``2^62``, raises its :class:`DomainError` prefixed with the step,
+    ``step k (P = P_k, S = S_k): ``.
     """
     K = checked_count("step count", k_max)
     rpe.check_bias(beta)
@@ -178,13 +183,12 @@ def build_schedule(strategy: str = "full_sequential", k_max: int | None = None,
         nu = rpe.schedule_nu(K, k, variant=nu_variant, beta=beta, nu_final=nu_final)
         if l_table is not None:
             l = l_table[k - 1]
-        elif certified:
+        else:
             try:
-                l = qsp.select_L(t, beta / (math.sqrt(2.0) * p * s))
+                l = (qsp.select_L(t, beta / (math.sqrt(2.0) * p * s)) if certified
+                     else qsp.select_L_empirical(t))
             except DomainError as err:
                 raise DomainError(f"step {k} (P = {p}, S = {s}): {err}") from err
-        else:
-            l = qsp.select_L_empirical(t)
         steps.append(ScheduleStep(k=k, p=p, t=t, s=s, nu=nu, l=l))
     return Schedule(steps=tuple(steps))
 

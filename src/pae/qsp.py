@@ -10,7 +10,9 @@ pipeline is:
    with a certified factorial error bound ``delta``.  All coefficients come
    from one pass of Miller's backward recurrence on the ratios
    ``J_k/J_(k-1)``, normalised by ``J_0 + 2 sum_k J_2k = 1``.  This one
-   vector is the target's only form from here to the peel.
+   vector is the target's only form from here to the peel.  A target whose
+   certificate grid, the largest array of its synthesis, would pass
+   ``_SYNTHESIS_MAX_BYTES`` (1 GiB) is refused before the recurrence.
 2. ``complete_target``: adjust ``p`` in one closed-form pass so that
    ``P(z) = sum_k p_k z^k`` is exactly achievable (``P(1) = 1`` and
    ``|P| <= 1`` on the circle), staying within ``8*delta`` of the target.
@@ -72,23 +74,28 @@ pipeline is:
    failure, as it would alone.
 4. ``_certify_angles`` gates the sequences, pads included, with no grid: a
    product tree (``_product_row``) multiplies the factors out in
-   coefficient space, each level one real FFT of six rows per pair of
-   nodes, one fused product-sum giving both output rows and one inverse
-   real FFT, and the residual is the l1 distance of the product's
+   coefficient space.  A level of nodes up to ``_DIRECT_WIDTH`` (9)
+   coefficients, the bottom four, multiplies each pair directly, every
+   output coefficient one fixed-order sum of products (one ``einsum`` of
+   the left nodes with the right nodes' Toeplitz blocks, gathered through
+   one index table); a wider level takes one real FFT of six rows per
+   pair, one fused product-sum giving both output rows and one inverse
+   real FFT.  The residual is the l1 distance of the product's
    coefficients from ``p``, which bounds the sup distance on the whole
-   circle, plus a rounding term derived from the FFT error bound
+   circle, plus a rounding term derived from the sum and FFT error bounds
    (``_product_rounding``).  Each certified sequence keeps that row,
    ``AngleSequence.row``, which fixes the whole SU(2) product and is what
    the analytic backend evaluates.  A level's node width and FFT size
    depend on the level alone, so all sequences of a batch share one tree,
-   each with its own pairs and pads: one transform pair per level of the
-   longest.
+   each with its own pairs and pads: one call of the level's steps per
+   level of the longest.
    ``_certified_shifters`` runs steps 1-4 for a batch of keys ``(T, L)``,
    for ``synthesize_shifters`` and so for ``synthesize_shifter``, its batch
    of one, and, with a file's angles in place of the peel's, for
    ``load_angles``; every spec is bit for bit what its key gets alone.
    Lengths come from one search, ``_shortest_length``: the shortest even
-   ``L >= 4`` that passes a test on ``L``, with three tests.  The solve
+   ``L >= 4`` that passes a test on ``L``, with three tests, up to
+   ``2^62``, the longest power of two a signed 64-bit count holds.  The solve
    length, ``_solve_length``, is the search for ``delta < 1e-10``
    (rounding level), capped at the shifter's ``L``; ``select_L`` is the
    search for ``state_error_bound(delta) <= eps_oc``, the shortest
@@ -128,6 +135,11 @@ BIAS_DELTA_THRESHOLD = 3.813e-5
 
 _RESIDUAL_TOL = 1e-8
 _COMPLEMENT_TOL = 1e-11
+
+# The memory a synthesis may ask for, counted by its largest array, the
+# certificate grid of its target (a real row and its half spectrum, 16 bytes
+# a point): a target whose grid would pass it is refused before any work.
+_SYNTHESIS_MAX_BYTES = 2 ** 30
 
 
 class SynthesisError(RuntimeError):
@@ -247,14 +259,20 @@ def _check_strength(T: float) -> None:
 
 def truncate_target(T: float, L: int) -> TruncatedTarget:
     """Truncate the Bessel expansion of the phase target at harmonic L/2,
-    refusing a bound ``delta >= 1`` before the recurrence runs, and with
-    :class:`DomainError` a strength that is not positive and finite or a
-    length that is not a positive even integer."""
+    refusing, before the recurrence runs, a bound ``delta >= 1`` and a
+    length whose certificate grid would pass ``_SYNTHESIS_MAX_BYTES``, and
+    with :class:`DomainError` a strength that is not positive and finite or
+    a length that is not a positive even integer."""
     _check_strength(T)
     L = checked_length("query length", L)
     delta = truncation_error_bound(T, L)
     if delta >= 1.0:
         raise SynthesisError(f"truncation bound {delta:.3g} >= 1; increase L")
+    n = _sized_grid(L)[0]
+    if 16 * n > _SYNTHESIS_MAX_BYTES:
+        raise SynthesisError(
+            f"the certificate grid of a length-{L} target, {n} points, needs "
+            f"{16 * n / 2 ** 30:.3g} GiB, over the {_SYNTHESIS_MAX_BYTES / 2 ** 30:g} GiB guard")
     d = L // 2
     j = _bessel_j(float(T), d)
     p = np.concatenate([j[::-1], j[1:]])
@@ -742,6 +760,14 @@ def _solve_layer_peel(rows: list[np.ndarray], lengths: list[int]) -> list[np.nda
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
+# The widest node whose products a level forms directly, as fixed-order sums,
+# rather than through a real FFT pair.  Timed level by level in the trees of
+# 10, 144 and 5578 factors (raw, 1 BLAS thread), the transform pair took 1.8
+# to 5.7 times the direct products' time at widths 2 to 5, 0.96 to 2.0 times
+# at width 9, and 0.5 to 0.63 times at width 17: below about ten coefficients
+# a transform pair is almost all call overhead.
+_DIRECT_WIDTH = 9
+
 
 def _tree_levels(length: int):
     """The levels of the product tree over ``length`` factors (even):
@@ -754,6 +780,56 @@ def _tree_levels(length: int):
         count += count % 2
         yield count, width, 1 << (2 * width - 2).bit_length()
         count, width = count // 2, 2 * width - 1
+
+
+@functools.lru_cache(maxsize=8)
+def _toeplitz_index(width: int) -> np.ndarray:
+    """The ``(2 width, 2 (2 width - 1))`` gather table of a direct level,
+    read-only: entry ``(j, r k)`` is where the factor of left coefficient
+    ``j`` (``x1`` then ``eta1``) in output row ``r`` (``x`` then ``eta``) at
+    power ``k`` sits in a right node's block ``(x2, eta2, -rev(eta2),
+    rev(x2), 0)``, the final zero where no factor falls."""
+    j = np.arange(2 * width)[:, None, None]
+    shift = np.arange(2 * width - 1) - j % width
+    segment = 2 * (j // width) + np.arange(2)[:, None]
+    index = np.where((shift >= 0) & (shift < width), segment * width + shift, 4 * width)
+    index = index.reshape(2 * width, 2 * (2 * width - 1))
+    index.flags.writeable = False
+    return index
+
+
+def _direct_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The ``(pairs, 2, 2 width - 1)`` products of the ``(pairs, 2, width)``
+    nodes ``left`` and ``right``, pair by pair, formed directly: each right
+    node's block ``(x2, eta2, -rev(eta2), rev(x2), 0)`` is gathered into
+    its Toeplitz matrix through the index table of the width
+    (:func:`_toeplitz_index`), and one ``einsum`` of the left node's ``(x1,
+    eta1)`` with it gives both output rows, each coefficient one sum of
+    ``2 width`` products in a fixed order, the zeros of the band included.
+    ``einsum``, unoptimized, adds them in that order whatever the stack,
+    unlike BLAS, whose blocking would change a row's bits with the batch."""
+    pairs, _, width = left.shape
+    block = np.zeros((pairs, 4 * width + 1))
+    block[:, :2 * width] = right.reshape(pairs, 2 * width)
+    block[:, 2 * width:4 * width] = right[:, ::-1, ::-1].reshape(pairs, 2 * width)
+    block[:, 2 * width:3 * width] *= -1.0
+    return np.einsum("pj,pjk->pk", left.reshape(pairs, 2 * width),
+                     block[:, _toeplitz_index(width)],
+                     optimize=False).reshape(pairs, 2, 2 * width - 1)
+
+
+def _fft_products(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+    """The products of :func:`_direct_products` by one ``n``-point real FFT
+    of six rows per pair and one inverse of its two output rows.  The six
+    rows are ``x1, eta1, x2, eta2, -rev(eta2), rev(x2)``, so both output
+    rows are one product-sum of their spectra, ``f0 (f2, f3) + f1 (f4,
+    f5)``; negation is exact through the transform and the products, so
+    this is the same rounding as ``x1 x2 - eta1 rev(eta2)``."""
+    width = left.shape[2]
+    rows = np.concatenate([left, right, right[:, ::-1, ::-1]], axis=1)
+    rows[:, 4] *= -1.0
+    f = np.fft.rfft(rows, n)
+    return np.fft.irfft(f[:, 0:1] * f[:, 2:4] + f[:, 1:2] * f[:, 4:6], n)[:, :, :2 * width - 1]
 
 
 def _product_row(xis: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -770,19 +846,18 @@ def _product_row(xis: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     ``rev`` the reversal of the powers, and two nodes multiply as ``x = x1 *
     x2 - eta1 * rev(eta2)``, ``eta = x1 * eta2 + eta1 * rev(x2)``.  Each level
     pairs each sequence's nodes, an odd count padded by the exact identity
-    node, and multiplies all pairs in one real FFT of the six input rows and
-    one inverse of the two output rows: ``O(L log^2 L)`` in all.  The six
-    rows are ``x1, eta1, x2, eta2, -rev(eta2), rev(x2)``, so both output
-    rows are one product-sum of their spectra, ``f0 (f2, f3) + f1 (f4,
-    f5)``; negation is exact through the transform and the products, so
-    this is the same rounding as ``x1 x2 - eta1 rev(eta2)``.
+    node, and multiplies all pairs at once: directly
+    (:func:`_direct_products`) while the nodes have at most
+    ``_DIRECT_WIDTH`` coefficients, where a transform pair would be almost
+    all call overhead, and by one real FFT pair (:func:`_fft_products`)
+    above, ``O(L log^2 L)`` in all.
 
     A level's node width and FFT size depend on the level alone, so every
     sequence's nodes share one stack, longest sequence first, each keeping
-    its own pairs and pads: the stack costs one transform pair per level of
-    the longest sequence, and each row is rounded as in its own tree.  A
-    shorter sequence, which needs no more levels, leaves the stack's end
-    when its count reaches one node.
+    its own pairs and pads: the stack costs one call of the level's steps
+    per level of the longest sequence, and each row is rounded as in its
+    own tree.  A shorter sequence, which needs no more levels, leaves the
+    stack's end when its count reaches one node.
     """
     if not xis:
         return []
@@ -808,10 +883,10 @@ def _product_row(xis: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
                 if pad:
                     pieces.append(identity)
             nodes = np.concatenate(pieces)
-        rows = np.concatenate([nodes[0::2], nodes[1::2], nodes[1::2, ::-1, ::-1]], axis=1)
-        rows[:, 4] *= -1.0
-        f = np.fft.rfft(rows, n)
-        nodes = np.fft.irfft(f[:, 0:1] * f[:, 2:4] + f[:, 1:2] * f[:, 4:6], n)[:, :, :2 * width - 1]
+        if width <= _DIRECT_WIDTH:
+            nodes = _direct_products(nodes[0::2], nodes[1::2])
+        else:
+            nodes = _fft_products(nodes[0::2], nodes[1::2], n)
         counts = [(count + 1) // 2 for count in counts]
         while counts and counts[-1] == 1:
             counts.pop()
@@ -841,13 +916,23 @@ def _product_rounding(length: int) -> float:
     a*]]``, whose 2-norm is ``sqrt(|a|^2 + |b|^2)``; a node's rounding enters
     the root multiplied by unitary siblings, unamplified, so the root's
     error is at most the sum over the nodes of each one's sup error, and
-    grows about as ``u L``.
+    grows about as ``u L``.  By Parseval, a node's rows ``x`` and ``eta``
+    have a unit l2 norm together, so the ``2 width`` coefficients of either
+    node of a pair have an l1 norm of at most ``sqrt(2 width)``.
     - A leaf: ``cos`` and ``sin`` within 4 ulps, then one rounded sum and
       exact halvings, leave its coefficients within ``3u, 3u, 2u, 2u``:
       ``sqrt(26) u`` in l2, and ``sqrt(2)`` times that in sup.
-    - A product of two nodes at FFT size ``n``: the six forward transforms
-      err by ``phi = _fft_error(n)`` relative to ``sqrt(n)`` times the rows'
-      l2 norms, which Parseval fixes at 1 per node, and at each frequency the
+    - A direct product of two nodes of ``width`` coefficients: each output
+      coefficient is a sum of ``2 width`` products taken in order, so it
+      errs by at most ``gamma_(2 width)`` times the sum of their absolute
+      values (Higham, section 3.1; the zeros of the band are exact).  Summed
+      over both output rows, those sums of absolute values are ``(|x1|_1 +
+      |eta1|_1) (|x2|_1 + |eta2|_1) <= 2 width``, and the l1 norm of a
+      coefficient error bounds it in sup: ``2 width gamma_(2 width)`` per
+      node.
+    - An FFT product of two nodes at FFT size ``n``: the six forward
+      transforms err by ``phi = _fft_error(n)`` relative to ``sqrt(n)``
+      times the rows' l2 norms, 1 per node, and at each frequency the
       unitary children carry the error unamplified: ``(1 + sqrt(2)) phi``
       in all once scaled back.  Each output row's two complex products and
       their sum err by ``sqrt(2) gamma_2 + u (1 + sqrt(2) gamma_2)``
@@ -863,8 +948,11 @@ def _product_rounding(length: int) -> float:
     products = math.sqrt(2.0) * (math.sqrt(2.0) * gamma2 + u * (1.0 + math.sqrt(2.0) * gamma2))
     total = length * math.sqrt(2.0 * 26.0) * u
     for count, width, n in _tree_levels(length):
-        node = (2.0 + math.sqrt(2.0)) * _fft_error(n) + products
-        total += count // 2 * math.sqrt(2 * width - 1) * node
+        if width <= _DIRECT_WIDTH:
+            node = 2 * width * (2 * width * u / (1.0 - 2 * width * u))
+        else:
+            node = math.sqrt(2 * width - 1) * ((2.0 + math.sqrt(2.0)) * _fft_error(n) + products)
+        total += count // 2 * node
     return total
 
 
@@ -1072,15 +1160,18 @@ def synthesize_shifter(T: float, L: int) -> PhaseShifterSpec:
     return synthesize_shifters([(T, L)])[float(T), int(L)]
 
 
-def _shortest_length(passes, longest: int | None = None) -> int:
-    """The shortest even ``L >= 4`` that passes the test ``passes(L)``, or
-    ``longest`` when no shorter length does.
+def _shortest_length(T: float, passes, longest: int | None = None) -> int:
+    """The shortest even ``L >= 4`` that passes the test ``passes(L)`` for
+    strength ``T``, or ``longest`` when no shorter length does.
 
     The test must keep passing at every longer length once it passes, so
     the passing lengths are every length from the first one up: doubling
     from 4 brackets the first, and bisection finds it in ``O(log L)``
     tests.  With ``longest``, the bracket is ``longest - 2``, so a length
-    that nothing shortens costs one test."""
+    that nothing shortens costs one test.  Without it, the doubling stops
+    at ``2^62``, the longest power of two a signed 64-bit count holds,
+    where every log bound is still finite: a strength that fails there
+    raises :class:`DomainError`."""
     if longest is not None:
         if longest <= 4 or not passes(longest - 2):
             return longest
@@ -1088,6 +1179,9 @@ def _shortest_length(passes, longest: int | None = None) -> int:
     else:
         fails, hi = 2, 4
         while not passes(hi):
+            if hi >= 1 << 62:
+                raise DomainError(f"evolution strength {float(T):g} needs a query length "
+                                  f"above 2^62, past a signed 64-bit count")
             fails, hi = hi, 2 * hi
     # fails is 2, which the search never returns, or a length that fails
     while hi - fails > 2:
@@ -1104,7 +1198,7 @@ def _solve_length(T: float, L: int) -> int:
     rounding level, ``1e-10``, past which extra layers cannot improve a
     double-precision synthesis.  The bound is at least 4 while ``L/2 + 1 <=
     T/2`` and falls strictly after that, so the test keeps passing."""
-    return _shortest_length(lambda l: truncation_error_bound(T, l) < 1e-10, longest=L)
+    return _shortest_length(T, lambda l: truncation_error_bound(T, l) < 1e-10, longest=L)
 
 
 def select_L(T: float, eps_oc: float) -> int:
@@ -1119,7 +1213,7 @@ def select_L(T: float, eps_oc: float) -> int:
     _check_strength(T)
     if not 0.0 < eps_oc < 1.0:
         raise DomainError(f"state-error budget must lie in (0, 1), got {eps_oc}")
-    L = _shortest_length(lambda l: state_error_bound(truncation_error_bound(T, l)) <= eps_oc)
+    L = _shortest_length(T, lambda l: state_error_bound(truncation_error_bound(T, l)) <= eps_oc)
     l_solve = _solve_length(T, L)
     if l_solve < L:
         floor = state_error_bound(truncation_error_bound(T, l_solve))
@@ -1144,7 +1238,7 @@ def select_L_empirical(T: float) -> int:
     """
     _check_strength(T)
     log_thr = math.log(BIAS_DELTA_THRESHOLD)
-    return _shortest_length(lambda l: _log_truncation_bound(T, l / 2 + 1.5) <= log_thr)
+    return _shortest_length(T, lambda l: _log_truncation_bound(T, l / 2 + 1.5) <= log_thr)
 
 
 # ---------------------------------------------------------------------------

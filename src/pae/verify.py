@@ -177,7 +177,7 @@ def check_synthesis_batch() -> tuple[str, bool, str]:
     # against each synthesized as a batch of one, both uncached, then their
     # blocks on 101 amplitudes from one analytic stage call against each
     # shifter's batch-of-one call: the synthesis batch stacks every layer's
-    # product and every tree level's transforms, the stage shares one table
+    # product and every tree level's products, the stage shares one table
     # of powers and one axis-angle pass per set of powers, and both are bit
     # for bit only where the stacked numpy and BLAS calls round each row as
     # the calls of one shifter do

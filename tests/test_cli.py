@@ -37,6 +37,27 @@ def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("T,message", [
+    ("1e300", "evolution strength 1e+300 needs a query length above 2^62"),
+    ("1e9", "the certificate grid of a length-2718281826 target, 274877906944 points, "
+            "needs 4.1e+03 GiB, over the 1 GiB guard"),
+])
+def test_angles_refuses_strength_too_large_to_synthesize(tmp_path, capsys, monkeypatch,
+                                                         T, message):
+    # these used to end in an OverflowError traceback, at 1e300, and in a
+    # recurrence over about 1.4e9 floats, at 1e9; both are refused before
+    # any work
+    def refuse(*args):
+        raise AssertionError("_bessel_j called past the guard")
+
+    monkeypatch.setattr(qsp, "_bessel_j", refuse)
+    out = tmp_path / "angles.txt"
+    assert main(["angles", "--T", T, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config,message", [
     ("amplitudes = 0.5\nk_max = 2\ntrials = 1\nstrategy = bogus\n",
      "unknown strategy"),
@@ -67,10 +88,21 @@ def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
     ("experiment = tl_curve\nt_min = nan\n",
      "empty or unbounded strength grid: t_min nan, t_max 100.0"),
     ("experiment = tl_curve\nt_step = nan\n", "t_step must be positive and finite, got nan"),
+    # lgamma used to overflow inside the length search
+    ("experiment = tl_curve\nt_min = 1e308\nt_max = 1e308\n",
+     "evolution strength 1e+308 needs a query length above 2^62, past a signed 64-bit count"),
     ("experiment = single_run\nk_max = 2\n",
      "single_run needs 'amplitudes' or 'amplitude_grid'"),
     ("amplitudes = 0.5\nk_max = 2\ntrials = 2\njobs = 2\n",
      "field 'jobs': must be 1, got 2"),
+    # 2^63 branches were read as a float, "branch count must be an integer,
+    # got 1.0", and at k = 65 the ideal backend raised a TypeError
+    ("experiment = single_run\nbackend = analytic\namplitudes = 0.5\nk_max = 64\n"
+     "strategy = full_parallel\n", "step 64: the multiplier 2^(k-1) = 2^63 must fit a "
+     "signed 64-bit count, so k <= 63"),
+    ("experiment = single_run\nbackend = ideal\namplitudes = 0.5\nk_max = 65\n"
+     "strategy = full_parallel\n", "step 64: the multiplier 2^(k-1) = 2^63 must fit a "
+     "signed 64-bit count, so k <= 63"),
 ])
 def test_run_rejects_bad_schedule(tmp_path, capsys, config, message):
     path = tmp_path / "exp.cfg"
@@ -332,7 +364,7 @@ def test_verify_fails_on_product_without_mirror_symmetry(capsys, monkeypatch):
     out = capsys.readouterr().out
     line = next(line for line in out.splitlines() if "certificate-grid" in line)
     assert line.startswith("FAIL  certificate-grid: complement ")
-    assert line.endswith(", residual 6.27e-09 on 544 points against bound 1.02e-12")
+    assert line.endswith(", residual 6.27e-09 on 544 points against bound 5.93e-13")
     # the row check compares the analytic stage, which never calls the
     # product, with it, so it sees the stray phase too
     assert "FAIL  row-evaluation: max deviation" in out

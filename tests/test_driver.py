@@ -245,6 +245,24 @@ class TestBuildSchedule:
         step = ScheduleStep(t=1.0, nu=1, l=10, **{**counts, field: np.int64(counts[field])})
         assert getattr(step, field) == counts[field]
 
+    def test_step_refuses_multiplier_past_64_bits(self):
+        # k = 64 used to build a step whose P = 2^63 numpy read as a float,
+        # refused later as "branch count must be an integer, got 1.0"
+        top = ScheduleStep(k=63, p=2 ** 62, t=1.0, s=1, nu=1, l=10)
+        assert top.m == 2 ** 62 == np.int64(top.p)
+        for k in (64, 65):
+            with pytest.raises(DomainError, match=rf"^step {k}: the multiplier 2\^\(k-1\) = "
+                                                  rf"2\^{k - 1} must fit a signed 64-bit count"):
+                ScheduleStep(k=k, p=2 ** (k - 1), t=1.0, s=1, nu=1, l=10)
+
+    def test_length_past_64_bits_names_its_step(self):
+        # the calibrated length of T = 2^61, about 6.3e18, used to be
+        # returned although no signed 64-bit count holds it
+        with pytest.raises(DomainError, match=r"^step 62 \(P = 1, S = 1\): evolution strength "
+                                              r"2\.30584e\+18 needs a query length above 2\^62"):
+            build_schedule(strategy="full_sequential", k_max=62)
+        assert build_schedule(strategy="full_sequential", k_max=61).steps[-1].l < 2 ** 62
+
     @pytest.mark.parametrize("l", [-2, 0, 3, 11, 10.5, 10.0, "10", None])
     def test_step_rejects_bad_query_length(self, l):
         # l = -2 used to report n_queries = -20 and oracle_depth = -2
@@ -766,7 +784,7 @@ class TestTwoPhases:
     def test_probability_table_pinned(self):
         # a change that moves any analytic probability, even at rounding
         # level, shows here
-        assert self.pinned_table_digest("analytic") == "3e0b86be5a5a6117"
+        assert self.pinned_table_digest("analytic") == "40349c0b3748056d"
 
     def test_statevector_probability_table_pinned(self):
         # the same table on the statevector backend, pinned apart so that a

@@ -236,7 +236,7 @@ class TestBiasSweep:
             BiasRow(k=1, l=10, beta_plus=6.424092088730404e-06,
                     beta_i=7.793783636173002e-05, a_plus=0.25, a_i=0.75),
             BiasRow(k=2, l=12, beta_plus=2.0937865550463286e-05,
-                    beta_i=1.8407894426197835e-05, a_plus=0.0, a_i=0.25),
+                    beta_i=1.840789442597579e-05, a_plus=0.0, a_i=0.25),
             BiasRow(k=3, l=12, beta_plus=1.737683345476304e-05,
                     beta_i=2.5954618921408823e-05, a_plus=0.0, a_i=0.0),
         ]

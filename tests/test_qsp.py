@@ -25,7 +25,8 @@ from pae.qsp import (_complement_gaps, _complemented_cores, _deflate_pinned,
                      _product_rounding, _product_row, _sized_grid, _solve_layer_peel,
                      _uniform_moduli, apply_shifter, chebyshev_grid, controlled_grover,
                      rotation_product)
-from conftest import ideal_branch_unitary, kron_shifter
+from conftest import (ideal_branch_unitary, kron_shifter, long_double_products,
+                      tree_deviation)
 
 
 def layer_peel(p, L):
@@ -154,6 +155,32 @@ class TestTruncationBound:
         try:
             with pytest.raises(SynthesisError, match=r"^shifter .*: truncation bound .* >= 1"):
                 synthesize_shifter(T, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("T,gib", [(1e9, "4.1e+03"), (4e5, "2")])
+    def test_grid_past_the_guard_is_refused_before_any_work(self, monkeypatch, T, gib):
+        # the calibrated length of T = 1e9, 2718281826, would have asked the
+        # recurrence for about 1.4e9 floats and sized grids of 2.7e11
+        # points; that of T = 4e5, 1087318, lies past 2^20, the longest the
+        # guard admits, and needs 2^27 points, 2 GiB
+        def refuse(*args):
+            raise AssertionError("_bessel_j called past the guard")
+
+        monkeypatch.setattr(qsp, "_bessel_j", refuse)
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        L = select_L_empirical(T)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SynthesisError, match=r"^shifter .*: the certificate grid of a "
+                                                     rf"length-{L} target, \d+ points, needs "
+                                                     rf"{re.escape(gib)} GiB, over the 1 GiB "
+                                                     r"guard$"):
+                synthesize_shifter(T, L)
+            with pytest.raises(SynthesisError, match="over the 1 GiB guard"):
+                truncate_target(T, L)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -810,36 +837,30 @@ class TestSolveAngles:
         assert abs(C0[0]) <= 1e-12
 
 
-def long_double_product_row(xi):
-    """The first row ``(x, eta)`` of the interleaved product multiplied out
-    one factor at a time in long double: the reference for the tree."""
-    c, s = np.cos(xi.astype(np.longdouble)), np.sin(xi.astype(np.longdouble))
-    x, eta = np.ones(1, dtype=np.longdouble), np.zeros(1, dtype=np.longdouble)
-    for cj, sj in zip(c, s):
-        x2, eta2 = np.array([1 + cj, 1 - cj]) / 2, np.array([sj, -sj]) / 2
-        x, eta = (np.convolve(x, x2) - np.convolve(eta, eta2[::-1]),
-                  np.convolve(x, eta2) + np.convolve(eta, x2[::-1]))
-    return x, eta
-
-
-def tree_deviation(xi):
-    """The l1 distance of the tree's rows, both of them, from the long-double
-    product, and the largest coefficient beyond powers ``+-L``."""
-    L = len(xi)
-    dev, outside = 0.0, 0.0
-    for got, want in zip(product_row(xi), long_double_product_row(xi)):
-        k = (len(got) - L - 1) // 2
-        dev += float(np.sum(np.abs(got[k:k + L + 1] - want)))
-        outside = max(outside, float(np.max(np.abs(got[:k]), initial=0.0)),
-                      float(np.max(np.abs(got[k + L + 1:]), initial=0.0)))
-    return dev, outside
+def ordered_products(left, right):
+    """The products of a direct level, pair by pair, each coefficient summed
+    band term by band term in the order of the left node's coefficients,
+    ``x1`` then ``eta1``: the reference for ``_direct_products``.  The
+    products that the level adds from the zeros outside the band leave a
+    sum's bits as they are, since a running sum from +0 is never -0."""
+    pairs, _, w = left.shape
+    (x1, eta1), (x2, eta2) = left.transpose(1, 0, 2), right.transpose(1, 0, 2)
+    x, eta = np.zeros((pairs, 2 * w - 1)), np.zeros((pairs, 2 * w - 1))
+    for j in range(w):
+        x[:, j:j + w] += x1[:, j:j + 1] * x2
+        eta[:, j:j + w] += x1[:, j:j + 1] * eta2
+    for j in range(w):
+        x[:, j:j + w] -= eta1[:, j:j + 1] * eta2[:, ::-1]
+        eta[:, j:j + w] += eta1[:, j:j + 1] * x2[:, ::-1]
+    return np.stack([x, eta], axis=1)
 
 
 def unfused_product_row(xi):
-    """The product tree with each level's six spectra unpacked, the two
-    output rows formed as ``x1 x2 - eta1 rev(eta2)`` and ``x1 eta2 + eta1
-    rev(x2)`` and stacked: the reference for the fused level of
-    ``_product_row``."""
+    """The product tree with each direct level summed band term by band
+    term (``ordered_products``), and each FFT level's six spectra unpacked,
+    the two output rows formed as ``x1 x2 - eta1 rev(eta2)`` and ``x1 eta2
+    + eta1 rev(x2)`` and stacked: the reference for both forms of a level
+    of ``_product_row``."""
     c, s = np.cos(xi), np.sin(xi)
     nodes = np.empty((len(xi), 2, 2))
     nodes[:, 0, 0] = 0.5 * (1.0 + c)
@@ -855,23 +876,71 @@ def unfused_product_row(xi):
             identity[0, 0, width // 2] = 1.0
             nodes = np.concatenate([nodes, identity])
         left, right = nodes[0::2], nodes[1::2]
-        x1, eta1, x2, eta2, rev_x2, rev_eta2 = np.fft.rfft(
-            np.concatenate([left, right, right[:, :, ::-1]], axis=1), n).transpose(1, 0, 2)
-        nodes = np.fft.irfft(np.stack([x1 * x2 - eta1 * rev_eta2,
-                                       x1 * eta2 + eta1 * rev_x2], axis=1), n)[:, :, :2 * width - 1]
+        if width <= qsp._DIRECT_WIDTH:
+            nodes = ordered_products(left, right)
+        else:
+            x1, eta1, x2, eta2, rev_x2, rev_eta2 = np.fft.rfft(
+                np.concatenate([left, right, right[:, :, ::-1]], axis=1), n).transpose(1, 0, 2)
+            nodes = np.fft.irfft(np.stack([x1 * x2 - eta1 * rev_eta2,
+                                           x1 * eta2 + eta1 * rev_x2], axis=1),
+                                 n)[:, :, :2 * width - 1]
         count, width = count // 2, 2 * width - 1
     return nodes[0, 0], nodes[0, 1]
+
+
+def recorded_direct_levels(monkeypatch):
+    """Record the inputs and output of every ``_direct_products`` call."""
+    direct, calls = qsp._direct_products, []
+
+    def recording(left, right):
+        out = direct(left, right)
+        calls.append((left.copy(), right.copy(), out))
+        return out
+
+    monkeypatch.setattr(qsp, "_direct_products", recording)
+    return calls
 
 
 class TestProductTree:
     @pytest.mark.parametrize("L", [2, 4, 6, 10, 12, 146, 300])
     def test_fused_level_matches_unfused_tree(self, L):
         # negating -rev(eta2) before the transform is exact, so the fused
-        # product-sum rounds as the unfused difference; odd node counts
-        # (6, 10, 12, 146 and 300 factors) reach the identity pads
+        # product-sum rounds as the unfused difference, at the FFT levels of
+        # 146 and 300 factors; the direct levels below the crossover, all
+        # levels of 2 to 12 factors, add each coefficient's products in
+        # order; odd node counts (6, 10, 12, 146 and 300 factors) reach the
+        # identity pads
         xi = np.random.default_rng(L).uniform(-np.pi, np.pi, L)
         for got, want in zip(product_row(xi), unfused_product_row(xi)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("L", [6, 10, 146])
+    def test_direct_levels_match_long_double(self, monkeypatch, L):
+        # every node of a direct level is within its term of the rounding
+        # bound, 2 width gamma_(2 width) in l1 over both rows, of the exact
+        # product of its inputs, at widths 2, 3, 5 and, from 10 factors up,
+        # 9; 6, 10 and 146 factors leave an odd node count at widths 3, at
+        # 3 and 5, and at 3, 5 and 9, which the identity pads
+        calls = recorded_direct_levels(monkeypatch)
+        product_row(np.random.default_rng(L).uniform(-np.pi, np.pi, L))
+        assert [left.shape[2] for left, _, _ in calls] == [
+            w for _, w, _ in qsp._tree_levels(L) if w <= qsp._DIRECT_WIDTH]
+        u = np.finfo(float).eps / 2
+        for left, right, out in calls:
+            w = left.shape[2]
+            dev = np.abs(out - long_double_products(left, right)).sum(axis=(1, 2))
+            assert float(dev.max()) <= 2 * w * (2 * w * u / (1 - 2 * w * u))
+
+    def test_direct_levels_tighten_the_rounding_term(self, monkeypatch):
+        # each direct level's term lies below the FFT term it replaces, so
+        # the bound is below the all-FFT tree's at every length: 5.85e-13
+        # against 1.01e-12 at 34 factors
+        direct = [_product_rounding.__wrapped__(L) for L in range(2, 3001, 2)]
+        monkeypatch.setattr(qsp, "_DIRECT_WIDTH", 0)
+        fft = [_product_rounding.__wrapped__(L) for L in range(2, 3001, 2)]
+        assert all(d < f for d, f in zip(direct, fft))
+        assert direct[16] == pytest.approx(5.85e-13, rel=1e-3)
+        assert fft[16] == pytest.approx(1.01e-12, rel=1e-2)
 
     @pytest.mark.parametrize("L", [2, 4, 6, 10, 12, 146])
     def test_matches_long_double_product(self, L):
@@ -1552,6 +1621,18 @@ class TestResourceSelectors:
         assert select_L_empirical(1e5) == 271836
         assert len(calls) <= 40
 
+    @pytest.mark.parametrize("T", [1e19, 1e300, sys.float_info.max])
+    def test_length_search_refuses_past_64_bits(self, T):
+        # T = 1e300 used to reach a length of about 2.7e300 and fail in the
+        # recurrence with OverflowError, and T = 1e308 to overflow lgamma
+        # inside the search; every search stops at 2^62
+        for search in (select_L_empirical, lambda t: select_L(t, 0.01)):
+            with pytest.raises(DomainError, match=f"^evolution strength {re.escape(f'{T:g}')} "
+                                                  r"needs a query length above 2\^62, past a "
+                                                  r"signed 64-bit count$"):
+                search(T)
+        assert select_L_empirical(1e18) == 2718281828459046146 < 2 ** 62
+
     def test_select_l_constant_term(self):
         # the minimum length: at T = 1e-15 the bound at L = 4 is 8.3e-47
         assert select_L(1e-15, 1.0 - 1e-12) == 4
@@ -1705,7 +1786,7 @@ class TestSerialization:
 
     def test_rejects_corrupted_angles(self, tmp_path):
         # one angle moved by 0.3 misses exp(-8i sin theta) by 0.047 on 4001
-        # points; the header still claims the synthesized residual 1.02e-12
+        # points; the header still claims the synthesized residual 5.93e-13
         spec = synthesize_shifter(8.0, 34)
         xi = spec.angles.xi.copy()
         xi[0] += 0.3

@@ -213,6 +213,7 @@ class TestFailureInABatch:
 def peel_layers_and_tree_levels(monkeypatch, synthesize):
     """Run ``synthesize()`` and count the peel's layer iterations, the lines
     ``r += step`` executed in ``_solve_layer_peel``, and the product tree's
+    levels: its direct levels, the calls of ``_direct_products``, and its
     transform pairs, the real FFTs of its rank-3 stacks."""
     lines, first = inspect.getsourcelines(qsp._solve_layer_peel)
     step_line = first + [line.strip() for line in lines].index("r += step")
@@ -226,6 +227,13 @@ def peel_layers_and_tree_levels(monkeypatch, synthesize):
     def tracer(frame, event, arg):
         return local if frame.f_code is code else None
 
+    direct, direct_levels = qsp._direct_products, []
+
+    def counting(left, right):
+        direct_levels.append(left.shape[2])
+        return direct(left, right)
+
+    monkeypatch.setattr(qsp, "_direct_products", counting)
     ranks = counted_rfft(monkeypatch)
     monkeypatch.setattr(qsp, "_shifter_cache", {})
     sys.settrace(tracer)
@@ -233,15 +241,48 @@ def peel_layers_and_tree_levels(monkeypatch, synthesize):
         synthesize()
     finally:
         sys.settrace(None)
-    return len(layers), ranks.count(3)
+    return len(layers), len(direct_levels), ranks.count(3)
 
 
 def test_batch_shares_layers_and_levels(monkeypatch):
     # the six plus shifters peel 10 + 12 + ... + 20 = 90 layers and take
-    # 4 + 4 + 4 + 4 + 5 + 5 = 26 tree levels one at a time; as one batch
-    # the longest sets both, 20 layers and 5 levels
+    # 4 + 4 + 4 + 4 + 5 + 5 = 26 tree levels one at a time, the four of
+    # widths 2 to 9 direct and the fifth, at 18 and 20 factors, one
+    # transform pair; as one batch the longest sets both, 20 layers and 5
+    # levels, 4 direct and 1 transform pair
     alone_counts = [peel_layers_and_tree_levels(monkeypatch,
                                                 lambda key=key: synthesize_shifter(*key))
                     for key in PLUS]
-    assert [sum(c) for c in zip(*alone_counts)] == [90, 26]
-    assert peel_layers_and_tree_levels(monkeypatch, lambda: synthesize_shifters(PLUS)) == (20, 5)
+    layers, direct, fft = (sum(c) for c in zip(*alone_counts))
+    assert [layers, direct + fft] == [90, 26]
+    assert (direct, fft) == (24, 2)
+    assert peel_layers_and_tree_levels(monkeypatch,
+                                       lambda: synthesize_shifters(PLUS)) == (20, 4, 1)
+
+
+def misaligned_copy(xi, offset):
+    """A copy of ``xi`` that starts ``offset`` bytes into a fresh buffer."""
+    raw = np.zeros(8 * len(xi) + offset, np.uint8)
+    copy = raw[offset:].view(np.float64)
+    copy[:] = xi
+    return copy
+
+
+@pytest.mark.parametrize("L", [10, 34, 146])
+def test_product_row_bits_do_not_depend_on_the_batch(L):
+    # a sequence's row has the same bits alone, between a longer and a
+    # shorter sequence, which change every level's stack, and from copies
+    # of its angles 8 and 1 bytes off alignment: a level whose sums went
+    # through BLAS, blocked by the stack's size, would fail here
+    rng = np.random.default_rng(L)
+    xi = rng.uniform(-np.pi, np.pi, L)
+    longer, shorter = rng.uniform(-np.pi, np.pi, 4 * L), rng.uniform(-np.pi, np.pi, 4)
+    want = [row.tobytes() for row in qsp._product_row([xi])[0]]
+    rows = [qsp._product_row([longer, xi, shorter])[1],
+            qsp._product_row([shorter, longer, xi])[2]]
+    for offset in (8, 1):
+        copy = misaligned_copy(xi, offset)
+        assert copy.ctypes.data % 16 != 0 and np.array_equal(copy, xi)
+        rows.append(qsp._product_row([copy])[0])
+    for row in rows:
+        assert [part.tobytes() for part in row] == want
