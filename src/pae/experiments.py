@@ -15,6 +15,18 @@ from . import driver, qsp, rpe
 from .config import ExperimentConfig
 from .core_model import DomainError, make_instance
 
+# The most bytes one table of float64s of a sweep may hold: the (cells,
+# trials, K, 2) frequencies of an RMSE sweep and the (amplitudes, sum K, 2)
+# probabilities of every sweep.  A sweep with a table past it is refused
+# before any work, as circuit.check_capacity refuses statevector blocks.
+_TABLE_MAX_BYTES = 2 ** 30
+# The most strengths a tl_curve grid may hold.  Each row is one length
+# search of 10 to 22 us (T = 1 to 1e6, one core of an x86-64 host), and
+# `pae run` of the longest grid, T = 1..1e5, took 2.6 s and wrote 1.4 MB of
+# CSV and 6.9 MB of SVG there; the curve is smooth, about e T plus a log
+# term, so a finer grid adds nothing to read.
+_TL_MAX_ROWS = 10 ** 5
+
 
 @dataclass(frozen=True)
 class ResultRow:
@@ -49,6 +61,21 @@ def _amplitudes(cfg: ExperimentConfig):
     return list(cfg.amplitudes)
 
 
+def _amplitude_count(cfg: ExperimentConfig) -> int:
+    """The number of amplitudes :func:`_amplitudes` gives, without them."""
+    return cfg.amplitude_grid if cfg.amplitude_grid > 0 else len(cfg.amplitudes)
+
+
+def _check_table(name: str, shape: tuple[int, ...]) -> None:
+    """Raise :class:`DomainError` when a float64 table of ``shape`` would
+    hold more than ``_TABLE_MAX_BYTES``."""
+    nbytes = 8 * math.prod(shape)
+    if nbytes > _TABLE_MAX_BYTES:
+        raise DomainError(
+            f"the {name} table, {' x '.join(map(str, shape))} floats, needs "
+            f"{nbytes / 2 ** 30:.3g} GiB, over the {_TABLE_MAX_BYTES / 2 ** 30:g} GiB guard")
+
+
 def _schedule_for(cfg: ExperimentConfig, K: int) -> driver.Schedule:
     return driver.build_schedule(
         strategy=cfg.strategy, k_max=K,
@@ -66,15 +93,17 @@ def _cells(cfg: ExperimentConfig, ks):
     one :func:`driver.step_probabilities` call for all amplitudes, which
     evaluates each distinct step once.  Each K takes its ``(K, 2)`` rows by
     splitting that ``(n, sum K, 2)`` table at the schedule boundaries.
-    ``seed`` is the cell's ``trial_seed(seed, a, K, 0)``.
+    ``seed`` is the cell's ``trial_seed(seed, a, K, 0)``.  A probability
+    table past ``_TABLE_MAX_BYTES`` is refused before any work.
     """
-    amplitudes = _amplitudes(cfg)
-    if not amplitudes:
+    if not _amplitude_count(cfg):
         raise DomainError(
             f"{cfg.experiment} needs 'amplitudes' or 'amplitude_grid'")
     if not ks:
         raise DomainError(
             f"{cfg.experiment} needs k_min <= k_max, got {cfg.k_min}..{cfg.k_max}")
+    _check_table("probability", (_amplitude_count(cfg), sum(ks), 2))
+    amplitudes = _amplitudes(cfg)
     schedules = [_schedule_for(cfg, K) for K in ks]
     table = driver.step_probabilities([make_instance(a, cfg.n) for a in amplitudes],
                                       [st for schedule in schedules for st in schedule],
@@ -96,8 +125,11 @@ def run_rmse_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     recovers every trial of every cell at once; recovery is elementwise
     and step ``k`` reads only steps ``1..k``, so each cell's final estimate
     is read at its own K, with the bits of a recovery of that cell alone.
+    A frequency table past ``_TABLE_MAX_BYTES`` is refused before any work.
     """
-    cells = list(_cells(cfg, range(cfg.k_min, cfg.k_max + 1)))
+    ks = range(cfg.k_min, cfg.k_max + 1)
+    _check_table("frequency", (_amplitude_count(cfg) * len(ks), cfg.trials, cfg.k_max, 2))
+    cells = list(_cells(cfg, ks))
     ks = [K for _, K, _, _, _ in cells]
     frequencies = np.zeros((len(cells), cfg.trials, max(ks), 2))
     for freqs, (_, K, schedule, probabilities, seed) in zip(frequencies, cells):
@@ -142,10 +174,12 @@ def run_bias_sweep(cfg: ExperimentConfig) -> list[BiasRow]:
 
     The bias is exact on the amplitude grid: nothing is drawn, so the rows
     depend on neither ``shots`` nor ``seed``.  Requires a backend that
-    actually synthesizes (``analytic`` or ``statevector``).
+    actually synthesizes (``analytic`` or ``statevector``).  A probability
+    table past ``_TABLE_MAX_BYTES`` is refused before any work.
     """
     if cfg.backend == "ideal":
         raise DomainError("bias sweep needs a synthesizing backend")
+    _check_table("probability", (_amplitude_count(cfg) or 101, cfg.k_max - cfg.k_min + 1, 2))
     table = _resolve_l_table(cfg) or driver.PARALLEL_L_TABLE_PLUS
     amps = _amplitudes(cfg) or [float(v) for v in np.linspace(0.0, 1.0, 101)]
     instances = [make_instance(a, cfg.n) for a in amps]
@@ -171,7 +205,8 @@ def run_tl_curve(cfg: ExperimentConfig) -> list[TlRow]:
     that schedules use, over a grid of shifter strengths.
 
     The grid ``t_min + i t_step`` is computed in decimal from the configured
-    values, so a step of 0.1 gives 0.3, not 0.30000000000000004.
+    values, so a step of 0.1 gives 0.3, not 0.30000000000000004.  A grid of
+    more than ``_TL_MAX_ROWS`` strengths is refused before the first search.
     """
     if not 0 < cfg.t_step < math.inf:
         raise DomainError(
@@ -181,6 +216,10 @@ def run_tl_curve(cfg: ExperimentConfig) -> list[TlRow]:
             f"empty or unbounded strength grid: t_min {cfg.t_min}, t_max {cfg.t_max}")
     t_min, t_step = Decimal(repr(cfg.t_min)), Decimal(repr(cfg.t_step))
     count = math.floor((Decimal(repr(cfg.t_max)) - t_min) / t_step) + 1
+    if count > _TL_MAX_ROWS:
+        raise DomainError(
+            f"strength grid t_min {cfg.t_min} to t_max {cfg.t_max} in steps of "
+            f"{cfg.t_step} has more than {_TL_MAX_ROWS} points, the row limit")
     rows = []
     for i in range(count):
         t = float(t_min + i * t_step)

@@ -38,13 +38,12 @@ pipeline is:
    time.  The pair is gated by its miss ``|P|^2 + |G|^2 - 1``, a real
    symmetric Laurent vector formed in coefficient space from the product
    ``P(z)P(1/z)`` that the factorisation already needs and the new
-   ``G(z)G(1/z)`` (``_complement_gaps``): its values on the sized grid of
-   its degree are the real part of one real FFT, and their maximum,
-   divided by ``cos(pi degree / n)``, bounds it on the whole circle.  So
-   the gate costs one transform, whether the peel's core is the whole
-   target or, as at about half the calibrated lengths from ``T = 109`` up,
-   a core cut shorter where the target's top harmonics fall below the
-   peel's ``1e-13`` cut.  Only the first row ``(P, iG)`` of the Laurent
+   ``G(z)G(1/z)`` (``_complement_gaps``): the l1 norm of its coefficients
+   bounds it on the whole circle, as the residual of step 4 does.  So the
+   gate costs no transform, whether the peel's core is the whole target
+   or, as at about half the calibrated lengths from ``T = 109`` up, a core
+   cut shorter where the target's top harmonics fall below the peel's
+   ``1e-13`` cut.  Only the first row ``(P, iG)`` of the Laurent
    tensor is kept, since the second is its reversed conjugate, and as the
    real pair ``(P, G)``: every layer maps a row ``(x, i eta)`` with real
    ``x`` and ``eta`` to another.  Each layer's angle comes in closed form
@@ -58,20 +57,20 @@ pipeline is:
    one batch: all live cores are complemented together
    (``_fejer_complements``), each transform one real FFT of the stacked
    rows on its grid size, at every cepstrum doubling step, where a core
-   leaves the stack once its tail passes, at the exponential's pair and at
-   the gate's miss; and all are peeled in one lockstep loop over the
-   layers (``_solve_layer_peel``), where a core joins the stacked rows at
-   its own first layer, so the batch shares each layer's calls, never its
+   leaves the stack once its tail passes, and at the exponential's pair;
+   and all are peeled in one lockstep loop over the layers
+   (``_solve_layer_peel``), where a core joins the stacked rows at its own
+   first layer, so the batch shares each layer's calls, never its
    arithmetic; one target is the batch of one.
 
    A stacked real FFT gives each row the bits of its own call, and an
    elementwise step does too, but a pairwise sum over a zero-padded row
    does not.  So every step that reduces over a target's own length stays
    per target: the Bessel recurrence, the fold's sums and curvature, the
-   deflation, the ``np.convolve`` products and each gate's maximum.  A
-   stack holds at most ``_STACK_BYTES`` of rows, one row always, and the
-   first target in batch order whose gate fails names the batch's
-   failure, as it would alone.
+   deflation, the ``np.convolve`` products, the completion gate's maximum
+   and the complement gate's sum.  A stack holds at most ``_STACK_BYTES``
+   of rows, one row always, and the first target in batch order whose
+   gate fails names the batch's failure, as it would alone.
 4. ``_certify_angles`` gates the sequences, pads included, with no grid: a
    product tree (``_product_row``) multiplies the factors out in
    coefficient space.  A level of nodes up to ``_DIRECT_WIDTH`` (9)
@@ -133,6 +132,7 @@ from .core_model import DomainError, checked_count, checked_length
 # bias of a single (P=1, S=1) shifter at or below 0.05.
 BIAS_DELTA_THRESHOLD = 3.813e-5
 
+_UNIT_ROUNDOFF = 2.0 ** -53
 _RESIDUAL_TOL = 1e-8
 _COMPLEMENT_TOL = 1e-11
 
@@ -268,7 +268,7 @@ def truncate_target(T: float, L: int) -> TruncatedTarget:
     delta = truncation_error_bound(T, L)
     if delta >= 1.0:
         raise SynthesisError(f"truncation bound {delta:.3g} >= 1; increase L")
-    n = _sized_grid(L)[0]
+    n = _sized_grid(L)
     if 16 * n > _SYNTHESIS_MAX_BYTES:
         raise SynthesisError(
             f"the certificate grid of a length-{L} target, {n} points, needs "
@@ -327,7 +327,7 @@ def complete_target(targets) -> list[np.ndarray]:
     :class:`SynthesisError` for the first target, in batch order, whose
     gate fails, with its index in ``target``.
     """
-    grids = [_sized_grid(target.L)[0] for target in targets]
+    grids = [_sized_grid(target.L) for target in targets]
     ps = []
     for target, modulus2 in zip(targets, _grid_moduli([t.coeffs for t in targets], grids)):
         d = target.L // 2
@@ -498,16 +498,11 @@ def _grid_moduli(vectors: list[np.ndarray], grids: list[int]) -> list[np.ndarray
     return out
 
 
-def _sized_grid(degree: int) -> tuple[int, float]:
-    """The uniform certificate grid of a real trigonometric polynomial of
-    degree ``D``: its size ``n``, the smallest power of two with at least 64
-    points per degree, and the factor ``cos(pi D / n)``.  By van der Corput
-    and Schaake (1935), ``T'^2 + D^2 T^2 <= D^2 max|T|^2``, so ``|T|`` falls
-    from its maximum by at most that factor within ``pi / n``, the farthest
-    any angle lies from the grid: the maximum of ``|T|`` on the ``n`` points,
-    divided by the factor, bounds it on the whole circle."""
-    n = 1 << (64 * degree - 1).bit_length()
-    return n, math.cos(math.pi * degree / n)
+def _sized_grid(degree: int) -> int:
+    """The size of the uniform certificate grid of a real trigonometric
+    polynomial of degree ``degree``: the smallest power of two with at
+    least 64 points per degree."""
+    return 1 << (64 * degree - 1).bit_length()
 
 
 def _deflate_pinned(r: np.ndarray) -> np.ndarray:
@@ -581,16 +576,15 @@ def _fejer_complements(ps: list[np.ndarray]) -> list[np.ndarray]:
     ``(1 - z^2) F`` reversed, so its zeros lie inside the disk.  Raises
     :class:`SynthesisError` rather than return a factor that misses
     ``|P|^2 + |G|^2 = 1`` by more than ``_COMPLEMENT_TOL`` anywhere on the
-    circle: the miss is a real trigonometric polynomial of degree ``2d``,
-    so its maximum on the grid ``_sized_grid(2d)``, divided by the grid's
-    factor, bounds it everywhere (:func:`_complement_gaps`, which reads the
-    miss from ``P(z)P(1/z)``, the product that ``R`` is formed from).
+    circle: the miss is a real Laurent vector of ``4d + 1`` coefficients,
+    so their l1 norm bounds it everywhere, with no grid
+    (:func:`_complement_gaps`, which forms the miss from ``P(z)P(1/z)``, the
+    product that ``R`` is formed from).
 
     The list is one batch: every transform of a grid size, each cepstrum
-    doubling step and the exponential's pair (:func:`_outer_factors`) and
-    the gate's miss, is one stacked real FFT, while the products, the
-    deflation and each gate's maximum stay per target, so each ``g`` is bit
-    for bit what it is alone.
+    doubling step and the exponential's pair (:func:`_outer_factors`), is
+    one stacked real FFT, while the products, the deflation and each gate's
+    sum stay per target, so each ``g`` is bit for bit what it is alone.
     The first target in batch order whose gate fails raises, with its
     index in ``target``.
     """
@@ -603,32 +597,30 @@ def _fejer_complements(ps: list[np.ndarray]) -> list[np.ndarray]:
     # G is (1 - z^2) F reversed, F on the powers 0..m of R~'s -m..m
     gs = [np.convolve(f[:(len(r) + 1) // 2], [1.0, 0.0, -1.0])[::-1]
           for f, r in zip(_outer_factors(rs), rs)]
-    sized = [_sized_grid(len(p) - 1) for p in ps]
-    gaps = _complement_gaps(pps, gs, [n for n, _ in sized])
-    for b, ((n, factor), gap) in enumerate(zip(sized, gaps)):
-        err = gap / factor
-        if not err <= _COMPLEMENT_TOL:        # a NaN must fail too
+    for b, gap in enumerate(_complement_gaps(pps, gs)):
+        if not gap <= _COMPLEMENT_TOL:        # a NaN must fail too
             fail = SynthesisError(
                 f"complement of degree {(len(ps[b]) - 1) // 2} misses |P|^2 + |G|^2 = 1 by "
-                f"{err:.3g}: the maximum on {n} uniform points over the factor {factor:.6f}")
+                f"up to {gap:.3g}: the l1 norm of the miss's {len(pps[b])} coefficients")
             fail.target = b
             raise fail
     return gs
 
 
-def _complement_gaps(pps: list, gs: list, grids: list[int]) -> list[float]:
-    """``max |P P* + G G* - 1|`` on the grid of ``grids[b]`` points of each
-    real pair, from ``pps[b] = np.convolve(p, p[::-1])`` and ``gs[b]``, as
-    long as ``p``.  The miss is a real symmetric Laurent vector, so its
-    values on the angles ``0..pi``, which carry every value of the grid,
-    are the real part of one stacked real FFT per grid size and run."""
-    misses = [pp + np.convolve(g, g[::-1]) for pp, g in zip(pps, gs)]
-    gaps: list = [None] * len(misses)
-    for n, run in _stacks(grids):
-        rows = _spread([misses[b] for b in run], n)
-        rows[:, 0] -= 1.0                     # the constant term, power 0
-        for b, values in zip(run, np.fft.rfft(rows).real):
-            gaps[b] = float(np.abs(values).max())
+def _complement_gaps(pps: list, gs: list) -> list[float]:
+    """The l1 norm of the coefficients of the miss ``P P* + G G* - 1`` of
+    each real pair, from ``pps[b] = np.convolve(p, p[::-1])`` and
+    ``gs[b]``, as long as ``p``: a bound on ``|P|^2 + |G|^2 - 1`` on the
+    whole circle with no transform.  ``(len + 2) u`` covers the rounding of
+    the miss's constant term and of the sum, as in the residual of
+    :func:`_certify_angles`; the two products' own rounding is not
+    counted, and it is that residual that certifies the angles.  Each sum
+    runs over its own pair's vector."""
+    gaps = []
+    for pp, g in zip(pps, gs):
+        miss = pp + np.convolve(g, g[::-1])
+        miss[len(miss) // 2] -= 1.0           # the constant term, power 0
+        gaps.append(float(np.abs(miss).sum()) * (1.0 + (len(miss) + 2) * _UNIT_ROUNDOFF))
     return gaps
 
 
@@ -757,8 +749,6 @@ def _solve_layer_peel(rows: list[np.ndarray], lengths: list[int]) -> list[np.nda
 # ---------------------------------------------------------------------------
 # The realized product in coefficient space: a product tree over the factors,
 # and the bound on its rounding that makes the residual a certificate.
-
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 # The widest node whose products a level forms directly, as fixed-order sums,
 # rather than through a real FFT pair.  Timed level by level in the trees of

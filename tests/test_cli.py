@@ -91,6 +91,17 @@ def test_angles_refuses_strength_too_large_to_synthesize(tmp_path, capsys, monke
     # lgamma used to overflow inside the length search
     ("experiment = tl_curve\nt_min = 1e308\nt_max = 1e308\n",
      "evolution strength 1e+308 needs a query length above 2^62, past a signed 64-bit count"),
+    # the frequency table of 56.8 PiB died with a numpy allocation error,
+    # and so did the bias sweep's grid of 7.11 PiB; a tl_curve of 1e15
+    # strengths ran with no output until killed
+    ("amplitudes = 0.5\nk_max = 2\ntrials = 1000000000000000\n",
+     "the frequency table, 2 x 1000000000000000 x 2 x 2 floats, needs 5.96e+07 GiB, "
+     "over the 1 GiB guard"),
+    ("experiment = bias_sweep\nbackend = analytic\namplitude_grid = 1000000000000000\n"
+     "k_max = 2\n", "the probability table, 1000000000000000 x 2 x 2 floats, needs "
+     "2.98e+07 GiB, over the 1 GiB guard"),
+    ("experiment = tl_curve\nt_max = 1e15\n", "strength grid t_min 1.0 to t_max "
+     "1000000000000000.0 in steps of 1.0 has more than 100000 points, the row limit"),
     ("experiment = single_run\nk_max = 2\n",
      "single_run needs 'amplitudes' or 'amplitude_grid'"),
     ("amplitudes = 0.5\nk_max = 2\ntrials = 2\njobs = 2\n",
@@ -336,19 +347,26 @@ def test_verify_fails_on_loading_that_trusts_the_header(capsys, monkeypatch):
     assert sum(line.startswith("PASS") for line in out.splitlines()) == 9
 
 
-def test_verify_fails_on_grid_without_factor(capsys, monkeypatch):
-    # a certificate grid that trusts its maximum, without the factor
-    # cos(pi D / n), misses the complement scaled by 1 - 1e-3, whose gap of
-    # about 1.9e-7 sits far above rounding; the unscaled gap, at rounding
-    # level, still passes within its slack, and synthesis, which the gate
-    # only refuses, still passes every other check
-    exact = qsp._sized_grid
-    monkeypatch.setattr(qsp, "_sized_grid", lambda degree: (exact(degree)[0], 1.0))
+def test_verify_fails_on_gap_of_largest_coefficient(capsys, monkeypatch):
+    # a complement gap that takes the miss's largest coefficient for the l1
+    # norm of them all falls below the miss's maximum on the dense grid,
+    # both as synthesized and at the 0.999 scale, where the gap of about
+    # 1.9e-7 sits far above rounding; synthesis, which the gate only
+    # refuses, still passes every other check
+    def largest(pps, gs):
+        gaps = []
+        for pp, g in zip(pps, gs):
+            miss = pp + np.convolve(g, g[::-1])
+            miss[len(miss) // 2] -= 1.0
+            gaps.append(float(np.abs(miss).max()))
+        return gaps
+
+    monkeypatch.setattr(qsp, "_complement_gaps", largest)
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     line = next(line for line in out.splitlines() if "certificate-grid" in line)
     assert line.startswith("FAIL  certificate-grid: complement ")
-    assert "at 0.999 scale 1.89991e-07 against bound 1.89990e-07" in line
+    assert "at 0.999 scale 1.89991e-07 against l1 bound 1.42782e-07" in line
     assert sum(line.startswith("PASS") for line in out.splitlines()) == 9
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,53 @@ class TestTlCurve:
         slope, intercept = np.polyfit(ts, ls, 1)
         assert abs(slope - 2.72) <= 0.05 * 2.72
         assert abs(intercept - 13.64) <= 0.05 * 13.64
+
+
+class TestSizeGuards:
+    @pytest.mark.parametrize("run,fields,message", [
+        (run_rmse_sweep, dict(amplitudes=(0.3,), k_max=9, trials=10 ** 15),
+         "the frequency table, 9 x 1000000000000000 x 9 x 2 floats, needs 1.21e+09 GiB"),
+        (run_rmse_sweep, dict(amplitude_grid=10 ** 15, k_min=9, k_max=9, trials=1),
+         "the frequency table, 1000000000000000 x 1 x 9 x 2 floats, needs 1.34e+08 GiB"),
+        (run_single, dict(experiment="single_run", amplitude_grid=10 ** 15, k_max=9),
+         "the probability table, 1000000000000000 x 9 x 2 floats, needs 1.34e+08 GiB"),
+        (run_bias_sweep, dict(experiment="bias_sweep", backend="analytic",
+                              amplitude_grid=10 ** 15, k_max=3),
+         "the probability table, 1000000000000000 x 3 x 2 floats, needs 4.47e+07 GiB"),
+        # 2^26 trials of one step fill the 1 GiB guard exactly; one more passes it
+        (run_rmse_sweep, dict(amplitudes=(0.3,), k_max=1, trials=2 ** 26 + 1),
+         "the frequency table, 1 x 67108865 x 1 x 2 floats, needs 1 GiB")],
+        ids=["trials", "amplitude_grid", "single_run", "bias_sweep", "one_past"])
+    def test_table_past_the_guard_is_refused_before_any_work(self, monkeypatch, run,
+                                                              fields, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work past the guard")
+
+        monkeypatch.setattr(driver, "build_schedule", refuse)
+        monkeypatch.setattr(driver, "step_probabilities", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="^" + re.escape(message)
+                                                  + r", over the 1 GiB guard$"):
+                run(ExperimentConfig(**fields))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_tl_grid_past_the_row_limit_is_refused_before_the_first_search(self, monkeypatch):
+        # 1e5 strengths are searched, one more is refused before any search
+        searched = []
+        monkeypatch.setattr(qsp, "select_L_empirical", lambda t: searched.append(t) or 4)
+        rows = run_tl_curve(ExperimentConfig(experiment="tl_curve", t_max=1e5))
+        assert len(rows) == len(searched) == 10 ** 5
+        searched.clear()
+        for t_max in (100001.0, 1e15):
+            with pytest.raises(DomainError, match=r"^strength grid t_min 1\.0 to t_max "
+                                                  rf"{re.escape(repr(t_max))} in steps of 1\.0 "
+                                                  r"has more than 100000 points, the row limit$"):
+                run_tl_curve(ExperimentConfig(experiment="tl_curve", t_max=t_max))
+        assert searched == []
 
 
 class TestRendering:

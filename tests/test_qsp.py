@@ -227,7 +227,7 @@ def iterative_completion(target):
     passes it took."""
     if target.delta >= 1.0:
         raise SynthesisError(f"truncation bound {target.delta:.3g} >= 1; increase L")
-    n = _sized_grid(target.L)[0]
+    n = _sized_grid(target.L)
     thetas = 2.0 * np.pi * np.arange(n // 2 + 1) / n
     d = target.L // 2
     ls = np.arange(d + 1)
@@ -456,21 +456,24 @@ class TestMirrorGrids:
     def test_half_grids_match_full_grids(self, T, L, res_tol):
         # bins 0..n/2 of the sized uniform grid against all n points of the
         # circle, by a complex FFT: the overshoot maximum of the cut and of
-        # the completed target, and the complement's gap.  Then the residual,
+        # the completed target.  The complement's l1 gap bounds its miss on
+        # all n points and exceeds it by at most 1.4 times (1.05 to 1.29
+        # here).  Then the residual,
         # an l1 bound from the product's coefficients plus their rounding,
         # must cover the realized product's miss on 16 uniform points per
         # factor, and its l1 part may exceed that miss by res_tol at most.
         # The miss includes rotation_product's own rounding, about L eps
         # magnified by the slope of about T: 2.7e-12 at T = 2048, above the
         # l1 part (6.7e-13) and far below the rounding term (1.7e-10)
-        n = _sized_grid(L)[0]
+        n = _sized_grid(L)
         target = truncate_target(T, L)
         p = complete_target([target])[0]
         for q in (target.coeffs, p):
             full = np.abs(np.fft.fft(q, n)) ** 2
             assert abs(np.max(_uniform_moduli([q], n)[0]) - np.max(full)) <= 1e-13
         g = _fejer_complements([p])[0]
-        assert abs(complement_gap(p, g, n) - dense_complement_gap(p, g, n)) <= 1e-14
+        dense = dense_complement_gap(p, g, n)
+        assert dense <= complement_gap(p, g) <= 1.4 * dense
         seq = solve_angles([p], [L])[0]
         m = 16 * L
         u00 = rotation_product(seq.xi, 2.0 * np.pi * np.arange(m) / m)[:, 0, 0]
@@ -480,20 +483,22 @@ class TestMirrorGrids:
 
     def test_cut_core_gap_matches_full_grid(self):
         # the core of T = 256 at L = 710 is cut to degree 354 of 355, and
-        # its gap, read from the miss polynomial on the half grid, is the
-        # maximum of |P|^2 + |G|^2 - 1 on all n points by a complex FFT
+        # its l1 gap, read from the miss polynomial's coefficients, bounds
+        # the maximum of |P|^2 + |G|^2 - 1 on all n points of its sized grid
+        # by a complex FFT, 1.26 times over
         p = complete_target([truncate_target(256.0, 710)])[0]
         row = _complemented_cores([p])[0]
         assert (len(p), len(row)) == (711, 709)
         core, g = row[:, 0].copy(), row[:, 1].copy()
-        n = _sized_grid(len(core) - 1)[0]
+        n = _sized_grid(len(core) - 1)
         assert n == 65536
-        assert abs(complement_gap(core, g, n) - dense_complement_gap(core, g, n)) <= 1e-14
+        dense = dense_complement_gap(core, g, n)
+        assert dense <= complement_gap(core, g) <= 1.4 * dense
 
 
-def complement_gap(p, g, n):
-    """The complement gate's gap of the pair ``(p, g)`` on ``n`` points."""
-    return _complement_gaps([np.convolve(p, p[::-1])], [g], [n])[0]
+def complement_gap(p, g):
+    """The complement gate's l1 gap of the pair ``(p, g)``."""
+    return _complement_gaps([np.convolve(p, p[::-1])], [g])[0]
 
 
 def dense_complement_gap(p, g, n):
@@ -511,17 +516,20 @@ class TestSizedGrid:
                                           (17, 2048), (5586, 524288)])
     def test_size_rule(self, degree, n):
         # the smallest power of two with at least 64 points per degree
-        assert _sized_grid(degree) == (n, math.cos(math.pi * degree / n))
+        assert _sized_grid(degree) == n
 
     def test_grid_maximum_bounds_dense_maximum(self):
         # van der Corput & Schaake on seeded random real trigonometric
-        # polynomials of degree 8..4096.  A lone top harmonic of degree 2^k
-        # peaking halfway between two grid points loses the whole factor,
-        # so there the bound holds with equality
+        # polynomials of degree 8..4096: the maximum on the sized grid, over
+        # the factor cos(pi D / n), bounds the maximum everywhere.  No gate
+        # reads the factor, the completion's check being one-sided; a lone
+        # top harmonic of degree 2^k peaking halfway between two grid points
+        # loses the whole factor, so there the bound holds with equality
         rng = np.random.default_rng(1935)
         degrees = [8, 4096] + np.exp(rng.uniform(np.log(8), np.log(4096), 8)).astype(int).tolist()
         for degree in degrees:
-            n, factor = _sized_grid(degree)
+            n = _sized_grid(degree)
+            factor = math.cos(math.pi * degree / n)
             c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
             polys = [c / (2.0 * np.sum(np.abs(c)))]
             if degree & (degree - 1) == 0:
@@ -540,6 +548,28 @@ LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
 # 2 shorter at T = 12, 16, 32 and 48
 FIT_LADDER = ((1, 10), (2, 14), (3, 18), (4, 22), (6, 28), (8, 34),
               (12, 48), (16, 58), (24, 80), (32, 102), (48, 146))
+
+
+CERTIFIED_SCHEDULES = {
+    "full_sequential": build_schedule(strategy="full_sequential", k_max=12, certified=True),
+    "full_parallel": build_schedule(strategy="full_parallel", k_max=10, certified=True),
+    "general": build_schedule(strategy="general", k_max=7, parallelism=4, certified=True),
+    "general-P4": build_schedule(strategy="general", k_max=12, parallelism=4, t_cap=2048,
+                                 certified=True),
+    "general-P16": build_schedule(strategy="general", k_max=12, parallelism=16, t_cap=2048,
+                                  certified=True)}
+# the keys whose complement gate outcome is pinned, with that outcome: the
+# calibrated 2^j up to 2048, every key of the certified schedules, T = 160
+# on both sides of where its gate starts to fail, and calibrated strengths
+# from 1000 up, among them those whose gap lies nearest the tolerance, of
+# which only T = 1868, L = 5090 fails
+GATE_FAILS = {(1868.0, 5090), (160.0, 472), (160.0, 474), (160.0, 600)}
+GATE_KEYS = [(T, L, (T, L) not in GATE_FAILS) for T, L in dict.fromkeys(
+    [(2.0 ** j, select_L_empirical(2.0 ** j)) for j in range(12)]
+    + [(st.t, st.l) for schedule in CERTIFIED_SCHEDULES.values() for st in schedule]
+    + [(160.0, L) for L in (448, 470, 472, 474, 600)]
+    + [(T, select_L_empirical(T)) for T in (1000.0, 1369.0, 1500.0, 1591.0, 1868.0,
+                                            2014.0, 2028.0)])]
 
 
 def deflated_remainder(p):
@@ -652,8 +682,20 @@ class TestComplement:
     def test_rejects_modulus_above_one(self):
         # A(0) = 1 pins the double zeros at z = +-1, but |P|^2 = 1.28 at pi/2
         p = np.array([0.05, -0.4, 0.9, 0.4, 0.05])      # A = (0.9, 0, 0.1), C = (0, 0.8, 0)
-        with pytest.raises(SynthesisError, match=r"on 256 uniform points over the factor 0\.998795"):
+        with pytest.raises(SynthesisError, match=r"by up to 0\.28: the l1 norm of the "
+                                                 r"miss's 9 coefficients$"):
             _fejer_complements([p])
+
+    @pytest.mark.parametrize("T,L,passes", GATE_KEYS)
+    def test_gate_outcome_matches_grid_gap(self, monkeypatch, T, L, passes):
+        # the l1 gate passes or fails every key as the sized-grid gate it
+        # replaced did; the pair is the one synthesis gates, at the solve
+        # length, with the core cut as the peel cuts it
+        p = complete_target([truncate_target(T, qsp._solve_length(T, L))])[0]
+        monkeypatch.setattr(qsp, "_COMPLEMENT_TOL", math.inf)
+        row = _complemented_cores([p])[0]
+        core, g = row[:, 0].copy(), row[:, 1].copy()
+        assert (grid_gap(core, g) <= 1e-11) == (complement_gap(core, g) <= 1e-11) == passes
 
     def test_rejects_unpinned_target(self):
         # |P| <= 0.8 < 1, but without the zeros at z = +-1 that the
@@ -661,6 +703,18 @@ class TestComplement:
         p = np.array([0.15, 0.0, 0.5, 0.0, 0.15])       # A = (0.5, 0, 0.3), C = 0
         with pytest.raises(SynthesisError):
             _fejer_complements([p])
+
+
+def grid_gap(p, g):
+    """The complement gate before its l1 norm: the maximum of the miss
+    ``|P|^2 + |G|^2 - 1`` on the sized grid of its degree ``D``, by one
+    real FFT of the miss polynomial, over the factor ``cos(pi D / n)``."""
+    degree = len(p) - 1
+    n = _sized_grid(degree)
+    miss = np.convolve(p, p[::-1]) + np.convolve(g, g[::-1])
+    row = np.bincount(np.arange(-degree, degree + 1) % n, weights=miss, minlength=n)
+    row[0] -= 1.0
+    return float(np.max(np.abs(np.fft.rfft(row).real))) / math.cos(math.pi * degree / n)
 
 
 def counting_rfft(monkeypatch):
@@ -708,50 +762,50 @@ class TestStacks:
 
 
 class TestSharedModulus:
-    def test_cold_synthesis_transforms_the_sized_grid_three_times(self, monkeypatch):
-        # |P|^2 of the truncated and of the completed target, and the
-        # complement's miss |P|^2 + |G|^2 - 1, one Laurent vector
-        n = _sized_grid(146)[0]
+    def test_cold_synthesis_transforms_the_sized_grid_twice(self, monkeypatch):
+        # |P|^2 of the truncated and of the completed target; the
+        # complement's gate reads its miss's coefficients, with no grid
+        n = _sized_grid(146)
         assert n == 16384
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         synthesize_shifter(1.0, 10)            # another target goes first
         sizes = counting_rfft(monkeypatch)
         synthesize_shifter(48.0, 146)
-        assert sizes.count(n) == 3
+        assert sizes.count(n) == 2
 
-    def test_cold_shifter_in_a_batch_transforms_its_grid_three_times(self, monkeypatch):
-        # truncated |P|^2, completed |P|^2 and the miss, among the other
-        # shifters' completions and complements, none of which uses the
-        # 16384-point grid
+    def test_cold_shifter_in_a_batch_transforms_its_grid_twice(self, monkeypatch):
+        # truncated and completed |P|^2, among the other shifters'
+        # completions and complements, none of which uses the 16384-point
+        # grid
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         keys = [(1.0, L) for L in (10, 12, 14, 16, 18)]
-        assert all(_sized_grid(L)[0] < 16384 for _, L in keys)
+        assert all(_sized_grid(L) < 16384 for _, L in keys)
         sizes = counting_rfft(monkeypatch)
         synthesize_shifters([keys[0], keys[1], (48.0, 146), *keys[2:]])
-        assert sizes.count(16384) == 3
+        assert sizes.count(16384) == 2
 
-    def test_cold_plus_batch_transforms_each_grid_three_times(self, monkeypatch):
+    def test_cold_plus_batch_transforms_each_grid_twice(self, monkeypatch):
         # the six T = 1 shifters of the plus table sit on two sized grids,
         # 1024 points (L = 10 .. 16) and 2048 (L = 18, 20): the truncated
-        # |P|^2, the completed |P|^2 and the miss are one stacked transform
-        # each per grid, not one per key
+        # and the completed |P|^2 are one stacked transform each per grid,
+        # not one per key
         keys = [(1.0, L) for L in sorted(set(PARALLEL_L_TABLE_PLUS))]
-        assert [_sized_grid(L)[0] for _, L in keys] == [1024] * 4 + [2048] * 2
+        assert [_sized_grid(L) for _, L in keys] == [1024] * 4 + [2048] * 2
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         sizes = counting_rfft(monkeypatch)
         synthesize_shifters(keys)
-        assert sizes.count(1024) == sizes.count(2048) == 3
+        assert sizes.count(1024) == sizes.count(2048) == 2
 
-    def test_cold_cut_core_transforms_its_grid_three_times(self, monkeypatch):
-        # T = 256 at L = 710 peels a core of degree 354 of 355, on the same
-        # 65536-point grid as its completion: truncated |P|^2, completed
-        # |P|^2 and the core's miss, with no |P|^2 of the core on its own
-        assert _sized_grid(708)[0] == _sized_grid(710)[0] == 65536
+    def test_cold_cut_core_transforms_its_grid_twice(self, monkeypatch):
+        # T = 256 at L = 710 peels a core of degree 354 of 355, whose sized
+        # grid is its completion's 65536 points: truncated and completed
+        # |P|^2, with no |P|^2 of the core on its own and no grid for its miss
+        assert _sized_grid(708) == _sized_grid(710) == 65536
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         synthesize_shifter(1.0, 10)            # another target goes first
         sizes = counting_rfft(monkeypatch)
         synthesize_shifter(256.0, 710)
-        assert sizes.count(65536) == 3
+        assert sizes.count(65536) == 2
 
     def test_interleaved_targets_match_each_target_alone(self):
         # two targets on the same 4096-point grid, completed in one batch
@@ -759,19 +813,18 @@ class TestSharedModulus:
         # then their gaps read in reverse order in a third: each vector and
         # each gap has the bits it has alone
         targets = [truncate_target(8.0, 34), truncate_target(4.0, 40)]
-        n = _sized_grid(34)[0]
-        assert n == _sized_grid(40)[0] == 4096
+        assert _sized_grid(34) == _sized_grid(40) == 4096
 
         def alone(target):
             p = complete_target([target])[0]
             g = _fejer_complements([p])[0]
-            return p, g, complement_gap(p, g, n)
+            return p, g, complement_gap(p, g)
 
         want = [alone(target) for target in targets]
         ps = complete_target(targets)
         gs = _fejer_complements(ps)
         gaps = _complement_gaps([np.convolve(ps[i], ps[i][::-1]) for i in (1, 0)],
-                                [gs[1], gs[0]], [n, n])[::-1]
+                                [gs[1], gs[0]])[::-1]
         for (p, g, gap), p2, g2, gap2 in zip(want, ps, gs, gaps):
             assert p.tobytes() == p2.tobytes() and g.tobytes() == g2.tobytes() and gap == gap2
 
@@ -1429,14 +1482,8 @@ class TestSynthesisAtEveryStrength:
         dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
         assert dev <= 8.0 * truncation_error_bound(T, L)
 
-    @pytest.mark.parametrize("schedule", [
-        build_schedule(strategy="full_sequential", k_max=12, certified=True),
-        build_schedule(strategy="full_parallel", k_max=10, certified=True),
-        build_schedule(strategy="general", k_max=7, parallelism=4, certified=True),
-        build_schedule(strategy="general", k_max=12, parallelism=4, t_cap=2048, certified=True),
-        build_schedule(strategy="general", k_max=12, parallelism=16, t_cap=2048,
-                       certified=True)],
-        ids=["full_sequential", "full_parallel", "general", "general-P4", "general-P16"])
+    @pytest.mark.parametrize("schedule", CERTIFIED_SCHEDULES.values(),
+                             ids=CERTIFIED_SCHEDULES.keys())
     def test_certified_schedule_synthesizes(self, schedule):
         # every strength a schedule asks for synthesizes at its certified
         # length, T = 2048 at L = 5580 included, uncut, and meets its step's

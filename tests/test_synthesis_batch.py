@@ -162,9 +162,8 @@ class TestFailureInABatch:
         assert qsp._shifter_cache == {}
 
     def test_first_failing_key_in_batch_order_is_named(self, monkeypatch):
-        # every complement gate refuses, (1.0, 10) and (1.0, 12) in one
-        # stacked transform on 1024 points: the batch names its first key,
-        # (8.0, 34) on 4096 points, as alone
+        # every complement gate refuses: the batch names its first key,
+        # (8.0, 34), as alone
         monkeypatch.setattr(qsp, "_COMPLEMENT_TOL", -1.0)
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         keys = [(8.0, 34), (1.0, 10), (1.0, 12), (4.0, 22)]
