@@ -10,9 +10,10 @@ pipeline is:
    with a certified factorial error bound ``delta``.  All coefficients come
    from one pass of Miller's backward recurrence on the ratios
    ``J_k/J_(k-1)``, normalised by ``J_0 + 2 sum_k J_2k = 1``.  This one
-   vector is the target's only form from here to the peel.  A target whose
-   certificate grid, the largest array of its synthesis, would pass
-   ``_SYNTHESIS_MAX_BYTES`` (1 GiB) is refused before the recurrence.
+   vector is the target's only form from here to the peel.  A length that
+   no sequence can certify, one whose product's own rounding bound passes
+   the residual's tolerance (:func:`_check_certifiable`, every ``L >
+   515584``), is refused before the recurrence.
 2. ``complete_target``: adjust ``p`` in one closed-form pass so that
    ``P(z) = sum_k p_k z^k`` is exactly achievable (``P(1) = 1`` and
    ``|P| <= 1`` on the circle), staying within ``8*delta`` of the target.
@@ -35,15 +36,13 @@ pipeline is:
    its arrays are real or Hermitian, so every transform is a real FFT, on
    a grid that doubles from eight points per coefficient until the
    cepstrum's aliased tail is at rounding level) and strip one degree at a
-   time.  The pair is gated by its miss ``|P|^2 + |G|^2 - 1``, a real
-   symmetric Laurent vector formed in coefficient space from the product
-   ``P(z)P(1/z)`` that the factorisation already needs and the new
-   ``G(z)G(1/z)`` (``_complement_gaps``): the l1 norm of its coefficients
-   bounds it on the whole circle, as the residual of step 4 does.  So the
-   gate costs no transform, whether the peel's core is the whole target
-   or, as at about half the calibrated lengths from ``T = 109`` up, a core
-   cut shorter where the target's top harmonics fall below the peel's
-   ``1e-13`` cut.  Only the first row ``(P, iG)`` of the Laurent
+   time.  The peel's core is the whole target or, as at about half the
+   calibrated lengths from ``T = 109`` up, a core cut shorter where the
+   target's top harmonics fall below the peel's ``1e-13`` cut.  The
+   complement is not gated: the realized product is a product of SU(2)
+   factors, so it is exactly unitary, and a complement that misses
+   ``|P|^2 + |G|^2 = 1`` can only make the residual of step 4 fail, which
+   is loud.  Only the first row ``(P, iG)`` of the Laurent
    tensor is kept, since the second is its reversed conjugate, and as the
    real pair ``(P, G)``: every layer maps a row ``(x, i eta)`` with real
    ``x`` and ``eta`` to another.  Each layer's angle comes in closed form
@@ -67,11 +66,12 @@ pipeline is:
    elementwise step does too, but a pairwise sum over a zero-padded row
    does not.  So every step that reduces over a target's own length stays
    per target: the Bessel recurrence, the fold's sums and curvature, the
-   deflation, the ``np.convolve`` products, the completion gate's maximum
-   and the complement gate's sum.  A stack holds at most ``_STACK_BYTES``
-   of rows, one row always, and the first target in batch order whose
-   gate fails names the batch's failure, as it would alone.
-4. ``_certify_angles`` gates the sequences, pads included, with no grid: a
+   deflation, the ``np.convolve`` products and the completion gate's
+   maximum.  A stack holds at most ``_STACK_BYTES`` of rows, one row
+   always.
+4. ``_certify_angles`` gates the sequences, pads included, with no grid,
+   and is the only gate of the angles: the first target in batch order
+   whose residual fails names the batch's failure, as it would alone.  A
    product tree (``_product_row``) multiplies the factors out in
    coefficient space.  A level of nodes up to ``_DIRECT_WIDTH`` (9)
    coefficients, the bottom four, multiplies each pair directly, every
@@ -91,7 +91,9 @@ pipeline is:
    ``_certified_shifters`` runs steps 1-4 for a batch of keys ``(T, L)``,
    for ``synthesize_shifters`` and so for ``synthesize_shifter``, its batch
    of one, and, with a file's angles in place of the peel's, for
-   ``load_angles``; every spec is bit for bit what its key gets alone.
+   ``load_angles``; every spec is bit for bit what its key gets alone.  It
+   refuses an ``L`` that cannot certify, as step 1 refuses a solve length,
+   since the peel pads to ``L`` and the tree multiplies all of it.
    Lengths come from one search, ``_shortest_length``: the shortest even
    ``L >= 4`` that passes a test on ``L``, with three tests, up to
    ``2^62``, the longest power of two a signed 64-bit count holds.  The solve
@@ -134,12 +136,6 @@ BIAS_DELTA_THRESHOLD = 3.813e-5
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 _RESIDUAL_TOL = 1e-8
-_COMPLEMENT_TOL = 1e-11
-
-# The memory a synthesis may ask for, counted by its largest array, the
-# certificate grid of its target (a real row and its half spectrum, 16 bytes
-# a point): a target whose grid would pass it is refused before any work.
-_SYNTHESIS_MAX_BYTES = 2 ** 30
 
 
 class SynthesisError(RuntimeError):
@@ -260,19 +256,15 @@ def _check_strength(T: float) -> None:
 def truncate_target(T: float, L: int) -> TruncatedTarget:
     """Truncate the Bessel expansion of the phase target at harmonic L/2,
     refusing, before the recurrence runs, a bound ``delta >= 1`` and a
-    length whose certificate grid would pass ``_SYNTHESIS_MAX_BYTES``, and
-    with :class:`DomainError` a strength that is not positive and finite or
-    a length that is not a positive even integer."""
+    length that cannot certify (:func:`_check_certifiable`), and with
+    :class:`DomainError` a strength that is not positive and finite or a
+    length that is not a positive even integer."""
     _check_strength(T)
     L = checked_length("query length", L)
     delta = truncation_error_bound(T, L)
     if delta >= 1.0:
         raise SynthesisError(f"truncation bound {delta:.3g} >= 1; increase L")
-    n = _sized_grid(L)
-    if 16 * n > _SYNTHESIS_MAX_BYTES:
-        raise SynthesisError(
-            f"the certificate grid of a length-{L} target, {n} points, needs "
-            f"{16 * n / 2 ** 30:.3g} GiB, over the {_SYNTHESIS_MAX_BYTES / 2 ** 30:g} GiB guard")
+    _check_certifiable(L)
     d = L // 2
     j = _bessel_j(float(T), d)
     p = np.concatenate([j[::-1], j[1:]])
@@ -533,8 +525,8 @@ def _outer_factors(rs: list[np.ndarray]) -> list[np.ndarray]:
     coefficient)``.  ``R~`` is real and symmetric, so its spectrum and the
     cepstrum are real: both transforms are real FFTs.  ``R~`` dips below
     zero only by rounding where ``1 - |P|^2`` is itself at rounding level;
-    clamping the dips changes ``|G|^2`` by that much, and the complement's
-    certificate still rejects a truly infeasible target.
+    clamping the dips changes ``|G|^2`` by that much, and the residual of
+    :func:`_certify_angles` still rejects a truly infeasible target.
 
     Every doubling step stacks the remainders on its grid size, smallest
     first, each transform one call per run (:func:`_stacks`); the rows
@@ -573,55 +565,25 @@ def _fejer_complements(ps: list[np.ndarray]) -> list[np.ndarray]:
     double zeros at ``z = +-1`` are divided out, with ``R~ > 0`` on the
     circle for an achievable target.  The analytic half of the cepstrum of
     ``log R~`` gives the outer factor ``F`` with ``|F|^2 = R~``; ``G`` is
-    ``(1 - z^2) F`` reversed, so its zeros lie inside the disk.  Raises
-    :class:`SynthesisError` rather than return a factor that misses
-    ``|P|^2 + |G|^2 = 1`` by more than ``_COMPLEMENT_TOL`` anywhere on the
-    circle: the miss is a real Laurent vector of ``4d + 1`` coefficients,
-    so their l1 norm bounds it everywhere, with no grid
-    (:func:`_complement_gaps`, which forms the miss from ``P(z)P(1/z)``, the
-    product that ``R`` is formed from).
+    ``(1 - z^2) F`` reversed, so its zeros lie inside the disk.  Nothing
+    here is gated: the peeled product is exactly unitary, so a complement
+    that misses ``|P|^2 + |G|^2 = 1`` can only fail the residual of
+    :func:`_certify_angles`, which bounds the realized miss on the whole
+    circle.
 
     The list is one batch: every transform of a grid size, each cepstrum
     doubling step and the exponential's pair (:func:`_outer_factors`), is
-    one stacked real FFT, while the products, the deflation and each gate's
-    sum stay per target, so each ``g`` is bit for bit what it is alone.
-    The first target in batch order whose gate fails raises, with its
-    index in ``target``.
+    one stacked real FFT, while the products and the deflation stay per
+    target, so each ``g`` is bit for bit what it is alone.
     """
-    pps = [np.convolve(p, p[::-1]) for p in ps]
     rs = []
-    for pp in pps:
-        r = -pp
+    for p in ps:
+        r = -np.convolve(p, p[::-1])
         r[len(r) // 2] += 1.0
         rs.append(_deflate_pinned(r))
     # G is (1 - z^2) F reversed, F on the powers 0..m of R~'s -m..m
-    gs = [np.convolve(f[:(len(r) + 1) // 2], [1.0, 0.0, -1.0])[::-1]
-          for f, r in zip(_outer_factors(rs), rs)]
-    for b, gap in enumerate(_complement_gaps(pps, gs)):
-        if not gap <= _COMPLEMENT_TOL:        # a NaN must fail too
-            fail = SynthesisError(
-                f"complement of degree {(len(ps[b]) - 1) // 2} misses |P|^2 + |G|^2 = 1 by "
-                f"up to {gap:.3g}: the l1 norm of the miss's {len(pps[b])} coefficients")
-            fail.target = b
-            raise fail
-    return gs
-
-
-def _complement_gaps(pps: list, gs: list) -> list[float]:
-    """The l1 norm of the coefficients of the miss ``P P* + G G* - 1`` of
-    each real pair, from ``pps[b] = np.convolve(p, p[::-1])`` and
-    ``gs[b]``, as long as ``p``: a bound on ``|P|^2 + |G|^2 - 1`` on the
-    whole circle with no transform.  ``(len + 2) u`` covers the rounding of
-    the miss's constant term and of the sum, as in the residual of
-    :func:`_certify_angles`; the two products' own rounding is not
-    counted, and it is that residual that certifies the angles.  Each sum
-    runs over its own pair's vector."""
-    gaps = []
-    for pp, g in zip(pps, gs):
-        miss = pp + np.convolve(g, g[::-1])
-        miss[len(miss) // 2] -= 1.0           # the constant term, power 0
-        gaps.append(float(np.abs(miss).sum()) * (1.0 + (len(miss) + 2) * _UNIT_ROUNDOFF))
-    return gaps
+    return [np.convolve(f[:(len(r) + 1) // 2], [1.0, 0.0, -1.0])[::-1]
+            for f, r in zip(_outer_factors(rs), rs)]
 
 
 def _complemented_cores(ps: list[np.ndarray]) -> list[np.ndarray]:
@@ -631,8 +593,7 @@ def _complemented_cores(ps: list[np.ndarray]) -> list[np.ndarray]:
     every live core.  Harmonics at rounding level would make the complement
     factor noise.  A target with no live harmonic beyond 0 is the identity,
     an empty row; a live one keeps a core of degree at least 2, because a
-    length-2 core with ``A(0) = 1`` realizes only ``C = 0``.  A failing
-    gate raises with the index of its target in ``target``."""
+    length-2 core with ``A(0) = 1`` realizes only ``C = 0``."""
     rows, live, cores = [], [], []
     for b, p in enumerate(ps):
         d = (len(p) - 1) // 2
@@ -646,12 +607,7 @@ def _complemented_cores(ps: list[np.ndarray]) -> list[np.ndarray]:
         if d_eff:
             live.append(b)
             cores.append(core)
-    try:
-        gs = _fejer_complements(cores)
-    except SynthesisError as err:
-        err.target = live[err.target]
-        raise
-    for b, g in zip(live, gs):
+    for b, g in zip(live, _fejer_complements(cores)):
         rows[b][:, 1] = g
     return rows
 
@@ -946,6 +902,19 @@ def _product_rounding(length: int) -> float:
     return total
 
 
+def _check_certifiable(L: int) -> None:
+    """Refuse a length that no sequence can certify, before any work: one
+    whose product's rounding bound alone, ``_product_rounding(L)``, a lower
+    bound on the residual of every length-``L`` sequence, passes the
+    residual's tolerance.  That bound never falls as ``L`` grows, and it
+    passes from ``L = 515586`` on."""
+    rounding = _product_rounding(L)
+    if rounding > _RESIDUAL_TOL:
+        raise SynthesisError(
+            f"angles miss the target: residual at least {rounding:.3g}, the rounding bound of "
+            f"any length-{L} product, past the tolerance {_RESIDUAL_TOL:g}")
+
+
 def solve_angles(ps, lengths) -> list[AngleSequence]:
     """Solve for the angles of each completed Laurent target ``ps[b]`` (odd
     length, degree ``(len(p) - 1) / 2 <= L / 2``) at length ``lengths[b]``
@@ -957,9 +926,10 @@ def solve_angles(ps, lengths) -> list[AngleSequence]:
     tree, each sequence bit for bit what it is alone; one target is the
     batch of one, ``solve_angles([p], [L])[0]``.  Raises
     :class:`DomainError` before any work for lists of different lengths and
-    for any other target or length, and :class:`SynthesisError` when a gate
-    fails, the index of the first failing target in batch order in its
-    ``target``.
+    for any other target or length.  The residual alone decides: a target
+    that no sequence realizes, such as one with ``|P| > 1`` somewhere,
+    raises :class:`SynthesisError` from it, the index of the first failing
+    target in batch order in its ``target``.
     """
     ps = [np.asarray(q, float) for q in ps]
     lengths = [checked_length("query length", length) for length in lengths]
@@ -1104,12 +1074,15 @@ def _certified_shifters(keys: list[tuple[float, int]],
     and one :func:`solve_angles` batch, or one certificate of the given
     angles, serves them all.  A :class:`SynthesisError` names ``T``, ``L`` and the
     solve length of the first key in batch order that failed: a key whose
-    truncation fails stops the batch after the keys before it complete."""
+    truncation fails, or whose ``L``, the length the peel pads to and the
+    tree multiplies, cannot certify (:func:`_check_certifiable`), stops the
+    batch after the keys before it complete."""
     names, targets, refused = [], [], None
     for T, L in keys:
         l_solve = _solve_length(T, L)
         names.append((T, L, l_solve))
         try:
+            _check_certifiable(L)
             targets.append(truncate_target(T, l_solve))
         except SynthesisError as err:
             refused = err

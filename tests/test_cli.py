@@ -37,24 +37,47 @@ def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def refuse_synthesis(monkeypatch):
+    """Make the Bessel recurrence and the peel raise, so that a command
+    that runs past the length check fails by assertion, not by its size."""
+    def refuse(*args):
+        raise AssertionError("synthesis ran past the guard")
+
+    monkeypatch.setattr(qsp, "_bessel_j", refuse)
+    monkeypatch.setattr(qsp, "_solve_layer_peel", refuse)
+
+
 @pytest.mark.parametrize("T,message", [
     ("1e300", "evolution strength 1e+300 needs a query length above 2^62"),
-    ("1e9", "the certificate grid of a length-2718281826 target, 274877906944 points, "
-            "needs 4.1e+03 GiB, over the 1 GiB guard"),
+    ("1e9", "angles miss the target: residual at least 5.32e-05, the rounding bound of "
+            "any length-2718281826 product, past the tolerance 1e-08"),
+    ("3e5", "angles miss the target: residual at least 1.59e-08, the rounding bound of "
+            "any length-815490 product, past the tolerance 1e-08"),
 ])
 def test_angles_refuses_strength_too_large_to_synthesize(tmp_path, capsys, monkeypatch,
                                                          T, message):
-    # these used to end in an OverflowError traceback, at 1e300, and in a
-    # recurrence over about 1.4e9 floats, at 1e9; both are refused before
+    # these used to end in an OverflowError traceback, at 1e300, in a
+    # recurrence over about 1.4e9 floats, at 1e9, and in a peel of about 40
+    # minutes before its residual failed, at 3e5; all are refused before
     # any work
-    def refuse(*args):
-        raise AssertionError("_bessel_j called past the guard")
-
-    monkeypatch.setattr(qsp, "_bessel_j", refuse)
+    refuse_synthesis(monkeypatch)
     out = tmp_path / "angles.txt"
     assert main(["angles", "--T", T, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_angles_refuses_length_that_cannot_certify(tmp_path, capsys, monkeypatch):
+    # the solve length at T = 1 is 20, but the peel pads to the requested
+    # L and the tree multiplies all of it: 2e9 angles, refused first
+    refuse_synthesis(monkeypatch)
+    out = tmp_path / "angles.txt"
+    assert main(["angles", "--T", "1", "--L", "2000000000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: shifter T=1.0, L=2000000000 (solve length 20): angles miss the "
+                   "target: residual at least 3.91e-05, the rounding bound of any "
+                   "length-2000000000 product, past the tolerance 1e-08\n")
     assert not out.exists()
 
 
@@ -215,8 +238,8 @@ def test_angles_checks_output_before_synthesis(tmp_path, capsys, monkeypatch, ta
 
 
 def test_angles_synthesizes_certified_length(tmp_path, capsys):
-    # the shortest length that meets the budget, 716 at T = 256; the closed
-    # form's 1922, cut to 734, missed the complement gate by 3.1e-10
+    # the shortest length that meets the budget, 716 at T = 256, rather
+    # than the closed form's 1922, which synthesis cuts to 734
     out = tmp_path / "angles.txt"
     assert main(["angles", "--T", "256", "--eps-oc", "0.01", "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -347,42 +370,17 @@ def test_verify_fails_on_loading_that_trusts_the_header(capsys, monkeypatch):
     assert sum(line.startswith("PASS") for line in out.splitlines()) == 9
 
 
-def test_verify_fails_on_gap_of_largest_coefficient(capsys, monkeypatch):
-    # a complement gap that takes the miss's largest coefficient for the l1
-    # norm of them all falls below the miss's maximum on the dense grid,
-    # both as synthesized and at the 0.999 scale, where the gap of about
-    # 1.9e-7 sits far above rounding; synthesis, which the gate only
-    # refuses, still passes every other check
-    def largest(pps, gs):
-        gaps = []
-        for pp, g in zip(pps, gs):
-            miss = pp + np.convolve(g, g[::-1])
-            miss[len(miss) // 2] -= 1.0
-            gaps.append(float(np.abs(miss).max()))
-        return gaps
-
-    monkeypatch.setattr(qsp, "_complement_gaps", largest)
-    assert main(["verify"]) == 1
-    out = capsys.readouterr().out
-    line = next(line for line in out.splitlines() if "certificate-grid" in line)
-    assert line.startswith("FAIL  certificate-grid: complement ")
-    assert "at 0.999 scale 1.89991e-07 against l1 bound 1.42782e-07" in line
-    assert sum(line.startswith("PASS") for line in out.splitlines()) == 9
-
-
 def test_verify_fails_on_product_without_mirror_symmetry(capsys, monkeypatch):
     # a stray phase e^{1e-9 i theta}, not conjugate-symmetric about pi, moves
     # the realized product off the coefficients that certify it: its miss on
-    # the dense grid, up to 2 pi 1e-9, leaves the residual bound, while the
-    # complement part, which never calls the product, still holds
+    # the dense grid, up to 2 pi 1e-9, leaves the residual bound
     exact = qsp.rotation_product
     monkeypatch.setattr(qsp, "rotation_product", lambda xi, thetas: exact(xi, thetas)
                         * np.exp(1e-9j * np.asarray(thetas))[:, None, None])
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     line = next(line for line in out.splitlines() if "certificate-grid" in line)
-    assert line.startswith("FAIL  certificate-grid: complement ")
-    assert line.endswith(", residual 6.27e-09 on 544 points against bound 5.93e-13")
+    assert line == "FAIL  certificate-grid: residual 6.27e-09 on 544 points against bound 5.93e-13"
     # the row check compares the analytic stage, which never calls the
     # product, with it, so it sees the stray phase too
     assert "FAIL  row-evaluation: max deviation" in out

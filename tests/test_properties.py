@@ -1,6 +1,5 @@
 """Property tests of the schedule invariants, of the run-level analytic
-stage, of batched sampling, of noiseless phase recovery and of the
-complement gate's bound."""
+stage, of batched sampling and of noiseless phase recovery."""
 
 import math
 
@@ -10,7 +9,6 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from pae import qsp  # noqa: E402
 from pae import (PARALLEL_L_TABLE_PLUS, analytic_stage, build_schedule,  # noqa: E402
                  estimate_phase, ideal_probabilities, make_instance,
                  query_count, run, sample_and_recover, select_L_empirical,
@@ -110,25 +108,3 @@ def test_noiseless_recovery_within_resolution(a, K):
     freqs = ideal_probabilities(2 ** np.arange(K), phi)
     err = abs((estimate_phase(freqs).phi_hat - phi + math.pi) % (2 * math.pi) - math.pi)
     assert err <= math.pi * 2.0 ** -K
-
-
-@settings(max_examples=60, deadline=None)
-@given(d=st.integers(1, 128), seed=st.integers(0, 2 ** 32),
-       weight=st.floats(0.0, 1.0), excess=st.floats(-1e-6, 1e-6))
-def test_complement_gap_bounds_dense_maximum(d, seed, weight, excess):
-    # random real pairs of 2 d + 1 coefficients, scaled so that
-    # |P|^2 + |G|^2 has mean 1 + excess, as a complement nearly has: the
-    # miss oscillates about 0, and the l1 gap of its coefficients must be
-    # at least its maximum on 16 times the sized grid of its degree 2 d,
-    # read from the miss polynomial by one real FFT
-    rng = np.random.default_rng(seed)
-    p, g = weight * rng.normal(size=2 * d + 1), rng.normal(size=2 * d + 1)
-    scale = math.sqrt((1.0 + excess) / (np.sum(p ** 2) + np.sum(g ** 2)))
-    p, g = scale * p, scale * g
-    pp = np.convolve(p, p[::-1])
-    gap = qsp._complement_gaps([pp], [g])[0]
-    miss = pp + np.convolve(g, g[::-1])
-    miss[2 * d] -= 1.0
-    n = 16 * qsp._sized_grid(2 * d)
-    row = np.bincount(np.arange(-2 * d, 2 * d + 1) % n, weights=miss, minlength=n)
-    assert np.max(np.abs(np.fft.rfft(row).real)) <= gap

@@ -147,24 +147,24 @@ class TestFailureInABatch:
         assert str(batch_err.value) == str(alone_err.value)
         assert ranks == [] and qsp._shifter_cache == {}
 
-    def test_failing_complement_names_its_shifter(self, monkeypatch):
-        # T = 1868 at its calibrated L = 5090 misses the complement gate by
-        # about 1e-11, alone and among good keys before and after it
-        L = select_L_empirical(1868.0)
-        assert L == 5090
-        monkeypatch.setattr(qsp, "_shifter_cache", {})
+    def test_failing_complement_names_its_shifter(self):
+        # |P|^2 = 1.28 at pi/2, so no complement exists: the residual, the
+        # only gate, refuses the middle target of a batch between two good
+        # ones, with its index and the message it gets alone
+        good = qsp.complete_target([qsp.truncate_target(8.0, 34)])[0]
+        bad = np.array([0.05, -0.4, 0.9, 0.4, 0.05])     # A = (0.9, 0, 0.1), C = (0, 0.8, 0)
         with pytest.raises(SynthesisError) as alone_err:
-            synthesize_shifter(1868.0, L)
-        assert str(alone_err.value).startswith("shifter T=1868.0, L=5090 ")
+            solve_angles([bad], [4])
         with pytest.raises(SynthesisError) as batch_err:
-            synthesize_shifters([PLUS[0], (48.0, 146), (1868.0, L), (8.0, 34)])
+            solve_angles([good, bad, good], [34, 4, 34])
+        assert batch_err.value.target == 1
         assert str(batch_err.value) == str(alone_err.value)
-        assert qsp._shifter_cache == {}
+        assert str(alone_err.value).startswith("angles miss the target: residual 0.392, ")
 
     def test_first_failing_key_in_batch_order_is_named(self, monkeypatch):
-        # every complement gate refuses: the batch names its first key,
-        # (8.0, 34), as alone
-        monkeypatch.setattr(qsp, "_COMPLEMENT_TOL", -1.0)
+        # a negative tolerance refuses every length before any work: the
+        # batch names its first key, (8.0, 34), as alone
+        monkeypatch.setattr(qsp, "_RESIDUAL_TOL", -1.0)
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         keys = [(8.0, 34), (1.0, 10), (1.0, 12), (4.0, 22)]
         with pytest.raises(SynthesisError) as alone_err:
@@ -173,7 +173,7 @@ class TestFailureInABatch:
             synthesize_shifters(keys)
         assert str(batch_err.value) == str(alone_err.value)
         assert str(batch_err.value).startswith("shifter T=8.0, L=34 (solve length 34): "
-                                               "complement of degree 17 misses")
+                                               "angles miss the target: residual")
         assert qsp._shifter_cache == {}
 
     def test_failing_truncation_or_completion_names_the_first_key(self, monkeypatch):
@@ -194,11 +194,12 @@ class TestFailureInABatch:
         assert qsp._shifter_cache == {}
 
     def test_failing_residual_names_its_shifter(self, monkeypatch):
-        # a residual gate that refuses only the length-34 sequence fails the
-        # batch with that key's name, as it fails alone
-        rounding = qsp._product_rounding
-        monkeypatch.setattr(qsp, "_product_rounding",
-                            lambda length: 1.0 if length == 34 else rounding(length))
+        # peeled angles that miss only at length 34, each moved by 1e-3,
+        # fail the residual after the peel, and the batch with that key's
+        # name, as it fails alone
+        peel = qsp._solve_layer_peel
+        monkeypatch.setattr(qsp, "_solve_layer_peel", lambda rows, lengths: [
+            xi + 1e-3 if len(xi) == 34 else xi for xi in peel(rows, lengths)])
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         with pytest.raises(SynthesisError) as alone_err:
             synthesize_shifter(8.0, 34)
