@@ -18,17 +18,19 @@ pipeline is:
    ``P(z) = sum_k p_k z^k`` is exactly achievable (``P(1) = 1`` and
    ``|P| <= 1`` on the circle), staying within ``8*delta`` of the target.
    ``|P|^2`` is a real trigonometric polynomial of degree ``L``.  It is
-   evaluated twice, once for the truncated and once for the completed
-   vector, to measure the overshoot and to gate the result, on one uniform
-   grid sized by that degree (``_sized_grid``: the smallest power of two
-   with at least 64 points per degree), as the squared absolute values of
-   one real FFT of the coefficients (``_uniform_moduli``).  For real ``p``,
-   ``P(e^{-i theta}) = conj P(e^{i theta})``, so ``|P|^2`` takes the same
-   value at ``theta`` and ``2 pi - theta``, and the half spectrum, the
-   angles ``0..pi``, carries every value of the grid.  A list of targets
-   is one batch: the targets that share a sized grid share each of its two
-   transforms, one real FFT of their stacked rows (``_stacks``), while
-   every sum stays per target.
+   evaluated once, for the truncated vector, to measure the overshoot, on
+   one uniform grid sized by that degree (``_sized_grid``: the smallest
+   power of two with at least 64 points per degree), as the squared
+   absolute values of one real FFT of the coefficients
+   (``_uniform_moduli``).  For real ``p``, ``P(e^{-i theta}) = conj
+   P(e^{i theta})``, so ``|P|^2`` takes the same value at ``theta`` and
+   ``2 pi - theta``, and the half spectrum, the angles ``0..pi``, carries
+   every value of the grid.  Nothing is gated here: a completed vector
+   that no sequence realizes, as at ``L = 2``, where a sequence realizes
+   only ``C = 0``, fails the residual of step 4.  A list of targets is one
+   batch: the targets that share a sized grid share its transform, one
+   real FFT of their stacked rows (``_stacks``), while every sum stays per
+   target.
 3. ``solve_angles``: find the ``L`` rotation angles whose interleaved
    product realizes ``P`` by layer peeling alone: complete ``P`` to a
    unitary with the complementary polynomial ``G``
@@ -66,15 +68,15 @@ pipeline is:
    elementwise step does too, but a pairwise sum over a zero-padded row
    does not.  So every step that reduces over a target's own length stays
    per target: the Bessel recurrence, the fold's sums and curvature, the
-   deflation, the ``np.convolve`` products and the completion gate's
-   maximum.  A stack holds at most ``_STACK_BYTES`` of rows, one row
-   always.
+   deflation, the ``np.convolve`` products and the overshoot's maximum.
+   A stack holds at most ``_STACK_BYTES`` of rows, one row always.
 4. ``_certify_angles`` gates the sequences, pads included, with no grid,
-   and is the only gate of the angles: the first target in batch order
-   whose residual fails names the batch's failure, as it would alone.  A
-   product tree (``_product_row``) multiplies the factors out in
-   coefficient space.  A level of nodes up to ``_DIRECT_WIDTH`` (9)
-   coefficients, the bottom four, multiplies each pair directly, every
+   and is the only gate of the completion, the complement and the angles:
+   the first target in batch order whose residual fails names the batch's
+   failure, as it would alone.  A product tree (``_product_row``)
+   multiplies the factors out in coefficient space.  A level of nodes up
+   to ``_DIRECT_WIDTH`` (9) coefficients, the bottom four, multiplies each
+   pair directly, every
    output coefficient one fixed-order sum of products (one ``einsum`` of
    the left nodes with the right nodes' Toeplitz blocks, gathered through
    one index table); a wider level takes one real FFT of six rows per
@@ -139,7 +141,7 @@ _RESIDUAL_TOL = 1e-8
 
 
 class SynthesisError(RuntimeError):
-    """Raised when completion or angle solving cannot meet its contract.
+    """Raised when truncation or angle solving cannot meet its contract.
     Raised for one target of a :func:`solve_angles` batch, it carries that
     target's index as ``target``."""
 
@@ -296,36 +298,39 @@ def _fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def complete_target(targets) -> list[np.ndarray]:
-    """Adjust each truncated Laurent vector ``targets[b]`` into an exactly
+    """Adjust each truncated Laurent vector ``targets[b]`` toward an exactly
     achievable one.
 
     Returns, per target, ``p`` on powers ``-L/2..L/2`` whose ``P(e^{i
-    theta})`` approximates ``exp(-i T sin(theta))``, with ``P(1) = 1`` and
-    ``|P|^2 <= 1 + 1e-12`` on the uniform grid that ``_sized_grid`` sizes
-    for its degree ``L``, in one pass: a global rescale by the overshoot
-    measured on that grid plus a margin, then an even-harmonic kernel
-    shift restoring ``P(1) = 1`` without lifting the off-zero maxima.  If
-    the truncation tail leaves ``|P|^2`` with positive curvature ``curv`` at
-    ``theta = 0``, ``mu`` moved from ``z^0`` to ``z^{+-l2}`` lowers it by
-    exactly ``mu l2^2`` without moving ``P(1)``, so ``mu = 1.5 curv / l2^2``
-    makes it ``-curv / 2``.  ``P(1)`` and the curvature are summed over the
-    folded harmonics, where the odd ones cancel exactly.
+    theta})`` approximates ``exp(-i T sin(theta))``, with ``P(1) = 1``, in
+    one pass: a global rescale by the overshoot of ``|P|^2`` measured on the
+    uniform grid that ``_sized_grid`` sizes for its degree ``L``, plus a
+    margin, then an even-harmonic kernel shift restoring ``P(1) = 1``
+    without lifting the off-zero maxima.  If the truncation tail leaves
+    ``|P|^2`` with positive curvature ``curv`` at ``theta = 0``, ``mu``
+    moved from ``z^0`` to ``z^{+-l2}`` lowers it by exactly ``mu l2^2``
+    without moving ``P(1)``, so ``mu = 1.5 curv / l2^2`` makes it ``-curv /
+    2``.  ``P(1)`` and the curvature are summed over the folded harmonics,
+    where the odd ones cancel exactly.  Nothing is checked: a vector with
+    ``|P| > 1`` somewhere, as at ``L = 2``, is refused by the residual of
+    :func:`solve_angles`.
 
     The list is one batch, and one target is the batch of one,
     ``complete_target([target])[0]``: the ``|P|^2`` of the truncated
-    targets is one stacked real FFT per sized grid (:func:`_grid_moduli`),
-    and so is that of the completed ones, while every sum stays per
-    target, so each vector is bit for bit what it is alone.  Raises
-    :class:`SynthesisError` for the first target, in batch order, whose
-    gate fails, with its index in ``target``.
+    targets is one stacked real FFT per sized grid and run (:func:`_stacks`),
+    which gives each row the bits of its own call, while every sum stays
+    per target, so each vector is bit for bit what it is alone.
     """
-    grids = [_sized_grid(target.L) for target in targets]
+    peaks = [0.0] * len(targets)
+    for n, run in _stacks([_sized_grid(target.L) for target in targets]):
+        for b, modulus2 in zip(run, _uniform_moduli([targets[b].coeffs for b in run], n)):
+            peaks[b] = float(modulus2.max())
     ps = []
-    for target, modulus2 in zip(targets, _grid_moduli([t.coeffs for t in targets], grids)):
+    for target, peak in zip(targets, peaks):
         d = target.L // 2
         l2 = 2 * (d // 2)
         p = target.coeffs
-        m = max(0.0, float(modulus2.max()) - 1.0)
+        m = max(0.0, peak - 1.0)
         kernel = _fejer_kernel_even(d)
         # a small interior margin keeps |P|^2 strictly below 1 away from the
         # pinned points, so the later spectral factorization never meets
@@ -352,15 +357,6 @@ def complete_target(targets) -> list[np.ndarray]:
             if curv > 0.0:
                 p2 = shifted(1.5 * curv / l2 ** 2)
         ps.append(p2)
-    for b, (n, gg) in enumerate(zip(grids, _grid_moduli(ps, grids))):
-        ip = int(gg.argmax())
-        over = float(gg[ip]) - 1.0
-        if not over <= 1e-12:                 # a NaN must fail too
-            err = SynthesisError(
-                f"completion failed because |P|^2 exceeds 1 by {over:.3g} "
-                f"at theta={2.0 * np.pi * ip / n:.6f}")
-            err.target = b
-            raise err
     return ps
 
 
@@ -428,28 +424,15 @@ def realized_functions(xi: np.ndarray, thetas: np.ndarray) -> tuple[np.ndarray, 
 _STACK_BYTES = 1 << 17
 
 
-@functools.lru_cache(maxsize=256)
-def _residues(size: int, n: int) -> np.ndarray:
-    """The residues mod ``n`` of the powers ``-d..d`` of a Laurent vector of
-    ``size = 2 d + 1`` coefficients, read-only: where each lands on the
-    ``n``-point grid."""
-    d = (size - 1) // 2
-    residues = np.arange(-d, d + 1) % n
-    residues.flags.writeable = False
-    return residues
-
-
 def _spread(vectors: list[np.ndarray], n: int) -> np.ndarray:
     """The ``(k, n)`` rows of the real Laurent vectors ``vectors`` on the
-    ``n``-point grid, each coefficient of power ``-d..d`` at its residue
-    mod ``n``: summed where ``2 d + 1 > n`` makes powers meet, else set,
-    which a sum onto zero would give but for the sign of a zero."""
+    ``n``-point grid, ``n >= 2 d + 1``: each coefficient of power ``-d..d``
+    at its residue mod ``n``, powers ``0..d`` first and ``-d..-1`` last."""
     rows = np.zeros((len(vectors), n))
     for row, p in zip(rows, vectors):
-        if len(p) <= n:
-            row[_residues(len(p), n)] = p
-        else:
-            row += np.bincount(_residues(len(p), n), weights=p, minlength=n)
+        d = (len(p) - 1) // 2
+        row[:d + 1] = p[d:]
+        row[n - d:] = p[:d]
     return rows
 
 
@@ -476,18 +459,6 @@ def _uniform_moduli(vectors: list[np.ndarray], n: int) -> np.ndarray:
     n})``, of the same modulus; the points ``n/2+1..n-1`` repeat ``n/2-1..1``."""
     half = np.fft.rfft(_spread(vectors, n))
     return np.add(half.real ** 2, half.imag ** 2)
-
-
-def _grid_moduli(vectors: list[np.ndarray], grids: list[int]) -> list[np.ndarray]:
-    """:func:`_uniform_moduli` of each vector on its own grid of
-    ``grids[b]`` points: one stacked real FFT per grid size and run
-    (:func:`_stacks`).  A stacked real FFT gives each row the bits of its
-    own call."""
-    out: list = [None] * len(vectors)
-    for n, run in _stacks(grids):
-        for b, values in zip(run, _uniform_moduli([vectors[b] for b in run], n)):
-            out[b] = values
-    return out
 
 
 def _sized_grid(degree: int) -> int:
@@ -962,8 +933,9 @@ def _certify_angles(xis: list[np.ndarray], ps: list[np.ndarray]) -> list[AngleSe
         residual = l1 + _product_rounding(len(xi))
         if not residual <= _RESIDUAL_TOL:      # a NaN must fail too
             err = SynthesisError(
-                f"angles miss the target: residual {residual:.3g}, the l1 distance "
-                f"{l1:.3g} of the product's coefficients plus their rounding")
+                f"angles miss the target: residual {residual:.3g}, "
+                f"{residual - _RESIDUAL_TOL:.3g} past the tolerance {_RESIDUAL_TOL:g}: the l1 "
+                f"distance {l1:.3g} of the product's coefficients plus their rounding")
             err.target = len(sequences)
             raise err
         row = np.empty((len(x), 2))
@@ -1072,11 +1044,12 @@ def _certified_shifters(keys: list[tuple[float, int]],
     :func:`_solve_length` of ``L``.  Each key is truncated, then one
     :func:`complete_target` batch completes them all on their own grids,
     and one :func:`solve_angles` batch, or one certificate of the given
-    angles, serves them all.  A :class:`SynthesisError` names ``T``, ``L`` and the
-    solve length of the first key in batch order that failed: a key whose
-    truncation fails, or whose ``L``, the length the peel pads to and the
-    tree multiplies, cannot certify (:func:`_check_certifiable`), stops the
-    batch after the keys before it complete."""
+    angles, serves them all.  A :class:`SynthesisError` names ``T``, ``L``
+    and the solve length of the first key in batch order that failed: a key
+    whose truncation fails, or whose ``L``, the length the peel pads to and
+    the tree multiplies, cannot certify (:func:`_check_certifiable`), stops
+    the batch, and is raised once the keys before it are certified, with no
+    solve when none comes before it."""
     names, targets, refused = [], [], None
     for T, L in keys:
         l_solve = _solve_length(T, L)
@@ -1087,13 +1060,13 @@ def _certified_shifters(keys: list[tuple[float, int]],
         except SynthesisError as err:
             refused = err
             break
+    ps = complete_target(targets)
     try:
-        ps = complete_target(targets)
+        sequences = (solve_angles(ps, [L for _, L, _ in names[:len(ps)]]) if angles is None
+                     else _certify_angles(angles, ps)) if ps else []
         if refused is not None:
-            refused.target = len(targets)
+            refused.target = len(ps)
             raise refused
-        sequences = (solve_angles(ps, [L for _, L in keys]) if angles is None
-                     else _certify_angles(angles, ps))
     except SynthesisError as err:
         raise _named(*names[err.target], err) from err
     return [PhaseShifterSpec(T=float(T), L=int(L), angles=seq,

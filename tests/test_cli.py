@@ -19,7 +19,8 @@ from pae.cli import main
     (["--T", "-1"], "evolution strength must be positive"),
     (["--T", "1", "--eps-oc", "2"], "state-error budget must lie in (0, 1)"),
     (["--T", "1", "--L", "7"], "query length must be a positive even integer"),
-    (["--T", "0.5", "--L", "2"], "completion failed"),
+    # a length-2 sequence realizes only C = 0: the residual refuses it
+    (["--T", "0.5", "--L", "2"], "angles miss the target: residual 0.411"),
     (["--T", "2048", "--L", "2000"], "truncation bound inf >= 1"),
     (["--T", "nan"], "evolution strength must be positive and finite"),
     (["--T", "inf", "--L", "10"], "evolution strength must be positive and finite"),
@@ -28,6 +29,9 @@ from pae.cli import main
     (["--T", "1", "--L", "41"], "query length must be a positive even integer, got 41"),
     # refused before the Bessel recurrence, which raised a bare numpy ValueError
     (["--T", "1e60", "--L", "4"], "truncation bound 8.33e+178 >= 1; increase L"),
+    # the delta < 1 edge at L = 2 runs the cepstrum and the peel on an
+    # unachievable target, which must raise no numpy warning on the way
+    (["--T", "1.4", "--L", "2"], "angles miss the target: residual 0.546"),
 ])
 def test_angles_rejects_bad_input(tmp_path, capsys, argv, message):
     out = tmp_path / "angles.txt"

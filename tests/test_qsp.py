@@ -225,10 +225,18 @@ class TestTruncationBound:
 
 
 def eval_pair(p, thetas):
-    """``(A, C)`` with ``A + iC = P(e^{i theta})``, summed as trig series."""
+    """``(A, C)`` with ``A + iC = P(e^{i theta})``, summed as trig series.
+    Harmonic ``l = 64 k + j`` takes its cosine and sine by the angle sum of
+    ``64 k theta`` and ``j theta``, each evaluated directly, so the tables
+    hold ``(L/128 + 65) len(thetas)`` entries, not ``(L/2 + 1)
+    len(thetas)``."""
     a, c = cos_sin(p)
-    ls = np.arange(len(a))
-    return np.cos(np.outer(thetas, ls)) @ a, np.sin(np.outer(thetas, ls)) @ c
+    rows = -(-len(a) // 64)
+    a_blocks, c_blocks = (np.pad(v, (0, 64 * rows - len(v))).reshape(rows, 64) for v in (a, c))
+    low, high = np.outer(np.arange(64), thetas), np.outer(64 * np.arange(rows), thetas)
+    cos_low, sin_low, cos_high, sin_high = np.cos(low), np.sin(low), np.cos(high), np.sin(high)
+    return ((cos_high * (a_blocks @ cos_low) - sin_high * (a_blocks @ sin_low)).sum(axis=0),
+            (sin_high * (c_blocks @ cos_low) + cos_high * (c_blocks @ sin_low)).sum(axis=0))
 
 
 def iterative_completion(target):
@@ -310,9 +318,12 @@ class TestCompleteTarget:
             assert complete_target([target])[0].tobytes() == p.tobytes()
 
     def test_batch_names_its_first_failing_target(self):
+        # the completion checks nothing: the residual refuses the first
+        # unachievable completed target of a batch by its index
         good, bad = truncate_target(1.0, 10), truncate_target(0.5, 2)
+        ps = complete_target([good, bad, good, bad])
         with pytest.raises(SynthesisError) as err:
-            complete_target([good, bad, good, bad])
+            solve_angles(ps, [10, 2, 10, 2])
         assert err.value.target == 1
         assert complete_target([]) == []
 
@@ -332,11 +343,13 @@ class TestCompleteTarget:
         assert abs(m - ref) <= 1e-14
 
     def test_fails_where_iterative_reference_fails(self):
+        # the closed form completes what the loop cannot, and the residual
+        # refuses it
         target = truncate_target(0.5, 2)
         with pytest.raises(SynthesisError):
             iterative_completion(target)
-        with pytest.raises(SynthesisError, match=r"completion failed .* at theta=\d"):
-            complete_target([target])[0]
+        with pytest.raises(SynthesisError, match=r"^angles miss the target: residual 0\.411, "):
+            solve_angles(complete_target([target]), [2])
 
     def test_near_zero_strength_unchanged(self):
         a, c = cos_sin(complete_target([truncate_target(1e-15, 4)])[0])
@@ -353,10 +366,16 @@ class TestCompleteTarget:
         dev = np.max(np.abs(A + 1j * C - np.exp(-1j * T * np.sin(thetas))))
         assert dev <= 8 * target.delta
 
-    @pytest.mark.parametrize("T,L", [(1, 10), (4, 22), (1, 20)])
+    @pytest.mark.parametrize("T,L", [
+        (1, 10), (4, 22), (1, 20),
+        # the first length with delta < 1, where the completion margin is
+        # largest, then large strengths and a vanishing one
+        (1, 4), (8, 20), (48, 126), (160, 430), (160, 472), (160, 600), (1868, 5090),
+        (1e-9, 4)])
     def test_feasibility(self, T, L):
         # on two outside grids, 4096 Chebyshev and 8192 uniform points,
-        # neither of them the grid the completion gates on
+        # neither of them the grid the completion measures on: the invariant
+        # that nothing in synthesis checks, only the residual it feeds
         p = complete_target([truncate_target(T, L)])[0]
         assert np.sum(cos_sin(p)[0]) == pytest.approx(1.0, abs=1e-14)     # A(0) = 1
         for thetas in (chebyshev_grid(4096),
@@ -434,11 +453,10 @@ class TestUniformValues:
 
     @pytest.mark.parametrize("T,L,n", [
         (1.0, 10, 1024), (1.0, 10, 8192), (48.0, 146, 1024), (48.0, 146, 8192),
-        (256.0, 710, 1024), (256.0, 710, 8192), (1024.0, 2800, 1024),
-        (2048.0, 5586, 1024), (2048.0, 9000, 8192)])
+        (256.0, 710, 1024), (256.0, 710, 8192)])
     def test_matches_direct_sum(self, T, L, n):
-        # L + 1 > n folds several powers onto each grid point: they must be
-        # summed, where a plain scatter would keep one of them
+        # every caller's grid holds at least 2 d + 1 points, so each power
+        # has a grid point of its own
         p = truncate_target(T, L).coeffs
         got = _uniform_moduli([p], n)[0]
         ref = np.abs(direct_uniform_sum(p, n)[:n // 2 + 1]) ** 2
@@ -786,50 +804,49 @@ class TestStacks:
 
 
 class TestSharedModulus:
-    def test_cold_synthesis_transforms_the_sized_grid_twice(self, monkeypatch):
-        # |P|^2 of the truncated and of the completed target, and no grid
-        # for the complement, whose miss nothing gates
+    def test_cold_synthesis_transforms_the_sized_grid_once(self, monkeypatch):
+        # |P|^2 of the truncated target, and no grid for the completed one
+        # or for the complement, which only the residual gates
         n = _sized_grid(146)
         assert n == 16384
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         synthesize_shifter(1.0, 10)            # another target goes first
         sizes = counting_rfft(monkeypatch)
         synthesize_shifter(48.0, 146)
-        assert sizes.count(n) == 2
+        assert sizes.count(n) == 1
 
-    def test_cold_shifter_in_a_batch_transforms_its_grid_twice(self, monkeypatch):
-        # truncated and completed |P|^2, among the other shifters'
-        # completions and complements, none of which uses the 16384-point
-        # grid
+    def test_cold_shifter_in_a_batch_transforms_its_grid_once(self, monkeypatch):
+        # truncated |P|^2, among the other shifters' completions and
+        # complements, none of which uses the 16384-point grid
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         keys = [(1.0, L) for L in (10, 12, 14, 16, 18)]
         assert all(_sized_grid(L) < 16384 for _, L in keys)
         sizes = counting_rfft(monkeypatch)
         synthesize_shifters([keys[0], keys[1], (48.0, 146), *keys[2:]])
-        assert sizes.count(16384) == 2
+        assert sizes.count(16384) == 1
 
-    def test_cold_plus_batch_transforms_each_grid_twice(self, monkeypatch):
+    def test_cold_plus_batch_transforms_each_grid_once(self, monkeypatch):
         # the six T = 1 shifters of the plus table sit on two sized grids,
         # 1024 points (L = 10 .. 16) and 2048 (L = 18, 20): the truncated
-        # and the completed |P|^2 are one stacked transform each per grid,
-        # not one per key
+        # |P|^2 is one stacked transform per grid, not one per key
         keys = [(1.0, L) for L in sorted(set(PARALLEL_L_TABLE_PLUS))]
         assert [_sized_grid(L) for _, L in keys] == [1024] * 4 + [2048] * 2
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         sizes = counting_rfft(monkeypatch)
         synthesize_shifters(keys)
-        assert sizes.count(1024) == sizes.count(2048) == 2
+        assert sizes.count(1024) == sizes.count(2048) == 1
 
-    def test_cold_cut_core_transforms_its_grid_twice(self, monkeypatch):
+    def test_cold_cut_core_transforms_its_grid_once(self, monkeypatch):
         # T = 256 at L = 710 peels a core of degree 354 of 355, whose sized
-        # grid is its completion's 65536 points: truncated and completed
-        # |P|^2, with no |P|^2 of the core on its own and no grid for its miss
+        # grid is its completion's 65536 points: truncated |P|^2, with no
+        # |P|^2 of the completed target or of the core on its own and no
+        # grid for its miss
         assert _sized_grid(708) == _sized_grid(710) == 65536
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         synthesize_shifter(1.0, 10)            # another target goes first
         sizes = counting_rfft(monkeypatch)
         synthesize_shifter(256.0, 710)
-        assert sizes.count(65536) == 2
+        assert sizes.count(65536) == 1
 
     def test_interleaved_targets_match_each_target_alone(self):
         # two targets on the same 4096-point grid, completed in one batch
@@ -1084,11 +1101,21 @@ class TestSynthesisErrors:
         assert [message.count(name) for name in ("T=", "L=", "solve length")] == [1, 1, 1]
 
     def test_completion_message_names_the_shifter(self, monkeypatch):
-        # an L = 2 shifter of material strength cannot be completed
+        # an L = 2 shifter of material strength cannot be completed, and
+        # the residual, the only gate, refuses it
         monkeypatch.setattr(qsp, "_shifter_cache", {})
         with pytest.raises(SynthesisError, match=r"^shifter T=0\.5, L=2 \(solve length 2\): "
-                                                 r"completion failed because \|P\|\^2 exceeds 1 by "):
+                                                 r"angles miss the target: residual 0\.411, "):
             synthesize_shifter(0.5, 2)
+
+    def test_residual_message_names_its_excess(self, monkeypatch):
+        # a residual 3.4e-15 past the tolerance reads as 1e-08 at three
+        # digits: the message says how far past it is
+        monkeypatch.setattr(qsp, "_shifter_cache", {})
+        with pytest.raises(SynthesisError, match=r"^shifter T=1e-08, L=2 \(solve length 2\): "
+                                                 r"angles miss the target: residual 1e-08, "
+                                                 r"3\.\d+e-15 past the tolerance 1e-08: "):
+            synthesize_shifter(1e-8, 2)
 
 
 def svd_layer_peel(p, L):
@@ -1977,8 +2004,12 @@ def test_state_error_bound_below_17_sqrt():
         assert state_error_bound(delta) <= 17.0 * math.sqrt(delta)
 
 
-def test_completion_failure_is_reported():
+def test_completion_failure_is_reported(monkeypatch):
     # an L=2 target with material strength is not achievable: the constant
-    # cosine part cannot reach A(0)=1 while A^2+C^2 <= 1 holds
-    with pytest.raises(SynthesisError):
-        complete_target([truncate_target(0.5, 2)])[0]
+    # cosine part cannot reach A(0)=1 while A^2+C^2 <= 1 holds.  The
+    # completion checks nothing, and the residual refuses each shifter
+    monkeypatch.setattr(qsp, "_shifter_cache", {})
+    for T, residual in ((0.5, "0.411"), (1.0, "0.547"), (1.4, "0.546")):
+        with pytest.raises(SynthesisError, match=rf"^shifter T={T}, L=2 .*: angles miss the "
+                                                 rf"target: residual {residual}, "):
+            synthesize_shifter(T, 2)
