@@ -237,6 +237,12 @@ def parity_probabilities(blocks: np.ndarray, P) -> np.ndarray:
     for any 2x2 block: ``x_0 + i y_0 = 2 conj(b00) b10`` (``b01``, ``b11``
     for ``j = 1``), ``z_x = conj(b01) b10 + conj(b11) b00`` and
     ``z_y = i (conj(b11) b00 - conj(b01) b10)``.
+
+    Each base is raised once, to ``P - 1``: both settings read that power,
+    and ``x^P = x^(P-1) x``, ``z_x^P = z_x^(P-1) z_x`` are one product
+    each.  The real bases have both signs, and ``pow`` takes a slow path on
+    a negative base, so they are raised by :func:`_signed_power`, on their
+    magnitudes with the sign put back.
     """
     P = np.asarray(P)
     if P.shape != blocks.shape[:1]:
@@ -251,10 +257,18 @@ def parity_probabilities(blocks: np.ndarray, P) -> np.ndarray:
     v = 0.5 * np.sum(b11.conj() * b00, axis=1)
     x0, y0, x1, y1 = w0.real, w0.imag, w1.real, w1.imag
     zx, zy = u + v, 1j * (v - u)
-    plus = 0.5 + 0.25 * (x0 ** P + x1 ** P) + 0.5 * (zx ** P).real
-    plus_i = (0.5 + 0.25 * (y0 * x0 ** (P - 1) + y1 * x1 ** (P - 1))
-              + 0.5 * (zy * zx ** (P - 1)).real)
+    x0p, x1p, zxp = _signed_power(x0, P - 1), _signed_power(x1, P - 1), zx ** (P - 1)
+    plus = 0.5 + 0.25 * (x0p * x0 + x1p * x1) + 0.5 * (zxp * zx).real
+    plus_i = 0.5 + 0.25 * (x0p * y0 + x1p * y1) + 0.5 * (zxp * zy).real
     return np.clip(np.stack([plus, plus_i], axis=-1), 0.0, 1.0)
+
+
+def _signed_power(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``x ** n`` for real ``x`` and integers ``n >= 0`` broadcast against
+    it, taken as ``|x| ** n`` with the sign of ``x`` where ``n`` is odd:
+    no negative base reaches ``pow``, and the sign costs one pass."""
+    power = np.abs(x) ** n
+    return np.copysign(power, x, out=power, where=n % 2 == 1)
 
 
 def _circuit_probability(stage, operand, circuit: ParallelCircuit,

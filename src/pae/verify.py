@@ -86,14 +86,23 @@ def check_certificate_grid() -> tuple[str, bool, str]:
 
 def check_parity_identity() -> tuple[str, bool, str]:
     # the parity contraction on exact-shifter blocks, diag(e^{-i phi/2},
-    # e^{+i phi/2}) on both eigenphases, against the closed form
+    # e^{+i phi/2}) on both eigenphases, against the closed form; their x
+    # are 0, so the same blocks after an ancilla Hadamard, x0 = 1, x1 = -1
+    # and z_x = 0, check the sign of the real powers: PLUS reads 1 at even
+    # P and 1/2 at odd P, PLUS_I (1 - sin phi)/2 at P = 1 and 1/2 beyond
     phis = np.array([make_instance(float(a)).phi for a in np.linspace(0.0, 1.0, 11)])
     half = np.exp(0.5j * phis)
     blocks = np.zeros((2, len(phis), 2, 2), dtype=complex)
     blocks[:, :, 0, 0], blocks[:, :, 1, 1] = half.conj(), half
-    ms = np.array([1, 4, 32])
-    probs = circ.parity_probabilities(np.stack([blocks] * len(ms)), ms)
-    worst = float(np.max(np.abs(probs - circ.ideal_probabilities(ms[:, None], phis))))
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    ms = np.array([1, 2, 3, 4, 32])
+    probs = circ.parity_probabilities(np.stack([blocks] * len(ms) + [hadamard @ blocks] * len(ms)),
+                                      np.concatenate([ms, ms]))
+    turned = np.full((len(ms), len(phis), 2), 0.5)
+    turned[ms % 2 == 0, :, 0] = 1.0
+    turned[ms == 1, :, 1] = (1.0 - np.sin(phis)) / 2.0
+    expected = np.concatenate([circ.ideal_probabilities(ms[:, None], phis), turned])
+    worst = float(np.max(np.abs(probs - expected)))
     return "parity-closed-form", worst <= 1e-12, f"max deviation {worst:.2e}"
 
 

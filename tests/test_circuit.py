@@ -334,6 +334,19 @@ class TestEvenParityProbabilities:
             for blocks, P, rows in zip(stack, ps, probs):
                 assert np.array_equal(rows, contract_one(blocks, P))
 
+    def test_contraction_does_not_depend_on_the_batch(self):
+        # the stage's bits can move with the batch; the contraction must not
+        # add a second source: each amplitude's slice alone gives its bits
+        # in the stack of all 101
+        thetas = np.linspace(0.0, np.pi / 2, 101)
+        blocks = analytic_stage([(synthesize_shifter(48.0, 144), [1])], thetas)[0][1]
+        ps = np.array([1, 2, 3, 64, 2048])
+        stack = np.stack([blocks] * len(ps))
+        whole = parity_probabilities(stack, ps)
+        for a in range(len(thetas)):
+            assert np.array_equal(whole[:, a:a + 1],
+                                  parity_probabilities(stack[:, :, a:a + 1], ps)), a
+
     @pytest.mark.parametrize("ps", [[1, 0], [-1, 2], [0]])
     def test_stack_rejects_fewer_than_one_branch(self, ps):
         blocks = analytic_stage([(synthesize_shifter(1.0, 10), [1])], [0.3])[0][1]

@@ -282,6 +282,17 @@ def test_verify_fails_on_wrong_parity_contraction(capsys, monkeypatch):
     assert "FAIL  parity-closed-form: max deviation 1.00e-09" in capsys.readouterr().out
 
 
+def test_verify_fails_on_sign_dropping_contraction(capsys, monkeypatch):
+    # real powers taken on |x| alone: both backends contract through the
+    # same function, so only the closed form's Hadamard-turned blocks,
+    # whose x1 = -1, see it
+    monkeypatch.setattr(circuit, "_signed_power", lambda x, n: np.abs(x) ** n)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  parity-closed-form" in out
+    assert "PASS  backend-equivalence" in out
+
+
 def test_verify_fails_on_wrong_shared_block_contraction(capsys, monkeypatch):
     # the backend check goes through the driver's probability phase, where
     # analytic steps share their eigenphase blocks from one stage call; the

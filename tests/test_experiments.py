@@ -229,7 +229,7 @@ class TestBiasSweep:
         assert all(max(r.beta_plus, r.beta_i) <= 0.05 for r in rows)
 
     def test_rows_pinned(self):
-        # pins the exact bias of the branch-unitary kernel over five amplitudes
+        # pins the exact bias of the analytic probability phase over five amplitudes
         cfg = ExperimentConfig(experiment="bias_sweep", backend="analytic",
                                k_min=1, k_max=3, amplitude_grid=5,
                                shots=10000, seed=2024)
@@ -238,7 +238,7 @@ class TestBiasSweep:
                     beta_i=7.793783636173002e-05, a_plus=0.25, a_i=0.75),
             BiasRow(k=2, l=12, beta_plus=2.0937865550463286e-05,
                     beta_i=1.840789442597579e-05, a_plus=0.0, a_i=0.25),
-            BiasRow(k=3, l=12, beta_plus=1.737683345476304e-05,
+            BiasRow(k=3, l=12, beta_plus=1.7376833454818552e-05,
                     beta_i=2.5954618921408823e-05, a_plus=0.0, a_i=0.0),
         ]
 

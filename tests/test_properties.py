@@ -1,5 +1,6 @@
 """Property tests of the schedule invariants, of the run-level analytic
-stage, of batched sampling and of noiseless phase recovery."""
+stage, of the parity contraction's signed power, of batched sampling and
+of noiseless phase recovery."""
 
 import math
 
@@ -7,12 +8,13 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st, target  # noqa: E402
 
 from pae import (PARALLEL_L_TABLE_PLUS, analytic_stage, build_schedule,  # noqa: E402
                  estimate_phase, ideal_probabilities, make_instance,
                  query_count, run, sample_and_recover, select_L_empirical,
                  synthesize_shifter)
+from pae.circuit import _signed_power  # noqa: E402
 
 # the strengths of the benchmark's synthesis ladder at their calibrated
 # lengths, and the T = 1 shifters of the plus table
@@ -61,6 +63,31 @@ def test_run_level_stage_is_its_batches_of_one(keys, data, thetas):
         alone = analytic_stage([(spec, powers)], thetas)[0]
         assert blocks.keys() == alone.keys() == powers
         assert all(blocks[s].tobytes() == alone[s].tobytes() for s in powers)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.floats(-1.0, 1.0), n=st.integers(0, 2 ** 20))
+@example(x=0.0, n=0)
+@example(x=-0.0, n=0)
+@example(x=0.0, n=7)
+@example(x=-0.0, n=7)
+@example(x=-1.0, n=2 ** 20 - 1)
+@example(x=-1.0, n=2 ** 20)
+@example(x=1.0, n=2 ** 20 - 1)
+def test_signed_power_is_the_real_power(x, n):
+    # the contraction raises |x| and puts the sign back: the sign is that
+    # of x ** n, the value within 2 ulps of it (the largest gap is hypothesis'
+    # target score), and 0 ** 0, 0 ** n and (+-1) ** n are exact
+    got = _signed_power(np.array([x]), np.array([n]))[0]
+    want = np.float64(x) ** n
+    assert np.signbit(got) == np.signbit(want)
+    gap = abs(int(np.abs(got).view(np.int64)) - int(np.abs(want).view(np.int64)))
+    target(float(gap), label="ulps from x ** n")
+    assert gap <= 2
+    if x == 0.0:
+        assert got == (1.0 if n == 0 else 0.0)
+    if abs(x) == 1.0:
+        assert got == (-1.0 if x < 0 and n % 2 else 1.0)
 
 
 @settings(max_examples=60, deadline=None)
